@@ -13,11 +13,9 @@ coefficients backs the test suite end to end.
 __version__ = "0.1.0"
 
 from .condbeta import (
-    BetaParams,
     BetaSpec,
     FirstPassFit,
     build_design_matrix,
-    expand_design,
     first_pass,
     param_names,
 )
@@ -32,7 +30,6 @@ from .econometrics import (
 from .errors import (
     CoinFactorsError,
     EstimationError,
-    FetchError,
     InvalidConfig,
     ValidationError,
 )
@@ -49,9 +46,7 @@ from .factors import (
 from .ingest import (
     CoinSeries,
     DailyBar,
-    FetchConfig,
     UniverseConfig,
-    fetch_snapshot,
     filter_universe,
     load_coin_dir,
     parse_epu_csv,
@@ -91,7 +86,6 @@ from .synth import (
 
 __all__ = [
     "__version__",
-    "BetaParams",
     "BetaSpec",
     "CharacteristicWindows",
     "CoinFactorsError",
@@ -103,8 +97,6 @@ __all__ = [
     "FMSummary",
     "FactorOptions",
     "FactorSet",
-    "FetchConfig",
-    "FetchError",
     "FirstPassFit",
     "GroundTruth",
     "InvalidConfig",
@@ -125,9 +117,7 @@ __all__ = [
     "compute_characteristics",
     "compute_returns",
     "daily_riskfree",
-    "expand_design",
     "fama_macbeth",
-    "fetch_snapshot",
     "filter_universe",
     "first_pass",
     "generate_synthetic",

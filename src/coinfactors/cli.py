@@ -5,9 +5,10 @@ market files, `run` estimates every configured model and writes reports,
 `synth` generates a simulated panel with its ground truth, and `report`
 re-renders markdown and charts from a finished run directory.
 
-Exit codes: 0 success, 2 validation (bad config, bad input data), 3 I/O or
-fetch failure, 4 estimation failure. All file outputs are deterministic;
-status messages on stdout are informational only.
+Exit codes: 0 success, 2 validation (bad config, bad input data), 3 I/O
+failure (a file that cannot be read or written), 4 estimation failure. All
+file outputs are deterministic; status messages on stdout are informational
+only.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from . import __version__
 from .config import RunConfig, load_config, resolved_dict
 from .errors import (
     EstimationError,
-    FetchError,
     InvalidConfig,
     ValidationError,
 )
@@ -58,8 +58,6 @@ def _guarded(action) -> None:
         action()
     except ValidationError as exc:
         _fail(EXIT_VALIDATION, exc)
-    except FetchError as exc:
-        _fail(EXIT_IO, exc)
     except EstimationError as exc:
         _fail(EXIT_ESTIMATION, exc)
     except OSError as exc:

@@ -107,119 +107,18 @@ def build_design_matrix(
     return np.hstack(blocks)
 
 
-def expand_design(
-    factor_values: Sequence[float],
-    cond,
-    chars,
-    spec: BetaSpec,
-) -> np.ndarray:
-    """One design row from one date's factor vector, conditioning info, and
-    characteristic vector. Same code path as the matrix builder."""
-    try:
-        char_row = [chars.z(name) for name in spec.characteristics]
-    except KeyError as exc:
-        raise MissingCharacteristic(str(exc.args[0])) from None
-    F = np.asarray(factor_values, dtype=float).reshape(1, -1)
-    r = cond.r_btc
-    return build_design_matrix(
-        F, np.array([cond.u]), np.array([r]), np.array([char_row]), spec
-    )[0]
-
-
-@dataclass(frozen=True)
-class CharacteristicBeta:
-    name: str
-    base: float
-    u: float
-    r: float
-
-
-@dataclass(frozen=True)
-class FactorBeta:
-    factor: str
-    base: float
-    u: float
-    r: float
-    characteristics: tuple[CharacteristicBeta, ...]
-
-
-@dataclass(frozen=True)
-class BetaParams:
-    """Loading parameters grouped per factor, round-trippable to and from
-    the flat design-column order (intercept excluded)."""
-
-    mode: str
-    factors: tuple[FactorBeta, ...]
-
-    def factor(self, name: str) -> FactorBeta:
-        for f in self.factors:
-            if f.factor == name:
-                return f
-        raise KeyError(name)
-
-    def to_vector(self) -> np.ndarray:
-        out = []
-        for f in self.factors:
-            if self.mode == "unconditional":
-                out.append(f.base)
-                continue
-            out.extend([f.base, f.u, f.r])
-            for c in f.characteristics:
-                out.extend([c.base, c.u, c.r])
-        return np.array(out, dtype=float)
-
-    @classmethod
-    def from_vector(
-        cls, vector: Sequence[float], factor_names: Sequence[str], spec: BetaSpec
-    ) -> "BetaParams":
-        v = np.asarray(vector, dtype=float)
-        per = spec.params_per_factor()
-        if v.size != per * len(factor_names):
-            raise ValueError(
-                f"{v.size} parameters for {len(factor_names)} factors, "
-                f"expected {per * len(factor_names)}"
-            )
-        factors = []
-        for k, name in enumerate(factor_names):
-            block = v[k * per : (k + 1) * per]
-            if spec.mode == "unconditional":
-                factors.append(
-                    FactorBeta(name, base=float(block[0]), u=0.0, r=0.0,
-                               characteristics=())
-                )
-                continue
-            triples = []
-            for m, char in enumerate(spec.characteristics):
-                start = 3 + 3 * m
-                triples.append(
-                    CharacteristicBeta(
-                        char,
-                        base=float(block[start]),
-                        u=float(block[start + 1]),
-                        r=float(block[start + 2]),
-                    )
-                )
-            factors.append(
-                FactorBeta(
-                    name,
-                    base=float(block[0]),
-                    u=float(block[1]),
-                    r=float(block[2]),
-                    characteristics=tuple(triples),
-                )
-            )
-        return cls(mode=spec.mode, factors=tuple(factors))
-
-
 @dataclass(frozen=True)
 class FirstPassFit:
-    """Per-coin time-series fit and its risk-adjusted return series."""
+    """Per-coin time-series fit and its risk-adjusted return series.
+
+    coefficients, param_names and stderr align index for index in design
+    column order, alpha first. risk_adjusted maps every fitted date to
+    alpha plus that date's residual.
+    """
 
     coin_id: str
-    alpha: float
-    params: BetaParams
     param_names: tuple[str, ...]
-    residuals: Mapping[dt.date, float]
+    coefficients: np.ndarray
     stderr: np.ndarray
     r2: float
     adj_r2: float
@@ -288,28 +187,17 @@ def first_pass(
         ) from None
 
     alpha = float(fit.coefficients[0])
-    params = BetaParams.from_vector(fit.coefficients[1:], factor_set.names, spec)
-    residuals = {o.date: float(e) for o, e in zip(rows, fit.residuals)}
-    risk_adjusted = {d: alpha + e for d, e in residuals.items()}
     return FirstPassFit(
         coin_id=coin_id,
-        alpha=alpha,
-        params=params,
         param_names=names,
-        residuals=residuals,
+        coefficients=fit.coefficients,
         stderr=fit.stderr,
         r2=fit.r2,
         adj_r2=fit.adj_r2,
         n_obs=fit.n_obs,
         n_params=fit.n_params,
-        risk_adjusted=risk_adjusted,
+        risk_adjusted={o.date: alpha + float(e) for o, e in zip(rows, fit.residuals)},
     )
-
-
-def risk_adjusted_returns(fit: FirstPassFit) -> dict[dt.date, float]:
-    """The dated series alpha + residual, the return component the factor
-    model leaves unexplained."""
-    return {d: fit.alpha + e for d, e in sorted(fit.residuals.items())}
 
 
 def write_first_pass_params_csv(
@@ -320,8 +208,7 @@ def write_first_pass_params_csv(
         writer = csv.writer(handle)
         writer.writerow(("coin_id", "param_name", "estimate", "stderr"))
         for fit in sorted(fits, key=lambda f: f.coin_id):
-            estimates = np.concatenate([[fit.alpha], fit.params.to_vector()])
-            for name, est, se in zip(fit.param_names, estimates, fit.stderr):
+            for name, est, se in zip(fit.param_names, fit.coefficients, fit.stderr):
                 writer.writerow((fit.coin_id, name, repr(float(est)), repr(float(se))))
 
 

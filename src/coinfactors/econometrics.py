@@ -199,8 +199,10 @@ def fama_macbeth(
         fm_t, degenerate = _t_ratio(mean, fm_se)
         nw_se = newey_west_se(series, lags)
         nw_t, nw_degenerate = _t_ratio(mean, nw_se)
+        # a zero stderr gives +-inf for a nonzero coefficient and NaN for
+        # 0/0, which never counts as significant
         with np.errstate(divide="ignore", invalid="ignore"):
-            daily_t = np.where(ses[:, i] > 0.0, series / ses[:, i], np.inf)
+            daily_t = series / ses[:, i]
         share = float(np.mean(np.abs(daily_t) > significance_z))
         summaries.append(
             CoefficientSummary(

@@ -1,8 +1,9 @@
 """Exception hierarchy for the package.
 
-Three tiers map to CLI exit codes: ValidationError (bad input data or
-config, exit 2), FetchError (transport problems in the optional snapshot
-client, exit 3), EstimationError (numerical or coverage failures, exit 4).
+Two tiers map to CLI exit codes: ValidationError (bad input data or
+config, exit 2) and EstimationError (numerical or coverage failures,
+exit 4). Exit 3 is for I/O only: the CLI maps OSError to it, and no
+exception class here uses it.
 """
 
 from __future__ import annotations
@@ -21,10 +22,6 @@ class ValidationError(CoinFactorsError):
 
 class EstimationError(CoinFactorsError):
     """A regression, sort, or aggregation that cannot proceed."""
-
-
-class FetchError(CoinFactorsError):
-    """Transport-level failure in the snapshot fetch client."""
 
 
 # ingest ---------------------------------------------------------------
@@ -56,20 +53,6 @@ class NegativeLevel(ValidationError):
 
 class EmptyUniverse(ValidationError):
     """No coin satisfies the universe filter."""
-
-
-class HttpError(FetchError):
-    def __init__(self, status: int, url: str) -> None:
-        self.status = status
-        self.url = url
-        super().__init__(f"HTTP {status} for {url}")
-
-
-class RateLimited(FetchError):
-    def __init__(self, url: str, attempts: int) -> None:
-        self.url = url
-        self.attempts = attempts
-        super().__init__(f"rate limited after {attempts} attempts for {url}")
 
 
 # panel ----------------------------------------------------------------

@@ -151,22 +151,18 @@ def _leg_return(
 def long_short_factor(
     panel: Panel,
     date: dt.date,
-    characteristic: str,
-    orientation: str,
+    name: str,
     options: FactorOptions = FactorOptions(),
 ) -> float:
-    """Value-weighted long-leg return minus short-leg return.
-
-    orientation "high_minus_low" goes long the HIGH leg; "low_minus_high"
-    flips the legs (and exactly negates the value).
-    """
-    if orientation not in ("high_minus_low", "low_minus_high"):
-        raise InvalidConfig(f"unknown orientation {orientation!r}")
+    """Value-weighted long-leg return minus short-leg return of the named
+    long-short factor; LONG_SHORT gives its sort characteristic and legs."""
+    if name not in LONG_SHORT:
+        raise InvalidConfig(
+            f"unknown long-short factor {name!r}, expected one of {sorted(LONG_SHORT)}"
+        )
+    characteristic, long_label, short_label = LONG_SHORT[name]
     assignment = sort_portfolios(panel, date, characteristic, options)
     obs_by_coin = {o.coin_id: o for o in panel.by_date(date)}
-    long_label, short_label = (
-        ("HIGH", "LOW") if orientation == "high_minus_low" else ("LOW", "HIGH")
-    )
     long_ret = _leg_return(obs_by_coin, assignment, long_label)
     short_ret = _leg_return(obs_by_coin, assignment, short_label)
     return long_ret - short_ret
@@ -186,10 +182,6 @@ class FactorSet:
 
     def vector(self, date: dt.date) -> tuple[float, ...]:
         return self.values[date]
-
-    def series(self, name: str) -> np.ndarray:
-        idx = self.names.index(name)
-        return np.array([self.values[d][idx] for d in self.dates()], dtype=float)
 
 
 def build_factor_set(
@@ -213,15 +205,7 @@ def build_factor_set(
                 if name == "mkt":
                     row.append(market_factor(panel, date, options))
                 else:
-                    characteristic, long_label, _ = LONG_SHORT[name]
-                    orientation = (
-                        "high_minus_low" if long_label == "HIGH" else "low_minus_high"
-                    )
-                    row.append(
-                        long_short_factor(
-                            panel, date, characteristic, orientation, options
-                        )
-                    )
+                    row.append(long_short_factor(panel, date, name, options))
         except (TooFewCoins, EmptyLeg, EmptyDate) as exc:
             dropped.append((date, f"{type(exc).__name__}: {exc}"))
             continue

@@ -1,5 +1,6 @@
-"""Input acquisition: strict CSV parsers for the three source tables,
-universe selection, and a snapshot fetcher for per-coin history endpoints.
+"""Input acquisition: strict CSV parsers for the three source tables and
+universe selection. Every input is read from local files; ingest does no
+network access, so its only I/O failures are file-system ones.
 
 Parsers are deliberately unforgiving. A malformed row names its line number,
 headers must match exactly (extra columns rejected, not ignored), dates must
@@ -12,21 +13,16 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
-import os
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DuplicateDate,
     EmptyUniverse,
-    HttpError,
     MalformedRow,
     NegativeLevel,
     NonPositivePrice,
-    RateLimited,
 )
 
 MARKET_HEADER = ("date", "close", "volume", "market_cap")
@@ -62,10 +58,6 @@ class CoinSeries:
                 break
             cap = bar.market_cap
         return cap
-
-    def truncated(self, last: dt.date) -> "CoinSeries":
-        """Copy containing only bars dated at or before `last`."""
-        return CoinSeries(self.coin_id, tuple(b for b in self.bars if b.date <= last))
 
 
 @dataclass(frozen=True)
@@ -225,86 +217,6 @@ def filter_universe(
         )
     ranked.sort()
     return tuple(coin_id for _, coin_id in ranked[: cfg.top_n])
-
-
-@dataclass(frozen=True)
-class FetchConfig:
-    """Endpoint description for fetch_snapshot.
-
-    base_url must contain {coin_id}, {start}, {end} placeholders. If
-    api_key_env is set and the variable is present, its value is sent as an
-    X-Api-Key header.
-    """
-
-    base_url: str
-    api_key_env: str | None = None
-    timeout_s: float = 30.0
-    max_attempts: int = 5
-    concurrency: int = 4
-    backoff_s: float = 1.0
-
-
-def _fetch_one(
-    cfg: FetchConfig,
-    session,
-    coin_id: str,
-    start: dt.date,
-    end: dt.date,
-    sleep: Callable[[float], None],
-) -> str:
-    url = cfg.base_url.format(coin_id=coin_id, start=start, end=end)
-    headers = {}
-    if cfg.api_key_env:
-        key = os.environ.get(cfg.api_key_env)
-        if key:
-            headers["X-Api-Key"] = key
-    for attempt in range(1, cfg.max_attempts + 1):
-        response = session.get(url, headers=headers, timeout=cfg.timeout_s)
-        if response.status_code == 200:
-            return response.text
-        if response.status_code != 429:
-            raise HttpError(response.status_code, url)
-        if attempt < cfg.max_attempts:
-            sleep(cfg.backoff_s * 2 ** (attempt - 1))
-    raise RateLimited(url, cfg.max_attempts)
-
-
-def fetch_snapshot(
-    cfg: FetchConfig,
-    coin_ids: Sequence[str],
-    start: dt.date,
-    end: dt.date,
-    out_dir: str | Path,
-    session=None,
-    sleep: Callable[[float], None] = time.sleep,
-) -> dict[str, Path]:
-    """Download per-coin market history into out_dir as <coin_id>.csv.
-
-    Each payload is validated with parse_market_csv before anything is
-    written, so a half-broken response never lands on disk; re-fetching
-    overwrites. Fetches run on a small thread pool; 429 responses back off
-    exponentially and give up after max_attempts. A requests-compatible
-    session object can be injected for testing.
-    """
-    if session is None:
-        import requests
-
-        session = requests.Session()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    def work(coin_id: str) -> tuple[str, Path]:
-        text = _fetch_one(cfg, session, coin_id, start, end, sleep)
-        parse_market_csv(io.StringIO(text), coin_id)
-        path = out / f"{coin_id}.csv"
-        path.write_text(text)
-        return coin_id, path
-
-    results: dict[str, Path] = {}
-    with ThreadPoolExecutor(max_workers=cfg.concurrency) as pool:
-        for coin_id, path in pool.map(work, coin_ids):
-            results[coin_id] = path
-    return dict(sorted(results.items()))
 
 
 def load_coin_dir(directory: str | Path) -> tuple[CoinSeries, ...]:

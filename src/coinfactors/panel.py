@@ -105,11 +105,6 @@ class RawCharacteristics:
     liquidity: float | None
     value: float | None
 
-    def get(self, name: str) -> float | None:
-        if name not in CHARACTERISTIC_NAMES:
-            raise KeyError(name)
-        return getattr(self, name)
-
     def missing(self) -> tuple[str, ...]:
         return tuple(n for n in CHARACTERISTIC_NAMES if getattr(self, n) is None)
 
@@ -254,8 +249,9 @@ class Panel:
     """Immutable observation set with date and coin indexes.
 
     observations are sorted by (date, coin_id); each (coin, date) appears at
-    most once. riskfree_mode records whether excess returns were taken
-    against the treasury rate ("tbill") or the Bitcoin return ("btc").
+    most once, and the constructor raises DuplicateDate otherwise.
+    riskfree_mode records whether excess returns were taken against the
+    treasury rate ("tbill") or the Bitcoin return ("btc").
     """
 
     observations: tuple[PanelObservation, ...]
@@ -267,7 +263,12 @@ class Panel:
     def __post_init__(self):
         by_date: dict[dt.date, list[PanelObservation]] = {}
         by_coin: dict[str, list[PanelObservation]] = {}
+        seen = set()
         for obs in self.observations:
+            key = (obs.coin_id, obs.date)
+            if key in seen:
+                raise DuplicateDate(obs.date, context=obs.coin_id)
+            seen.add(key)
             by_date.setdefault(obs.date, []).append(obs)
             by_coin.setdefault(obs.coin_id, []).append(obs)
         object.__setattr__(
@@ -285,12 +286,6 @@ class Panel:
         dropped: Iterable[Drop] = (),
     ) -> "Panel":
         obs = sorted(observations, key=lambda o: (o.date, o.coin_id))
-        seen = set()
-        for o in obs:
-            key = (o.coin_id, o.date)
-            if key in seen:
-                raise DuplicateDate(o.date, context=o.coin_id)
-            seen.add(key)
         return cls(tuple(obs), riskfree_mode, tuple(dropped))
 
     def dates(self) -> tuple[dt.date, ...]:

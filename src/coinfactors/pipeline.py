@@ -173,12 +173,6 @@ class ModelResult:
     dropped_coins: tuple[Drop, ...]
     skipped_dates: tuple[tuple[dt.date, str], ...]
 
-    def fit_for(self, coin_id: str) -> FirstPassFit:
-        for fit in self.fits:
-            if fit.coin_id == coin_id:
-                return fit
-        raise KeyError(coin_id)
-
     @property
     def second_pass_avg_adj_r2(self) -> float:
         return self.fm.avg_adj_r2
@@ -200,6 +194,19 @@ def significant_anomaly_count(
     return count
 
 
+def _build_factors(
+    panel: Panel, spec: ModelSpec, options: PipelineOptions
+) -> FactorSet:
+    """The factor set spec demands, with a failed build reported as the
+    spec's factors stage."""
+    try:
+        return build_factor_set(panel, spec.factors, options.factor_options)
+    except InvalidConfig:
+        raise
+    except CoinFactorsError as exc:
+        raise StageError(spec.label, "factors", exc) from exc
+
+
 def run_model(
     panel: Panel,
     spec: ModelSpec,
@@ -208,31 +215,27 @@ def run_model(
 ) -> ModelResult:
     """Execute the full two-pass procedure for one spec.
 
-    Factors are built from the panel unless an externally constructed
-    factor_set is supplied (synthetic ground-truth studies pass the true
-    factors here). Coins failing first-pass preconditions are dropped with
-    reasons; fatal stage errors carry the spec label and stage name.
+    Factors are built from the panel unless a factor_set is supplied:
+    synthetic ground-truth studies pass the true factors, and
+    compare_models passes the set it built once for the spec's menu.
+    Coins failing first-pass preconditions are dropped with reasons; fatal
+    stage errors carry the spec label and stage name.
     """
     if spec.riskfree_mode != panel.riskfree_mode:
         raise InvalidConfig(
             f"spec {spec.label!r} wants riskfree_mode {spec.riskfree_mode!r} "
             f"but the panel was built with {panel.riskfree_mode!r}"
         )
-    try:
-        if factor_set is None:
-            factor_set = build_factor_set(panel, spec.factors, options.factor_options)
-        else:
-            wanted = resolve_factor_names(spec.factors)
-            if tuple(factor_set.names) != wanted:
-                raise InvalidConfig(
-                    f"spec {spec.label!r} wants factors {wanted}, "
-                    f"supplied set has {tuple(factor_set.names)}"
-                )
-        if not factor_set.values:
-            raise NoEligibleDates("factor set is empty")
-    except InvalidConfig:
-        raise
-    except CoinFactorsError as exc:
+    if factor_set is None:
+        factor_set = _build_factors(panel, spec, options)
+    wanted = resolve_factor_names(spec.factors)
+    if tuple(factor_set.names) != wanted:
+        raise InvalidConfig(
+            f"spec {spec.label!r} wants factors {wanted}, "
+            f"supplied set has {tuple(factor_set.names)}"
+        )
+    if not factor_set.values:
+        exc = NoEligibleDates("factor set is empty")
         raise StageError(spec.label, "factors", exc) from exc
 
     fits = []
@@ -350,7 +353,8 @@ def compare_models(
     mode.
 
     panels may be one Panel (all specs must match its risk-free mode) or a
-    mapping from mode to Panel.
+    mapping from mode to Panel. Each factor menu is built once per panel,
+    by the first spec in label order that uses it, and shared by the rest.
     """
     if not specs:
         raise InvalidConfig("no specs given")
@@ -363,6 +367,7 @@ def compare_models(
         panel_by_mode = panels
 
     results: dict[str, ModelResult] = {}
+    factor_sets: dict[tuple[tuple[str, ...], str], FactorSet] = {}
     for spec in sorted(specs, key=lambda s: s.label):
         panel = panel_by_mode.get(spec.riskfree_mode)
         if panel is None:
@@ -370,7 +375,10 @@ def compare_models(
                 f"spec {spec.label!r} needs a panel with riskfree_mode "
                 f"{spec.riskfree_mode!r}"
             )
-        results[spec.label] = run_model(panel, spec, options=options)
+        key = (resolve_factor_names(spec.factors), spec.riskfree_mode)
+        if key not in factor_sets:
+            factor_sets[key] = _build_factors(panel, spec, options)
+        results[spec.label] = run_model(panel, spec, factor_sets[key], options)
 
     rows = tuple(_row_from_result(results[label]) for label in sorted(results))
 

@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .condbeta import BetaParams, BetaSpec, build_design_matrix
+from .condbeta import BetaSpec, build_design_matrix
 from .errors import InvalidConfig, MissingCharacteristic, SpecMismatch
 from .factors import FACTOR_NAMES, FactorSet
 from .ingest import CoinSeries, DailyBar
@@ -68,7 +68,6 @@ class SynthConfig:
     factor_dynamics: Mapping[str, FactorDynamics] = None
     beta_spec: BetaSpec = BetaSpec("conditional")
     theta_law: ThetaLaw = ThetaLaw()
-    true_theta: BetaParams | None = None
     alpha_vol: float = 0.0
     noise_vol: float = 0.01
     anomaly_effects: Mapping[str, float] = None
@@ -105,12 +104,15 @@ class SynthConfig:
 @dataclass(frozen=True)
 class GroundTruth:
     """Everything the generator knew: true loadings per coin, true factor
-    values, the conditioning series, and the injected anomaly premiums."""
+    values, the conditioning series, and the injected anomaly premiums.
+
+    Each coin's loadings are one vector in param_names order without the
+    intercept, the layout of FirstPassFit.coefficients[1:]."""
 
     config: SynthConfig
     factor_set: FactorSet
     beta_spec: BetaSpec
-    theta: Mapping[str, BetaParams]
+    theta: Mapping[str, np.ndarray]
     alpha: Mapping[str, float]
     anomaly_effects: Mapping[str, float]
     u: Mapping[dt.date, float]
@@ -135,40 +137,27 @@ def _uniform(rng: np.random.Generator, bounds: tuple[float, float]) -> float:
     return float(rng.uniform(lo, hi))
 
 
-def _draw_theta(
-    rng: np.random.Generator, cfg: SynthConfig
-) -> BetaParams:
-    from .condbeta import CharacteristicBeta, FactorBeta
+def _draw_theta(rng: np.random.Generator, cfg: SynthConfig) -> np.ndarray:
+    """One coin's loading vector in param_names order, intercept excluded.
 
+    Per factor, the characteristic triples are drawn before base, u and r,
+    although the vector lists base, u and r first. Every synthetic panel
+    depends on this draw order, so it must not change.
+    """
     law = cfg.theta_law
-    spec = cfg.beta_spec
-    factors = []
-    for name in cfg.factor_names:
-        if spec.mode == "unconditional":
-            factors.append(
-                FactorBeta(name, base=_uniform(rng, law.base), u=0.0, r=0.0,
-                           characteristics=())
-            )
+    theta = []
+    for _ in cfg.factor_names:
+        if cfg.beta_spec.mode == "unconditional":
+            theta.append(_uniform(rng, law.base))
             continue
-        triples = tuple(
-            CharacteristicBeta(
-                char,
-                base=_uniform(rng, law.char_base),
-                u=_uniform(rng, law.char_u),
-                r=_uniform(rng, law.char_r),
-            )
-            for char in spec.characteristics
-        )
-        factors.append(
-            FactorBeta(
-                name,
-                base=_uniform(rng, law.base),
-                u=_uniform(rng, law.u),
-                r=_uniform(rng, law.r),
-                characteristics=triples,
-            )
-        )
-    return BetaParams(mode=spec.mode, factors=tuple(factors))
+        triples = [
+            _uniform(rng, bounds)
+            for _ in cfg.beta_spec.characteristics
+            for bounds in (law.char_base, law.char_u, law.char_r)
+        ]
+        theta.extend(_uniform(rng, bounds) for bounds in (law.base, law.u, law.r))
+        theta.extend(triples)
+    return np.array(theta, dtype=float)
 
 
 def coin_label(index: int, n_coins: int) -> str:
@@ -221,9 +210,7 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[Panel, GroundTruth]:
             if name == "size":
                 path += size_offset
             raw_chars[i, :, m] = path
-        thetas.append(
-            cfg.true_theta if cfg.true_theta is not None else _draw_theta(rng, cfg)
-        )
+        thetas.append(_draw_theta(rng, cfg))
         alphas[i] = cfg.alpha_vol * rng.standard_normal()
         noises[i] = cfg.noise_vol * rng.standard_normal(t_obs)
 
@@ -251,7 +238,7 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[Panel, GroundTruth]:
             z_chars[i][:, spec_char_idx].reshape(t_obs, len(spec_char_idx)),
             cfg.beta_spec,
         )
-        excess = alphas[i] + design @ thetas[i].to_vector() + noises[i]
+        excess = alphas[i] + design @ thetas[i] + noises[i]
         for name, effect in sorted(cfg.anomaly_effects.items()):
             m = CHARACTERISTIC_NAMES.index(name)
             excess = excess + effect * z_chars[i, :, m]
@@ -383,8 +370,8 @@ def verify_recovery(
     total = 0
     per_coin = {}
     for fit in result.fits:
-        true_vec = truth.theta[fit.coin_id].to_vector()
-        est_vec = fit.params.to_vector()
+        true_vec = truth.theta[fit.coin_id]
+        est_vec = fit.coefficients[1:]
         if true_vec.shape != est_vec.shape:
             raise SpecMismatch(
                 f"{fit.coin_id}: {est_vec.size} estimated parameters, "
@@ -440,10 +427,7 @@ def truth_to_json(truth: GroundTruth) -> dict:
         "beta_spec": _jsonable(truth.beta_spec),
         "factor_names": list(truth.factor_set.names),
         "factors": _jsonable(dict(truth.factor_set.values)),
-        "theta": {
-            coin: _jsonable(params.to_vector())
-            for coin, params in sorted(truth.theta.items())
-        },
+        "theta": _jsonable(dict(truth.theta)),
         "alpha": _jsonable(dict(truth.alpha)),
         "anomaly_effects": _jsonable(dict(truth.anomaly_effects)),
         "u": _jsonable(dict(truth.u)),

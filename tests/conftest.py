@@ -1,7 +1,9 @@
 import datetime as dt
 
+import numpy as np
 import pytest
 
+from coinfactors.condbeta import build_design_matrix
 from coinfactors.ingest import CoinSeries, DailyBar
 from coinfactors.panel import (
     CharacteristicVector,
@@ -72,6 +74,27 @@ def make_obs(
 
 def make_panel(observations, riskfree_mode="tbill"):
     return Panel.from_observations(observations, riskfree_mode)
+
+
+def decomposition_errors(fit, observations, factor_set, spec, r_by_date=None):
+    """|excess - R* - design @ loadings| on every date the first-pass fit
+    used, with the design rebuilt through build_design_matrix. r_by_date
+    gives the lagged return per date; by default it is the Bitcoin lag."""
+    by_date = {o.date: o for o in observations}
+    dates = sorted(fit.risk_adjusted)
+    rows = [by_date[d] for d in dates]
+    if r_by_date is None:
+        r_by_date = {o.date: o.cond.r_btc for o in rows}
+    design = build_design_matrix(
+        np.array([factor_set.vector(d) for d in dates]),
+        np.array([o.cond.u for o in rows]),
+        np.array([r_by_date[d] for d in dates]),
+        np.array([[o.chars.z(c) for c in spec.characteristics] for o in rows]),
+        spec,
+    )
+    excess = np.array([o.excess for o in rows])
+    rstar = np.array([fit.risk_adjusted[d] for d in dates])
+    return np.abs(excess - rstar - design @ fit.coefficients[1:])
 
 
 @pytest.fixture(scope="session")

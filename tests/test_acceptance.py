@@ -16,7 +16,7 @@ from click.testing import CliRunner
 from mpmath import mp
 
 from coinfactors.cli import main
-from coinfactors.condbeta import BetaSpec, expand_design, first_pass
+from coinfactors.condbeta import BetaSpec, first_pass
 from coinfactors.econometrics import ols
 from coinfactors.factors import (
     build_factor_set,
@@ -45,7 +45,14 @@ from coinfactors.synth import (
     verify_recovery,
 )
 
-from conftest import D0, day, make_obs, make_panel, make_series
+from conftest import (
+    D0,
+    day,
+    decomposition_errors,
+    make_obs,
+    make_panel,
+    make_series,
+)
 
 UNCOND = ModelSpec(label="capm-u", factors="CAPM", beta=BetaSpec("unconditional"))
 COND = ModelSpec(label="capm-c", factors="CAPM", beta=BetaSpec("conditional"))
@@ -63,18 +70,16 @@ def _observation_index(panel: Panel) -> dict:
 
 
 def _max_decomposition_error(result, panel: Panel) -> float:
-    """Worst pointwise |excess - R* - beta'F| over every fitted coin-day."""
-    index = _observation_index(panel)
-    worst = 0.0
-    for fit in result.fits:
-        theta = fit.params.to_vector()
-        for date, rstar in fit.risk_adjusted.items():
-            obs = index[(fit.coin_id, date)]
-            row = expand_design(
-                result.factor_set.vector(date), obs.cond, obs.chars, result.spec.beta
-            )
-            worst = max(worst, abs(obs.excess - rstar - float(row @ theta)))
-    return worst
+    """Worst pointwise |excess - R* - beta'F| over every fitted coin-day of a
+    Bitcoin-lag spec."""
+    return max(
+        float(
+            decomposition_errors(
+                fit, panel.by_coin(fit.coin_id), result.factor_set, result.spec.beta
+            ).max()
+        )
+        for fit in result.fits
+    )
 
 
 def test_ac01_noiseless_identification():

@@ -1,3 +1,5 @@
+import dataclasses
+import datetime as dt
 import random
 
 import numpy as np
@@ -5,13 +7,10 @@ import pytest
 
 from coinfactors.condbeta import (
     MIN_OBS_MARGIN,
-    BetaParams,
     BetaSpec,
     build_design_matrix,
-    expand_design,
     first_pass,
     param_names,
-    risk_adjusted_returns,
     write_first_pass_params_csv,
     write_risk_adjusted_csv,
 )
@@ -20,10 +19,13 @@ from coinfactors.errors import (
     InvalidConfig,
     MissingCharacteristic,
     RankDeficient,
+    SpecMismatch,
 )
 from coinfactors.factors import FactorSet
+from coinfactors.pipeline import ModelSpec, run_model
+from coinfactors.synth import verify_recovery
 
-from conftest import day, make_obs
+from conftest import day, decomposition_errors, make_obs
 
 COND_SIZE = BetaSpec(mode="conditional", characteristics=("size",))
 
@@ -52,24 +54,22 @@ def test_param_names_layout():
 
 
 def test_expand_design_oracle():
-    obs = make_obs("A", day(1), u=1.0, r_btc=0.5, size=2.0)
-    row = expand_design([2.0], obs.cond, obs.chars, COND_SIZE)
+    row = build_design_matrix([[2.0]], [1.0], [0.5], [[2.0]], COND_SIZE)[0]
     # f * [1, u, r, c, u*c, r*c] with f=2, u=1, r=0.5, c=2
     assert row == pytest.approx([2.0, 2.0, 1.0, 4.0, 4.0, 2.0], abs=1e-15)
 
 
 def test_expand_design_unconditional_passthrough():
-    obs = make_obs("A", day(1), u=1.0, r_btc=0.5, size=2.0)
-    row = expand_design([0.03, -0.01], obs.cond, obs.chars,
-                        BetaSpec(mode="unconditional"))
+    row = build_design_matrix([[0.03, -0.01]], [1.0], [0.5], [[2.0]],
+                              BetaSpec(mode="unconditional"))[0]
     assert row == pytest.approx([0.03, -0.01], abs=1e-18)
 
 
 def test_expand_design_unknown_characteristic():
-    obs = make_obs("A", day(1))
+    obs, fs = _noiseless_coin(60, seed=4)
     spec = BetaSpec(mode="conditional", characteristics=("sizzle",))
     with pytest.raises(MissingCharacteristic):
-        expand_design([1.0], obs.cond, obs.chars, spec)
+        first_pass(obs, fs, spec)
 
 
 def test_design_matrix_matches_manual_expansion():
@@ -107,22 +107,44 @@ def test_design_matrix_nests_unconditional_columns():
 
 
 def test_beta_params_vector_round_trip():
+    # a loading vector pushed through the design comes back from first_pass
+    # in the same flat layout, aligned with param_names and stderr
     rng = np.random.default_rng(43)
     spec = BetaSpec(mode="conditional", characteristics=("size", "momentum"))
     vector = rng.normal(size=spec.params_per_factor() * 2)
-    params = BetaParams.from_vector(vector, ("mkt", "smb"), spec)
-    assert np.array_equal(params.to_vector(), vector)
-    smb = params.factor("smb")
-    assert smb.base == vector[9]
-    assert smb.characteristics[1].name == "momentum"
-    assert smb.characteristics[1].r == vector[17]
-    with pytest.raises(KeyError):
-        params.factor("liq")
+    T = 120
+    F = rng.normal(0.001, 0.02, size=(T, 2))
+    u = rng.normal(size=T)
+    r = rng.normal(0.0, 0.03, size=T)
+    C = rng.normal(size=(T, 2))
+    excess = 0.002 + build_design_matrix(F, u, r, C, spec) @ vector
+    obs = [
+        make_obs("X", day(t + 1), excess=float(excess[t]), u=float(u[t]),
+                 r_btc=float(r[t]), size=float(C[t, 0]), momentum=float(C[t, 1]))
+        for t in range(T)
+    ]
+    fs = FactorSet(names=("mkt", "smb"),
+                   values={day(t + 1): tuple(F[t]) for t in range(T)})
+    fit = first_pass(obs, fs, spec)
+    assert fit.coefficients.shape == fit.stderr.shape == (1 + vector.size,)
+    assert len(fit.param_names) == 1 + vector.size
+    assert fit.coefficients[0] == pytest.approx(0.002, abs=1e-10)
+    assert fit.coefficients[1:] == pytest.approx(vector, abs=1e-8)
+    assert fit.param_names[1 + 9] == "smb.base"
+    assert fit.param_names[1 + 17] == "smb.momentum.r"
 
 
-def test_beta_params_from_vector_size_check():
-    with pytest.raises(ValueError):
-        BetaParams.from_vector([1.0, 2.0], ("mkt",), COND_SIZE)
+def test_beta_params_from_vector_size_check(synth_b):
+    # recovery checks refuse a true loading vector whose size differs from
+    # the estimated one
+    panel, truth = synth_b
+    spec = ModelSpec(label="c", factors="CAPM", beta=truth.beta_spec)
+    result = run_model(panel, spec, factor_set=truth.factor_set)
+    short = dataclasses.replace(
+        truth, theta={coin: theta[:-1] for coin, theta in truth.theta.items()}
+    )
+    with pytest.raises(SpecMismatch):
+        verify_recovery(result, short)
 
 
 TRUTH = {
@@ -159,15 +181,14 @@ def test_first_pass_noiseless_recovery():
     obs, fs = _noiseless_coin(120, seed=6)
     fit = first_pass(obs, fs, COND_SIZE)
     assert fit.coin_id == "X"
-    assert fit.alpha == pytest.approx(TRUTH["alpha"], abs=1e-12)
-    mkt = fit.params.factor("mkt")
-    assert mkt.base == pytest.approx(TRUTH["base"], abs=1e-10)
-    assert mkt.u == pytest.approx(TRUTH["u"], abs=1e-10)
-    assert mkt.r == pytest.approx(TRUTH["r"], abs=1e-10)
-    size = mkt.characteristics[0]
-    assert size.base == pytest.approx(TRUTH["c_base"], abs=1e-10)
-    assert size.u == pytest.approx(TRUTH["c_u"], abs=1e-10)
-    assert size.r == pytest.approx(TRUTH["c_r"], abs=1e-10)
+    est = dict(zip(fit.param_names, fit.coefficients))
+    assert est["alpha"] == pytest.approx(TRUTH["alpha"], abs=1e-12)
+    assert est["mkt.base"] == pytest.approx(TRUTH["base"], abs=1e-10)
+    assert est["mkt.u"] == pytest.approx(TRUTH["u"], abs=1e-10)
+    assert est["mkt.r"] == pytest.approx(TRUTH["r"], abs=1e-10)
+    assert est["mkt.size.base"] == pytest.approx(TRUTH["c_base"], abs=1e-10)
+    assert est["mkt.size.u"] == pytest.approx(TRUTH["c_u"], abs=1e-10)
+    assert est["mkt.size.r"] == pytest.approx(TRUTH["c_r"], abs=1e-10)
     assert fit.r2 == pytest.approx(1.0, abs=1e-12)
     assert fit.n_obs == 120
     assert fit.n_params == 7
@@ -180,9 +201,29 @@ def test_first_pass_own_lag_mode():
     fit = first_pass(obs, fs, spec)
     # day 1 has no prior return to condition on, so it drops out
     assert fit.n_obs == 149
-    mkt = fit.params.factor("mkt")
-    assert mkt.r == pytest.approx(TRUTH["r"], abs=1e-9)
-    assert mkt.base == pytest.approx(TRUTH["base"], abs=1e-9)
+    est = dict(zip(fit.param_names, fit.coefficients))
+    assert est["mkt.r"] == pytest.approx(TRUTH["r"], abs=1e-9)
+    assert est["mkt.base"] == pytest.approx(TRUTH["base"], abs=1e-9)
+
+
+def test_own_lag_decomposition_identity(synth_b):
+    panel, truth = synth_b
+    spec = BetaSpec(mode="conditional", lagged_return="own")
+    one_day = dt.timedelta(days=1)
+    worst = 0.0
+    worst_btc = 0.0
+    for coin in panel.coins():
+        obs = panel.by_coin(coin)
+        fit = first_pass(obs, truth.factor_set, spec)
+        ret = {o.date: o.ret for o in obs}
+        own = {d: ret[d - one_day] for d in fit.risk_adjusted}
+        worst = max(worst, decomposition_errors(
+            fit, obs, truth.factor_set, spec, own).max())
+        # the Bitcoin lag does not rebuild an own-lag fit
+        worst_btc = max(worst_btc, decomposition_errors(
+            fit, obs, truth.factor_set, spec).max())
+    assert worst < 1e-10
+    assert worst_btc > 1e-3
 
 
 def test_first_pass_observation_floor():
@@ -224,16 +265,12 @@ def test_risk_adjusted_is_alpha_plus_residual():
         for i, o in enumerate(obs)
     ]
     fit = first_pass(noisy, fs, COND_SIZE)
-    ra = risk_adjusted_returns(fit)
-    assert ra == fit.risk_adjusted
-    excess_by_date = {o.date: o.excess for o in noisy}
-    for d, value in ra.items():
-        assert value == fit.alpha + fit.residuals[d]
-        # the fitted factor component plus alpha plus residual rebuilds
-        # the observation
-        explained = excess_by_date[d] - fit.residuals[d]
-        assert explained - fit.alpha == pytest.approx(
-            excess_by_date[d] - value, abs=1e-15)
+    assert sorted(fit.risk_adjusted) == sorted(o.date for o in noisy)
+    # the fitted factor component plus alpha plus residual rebuilds the
+    # observation, so excess - R* is the factor component alone
+    assert decomposition_errors(fit, noisy, fs, COND_SIZE).max() < 1e-15
+    rstar = np.array([fit.risk_adjusted[o.date] for o in noisy])
+    assert np.abs(rstar - fit.coefficients[0]).max() > 1e-3
 
 
 def test_first_pass_param_csv(tmp_path):
@@ -246,7 +283,7 @@ def test_first_pass_param_csv(tmp_path):
     assert len(lines) == 1 + fit.n_params
     first = lines[1].split(",")
     assert first[:2] == ["X", "alpha"]
-    assert float(first[2]) == fit.alpha
+    assert float(first[2]) == fit.coefficients[0]
 
 
 def test_risk_adjusted_csv(tmp_path):

@@ -1,0 +1,48 @@
+"""The package runs on the standard library, numpy and click alone: the
+declared runtime dependencies and every import in its source say so."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "coinfactors"
+RUNTIME = {"numpy", "click"}
+
+
+def test_declared_runtime_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    names = {
+        re.split(r"[\s<>=!~;\[]", requirement, maxsplit=1)[0].lower()
+        for requirement in project["dependencies"]
+    }
+    assert names == RUNTIME
+
+
+def _imported_modules(path: Path):
+    """Top-level module of every absolute import in the file, including
+    imports inside functions."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_package_imports_only_stdlib_numpy_click():
+    allowed = set(sys.stdlib_module_names) | RUNTIME | {"coinfactors"}
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    foreign = sorted(
+        f"{path.name}: {module}"
+        for path in sources
+        for module in set(_imported_modules(path))
+        if module not in allowed
+    )
+    assert foreign == []

@@ -223,3 +223,14 @@ def test_fama_macbeth_multiple_names_align():
     assert summary.coefficient("c_size").mean == pytest.approx(4.0)
     with pytest.raises(KeyError):
         summary.coefficient("nope")
+
+
+def test_fama_macbeth_zero_stderr_share():
+    # a date with stderr 0 counts as significant only when its coefficient
+    # is nonzero: 0/0 is not evidence, 0.4/0 is an infinite t
+    fits, names = _daily({"c0": [0.0, 0.0, 0.0, 0.0]}, ses=[0.0])
+    c = fama_macbeth(fits, names, nw_lags=0).coefficient("c0")
+    assert c.daily_significant_share == 0.0
+    fits, names = _daily({"c0": [0.4, -0.4, 0.0, 0.1]}, ses=[0.0])
+    c = fama_macbeth(fits, names, nw_lags=0).coefficient("c0")
+    assert c.daily_significant_share == pytest.approx(0.75)

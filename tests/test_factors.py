@@ -127,45 +127,50 @@ def test_long_short_leg_spread_example():
     excesses = [0.05] * 3 + [0.0] * 4 + [0.01] * 3
     obs = _cross_section(day(1), excesses, char_name="size",
                          char_values=values)
-    smb = long_short_factor(make_panel(obs), day(1), "size", "low_minus_high")
+    smb = long_short_factor(make_panel(obs), day(1), "smb")
     assert smb == pytest.approx(0.04, rel=1e-12)
 
 
 def test_long_short_orientation_antisymmetry():
+    # negating the sorted characteristic swaps the legs and exactly negates
+    # the factor
     rng = random.Random(11)
-    obs = _cross_section(
-        day(1),
-        [rng.gauss(0.0, 0.03) for _ in range(10)],
-        caps=[rng.uniform(1e3, 1e7) for _ in range(10)],
-        char_name="momentum",
-        char_values=[rng.gauss(0.0, 1.0) for _ in range(10)],
-    )
-    panel = make_panel(obs)
-    hml = long_short_factor(panel, day(1), "momentum", "high_minus_low")
-    lmh = long_short_factor(panel, day(1), "momentum", "low_minus_high")
-    assert lmh == -hml
+    excesses = [rng.gauss(0.0, 0.03) for _ in range(10)]
+    caps = [rng.uniform(1e3, 1e7) for _ in range(10)]
+    values = [rng.gauss(0.0, 1.0) for _ in range(10)]
+    panel = make_panel(_cross_section(day(1), excesses, caps=caps,
+                                      char_name="momentum", char_values=values))
+    flipped = make_panel(_cross_section(day(1), excesses, caps=caps,
+                                        char_name="momentum",
+                                        char_values=[-v for v in values]))
+    mom = long_short_factor(panel, day(1), "mom")
+    assert mom != 0.0
+    assert long_short_factor(flipped, day(1), "mom") == -mom
 
 
 def test_long_short_zero_when_legs_match():
     obs = _cross_section(day(1), [0.03] * 10, char_name="value",
                          char_values=[float(i) for i in range(10)])
-    spread = long_short_factor(make_panel(obs), day(1), "value",
-                               "high_minus_low")
+    spread = long_short_factor(make_panel(obs), day(1), "val")
     assert spread == 0.0
 
 
 def test_long_short_rejects_unknown_orientation():
     obs = _cross_section(day(1), [0.0] * 10, char_name="size",
                          char_values=[float(i) for i in range(10)])
+    # the factor name fixes the legs; a characteristic or the market factor
+    # names no orientation
     with pytest.raises(InvalidConfig):
-        long_short_factor(make_panel(obs), day(1), "size", "sideways")
+        long_short_factor(make_panel(obs), day(1), "size")
+    with pytest.raises(InvalidConfig):
+        long_short_factor(make_panel(obs), day(1), "mkt")
 
 
 def test_long_short_empty_leg():
     obs = _cross_section(day(1), [0.0] * 10, char_name="size",
                          char_values=[1.0] * 10)
     with pytest.raises(EmptyLeg):
-        long_short_factor(make_panel(obs), day(1), "size", "low_minus_high")
+        long_short_factor(make_panel(obs), day(1), "smb")
 
 
 def test_cap_scale_invariance():
@@ -180,8 +185,8 @@ def test_cap_scale_invariance():
         char_name="momentum", char_values=values))
     assert market_factor(scaled, day(1)) == pytest.approx(
         market_factor(base, day(1)), abs=1e-15)
-    hml_base = long_short_factor(base, day(1), "momentum", "high_minus_low")
-    hml_scaled = long_short_factor(scaled, day(1), "momentum", "high_minus_low")
+    hml_base = long_short_factor(base, day(1), "mom")
+    hml_scaled = long_short_factor(scaled, day(1), "mom")
     assert hml_scaled == pytest.approx(hml_base, abs=1e-15)
 
 
@@ -228,7 +233,7 @@ def test_build_factor_set_all_menu():
         vec = fs.vector(d)
         assert len(vec) == 5
         assert all(np.isfinite(vec))
-    assert fs.series("mkt")[0] == fs.vector(day(1))[0]
+    assert fs.values[day(1)][fs.names.index("mkt")] == fs.vector(day(1))[0]
 
 
 def test_build_factor_set_drops_failing_dates():
@@ -275,8 +280,9 @@ def test_factor_csv_pads_missing_columns(tmp_path):
 def test_factor_set_series_alignment():
     panel = _two_day_panel()
     fs = build_factor_set(panel, "C4")
-    mom = fs.series("mom")
+    idx = fs.names.index("mom")
+    mom = np.array([fs.values[d][idx] for d in fs.dates()])
     assert mom.shape == (2,)
-    assert mom[1] == fs.vector(day(2))[fs.names.index("mom")]
+    assert mom[1] == fs.vector(day(2))[idx]
     with pytest.raises(ValueError):
-        fs.series("liq")
+        fs.names.index("liq")

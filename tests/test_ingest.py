@@ -5,16 +5,12 @@ import pytest
 from coinfactors.errors import (
     DuplicateDate,
     EmptyUniverse,
-    HttpError,
     MalformedRow,
     NegativeLevel,
     NonPositivePrice,
-    RateLimited,
 )
 from coinfactors.ingest import (
-    FetchConfig,
     UniverseConfig,
-    fetch_snapshot,
     filter_universe,
     load_coin_dir,
     parse_epu_csv,
@@ -191,84 +187,3 @@ def test_load_coin_dir(tmp_path):
     coins = load_coin_dir(tmp_path)
     assert [c.coin_id for c in coins] == ["AAA", "BBB"]
 
-
-class _Response:
-    def __init__(self, status_code, text=""):
-        self.status_code = status_code
-        self.text = text
-
-
-class _Session:
-    """Scripted responses per URL; records sleep-free call order."""
-
-    def __init__(self, script):
-        self.script = {url: list(responses) for url, responses in script.items()}
-        self.calls = []
-
-    def get(self, url, headers=None, timeout=None):
-        self.calls.append(url)
-        return self.script[url].pop(0)
-
-
-def test_fetch_snapshot_retries_on_429_then_writes(tmp_path):
-    cfg = FetchConfig(
-        base_url="https://x.test/{coin_id}?s={start}&e={end}",
-        max_attempts=3,
-        backoff_s=0.5,
-        concurrency=1,
-    )
-    url = "https://x.test/AAA?s=2021-01-01&e=2021-01-02"
-    ok = _Response(200, MARKET_TEXT)
-    session = _Session({url: [_Response(429), _Response(429), ok]})
-    sleeps = []
-    paths = fetch_snapshot(
-        cfg, ["AAA"], day(0), day(1), tmp_path, session=session, sleep=sleeps.append
-    )
-    assert paths["AAA"].read_text() == MARKET_TEXT
-    assert sleeps == [0.5, 1.0]  # exponential backoff
-    assert session.calls == [url, url, url]
-
-
-def test_fetch_snapshot_rate_limited_after_max_attempts(tmp_path):
-    cfg = FetchConfig(base_url="https://x.test/{coin_id}", max_attempts=2,
-                      concurrency=1)
-    session = _Session({"https://x.test/AAA": [_Response(429), _Response(429)]})
-    with pytest.raises(RateLimited):
-        fetch_snapshot(cfg, ["AAA"], day(0), day(1), tmp_path,
-                       session=session, sleep=lambda s: None)
-    assert not list(tmp_path.glob("*.csv"))
-
-
-def test_fetch_snapshot_http_error_no_retry(tmp_path):
-    cfg = FetchConfig(base_url="https://x.test/{coin_id}", concurrency=1)
-    session = _Session({"https://x.test/AAA": [_Response(500)]})
-    with pytest.raises(HttpError):
-        fetch_snapshot(cfg, ["AAA"], day(0), day(1), tmp_path,
-                       session=session, sleep=lambda s: None)
-    assert session.calls == ["https://x.test/AAA"]
-
-
-def test_fetch_snapshot_validates_before_writing(tmp_path):
-    cfg = FetchConfig(base_url="https://x.test/{coin_id}", concurrency=1)
-    bad = _Response(200, "date,close\n2021-01-01,1.0\n")
-    session = _Session({"https://x.test/AAA": [bad]})
-    with pytest.raises(MalformedRow):
-        fetch_snapshot(cfg, ["AAA"], day(0), day(1), tmp_path,
-                       session=session, sleep=lambda s: None)
-    assert not (tmp_path / "AAA.csv").exists()
-
-
-def test_fetch_snapshot_api_key_header(tmp_path, monkeypatch):
-    monkeypatch.setenv("TEST_API_KEY", "sekret")
-    seen = {}
-
-    class _KeySession:
-        def get(self, url, headers=None, timeout=None):
-            seen["headers"] = headers
-            return _Response(200, MARKET_TEXT)
-
-    cfg = FetchConfig(base_url="https://x.test/{coin_id}",
-                      api_key_env="TEST_API_KEY", concurrency=1)
-    fetch_snapshot(cfg, ["AAA"], day(0), day(1), tmp_path,
-                   session=_KeySession(), sleep=lambda s: None)
-    assert seen["headers"]["X-Api-Key"] == "sekret"

@@ -19,6 +19,7 @@ from coinfactors.panel import (
     CHARACTERISTIC_NAMES,
     PANEL_HEADER,
     CharacteristicWindows,
+    Panel,
     PanelOptions,
     build_panel,
     compute_characteristics,
@@ -366,7 +367,10 @@ def test_build_panel_look_ahead_safety():
     target = panel.by_date(day(15))[0]
     lag = day(14)
     series = next(c for c in coins if c.coin_id == target.coin_id)
-    raw = compute_characteristics(series.truncated(lag), lag, SMALL)
+    truncated = CoinSeries(
+        series.coin_id, tuple(b for b in series.bars if b.date <= lag)
+    )
+    raw = compute_characteristics(truncated, lag, SMALL)
     assert raw.size == target.chars.size_raw
     assert raw.momentum == target.chars.momentum_raw
     assert raw.liquidity == target.chars.liquidity_raw
@@ -377,6 +381,14 @@ def test_panel_duplicate_observation_rejected():
     obs = [make_obs("A", day(1)), make_obs("A", day(1))]
     with pytest.raises(DuplicateDate):
         make_panel(obs)
+
+
+def test_panel_constructor_rejects_duplicate_observation():
+    obs = make_obs("A", day(1))
+    with pytest.raises(DuplicateDate):
+        Panel((obs, obs), "tbill")
+    with pytest.raises(DuplicateDate):
+        Panel((obs, make_obs("B", day(1)), obs), "tbill")
 
 
 def test_panel_csv_round_trip(tmp_path):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from coinfactors.condbeta import BetaSpec, expand_design
+from coinfactors import pipeline
+from coinfactors.condbeta import BetaSpec
 from coinfactors.errors import (
+    EmptyDate,
     InvalidConfig,
     NoEligibleDates,
     StageError,
@@ -19,7 +21,7 @@ from coinfactors.pipeline import (
     significant_anomaly_count,
 )
 
-from conftest import day, make_obs, make_panel
+from conftest import day, decomposition_errors, make_obs, make_panel
 
 UNCOND = ModelSpec(label="capm-u", factors="CAPM",
                    beta=BetaSpec(mode="unconditional"))
@@ -188,17 +190,12 @@ def test_run_model_end_to_end_decomposition(synth_b):
     ]
     assert result.anomaly_summaries() == result.fm.coefficients[1:]
     # excess decomposes into fitted factor component plus alpha plus
-    # residual at every coin-day
+    # residual at every fitted coin-day
     fit = result.fits[0]
-    beta_vec = fit.params.to_vector()
-    for o in panel.by_coin(fit.coin_id):
-        if o.date not in fit.residuals:
-            continue
-        row = expand_design(truth.factor_set.vector(o.date), o.cond, o.chars,
-                            COND.beta)
-        fitted = fit.alpha + float(row @ beta_vec)
-        assert o.excess == pytest.approx(fitted + fit.residuals[o.date],
-                                         abs=1e-10)
+    errors = decomposition_errors(
+        fit, panel.by_coin(fit.coin_id), truth.factor_set, COND.beta
+    )
+    assert errors.max() < 1e-10
 
 
 def test_compare_models_pairs_conditional_with_unconditional(synth_b):
@@ -231,3 +228,50 @@ def test_compare_models_no_pairs_without_both_modes(synth_b):
     report = compare_models(panel, [UNCOND])
     assert report.pairs == ()
     assert len(report.rows) == 1
+
+
+FF3_SPECS = [
+    ModelSpec(label="ff3-u", factors="FF3", beta=BetaSpec(mode="unconditional")),
+    ModelSpec(label="ff3-c", factors="FF3", beta=BetaSpec(mode="conditional")),
+]
+
+
+def test_compare_models_builds_each_menu_once(synth_b, monkeypatch):
+    panel, _ = synth_b
+    menus = []
+    build = pipeline.build_factor_set
+
+    def counting_build(panel, menu, options):
+        menus.append(menu)
+        return build(panel, menu, options)
+
+    monkeypatch.setattr(pipeline, "build_factor_set", counting_build)
+    report = compare_models(panel, [COND, UNCOND] + FF3_SPECS)
+    assert sorted(menus) == ["CAPM", "FF3"]
+    assert [r.label for r in report.rows] == ["capm-c", "capm-u", "ff3-c", "ff3-u"]
+    for label, result in report.results.items():
+        assert result.factor_set is report.results[label[:-1] + "u"].factor_set
+
+
+def test_compare_models_failed_build_names_first_spec(synth_b, monkeypatch):
+    panel, _ = synth_b
+
+    def failing_build(panel, menu, options):
+        raise EmptyDate(day(1))
+
+    monkeypatch.setattr(pipeline, "build_factor_set", failing_build)
+    with pytest.raises(StageError) as info:
+        compare_models(panel, FF3_SPECS)
+    assert info.value.label == "ff3-c"
+    assert info.value.stage == "factors"
+    assert isinstance(info.value.cause, EmptyDate)
+
+
+def test_compare_models_empty_factor_set_names_first_spec():
+    # four coins cannot be sorted into legs, so every FF3 date drops out
+    obs = [make_obs(_coin_id(i), day(t), size_raw=14.0 + i)
+           for t in range(1, 6) for i in range(4)]
+    with pytest.raises(StageError) as info:
+        compare_models(make_panel(obs), FF3_SPECS)
+    assert info.value.label == "ff3-c"
+    assert info.value.stage == "factors"

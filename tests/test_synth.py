@@ -31,8 +31,7 @@ def test_same_seed_reproduces_exactly():
     assert panel_a.observations == panel_b.observations
     assert truth_a.factor_set.values == truth_b.factor_set.values
     for coin in truth_a.theta:
-        assert np.array_equal(truth_a.theta[coin].to_vector(),
-                              truth_b.theta[coin].to_vector())
+        assert np.array_equal(truth_a.theta[coin], truth_b.theta[coin])
 
 
 def test_different_seed_differs():
@@ -126,8 +125,9 @@ def test_truth_json_round_trip(tmp_path, synth_b):
     parsed = json.loads(text)
     assert parsed["factor_names"] == ["mkt"]
     coin = sorted(truth.theta)[0]
-    assert parsed["theta"][coin] == list(truth.theta[coin].to_vector())
+    assert parsed["theta"][coin] == list(truth.theta[coin])
     assert parsed["config"]["n_coins"] == truth.config.n_coins
+    assert "true_theta" not in parsed["config"]
     path = tmp_path / "truth.json"
     write_truth_json(truth, path)
     first = path.read_bytes()
