@@ -69,12 +69,22 @@ class InsufficientHistory(EstimationError):
 
 
 class CoverageGap(ValidationError):
-    """A required series went stale beyond the forward-fill limit."""
+    """A required series went stale beyond the forward-fill limit. The
+    build aborts rather than dropping the date, because a stale conditioning
+    series hits every coin on that date at once."""
 
-    def __init__(self, series: str, date: dt.date) -> None:
+    def __init__(
+        self, series: str, date: dt.date, last: dt.date, limit_days: int
+    ) -> None:
         self.series = series
         self.date = date
-        super().__init__(f"{series} has no usable value for {date.isoformat()}")
+        self.last = last
+        self.limit_days = limit_days
+        super().__init__(
+            f"{series} has no usable value for {date.isoformat()}: its last "
+            f"value is dated {last.isoformat()}, {(date - last).days} days "
+            f"earlier, beyond ffill_limit_days={limit_days}"
+        )
 
 
 class MissingBitcoin(ValidationError):

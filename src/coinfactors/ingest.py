@@ -15,7 +15,7 @@ import datetime as dt
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     DuplicateDate,
@@ -139,7 +139,7 @@ def _parse_level_csv(
     source: str | Path | io.TextIOBase,
     header: tuple[str, ...],
     column: str,
-    allow_negative: bool,
+    check: Callable[[float, dt.date, int], None],
 ) -> dict[dt.date, float]:
     rows = iter(_read_rows(source))
     _check_header(next(rows, None), header)
@@ -151,12 +151,22 @@ def _parse_level_csv(
             raise MalformedRow(line, f"{len(row)} fields, expected 2")
         date = _parse_date(row[0], line)
         value = _parse_float(row[1], line, column)
-        if not allow_negative and value < 0.0:
-            raise NegativeLevel(date)
+        check(value, date, line)
         if date in values:
             raise DuplicateDate(date, context=column)
         values[date] = value
     return dict(sorted(values.items()))
+
+
+def _check_epu(value: float, date: dt.date, line: int) -> None:
+    if value < 0.0:
+        raise NegativeLevel(date)
+
+
+def _check_rate(value: float, date: dt.date, line: int) -> None:
+    # (1 + rate)^(1/365) de-annualizes the rate, so 1 + rate must be positive
+    if value <= -1.0:
+        raise MalformedRow(line, f"rate {value!r} on {date.isoformat()} must exceed -1")
 
 
 def parse_epu_csv(source: str | Path | io.TextIOBase) -> dict[dt.date, float]:
@@ -164,12 +174,13 @@ def parse_epu_csv(source: str | Path | io.TextIOBase) -> dict[dt.date, float]:
 
     Returns a dict whose iteration order is ascending by date.
     """
-    return _parse_level_csv(source, EPU_HEADER, "epu", allow_negative=False)
+    return _parse_level_csv(source, EPU_HEADER, "epu", _check_epu)
 
 
 def parse_riskfree_csv(source: str | Path | io.TextIOBase) -> dict[dt.date, float]:
-    """Parse the date,rate annualized risk-free series. Rates may be negative."""
-    return _parse_level_csv(source, RISKFREE_HEADER, "rate", allow_negative=True)
+    """Parse the date,rate annualized risk-free series. Rates may be negative
+    but must exceed -1 (MalformedRow otherwise)."""
+    return _parse_level_csv(source, RISKFREE_HEADER, "rate", _check_rate)
 
 
 def write_market_csv(series: CoinSeries, path: str | Path) -> None:

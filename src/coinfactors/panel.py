@@ -86,6 +86,8 @@ class CharacteristicWindows:
     [d-momentum_days, d-1]; liquidity covers the liquidity_days ending at d;
     the long-horizon value proxy covers [d-value_far_days, d-value_near_days].
     A window with under min_valid_share of its days valid yields no value.
+    Every window must hold at least one day and end no later than d, and
+    min_valid_share must lie in (0, 1]; InvalidConfig otherwise.
     """
 
     momentum_days: int = 28
@@ -93,6 +95,22 @@ class CharacteristicWindows:
     value_near_days: int = 31
     value_far_days: int = 365
     min_valid_share: float = 0.5
+
+    def __post_init__(self):
+        if self.momentum_days < 1 or self.liquidity_days < 1:
+            raise InvalidConfig(
+                f"momentum_days {self.momentum_days} and liquidity_days "
+                f"{self.liquidity_days} must be at least 1"
+            )
+        if not 0 <= self.value_near_days <= self.value_far_days:
+            raise InvalidConfig(
+                f"value window needs 0 <= value_near_days "
+                f"({self.value_near_days}) <= value_far_days ({self.value_far_days})"
+            )
+        if not 0.0 < self.min_valid_share <= 1.0:
+            raise InvalidConfig(
+                f"min_valid_share {self.min_valid_share} must lie in (0, 1]"
+            )
 
 
 @dataclass(frozen=True)
@@ -109,59 +127,111 @@ class RawCharacteristics:
         return tuple(n for n in CHARACTERISTIC_NAMES if getattr(self, n) is None)
 
 
+def _trailing(
+    combine: np.ufunc, start: float, daily: np.ndarray, valid: np.ndarray, backs: range
+) -> tuple[list[float], list[int]]:
+    """For every grid day i, fold daily[i - back] into start with combine,
+    one back-offset at a time in the order of backs, and count the valid
+    days. Offsets that reach before the grid contribute nothing.
+
+    The fold keeps the per-day loop's order of operations, so do not replace
+    it with np.prod, np.sum, cumsum or prefix differences: they reorder the
+    arithmetic and change the last bits.
+    """
+    n = daily.size
+    total = np.full(n, start)
+    count = np.zeros(n, dtype=np.int64)
+    for back in backs:
+        combine(total[back:], daily[: n - back], out=total[back:])
+        count[back:] += valid[: n - back]
+    return total.tolist(), count.tolist()
+
+
 class _CoinView:
-    """Per-coin lookup tables shared by characteristic computation."""
+    """One coin's raw characteristics on its calendar grid.
+
+    Grid day k is the first bar's date plus k days. The grid runs from the
+    first bar to the last day whose windows still reach a bar, plus one
+    final day on which every window is empty; dates off the grid resolve to
+    that final day. Each window is folded once for every grid day, with 1.0
+    (products) or 0.0 (sums) on days without data. Both are exact, so every
+    value equals a day-by-day walk over the same window bit for bit.
+    """
 
     def __init__(self, series: CoinSeries, windows: CharacteristicWindows):
-        self.windows = windows
-        self.bars = {bar.date: bar for bar in series.bars}
-        if len(series.bars) >= 2:
+        self.windows = w = windows
+        bars = series.bars
+        if len(bars) >= 2:
             self.returns = dict(compute_returns(series))
         else:
             self.returns = {}
+        self.origin = bars[0].date if bars else dt.date.min
+        span = (bars[-1].date - self.origin).days + 1 if bars else 0
+        reach = max(w.momentum_days, w.liquidity_days - 1, w.value_far_days)
+        n = span + reach + 1
+
+        cap = np.zeros(n)
+        growth = np.ones(n)  # 1 + ret; 1.0 on a day with no return
+        has_return = np.zeros(n, dtype=np.int64)
+        amihud = np.zeros(n)  # |ret| / volume; 0.0 without return or volume
+        has_amihud = np.zeros(n, dtype=np.int64)
+        volume = {}
+        for bar in bars:
+            cap[(bar.date - self.origin).days] = bar.market_cap
+            volume[bar.date] = bar.volume
+        for date, ret in self.returns.items():
+            k = (date - self.origin).days
+            growth[k] = 1.0 + ret
+            has_return[k] = 1
+            if volume[date] > 0.0:
+                amihud[k] = abs(ret) / volume[date]
+                has_amihud[k] = 1
+
+        self.cap = cap.tolist()
+        # each window: (fold, valid-day count), one entry per grid day
+        self.momentum = _trailing(
+            np.multiply, 1.0, growth, has_return, range(1, w.momentum_days + 1)
+        )
+        self.amihud = _trailing(
+            np.add, 0.0, amihud, has_amihud, range(w.liquidity_days)
+        )
+        self.long_term = _trailing(
+            np.multiply,
+            1.0,
+            growth,
+            has_return,
+            range(w.value_near_days, w.value_far_days + 1),
+        )
 
     def _cumulative_return(
-        self, date: dt.date, first_back: int, last_back: int
+        self, window: tuple[list[float], list[int]], k: int, window_len: int
     ) -> float | None:
-        # window [date - last_back, date - first_back], both inclusive
-        window_len = last_back - first_back + 1
-        growth = 1.0
-        valid = 0
-        for back in range(first_back, last_back + 1):
-            ret = self.returns.get(date - dt.timedelta(days=back))
-            if ret is not None:
-                growth *= 1.0 + ret
-                valid += 1
+        growth, valid = window[0][k], window[1][k]
         if valid < self.windows.min_valid_share * window_len:
             return None
         return growth - 1.0
 
     def raw_at(self, date: dt.date) -> RawCharacteristics:
         w = self.windows
-        bar = self.bars.get(date)
+        k = (date - self.origin).days
+        if not 0 <= k < len(self.cap):
+            k = -1
         size = None
-        if bar is not None and bar.market_cap > 0.0:
-            size = math.log(bar.market_cap)
+        if self.cap[k] > 0.0:
+            size = math.log(self.cap[k])
 
-        momentum = self._cumulative_return(date, 1, w.momentum_days)
+        momentum = self._cumulative_return(self.momentum, k, w.momentum_days)
 
-        amihud_sum = 0.0
-        amihud_days = 0
-        for back in range(w.liquidity_days):
-            day = date - dt.timedelta(days=back)
-            ret = self.returns.get(day)
-            day_bar = self.bars.get(day)
-            if ret is None or day_bar is None or day_bar.volume <= 0.0:
-                continue
-            amihud_sum += abs(ret) / day_bar.volume
-            amihud_days += 1
+        amihud_sum, amihud_days = self.amihud[0][k], self.amihud[1][k]
         liquidity = None
         if amihud_days >= w.min_valid_share * w.liquidity_days:
             mean = amihud_sum / amihud_days
             if mean > 0.0:
                 liquidity = -math.log(mean)
 
-        long_term = self._cumulative_return(date, w.value_near_days, w.value_far_days)
+        long_term = self._cumulative_return(
+            self.long_term, k, w.value_far_days - w.value_near_days + 1
+        )
         value = None if long_term is None else -long_term
 
         return RawCharacteristics(size, momentum, liquidity, value)
@@ -374,7 +444,7 @@ class _ForwardFilled:
             return None
         anchor = self.dates[idx]
         if (date - anchor).days > self.limit:
-            raise CoverageGap(self.name, date)
+            raise CoverageGap(self.name, date, anchor, self.limit)
         return self.values[anchor]
 
 

@@ -273,3 +273,56 @@ def test_report_requires_manifest(tmp_path):
     result = CliRunner().invoke(main, ["report", "--output", str(empty)])
     assert result.exit_code == 2
     assert "manifest" in result.stderr
+
+
+def _raw_inputs(tmp_path: Path) -> tuple[Path, dict]:
+    """Raw files of a small scenario-B draw and an ingest config over them."""
+    synth_dir = tmp_path / "synth"
+    synth_cfg = _config(
+        tmp_path / "synth.json",
+        {
+            "synth": {"scenario": "B", "n_coins": 5, "n_days": 400, "emit_raw": True},
+            "seed": 4,
+            "output_dir": str(synth_dir),
+        },
+    )
+    assert CliRunner().invoke(main, ["synth", "--config", synth_cfg]).exit_code == 0
+    raw = synth_dir / "raw"
+    doc = {
+        "data": {
+            "market_dir": str(raw / "market"),
+            "epu_file": str(raw / "epu.csv"),
+            "riskfree_file": str(raw / "riskfree.csv"),
+        },
+        "output_dir": str(tmp_path / "ingest"),
+    }
+    return raw, doc
+
+
+def test_ingest_riskfree_rate_below_minus_one_exits_2(tmp_path):
+    raw, doc = _raw_inputs(tmp_path)
+    path = raw / "riskfree.csv"
+    lines = path.read_text().splitlines()
+    date = lines[100].split(",")[0]
+    lines[100] = f"{date},-1.5"
+    path.write_text("\n".join(lines) + "\n")
+    result = CliRunner().invoke(main, ["ingest", "--config", _config(tmp_path / "i.json", doc)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    assert "line 101" in result.stderr and "must exceed -1" in result.stderr
+
+
+def test_ingest_epu_coverage_gap_exits_2(tmp_path):
+    raw, doc = _raw_inputs(tmp_path)
+    path = raw / "epu.csv"
+    lines = path.read_text().splitlines()
+    hole = lines[200:205]  # five consecutive days, beyond the 3-day fill limit
+    path.write_text("\n".join(lines[:200] + lines[205:]) + "\n")
+    result = CliRunner().invoke(main, ["ingest", "--config", _config(tmp_path / "i.json", doc)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    assert "epu" in result.stderr
+    # the first lag date past the fill limit, and the last value before the hole
+    assert hole[3].split(",")[0] in result.stderr
+    assert lines[199].split(",")[0] in result.stderr
+    assert "ffill_limit_days" in result.stderr

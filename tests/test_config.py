@@ -172,6 +172,10 @@ def test_type_errors_rejected(tmp_path):
         load_config(_write(tmp_path, {"panel": {"riskfree_mode": "gold"}}))
     with pytest.raises(InvalidConfig):
         load_config(_write(tmp_path, {"specs": "CAPM"}))
+    with pytest.raises(InvalidConfig):
+        load_config(_write(tmp_path, {"windows": {"min_valid_share": 0.0}}))
+    with pytest.raises(InvalidConfig):
+        load_config(_write(tmp_path, {"windows": {"value_near_days": 400}}))
 
 
 def test_spec_requirements(tmp_path):

@@ -128,6 +128,17 @@ def test_parse_riskfree_allows_negative_rate():
     assert rates[day(0)] == -0.001
 
 
+def test_parse_riskfree_rejects_rate_at_or_below_minus_one():
+    text = "date,rate\n2021-01-01,0.01\n2021-01-02,-1.5\n2021-01-03,-1\n"
+    with pytest.raises(MalformedRow) as info:
+        parse_riskfree_csv(io.StringIO(text))
+    assert info.value.line == 3
+    assert "must exceed -1" in str(info.value)
+    with pytest.raises(MalformedRow) as info:
+        parse_riskfree_csv(io.StringIO("date,rate\n2021-01-03,-1\n"))
+    assert info.value.line == 2
+
+
 def test_parse_riskfree_duplicate_date():
     text = "date,rate\n2021-01-01,0.01\n2021-01-01,0.02\n"
     with pytest.raises(DuplicateDate):

@@ -86,6 +86,22 @@ def test_daily_riskfree_rejects_rate_at_or_below_minus_one():
         daily_riskfree(-1.0)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"momentum_days": 0},
+        {"liquidity_days": 0},
+        {"value_near_days": -1},
+        {"value_near_days": 40, "value_far_days": 30},
+        {"min_valid_share": 0.0},
+        {"min_valid_share": 1.5},
+    ],
+)
+def test_characteristic_windows_reject_empty_or_future_windows(fields):
+    with pytest.raises(InvalidConfig):
+        CharacteristicWindows(**fields)
+
+
 def _flat_series(n, close=100.0, cap=None, volume=1e6):
     closes = [close] * n
     caps = None if cap is None else [cap] * n
@@ -329,6 +345,9 @@ def test_build_panel_coverage_gap_beyond_limit():
     with pytest.raises(CoverageGap) as info:
         build_panel(coins, epu, rf, OPTIONS)
     assert info.value.series == "epu"
+    # lag day 14 is the first more than 3 days past the day-10 level
+    assert (info.value.date, info.value.last, info.value.limit_days) == (day(14), day(10), 3)
+    assert "ffill_limit_days=3" in str(info.value)
 
 
 def test_build_panel_leading_edge_skips_not_raises():

@@ -1,0 +1,151 @@
+"""The calendar-grid _CoinView against the per-day loop it replaced
+(tests/reference_panel.py). The grid keeps the loop's order of floating-point
+operations, so agreement is exact: equal values, equal reprs (which also
+separates -0.0 from 0.0 and a numpy scalar from a float), None where None.
+"""
+
+import datetime as dt
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import coinfactors.panel
+import reference_panel
+from coinfactors.ingest import (
+    CoinSeries,
+    DailyBar,
+    load_coin_dir,
+    parse_epu_csv,
+    parse_riskfree_csv,
+)
+from coinfactors.panel import (
+    CharacteristicWindows,
+    build_panel,
+    compute_characteristics,
+    write_drop_report,
+    write_panel_csv,
+)
+from coinfactors.synth import emit_raw_files, generate_synthetic, scenario
+
+from conftest import D0
+
+DEFAULT = CharacteristicWindows()
+SMALL = CharacteristicWindows(
+    momentum_days=4, liquidity_days=4, value_near_days=2, value_far_days=8,
+    min_valid_share=0.5,
+)
+# one valid day fills any of these windows, so an off-by-one at a window's
+# edge shows as a value where None was due; liquidity reaches furthest back
+SPARSE = CharacteristicWindows(
+    momentum_days=3, liquidity_days=7, value_near_days=1, value_far_days=5,
+    min_valid_share=0.14,
+)
+
+
+@st.composite
+def coin_series(draw, max_bars):
+    """Bars with calendar gaps, zero-volume days and zero caps. A third of
+    the draws are 1-3 bar coins and a third reach past half of max_bars."""
+    n = draw(
+        st.one_of(
+            st.integers(1, 3),
+            st.integers(4, max_bars // 4),
+            st.integers(max_bars // 2, max_bars),
+        )
+    )
+    gap_share = draw(st.sampled_from([0.0, 0.02, 0.2]))
+    zero_volume_share = draw(st.sampled_from([0.0, 0.1, 0.6]))
+    zero_cap_share = draw(st.sampled_from([0.0, 0.1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = np.where(rng.random(n) < gap_share, rng.integers(2, 40, n), 1)
+    offsets = np.concatenate([[0], np.cumsum(steps[1:])])
+    closes = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.05, n)))
+    volumes = rng.lognormal(14.0, 1.0, n) * (rng.random(n) >= zero_volume_share)
+    caps = rng.lognormal(20.0, 1.0, n) * (rng.random(n) >= zero_cap_share)
+    bars = tuple(
+        DailyBar(D0 + dt.timedelta(days=int(o)), float(c), float(v), float(m))
+        for o, c, v, m in zip(offsets, closes, volumes, caps)
+    )
+    return CoinSeries("X", bars)
+
+
+def _query_dates(series, extra_offsets):
+    """Before the first bar, inside every gap, at the first and last bar,
+    past the last bar, far off either end, and the drawn offsets from the
+    first bar."""
+    first, last = series.first_date(), series.last_date()
+    far = dt.timedelta(days=1000)
+    dates = {first - far, first - dt.timedelta(days=1), first, last,
+             last + dt.timedelta(days=1), last + far}
+    for prev, cur in zip(series.bars, series.bars[1:]):
+        if (cur.date - prev.date).days > 1:
+            dates.add(prev.date + dt.timedelta(days=1))
+    dates.update(first + dt.timedelta(days=k) for k in extra_offsets)
+    return sorted(dates)
+
+
+def _assert_matches_reference(series, offsets, windows):
+    oracle = reference_panel._CoinView(series, windows)
+    for date in _query_dates(series, offsets):
+        grid = compute_characteristics(series, date, windows)
+        expected = oracle.raw_at(date)
+        assert grid == expected, date
+        assert repr(grid) == repr(expected), date
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    series=coin_series(max_bars=450),
+    offsets=st.lists(st.integers(-40, 520), max_size=20),
+)
+def test_characteristics_match_reference_default_windows(series, offsets):
+    _assert_matches_reference(series, offsets, DEFAULT)
+
+
+@pytest.mark.parametrize("windows", [SMALL, SPARSE], ids=["small", "sparse"])
+@settings(max_examples=150, deadline=None)
+@given(
+    series=coin_series(max_bars=40),
+    offsets=st.lists(st.integers(-15, 90), max_size=20),
+)
+def test_characteristics_match_reference_small_windows(windows, series, offsets):
+    _assert_matches_reference(series, offsets, windows)
+
+
+def _gapped(series, phase):
+    """The series with a bar removed every 13 days and zero volume every 7,
+    the pattern shifted by phase so coins differ."""
+    bars = tuple(
+        DailyBar(b.date, b.close, 0.0 if (i + phase) % 7 == 0 else b.volume, b.market_cap)
+        for i, b in enumerate(series.bars)
+        if (i + phase) % 13 != 0
+    )
+    return CoinSeries(series.coin_id, bars)
+
+
+def _panel_bytes(panel, tmp_path, name):
+    write_panel_csv(panel, tmp_path / f"{name}.csv")
+    write_drop_report(panel.dropped, tmp_path / f"{name}_drops.csv")
+    return (tmp_path / f"{name}.csv").read_bytes(), (tmp_path / f"{name}_drops.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["A", "B", "C"])
+def test_build_panel_matches_reference(name, tmp_path, monkeypatch):
+    panel, truth = generate_synthetic(scenario(name, 6, 420, seed=3))
+    emit_raw_files(panel, truth, tmp_path / "raw")
+    coins = load_coin_dir(tmp_path / "raw" / "market")
+    epu = parse_epu_csv(tmp_path / "raw" / "epu.csv")
+    rf = parse_riskfree_csv(tmp_path / "raw" / "riskfree.csv")
+    gapped = [c if c.coin_id == "BTC" else _gapped(c, j) for j, c in enumerate(coins)]
+
+    for inputs in (coins, gapped):
+        grid = build_panel(inputs, epu, rf)
+        with monkeypatch.context() as patch:
+            patch.setattr(coinfactors.panel, "_CoinView", reference_panel._CoinView)
+            loop = build_panel(inputs, epu, rf)
+        assert len(grid.observations) > 0
+        assert grid.observations == loop.observations
+        assert grid.dropped == loop.dropped
+        assert _panel_bytes(grid, tmp_path, "grid") == _panel_bytes(loop, tmp_path, "loop")
