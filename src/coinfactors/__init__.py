@@ -56,7 +56,6 @@ from .ingest import (
 from .panel import (
     CharacteristicWindows,
     Panel,
-    PanelObservation,
     PanelOptions,
     build_panel,
     compute_characteristics,
@@ -104,7 +103,6 @@ __all__ = [
     "ModelSpec",
     "OlsFit",
     "Panel",
-    "PanelObservation",
     "PanelOptions",
     "PipelineOptions",
     "SynthConfig",

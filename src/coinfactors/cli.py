@@ -188,8 +188,8 @@ def cmd_ingest(config_path: str, output: str | None, seed: int | None) -> None:
             version=__version__,
         )
         click.echo(
-            f"panel: {len(panel.observations)} observations, "
-            f"{len(panel.coins())} coins, {len(panel.dates())} dates, "
+            f"panel: {int(panel.mask.sum())} observations, "
+            f"{len(panel.coins)} coins, {len(panel.dates)} dates, "
             f"{len(panel.dropped)} drops -> {out / 'panel.csv'}"
         )
 
@@ -265,7 +265,7 @@ def cmd_synth(config_path: str, output: str | None, seed: int | None) -> None:
             version=__version__,
         )
         click.echo(
-            f"scenario {cfg.synth.scenario}: {len(panel.observations)} "
+            f"scenario {cfg.synth.scenario}: {int(panel.mask.sum())} "
             f"observations, seed {cfg.seed} -> {out}"
         )
 

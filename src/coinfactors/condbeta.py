@@ -23,11 +23,10 @@ from .econometrics import DEFAULT_RANK_TOLERANCE, ols
 from .errors import (
     InsufficientObservations,
     InvalidConfig,
-    MissingCharacteristic,
     RankDeficient,
 )
 from .factors import FactorSet
-from .panel import PanelObservation
+from .panel import ONE_DAY, Panel, characteristic_index
 
 MIN_OBS_MARGIN = 30
 
@@ -127,19 +126,9 @@ class FirstPassFit:
     risk_adjusted: Mapping[dt.date, float]
 
 
-def _own_lagged_returns(
-    observations: Sequence[PanelObservation],
-) -> dict[dt.date, float]:
-    ret_by_date = {o.date: o.ret for o in observations}
-    return {
-        o.date: ret_by_date[o.date - dt.timedelta(days=1)]
-        for o in observations
-        if o.date - dt.timedelta(days=1) in ret_by_date
-    }
-
-
 def first_pass(
-    observations: Sequence[PanelObservation],
+    panel: Panel,
+    coin_id: str,
     factor_set: FactorSet,
     spec: BetaSpec,
     min_obs_margin: int = MIN_OBS_MARGIN,
@@ -147,38 +136,41 @@ def first_pass(
 ) -> FirstPassFit:
     """Time-series regression of one coin's excess returns on the expanded
     factor design, over the dates present in both the coin and the factor
-    set. Requires n >= n_params + min_obs_margin observations.
+    set. With lagged_return "own", a date also needs the coin's return on
+    the previous calendar day. Requires n >= n_params + min_obs_margin
+    observations.
     """
-    if not observations:
-        raise InsufficientObservations("<empty>", min_obs_margin + 1, 0)
-    coin_id = observations[0].coin_id
-    obs = sorted(observations, key=lambda o: o.date)
+    dates = panel.dates
+    values = factor_set.values
+    row = panel.coin_index.get(coin_id)
+    present = [] if row is None else panel.mask[row].tolist()
+    cols = [j for j, here in enumerate(present) if here and dates[j] in values]
     if spec.lagged_return == "own":
-        own = _own_lagged_returns(obs)
-        rows = [o for o in obs if o.date in factor_set.values and o.date in own]
-        r_values = [own[o.date] for o in rows]
-    else:
-        rows = [o for o in obs if o.date in factor_set.values]
-        r_values = [o.cond.r_btc for o in rows]
+        cols = [
+            j
+            for j in cols
+            if j > 0 and present[j - 1] and dates[j] - dates[j - 1] == ONE_DAY
+        ]
     names = param_names(factor_set.names, spec)
     p = len(names)
-    n = len(rows)
-    if n < p + min_obs_margin:
+    n = len(cols)
+    if row is None or n < p + min_obs_margin:
         raise InsufficientObservations(coin_id, p + min_obs_margin, n)
+    chars = np.array(
+        [characteristic_index(c) for c in spec.characteristics], dtype=np.intp
+    )
 
-    F = np.array([factor_set.vector(o.date) for o in rows], dtype=float)
-    u = np.array([o.cond.u for o in rows], dtype=float)
-    r = np.array(r_values, dtype=float)
-    try:
-        C = np.array(
-            [[o.chars.z(c) for c in spec.characteristics] for o in rows], dtype=float
-        ).reshape(n, len(spec.characteristics))
-    except KeyError as exc:
-        raise MissingCharacteristic(str(exc.args[0])) from None
+    F = np.array([values[dates[j]] for j in cols], dtype=float)
+    u = panel.u[row, cols]
+    if spec.lagged_return == "own":
+        r = panel.ret[row, [j - 1 for j in cols]]
+    else:
+        r = panel.r_btc[row, cols]
+    C = panel.z[:, row, cols][chars].T
 
     design = build_design_matrix(F, u, r, C, spec)
     X = np.hstack([np.ones((n, 1)), design])
-    y = np.array([o.excess for o in rows], dtype=float)
+    y = panel.excess[row, cols]
     try:
         fit = ols(X, y, rank_tolerance=rank_tolerance)
     except RankDeficient as exc:
@@ -196,7 +188,9 @@ def first_pass(
         adj_r2=fit.adj_r2,
         n_obs=fit.n_obs,
         n_params=fit.n_params,
-        risk_adjusted={o.date: alpha + float(e) for o, e in zip(rows, fit.residuals)},
+        risk_adjusted=dict(
+            zip([dates[j] for j in cols], (alpha + fit.residuals).tolist())
+        ),
     )
 
 

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyDate, EmptyLeg, InvalidConfig, TooFewCoins
-from .panel import Panel, PanelObservation
+from .panel import Panel, characteristic_index
 
 FACTOR_NAMES = ("mkt", "smb", "val", "mom", "liq")
 
@@ -70,25 +70,90 @@ def resolve_factor_names(menu: str | Sequence[str]) -> tuple[str, ...]:
     return names
 
 
-def value_weights(observations: Sequence[PanelObservation]) -> np.ndarray:
+def _caps(size_raw: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Lagged market caps from size_raw (ln cap), one math.exp per value:
+    np.exp can differ from it in the last bit."""
+    return np.array([math.exp(x) for x in np.asarray(size_raw, dtype=float).tolist()])
+
+
+def value_weights(size_raw: Sequence[float] | np.ndarray) -> np.ndarray:
     """Normalized lagged-cap weights (size_raw is ln cap, so exp recovers
     the cap). Sums to 1."""
-    w = np.array([math.exp(o.chars.size_raw) for o in observations], dtype=float)
+    w = _caps(size_raw)
     return w / w.sum()
+
+
+def _weighted_return(caps: np.ndarray, excess: np.ndarray) -> float:
+    """Cap-weighted excess return, with weights normalized to sum to 1."""
+    return float((caps / caps.sum()) @ excess)
+
+
+_LEG_LABELS = ("LOW", "MID", "HIGH")
+
+
+def _sort_legs(values: np.ndarray) -> np.ndarray:
+    """Leg code per entry (0 LOW, 1 MID, 2 HIGH), entries in coin order.
+
+    Percentile rank = position / n in (value, coin) ascending order, with
+    ties sharing the rank of their first occurrence, so the partition does
+    not depend on input order. LOW is rank < 0.30, HIGH is rank >= 0.70.
+    """
+    n = values.size
+    order = np.lexsort((np.arange(n), values))
+    ordered = values[order]
+    rank = np.searchsorted(ordered, ordered, side="left") / n
+    legs = np.empty(n, dtype=np.int64)
+    legs[order] = (rank >= LOW_BREAK).astype(np.int64) + (rank >= HIGH_BREAK)
+    return legs
+
+
+def _date_factors(
+    panel: Panel,
+    col: int,
+    names: Sequence[str],
+    options: FactorOptions,
+    caps: np.ndarray | None = None,
+) -> tuple[float, ...]:
+    """The named factors on date column col, in order. caps holds the lagged
+    cap of every coin-day, as build_factor_set makes it; without it the
+    date's caps are computed here. The first factor that fails its
+    precondition raises EmptyDate, TooFewCoins or EmptyLeg."""
+    date = panel.dates[col]
+    rows = np.flatnonzero(panel.mask[:, col])
+    size = panel.raw[characteristic_index("size")]
+    caps = _caps(size[rows, col]) if caps is None else caps[rows, col]
+    excess = panel.excess[rows, col]
+    out = []
+    for name in names:
+        if name == "mkt":
+            keep = np.ones(rows.size, dtype=bool)
+            if options.exclude_btc_from_market:
+                keep = rows != panel.coin_index.get(options.btc_id, -1)
+            if not keep.any():
+                raise EmptyDate(date)
+            out.append(_weighted_return(caps[keep], excess[keep]))
+            continue
+        if rows.size < options.min_sort_coins:
+            raise TooFewCoins(date, options.min_sort_coins, rows.size)
+        characteristic, long_label, short_label = LONG_SHORT[name]
+        legs = _sort_legs(panel.raw[characteristic_index(characteristic), rows, col])
+        spread = []
+        for label in (long_label, short_label):
+            members = legs == _LEG_LABELS.index(label)
+            if not members.any():
+                raise EmptyLeg(date, label)
+            spread.append(_weighted_return(caps[members], excess[members]))
+        out.append(spread[0] - spread[1])
+    return tuple(out)
 
 
 def market_factor(
     panel: Panel, date: dt.date, options: FactorOptions = FactorOptions()
 ) -> float:
     """Value-weighted average excess return across the universe at date."""
-    obs = panel.by_date(date)
-    if options.exclude_btc_from_market:
-        obs = tuple(o for o in obs if o.coin_id != options.btc_id)
-    if not obs:
+    if date not in panel.date_index:
         raise EmptyDate(date)
-    weights = value_weights(obs)
-    excess = np.array([o.excess for o in obs], dtype=float)
-    return float(weights @ excess)
+    return _date_factors(panel, panel.date_index[date], ("mkt",), options)[0]
 
 
 @dataclass(frozen=True)
@@ -110,42 +175,23 @@ def sort_portfolios(
     options: FactorOptions = FactorOptions(),
 ) -> PortfolioAssignment:
     """Assign every coin at date to LOW / MID / HIGH by the lagged raw
-    characteristic, breakpoints at the 30th/70th percentile ranks.
-
-    Percentile rank = position / n in (value, coin_id) ascending order, with
-    ties sharing the rank of their first occurrence, so the partition does
-    not depend on input order. LOW is rank < 0.30, HIGH is rank >= 0.70.
-    """
-    obs = panel.by_date(date)
-    n = len(obs)
-    if n < options.min_sort_coins:
-        raise TooFewCoins(date, options.min_sort_coins, n)
-    ordered = sorted(obs, key=lambda o: (o.chars.raw(characteristic), o.coin_id))
-    legs = {}
-    first_at_value: dict[float, int] = {}
-    for position, o in enumerate(ordered):
-        value = o.chars.raw(characteristic)
-        rank = first_at_value.setdefault(value, position) / n
-        if rank < LOW_BREAK:
-            legs[o.coin_id] = "LOW"
-        elif rank >= HIGH_BREAK:
-            legs[o.coin_id] = "HIGH"
-        else:
-            legs[o.coin_id] = "MID"
-    return PortfolioAssignment(date=date, characteristic=characteristic, legs=legs)
-
-
-def _leg_return(
-    obs_by_coin: Mapping[str, PanelObservation],
-    assignment: PortfolioAssignment,
-    label: str,
-) -> float:
-    members = [obs_by_coin[c] for c in assignment.leg(label)]
-    if not members:
-        raise EmptyLeg(assignment.date, label)
-    weights = value_weights(members)
-    excess = np.array([o.excess for o in members], dtype=float)
-    return float(weights @ excess)
+    characteristic, breakpoints at the 30th/70th percentile ranks (see
+    _sort_legs for the tie rule)."""
+    m = characteristic_index(characteristic)
+    col = panel.date_index.get(date)
+    rows = np.empty(0, dtype=np.intp)
+    if col is not None:
+        rows = np.flatnonzero(panel.mask[:, col])
+    if rows.size < options.min_sort_coins:
+        raise TooFewCoins(date, options.min_sort_coins, rows.size)
+    legs = _sort_legs(panel.raw[m, rows, col]) if rows.size else rows
+    return PortfolioAssignment(
+        date=date,
+        characteristic=characteristic,
+        legs={
+            panel.coins[i]: _LEG_LABELS[k] for i, k in zip(rows.tolist(), legs.tolist())
+        },
+    )
 
 
 def long_short_factor(
@@ -160,12 +206,9 @@ def long_short_factor(
         raise InvalidConfig(
             f"unknown long-short factor {name!r}, expected one of {sorted(LONG_SHORT)}"
         )
-    characteristic, long_label, short_label = LONG_SHORT[name]
-    assignment = sort_portfolios(panel, date, characteristic, options)
-    obs_by_coin = {o.coin_id: o for o in panel.by_date(date)}
-    long_ret = _leg_return(obs_by_coin, assignment, long_label)
-    short_ret = _leg_return(obs_by_coin, assignment, short_label)
-    return long_ret - short_ret
+    if date not in panel.date_index:
+        raise TooFewCoins(date, options.min_sort_coins, 0)
+    return _date_factors(panel, panel.date_index[date], (name,), options)[0]
 
 
 @dataclass(frozen=True)
@@ -196,20 +239,15 @@ def build_factor_set(
     imputed.
     """
     names = resolve_factor_names(menu)
+    caps = np.zeros(panel.mask.shape)
+    caps[panel.mask] = _caps(panel.raw[characteristic_index("size")][panel.mask])
     values: dict[dt.date, tuple[float, ...]] = {}
     dropped = []
-    for date in panel.dates():
-        row = []
+    for col, date in enumerate(panel.dates):
         try:
-            for name in names:
-                if name == "mkt":
-                    row.append(market_factor(panel, date, options))
-                else:
-                    row.append(long_short_factor(panel, date, name, options))
+            values[date] = _date_factors(panel, col, names, options, caps)
         except (TooFewCoins, EmptyLeg, EmptyDate) as exc:
             dropped.append((date, f"{type(exc).__name__}: {exc}"))
-            continue
-        values[date] = tuple(row)
     return FactorSet(names=names, values=values, dropped=tuple(dropped))
 
 

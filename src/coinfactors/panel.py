@@ -11,13 +11,15 @@ the conditioning values carry an explicit one-day lag.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import datetime as dt
 import io
+import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from .errors import (
     InvalidConfig,
     MalformedRow,
     MissingBitcoin,
+    MissingCharacteristic,
     TooShort,
 )
 from .ingest import CoinSeries
@@ -261,51 +264,6 @@ def compute_characteristics(
 
 
 @dataclass(frozen=True)
-class CharacteristicVector:
-    """Cross-sectionally standardized characteristics with raw levels kept
-    alongside. z fields are winsorized z-scores within the observation date's
-    cross-section."""
-
-    size: float
-    momentum: float
-    liquidity: float
-    value: float
-    size_raw: float
-    momentum_raw: float
-    liquidity_raw: float
-    value_raw: float
-
-    def z(self, name: str) -> float:
-        if name not in CHARACTERISTIC_NAMES:
-            raise KeyError(name)
-        return getattr(self, name)
-
-    def raw(self, name: str) -> float:
-        if name not in CHARACTERISTIC_NAMES:
-            raise KeyError(name)
-        return getattr(self, f"{name}_raw")
-
-
-@dataclass(frozen=True)
-class ConditioningInfo:
-    """Lagged state at t-1: standardized uncertainty level and Bitcoin
-    daily return in raw decimal units."""
-
-    u: float
-    r_btc: float
-
-
-@dataclass(frozen=True)
-class PanelObservation:
-    coin_id: str
-    date: dt.date
-    ret: float
-    excess: float
-    chars: CharacteristicVector
-    cond: ConditioningInfo
-
-
-@dataclass(frozen=True)
 class Drop:
     """One excluded coin-day (date None when the whole coin fell out)."""
 
@@ -314,61 +272,76 @@ class Drop:
     reason: str
 
 
-@dataclass(frozen=True)
-class Panel:
-    """Immutable observation set with date and coin indexes.
+# the Panel's array fields, one cell per (coin, date)
+_COLUMNS = ("mask", "ret", "excess", "z", "raw", "u", "r_btc")
 
-    observations are sorted by (date, coin_id); each (coin, date) appears at
-    most once, and the constructor raises DuplicateDate otherwise.
-    riskfree_mode records whether excess returns were taken against the
-    treasury rate ("tbill") or the Bitcoin return ("btc").
+
+@dataclass(frozen=True, eq=False)
+class Panel:
+    """Coin-day observations as columns over sorted coins x sorted dates.
+
+    mask[i, j] marks the coin-days present; the other arrays hold one value
+    per cell, and only present cells carry meaning. ret, excess, u (the
+    standardized uncertainty level at t-1) and r_btc (the Bitcoin return at
+    t-1) are (coins, dates); z (winsorized cross-sectional z-scores) and raw
+    (levels at t-1) are (characteristics, coins, dates) in
+    CHARACTERISTIC_NAMES order. Every coin and every date has at least one
+    observation, and the arrays are read-only. riskfree_mode records whether
+    excess returns were taken against the treasury rate ("tbill") or the
+    Bitcoin return ("btc").
+
+    The constructor raises DuplicateDate for a repeated date and
+    InvalidConfig for any other malformed layout.
     """
 
-    observations: tuple[PanelObservation, ...]
+    coins: tuple[str, ...]
+    dates: tuple[dt.date, ...]
+    mask: np.ndarray
+    ret: np.ndarray
+    excess: np.ndarray
+    z: np.ndarray
+    raw: np.ndarray
+    u: np.ndarray
+    r_btc: np.ndarray
     riskfree_mode: str
     dropped: tuple[Drop, ...] = ()
-    _by_date: dict = field(init=False, repr=False, compare=False, default=None)
-    _by_coin: dict = field(init=False, repr=False, compare=False, default=None)
+    coin_index: Mapping[str, int] = field(init=False, repr=False)
+    date_index: Mapping[dt.date, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        by_date: dict[dt.date, list[PanelObservation]] = {}
-        by_coin: dict[str, list[PanelObservation]] = {}
-        seen = set()
-        for obs in self.observations:
-            key = (obs.coin_id, obs.date)
-            if key in seen:
-                raise DuplicateDate(obs.date, context=obs.coin_id)
-            seen.add(key)
-            by_date.setdefault(obs.date, []).append(obs)
-            by_coin.setdefault(obs.coin_id, []).append(obs)
-        object.__setattr__(
-            self, "_by_date", {d: tuple(v) for d, v in sorted(by_date.items())}
-        )
-        object.__setattr__(
-            self, "_by_coin", {c: tuple(v) for c, v in sorted(by_coin.items())}
-        )
+        for name in ("coins", "dates", "dropped"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        for prev, cur in zip(self.dates, self.dates[1:]):
+            if cur == prev:
+                raise DuplicateDate(cur, context="panel dates")
+        for axis in (self.coins, self.dates):
+            if any(cur <= prev for prev, cur in zip(axis, axis[1:])):
+                raise InvalidConfig("panel coins and dates must be sorted and unique")
+        shape = (len(self.coins), len(self.dates))
+        for name in _COLUMNS:
+            values = np.asarray(
+                getattr(self, name), dtype=bool if name == "mask" else float
+            )
+            want = shape
+            if name in ("z", "raw"):
+                want = (len(CHARACTERISTIC_NAMES),) + shape
+            if values.shape != want:
+                raise InvalidConfig(
+                    f"panel {name} has shape {values.shape}, expected {want}"
+                )
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        if not (self.mask.any(axis=1).all() and self.mask.any(axis=0).all()):
+            raise InvalidConfig("every panel coin and date needs an observation")
+        object.__setattr__(self, "coin_index", {c: i for i, c in enumerate(self.coins)})
+        object.__setattr__(self, "date_index", {d: j for j, d in enumerate(self.dates)})
 
-    @classmethod
-    def from_observations(
-        cls,
-        observations: Iterable[PanelObservation],
-        riskfree_mode: str,
-        dropped: Iterable[Drop] = (),
-    ) -> "Panel":
-        obs = sorted(observations, key=lambda o: (o.date, o.coin_id))
-        return cls(tuple(obs), riskfree_mode, tuple(dropped))
 
-    def dates(self) -> tuple[dt.date, ...]:
-        return tuple(self._by_date)
-
-    def coins(self) -> tuple[str, ...]:
-        return tuple(self._by_coin)
-
-    def by_date(self, date: dt.date) -> tuple[PanelObservation, ...]:
-        return self._by_date.get(date, ())
-
-    def by_coin(self, coin_id: str) -> tuple[PanelObservation, ...]:
-        return self._by_coin.get(coin_id, ())
+def characteristic_index(name: str) -> int:
+    """Position of a characteristic in Panel.z and Panel.raw."""
+    if name not in CHARACTERISTIC_NAMES:
+        raise MissingCharacteristic(name)
+    return CHARACTERISTIC_NAMES.index(name)
 
 
 def winsorized_zscores(
@@ -392,29 +365,16 @@ def standardize_cross_section(
     panel: Panel, lower: float = 1.0, upper: float = 99.0
 ) -> Panel:
     """Recompute every z-unit characteristic from the stored raw levels,
-    per date across coins. Idempotent; raw values pass through unchanged."""
-    out = []
-    for date in panel.dates():
-        obs = panel.by_date(date)
-        zs = {
-            name: winsorized_zscores([o.chars.raw(name) for o in obs], lower, upper)
-            for name in CHARACTERISTIC_NAMES
-        }
-        for i, o in enumerate(obs):
-            chars = CharacteristicVector(
-                size=float(zs["size"][i]),
-                momentum=float(zs["momentum"][i]),
-                liquidity=float(zs["liquidity"][i]),
-                value=float(zs["value"][i]),
-                size_raw=o.chars.size_raw,
-                momentum_raw=o.chars.momentum_raw,
-                liquidity_raw=o.chars.liquidity_raw,
-                value_raw=o.chars.value_raw,
+    per date across the coins present. Idempotent; raw values pass through
+    unchanged."""
+    z = np.zeros_like(panel.raw)
+    for j in range(len(panel.dates)):
+        present = np.flatnonzero(panel.mask[:, j])
+        for m in range(len(CHARACTERISTIC_NAMES)):
+            z[m, present, j] = winsorized_zscores(
+                panel.raw[m, present, j], lower, upper
             )
-            out.append(
-                PanelObservation(o.coin_id, o.date, o.ret, o.excess, chars, o.cond)
-            )
-    return Panel.from_observations(out, panel.riskfree_mode, panel.dropped)
+    return dataclasses.replace(panel, z=z)
 
 
 @dataclass(frozen=True)
@@ -523,51 +483,59 @@ def build_panel(
     else:
         u_mean, u_sd = 0.0, 0.0
 
-    observations = []
-    for coin_id, date, ret, excess, raw, lag, u_raw in candidates:
-        u_z = (u_raw - u_mean) / u_sd if u_sd > 0.0 else 0.0
-        chars = CharacteristicVector(
-            size=0.0,
-            momentum=0.0,
-            liquidity=0.0,
-            value=0.0,
-            size_raw=raw.size,
-            momentum_raw=raw.momentum,
-            liquidity_raw=raw.liquidity,
-            value_raw=raw.value,
-        )
-        cond = ConditioningInfo(u=u_z, r_btc=btc_returns[lag])
-        observations.append(PanelObservation(coin_id, date, ret, excess, chars, cond))
+    coin_ids = sorted({c[0] for c in candidates})
+    dates = sorted({c[1] for c in candidates})
+    shape = (len(coin_ids), len(dates))
+    row = {c: i for i, c in enumerate(coin_ids)}
+    col = {d: j for j, d in enumerate(dates)}
+    cells = (
+        [row[c[0]] for c in candidates],
+        [col[c[1]] for c in candidates],
+    )
+    mask = np.zeros(shape, dtype=bool)
+    mask[cells] = True
+    ret, excess, u, r_btc = (np.zeros(shape) for _ in range(4))
+    raw = np.zeros((len(CHARACTERISTIC_NAMES),) + shape)
+    if candidates:
+        _, _, rets, excesses, raws, lags, u_raws = zip(*candidates)
+        ret[cells] = rets
+        excess[cells] = excesses
+        for m, name in enumerate(CHARACTERISTIC_NAMES):
+            raw[m][cells] = [getattr(r, name) for r in raws]
+        if u_sd > 0.0:
+            u[cells] = (np.array(u_raws) - u_mean) / u_sd
+        r_btc[cells] = [btc_returns[lag] for lag in lags]
 
-    panel = Panel.from_observations(observations, options.riskfree_mode, drops)
+    panel = Panel(
+        coin_ids, dates, mask, ret, excess, np.zeros_like(raw), raw, u, r_btc,
+        options.riskfree_mode, drops,
+    )
     return standardize_cross_section(panel, *options.winsor)
 
 
 def write_panel_csv(panel: Panel, path: str | Path) -> None:
     """Serialize observations in (coin_id, date) order with repr round-trip
     float formatting."""
-    rows = sorted(panel.observations, key=lambda o: (o.coin_id, o.date))
+    days = [d.isoformat() for d in panel.dates]
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(PANEL_HEADER)
-        for o in rows:
-            writer.writerow(
-                [
-                    o.coin_id,
-                    o.date.isoformat(),
-                    repr(o.ret),
-                    repr(o.excess),
-                    repr(o.chars.size),
-                    repr(o.chars.momentum),
-                    repr(o.chars.liquidity),
-                    repr(o.chars.value),
-                    repr(o.chars.size_raw),
-                    repr(o.chars.momentum_raw),
-                    repr(o.chars.liquidity_raw),
-                    repr(o.chars.value_raw),
-                    repr(o.cond.u),
-                    repr(o.cond.r_btc),
-                ]
+        for i, coin_id in enumerate(panel.coins):
+            cols = np.flatnonzero(panel.mask[i])
+            columns = [
+                panel.ret[i, cols],
+                panel.excess[i, cols],
+                *panel.z[:, i, cols],
+                *panel.raw[:, i, cols],
+                panel.u[i, cols],
+                panel.r_btc[i, cols],
+            ]
+            writer.writerows(
+                zip(
+                    itertools.repeat(coin_id),
+                    [days[j] for j in cols.tolist()],
+                    *(map(repr, c.tolist()) for c in columns),
+                )
             )
 
 
@@ -577,7 +545,10 @@ def read_panel_csv(
     """Parse a panel CSV back into a Panel.
 
     The file format carries no risk-free mode, so the caller supplies it
-    (it travels in run configs and manifests).
+    (it travels in run configs and manifests). A row with the wrong field
+    count, an unparsable or non-finite value, a size_raw whose exponential
+    is no positive finite market cap, or a (coin_id, date) seen on an
+    earlier line raises MalformedRow naming its line.
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="") as handle:
@@ -589,41 +560,65 @@ def _read_panel_rows(rows, riskfree_mode: str) -> Panel:
     header = next(rows, None)
     if header is None or tuple(header) != PANEL_HEADER:
         raise MalformedRow(1, f"header {header!r}, expected {list(PANEL_HEADER)!r}")
-    observations = []
+    size_at = PANEL_HEADER.index("size_raw") - 2  # position among the numbers
+    day_of: dict[str, dt.date] = {}
+    seen: set[tuple[str, dt.date]] = set()
+    keys = []
+    values = []
     for line, row in enumerate(rows, start=2):
         if not row:
             continue
         if len(row) != len(PANEL_HEADER):
             raise MalformedRow(line, f"{len(row)} fields, expected {len(PANEL_HEADER)}")
         try:
-            date = dt.date.fromisoformat(row[1])
+            date = day_of.get(row[1])
+            if date is None:
+                date = day_of[row[1]] = dt.date.fromisoformat(row[1])
             numbers = [float(x) for x in row[2:]]
         except ValueError as exc:
             raise MalformedRow(line, str(exc)) from None
-        if not all(math.isfinite(x) for x in numbers):
+        if not all(map(math.isfinite, numbers)):
             raise MalformedRow(line, "non-finite value")
-        ret, excess, size_z, mom_z, liq_z, val_z = numbers[:6]
-        size_raw, mom_raw, liq_raw, val_raw, u_lag, rbtc_lag = numbers[6:]
-        observations.append(
-            PanelObservation(
-                coin_id=row[0],
-                date=date,
-                ret=ret,
-                excess=excess,
-                chars=CharacteristicVector(
-                    size=size_z,
-                    momentum=mom_z,
-                    liquidity=liq_z,
-                    value=val_z,
-                    size_raw=size_raw,
-                    momentum_raw=mom_raw,
-                    liquidity_raw=liq_raw,
-                    value_raw=val_raw,
-                ),
-                cond=ConditioningInfo(u=u_lag, r_btc=rbtc_lag),
+        if not _is_market_cap(numbers[size_at]):
+            raise MalformedRow(
+                line,
+                f"size_raw {numbers[size_at]!r}: exp(size_raw) is no positive finite "
+                "market cap",
             )
-        )
-    return Panel.from_observations(observations, riskfree_mode)
+        key = (row[0], date)
+        if key in seen:
+            raise MalformedRow(
+                line, f"duplicate observation of {row[0]} on {date.isoformat()}"
+            )
+        seen.add(key)
+        keys.append(key)
+        values.append(numbers)
+
+    coin_ids = sorted({c for c, _ in keys})
+    dates = sorted({d for _, d in keys})
+    row_of = {c: i for i, c in enumerate(coin_ids)}
+    col_of = {d: j for j, d in enumerate(dates)}
+    cells = ([row_of[c] for c, _ in keys], [col_of[d] for _, d in keys])
+    table = np.array(values, dtype=float).reshape(len(values), len(PANEL_HEADER) - 2)
+    shape = (len(coin_ids), len(dates))
+    mask = np.zeros(shape, dtype=bool)
+    mask[cells] = True
+    columns = np.zeros((table.shape[1],) + shape)
+    columns[(slice(None),) + cells] = table.T
+    n_chars = len(CHARACTERISTIC_NAMES)
+    ret, excess = columns[0], columns[1]
+    z, raw = columns[2 : 2 + n_chars], columns[2 + n_chars : 2 + 2 * n_chars]
+    u, r_btc = columns[2 + 2 * n_chars], columns[3 + 2 * n_chars]
+    return Panel(coin_ids, dates, mask, ret, excess, z, raw, u, r_btc, riskfree_mode)
+
+
+def _is_market_cap(size_raw: float) -> bool:
+    """Whether exp(size_raw), the lagged cap that factor weights use, is a
+    positive finite float."""
+    try:
+        return math.exp(size_raw) > 0.0
+    except OverflowError:
+        return False
 
 
 def write_drop_report(drops: Sequence[Drop], path: str | Path) -> None:

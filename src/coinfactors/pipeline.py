@@ -28,7 +28,7 @@ from .errors import (
     StageError,
 )
 from .factors import FactorOptions, FactorSet, build_factor_set, resolve_factor_names
-from .panel import CHARACTERISTIC_NAMES, Drop, Panel
+from .panel import CHARACTERISTIC_NAMES, Drop, Panel, characteristic_index
 
 SIGNIFICANCE_Z = 1.96
 
@@ -121,34 +121,45 @@ def second_pass(
     """
     anomalies = tuple(anomalies)
     floor = cross_section_floor(len(anomalies), floor_base)
-    by_date: dict[dt.date, list[tuple[str, float]]] = {}
-    for coin_id in sorted(risk_adjusted):
-        for date, rstar in risk_adjusted[coin_id].items():
-            by_date.setdefault(date, []).append((coin_id, rstar))
-    obs_index = {(o.coin_id, o.date): o for o in panel.observations}
+    chars = [characteristic_index(a) for a in anomalies]
+    # R* on the panel's grid, kept where the panel has the coin-day; dates
+    # outside the panel still count, as skipped cross-sections
+    rstar = np.zeros(panel.mask.shape)
+    has_rstar = np.zeros(panel.mask.shape, dtype=bool)
+    dates: set[dt.date] = set()
+    for coin_id, series in risk_adjusted.items():
+        dates.update(series)
+        row = panel.coin_index.get(coin_id)
+        if row is None:
+            continue
+        cells = [
+            (panel.date_index[d], v)
+            for d, v in series.items()
+            if d in panel.date_index
+        ]
+        if cells:
+            cols, values = zip(*cells)
+            rstar[row, list(cols)] = values
+            has_rstar[row, list(cols)] = True
+    has_rstar &= panel.mask
 
     fits = []
     skipped = []
-    for date in sorted(by_date):
-        rows = [
-            (obs_index[(coin_id, date)], rstar)
-            for coin_id, rstar in sorted(by_date[date])
-            if (coin_id, date) in obs_index
-        ]
-        if len(rows) < floor:
-            skipped.append((date, f"below_floor:{len(rows)}<{floor}"))
+    for date in sorted(dates):
+        col = panel.date_index.get(date)
+        rows = np.flatnonzero(has_rstar[:, col]) if col is not None else []
+        n = len(rows)
+        if n < floor:
+            skipped.append((date, f"below_floor:{n}<{floor}"))
             continue
-        X = np.column_stack(
-            [np.ones(len(rows))]
-            + [np.array([o.chars.z(a) for o, _ in rows]) for a in anomalies]
-        )
-        y = np.array([rstar for _, rstar in rows])
+        X = np.column_stack([np.ones(n)] + [panel.z[m, rows, col] for m in chars])
+        y = rstar[rows, col]
         try:
             fit = ols(X, y, rank_tolerance=rank_tolerance)
         except RankDeficient as exc:
             skipped.append((date, f"rank_deficient:{exc.columns}"))
             continue
-        fits.append(CrossSectionFit(date=date, fit=fit, n_coins=len(rows)))
+        fits.append(CrossSectionFit(date=date, fit=fit, n_coins=n))
     if len(fits) < 2:
         raise NoEligibleDates(
             f"{len(fits)} eligible dates after floor {floor}, need at least 2"
@@ -240,11 +251,12 @@ def run_model(
 
     fits = []
     dropped = []
-    for coin_id in panel.coins():
+    for coin_id in panel.coins:
         try:
             fits.append(
                 first_pass(
-                    panel.by_coin(coin_id),
+                    panel,
+                    coin_id,
                     factor_set,
                     spec.beta,
                     min_obs_margin=options.min_obs_margin,

@@ -23,14 +23,7 @@ from .condbeta import BetaSpec, build_design_matrix
 from .errors import InvalidConfig, MissingCharacteristic, SpecMismatch
 from .factors import FACTOR_NAMES, FactorSet
 from .ingest import CoinSeries, DailyBar
-from .panel import (
-    CHARACTERISTIC_NAMES,
-    CharacteristicVector,
-    ConditioningInfo,
-    Panel,
-    PanelObservation,
-    winsorized_zscores,
-)
+from .panel import CHARACTERISTIC_NAMES, ONE_DAY, Panel, winsorized_zscores
 from .pipeline import ModelResult
 
 SIZE_RAW_MEAN = 18.0
@@ -226,7 +219,7 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[Panel, GroundTruth]:
         if c not in CHARACTERISTIC_NAMES:
             raise MissingCharacteristic(c)
         spec_char_idx.append(CHARACTERISTIC_NAMES.index(c))
-    observations = []
+    returns = np.empty((cfg.n_coins, t_obs))
     theta_map = {}
     alpha_map = {}
     for i in range(cfg.n_coins):
@@ -242,33 +235,24 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[Panel, GroundTruth]:
         for name, effect in sorted(cfg.anomaly_effects.items()):
             m = CHARACTERISTIC_NAMES.index(name)
             excess = excess + effect * z_chars[i, :, m]
+        returns[i] = excess
         theta_map[coin_id] = thetas[i]
         alpha_map[coin_id] = float(alphas[i])
-        for row in range(t_obs):
-            lag = row
-            chars = CharacteristicVector(
-                size=float(z_chars[i, lag, 0]),
-                momentum=float(z_chars[i, lag, 1]),
-                liquidity=float(z_chars[i, lag, 2]),
-                value=float(z_chars[i, lag, 3]),
-                size_raw=float(raw_chars[i, lag, 0]),
-                momentum_raw=float(raw_chars[i, lag, 1]),
-                liquidity_raw=float(raw_chars[i, lag, 2]),
-                value_raw=float(raw_chars[i, lag, 3]),
-            )
-            cond = ConditioningInfo(u=float(u_z[lag]), r_btc=float(r_btc[lag]))
-            observations.append(
-                PanelObservation(
-                    coin_id=coin_id,
-                    date=dates[row + 1],
-                    ret=float(excess[row]),
-                    excess=float(excess[row]),
-                    chars=chars,
-                    cond=cond,
-                )
-            )
 
-    panel = Panel.from_observations(observations, "tbill")
+    # observation row t sits on date t+1 and carries the lag-t values
+    shape = (cfg.n_coins, t_obs)
+    panel = Panel(
+        coins=tuple(coin_label(i, cfg.n_coins) for i in range(cfg.n_coins)),
+        dates=tuple(dates[1:]),
+        mask=np.ones(shape, dtype=bool),
+        ret=returns,
+        excess=returns,
+        z=np.moveaxis(z_chars, -1, 0),
+        raw=np.moveaxis(raw_chars, -1, 0),
+        u=np.broadcast_to(u_z, shape),
+        r_btc=np.broadcast_to(r_btc, shape),
+        riskfree_mode="tbill",
+    )
     factor_set = FactorSet(
         names=cfg.factor_names,
         values={dates[i + 1]: tuple(float(x) for x in F[i]) for i in range(t_obs)},
@@ -458,11 +442,13 @@ def emit_raw_files(panel: Panel, truth: GroundTruth, out_dir: str | Path) -> Non
     cfg = truth.config
     dates = [cfg.start + dt.timedelta(days=i) for i in range(cfg.n_days)]
 
-    for coin_id in panel.coins():
-        obs = panel.by_coin(coin_id)
-        ret_by_date = {o.date: o.ret for o in obs}
+    size = panel.raw[CHARACTERISTIC_NAMES.index("size")]
+    for i, coin_id in enumerate(panel.coins):
+        cols = np.flatnonzero(panel.mask[i]).tolist()
+        days = [panel.dates[j] for j in cols]
+        ret_by_date = dict(zip(days, panel.ret[i, cols].tolist()))
         cap_by_lag = {
-            o.date - dt.timedelta(days=1): math.exp(o.chars.size_raw) for o in obs
+            d - ONE_DAY: math.exp(s) for d, s in zip(days, size[i, cols].tolist())
         }
         close = 100.0
         bars = []

@@ -5,13 +5,13 @@ import pytest
 
 from coinfactors.condbeta import build_design_matrix
 from coinfactors.ingest import CoinSeries, DailyBar
-from coinfactors.panel import (
+from coinfactors.synth import generate_synthetic, scenario
+from reference_rows import (
     CharacteristicVector,
     ConditioningInfo,
-    Panel,
     PanelObservation,
+    panel_from_rows,
 )
-from coinfactors.synth import generate_synthetic, scenario
 
 D0 = dt.date(2021, 1, 1)
 
@@ -73,7 +73,8 @@ def make_obs(
 
 
 def make_panel(observations, riskfree_mode="tbill"):
-    return Panel.from_observations(observations, riskfree_mode)
+    """The columnar panel holding these make_obs rows."""
+    return panel_from_rows(observations, riskfree_mode)
 
 
 def decomposition_errors(fit, observations, factor_set, spec, r_by_date=None):

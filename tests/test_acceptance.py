@@ -30,13 +30,7 @@ from coinfactors.ingest import (
     parse_epu_csv,
     parse_riskfree_csv,
 )
-from coinfactors.panel import (
-    CharacteristicVector,
-    ConditioningInfo,
-    Panel,
-    PanelObservation,
-    build_panel,
-)
+from coinfactors.panel import Panel, build_panel
 from coinfactors.pipeline import ModelSpec, compare_models, run_model, second_pass
 from coinfactors.synth import (
     emit_raw_files,
@@ -53,6 +47,7 @@ from conftest import (
     make_panel,
     make_series,
 )
+from reference_rows import row_view
 
 UNCOND = ModelSpec(label="capm-u", factors="CAPM", beta=BetaSpec("unconditional"))
 COND = ModelSpec(label="capm-c", factors="CAPM", beta=BetaSpec("conditional"))
@@ -66,16 +61,17 @@ def scenario_b_run():
 
 
 def _observation_index(panel: Panel) -> dict:
-    return {(o.coin_id, o.date): o for o in panel.observations}
+    return {(o.coin_id, o.date): o for o in row_view(panel).observations}
 
 
 def _max_decomposition_error(result, panel: Panel) -> float:
     """Worst pointwise |excess - R* - beta'F| over every fitted coin-day of a
     Bitcoin-lag spec."""
+    rows = row_view(panel)
     return max(
         float(
             decomposition_errors(
-                fit, panel.by_coin(fit.coin_id), result.factor_set, result.spec.beta
+                fit, rows.by_coin(fit.coin_id), result.factor_set, result.spec.beta
             ).max()
         )
         for fit in result.fits
@@ -151,26 +147,22 @@ def _null_second_pass(seed: int, n_dates: int = 500, n_coins: int = 50):
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n_dates, n_coins, 3))
     rstar = rng.normal(0.0, 0.02, size=(n_dates, n_coins))
-    cond = ConditioningInfo(u=0.0, r_btc=0.0)
-    observations = []
-    risk_adjusted = {f"C{j:03d}": {} for j in range(n_coins)}
-    for i in range(n_dates):
-        date = D0 + dt.timedelta(days=i)
-        for j in range(n_coins):
-            chars = CharacteristicVector(
-                size=z[i, j, 0],
-                momentum=z[i, j, 2],
-                liquidity=z[i, j, 1],
-                value=0.0,
-                size_raw=18.0,
-                momentum_raw=0.0,
-                liquidity_raw=17.0,
-                value_raw=0.0,
-            )
-            coin = f"C{j:03d}"
-            observations.append(PanelObservation(coin, date, 0.0, 0.0, chars, cond))
-            risk_adjusted[coin][date] = rstar[i, j]
-    panel = Panel.from_observations(observations, "tbill")
+    coins = tuple(f"C{j:03d}" for j in range(n_coins))
+    dates = tuple(D0 + dt.timedelta(days=i) for i in range(n_dates))
+    shape = (n_coins, n_dates)
+    zeros = np.zeros(shape)
+    chars = np.zeros((4,) + shape)  # size, momentum, liquidity, value
+    chars[0], chars[1], chars[2] = z[:, :, 0].T, z[:, :, 2].T, z[:, :, 1].T
+    raw = np.zeros((4,) + shape)
+    raw[0], raw[2] = 18.0, 17.0
+    panel = Panel(
+        coins, dates, np.ones(shape, dtype=bool), zeros, zeros, chars, raw,
+        zeros, zeros, "tbill",
+    )
+    risk_adjusted = {
+        coin: {date: rstar[i, j] for i, date in enumerate(dates)}
+        for j, coin in enumerate(coins)
+    }
     return second_pass(risk_adjusted, panel, ANOMALIES)
 
 
@@ -222,17 +214,16 @@ def test_ac06_nesting_invariant(scenario_b_run):
     panel, _ = scenario_b_run
     factor_set = build_factor_set(panel, "CAPM")
     worst_deficit = 0.0
-    for coin in panel.coins():
-        observations = panel.by_coin(coin)
-        uncond = first_pass(observations, factor_set, UNCOND.beta)
-        cond = first_pass(observations, factor_set, COND.beta)
+    for coin in panel.coins:
+        uncond = first_pass(panel, coin, factor_set, UNCOND.beta)
+        cond = first_pass(panel, coin, factor_set, COND.beta)
         worst_deficit = max(worst_deficit, uncond.r2 - cond.r2)
 
     assert worst_deficit <= 1e-12
     print(
         f"AC6 nesting invariant: PASS "
         f"(conditional unadjusted R2 >= unconditional for all "
-        f"{len(panel.coins())} coins, worst deficit = {worst_deficit:.3e})"
+        f"{len(panel.coins)} coins, worst deficit = {worst_deficit:.3e})"
     )
 
 
@@ -291,7 +282,7 @@ def test_ac08_factor_invariants():
         assert all_assigned == sorted(f"C{i}" for i in range(10))  # exact partition
         assert not (set(low) & set(mid) or set(mid) & set(high) or set(low) & set(high))
         for leg in (low, high):
-            weights = value_weights([index[(c, date)] for c in leg])
+            weights = value_weights([index[(c, date)].chars.size_raw for c in leg])
             worst_weight = max(worst_weight, abs(float(weights.sum()) - 1.0))
 
     base = build_factor_set(panel, "ALL")

@@ -326,3 +326,61 @@ def test_ingest_epu_coverage_gap_exits_2(tmp_path):
     assert hole[3].split(",")[0] in result.stderr
     assert lines[199].split(",")[0] in result.stderr
     assert "ffill_limit_days" in result.stderr
+
+
+def _panel_run(tmp_path, edit):
+    """Write a small synthetic panel.csv, let edit change its lines, and run
+    one CAPM spec on it."""
+    panel, _ = generate_synthetic(scenario("A", n_coins=6, n_days=220, seed=3))
+    path = tmp_path / "panel.csv"
+    write_panel_csv(panel, path)
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    cfg = _config(
+        tmp_path / "cfg.json",
+        {
+            "panel_file": str(path),
+            "specs": _capm_specs()[:1],
+            "output_dir": str(tmp_path / "out"),
+        },
+    )
+    return CliRunner().invoke(main, ["run", "--config", cfg])
+
+
+def _set_size_raw(lines, index, value):
+    cells = lines[index].split(",")
+    cells[8] = value  # size_raw
+    lines[index] = ",".join(cells)
+
+
+def test_run_rejects_overflowing_size_raw_exits_2(tmp_path):
+    # exp(1000) overflows, so the row has no market cap to weight by
+    result = _panel_run(tmp_path, lambda lines: _set_size_raw(lines, 40, "1000.0"))
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    assert "line 41" in result.stderr and "size_raw" in result.stderr
+
+
+def test_run_rejects_vanishing_size_raw_exits_2(tmp_path):
+    # exp(-1000) is 0.0: with every coin of one date at zero cap, the
+    # date's value weights would be 0/0
+    def edit(lines):
+        date = lines[50].split(",")[1]
+        for i, line in enumerate(lines):
+            if line.split(",")[1] == date:
+                _set_size_raw(lines, i, "-1000.0")
+
+    result = _panel_run(tmp_path, edit)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    assert "line 51" in result.stderr and "size_raw" in result.stderr
+
+
+def test_run_duplicate_panel_row_names_line_exits_2(tmp_path):
+    result = _panel_run(tmp_path, lambda lines: lines.insert(31, lines[30]))
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    coin, date = (tmp_path / "panel.csv").read_text().splitlines()[31].split(",")[:2]
+    assert "line 32" in result.stderr
+    assert coin in result.stderr and date in result.stderr

@@ -25,7 +25,8 @@ from coinfactors.factors import FactorSet
 from coinfactors.pipeline import ModelSpec, run_model
 from coinfactors.synth import verify_recovery
 
-from conftest import day, decomposition_errors, make_obs
+from conftest import day, decomposition_errors, make_obs, make_panel
+from reference_rows import row_view
 
 COND_SIZE = BetaSpec(mode="conditional", characteristics=("size",))
 
@@ -69,7 +70,7 @@ def test_expand_design_unknown_characteristic():
     obs, fs = _noiseless_coin(60, seed=4)
     spec = BetaSpec(mode="conditional", characteristics=("sizzle",))
     with pytest.raises(MissingCharacteristic):
-        first_pass(obs, fs, spec)
+        first_pass(make_panel(obs), "X", fs, spec)
 
 
 def test_design_matrix_matches_manual_expansion():
@@ -125,7 +126,7 @@ def test_beta_params_vector_round_trip():
     ]
     fs = FactorSet(names=("mkt", "smb"),
                    values={day(t + 1): tuple(F[t]) for t in range(T)})
-    fit = first_pass(obs, fs, spec)
+    fit = first_pass(make_panel(obs), "X", fs, spec)
     assert fit.coefficients.shape == fit.stderr.shape == (1 + vector.size,)
     assert len(fit.param_names) == 1 + vector.size
     assert fit.coefficients[0] == pytest.approx(0.002, abs=1e-10)
@@ -179,7 +180,7 @@ def _noiseless_coin(T, seed, truth=TRUTH, own_lag=False):
 
 def test_first_pass_noiseless_recovery():
     obs, fs = _noiseless_coin(120, seed=6)
-    fit = first_pass(obs, fs, COND_SIZE)
+    fit = first_pass(make_panel(obs), "X", fs, COND_SIZE)
     assert fit.coin_id == "X"
     est = dict(zip(fit.param_names, fit.coefficients))
     assert est["alpha"] == pytest.approx(TRUTH["alpha"], abs=1e-12)
@@ -198,7 +199,7 @@ def test_first_pass_own_lag_mode():
     spec = BetaSpec(mode="conditional", characteristics=("size",),
                     lagged_return="own")
     obs, fs = _noiseless_coin(150, seed=8, own_lag=True)
-    fit = first_pass(obs, fs, spec)
+    fit = first_pass(make_panel(obs), "X", fs, spec)
     # day 1 has no prior return to condition on, so it drops out
     assert fit.n_obs == 149
     est = dict(zip(fit.param_names, fit.coefficients))
@@ -212,9 +213,10 @@ def test_own_lag_decomposition_identity(synth_b):
     one_day = dt.timedelta(days=1)
     worst = 0.0
     worst_btc = 0.0
-    for coin in panel.coins():
-        obs = panel.by_coin(coin)
-        fit = first_pass(obs, truth.factor_set, spec)
+    rows = row_view(panel)
+    for coin in panel.coins:
+        obs = rows.by_coin(coin)
+        fit = first_pass(panel, coin, truth.factor_set, spec)
         ret = {o.date: o.ret for o in obs}
         own = {d: ret[d - one_day] for d in fit.risk_adjusted}
         worst = max(worst, decomposition_errors(
@@ -229,18 +231,19 @@ def test_own_lag_decomposition_identity(synth_b):
 def test_first_pass_observation_floor():
     p = 1 + COND_SIZE.params_per_factor()
     obs, fs = _noiseless_coin(p + MIN_OBS_MARGIN, seed=10)
-    fit = first_pass(obs, fs, COND_SIZE)
+    fit = first_pass(make_panel(obs), "X", fs, COND_SIZE)
     assert fit.n_obs == p + MIN_OBS_MARGIN
     short, short_fs = _noiseless_coin(p + MIN_OBS_MARGIN - 1, seed=10)
     with pytest.raises(InsufficientObservations) as info:
-        first_pass(short, short_fs, COND_SIZE)
+        first_pass(make_panel(short), "X", short_fs, COND_SIZE)
     assert info.value.needed == p + MIN_OBS_MARGIN
 
 
 def test_first_pass_empty_observations():
-    _, fs = _noiseless_coin(40, seed=12)
-    with pytest.raises(InsufficientObservations):
-        first_pass([], fs, COND_SIZE)
+    obs, fs = _noiseless_coin(40, seed=12)
+    with pytest.raises(InsufficientObservations) as info:
+        first_pass(make_panel(obs), "Y", fs, COND_SIZE)  # no rows for Y
+    assert info.value.available == 0
 
 
 def test_first_pass_rank_deficient_names_parameters():
@@ -251,7 +254,7 @@ def test_first_pass_rank_deficient_names_parameters():
         values={d: (v[0], v[0]) for d, v in fs.values.items()},
     )
     with pytest.raises(RankDeficient) as info:
-        first_pass(obs, twin, BetaSpec(mode="unconditional"))
+        first_pass(make_panel(obs), "X", twin, BetaSpec(mode="unconditional"))
     assert set(info.value.columns) == {"mkt.base", "smb.base"}
 
 
@@ -264,7 +267,7 @@ def test_risk_adjusted_is_alpha_plus_residual():
                  u=o.cond.u, r_btc=o.cond.r_btc, size=o.chars.size)
         for i, o in enumerate(obs)
     ]
-    fit = first_pass(noisy, fs, COND_SIZE)
+    fit = first_pass(make_panel(noisy), "X", fs, COND_SIZE)
     assert sorted(fit.risk_adjusted) == sorted(o.date for o in noisy)
     # the fitted factor component plus alpha plus residual rebuilds the
     # observation, so excess - R* is the factor component alone
@@ -275,7 +278,7 @@ def test_risk_adjusted_is_alpha_plus_residual():
 
 def test_first_pass_param_csv(tmp_path):
     obs, fs = _noiseless_coin(60, seed=18)
-    fit = first_pass(obs, fs, COND_SIZE)
+    fit = first_pass(make_panel(obs), "X", fs, COND_SIZE)
     path = tmp_path / "params.csv"
     write_first_pass_params_csv([fit], path)
     lines = path.read_text().splitlines()
@@ -288,7 +291,7 @@ def test_first_pass_param_csv(tmp_path):
 
 def test_risk_adjusted_csv(tmp_path):
     obs, fs = _noiseless_coin(60, seed=20)
-    fit = first_pass(obs, fs, COND_SIZE)
+    fit = first_pass(make_panel(obs), "X", fs, COND_SIZE)
     path = tmp_path / "ra.csv"
     write_risk_adjusted_csv([fit], path)
     lines = path.read_text().splitlines()

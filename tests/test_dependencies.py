@@ -1,5 +1,6 @@
 """The package runs on the standard library, numpy and click alone: the
-declared runtime dependencies and every import in its source say so."""
+declared runtime dependencies and every import in its source say so. Every
+name it exports resolves."""
 
 import ast
 import re
@@ -46,3 +47,14 @@ def test_package_imports_only_stdlib_numpy_click():
         if module not in allowed
     )
     assert foreign == []
+
+
+def test_every_export_resolves():
+    # a name left in __all__ after its definition is gone breaks
+    # `from coinfactors import *` with an AttributeError
+    import coinfactors
+
+    namespace = {}
+    exec("from coinfactors import *", namespace)
+    assert sorted(set(coinfactors.__all__)) == sorted(coinfactors.__all__)
+    assert all(name in namespace for name in coinfactors.__all__)

@@ -70,7 +70,7 @@ def test_value_weights_sum_to_one():
     rng = random.Random(3)
     obs = _cross_section(day(1), [0.0] * 12,
                          caps=[rng.uniform(1e3, 1e9) for _ in range(12)])
-    w = value_weights(obs)
+    w = value_weights([o.chars.size_raw for o in obs])
     assert abs(w.sum() - 1.0) < 1e-12
     assert (w > 0.0).all()
 

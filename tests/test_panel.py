@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import io
 import math
@@ -19,7 +20,6 @@ from coinfactors.panel import (
     CHARACTERISTIC_NAMES,
     PANEL_HEADER,
     CharacteristicWindows,
-    Panel,
     PanelOptions,
     build_panel,
     compute_characteristics,
@@ -33,6 +33,7 @@ from coinfactors.panel import (
 )
 
 from conftest import day, make_obs, make_panel, make_series
+from reference_rows import row_view
 
 # mpmath 50-digit evaluations of (1 + annual)^(1/365) - 1
 RF_365 = 9.82230506740072e-05
@@ -228,16 +229,16 @@ def test_standardize_cross_section_properties():
     ]
     panel = standardize_cross_section(make_panel(obs))
     for name in CHARACTERISTIC_NAMES:
-        zs = [o.chars.z(name) for o in panel.by_date(day(1))]
+        zs = [o.chars.z(name) for o in row_view(panel).by_date(day(1))]
         assert abs(np.mean(zs)) < 1e-9
         assert abs(np.std(zs) - 1.0) < 1e-9
     again = standardize_cross_section(panel)
-    assert again.observations == panel.observations
+    assert row_view(again).observations == row_view(panel).observations
 
 
 def test_standardize_single_coin_zeroes():
     panel = standardize_cross_section(make_panel([make_obs("A", day(1))]))
-    obs = panel.observations[0]
+    obs = row_view(panel).observations[0]
     assert all(obs.chars.z(n) == 0.0 for n in CHARACTERISTIC_NAMES)
 
 
@@ -271,21 +272,21 @@ def test_build_panel_alignment_and_exactness():
     panel = build_panel(coins, epu, rf, OPTIONS)
     # value window [lag-8, lag-2] first has 4 valid days at lag 6, so
     # observations start at t = 7
-    assert panel.dates() == tuple(day(i) for i in range(7, 20))
-    assert set(panel.coins()) == {"BTC", "AAA", "CCC", "EEE"}
-    assert len(panel.observations) == 4 * 13
+    assert panel.dates == tuple(day(i) for i in range(7, 20))
+    assert set(panel.coins) == {"BTC", "AAA", "CCC", "EEE"}
+    assert int(panel.mask.sum()) == 4 * 13
     daily = daily_riskfree(0.02)
-    for o in panel.observations:
+    for o in row_view(panel).observations:
         assert o.excess == o.ret - daily  # exact, same float op
 
 
 def test_build_panel_lagged_conditioning_values():
     coins, epu, rf = _inputs()
     panel = build_panel(coins, epu, rf, OPTIONS)
-    obs = panel.by_date(day(12))[0]
+    obs = row_view(panel).by_date(day(12))[0]
     assert obs.cond.r_btc == pytest.approx(0.002, rel=1e-9)
     # u is the z-scored epu level at t-1 over the distinct lag dates
-    lags = [d - dt.timedelta(days=1) for d in panel.dates()]
+    lags = [d - dt.timedelta(days=1) for d in panel.dates]
     levels = np.array([epu[d] for d in lags])
     expected = (epu[day(11)] - levels.mean()) / levels.std()
     assert obs.cond.u == pytest.approx(expected, rel=1e-12)
@@ -294,7 +295,7 @@ def test_build_panel_lagged_conditioning_values():
 def test_build_panel_u_zscore_moments():
     coins, epu, rf = _inputs()
     panel = build_panel(coins, epu, rf, OPTIONS)
-    u_by_lag = {o.date: o.cond.u for o in panel.observations}
+    u_by_lag = {o.date: o.cond.u for o in row_view(panel).observations}
     u = np.array(sorted(u_by_lag.values()))
     assert abs(u.mean()) < 1e-12
     assert abs(u.std() - 1.0) < 1e-12
@@ -305,11 +306,11 @@ def test_build_panel_btc_mode():
     options = PanelOptions(riskfree_mode="btc", windows=SMALL)
     panel = build_panel(coins, epu, rf, options)
     assert panel.riskfree_mode == "btc"
-    assert "BTC" not in panel.coins()
+    assert "BTC" not in panel.coins
     assert any(d.coin_id == "BTC" and d.reason == "btc_is_riskfree"
                for d in panel.dropped)
     # same-day bitcoin return is the benchmark: 0.03 vs 0.01 nets to 0.02
-    for o in panel.observations:
+    for o in row_view(panel).observations:
         assert o.excess == pytest.approx(o.ret - 0.002, abs=1e-12)
 
 
@@ -329,12 +330,12 @@ def test_build_panel_forward_fill_within_limit():
     coins, epu, rf = _inputs()
     del epu[day(11)], epu[day(12)]  # 2-day hole, inside the 3-day limit
     panel = build_panel(coins, epu, rf, OPTIONS)
-    assert panel.dates() == tuple(day(i) for i in range(7, 20))
+    assert panel.dates == tuple(day(i) for i in range(7, 20))
     # lag dates 11 and 12 resolve to the day-10 level before z-scoring
     filled = {i: _epu_level(10 if i in (11, 12) else i) for i in range(6, 19)}
     levels = np.array([filled[i] for i in sorted(filled)])
     expected = (filled[11] - levels.mean()) / levels.std()
-    obs = panel.by_date(day(12))[0]
+    obs = row_view(panel).by_date(day(12))[0]
     assert obs.cond.u == pytest.approx(expected, rel=1e-12)
 
 
@@ -354,7 +355,7 @@ def test_build_panel_leading_edge_skips_not_raises():
     coins, epu, rf = _inputs()
     late_epu = {d: v for d, v in epu.items() if d >= day(14)}
     panel = build_panel(coins, late_epu, rf, OPTIONS)
-    assert panel.dates()[0] == day(15)
+    assert panel.dates[0] == day(15)
     assert any(d.reason == "no_epu" for d in panel.dropped)
 
 
@@ -375,7 +376,8 @@ def test_build_panel_order_independent():
     coins, epu, rf = _inputs()
     a = build_panel(coins, epu, rf, OPTIONS)
     b = build_panel(list(reversed(coins)), epu, rf, OPTIONS)
-    assert a.observations == b.observations
+    assert row_view(a).observations == row_view(b).observations
+    assert a.dropped == b.dropped
 
 
 def test_build_panel_look_ahead_safety():
@@ -383,7 +385,7 @@ def test_build_panel_look_ahead_safety():
     # inputs truncated at t-1
     coins, epu, rf = _inputs()
     panel = build_panel(coins, epu, rf, OPTIONS)
-    target = panel.by_date(day(15))[0]
+    target = row_view(panel).by_date(day(15))[0]
     lag = day(14)
     series = next(c for c in coins if c.coin_id == target.coin_id)
     truncated = CoinSeries(
@@ -397,17 +399,45 @@ def test_build_panel_look_ahead_safety():
 
 
 def test_panel_duplicate_observation_rejected():
-    obs = [make_obs("A", day(1)), make_obs("A", day(1))]
+    # the grid holds one cell per (coin, date); a coin-day stored twice
+    # would need a repeated date column
+    panel = make_panel([make_obs("A", day(1)), make_obs("B", day(2))])
     with pytest.raises(DuplicateDate):
-        make_panel(obs)
+        dataclasses.replace(panel, dates=(day(1), day(1)))
 
 
-def test_panel_constructor_rejects_duplicate_observation():
-    obs = make_obs("A", day(1))
-    with pytest.raises(DuplicateDate):
-        Panel((obs, obs), "tbill")
-    with pytest.raises(DuplicateDate):
-        Panel((obs, make_obs("B", day(1)), obs), "tbill")
+def test_panel_constructor_rejects_malformed_layout():
+    panel = make_panel([make_obs("A", day(1)), make_obs("B", day(2))])
+    with pytest.raises(InvalidConfig):
+        dataclasses.replace(panel, coins=("B", "A"))  # unsorted
+    with pytest.raises(InvalidConfig):
+        dataclasses.replace(panel, coins=("A", "A"))  # repeated coin
+    with pytest.raises(InvalidConfig):
+        dataclasses.replace(panel, u=np.zeros((2, 3)))  # wrong shape
+    with pytest.raises(InvalidConfig):
+        dataclasses.replace(panel, mask=np.array([[True, False], [False, False]]))
+    assert not panel.ret.flags.writeable
+
+
+def test_read_panel_csv_rejects_duplicate_observation():
+    row = ",".join(["A", "2021-01-02"] + ["0.0"] * 12)
+    other = ",".join(["B", "2021-01-02"] + ["0.0"] * 12)
+    text = "\n".join([",".join(PANEL_HEADER), row, other, row]) + "\n"
+    with pytest.raises(MalformedRow) as info:
+        read_panel_csv(io.StringIO(text))
+    assert info.value.line == 4
+    assert "A" in str(info.value) and "2021-01-02" in str(info.value)
+
+
+@pytest.mark.parametrize("size_raw", ["1000.0", "-1000.0"])
+def test_read_panel_csv_rejects_size_raw_without_market_cap(size_raw):
+    # exp overflows at 1000 and underflows to 0.0 at -1000
+    good = ["A", "2021-01-02"] + ["0.0"] * 12
+    bad = ["B", "2021-01-02"] + ["0.0"] * 6 + [size_raw] + ["0.0"] * 5
+    text = "\n".join(",".join(r) for r in (PANEL_HEADER, good, bad)) + "\n"
+    with pytest.raises(MalformedRow) as info:
+        read_panel_csv(io.StringIO(text))
+    assert info.value.line == 3 and "size_raw" in str(info.value)
 
 
 def test_panel_csv_round_trip(tmp_path):
@@ -418,7 +448,7 @@ def test_panel_csv_round_trip(tmp_path):
     header = path.read_text().splitlines()[0]
     assert header == ",".join(PANEL_HEADER)
     again = read_panel_csv(path)
-    assert again.observations == panel.observations
+    assert row_view(again).observations == row_view(panel).observations
     assert again.riskfree_mode == "tbill"
     first = path.read_bytes()
     write_panel_csv(again, path)

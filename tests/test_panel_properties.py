@@ -1,0 +1,144 @@
+"""Properties of the columnar panel that hold for any input: the panel CSV
+round trip is exact, a coin on dates of its own leaves every other coin's
+first pass untouched, and rescaling every market cap leaves the factors
+unchanged on every date.
+"""
+
+import dataclasses
+import datetime as dt
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from coinfactors.condbeta import BetaSpec, first_pass
+from coinfactors.factors import build_factor_set
+from coinfactors.panel import CHARACTERISTIC_NAMES, Panel, read_panel_csv, write_panel_csv
+from coinfactors.synth import generate_synthetic, scenario
+
+from conftest import D0, make_obs
+from reference_rows import panel_from_rows, row_view
+
+N_CHARS = len(CHARACTERISTIC_NAMES)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# exp(size_raw) must stay a positive finite cap for the reader to accept it
+SIZE_RAW = st.floats(min_value=-700.0, max_value=700.0)
+
+
+@st.composite
+def gapped_panels(draw):
+    """Small panels with gapped dates, coins missing on some of them, and
+    any finite values, -0.0 and subnormals included."""
+    n_coins = draw(st.integers(1, 4))
+    n_dates = draw(st.integers(1, 6))
+    coins = sorted(draw(st.sets(st.text("AZ09-_, \"", min_size=1, max_size=4),
+                                min_size=n_coins, max_size=n_coins)))
+    offsets = sorted(draw(st.sets(st.integers(0, 40), min_size=n_dates, max_size=n_dates)))
+    shape = (n_coins, n_dates)
+    mask = draw(arrays(bool, shape))
+    for i in range(n_coins):  # every coin and every date keeps a cell
+        mask[i, i % n_dates] = True
+    for j in range(n_dates):
+        mask[j % n_coins, j] = True
+    raw = draw(arrays(float, (N_CHARS,) + shape, elements=FINITE))
+    raw[0] = draw(arrays(float, shape, elements=SIZE_RAW))
+    return Panel(
+        coins=coins,
+        dates=[D0 + dt.timedelta(days=k) for k in offsets],
+        mask=mask,
+        ret=draw(arrays(float, shape, elements=FINITE)),
+        excess=draw(arrays(float, shape, elements=FINITE)),
+        z=draw(arrays(float, (N_CHARS,) + shape, elements=FINITE)),
+        raw=raw,
+        u=draw(arrays(float, shape, elements=FINITE)),
+        r_btc=draw(arrays(float, shape, elements=FINITE)),
+        riskfree_mode="tbill",
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(panel=gapped_panels())
+def test_panel_csv_round_trip_is_exact(panel, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+    write_panel_csv(panel, path)
+    again = read_panel_csv(path)
+    assert again.coins == panel.coins
+    assert again.dates == panel.dates
+    assert np.array_equal(again.mask, panel.mask)
+    present = panel.mask
+    for name in ("ret", "excess", "u", "r_btc"):
+        assert getattr(again, name)[present].tobytes() == getattr(panel, name)[present].tobytes()
+    for name in ("z", "raw"):
+        assert getattr(again, name)[:, present].tobytes() == \
+            getattr(panel, name)[:, present].tobytes()
+
+
+SPECS = (
+    BetaSpec("unconditional"),
+    BetaSpec("conditional"),
+    BetaSpec("conditional", lagged_return="own"),
+)
+
+
+@pytest.fixture(scope="module")
+def gapped_base():
+    """A scenario-B panel with dates 100-109 removed, so that another coin
+    can sit inside the gap as well as before and after the sample."""
+    panel, _ = generate_synthetic(scenario("B", 6, 220, seed=4))
+    gap = set(panel.dates[100:110])
+    return panel_from_rows(o for o in row_view(panel).observations if o.date not in gap)
+
+
+def _fit_bytes(fit):
+    return (fit.coefficients.tobytes(), fit.stderr.tobytes(), repr(fit.r2),
+            repr(fit.adj_r2), repr(sorted(fit.risk_adjusted.items())))
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    coin_id=st.sampled_from(["A", "C0025", "ZZZ"]),
+    offsets=st.sets(st.sampled_from(list(range(-30, 0)) + list(range(101, 111))
+                                    + list(range(220, 250))), min_size=1, max_size=25),
+    values=st.lists(st.floats(-2.0, 2.0), min_size=10, max_size=10),
+)
+def test_disjoint_coin_leaves_other_fits_unchanged(gapped_base, coin_id, offsets, values):
+    base = gapped_base
+    start = base.dates[0] - dt.timedelta(days=1)
+    extra = [
+        make_obs(coin_id, start + dt.timedelta(days=k), ret=values[0], excess=values[1],
+                 u=values[2], r_btc=values[3], size=values[4], momentum=values[5],
+                 liquidity=values[6], size_raw=18.0 + values[7],
+                 liquidity_raw=17.0 + values[8], momentum_raw=values[9])
+        for k in sorted(offsets)
+    ]
+    assert not {o.date for o in extra} & set(base.dates)
+    wider = panel_from_rows(list(row_view(base).observations) + extra)
+    assert len(wider.dates) == len(base.dates) + len(offsets)
+    for menu in ("CAPM", "FF3"):
+        base_factors = build_factor_set(base, menu)
+        wider_factors = build_factor_set(wider, menu)
+        for spec in SPECS:
+            for coin in base.coins:
+                assert _fit_bytes(first_pass(wider, coin, wider_factors, spec)) == \
+                    _fit_bytes(first_pass(base, coin, base_factors, spec))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), k=st.floats(1e-6, 1e6))
+def test_rescaling_caps_leaves_every_factor_unchanged(seed, k):
+    # size_raw is ln cap: multiplying every cap by k adds ln k to it
+    panel, _ = generate_synthetic(scenario("A", 12, 200, seed=seed))
+    raw = panel.raw.copy()
+    raw[CHARACTERISTIC_NAMES.index("size")] += math.log(k)
+    scaled = dataclasses.replace(panel, raw=raw)
+    base = build_factor_set(panel, "ALL")
+    other = build_factor_set(scaled, "ALL")
+    assert other.dates() == base.dates() == panel.dates
+    # a long-short spread that nearly cancels keeps its legs' last-bit
+    # differences (about 1e-17), hence the absolute floor next to 1e-12
+    for date in base.dates():
+        assert other.vector(date) == pytest.approx(base.vector(date), rel=1e-12, abs=1e-15)

@@ -22,6 +22,7 @@ from coinfactors.pipeline import (
 )
 
 from conftest import day, decomposition_errors, make_obs, make_panel
+from reference_rows import row_view
 
 UNCOND = ModelSpec(label="capm-u", factors="CAPM",
                    beta=BetaSpec(mode="unconditional"))
@@ -92,7 +93,7 @@ def test_second_pass_skips_below_floor_dates():
     panel_obs, rstar = _linear_cross_sections()
     extra_date = day(31)
     extras = [make_obs(_coin_id(i), extra_date, size=0.1 * i) for i in range(5)]
-    panel = make_panel(list(panel_obs.observations) + extras)
+    panel = make_panel(list(row_view(panel_obs).observations) + extras)
     for i in range(5):
         rstar[_coin_id(i)][extra_date] = 0.002
     result = second_pass(rstar, panel, ("size",), floor_base=2)
@@ -104,7 +105,7 @@ def test_second_pass_skips_rank_deficient_dates():
     panel_obs, rstar = _linear_cross_sections()
     extra_date = day(31)
     extras = [make_obs(_coin_id(i), extra_date, size=0.0) for i in range(6)]
-    panel = make_panel(list(panel_obs.observations) + extras)
+    panel = make_panel(list(row_view(panel_obs).observations) + extras)
     for i in range(6):
         rstar[_coin_id(i)][extra_date] = 0.002
     result = second_pass(rstar, panel, ("size",), floor_base=2)
@@ -183,7 +184,7 @@ def test_run_model_end_to_end_decomposition(synth_b):
     panel, truth = synth_b
     result = run_model(panel, COND, factor_set=truth.factor_set)
     assert result.spec is COND
-    assert len(result.fits) == len(panel.coins())
+    assert len(result.fits) == len(panel.coins)
     assert np.isfinite(result.first_pass_avg_adj_r2)
     assert [c.name for c in result.fm.coefficients] == [
         "c0", "size", "liquidity", "momentum",
@@ -193,7 +194,7 @@ def test_run_model_end_to_end_decomposition(synth_b):
     # residual at every fitted coin-day
     fit = result.fits[0]
     errors = decomposition_errors(
-        fit, panel.by_coin(fit.coin_id), truth.factor_set, COND.beta
+        fit, row_view(panel).by_coin(fit.coin_id), truth.factor_set, COND.beta
     )
     assert errors.max() < 1e-10
 

@@ -22,13 +22,14 @@ from coinfactors.synth import (
     verify_recovery,
     write_truth_json,
 )
+from reference_rows import row_view
 
 
 def test_same_seed_reproduces_exactly():
     cfg = scenario("B", 6, 220, seed=31)
     panel_a, truth_a = generate_synthetic(cfg)
     panel_b, truth_b = generate_synthetic(cfg)
-    assert panel_a.observations == panel_b.observations
+    assert row_view(panel_a).observations == row_view(panel_b).observations
     assert truth_a.factor_set.values == truth_b.factor_set.values
     for coin in truth_a.theta:
         assert np.array_equal(truth_a.theta[coin], truth_b.theta[coin])
@@ -37,31 +38,33 @@ def test_same_seed_reproduces_exactly():
 def test_different_seed_differs():
     panel_a, _ = generate_synthetic(scenario("B", 6, 220, seed=31))
     panel_b, _ = generate_synthetic(scenario("B", 6, 220, seed=32))
-    assert panel_a.observations != panel_b.observations
+    assert row_view(panel_a).observations != row_view(panel_b).observations
 
 
 def test_panel_shape_and_dates(synth_b):
     panel, truth = synth_b
     cfg = truth.config
-    assert len(panel.coins()) == cfg.n_coins
-    assert panel.coins()[0] == "C000"
+    assert len(panel.coins) == cfg.n_coins
+    assert panel.coins[0] == "C000"
     # day 0 exists only as the first lag, so observations span n_days - 1
-    assert len(panel.dates()) == cfg.n_days - 1
-    assert panel.dates()[0] == cfg.start + dt.timedelta(days=1)
-    assert truth.factor_set.dates() == panel.dates()
+    assert len(panel.dates) == cfg.n_days - 1
+    assert panel.dates[0] == cfg.start + dt.timedelta(days=1)
+    assert truth.factor_set.dates() == panel.dates
+    assert panel.mask.all()
     assert panel.riskfree_mode == "tbill"
 
 
 def test_riskfree_is_zero_in_synthetic_world(synth_b):
     panel, _ = synth_b
-    for o in panel.observations[:500]:
+    for o in row_view(panel).observations[:500]:
         assert o.ret == o.excess
 
 
 def test_characteristics_standardized_per_date(synth_b):
     panel, _ = synth_b
-    for date in panel.dates()[:5]:
-        obs = panel.by_date(date)
+    rows = row_view(panel)
+    for date in panel.dates[:5]:
+        obs = rows.by_date(date)
         for name in CHARACTERISTIC_NAMES:
             z = np.array([o.chars.z(name) for o in obs])
             assert abs(z.mean()) < 1e-9
@@ -74,7 +77,7 @@ def test_conditioning_series_standardized(synth_b):
     assert abs(u.mean()) < 1e-9
     assert abs(u.std() - 1.0) < 1e-9
     # observations carry the lagged value
-    obs = panel.observations[0]
+    obs = row_view(panel).observations[0]
     lag = obs.date - dt.timedelta(days=1)
     assert obs.cond.u == truth.u[lag]
     assert obs.cond.r_btc == truth.r_btc[lag]
@@ -142,7 +145,7 @@ def test_verify_recovery_on_true_model(synth_b):
     result = run_model(panel, spec, factor_set=truth.factor_set)
     report = verify_recovery(result, truth, tolerance=1e9)
     assert report.n_parameters == truth.config.n_coins * 12
-    assert set(report.per_coin_max_error) == set(panel.coins())
+    assert set(report.per_coin_max_error) == set(panel.coins)
     # noisy interaction terms carry large absolute errors, but the nominal
     # 95% intervals should cover close to 95% of true parameters
     assert 0.90 <= report.ci_coverage <= 0.99
@@ -183,13 +186,13 @@ def test_emit_raw_files_reingests(tmp_path, synth_b):
     assert set(epu) == set(riskfree)
     rebuilt = build_panel(coins, epu, riskfree, PanelOptions())
     assert rebuilt.riskfree_mode == "tbill"
-    assert len(rebuilt.coins()) == truth.config.n_coins + 1
+    assert len(rebuilt.coins) == truth.config.n_coins + 1
     # rolling windows need roughly a year of warmup before dates survive
-    assert len(rebuilt.dates()) >= 30
+    assert len(rebuilt.dates) >= 30
     # returns in the rebuilt panel match the synthetic ones where both exist
-    synth_rets = {(o.coin_id, o.date): o.ret for o in panel.observations}
+    synth_rets = {(o.coin_id, o.date): o.ret for o in row_view(panel).observations}
     checked = 0
-    for o in rebuilt.observations:
+    for o in row_view(rebuilt).observations:
         key = (o.coin_id, o.date)
         if key in synth_rets:
             assert o.ret == pytest.approx(synth_rets[key], rel=1e-9)
