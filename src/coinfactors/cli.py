@@ -29,6 +29,7 @@ from .errors import (
 )
 from .ingest import (
     UniverseConfig,
+    filter_universe,
     load_coin_dir,
     parse_epu_csv,
     parse_riskfree_csv,
@@ -36,6 +37,7 @@ from .ingest import (
 from .panel import Panel, build_panel, read_panel_csv, write_drop_report, write_panel_csv
 from .pipeline import compare_models
 from .report import (
+    check_labels,
     rerender_report,
     sha256_file,
     write_manifest,
@@ -119,8 +121,6 @@ def _select_universe(cfg: RunConfig, coins) -> list:
     """Apply the ranked-universe filter, keeping the Bitcoin series in the
     build set regardless of its rank because it drives the conditioning
     state."""
-    from .ingest import filter_universe
-
     rank_date = cfg.universe.rank_date
     if rank_date is None:
         rank_date = max(series.last_date() for series in coins)
@@ -205,6 +205,7 @@ def cmd_run(config_path: str, output: str | None, seed: int | None) -> None:
         cfg = _load(config_path, output, seed)
         if not cfg.specs:
             raise InvalidConfig("run requires a non-empty specs list")
+        check_labels(spec.label for spec in cfg.specs)
         out = _out_dir(cfg)
         modes = {spec.riskfree_mode for spec in cfg.specs}
         panels, digests = _build_panels(cfg, modes)

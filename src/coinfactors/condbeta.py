@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .errors import (
     RankDeficient,
 )
 from .factors import FactorSet
-from .panel import ONE_DAY, Panel, characteristic_index
+from .panel import Panel, characteristic_index
 
 MIN_OBS_MARGIN = 30
 
@@ -111,8 +112,9 @@ class FirstPassFit:
     """Per-coin time-series fit and its risk-adjusted return series.
 
     coefficients, param_names and stderr align index for index in design
-    column order, alpha first. risk_adjusted maps every fitted date to
-    alpha plus that date's residual.
+    column order, alpha first. risk_adjusted is the coin's read-only row on
+    the panel's date axis: alpha plus the residual on every fitted date,
+    NaN on the others.
     """
 
     coin_id: str
@@ -123,7 +125,7 @@ class FirstPassFit:
     adj_r2: float
     n_obs: int
     n_params: int
-    risk_adjusted: Mapping[dt.date, float]
+    risk_adjusted: np.ndarray
 
 
 def first_pass(
@@ -138,32 +140,31 @@ def first_pass(
     factor design, over the dates present in both the coin and the factor
     set. With lagged_return "own", a date also needs the coin's return on
     the previous calendar day. Requires n >= n_params + min_obs_margin
-    observations.
+    observations, and a factor set on the panel's dates (InvalidConfig
+    otherwise).
     """
-    dates = panel.dates
-    values = factor_set.values
+    factor_set.require_dates(panel.dates)
     row = panel.coin_index.get(coin_id)
-    present = [] if row is None else panel.mask[row].tolist()
-    cols = [j for j, here in enumerate(present) if here and dates[j] in values]
+    present = np.zeros_like(factor_set.mask) if row is None else panel.mask[row]
+    keep = present & factor_set.mask
     if spec.lagged_return == "own":
-        cols = [
-            j
-            for j in cols
-            if j > 0 and present[j - 1] and dates[j] - dates[j - 1] == ONE_DAY
-        ]
+        days = np.array([d.toordinal() for d in panel.dates])
+        keep[1:] &= present[:-1] & (np.diff(days) == 1)
+        keep[0] = False
+    cols = np.flatnonzero(keep)
     names = param_names(factor_set.names, spec)
     p = len(names)
-    n = len(cols)
+    n = cols.size
     if row is None or n < p + min_obs_margin:
         raise InsufficientObservations(coin_id, p + min_obs_margin, n)
     chars = np.array(
         [characteristic_index(c) for c in spec.characteristics], dtype=np.intp
     )
 
-    F = np.array([values[dates[j]] for j in cols], dtype=float)
+    F = factor_set.values[cols]
     u = panel.u[row, cols]
     if spec.lagged_return == "own":
-        r = panel.ret[row, [j - 1 for j in cols]]
+        r = panel.ret[row, cols - 1]
     else:
         r = panel.r_btc[row, cols]
     C = panel.z[:, row, cols][chars].T
@@ -178,7 +179,9 @@ def first_pass(
             [names[i] for i in exc.columns], message=f"coin {coin_id}"
         ) from None
 
-    alpha = float(fit.coefficients[0])
+    risk_adjusted = np.full(len(panel.dates), np.nan)
+    risk_adjusted[cols] = fit.coefficients[0] + fit.residuals
+    risk_adjusted.flags.writeable = False
     return FirstPassFit(
         coin_id=coin_id,
         param_names=names,
@@ -188,9 +191,7 @@ def first_pass(
         adj_r2=fit.adj_r2,
         n_obs=fit.n_obs,
         n_params=fit.n_params,
-        risk_adjusted=dict(
-            zip([dates[j] for j in cols], (alpha + fit.residuals).tolist())
-        ),
+        risk_adjusted=risk_adjusted,
     )
 
 
@@ -206,13 +207,21 @@ def write_first_pass_params_csv(
                 writer.writerow((fit.coin_id, name, repr(float(est)), repr(float(se))))
 
 
-def write_risk_adjusted_csv(fits: Sequence[FirstPassFit], path: str | Path) -> None:
-    """coin_id,date,risk_adjusted for every fitted coin-day."""
+def write_risk_adjusted_csv(
+    fits: Sequence[FirstPassFit], dates: Sequence[dt.date], path: str | Path
+) -> None:
+    """coin_id,date,risk_adjusted for every fitted coin-day; dates is the
+    axis of the fits' risk_adjusted rows."""
+    days = [d.isoformat() for d in dates]
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(("coin_id", "date", "risk_adjusted"))
         for fit in sorted(fits, key=lambda f: f.coin_id):
-            for date in sorted(fit.risk_adjusted):
-                writer.writerow(
-                    (fit.coin_id, date.isoformat(), repr(fit.risk_adjusted[date]))
+            cols = np.flatnonzero(~np.isnan(fit.risk_adjusted))
+            writer.writerows(
+                zip(
+                    itertools.repeat(fit.coin_id),
+                    [days[j] for j in cols.tolist()],
+                    map(repr, fit.risk_adjusted[cols].tolist()),
                 )
+            )

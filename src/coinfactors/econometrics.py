@@ -57,8 +57,6 @@ def ols(
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
-    if X.shape[0] == 1 and y.size != 1 and X.shape[1] == y.size:
-        X = X.T
     n, p = X.shape
     if y.shape != (n,):
         raise ValueError(f"response length {y.shape} does not match {n} rows")

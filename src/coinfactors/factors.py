@@ -211,20 +211,32 @@ def long_short_factor(
     return _date_factors(panel, panel.date_index[date], (name,), options)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactorSet:
-    """Daily factor vectors, one tuple per surviving date, plus the dates
-    dropped during construction with their reasons."""
+    """Daily factor vectors on a panel's date axis: values is a read-only
+    dates x names array, NaN off the kept dates that mask marks, and
+    dropped lists the other dates with their reasons."""
 
     names: tuple[str, ...]
-    values: Mapping[dt.date, tuple[float, ...]]
+    dates: tuple[dt.date, ...]
+    mask: np.ndarray
+    values: np.ndarray
     dropped: tuple[tuple[dt.date, str], ...] = ()
 
-    def dates(self) -> tuple[dt.date, ...]:
-        return tuple(sorted(self.values))
+    def __post_init__(self):
+        object.__setattr__(self, "dates", tuple(self.dates))
+        for name, kind in (("mask", bool), ("values", float)):
+            array = np.array(getattr(self, name), dtype=kind)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        want = (len(self.dates), len(self.names))
+        if (self.mask.shape, self.values.shape) != (want[:1], want):
+            raise InvalidConfig(f"factor set arrays do not fit {want} dates x factors")
 
-    def vector(self, date: dt.date) -> tuple[float, ...]:
-        return self.values[date]
+    def require_dates(self, dates: tuple[dt.date, ...]) -> None:
+        """Raise InvalidConfig unless the set lies on exactly these dates."""
+        if self.dates != dates:
+            raise InvalidConfig("factor set is not on the panel's dates")
 
 
 def build_factor_set(
@@ -241,25 +253,28 @@ def build_factor_set(
     names = resolve_factor_names(menu)
     caps = np.zeros(panel.mask.shape)
     caps[panel.mask] = _caps(panel.raw[characteristic_index("size")][panel.mask])
-    values: dict[dt.date, tuple[float, ...]] = {}
+    mask = np.zeros(len(panel.dates), dtype=bool)
+    values = np.full((len(panel.dates), len(names)), np.nan)
     dropped = []
     for col, date in enumerate(panel.dates):
         try:
-            values[date] = _date_factors(panel, col, names, options, caps)
+            values[col] = _date_factors(panel, col, names, options, caps)
+            mask[col] = True
         except (TooFewCoins, EmptyLeg, EmptyDate) as exc:
             dropped.append((date, f"{type(exc).__name__}: {exc}"))
-    return FactorSet(names=names, values=values, dropped=tuple(dropped))
+    return FactorSet(names, panel.dates, mask, values, tuple(dropped))
 
 
 def write_factor_csv(factor_set: FactorSet, path: str | Path) -> None:
-    """Serialize as date,mkt,smb,val,mom,liq with empty cells for factors
-    the set does not carry."""
+    """Serialize the kept dates as date,mkt,smb,val,mom,liq with empty cells
+    for factors the set does not carry."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(("date",) + FACTOR_NAMES)
-        for date in factor_set.dates():
-            vector = factor_set.vector(date)
+        for col in np.flatnonzero(factor_set.mask).tolist():
+            vector = factor_set.values[col].tolist()
             cells = {name: repr(v) for name, v in zip(factor_set.names, vector)}
             writer.writerow(
-                [date.isoformat()] + [cells.get(name, "") for name in FACTOR_NAMES]
+                [factor_set.dates[col].isoformat()]
+                + [cells.get(name, "") for name in FACTOR_NAMES]
             )

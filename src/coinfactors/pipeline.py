@@ -105,7 +105,7 @@ class SecondPassResult:
 
 
 def second_pass(
-    risk_adjusted: Mapping[str, Mapping[dt.date, float]],
+    rstar: np.ndarray,
     panel: Panel,
     anomalies: Sequence[str],
     floor_base: int = 20,
@@ -115,40 +115,26 @@ def second_pass(
 ) -> SecondPassResult:
     """Daily cross-sections of R* on the standardized anomaly vector.
 
-    Dates with fewer coins than the floor, or with a degenerate design
-    (for example all-zero z-scores), are skipped and recorded. Requires at
-    least 2 surviving dates.
+    rstar is coins x dates on the panel's grid, NaN where a coin-day has
+    none; each date holding an R* is one cross-section. Dates with fewer
+    coins than the floor, or with a degenerate design (for example all-zero
+    z-scores), are skipped and recorded. Requires at least 2 surviving dates.
     """
     anomalies = tuple(anomalies)
     floor = cross_section_floor(len(anomalies), floor_base)
     chars = [characteristic_index(a) for a in anomalies]
-    # R* on the panel's grid, kept where the panel has the coin-day; dates
-    # outside the panel still count, as skipped cross-sections
-    rstar = np.zeros(panel.mask.shape)
-    has_rstar = np.zeros(panel.mask.shape, dtype=bool)
-    dates: set[dt.date] = set()
-    for coin_id, series in risk_adjusted.items():
-        dates.update(series)
-        row = panel.coin_index.get(coin_id)
-        if row is None:
-            continue
-        cells = [
-            (panel.date_index[d], v)
-            for d, v in series.items()
-            if d in panel.date_index
-        ]
-        if cells:
-            cols, values = zip(*cells)
-            rstar[row, list(cols)] = values
-            has_rstar[row, list(cols)] = True
-    has_rstar &= panel.mask
+    if rstar.shape != panel.mask.shape:
+        raise InvalidConfig(f"R* grid has shape {rstar.shape}, not {panel.mask.shape}")
+    held = ~np.isnan(rstar)
+    dated = np.flatnonzero(held.any(axis=0)).tolist()
+    held &= panel.mask
 
     fits = []
     skipped = []
-    for date in sorted(dates):
-        col = panel.date_index.get(date)
-        rows = np.flatnonzero(has_rstar[:, col]) if col is not None else []
-        n = len(rows)
+    for col in dated:
+        date = panel.dates[col]
+        rows = np.flatnonzero(held[:, col])
+        n = rows.size
         if n < floor:
             skipped.append((date, f"below_floor:{n}<{floor}"))
             continue
@@ -245,7 +231,8 @@ def run_model(
             f"spec {spec.label!r} wants factors {wanted}, "
             f"supplied set has {tuple(factor_set.names)}"
         )
-    if not factor_set.values:
+    factor_set.require_dates(panel.dates)
+    if not factor_set.mask.any():
         exc = NoEligibleDates("factor set is empty")
         raise StageError(spec.label, "factors", exc) from exc
 
@@ -270,9 +257,12 @@ def run_model(
         except CoinFactorsError as exc:
             raise StageError(spec.label, "first_pass", exc) from exc
 
+    rstar = np.full(panel.mask.shape, np.nan)
+    for fit in fits:
+        rstar[panel.coin_index[fit.coin_id]] = fit.risk_adjusted
     try:
         second = second_pass(
-            {fit.coin_id: fit.risk_adjusted for fit in fits},
+            rstar,
             panel,
             spec.anomalies,
             floor_base=options.floor_base,
@@ -338,7 +328,7 @@ class ComparisonReport:
     results: Mapping[str, ModelResult] = field(compare=False, default=None)
 
 
-def _row_from_result(result: ModelResult) -> ComparisonRow:
+def _row_from_result(result: ModelResult, significance_z: float) -> ComparisonRow:
     return ComparisonRow(
         label=result.spec.label,
         factors=result.spec.factors,
@@ -350,7 +340,7 @@ def _row_from_result(result: ModelResult) -> ComparisonRow:
         n_coins_dropped=len(result.dropped_coins),
         n_dates=len(result.cross_sections),
         n_dates_skipped=len(result.skipped_dates),
-        significant_anomalies=significant_anomaly_count(result),
+        significant_anomalies=significant_anomaly_count(result, significance_z),
         anomalies=result.anomaly_summaries(),
     )
 
@@ -392,7 +382,11 @@ def compare_models(
             factor_sets[key] = _build_factors(panel, spec, options)
         results[spec.label] = run_model(panel, spec, factor_sets[key], options)
 
-    rows = tuple(_row_from_result(results[label]) for label in sorted(results))
+    rows = tuple(
+        _row_from_result(results[label], options.significance_z)
+        for label in sorted(results)
+    )
+    significant = {row.label: row.significant_anomalies for row in rows}
 
     groups: dict[tuple, dict[str, list[ModelResult]]] = {}
     for result in results.values():
@@ -403,6 +397,8 @@ def compare_models(
         modes = groups[key]
         for uncond in sorted(modes.get("unconditional", []), key=lambda r: r.spec.label):
             for cond in sorted(modes.get("conditional", []), key=lambda r: r.spec.label):
+                u_sig = significant[uncond.spec.label]
+                c_sig = significant[cond.spec.label]
                 pairs.append(
                     PairRow(
                         factors=key[0],
@@ -413,16 +409,9 @@ def compare_models(
                         conditional_sp_adj_r2=cond.second_pass_avg_adj_r2,
                         delta_sp_adj_r2=cond.second_pass_avg_adj_r2
                         - uncond.second_pass_avg_adj_r2,
-                        unconditional_significant=significant_anomaly_count(
-                            uncond, options.significance_z
-                        ),
-                        conditional_significant=significant_anomaly_count(
-                            cond, options.significance_z
-                        ),
-                        significant_change=significant_anomaly_count(
-                            cond, options.significance_z
-                        )
-                        - significant_anomaly_count(uncond, options.significance_z),
+                        unconditional_significant=u_sig,
+                        conditional_significant=c_sig,
+                        significant_change=c_sig - u_sig,
                         unconditional_coins=len(uncond.fits),
                         conditional_coins=len(cond.fits),
                     )

@@ -16,7 +16,7 @@ import io
 import json
 import re
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .condbeta import write_first_pass_params_csv, write_risk_adjusted_csv
 from .errors import InvalidConfig
@@ -88,24 +88,9 @@ def _cell(value) -> str:
 
 
 def comparison_rows(report: ComparisonReport) -> list[dict[str, str]]:
-    rows = []
-    for row in report.rows:
-        rows.append(
-            {
-                "label": row.label,
-                "factors": row.factors,
-                "beta_mode": row.beta_mode,
-                "riskfree_mode": row.riskfree_mode,
-                "first_pass_avg_adj_r2": _cell(row.first_pass_avg_adj_r2),
-                "second_pass_avg_adj_r2": _cell(row.second_pass_avg_adj_r2),
-                "n_coins": _cell(row.n_coins),
-                "n_coins_dropped": _cell(row.n_coins_dropped),
-                "n_dates": _cell(row.n_dates),
-                "n_dates_skipped": _cell(row.n_dates_skipped),
-                "significant_anomalies": _cell(row.significant_anomalies),
-            }
-        )
-    return rows
+    return [
+        {h: _cell(getattr(row, h)) for h in COMPARISON_HEADER} for row in report.rows
+    ]
 
 
 def anomaly_rows(report: ComparisonReport) -> list[dict[str, str]]:
@@ -133,25 +118,7 @@ def anomaly_rows(report: ComparisonReport) -> list[dict[str, str]]:
 
 
 def pair_rows(report: ComparisonReport) -> list[dict[str, str]]:
-    rows = []
-    for pair in report.pairs:
-        rows.append(
-            {
-                "factors": pair.factors,
-                "riskfree_mode": pair.riskfree_mode,
-                "unconditional_label": pair.unconditional_label,
-                "conditional_label": pair.conditional_label,
-                "unconditional_sp_adj_r2": _cell(pair.unconditional_sp_adj_r2),
-                "conditional_sp_adj_r2": _cell(pair.conditional_sp_adj_r2),
-                "delta_sp_adj_r2": _cell(pair.delta_sp_adj_r2),
-                "unconditional_significant": _cell(pair.unconditional_significant),
-                "conditional_significant": _cell(pair.conditional_significant),
-                "significant_change": _cell(pair.significant_change),
-                "unconditional_coins": _cell(pair.unconditional_coins),
-                "conditional_coins": _cell(pair.conditional_coins),
-            }
-        )
-    return rows
+    return [{h: _cell(getattr(pair, h)) for h in PAIR_HEADER} for pair in report.pairs]
 
 
 def write_rows_csv(
@@ -351,6 +318,8 @@ def render_cumulative_chart(
     def y_at(v: float) -> float:
         return top + plot_h * (1.0 - (v - lo) / (hi - lo))
 
+    # escaped here: importing xml.sax.saxutils loads urllib.request (~7 MB)
+    title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     out = io.StringIO()
     out.write(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
@@ -429,7 +398,7 @@ def write_model_outputs(result: ModelResult, out_dir: str | Path) -> list[str]:
     names.append(name)
 
     name = f"{base}_risk_adjusted.csv"
-    write_risk_adjusted_csv(result.fits, out_dir / name)
+    write_risk_adjusted_csv(result.fits, result.factor_set.dates, out_dir / name)
     names.append(name)
 
     cross_name = f"{base}_crosssection.csv"
@@ -444,8 +413,24 @@ def write_model_outputs(result: ModelResult, out_dir: str | Path) -> list[str]:
     return names
 
 
+def check_labels(labels: Iterable[str]) -> None:
+    """Raise InvalidConfig unless every label slugifies, each to its own
+    file prefix."""
+    seen: dict[str, str] = {}
+    for label in labels:
+        base = slugify(label)
+        if base in seen:
+            raise InvalidConfig(
+                f"labels {seen[base]!r} and {label!r} would both write "
+                f"the files {base}_*"
+            )
+        seen[base] = label
+
+
 def write_report_files(report: ComparisonReport, out_dir: str | Path) -> list[str]:
-    """All comparison-level and per-model files for a finished run."""
+    """All comparison-level and per-model files for a finished run. Labels
+    are checked with check_labels before any file is written."""
+    check_labels(row.label for row in report.rows)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     comparison = comparison_rows(report)

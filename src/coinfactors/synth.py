@@ -10,7 +10,9 @@ generation order never changes results.
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -22,7 +24,7 @@ import numpy as np
 from .condbeta import BetaSpec, build_design_matrix
 from .errors import InvalidConfig, MissingCharacteristic, SpecMismatch
 from .factors import FACTOR_NAMES, FactorSet
-from .ingest import CoinSeries, DailyBar
+from .ingest import CoinSeries, DailyBar, write_market_csv
 from .panel import CHARACTERISTIC_NAMES, ONE_DAY, Panel, winsorized_zscores
 from .pipeline import ModelResult
 
@@ -254,8 +256,7 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[Panel, GroundTruth]:
         riskfree_mode="tbill",
     )
     factor_set = FactorSet(
-        names=cfg.factor_names,
-        values={dates[i + 1]: tuple(float(x) for x in F[i]) for i in range(t_obs)},
+        cfg.factor_names, panel.dates, np.ones(t_obs, dtype=bool), F
     )
     truth = GroundTruth(
         config=cfg,
@@ -406,11 +407,13 @@ def _json_key(key) -> str:
 
 def truth_to_json(truth: GroundTruth) -> dict:
     """Ground truth as a plain JSON-serializable document."""
+    factors = truth.factor_set
+    kept = itertools.compress(factors.dates, factors.mask)
     return {
         "config": _jsonable(truth.config),
         "beta_spec": _jsonable(truth.beta_spec),
         "factor_names": list(truth.factor_set.names),
-        "factors": _jsonable(dict(truth.factor_set.values)),
+        "factors": _jsonable(dict(zip(kept, factors.values[factors.mask]))),
         "theta": _jsonable(dict(truth.theta)),
         "alpha": _jsonable(dict(truth.alpha)),
         "anomaly_effects": _jsonable(dict(truth.anomaly_effects)),
@@ -434,8 +437,6 @@ def emit_raw_files(panel: Panel, truth: GroundTruth, out_dir: str | Path) -> Non
     numerically identical to the synthetic one, because ingestion recomputes
     characteristics from rolling windows over these raw series.
     """
-    from .ingest import write_market_csv
-
     out = Path(out_dir)
     market = out / "market"
     market.mkdir(parents=True, exist_ok=True)
@@ -480,16 +481,14 @@ def emit_raw_files(panel: Panel, truth: GroundTruth, out_dir: str | Path) -> Non
                                  market_cap=cap))
     write_market_csv(CoinSeries("BTC", tuple(btc_bars)), market / "BTC.csv")
 
-    import csv as _csv
-
     with open(out / "epu.csv", "w", newline="") as handle:
-        writer = _csv.writer(handle)
+        writer = csv.writer(handle)
         writer.writerow(("date", "epu"))
         for date in dates:
             u = truth.u.get(date, 0.0)
             writer.writerow((date.isoformat(), repr(100.0 * math.exp(0.2 * u))))
     with open(out / "riskfree.csv", "w", newline="") as handle:
-        writer = _csv.writer(handle)
+        writer = csv.writer(handle)
         writer.writerow(("date", "rate"))
         for date in dates:
             writer.writerow((date.isoformat(), repr(0.0)))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from coinfactors.condbeta import build_design_matrix
+from coinfactors.factors import FactorSet
 from coinfactors.ingest import CoinSeries, DailyBar
 from coinfactors.synth import generate_synthetic, scenario
 from reference_rows import (
@@ -77,24 +78,42 @@ def make_panel(observations, riskfree_mode="tbill"):
     return panel_from_rows(observations, riskfree_mode)
 
 
+def factor_set_on(panel, names, values):
+    """A FactorSet on the panel's dates holding values[date] (a tuple in
+    names order) on each date values has; the other dates are dropped."""
+    rows = [values.get(d) for d in panel.dates]
+    return FactorSet(
+        names,
+        panel.dates,
+        np.array([row is not None for row in rows]),
+        np.array([(np.nan,) * len(names) if row is None else row for row in rows]),
+    )
+
+
+def fitted_dates(fit, dates):
+    """The dates on which a first-pass fit holds a risk-adjusted return."""
+    return [dates[j] for j in np.flatnonzero(~np.isnan(fit.risk_adjusted))]
+
+
 def decomposition_errors(fit, observations, factor_set, spec, r_by_date=None):
     """|excess - R* - design @ loadings| on every date the first-pass fit
     used, with the design rebuilt through build_design_matrix. r_by_date
     gives the lagged return per date; by default it is the Bitcoin lag."""
     by_date = {o.date: o for o in observations}
-    dates = sorted(fit.risk_adjusted)
+    cols = np.flatnonzero(~np.isnan(fit.risk_adjusted))
+    dates = [factor_set.dates[j] for j in cols]
     rows = [by_date[d] for d in dates]
     if r_by_date is None:
         r_by_date = {o.date: o.cond.r_btc for o in rows}
     design = build_design_matrix(
-        np.array([factor_set.vector(d) for d in dates]),
+        factor_set.values[cols],
         np.array([o.cond.u for o in rows]),
         np.array([r_by_date[d] for d in dates]),
         np.array([[o.chars.z(c) for c in spec.characteristics] for o in rows]),
         spec,
     )
     excess = np.array([o.excess for o in rows])
-    rstar = np.array([fit.risk_adjusted[d] for d in dates])
+    rstar = fit.risk_adjusted[cols]
     return np.abs(excess - rstar - design @ fit.coefficients[1:])
 
 

@@ -2,9 +2,11 @@
 replaced, kept verbatim as the exact oracle for the column code.
 
 Each coin-day is one frozen PanelObservation; factor sorts, the first pass
-and the second pass walk those rows. row_view turns a columnar Panel into
-these rows and panel_from_rows goes the other way, so the same panel can be
-fed to both implementations. Both keep every float as stored, so the column
+and the second pass walk those rows. Factors and risk-adjusted returns are
+{date: value} mappings, in the FactorSet and FirstPassFit types that held
+them before they moved onto the panel's date axis. row_view turns a
+columnar Panel into these rows and panel_from_rows goes the other way, so
+the same panel can be fed to both implementations. Both keep every float as stored, so the column
 code must agree with this module bit for bit.
 """
 
@@ -20,7 +22,6 @@ import numpy as np
 from coinfactors.condbeta import (
     MIN_OBS_MARGIN,
     BetaSpec,
-    FirstPassFit,
     build_design_matrix,
     param_names,
 )
@@ -41,7 +42,6 @@ from coinfactors.factors import (
     LONG_SHORT,
     LOW_BREAK,
     FactorOptions,
-    FactorSet,
     resolve_factor_names,
 )
 from coinfactors.panel import CHARACTERISTIC_NAMES, Drop, winsorized_zscores
@@ -52,6 +52,42 @@ from coinfactors.pipeline import (
     SecondPassResult,
     cross_section_floor,
 )
+
+
+@dataclass(frozen=True)
+class FactorSet:
+    """Daily factor vectors, one tuple per surviving date, plus the dates
+    dropped during construction with their reasons."""
+
+    names: tuple[str, ...]
+    values: Mapping[dt.date, tuple[float, ...]]
+    dropped: tuple[tuple[dt.date, str], ...] = ()
+
+    def dates(self) -> tuple[dt.date, ...]:
+        return tuple(sorted(self.values))
+
+    def vector(self, date: dt.date) -> tuple[float, ...]:
+        return self.values[date]
+
+
+@dataclass(frozen=True)
+class FirstPassFit:
+    """Per-coin time-series fit and its risk-adjusted return series.
+
+    coefficients, param_names and stderr align index for index in design
+    column order, alpha first. risk_adjusted maps every fitted date to
+    alpha plus that date's residual.
+    """
+
+    coin_id: str
+    param_names: tuple[str, ...]
+    coefficients: np.ndarray
+    stderr: np.ndarray
+    r2: float
+    adj_r2: float
+    n_obs: int
+    n_params: int
+    risk_adjusted: Mapping[dt.date, float]
 
 
 def row_view(panel: ColumnPanel) -> "Panel":

@@ -159,11 +159,7 @@ def _null_second_pass(seed: int, n_dates: int = 500, n_coins: int = 50):
         coins, dates, np.ones(shape, dtype=bool), zeros, zeros, chars, raw,
         zeros, zeros, "tbill",
     )
-    risk_adjusted = {
-        coin: {date: rstar[i, j] for i, date in enumerate(dates)}
-        for j, coin in enumerate(coins)
-    }
-    return second_pass(risk_adjusted, panel, ANOMALIES)
+    return second_pass(rstar.T, panel, ANOMALIES)
 
 
 def test_ac04_null_calibration():
@@ -287,8 +283,9 @@ def test_ac08_factor_invariants():
 
     base = build_factor_set(panel, "ALL")
     scaled = build_factor_set(ten_coins(1000.0), "ALL")
+    col = base.dates.index(date)
     worst_scale = max(
-        abs(b - s) for b, s in zip(base.vector(date), scaled.vector(date))
+        abs(b - s) for b, s in zip(base.values[col], scaled.values[col])
     )
 
     assert worst_weight <= 1e-12

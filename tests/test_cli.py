@@ -6,6 +6,7 @@ temp directory; the rest pin exit codes and the override flags.
 
 import json
 from pathlib import Path
+from xml.etree import ElementTree
 
 from click.testing import CliRunner
 
@@ -384,3 +385,48 @@ def test_run_duplicate_panel_row_names_line_exits_2(tmp_path):
     coin, date = (tmp_path / "panel.csv").read_text().splitlines()[31].split(",")[:2]
     assert "line 32" in result.stderr
     assert coin in result.stderr and date in result.stderr
+
+
+def _run_labels(tmp_path, panel, labels):
+    """Run one unconditional CAPM spec per label on the panel."""
+    panel_path = tmp_path / "panel.csv"
+    write_panel_csv(panel, panel_path)
+    specs = [
+        {"label": label, "factors": "CAPM", "beta": {"mode": "unconditional"}}
+        for label in labels
+    ]
+    cfg = _config(
+        tmp_path / "cfg.json",
+        {"panel_file": str(panel_path), "specs": specs,
+         "output_dir": str(tmp_path / "out")},
+    )
+    return CliRunner().invoke(main, ["run", "--config", cfg])
+
+
+def test_run_rejects_labels_sharing_file_names_exits_2(tmp_path, synth_a):
+    # both labels slugify to capm-u, so their files would overwrite each other
+    result = _run_labels(tmp_path, synth_a[0], ["CAPM u", "capm-u"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    assert "'CAPM u'" in result.stderr and "'capm-u'" in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_label_without_usable_characters_before_writing(tmp_path, synth_a):
+    result = _run_labels(tmp_path, synth_a[0], ["capm-u", "***"])
+    assert result.exit_code == 2
+    assert "'***'" in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_chart_title_is_escaped_xml(tmp_path, synth_a):
+    label = "a&b <c>"
+    result = _run_labels(tmp_path, synth_a[0], [label])
+    assert result.exit_code == 0, result.output + result.stderr
+    svg = tmp_path / "out" / "a-b-c_cumulative.svg"
+    written = svg.read_bytes()
+    assert ElementTree.parse(svg).getroot()[1].text == f"{label}: cumulative premia"
+    result = CliRunner().invoke(main, ["report", "--output", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output + result.stderr
+    assert ElementTree.parse(svg).getroot()[1].text == f"{label}: cumulative premia"
+    assert svg.read_bytes() == written

@@ -2,9 +2,12 @@
 per-row code they replaced (tests/reference_rows.py). Both sides read the
 same stored floats in the same order, so agreement is exact: equal values
 and equal reprs, which also separate -0.0 from 0.0 and catch a changed
-exception message.
+exception message. The oracle keeps factors and risk-adjusted returns in
+{date: value} mappings; the column code keeps them on the panel's date
+axis, and each is turned into the other's form only to compare.
 """
 
+import numpy as np
 import pytest
 
 import reference_rows as ref
@@ -18,7 +21,6 @@ from coinfactors.ingest import (
 )
 from coinfactors.panel import (
     CHARACTERISTIC_NAMES,
-    ONE_DAY,
     CharacteristicWindows,
     PanelOptions,
     build_panel,
@@ -44,16 +46,36 @@ def _outcome(fn, *args, **kwargs):
         return (type(exc), str(exc))
 
 
-def _fit_key(fit):
+def _dict_factor_set(factor_set):
+    """A columnar factor set as the oracle's {date: tuple} FactorSet."""
+    values = {
+        date: tuple(vector)
+        for date, kept, vector in zip(
+            factor_set.dates, factor_set.mask.tolist(), factor_set.values.tolist()
+        )
+        if kept
+    }
+    return ref.FactorSet(factor_set.names, values, factor_set.dropped)
+
+
+def _fit_key(fit, dates=None):
+    """A fit's exact content; dates is the axis of a columnar fit's R* row,
+    None for an oracle fit."""
     if isinstance(fit, tuple):
         return fit
+    if dates is None:
+        risk_adjusted = sorted(fit.risk_adjusted.items())
+    else:
+        cols = np.flatnonzero(~np.isnan(fit.risk_adjusted)).tolist()
+        values = fit.risk_adjusted.tolist()
+        risk_adjusted = [(dates[j], values[j]) for j in cols]
     return (
         fit.coin_id,
         fit.param_names,
         fit.coefficients.tobytes(),
         fit.stderr.tobytes(),
         repr((fit.r2, fit.adj_r2, fit.n_obs, fit.n_params)),
-        repr(sorted(fit.risk_adjusted.items())),
+        repr(risk_adjusted),
     )
 
 
@@ -82,23 +104,23 @@ def assert_matches_reference(panel, menus, options=FactorOptions(), floor_base=2
     for menu in menus:
         factor_set = build_factor_set(panel, menu, options)
         reference = ref.build_factor_set(rows, menu, options)
-        assert factor_set == reference
-        assert repr(factor_set.values) == repr(reference.values)
+        as_dict = _dict_factor_set(factor_set)
+        assert as_dict == reference
+        assert repr(as_dict.values) == repr(reference.values)
         for spec in SPECS:
             fits = {}
+            rstar = np.full(panel.mask.shape, np.nan)
             for coin in panel.coins:
                 new = _outcome(first_pass, panel, coin, factor_set, spec)
-                old = _outcome(ref.first_pass, rows.by_coin(coin), factor_set, spec)
-                assert _fit_key(new) == _fit_key(old), coin
+                old = _outcome(ref.first_pass, rows.by_coin(coin), reference, spec)
+                assert _fit_key(new, panel.dates) == _fit_key(old), coin
                 if not isinstance(new, tuple):
-                    fits[coin] = new.risk_adjusted
+                    fits[coin] = old.risk_adjusted
+                    rstar[panel.coin_index[coin]] = new.risk_adjusted
             fitted += len(fits)
             failed += len(panel.coins) - len(fits)
-            # R* for a coin the panel lacks, on a date it lacks too: that
-            # date still counts, as an empty cross-section
-            fits["GHOST"] = {panel.dates[0]: 0.1, panel.dates[-1] + ONE_DAY: 0.2}
             for anomalies in ANOMALIES:
-                new = _outcome(second_pass, fits, panel, anomalies, floor_base=floor_base)
+                new = _outcome(second_pass, rstar, panel, anomalies, floor_base=floor_base)
                 old = _outcome(ref.second_pass, fits, rows, anomalies, floor_base=floor_base)
                 assert _second_pass_key(new) == _second_pass_key(old)
                 if not isinstance(new, tuple):
@@ -135,8 +157,9 @@ def test_own_lag_across_missing_calendar_date():
     factor_set = build_factor_set(gapped, "CAPM")
     btc = first_pass(gapped, gapped.coins[0], factor_set, BetaSpec("conditional"))
     fit = first_pass(gapped, gapped.coins[0], factor_set, own)
-    after_gap = panel.dates[101]
-    assert after_gap in btc.risk_adjusted and after_gap not in fit.risk_adjusted
+    after_gap = gapped.date_index[panel.dates[101]]
+    assert not np.isnan(btc.risk_adjusted[after_gap])
+    assert np.isnan(fit.risk_adjusted[after_gap])
 
 
 def _gapped(series, phase):

@@ -21,11 +21,17 @@ from coinfactors.errors import (
     RankDeficient,
     SpecMismatch,
 )
-from coinfactors.factors import FactorSet
 from coinfactors.pipeline import ModelSpec, run_model
 from coinfactors.synth import verify_recovery
 
-from conftest import day, decomposition_errors, make_obs, make_panel
+from conftest import (
+    day,
+    decomposition_errors,
+    factor_set_on,
+    fitted_dates,
+    make_obs,
+    make_panel,
+)
 from reference_rows import row_view
 
 COND_SIZE = BetaSpec(mode="conditional", characteristics=("size",))
@@ -124,9 +130,10 @@ def test_beta_params_vector_round_trip():
                  r_btc=float(r[t]), size=float(C[t, 0]), momentum=float(C[t, 1]))
         for t in range(T)
     ]
-    fs = FactorSet(names=("mkt", "smb"),
-                   values={day(t + 1): tuple(F[t]) for t in range(T)})
-    fit = first_pass(make_panel(obs), "X", fs, spec)
+    panel = make_panel(obs)
+    fs = factor_set_on(panel, ("mkt", "smb"),
+                       {day(t + 1): tuple(F[t]) for t in range(T)})
+    fit = first_pass(panel, "X", fs, spec)
     assert fit.coefficients.shape == fit.stderr.shape == (1 + vector.size,)
     assert len(fit.param_names) == 1 + vector.size
     assert fit.coefficients[0] == pytest.approx(0.002, abs=1e-10)
@@ -175,7 +182,7 @@ def _noiseless_coin(T, seed, truth=TRUTH, own_lag=False):
         obs.append(make_obs("X", d, ret=rets[d], excess=excess, u=u,
                             r_btc=r, size=c))
         values[d] = (f,)
-    return obs, FactorSet(names=("mkt",), values=values)
+    return obs, factor_set_on(make_panel(obs), ("mkt",), values)
 
 
 def test_first_pass_noiseless_recovery():
@@ -218,7 +225,7 @@ def test_own_lag_decomposition_identity(synth_b):
         obs = rows.by_coin(coin)
         fit = first_pass(panel, coin, truth.factor_set, spec)
         ret = {o.date: o.ret for o in obs}
-        own = {d: ret[d - one_day] for d in fit.risk_adjusted}
+        own = {d: ret[d - one_day] for d in fitted_dates(fit, panel.dates)}
         worst = max(worst, decomposition_errors(
             fit, obs, truth.factor_set, spec, own).max())
         # the Bitcoin lag does not rebuild an own-lag fit
@@ -249,9 +256,8 @@ def test_first_pass_empty_observations():
 def test_first_pass_rank_deficient_names_parameters():
     # two identical factor series collapse the unconditional design
     obs, fs = _noiseless_coin(80, seed=14)
-    twin = FactorSet(
-        names=("mkt", "smb"),
-        values={d: (v[0], v[0]) for d, v in fs.values.items()},
+    twin = dataclasses.replace(
+        fs, names=("mkt", "smb"), values=np.repeat(fs.values, 2, axis=1)
     )
     with pytest.raises(RankDeficient) as info:
         first_pass(make_panel(obs), "X", twin, BetaSpec(mode="unconditional"))
@@ -268,12 +274,35 @@ def test_risk_adjusted_is_alpha_plus_residual():
         for i, o in enumerate(obs)
     ]
     fit = first_pass(make_panel(noisy), "X", fs, COND_SIZE)
-    assert sorted(fit.risk_adjusted) == sorted(o.date for o in noisy)
+    assert fitted_dates(fit, fs.dates) == [o.date for o in noisy]
     # the fitted factor component plus alpha plus residual rebuilds the
     # observation, so excess - R* is the factor component alone
     assert decomposition_errors(fit, noisy, fs, COND_SIZE).max() < 1e-15
-    rstar = np.array([fit.risk_adjusted[o.date] for o in noisy])
-    assert np.abs(rstar - fit.coefficients[0]).max() > 1e-3
+    assert np.abs(fit.risk_adjusted - fit.coefficients[0]).max() > 1e-3
+
+
+def test_risk_adjusted_is_a_read_only_row_on_the_panel_dates():
+    # own-lag mode cannot fit day 1 and the factor set drops day 5, so both
+    # cells hold NaN on the coin's row
+    obs, fs = _noiseless_coin(80, seed=17, own_lag=True)
+    panel = make_panel(obs)
+    mask = fs.mask.copy()
+    mask[4] = False
+    gapped = dataclasses.replace(fs, mask=mask)
+    spec = BetaSpec(mode="conditional", characteristics=("size",),
+                    lagged_return="own")
+    fit = first_pass(panel, "X", gapped, spec)
+    assert fit.risk_adjusted.shape == (len(panel.dates),)
+    assert not fit.risk_adjusted.flags.writeable
+    assert np.flatnonzero(np.isnan(fit.risk_adjusted)).tolist() == [0, 4]
+    assert fit.n_obs == 78
+
+
+def test_first_pass_rejects_factor_set_on_other_dates():
+    obs, fs = _noiseless_coin(80, seed=19)
+    shorter = make_panel(obs[1:])
+    with pytest.raises(InvalidConfig, match="not on the panel's dates"):
+        first_pass(shorter, "X", fs, COND_SIZE)
 
 
 def test_first_pass_param_csv(tmp_path):
@@ -293,10 +322,9 @@ def test_risk_adjusted_csv(tmp_path):
     obs, fs = _noiseless_coin(60, seed=20)
     fit = first_pass(make_panel(obs), "X", fs, COND_SIZE)
     path = tmp_path / "ra.csv"
-    write_risk_adjusted_csv([fit], path)
+    write_risk_adjusted_csv([fit], fs.dates, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "coin_id,date,risk_adjusted"
     assert len(lines) == 1 + fit.n_obs
     row = lines[1].split(",")
-    assert row[0] == "X"
-    assert float(row[2]) == fit.risk_adjusted[day(1)]
+    assert row == ["X", day(1).isoformat(), repr(fit.risk_adjusted[0].item())]

@@ -67,6 +67,14 @@ def test_ols_too_few_observations():
         ols(np.ones((2, 2)), np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("X", [np.arange(5.0), np.arange(5.0).reshape(1, 5)])
+def test_ols_one_row_design_is_not_transposed(X):
+    # a (1, n) design (or a flat one) with n responses is one observation of
+    # n regressors, a length mismatch, never n observations of one regressor
+    with pytest.raises(ValueError, match="response length"):
+        ols(X, np.arange(5.0))
+
+
 def test_ols_rejects_nonfinite():
     X = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, np.nan]])
     with pytest.raises(ValueError):

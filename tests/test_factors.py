@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -227,13 +228,13 @@ def test_build_factor_set_all_menu():
     panel = _two_day_panel()
     fs = build_factor_set(panel, "ALL")
     assert fs.names == FACTOR_NAMES
-    assert fs.dates() == (day(1), day(2))
+    assert fs.dates == panel.dates == (day(1), day(2))
+    assert fs.mask.tolist() == [True, True]
     assert fs.dropped == ()
-    for d in fs.dates():
-        vec = fs.vector(d)
-        assert len(vec) == 5
-        assert all(np.isfinite(vec))
-    assert fs.values[day(1)][fs.names.index("mkt")] == fs.vector(day(1))[0]
+    assert fs.values.shape == (2, 5)
+    assert np.isfinite(fs.values).all()
+    assert not (fs.values.flags.writeable or fs.mask.flags.writeable)
+    assert fs.values[0, fs.names.index("mkt")] == market_factor(panel, day(1))
 
 
 def test_build_factor_set_drops_failing_dates():
@@ -246,7 +247,9 @@ def test_build_factor_set_drops_failing_dates():
         obs.append(make_obs(_coin_id(i), day(2), excess=0.01,
                             size_raw=14.0 + i, value_raw=0.1 * i))
     fs = build_factor_set(make_panel(obs), "FF3")
-    assert fs.dates() == (day(1),)
+    assert fs.dates == (day(1), day(2))
+    assert fs.mask.tolist() == [True, False]
+    assert np.isnan(fs.values[1]).all()
     assert len(fs.dropped) == 1
     date, reason = fs.dropped[0]
     assert date == day(2)
@@ -258,9 +261,9 @@ def test_build_factor_set_capm_survives_tied_characteristics():
     obs = [make_obs(_coin_id(i), day(1), excess=0.01, size_raw=14.0)
            for i in range(10)]
     fs = build_factor_set(make_panel(obs), "CAPM")
-    assert fs.dates() == (day(1),)
+    assert fs.mask.tolist() == [True]
     fs_smb = build_factor_set(make_panel(obs), ["smb"])
-    assert fs_smb.dates() == ()
+    assert fs_smb.mask.tolist() == [False]
     assert "EmptyLeg" in fs_smb.dropped[0][1]
 
 
@@ -273,16 +276,36 @@ def test_factor_csv_pads_missing_columns(tmp_path):
     assert lines[0] == "date," + ",".join(FACTOR_NAMES)
     first = lines[1].split(",")
     assert first[0] == day(1).isoformat()
-    assert float(first[1]) == fs.vector(day(1))[0]
+    assert first[1] == repr(fs.values[0, 0].item())
     assert first[2:] == ["", "", "", ""]
+    assert len(lines) == 3
+
+
+def test_factor_csv_skips_dropped_dates(tmp_path):
+    fs = build_factor_set(_two_day_panel(), "FF3")
+    mask = fs.mask.copy()
+    mask[0] = False
+    path = tmp_path / "factors.csv"
+    write_factor_csv(dataclasses.replace(fs, mask=mask), path)
+    lines = path.read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == [day(2).isoformat()]
+    assert lines[1].split(",")[1:4] == [repr(v) for v in fs.values[1].tolist()]
+
+
+def test_factor_set_rejects_misshapen_arrays():
+    fs = build_factor_set(_two_day_panel(), "FF3")
+    with pytest.raises(InvalidConfig):
+        dataclasses.replace(fs, values=fs.values[:, :2])
+    with pytest.raises(InvalidConfig):
+        dataclasses.replace(fs, mask=fs.mask[:1])
 
 
 def test_factor_set_series_alignment():
     panel = _two_day_panel()
     fs = build_factor_set(panel, "C4")
     idx = fs.names.index("mom")
-    mom = np.array([fs.values[d][idx] for d in fs.dates()])
+    mom = fs.values[:, idx]
     assert mom.shape == (2,)
-    assert mom[1] == fs.vector(day(2))[idx]
+    assert mom[1] == long_short_factor(panel, day(2), "mom")
     with pytest.raises(ValueError):
         fs.names.index("liq")

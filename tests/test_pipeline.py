@@ -9,7 +9,6 @@ from coinfactors.errors import (
     NoEligibleDates,
     StageError,
 )
-from coinfactors.factors import FactorSet
 from coinfactors.pipeline import (
     ComparisonReport,
     ModelSpec,
@@ -20,8 +19,9 @@ from coinfactors.pipeline import (
     second_pass,
     significant_anomaly_count,
 )
+from coinfactors.synth import generate_synthetic, scenario
 
-from conftest import day, decomposition_errors, make_obs, make_panel
+from conftest import day, decomposition_errors, factor_set_on, make_obs, make_panel
 from reference_rows import row_view
 
 UNCOND = ModelSpec(label="capm-u", factors="CAPM",
@@ -71,9 +71,19 @@ def _linear_cross_sections(n_dates=30, a=0.001, b=0.0005):
     return make_panel(obs), rstar
 
 
+def _grid(panel, rstar):
+    """R* per coin and date as the panel's coins x dates grid, NaN where a
+    coin-day has none."""
+    grid = np.full(panel.mask.shape, np.nan)
+    for coin, series in rstar.items():
+        for date, value in series.items():
+            grid[panel.coin_index[coin], panel.date_index[date]] = value
+    return grid
+
+
 def test_second_pass_recovers_exact_linear_premium():
     panel, rstar = _linear_cross_sections()
-    result = second_pass(rstar, panel, ("size",), floor_base=2)
+    result = second_pass(_grid(panel, rstar), panel, ("size",), floor_base=2)
     assert len(result.fits) == 30
     assert result.skipped == ()
     for f in result.fits:
@@ -96,7 +106,7 @@ def test_second_pass_skips_below_floor_dates():
     panel = make_panel(list(row_view(panel_obs).observations) + extras)
     for i in range(5):
         rstar[_coin_id(i)][extra_date] = 0.002
-    result = second_pass(rstar, panel, ("size",), floor_base=2)
+    result = second_pass(_grid(panel, rstar), panel, ("size",), floor_base=2)
     assert len(result.fits) == 30
     assert result.skipped == ((extra_date, "below_floor:5<6"),)
 
@@ -108,7 +118,7 @@ def test_second_pass_skips_rank_deficient_dates():
     panel = make_panel(list(row_view(panel_obs).observations) + extras)
     for i in range(6):
         rstar[_coin_id(i)][extra_date] = 0.002
-    result = second_pass(rstar, panel, ("size",), floor_base=2)
+    result = second_pass(_grid(panel, rstar), panel, ("size",), floor_base=2)
     assert len(result.fits) == 30
     assert len(result.skipped) == 1
     date, reason = result.skipped[0]
@@ -119,14 +129,45 @@ def test_second_pass_skips_rank_deficient_dates():
 def test_second_pass_needs_two_eligible_dates():
     panel, rstar = _linear_cross_sections(n_dates=1)
     with pytest.raises(NoEligibleDates):
-        second_pass(rstar, panel, ("size",), floor_base=2)
+        second_pass(_grid(panel, rstar), panel, ("size",), floor_base=2)
 
 
 def test_second_pass_ignores_pairs_missing_from_panel():
-    panel, rstar = _linear_cross_sections()
+    # GHOST is in the panel on day 31 only; its R* on days 1-30, coin-days
+    # the panel lacks, joins no cross-section
+    panel_obs, rstar = _linear_cross_sections()
+    ghost = make_obs("GHOST", day(31), size=0.3)
+    panel = make_panel(list(row_view(panel_obs).observations) + [ghost])
     rstar["GHOST"] = {day(t): 0.5 for t in range(1, 31)}
-    result = second_pass(rstar, panel, ("size",), floor_base=2)
+    result = second_pass(_grid(panel, rstar), panel, ("size",), floor_base=2)
+    assert len(result.fits) == 30
     assert all(f.n_coins == 6 for f in result.fits)
+    assert result.skipped == ()
+
+
+def test_second_pass_rejects_grid_of_another_shape():
+    panel, rstar = _linear_cross_sections()
+    grid = _grid(panel, rstar)
+    with pytest.raises(InvalidConfig, match="R\\* grid has shape"):
+        second_pass(grid[:, 1:], panel, ("size",), floor_base=2)
+
+
+def test_run_model_stacks_fits_into_the_second_pass_grid(synth_b, monkeypatch):
+    panel, truth = synth_b
+    grids = []
+    real = pipeline.second_pass
+
+    def spy(rstar, *args, **kwargs):
+        grids.append(rstar)
+        return real(rstar, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "second_pass", spy)
+    result = run_model(panel, UNCOND, factor_set=truth.factor_set)
+    (grid,) = grids
+    assert grid.shape == panel.mask.shape
+    for fit in result.fits:
+        row = grid[panel.coin_index[fit.coin_id]]
+        assert row.tobytes() == fit.risk_adjusted.tobytes()
 
 
 def test_run_model_riskfree_mode_mismatch():
@@ -139,14 +180,24 @@ def test_run_model_riskfree_mode_mismatch():
 
 def test_run_model_factor_set_name_mismatch():
     panel, _ = _linear_cross_sections()
-    wrong = FactorSet(names=("mkt", "smb"), values={day(1): (0.01, 0.0)})
+    wrong = factor_set_on(panel, ("mkt", "smb"), {day(1): (0.01, 0.0)})
     with pytest.raises(InvalidConfig):
         run_model(panel, UNCOND, factor_set=wrong)
 
 
+def test_run_model_rejects_factor_set_on_other_dates(synth_b):
+    # a set built on another panel's dates is refused, not misaligned
+    panel, truth = synth_b
+    shorter = make_panel(
+        [o for o in row_view(panel).observations if o.date != panel.dates[-1]]
+    )
+    with pytest.raises(InvalidConfig, match="not on the panel's dates"):
+        run_model(shorter, UNCOND, factor_set=truth.factor_set)
+
+
 def test_run_model_empty_factor_set_is_stage_error():
     panel, _ = _linear_cross_sections()
-    empty = FactorSet(names=("mkt",), values={})
+    empty = factor_set_on(panel, ("mkt",), {})
     with pytest.raises(StageError) as info:
         run_model(panel, UNCOND, factor_set=empty)
     assert info.value.stage == "factors"
@@ -276,3 +327,23 @@ def test_compare_models_empty_factor_set_names_first_spec():
         compare_models(make_panel(obs), FF3_SPECS)
     assert info.value.label == "ff3-c"
     assert info.value.stage == "factors"
+
+
+@pytest.mark.parametrize("z", [0.5, 50.0])
+def test_comparison_rows_count_significance_at_configured_z(z):
+    # comparison rows and pairs count the same anomalies, at the configured
+    # threshold, not the 1.96 default
+    panel, _ = generate_synthetic(scenario("C", 40, 300, seed=3))
+    report = compare_models(panel, [COND, UNCOND], PipelineOptions(significance_z=z))
+    rows = {row.label: row for row in report.rows}
+    (pair,) = report.pairs
+    for label in ("capm-c", "capm-u"):
+        assert rows[label].significant_anomalies == significant_anomaly_count(
+            report.results[label], z
+        )
+    assert rows["capm-c"].significant_anomalies == pair.conditional_significant
+    assert rows["capm-u"].significant_anomalies == pair.unconditional_significant
+    default = [
+        significant_anomaly_count(report.results[label]) for label in rows
+    ]
+    assert [row.significant_anomalies for row in rows.values()] != default

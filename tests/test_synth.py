@@ -7,7 +7,6 @@ import pytest
 
 from coinfactors.condbeta import BetaSpec
 from coinfactors.errors import InvalidConfig, SpecMismatch
-from coinfactors.factors import FactorSet
 from coinfactors.ingest import load_coin_dir, parse_epu_csv, parse_riskfree_csv
 from coinfactors.panel import CHARACTERISTIC_NAMES, PanelOptions, build_panel
 from coinfactors.pipeline import ModelSpec, run_model
@@ -30,7 +29,7 @@ def test_same_seed_reproduces_exactly():
     panel_a, truth_a = generate_synthetic(cfg)
     panel_b, truth_b = generate_synthetic(cfg)
     assert row_view(panel_a).observations == row_view(panel_b).observations
-    assert truth_a.factor_set.values == truth_b.factor_set.values
+    assert truth_a.factor_set.values.tobytes() == truth_b.factor_set.values.tobytes()
     for coin in truth_a.theta:
         assert np.array_equal(truth_a.theta[coin], truth_b.theta[coin])
 
@@ -49,7 +48,8 @@ def test_panel_shape_and_dates(synth_b):
     # day 0 exists only as the first lag, so observations span n_days - 1
     assert len(panel.dates) == cfg.n_days - 1
     assert panel.dates[0] == cfg.start + dt.timedelta(days=1)
-    assert truth.factor_set.dates() == panel.dates
+    assert truth.factor_set.dates == panel.dates
+    assert truth.factor_set.mask.all()
     assert panel.mask.all()
     assert panel.riskfree_mode == "tbill"
 
@@ -167,7 +167,7 @@ def test_verify_recovery_spec_mismatches(synth_b):
     result = run_model(panel, spec, factor_set=truth.factor_set)
     renamed = dataclasses.replace(
         truth,
-        factor_set=FactorSet(names=("smb",), values=truth.factor_set.values),
+        factor_set=dataclasses.replace(truth.factor_set, names=("smb",)),
     )
     with pytest.raises(SpecMismatch):
         verify_recovery(result, renamed)
