@@ -28,7 +28,6 @@ from .errors import (
     ValidationError,
 )
 from .ingest import (
-    UniverseConfig,
     filter_universe,
     load_coin_dir,
     parse_epu_csv,
@@ -100,6 +99,18 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
+def _write_manifest(cfg: RunConfig, out: Path, command: str, inputs, outputs) -> None:
+    write_manifest(
+        out / "manifest.json",
+        command=command,
+        config=resolved_dict(cfg),
+        inputs=inputs,
+        outputs=outputs,
+        seed=cfg.seed,
+        version=__version__,
+    )
+
+
 def _load_inputs(cfg: RunConfig):
     """Raw inputs for panel construction plus their content digests."""
     if cfg.data is None:
@@ -121,17 +132,11 @@ def _select_universe(cfg: RunConfig, coins) -> list:
     """Apply the ranked-universe filter, keeping the Bitcoin series in the
     build set regardless of its rank because it drives the conditioning
     state."""
-    rank_date = cfg.universe.rank_date
-    if rank_date is None:
-        rank_date = max(series.last_date() for series in coins)
-    chosen = filter_universe(
-        coins,
-        UniverseConfig(
-            rank_date=rank_date,
-            top_n=cfg.universe.top_n,
-            min_history_days=cfg.universe.min_history_days,
-        ),
-    )
+    universe = cfg.universe
+    if universe.rank_date is None:
+        last = max(series.last_date() for series in coins)
+        universe = dataclasses.replace(universe, rank_date=last)
+    chosen = filter_universe(coins, universe)
     keep = set(chosen) | {cfg.panel.btc_id}
     return [series for series in coins if series.coin_id in keep]
 
@@ -178,15 +183,7 @@ def cmd_ingest(config_path: str, output: str | None, seed: int | None) -> None:
         panel = build_panel(selected, epu, riskfree, cfg.panel)
         write_panel_csv(panel, out / "panel.csv")
         write_drop_report(panel.dropped, out / "drops.csv")
-        write_manifest(
-            out / "manifest.json",
-            command="ingest",
-            config=resolved_dict(cfg),
-            inputs=digests,
-            outputs=["panel.csv", "drops.csv"],
-            seed=cfg.seed,
-            version=__version__,
-        )
+        _write_manifest(cfg, out, "ingest", digests, ["panel.csv", "drops.csv"])
         click.echo(
             f"panel: {int(panel.mask.sum())} observations, "
             f"{len(panel.coins)} coins, {len(panel.dates)} dates, "
@@ -211,15 +208,7 @@ def cmd_run(config_path: str, output: str | None, seed: int | None) -> None:
         panels, digests = _build_panels(cfg, modes)
         report = compare_models(panels, cfg.specs, cfg.pipeline)
         names = write_report_files(report, out)
-        write_manifest(
-            out / "manifest.json",
-            command="run",
-            config=resolved_dict(cfg),
-            inputs=digests,
-            outputs=names,
-            seed=cfg.seed,
-            version=__version__,
-        )
+        _write_manifest(cfg, out, "run", digests, names)
         for row in report.rows:
             click.echo(
                 f"{row.label}: second-pass adj R2 "
@@ -256,15 +245,7 @@ def cmd_synth(config_path: str, output: str | None, seed: int | None) -> None:
             outputs.extend(
                 str(p.relative_to(out)) for p in sorted(raw_dir.rglob("*.csv"))
             )
-        write_manifest(
-            out / "manifest.json",
-            command="synth",
-            config=resolved_dict(cfg),
-            inputs={},
-            outputs=outputs,
-            seed=cfg.seed,
-            version=__version__,
-        )
+        _write_manifest(cfg, out, "synth", {}, outputs)
         click.echo(
             f"scenario {cfg.synth.scenario}: {int(panel.mask.sum())} "
             f"observations, seed {cfg.seed} -> {out}"

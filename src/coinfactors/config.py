@@ -1,39 +1,31 @@
 """Run configuration: one JSON document wiring paths, universe rules,
 window lengths, estimation settings, and the model spec list.
 
-Loading is strict: unknown keys are rejected at every level, referenced
-input paths must exist, and every omitted setting resolves to its documented
-default. resolved_dict materializes the fully defaulted configuration for
-embedding in run manifests, so every gap-filling default is auditable.
+SECTIONS, with the SPEC and BETA objects it holds, states every accepted
+key once, with its type and the RunConfig attribute it fills. load_config walks it to check a document strictly (an
+object holds only its own keys, a value has its key's type, an input path
+exists, and null means unset), and resolved_dict walks it to write the fully
+defaulted configuration into run manifests. The defaults and range checks
+live on the classes the sections fill.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as dt
 import json
+import sys
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 from .condbeta import BetaSpec
 from .errors import InvalidConfig
 from .factors import FactorOptions
+from .ingest import UniverseConfig
 from .panel import CharacteristicWindows, PanelOptions
 from .pipeline import ModelSpec, PipelineOptions
-
-TOP_KEYS = {
-    "data",
-    "panel_file",
-    "universe",
-    "windows",
-    "panel",
-    "factors",
-    "econometrics",
-    "pipeline",
-    "specs",
-    "synth",
-    "seed",
-    "output_dir",
-}
+from .synth import SynthRun
 
 
 @dataclass(frozen=True)
@@ -44,103 +36,159 @@ class DataPaths:
 
 
 @dataclass(frozen=True)
-class UniverseSection:
-    top_n: int = 200
-    min_history_days: int = 365
-    rank_date: dt.date | None = None  # None: last date seen in the data
-
-
-@dataclass(frozen=True)
-class SynthSection:
-    scenario: str
-    n_coins: int
-    n_days: int
-    emit_raw: bool = True
-
-
-@dataclass(frozen=True)
 class RunConfig:
     data: DataPaths | None
     panel_file: str | None
-    universe: UniverseSection
+    universe: UniverseConfig
     panel: PanelOptions
     pipeline: PipelineOptions
     specs: tuple[ModelSpec, ...]
-    synth: SynthSection | None
+    synth: SynthRun | None
     seed: int | None
     output_dir: str | None
 
+    def __post_init__(self):
+        if self.seed is not None and self.seed < 0:
+            raise InvalidConfig(f"seed {self.seed} must be non-negative")
+        labels = [s.label for s in self.specs]
+        if len(set(labels)) != len(labels):
+            raise InvalidConfig(f"duplicate spec labels: {labels}")
 
-def _require_keys(section: dict, allowed: set[str], where: str) -> None:
-    for key in section:
-        if key not in allowed:
+
+# Value kinds beyond the JSON scalars str, int, float (an int is accepted),
+# bool and an ISO date string. An object is (class, {key: kind}); [kind] is
+# a list of objects, held as a tuple.
+PATH = "path"  # a string naming a file or directory that exists
+STRINGS = "strings"  # a list of strings, held as a tuple
+PAIR = "pair"  # a list of two numbers, held as a tuple of floats
+
+BETA = (BetaSpec, {"mode": str, "characteristics": STRINGS, "lagged_return": str})
+SPEC = (
+    ModelSpec,
+    {"label": str, "factors": str, "beta": BETA, "anomalies": STRINGS,
+     "riskfree_mode": str},
+)
+
+# Top-level key -> (RunConfig attribute it fills, dotted when nested; kind).
+# Sections naming one attribute fill one object together. The order is the
+# manifest's and also the build order: a nested object comes before its
+# holder, and the panel before the factor options that inherit its btc_id.
+SECTIONS = {
+    "data": ("data", (DataPaths, {
+        "market_dir": PATH, "epu_file": PATH, "riskfree_file": PATH})),
+    "panel_file": ("panel_file", PATH),
+    "universe": ("universe", (UniverseConfig, {
+        "top_n": int, "min_history_days": int, "rank_date": dt.date})),
+    "windows": ("panel.windows", (CharacteristicWindows, {
+        "momentum_days": int, "liquidity_days": int, "value_near_days": int,
+        "value_far_days": int, "min_valid_share": float})),
+    "panel": ("panel", (PanelOptions, {
+        "riskfree_mode": str, "btc_id": str, "ffill_limit_days": int,
+        "winsor": PAIR})),
+    "factors": ("pipeline.factor_options", (FactorOptions, {
+        "min_sort_coins": int, "exclude_btc_from_market": bool, "btc_id": str})),
+    "econometrics": ("pipeline", (PipelineOptions, {
+        "nw_lags": int, "significance_z": float, "rank_tolerance": float})),
+    "pipeline": ("pipeline", (PipelineOptions, {
+        "min_obs_margin": int, "floor_base": int})),
+    "specs": ("specs", [SPEC]),
+    "synth": ("synth", (SynthRun, {
+        "scenario": str, "n_coins": int, "n_days": int, "emit_raw": bool})),
+    "seed": ("seed", int),
+    "output_dir": ("output_dir", str),
+}
+TOP_KEYS = set(SECTIONS)
+
+
+def _required(cls) -> list[str]:
+    none = dataclasses.MISSING
+    return [f.name for f in dataclasses.fields(cls)
+            if f.default is none and f.default_factory is none]
+
+
+def _exists(path: str) -> bool:
+    try:
+        return Path(path).exists()
+    except (OSError, ValueError):  # a name too long, an embedded NUL
+        return False
+
+
+def _number(value, where: str) -> float:
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise InvalidConfig(f"{where}: expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _known(value: dict, keys: dict, where: str) -> None:
+    for key in value:
+        if key not in keys:
             raise InvalidConfig(
-                f"unknown key {key!r} in {where}, allowed: {sorted(allowed)}"
+                f"unknown key {key!r} in {where}, allowed: {sorted(keys)}"
             )
 
 
-def _coerce(section: dict, key: str, kind, where: str, default=None):
-    # an explicit JSON null means "unset", same as omitting the key
-    value = section.get(key)
-    if value is None:
-        value = default
+def _fields(value, keys: dict, where: str) -> dict:
+    """The keyword arguments a JSON object gives; nulls are left out."""
+    if not isinstance(value, dict):
+        raise InvalidConfig(f"{where}: expected an object, got {type(value).__name__}")
+    _known(value, keys, where)
+    args = {key: _value(v, keys[key], f"{where}.{key}") for key, v in value.items()}
+    return {key: v for key, v in args.items() if v is not None}
+
+
+def _build(cls, args: dict, where: str):
+    """An instance of cls, a required key missing or the class's own
+    check failing an InvalidConfig that names where."""
+    missing = [name for name in _required(cls) if name not in args]
+    if missing:
+        raise InvalidConfig(f"{where}: {', '.join(missing)} required")
+    try:
+        return cls(**args)
+    except InvalidConfig as exc:
+        raise InvalidConfig(f"{where}: {exc}") from None
+
+
+def _object(value, kind: tuple, where: str):
+    cls, keys = kind
+    return _build(cls, _fields(value, keys, where), where)
+
+
+def _value(value, kind, where: str):
+    """One JSON value checked against its kind; null stays None, except
+    that a list of objects is then empty."""
+    if isinstance(kind, list):
+        if value is None:
+            return ()
+        if not isinstance(value, list):
+            raise InvalidConfig(f"{where}: expected a list")
+        return tuple(_object(v, kind[0], f"{where}[{i}]") for i, v in enumerate(value))
     if value is None:
         return None
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+    if isinstance(kind, tuple):
+        return _object(value, kind, where)
+    if kind is float:
+        return _number(value, where)
+    if kind is PAIR:
+        if not isinstance(value, list) or len(value) != 2:
+            raise InvalidConfig(f"{where}: expected a list of two numbers")
+        return tuple(_number(v, where) for v in value)
+    if kind is STRINGS:
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise InvalidConfig(f"{where}: expected a string list")
+        return tuple(value)
     if kind is dt.date:
         try:
             return dt.date.fromisoformat(value)
         except (TypeError, ValueError):
-            raise InvalidConfig(f"{where}.{key}: bad date {value!r}") from None
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
+            raise InvalidConfig(f"{where}: bad date {value!r}") from None
+    expected = str if kind is PATH else kind
+    if type(value) is not expected:
         raise InvalidConfig(
-            f"{where}.{key}: expected {kind.__name__}, got {type(value).__name__}"
+            f"{where}: expected {expected.__name__}, got {type(value).__name__}"
         )
+    if kind is PATH and not _exists(value):
+        raise InvalidConfig(f"{where}: path {value!r} does not exist")
     return value
-
-
-def _parse_beta(raw: dict, where: str) -> BetaSpec:
-    _require_keys(raw, {"mode", "characteristics", "lagged_return"}, where)
-    mode = _coerce(raw, "mode", str, where)
-    if mode is None:
-        raise InvalidConfig(f"{where}: beta mode is required")
-    kwargs = {"mode": mode}
-    if "characteristics" in raw:
-        chars = raw["characteristics"]
-        if not isinstance(chars, list) or not all(isinstance(c, str) for c in chars):
-            raise InvalidConfig(f"{where}.characteristics: expected a string list")
-        kwargs["characteristics"] = tuple(chars)
-    if "lagged_return" in raw:
-        kwargs["lagged_return"] = _coerce(raw, "lagged_return", str, where)
-    return BetaSpec(**kwargs)
-
-
-def _parse_spec(raw: dict, index: int) -> ModelSpec:
-    where = f"specs[{index}]"
-    if not isinstance(raw, dict):
-        raise InvalidConfig(f"{where}: expected an object")
-    _require_keys(raw, {"label", "factors", "beta", "anomalies", "riskfree_mode"}, where)
-    label = _coerce(raw, "label", str, where)
-    factors = _coerce(raw, "factors", str, where)
-    beta_raw = raw.get("beta")
-    if label is None or factors is None or not isinstance(beta_raw, dict):
-        raise InvalidConfig(f"{where}: label, factors, and beta are required")
-    kwargs = {
-        "label": label,
-        "factors": factors,
-        "beta": _parse_beta(beta_raw, f"{where}.beta"),
-    }
-    if "anomalies" in raw:
-        anomalies = raw["anomalies"]
-        if not isinstance(anomalies, list) or not all(
-            isinstance(a, str) for a in anomalies
-        ):
-            raise InvalidConfig(f"{where}.anomalies: expected a string list")
-        kwargs["anomalies"] = tuple(anomalies)
-    if "riskfree_mode" in raw:
-        kwargs["riskfree_mode"] = _coerce(raw, "riskfree_mode", str, where)
-    return ModelSpec(**kwargs)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -150,214 +198,54 @@ def load_config(path: str | Path) -> RunConfig:
         raise InvalidConfig(f"config file {path} does not exist")
     try:
         raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or bad UTF-8
         raise InvalidConfig(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise InvalidConfig(f"{path}: top level must be an object")
-    _require_keys(raw, TOP_KEYS, "config")
-    raw = {k: v for k, v in raw.items() if v is not None}
+    _known(raw, SECTIONS, "config")
 
-    data = None
-    if "data" in raw:
-        section = raw["data"]
-        _require_keys(section, {"market_dir", "epu_file", "riskfree_file"}, "data")
-        values = {}
-        for key in ("market_dir", "epu_file", "riskfree_file"):
-            value = _coerce(section, key, str, "data")
-            if value is None:
-                raise InvalidConfig(f"data.{key} is required")
-            if not Path(value).exists():
-                raise InvalidConfig(f"data.{key}: path {value!r} does not exist")
-            values[key] = value
-        data = DataPaths(**values)
+    values = {}  # RunConfig attribute -> its value
+    pending = {}  # attribute, dotted when nested -> (class, arguments, where)
+    for key, (attr, kind) in SECTIONS.items():
+        value = raw.get(key)
+        if not isinstance(kind, tuple):
+            values[attr] = _value(value, kind, key)
+        elif value is None and _required(kind[0]):
+            values[attr] = None  # an absent section with required keys
+        else:
+            cls, args, where = pending.get(attr, (kind[0], {}, []))
+            args.update(_fields({} if value is None else value, kind[1], key))
+            pending[attr] = (cls, args, where + [key])
+    for attr, (cls, args, where) in pending.items():
+        if attr == "pipeline.factor_options":
+            # the factor builder's Bitcoin id follows the panel's unless set
+            args.setdefault("btc_id", values["panel"].btc_id)
+        obj = _build(cls, args, "/".join(where))
+        holder, _, name = attr.rpartition(".")
+        if holder:
+            pending[holder][1][name] = obj
+        else:
+            values[attr] = obj
+    return RunConfig(**values)
 
-    panel_file = _coerce(raw, "panel_file", str, "config")
-    if panel_file is not None and not Path(panel_file).exists():
-        raise InvalidConfig(f"panel_file: path {panel_file!r} does not exist")
 
-    u = raw.get("universe", {})
-    _require_keys(u, {"top_n", "min_history_days", "rank_date"}, "universe")
-    universe = UniverseSection(
-        top_n=_coerce(u, "top_n", int, "universe", 200),
-        min_history_days=_coerce(u, "min_history_days", int, "universe", 365),
-        rank_date=_coerce(u, "rank_date", dt.date, "universe"),
-    )
-
-    w = raw.get("windows", {})
-    _require_keys(
-        w,
-        {
-            "momentum_days",
-            "liquidity_days",
-            "value_near_days",
-            "value_far_days",
-            "min_valid_share",
-        },
-        "windows",
-    )
-    windows = CharacteristicWindows(
-        momentum_days=_coerce(w, "momentum_days", int, "windows", 28),
-        liquidity_days=_coerce(w, "liquidity_days", int, "windows", 30),
-        value_near_days=_coerce(w, "value_near_days", int, "windows", 31),
-        value_far_days=_coerce(w, "value_far_days", int, "windows", 365),
-        min_valid_share=_coerce(w, "min_valid_share", float, "windows", 0.5),
-    )
-
-    p = raw.get("panel", {})
-    _require_keys(
-        p, {"riskfree_mode", "btc_id", "ffill_limit_days", "winsor"}, "panel"
-    )
-    winsor = p.get("winsor", [1.0, 99.0])
-    if (
-        not isinstance(winsor, list)
-        or len(winsor) != 2
-        or not all(isinstance(x, (int, float)) for x in winsor)
-    ):
-        raise InvalidConfig("panel.winsor: expected [lower, upper] percentiles")
-    panel_options = PanelOptions(
-        riskfree_mode=_coerce(p, "riskfree_mode", str, "panel", "tbill"),
-        btc_id=_coerce(p, "btc_id", str, "panel", "BTC"),
-        ffill_limit_days=_coerce(p, "ffill_limit_days", int, "panel", 3),
-        windows=windows,
-        winsor=(float(winsor[0]), float(winsor[1])),
-    )
-    if panel_options.riskfree_mode not in ("tbill", "btc"):
-        raise InvalidConfig(
-            f"panel.riskfree_mode: unknown mode {panel_options.riskfree_mode!r}"
-        )
-
-    f = raw.get("factors", {})
-    _require_keys(
-        f, {"min_sort_coins", "exclude_btc_from_market", "btc_id"}, "factors"
-    )
-    factor_options = FactorOptions(
-        min_sort_coins=_coerce(f, "min_sort_coins", int, "factors", 5),
-        exclude_btc_from_market=_coerce(
-            f, "exclude_btc_from_market", bool, "factors", False
-        ),
-        btc_id=_coerce(f, "btc_id", str, "factors", panel_options.btc_id),
-    )
-
-    e = raw.get("econometrics", {})
-    _require_keys(e, {"nw_lags", "rank_tolerance", "significance_z"}, "econometrics")
-    pl = raw.get("pipeline", {})
-    _require_keys(pl, {"min_obs_margin", "floor_base"}, "pipeline")
-    pipeline_options = PipelineOptions(
-        min_obs_margin=_coerce(pl, "min_obs_margin", int, "pipeline", 30),
-        floor_base=_coerce(pl, "floor_base", int, "pipeline", 20),
-        nw_lags=_coerce(e, "nw_lags", int, "econometrics"),
-        significance_z=_coerce(e, "significance_z", float, "econometrics", 1.96),
-        rank_tolerance=_coerce(e, "rank_tolerance", float, "econometrics", 1e-10),
-        factor_options=factor_options,
-    )
-
-    specs_raw = raw.get("specs", [])
-    if not isinstance(specs_raw, list):
-        raise InvalidConfig("specs: expected a list")
-    specs = tuple(_parse_spec(s, i) for i, s in enumerate(specs_raw))
-    labels = [s.label for s in specs]
-    if len(set(labels)) != len(labels):
-        raise InvalidConfig(f"duplicate spec labels: {labels}")
-
-    synth = None
-    if "synth" in raw:
-        s = raw["synth"]
-        _require_keys(s, {"scenario", "n_coins", "n_days", "emit_raw"}, "synth")
-        scenario = _coerce(s, "scenario", str, "synth")
-        n_coins = _coerce(s, "n_coins", int, "synth")
-        n_days = _coerce(s, "n_days", int, "synth")
-        if scenario is None or n_coins is None or n_days is None:
-            raise InvalidConfig("synth: scenario, n_coins, and n_days are required")
-        synth = SynthSection(
-            scenario=scenario,
-            n_coins=n_coins,
-            n_days=n_days,
-            emit_raw=_coerce(s, "emit_raw", bool, "synth", True),
-        )
-
-    return RunConfig(
-        data=data,
-        panel_file=panel_file,
-        universe=universe,
-        panel=panel_options,
-        pipeline=pipeline_options,
-        specs=specs,
-        synth=synth,
-        seed=_coerce(raw, "seed", int, "config"),
-        output_dir=_coerce(raw, "output_dir", str, "config"),
-    )
+def _dump(value, kind):
+    if value is None:
+        return None
+    if isinstance(kind, list):
+        return [_dump(v, kind[0]) for v in value]
+    if isinstance(kind, tuple):
+        return {key: _dump(getattr(value, key), sub) for key, sub in kind[1].items()}
+    if kind is dt.date:
+        return value.isoformat()
+    if kind in (STRINGS, PAIR):
+        return list(value)
+    return value
 
 
 def resolved_dict(cfg: RunConfig) -> dict:
     """Every setting, defaults included, as a JSON-shaped document."""
-    out = {
-        "data": None
-        if cfg.data is None
-        else {
-            "market_dir": cfg.data.market_dir,
-            "epu_file": cfg.data.epu_file,
-            "riskfree_file": cfg.data.riskfree_file,
-        },
-        "panel_file": cfg.panel_file,
-        "universe": {
-            "top_n": cfg.universe.top_n,
-            "min_history_days": cfg.universe.min_history_days,
-            "rank_date": None
-            if cfg.universe.rank_date is None
-            else cfg.universe.rank_date.isoformat(),
-        },
-        "windows": {
-            "momentum_days": cfg.panel.windows.momentum_days,
-            "liquidity_days": cfg.panel.windows.liquidity_days,
-            "value_near_days": cfg.panel.windows.value_near_days,
-            "value_far_days": cfg.panel.windows.value_far_days,
-            "min_valid_share": cfg.panel.windows.min_valid_share,
-        },
-        "panel": {
-            "riskfree_mode": cfg.panel.riskfree_mode,
-            "btc_id": cfg.panel.btc_id,
-            "ffill_limit_days": cfg.panel.ffill_limit_days,
-            "winsor": list(cfg.panel.winsor),
-        },
-        "factors": {
-            "min_sort_coins": cfg.pipeline.factor_options.min_sort_coins,
-            "exclude_btc_from_market": (
-                cfg.pipeline.factor_options.exclude_btc_from_market
-            ),
-            "btc_id": cfg.pipeline.factor_options.btc_id,
-        },
-        "econometrics": {
-            "nw_lags": cfg.pipeline.nw_lags,
-            "significance_z": cfg.pipeline.significance_z,
-            "rank_tolerance": cfg.pipeline.rank_tolerance,
-        },
-        "pipeline": {
-            "min_obs_margin": cfg.pipeline.min_obs_margin,
-            "floor_base": cfg.pipeline.floor_base,
-        },
-        "specs": [
-            {
-                "label": s.label,
-                "factors": s.factors,
-                "beta": {
-                    "mode": s.beta.mode,
-                    "characteristics": list(s.beta.characteristics),
-                    "lagged_return": s.beta.lagged_return,
-                },
-                "anomalies": list(s.anomalies),
-                "riskfree_mode": s.riskfree_mode,
-            }
-            for s in cfg.specs
-        ],
-        "synth": None
-        if cfg.synth is None
-        else {
-            "scenario": cfg.synth.scenario,
-            "n_coins": cfg.synth.n_coins,
-            "n_days": cfg.synth.n_days,
-            "emit_raw": cfg.synth.emit_raw,
-        },
-        "seed": cfg.seed,
-        "output_dir": cfg.output_dir,
+    return {
+        key: _dump(attrgetter(attr)(cfg), kind)
+        for key, (attr, kind) in SECTIONS.items()
     }
-    return out

@@ -24,6 +24,8 @@ from .errors import (
 
 DEFAULT_RANK_TOLERANCE = 1e-10
 
+SIGNIFICANCE_Z = 1.96  # two-sided 5% critical value of the standard normal
+
 
 @dataclass(frozen=True)
 class OlsFit:
@@ -166,7 +168,7 @@ def fama_macbeth(
     daily_fits: Mapping[dt.date, OlsFit],
     coefficient_names: Sequence[str],
     nw_lags: int | None = None,
-    significance_z: float = 1.96,
+    significance_z: float = SIGNIFICANCE_Z,
 ) -> FMSummary:
     """Aggregate per-date cross-sectional fits into Fama-MacBeth summaries.
 

@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Sequence
 from .errors import (
     DuplicateDate,
     EmptyUniverse,
+    InvalidConfig,
     MalformedRow,
     NegativeLevel,
     NonPositivePrice,
@@ -63,11 +64,17 @@ class CoinSeries:
 @dataclass(frozen=True)
 class UniverseConfig:
     """Universe filter: coins ranked by cap at rank_date, kept if their
-    history starts at least min_history_days earlier."""
+    history starts at least min_history_days earlier. filter_universe needs
+    a rank_date; None stands for the last date seen in the data. top_n must
+    be at least 1; InvalidConfig otherwise."""
 
-    rank_date: dt.date
+    rank_date: dt.date | None = None
     top_n: int = 200
     min_history_days: int = 365
+
+    def __post_init__(self):
+        if self.top_n < 1:
+            raise InvalidConfig(f"top_n {self.top_n} must be at least 1")
 
 
 def _read_rows(source: str | Path | io.TextIOBase) -> Iterable[list[str]]:

@@ -39,6 +39,11 @@ ONE_DAY = dt.timedelta(days=1)
 
 CHARACTERISTIC_NAMES = ("size", "momentum", "liquidity", "value")
 
+# tbill: excess over the de-annualized T-bill rate; btc: over Bitcoin's return
+RISKFREE_MODES = ("tbill", "btc")
+
+WINSOR = (1.0, 99.0)  # default cross-sectional percentiles (lower, upper)
+
 # short column codes used by every CSV surface
 SHORT_CODES = {"size": "size", "momentum": "mom", "liquidity": "liq", "value": "val"}
 
@@ -345,7 +350,9 @@ def characteristic_index(name: str) -> int:
 
 
 def winsorized_zscores(
-    values: Sequence[float] | np.ndarray, lower: float = 1.0, upper: float = 99.0
+    values: Sequence[float] | np.ndarray,
+    lower: float = WINSOR[0],
+    upper: float = WINSOR[1],
 ) -> np.ndarray:
     """Winsorize at the given cross-sectional percentiles, then z-score with
     the population standard deviation. Under 2 values, or zero variance after
@@ -362,7 +369,7 @@ def winsorized_zscores(
 
 
 def standardize_cross_section(
-    panel: Panel, lower: float = 1.0, upper: float = 99.0
+    panel: Panel, lower: float = WINSOR[0], upper: float = WINSOR[1]
 ) -> Panel:
     """Recompute every z-unit characteristic from the stored raw levels,
     per date across the coins present. Idempotent; raw values pass through
@@ -379,11 +386,25 @@ def standardize_cross_section(
 
 @dataclass(frozen=True)
 class PanelOptions:
+    """riskfree_mode must be one of RISKFREE_MODES, and the winsor
+    percentiles must satisfy 0 <= lower < upper <= 100; InvalidConfig
+    otherwise."""
+
     riskfree_mode: str = "tbill"
     btc_id: str = "BTC"
     ffill_limit_days: int = 3
     windows: CharacteristicWindows = CharacteristicWindows()
-    winsor: tuple[float, float] = (1.0, 99.0)
+    winsor: tuple[float, float] = WINSOR
+
+    def __post_init__(self):
+        if self.riskfree_mode not in RISKFREE_MODES:
+            raise InvalidConfig(f"unknown riskfree_mode {self.riskfree_mode!r}")
+        lower, upper = self.winsor
+        if not 0.0 <= lower < upper <= 100.0:
+            raise InvalidConfig(
+                f"winsor percentiles {list(self.winsor)} must satisfy "
+                f"0 <= lower < upper <= 100"
+            )
 
 
 class _ForwardFilled:
@@ -424,8 +445,6 @@ def build_panel(
     Uncertainty is z-scored over the distinct conditioning dates of the final
     sample; characteristics are winsorized and z-scored per date.
     """
-    if options.riskfree_mode not in ("tbill", "btc"):
-        raise InvalidConfig(f"unknown riskfree_mode {options.riskfree_mode!r}")
     btc = next((c for c in coins if c.coin_id == options.btc_id), None)
     if btc is None:
         raise MissingBitcoin(

@@ -11,9 +11,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .condbeta import BetaSpec, FirstPassFit, first_pass
+from .condbeta import MIN_OBS_MARGIN, BetaSpec, FirstPassFit, first_pass
 from .econometrics import (
     DEFAULT_RANK_TOLERANCE,
+    SIGNIFICANCE_Z,
     FMSummary,
     OlsFit,
     fama_macbeth,
@@ -28,9 +29,15 @@ from .errors import (
     StageError,
 )
 from .factors import FactorOptions, FactorSet, build_factor_set, resolve_factor_names
-from .panel import CHARACTERISTIC_NAMES, Drop, Panel, characteristic_index
+from .panel import (
+    CHARACTERISTIC_NAMES,
+    RISKFREE_MODES,
+    Drop,
+    Panel,
+    characteristic_index,
+)
 
-SIGNIFICANCE_Z = 1.96
+FLOOR_BASE = 20  # the fewest coins a cross-sectional date needs, whatever |Z|
 
 
 @dataclass(frozen=True)
@@ -53,7 +60,7 @@ class ModelSpec:
         for name in self.anomalies:
             if name not in CHARACTERISTIC_NAMES:
                 raise InvalidConfig(f"spec {self.label!r}: unknown anomaly {name!r}")
-        if self.riskfree_mode not in ("tbill", "btc"):
+        if self.riskfree_mode not in RISKFREE_MODES:
             raise InvalidConfig(
                 f"spec {self.label!r}: unknown riskfree_mode {self.riskfree_mode!r}"
             )
@@ -63,15 +70,26 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class PipelineOptions:
-    min_obs_margin: int = 30
-    floor_base: int = 20
+    """nw_lags (None: the Newey-West rule of thumb) must be non-negative and
+    rank_tolerance must lie in [0, 1); InvalidConfig otherwise."""
+
+    min_obs_margin: int = MIN_OBS_MARGIN
+    floor_base: int = FLOOR_BASE
     nw_lags: int | None = None
     significance_z: float = SIGNIFICANCE_Z
     rank_tolerance: float = DEFAULT_RANK_TOLERANCE
     factor_options: FactorOptions = FactorOptions()
 
+    def __post_init__(self):
+        if self.nw_lags is not None and self.nw_lags < 0:
+            raise InvalidConfig(f"nw_lags {self.nw_lags} must be non-negative")
+        if not 0.0 <= self.rank_tolerance < 1.0:
+            raise InvalidConfig(
+                f"rank_tolerance {self.rank_tolerance} must lie in [0, 1)"
+            )
 
-def cross_section_floor(n_anomalies: int, base: int = 20) -> int:
+
+def cross_section_floor(n_anomalies: int, base: int = FLOOR_BASE) -> int:
     """Minimum coins per cross-sectional date: max(base, 3 * (|Z| + 1))."""
     return max(base, 3 * (n_anomalies + 1))
 
@@ -108,7 +126,7 @@ def second_pass(
     rstar: np.ndarray,
     panel: Panel,
     anomalies: Sequence[str],
-    floor_base: int = 20,
+    floor_base: int = FLOOR_BASE,
     nw_lags: int | None = None,
     significance_z: float = SIGNIFICANCE_Z,
     rank_tolerance: float = DEFAULT_RANK_TOLERANCE,

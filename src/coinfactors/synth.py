@@ -22,6 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from .condbeta import BetaSpec, build_design_matrix
+from .econometrics import SIGNIFICANCE_Z
 from .errors import InvalidConfig, MissingCharacteristic, SpecMismatch
 from .factors import FACTOR_NAMES, FactorSet
 from .ingest import CoinSeries, DailyBar, write_market_csv
@@ -271,6 +272,16 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[Panel, GroundTruth]:
     return panel, truth
 
 
+@dataclass(frozen=True)
+class SynthRun:
+    """A preset scenario at a size, and whether to write its raw inputs."""
+
+    scenario: str
+    n_coins: int
+    n_days: int
+    emit_raw: bool = True
+
+
 def scenario(name: str, n_coins: int, n_days: int, seed: int) -> SynthConfig:
     """Preset generating processes.
 
@@ -330,7 +341,7 @@ class RecoveryReport:
 def verify_recovery(
     result: ModelResult,
     truth: GroundTruth,
-    z: float = 1.96,
+    z: float = SIGNIFICANCE_Z,
     tolerance: float | None = None,
 ) -> RecoveryReport:
     """Compare estimated loadings against the generator's.

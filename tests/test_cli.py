@@ -430,3 +430,63 @@ def test_chart_title_is_escaped_xml(tmp_path, synth_a):
     assert result.exit_code == 0, result.output + result.stderr
     assert ElementTree.parse(svg).getroot()[1].text == f"{label}: cumulative premia"
     assert svg.read_bytes() == written
+
+
+def test_non_object_config_section_exits_2(tmp_path):
+    cfg = _config(tmp_path / "cfg.json", {"universe": 5, "output_dir": str(tmp_path / "o")})
+    result = CliRunner().invoke(main, ["ingest", "--config", cfg])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    assert "universe: expected an object" in result.stderr
+
+
+def test_synth_negative_config_seed_exits_2(tmp_path):
+    cfg = _config(
+        tmp_path / "cfg.json",
+        {
+            "synth": {"scenario": "A", "n_coins": 5, "n_days": 210},
+            "seed": -1,
+            "output_dir": str(tmp_path / "out"),
+        },
+    )
+    result = CliRunner().invoke(main, ["synth", "--config", cfg])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    assert "seed" in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_ingest_out_of_range_settings_exit_2(tmp_path):
+    _, doc = _raw_inputs(tmp_path)
+    for key, section, word in [
+        ("panel", {"winsor": [99, 1]}, "winsor"),
+        ("panel", {"winsor": [-5, 150]}, "winsor"),
+        ("universe", {"top_n": -5}, "top_n"),
+        ("universe", {"top_n": 0}, "top_n"),
+    ]:
+        cfg = _config(tmp_path / "i.json", {**doc, key: section})
+        result = CliRunner().invoke(main, ["ingest", "--config", cfg])
+        assert result.exit_code == 2, (section, result.output)
+        assert isinstance(result.exception, SystemExit)  # handled, no traceback
+        assert word in result.stderr
+    assert not (tmp_path / "ingest").exists()
+
+
+def test_run_negative_nw_lags_exits_2_before_estimating(tmp_path, synth_a):
+    panel, _ = synth_a
+    panel_path = tmp_path / "panel.csv"
+    write_panel_csv(panel, panel_path)
+    cfg = _config(
+        tmp_path / "cfg.json",
+        {
+            "panel_file": str(panel_path),
+            "specs": _capm_specs(),
+            "econometrics": {"nw_lags": -1},
+            "output_dir": str(tmp_path / "out"),
+        },
+    )
+    result = CliRunner().invoke(main, ["run", "--config", cfg])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    assert "nw_lags" in result.stderr
+    assert not (tmp_path / "out").exists()

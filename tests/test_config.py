@@ -120,6 +120,10 @@ def test_missing_file_and_bad_json(tmp_path):
     arr.write_text("[1, 2]")
     with pytest.raises(InvalidConfig):
         load_config(arr)
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(InvalidConfig):
+        load_config(binary)
 
 
 @pytest.mark.parametrize(
@@ -179,6 +183,8 @@ def test_type_errors_rejected(tmp_path):
 
 
 def test_spec_requirements(tmp_path):
+    with pytest.raises(InvalidConfig, match=r"specs\[0\]: expected an object"):
+        load_config(_write(tmp_path, {"specs": [None]}))
     with pytest.raises(InvalidConfig):
         load_config(_write(tmp_path, {"specs": [{"label": "x"}]}))
     with pytest.raises(InvalidConfig):
@@ -227,3 +233,103 @@ def test_resolved_dict_is_complete_and_stable(tmp_path):
     # materialized defaults reload identically
     reloaded = load_config(_write(tmp_path, doc, name="resolved.json"))
     assert resolved_dict(reloaded) == doc
+
+
+SECTIONS = ["data", "universe", "windows", "panel", "factors",
+            "econometrics", "pipeline", "synth"]
+
+
+@pytest.mark.parametrize("value", [5, 2.5, "five", [1, 2], True])
+@pytest.mark.parametrize("section", SECTIONS + ["specs[0]", "specs[0].beta"])
+def test_non_object_section_names_itself(tmp_path, section, value):
+    if section == "specs[0]":
+        doc = {"specs": [value]}
+    elif section == "specs[0].beta":
+        doc = {"specs": [dict(SPEC, beta=value)]}
+    else:
+        doc = {section: value}
+    with pytest.raises(InvalidConfig) as info:
+        load_config(_write(tmp_path, doc))
+    assert f"{section}: expected an object" in str(info.value)
+
+
+def test_explicit_null_means_unset(tmp_path):
+    doc = {
+        "universe": None,
+        "panel": {"btc_id": "XBT", "winsor": None, "ffill_limit_days": None},
+        "factors": {"btc_id": None},
+        "specs": [dict(SPEC, anomalies=None,
+                       beta={"mode": "conditional", "characteristics": None})],
+        "synth": None,
+    }
+    cfg = load_config(_write(tmp_path, doc))
+    assert cfg.universe.top_n == 200
+    assert cfg.panel.winsor == (1.0, 99.0)
+    assert cfg.panel.ffill_limit_days == 3
+    assert cfg.pipeline.factor_options.btc_id == "XBT"
+    assert cfg.specs[0].anomalies == ("size", "liquidity", "momentum")
+    assert cfg.specs[0].beta.characteristics == ("size", "momentum", "liquidity")
+    assert cfg.synth is None
+
+
+def test_negative_seed_rejected(tmp_path):
+    with pytest.raises(InvalidConfig) as info:
+        load_config(_write(tmp_path, {"seed": -1}))
+    assert "seed" in str(info.value)
+    assert load_config(_write(tmp_path, {"seed": 0})).seed == 0
+
+
+@pytest.mark.parametrize("winsor", [[99, 1], [50, 50], [-5, 150], [0, 100.5],
+                                    [1e400, 99], [True, 99]])
+def test_winsor_bounds_out_of_range_rejected(tmp_path, winsor):
+    with pytest.raises(InvalidConfig) as info:
+        load_config(_write(tmp_path, {"panel": {"winsor": winsor}}))
+    assert "winsor" in str(info.value)
+
+
+def test_winsor_bounds_at_the_ends_accepted(tmp_path):
+    cfg = load_config(_write(tmp_path, {"panel": {"winsor": [0, 100]}}))
+    assert cfg.panel.winsor == (0.0, 100.0)
+
+
+@pytest.mark.parametrize("top_n", [-5, 0])
+def test_universe_top_n_below_one_rejected(tmp_path, top_n):
+    with pytest.raises(InvalidConfig) as info:
+        load_config(_write(tmp_path, {"universe": {"top_n": top_n}}))
+    assert "top_n" in str(info.value)
+
+
+@pytest.mark.parametrize("econometrics", [
+    {"nw_lags": -1},
+    {"rank_tolerance": -1},
+    {"rank_tolerance": 1},
+    {"rank_tolerance": 1.5},
+])
+def test_econometrics_out_of_range_rejected(tmp_path, econometrics):
+    with pytest.raises(InvalidConfig) as info:
+        load_config(_write(tmp_path, {"econometrics": econometrics}))
+    assert next(iter(econometrics)) in str(info.value)
+
+
+def test_econometrics_range_ends_accepted(tmp_path):
+    doc = {"econometrics": {"nw_lags": 0, "rank_tolerance": 0}}
+    cfg = load_config(_write(tmp_path, doc))
+    assert cfg.pipeline.nw_lags == 0
+    assert cfg.pipeline.rank_tolerance == 0.0
+
+
+def test_option_classes_hold_the_range_checks():
+    from coinfactors.ingest import UniverseConfig
+    from coinfactors.panel import PanelOptions
+    from coinfactors.pipeline import PipelineOptions
+
+    with pytest.raises(InvalidConfig):
+        PanelOptions(winsor=(99.0, 1.0))
+    with pytest.raises(InvalidConfig):
+        PanelOptions(riskfree_mode="gold")
+    with pytest.raises(InvalidConfig):
+        UniverseConfig(top_n=0)
+    with pytest.raises(InvalidConfig):
+        PipelineOptions(nw_lags=-1)
+    with pytest.raises(InvalidConfig):
+        PipelineOptions(rank_tolerance=-1e-10)

@@ -242,3 +242,18 @@ def test_fama_macbeth_zero_stderr_share():
     fits, names = _daily({"c0": [0.4, -0.4, 0.0, 0.1]}, ses=[0.0])
     c = fama_macbeth(fits, names, nw_lags=0).coefficient("c0")
     assert c.daily_significant_share == pytest.approx(0.75)
+
+
+def test_negative_rank_tolerance_option_rejected_before_ols():
+    # with a tolerance below zero the rank check never fires, so a design
+    # with a duplicated column would come back with huge coefficients
+    from coinfactors.errors import InvalidConfig
+    from coinfactors.pipeline import PipelineOptions
+
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=50)
+    X = np.column_stack([np.ones(50), x, x])
+    with pytest.raises(RankDeficient):
+        ols(X, rng.normal(size=50), rank_tolerance=PipelineOptions().rank_tolerance)
+    with pytest.raises(InvalidConfig, match="rank_tolerance"):
+        PipelineOptions(rank_tolerance=-1.0)
