@@ -55,47 +55,76 @@ def ols(
     Raises TooFewObservations unless n > p, and RankDeficient (naming the
     columns loading on the null direction) when the smallest singular value
     falls below rank_tolerance times the largest. No normal-equation
-    inversion is performed.
+    inversion is performed. This is the one-slice case of ols_stack.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
-    n, p = X.shape
-    if y.shape != (n,):
-        raise ValueError(f"response length {y.shape} does not match {n} rows")
+    (fit,) = ols_stack(X[None], y[None], rank_tolerance)
+    if isinstance(fit, RankDeficient):
+        raise fit
+    return fit
+
+
+def ols_stack(
+    X: np.ndarray,
+    y: np.ndarray,
+    rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
+) -> list[OlsFit | RankDeficient]:
+    """ols on each slice of a stack of equal-shape designs.
+
+    X is (B, n, p) and y is (B, n). Returns one entry per slice, in order:
+    its OlsFit, or the RankDeficient that ols would raise for it. The
+    shape, TooFewObservations and finiteness checks cover the whole stack.
+    The SVD and every product run slice by slice (`@` dispatches each to
+    the same BLAS call as a lone 2-D operand would), and the means reduce
+    contiguous rows, so each slice gets the bits a lone ols call gives.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    B, n, p = X.shape
+    if y.shape != (B, n):
+        raise ValueError(f"response length {y.shape[1:]} does not match {n} rows")
     if n <= p:
         raise TooFewObservations(n, p)
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("non-finite values in regression inputs")
 
     U, s, Vt = np.linalg.svd(X, full_matrices=False)
-    if s[0] <= 0.0 or s[-1] <= rank_tolerance * s[0]:
-        null = Vt[-1]
-        cols = np.flatnonzero(np.abs(null) >= 0.1 * np.abs(null).max())
-        raise RankDeficient([int(c) for c in cols])
-
-    coef = Vt.T @ ((U.T @ y) / s)
-    residuals = y - X @ coef
-    ssr = float(residuals @ residuals)
-    centered = y - y.mean()
-    sst = float(centered @ centered)
-    if sst > 0.0:
-        r2 = 1.0 - ssr / sst
-    else:
+    deficient = (s[:, 0] <= 0.0) | (s[:, -1] <= rank_tolerance * s[:, 0])
+    # a deficient slice divides by a vanishing singular value; its numbers
+    # are discarded below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        coef = (Vt.mT @ ((U.mT @ y[..., None]) / s[..., None]))[..., 0]
+        residuals = y - (X @ coef[..., None])[..., 0]
+        ssr = (residuals[:, None, :] @ residuals[..., None])[:, 0, 0]
+        centered = y - y.mean(axis=-1, keepdims=True)
+        sst = (centered[:, None, :] @ centered[..., None])[:, 0, 0]
         # constant response: define R^2 = 1 when fitted exactly, else 0
-        r2 = 1.0 if ssr <= 1e-24 else 0.0
-    adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / (n - p)
-    sigma2 = ssr / (n - p)
-    xtx_inv_diag = np.einsum("ki,k->i", Vt**2, s**-2.0)
-    stderr = np.sqrt(sigma2 * xtx_inv_diag)
-    return OlsFit(
-        coefficients=coef,
-        residuals=residuals,
-        stderr=stderr,
-        r2=float(r2),
-        adj_r2=float(adj_r2),
-        n_obs=n,
-        n_params=p,
-    )
+        r2 = np.where(sst > 0.0, 1.0 - ssr / sst, np.where(ssr <= 1e-24, 1.0, 0.0))
+        adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / (n - p)
+        sigma2 = ssr / (n - p)
+        xtx_inv_diag = np.einsum("bki,bk->bi", Vt**2, s**-2.0)
+        stderr = np.sqrt(sigma2[:, None] * xtx_inv_diag)
+
+    fits: list[OlsFit | RankDeficient] = []
+    for b in range(B):
+        if deficient[b]:
+            null = Vt[b, -1]
+            cols = np.flatnonzero(np.abs(null) >= 0.1 * np.abs(null).max())
+            fits.append(RankDeficient([int(c) for c in cols]))
+            continue
+        fits.append(
+            OlsFit(
+                coefficients=coef[b],
+                residuals=residuals[b],
+                stderr=stderr[b],
+                r2=float(r2[b]),
+                adj_r2=float(adj_r2[b]),
+                n_obs=n,
+                n_params=p,
+            )
+        )
+    return fits
 
 
 def newey_west_lag(n_dates: int) -> int:

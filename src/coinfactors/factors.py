@@ -46,9 +46,17 @@ HIGH_BREAK = 0.70
 
 @dataclass(frozen=True)
 class FactorOptions:
+    """min_sort_coins must be at least 1; InvalidConfig otherwise."""
+
     min_sort_coins: int = 5
     exclude_btc_from_market: bool = False
     btc_id: str = "BTC"
+
+    def __post_init__(self):
+        if self.min_sort_coins < 1:
+            raise InvalidConfig(
+                f"min_sort_coins {self.min_sort_coins} must be at least 1"
+            )
 
 
 def resolve_factor_names(menu: str | Sequence[str]) -> tuple[str, ...]:

@@ -66,7 +66,8 @@ class UniverseConfig:
     """Universe filter: coins ranked by cap at rank_date, kept if their
     history starts at least min_history_days earlier. filter_universe needs
     a rank_date; None stands for the last date seen in the data. top_n must
-    be at least 1; InvalidConfig otherwise."""
+    be at least 1 and min_history_days non-negative; InvalidConfig
+    otherwise."""
 
     rank_date: dt.date | None = None
     top_n: int = 200
@@ -75,6 +76,10 @@ class UniverseConfig:
     def __post_init__(self):
         if self.top_n < 1:
             raise InvalidConfig(f"top_n {self.top_n} must be at least 1")
+        if self.min_history_days < 0:
+            raise InvalidConfig(
+                f"min_history_days {self.min_history_days} must be non-negative"
+            )
 
 
 def _read_rows(source: str | Path | io.TextIOBase) -> Iterable[list[str]]:
@@ -238,8 +243,18 @@ def filter_universe(
 
 
 def load_coin_dir(directory: str | Path) -> tuple[CoinSeries, ...]:
-    """Read every *.csv in directory as one coin. The stem is the coin id."""
-    return tuple(
-        parse_market_csv(path, path.stem)
-        for path in sorted(Path(directory).glob("*.csv"))
-    )
+    """Read every *.csv in directory as one coin. The stem is the coin id.
+
+    Raises EmptyUniverse when the directory holds no such file, and
+    MalformedRow, naming the file, for one with a header but no data rows.
+    """
+    paths = sorted(Path(directory).glob("*.csv"))
+    if not paths:
+        raise EmptyUniverse(f"no market CSV files in {directory}")
+    coins = []
+    for path in paths:
+        series = parse_market_csv(path, path.stem)
+        if not series.bars:
+            raise MalformedRow(2, f"{path} has a header but no data rows")
+        coins.append(series)
+    return tuple(coins)

@@ -354,18 +354,44 @@ def winsorized_zscores(
     lower: float = WINSOR[0],
     upper: float = WINSOR[1],
 ) -> np.ndarray:
-    """Winsorize at the given cross-sectional percentiles, then z-score with
-    the population standard deviation. Under 2 values, or zero variance after
-    clipping, every score is 0."""
+    """Winsorize each row (the last axis) at the given percentiles of that
+    row, then z-score it with the row's population standard deviation. A
+    row of under 2 values, or of zero variance after clipping, scores 0
+    throughout; a 1-D argument is one row.
+
+    The clipped values land in a fresh C-ordered buffer that is then scored
+    in place, so every mean and standard deviation reduces one contiguous
+    row. numpy sums such a row pairwise exactly as it sums a 1-D array, so
+    a row scores the same bits whatever stack it sits in."""
     x = np.asarray(values, dtype=float)
-    if x.size < 2:
-        return np.zeros_like(x)
-    lo, hi = np.percentile(x, [lower, upper])
-    w = np.clip(x, lo, hi)
-    sd = float(w.std())
-    if sd == 0.0:
-        return np.zeros_like(x)
-    return (w - w.mean()) / sd
+    out = np.zeros(x.shape)
+    if x.shape[-1] < 2:
+        return out
+    lo, hi = np.percentile(x, [lower, upper], axis=-1, keepdims=True)
+    np.clip(x, lo, hi, out=out)
+    sd = out.std(axis=-1, keepdims=True)
+    out -= out.mean(axis=-1, keepdims=True)
+    flat = sd == 0.0
+    np.divide(out, sd, out=out, where=~flat)
+    np.copyto(out, 0.0, where=flat)
+    return out
+
+
+def columns_by_count(mask: np.ndarray, cols: np.ndarray | None = None):
+    """Group columns of a boolean (rows, columns) mask by how many entries
+    they set, all columns unless cols names some. Yields (count, cols, rows)
+    per distinct count, ascending: cols keeps the given order and rows is a
+    (len(cols), count) array whose row b lists the set rows of cols[b]
+    ascending, ready to gather one stacked cross-section per column."""
+    if cols is None:
+        cols = np.arange(mask.shape[1])
+    sub = mask[:, cols]
+    counts = sub.sum(axis=0)
+    # not np.unique, which imports numpy.ma: about 1 MB of resident memory
+    for n in sorted(set(counts.tolist())):
+        group = np.flatnonzero(counts == n)
+        rows = np.nonzero(sub[:, group].T)[1].reshape(group.size, n)
+        yield n, cols[group], rows
 
 
 def standardize_cross_section(
@@ -373,22 +399,21 @@ def standardize_cross_section(
 ) -> Panel:
     """Recompute every z-unit characteristic from the stored raw levels,
     per date across the coins present. Idempotent; raw values pass through
-    unchanged."""
+    unchanged. Dates with the same number of coins present are scored as
+    one stack, one row per date."""
     z = np.zeros_like(panel.raw)
-    for j in range(len(panel.dates)):
-        present = np.flatnonzero(panel.mask[:, j])
+    for _, cols, rows in columns_by_count(panel.mask):
+        at = (rows, cols[:, None])
         for m in range(len(CHARACTERISTIC_NAMES)):
-            z[m, present, j] = winsorized_zscores(
-                panel.raw[m, present, j], lower, upper
-            )
+            z[m][at] = winsorized_zscores(panel.raw[m][at], lower, upper)
     return dataclasses.replace(panel, z=z)
 
 
 @dataclass(frozen=True)
 class PanelOptions:
-    """riskfree_mode must be one of RISKFREE_MODES, and the winsor
-    percentiles must satisfy 0 <= lower < upper <= 100; InvalidConfig
-    otherwise."""
+    """riskfree_mode must be one of RISKFREE_MODES, ffill_limit_days must be
+    non-negative, and the winsor percentiles must satisfy
+    0 <= lower < upper <= 100; InvalidConfig otherwise."""
 
     riskfree_mode: str = "tbill"
     btc_id: str = "BTC"
@@ -399,6 +424,10 @@ class PanelOptions:
     def __post_init__(self):
         if self.riskfree_mode not in RISKFREE_MODES:
             raise InvalidConfig(f"unknown riskfree_mode {self.riskfree_mode!r}")
+        if self.ffill_limit_days < 0:
+            raise InvalidConfig(
+                f"ffill_limit_days {self.ffill_limit_days} must be non-negative"
+            )
         lower, upper = self.winsor
         if not 0.0 <= lower < upper <= 100.0:
             raise InvalidConfig(

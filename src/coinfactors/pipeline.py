@@ -18,7 +18,8 @@ from .econometrics import (
     FMSummary,
     OlsFit,
     fama_macbeth,
-    ols,
+    ols,  # unused here; kept importable, perfbench/tracer.py wraps pipeline.ols
+    ols_stack,
 )
 from .errors import (
     CoinFactorsError,
@@ -35,9 +36,14 @@ from .panel import (
     Drop,
     Panel,
     characteristic_index,
+    columns_by_count,
 )
 
 FLOOR_BASE = 20  # the fewest coins a cross-sectional date needs, whatever |Z|
+
+# Cross-sections per stacked OLS call: enough to amortize the per-call
+# overhead, few enough that a wide panel's stack stays small in memory.
+STACK_DATES = 64
 
 
 @dataclass(frozen=True)
@@ -70,8 +76,9 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class PipelineOptions:
-    """nw_lags (None: the Newey-West rule of thumb) must be non-negative and
-    rank_tolerance must lie in [0, 1); InvalidConfig otherwise."""
+    """min_obs_margin must be at least 1; floor_base, significance_z and
+    nw_lags (None: the Newey-West rule of thumb) must be non-negative; and
+    rank_tolerance must lie in [0, 1). InvalidConfig otherwise."""
 
     min_obs_margin: int = MIN_OBS_MARGIN
     floor_base: int = FLOOR_BASE
@@ -81,6 +88,16 @@ class PipelineOptions:
     factor_options: FactorOptions = FactorOptions()
 
     def __post_init__(self):
+        if self.min_obs_margin < 1:
+            raise InvalidConfig(
+                f"min_obs_margin {self.min_obs_margin} must be at least 1"
+            )
+        if self.floor_base < 0:
+            raise InvalidConfig(f"floor_base {self.floor_base} must be non-negative")
+        if self.significance_z < 0:
+            raise InvalidConfig(
+                f"significance_z {self.significance_z} must be non-negative"
+            )
         if self.nw_lags is not None and self.nw_lags < 0:
             raise InvalidConfig(f"nw_lags {self.nw_lags} must be non-negative")
         if not 0.0 <= self.rank_tolerance < 1.0:
@@ -136,7 +153,9 @@ def second_pass(
     rstar is coins x dates on the panel's grid, NaN where a coin-day has
     none; each date holding an R* is one cross-section. Dates with fewer
     coins than the floor, or with a degenerate design (for example all-zero
-    z-scores), are skipped and recorded. Requires at least 2 surviving dates.
+    z-scores), are skipped and recorded in date order. Requires at least 2
+    surviving dates. Dates with the same coin count are fitted as stacks of
+    up to STACK_DATES cross-sections, each fit the same as a lone ols call.
     """
     anomalies = tuple(anomalies)
     floor = cross_section_floor(len(anomalies), floor_base)
@@ -144,26 +163,36 @@ def second_pass(
     if rstar.shape != panel.mask.shape:
         raise InvalidConfig(f"R* grid has shape {rstar.shape}, not {panel.mask.shape}")
     held = ~np.isnan(rstar)
-    dated = np.flatnonzero(held.any(axis=0)).tolist()
+    dated = np.flatnonzero(held.any(axis=0))
     held &= panel.mask
+
+    outcome: dict[int, OlsFit | str] = {}  # a fit, or why its date is skipped
+    for n, cols, rows in columns_by_count(held, dated):
+        if n < floor:
+            outcome.update(dict.fromkeys(cols.tolist(), f"below_floor:{n}<{floor}"))
+            continue
+        for start in range(0, cols.size, STACK_DATES):
+            chunk = cols[start : start + STACK_DATES]
+            at = (rows[start : start + STACK_DATES], chunk[:, None])
+            X = np.empty((chunk.size, n, 1 + len(chars)))
+            X[..., 0] = 1.0
+            for k, m in enumerate(chars, start=1):
+                X[..., k] = panel.z[m][at]
+            stack = ols_stack(X, rstar[at], rank_tolerance=rank_tolerance)
+            for col, fit in zip(chunk.tolist(), stack):
+                if isinstance(fit, RankDeficient):
+                    fit = f"rank_deficient:{fit.columns}"
+                outcome[col] = fit
 
     fits = []
     skipped = []
-    for col in dated:
+    for col in dated.tolist():
         date = panel.dates[col]
-        rows = np.flatnonzero(held[:, col])
-        n = rows.size
-        if n < floor:
-            skipped.append((date, f"below_floor:{n}<{floor}"))
-            continue
-        X = np.column_stack([np.ones(n)] + [panel.z[m, rows, col] for m in chars])
-        y = rstar[rows, col]
-        try:
-            fit = ols(X, y, rank_tolerance=rank_tolerance)
-        except RankDeficient as exc:
-            skipped.append((date, f"rank_deficient:{exc.columns}"))
-            continue
-        fits.append(CrossSectionFit(date=date, fit=fit, n_coins=n))
+        fit = outcome[col]
+        if isinstance(fit, str):
+            skipped.append((date, fit))
+        else:
+            fits.append(CrossSectionFit(date=date, fit=fit, n_coins=fit.n_obs))
     if len(fits) < 2:
         raise NoEligibleDates(
             f"{len(fits)} eligible dates after floor {floor}, need at least 2"

@@ -115,15 +115,20 @@ class GroundTruth:
     r_btc: Mapping[dt.date, float]
 
 
-def _ar1_path(rng: np.random.Generator, phi: float, length: int) -> np.ndarray:
-    """Stationary unit-variance AR(1) path."""
-    innovations = rng.standard_normal(length)
-    path = np.empty(length)
-    path[0] = innovations[0]
+def _ar1_paths(paths: np.ndarray, phi: float) -> np.ndarray:
+    """Turn unit-normal innovations into stationary unit-variance AR(1)
+    paths along the last axis, in place and every row at once:
+    x_0 = e_0, x_t = phi x_(t-1) + sqrt(1 - phi^2) e_t. A 1-D argument is
+    one path. Each element takes the same two products and one sum as a
+    scalar loop would, so the bits do not depend on how many rows share
+    the call."""
     scale = math.sqrt(1.0 - phi * phi)
-    for t in range(1, length):
-        path[t] = phi * path[t - 1] + scale * innovations[t]
-    return path
+    rows = paths.reshape(-1, paths.shape[-1])
+    for t in range(1, rows.shape[1]):
+        step = rows[:, t]
+        step *= scale
+        step += phi * rows[:, t - 1]
+    return paths
 
 
 def _uniform(rng: np.random.Generator, bounds: tuple[float, float]) -> float:
@@ -185,36 +190,38 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[Panel, GroundTruth]:
         dyn = cfg.factor_dynamics[name]
         F[:, k] = dyn.mean + dyn.vol * factor_rng.standard_normal(t_obs)
 
-    u_raw = _ar1_path(epu_rng, cfg.epu_phi, n_lags)
+    u_raw = _ar1_paths(epu_rng.standard_normal(n_lags), cfg.epu_phi)
     u_sd = float(u_raw.std())
     u_z = (u_raw - u_raw.mean()) / u_sd if u_sd > 0 else np.zeros(n_lags)
 
     r_btc = cfg.rbtc_mean + cfg.rbtc_vol * btc_rng.standard_normal(n_lags)
 
-    # phase one: per-coin draws in a fixed order so streams never shift
-    raw_chars = np.empty((cfg.n_coins, n_lags, len(CHARACTERISTIC_NAMES)))
+    # phase one: per-coin draws in a fixed order so streams never shift;
+    # the characteristic innovations go straight into (characteristic,
+    # coin, lag) rows that become AR(1) paths together afterwards
+    raw = np.empty((len(CHARACTERISTIC_NAMES), cfg.n_coins, n_lags))
+    size_offsets = np.empty(cfg.n_coins)
     thetas = []
     alphas = np.empty(cfg.n_coins)
     noises = np.empty((cfg.n_coins, t_obs))
-    raw_offsets = {"size": SIZE_RAW_MEAN, "liquidity": LIQ_RAW_MEAN}
     for i in range(cfg.n_coins):
         rng = np.random.default_rng(streams[3 + i])
-        size_offset = COIN_SIZE_SPREAD * rng.standard_normal()
-        for m, name in enumerate(CHARACTERISTIC_NAMES):
-            path = _ar1_path(rng, cfg.char_phi, n_lags)
-            path += raw_offsets.get(name, 0.0)
-            if name == "size":
-                path += size_offset
-            raw_chars[i, :, m] = path
+        size_offsets[i] = COIN_SIZE_SPREAD * rng.standard_normal()
+        for m in range(len(CHARACTERISTIC_NAMES)):
+            rng.standard_normal(out=raw[m, i])
         thetas.append(_draw_theta(rng, cfg))
         alphas[i] = cfg.alpha_vol * rng.standard_normal()
         noises[i] = cfg.noise_vol * rng.standard_normal(t_obs)
+    _ar1_paths(raw, cfg.char_phi)
+    raw_offsets = {"size": SIZE_RAW_MEAN, "liquidity": LIQ_RAW_MEAN}
+    for m, name in enumerate(CHARACTERISTIC_NAMES):
+        raw[m] += raw_offsets.get(name, 0.0)
+    raw[CHARACTERISTIC_NAMES.index("size")] += size_offsets[:, None]
 
-    # phase two: cross-sectional standardization, shared kernel
-    z_chars = np.empty_like(raw_chars)
-    for lag in range(n_lags):
-        for m in range(len(CHARACTERISTIC_NAMES)):
-            z_chars[:, lag, m] = winsorized_zscores(raw_chars[:, lag, m])
+    # phase two: cross-sectional standardization, one row per lag
+    z = np.empty_like(raw)
+    for m in range(len(CHARACTERISTIC_NAMES)):
+        z[m] = winsorized_zscores(raw[m].T).T
 
     # phase three: returns through the shared design expansion
     spec_char_idx = []
@@ -231,13 +238,13 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[Panel, GroundTruth]:
             F,
             u_z,
             r_btc,
-            z_chars[i][:, spec_char_idx].reshape(t_obs, len(spec_char_idx)),
+            z[spec_char_idx, i].T,
             cfg.beta_spec,
         )
         excess = alphas[i] + design @ thetas[i] + noises[i]
         for name, effect in sorted(cfg.anomaly_effects.items()):
             m = CHARACTERISTIC_NAMES.index(name)
-            excess = excess + effect * z_chars[i, :, m]
+            excess = excess + effect * z[m, i]
         returns[i] = excess
         theta_map[coin_id] = thetas[i]
         alpha_map[coin_id] = float(alphas[i])
@@ -250,8 +257,8 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[Panel, GroundTruth]:
         mask=np.ones(shape, dtype=bool),
         ret=returns,
         excess=returns,
-        z=np.moveaxis(z_chars, -1, 0),
-        raw=np.moveaxis(raw_chars, -1, 0),
+        z=z,
+        raw=raw,
         u=np.broadcast_to(u_z, shape),
         r_btc=np.broadcast_to(r_btc, shape),
         riskfree_mode="tbill",

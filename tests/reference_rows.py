@@ -7,7 +7,8 @@ and the second pass walk those rows. Factors and risk-adjusted returns are
 them before they moved onto the panel's date axis. row_view turns a
 columnar Panel into these rows and panel_from_rows goes the other way, so
 the same panel can be fed to both implementations. Both keep every float as stored, so the column
-code must agree with this module bit for bit.
+code must agree with this module bit for bit. Its z-scores and fits come
+from the per-row kernels in reference_kernels.py, not from the batched ones.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from coinfactors.condbeta import (
     build_design_matrix,
     param_names,
 )
-from coinfactors.econometrics import DEFAULT_RANK_TOLERANCE, fama_macbeth, ols
+from coinfactors.econometrics import DEFAULT_RANK_TOLERANCE, fama_macbeth
 from coinfactors.errors import (
     DuplicateDate,
     EmptyDate,
@@ -44,7 +45,7 @@ from coinfactors.factors import (
     FactorOptions,
     resolve_factor_names,
 )
-from coinfactors.panel import CHARACTERISTIC_NAMES, Drop, winsorized_zscores
+from coinfactors.panel import CHARACTERISTIC_NAMES, Drop
 from coinfactors.panel import Panel as ColumnPanel
 from coinfactors.pipeline import (
     SIGNIFICANCE_Z,
@@ -52,6 +53,7 @@ from coinfactors.pipeline import (
     SecondPassResult,
     cross_section_floor,
 )
+from reference_kernels import ols, winsorized_zscores
 
 
 @dataclass(frozen=True)

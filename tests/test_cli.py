@@ -463,6 +463,8 @@ def test_ingest_out_of_range_settings_exit_2(tmp_path):
         ("panel", {"winsor": [-5, 150]}, "winsor"),
         ("universe", {"top_n": -5}, "top_n"),
         ("universe", {"top_n": 0}, "top_n"),
+        ("panel", {"ffill_limit_days": -1}, "ffill_limit_days"),
+        ("universe", {"min_history_days": -1}, "min_history_days"),
     ]:
         cfg = _config(tmp_path / "i.json", {**doc, key: section})
         result = CliRunner().invoke(main, ["ingest", "--config", cfg])
@@ -490,3 +492,28 @@ def test_run_negative_nw_lags_exits_2_before_estimating(tmp_path, synth_a):
     assert isinstance(result.exception, SystemExit)  # handled, no traceback
     assert "nw_lags" in result.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_empty_market_dir_exits_2_naming_it(tmp_path):
+    _, doc = _raw_inputs(tmp_path)
+    empty = tmp_path / "no_coins"
+    empty.mkdir()
+    doc = {**doc, "data": {**doc["data"], "market_dir": str(empty)}}
+    for command, extra in [("ingest", {}), ("run", {"specs": _capm_specs()})]:
+        cfg = _config(tmp_path / "e.json", {**doc, **extra})
+        result = CliRunner().invoke(main, [command, "--config", cfg])
+        assert result.exit_code == 2, (command, result.output)
+        assert isinstance(result.exception, SystemExit)  # handled, no traceback
+        assert str(empty) in result.stderr
+
+
+def test_header_only_market_csv_exits_2_naming_it(tmp_path):
+    raw, doc = _raw_inputs(tmp_path)
+    header_only = raw / "market" / "EMPTY.csv"
+    header_only.write_text("date,close,volume,market_cap\n")
+    for command, extra in [("ingest", {}), ("run", {"specs": _capm_specs()})]:
+        cfg = _config(tmp_path / "e.json", {**doc, **extra})
+        result = CliRunner().invoke(main, [command, "--config", cfg])
+        assert result.exit_code == 2, (command, result.output)
+        assert isinstance(result.exception, SystemExit)  # handled, no traceback
+        assert str(header_only) in result.stderr

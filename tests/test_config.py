@@ -318,7 +318,32 @@ def test_econometrics_range_ends_accepted(tmp_path):
     assert cfg.pipeline.rank_tolerance == 0.0
 
 
+# section, key, the first rejected value, the boundary value accepted
+NUMERIC_RANGES = [
+    ("panel", "ffill_limit_days", -1, 0),
+    ("universe", "min_history_days", -1, 0),
+    ("factors", "min_sort_coins", 0, 1),
+    ("pipeline", "min_obs_margin", 0, 1),
+    ("pipeline", "floor_base", -1, 0),
+    ("econometrics", "significance_z", -0.5, 0),
+]
+
+
+@pytest.mark.parametrize("section, key, bad, _", NUMERIC_RANGES)
+def test_numeric_setting_below_its_range_rejected(tmp_path, section, key, bad, _):
+    with pytest.raises(InvalidConfig) as info:
+        load_config(_write(tmp_path, {section: {key: bad}}))
+    assert f"{key} {bad}" in str(info.value)
+
+
+@pytest.mark.parametrize("section, key, _, edge", NUMERIC_RANGES)
+def test_numeric_setting_at_its_range_end_accepted(tmp_path, section, key, _, edge):
+    cfg = load_config(_write(tmp_path, {section: {key: edge}}))
+    assert resolved_dict(cfg)[section][key] == edge
+
+
 def test_option_classes_hold_the_range_checks():
+    from coinfactors.factors import FactorOptions
     from coinfactors.ingest import UniverseConfig
     from coinfactors.panel import PanelOptions
     from coinfactors.pipeline import PipelineOptions
@@ -333,3 +358,12 @@ def test_option_classes_hold_the_range_checks():
         PipelineOptions(nw_lags=-1)
     with pytest.raises(InvalidConfig):
         PipelineOptions(rank_tolerance=-1e-10)
+    with pytest.raises(InvalidConfig):
+        PanelOptions(ffill_limit_days=-1)
+    with pytest.raises(InvalidConfig):
+        UniverseConfig(min_history_days=-1)
+    with pytest.raises(InvalidConfig):
+        FactorOptions(min_sort_coins=0)
+    for bad in ({"min_obs_margin": 0}, {"floor_base": -1}, {"significance_z": -1.0}):
+        with pytest.raises(InvalidConfig):
+            PipelineOptions(**bad)
