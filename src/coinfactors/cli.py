@@ -34,7 +34,7 @@ from .ingest import (
     parse_riskfree_csv,
 )
 from .panel import Panel, build_panel, read_panel_csv, write_drop_report, write_panel_csv
-from .pipeline import compare_models
+from .pipeline import compare_models, significant_anomaly_count
 from .report import (
     check_labels,
     rerender_report,
@@ -209,11 +209,12 @@ def cmd_run(config_path: str, output: str | None, seed: int | None) -> None:
         report = compare_models(panels, cfg.specs, cfg.pipeline)
         names = write_report_files(report, out)
         _write_manifest(cfg, out, "run", digests, names)
-        for row in report.rows:
+        for label, result in report.results.items():
+            count = significant_anomaly_count(result, report.significance_z)
             click.echo(
-                f"{row.label}: second-pass adj R2 "
-                f"{row.second_pass_avg_adj_r2:.6g}, "
-                f"{row.significant_anomalies} significant anomalies"
+                f"{label}: second-pass adj R2 "
+                f"{result.second_pass_avg_adj_r2:.6g}, "
+                f"{count} significant anomalies"
             )
         click.echo(f"wrote {len(names) + 1} files -> {out}")
 

@@ -27,9 +27,17 @@ class EstimationError(CoinFactorsError):
 # ingest ---------------------------------------------------------------
 
 class MalformedRow(ValidationError):
-    def __init__(self, line: int, message: str) -> None:
+    """A row of an input file that does not parse; path names the file."""
+
+    def __init__(self, line: int, message: str, path=None) -> None:
         self.line = line
-        super().__init__(f"line {line}: {message}")
+        self.message = message
+        self.path = path
+        super().__init__(line, message)
+
+    def __str__(self) -> str:
+        where = "" if self.path is None else f"{self.path}: "
+        return f"{where}line {self.line}: {self.message}"
 
 
 class DuplicateDate(ValidationError):
@@ -39,10 +47,10 @@ class DuplicateDate(ValidationError):
         super().__init__(f"duplicate date {date.isoformat()}{where}")
 
 
-class NonPositivePrice(ValidationError):
-    def __init__(self, date: dt.date) -> None:
+class NonPositivePrice(MalformedRow):
+    def __init__(self, date: dt.date, line: int) -> None:
         self.date = date
-        super().__init__(f"non-positive close on {date.isoformat()}")
+        super().__init__(line, f"non-positive close on {date.isoformat()}")
 
 
 class NegativeLevel(ValidationError):

@@ -2,20 +2,21 @@
 universe selection. Every input is read from local files; ingest does no
 network access, so its only I/O failures are file-system ones.
 
-Parsers are deliberately unforgiving. A malformed row names its line number,
-headers must match exactly (extra columns rejected, not ignored), dates must
-be ISO, and duplicates are errors: silent repair upstream turns into
-unexplainable numbers downstream.
+Parsers are deliberately unforgiving. A malformed row names its file and
+line, text must be UTF-8, headers must match exactly (extra columns
+rejected, not ignored), dates must be ISO, and duplicates are errors: silent
+repair upstream turns into unexplainable numbers downstream.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime as dt
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import (
     DuplicateDate,
@@ -82,12 +83,41 @@ class UniverseConfig:
             )
 
 
-def _read_rows(source: str | Path | io.TextIOBase) -> Iterable[list[str]]:
-    if isinstance(source, (str, Path)):
-        with open(source, newline="") as handle:
-            yield from csv.reader(handle)
-    else:
-        yield from csv.reader(source)
+@contextlib.contextmanager
+def read_csv_rows(source: str | Path | io.TextIOBase) -> Iterator[Iterator[list[str]]]:
+    """The rows of a CSV file, or of a text stream, for one with block.
+
+    A MalformedRow raised in the block names a file source. Text that is not
+    UTF-8, or a field over the csv module's size limit, raises MalformedRow
+    too, never UnicodeDecodeError or csv.Error.
+    """
+    path = source if isinstance(source, (str, Path)) else None
+    opened = (contextlib.nullcontext(source) if path is None
+              else open(path, newline="", encoding="utf-8"))
+    with opened as handle:
+        reader = csv.reader(handle)
+        try:
+            yield reader
+        except UnicodeDecodeError as exc:
+            # text is decoded in chunks, ahead of the rows read so far
+            line = reader.line_num + 1 if path is None else _undecodable_line(path)
+            raise MalformedRow(line, f"not UTF-8 text: {exc.reason}", path) from None
+        except csv.Error as exc:
+            raise MalformedRow(reader.line_num, str(exc), path) from None
+        except MalformedRow as exc:
+            if exc.path is None:
+                exc.path = path
+            raise
+
+
+def _undecodable_line(path: str | Path) -> int:
+    """The line of the first byte of a file that is not UTF-8, 0 if none."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return data.count(b"\n", 0, exc.start) + 1
+    return 0
 
 
 def _check_header(row: Sequence[str] | None, expected: tuple[str, ...]) -> None:
@@ -118,28 +148,28 @@ def parse_market_csv(source: str | Path | io.TextIOBase, coin_id: str) -> CoinSe
     """Parse one coin's date,close,volume,market_cap table.
 
     Rows may arrive in any order; bars come out sorted ascending. Raises
-    MalformedRow (with the 1-based line number) for structural problems,
-    NonPositivePrice for close <= 0, and DuplicateDate when a date repeats.
+    MalformedRow, naming its line (and file), for structural problems and,
+    as NonPositivePrice, for close <= 0; DuplicateDate when a date repeats.
     """
-    rows = iter(_read_rows(source))
-    _check_header(next(rows, None), MARKET_HEADER)
     bars = []
-    for line, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise MalformedRow(line, f"{len(row)} fields, expected 4")
-        date = _parse_date(row[0], line)
-        close = _parse_float(row[1], line, "close")
-        volume = _parse_float(row[2], line, "volume")
-        cap = _parse_float(row[3], line, "market_cap")
-        if close <= 0.0:
-            raise NonPositivePrice(date)
-        if volume < 0.0:
-            raise MalformedRow(line, f"negative volume {row[2]!r}")
-        if cap < 0.0:
-            raise MalformedRow(line, f"negative market_cap {row[3]!r}")
-        bars.append(DailyBar(date, close, volume, cap))
+    with read_csv_rows(source) as rows:
+        _check_header(next(rows, None), MARKET_HEADER)
+        for line, row in enumerate(rows, start=2):
+            if not row:
+                continue
+            if len(row) != 4:
+                raise MalformedRow(line, f"{len(row)} fields, expected 4")
+            date = _parse_date(row[0], line)
+            close = _parse_float(row[1], line, "close")
+            volume = _parse_float(row[2], line, "volume")
+            cap = _parse_float(row[3], line, "market_cap")
+            if close <= 0.0:
+                raise NonPositivePrice(date, line)
+            if volume < 0.0:
+                raise MalformedRow(line, f"negative volume {row[2]!r}")
+            if cap < 0.0:
+                raise MalformedRow(line, f"negative market_cap {row[3]!r}")
+            bars.append(DailyBar(date, close, volume, cap))
     bars.sort(key=lambda b: b.date)
     for prev, cur in zip(bars, bars[1:]):
         if prev.date == cur.date:
@@ -153,20 +183,20 @@ def _parse_level_csv(
     column: str,
     check: Callable[[float, dt.date, int], None],
 ) -> dict[dt.date, float]:
-    rows = iter(_read_rows(source))
-    _check_header(next(rows, None), header)
     values: dict[dt.date, float] = {}
-    for line, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise MalformedRow(line, f"{len(row)} fields, expected 2")
-        date = _parse_date(row[0], line)
-        value = _parse_float(row[1], line, column)
-        check(value, date, line)
-        if date in values:
-            raise DuplicateDate(date, context=column)
-        values[date] = value
+    with read_csv_rows(source) as rows:
+        _check_header(next(rows, None), header)
+        for line, row in enumerate(rows, start=2):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise MalformedRow(line, f"{len(row)} fields, expected 2")
+            date = _parse_date(row[0], line)
+            value = _parse_float(row[1], line, column)
+            check(value, date, line)
+            if date in values:
+                raise DuplicateDate(date, context=column)
+            values[date] = value
     return dict(sorted(values.items()))
 
 

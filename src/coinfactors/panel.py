@@ -33,7 +33,7 @@ from .errors import (
     MissingCharacteristic,
     TooShort,
 )
-from .ingest import CoinSeries
+from .ingest import CoinSeries, read_csv_rows
 
 ONE_DAY = dt.timedelta(days=1)
 
@@ -595,13 +595,12 @@ def read_panel_csv(
     The file format carries no risk-free mode, so the caller supplies it
     (it travels in run configs and manifests). A row with the wrong field
     count, an unparsable or non-finite value, a size_raw whose exponential
-    is no positive finite market cap, or a (coin_id, date) seen on an
-    earlier line raises MalformedRow naming its line.
+    is no positive finite market cap, a (coin_id, date) seen on an earlier
+    line, text that is not UTF-8 or an over-long field raises MalformedRow
+    naming its line, and the file when source is a path.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, newline="") as handle:
-            return _read_panel_rows(csv.reader(handle), riskfree_mode)
-    return _read_panel_rows(csv.reader(source), riskfree_mode)
+    with read_csv_rows(source) as rows:
+        return _read_panel_rows(rows, riskfree_mode)
 
 
 def _read_panel_rows(rows, riskfree_mode: str) -> Panel:

@@ -6,7 +6,7 @@ Fama-MacBeth aggregation, and side-by-side model comparison.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -334,62 +334,13 @@ def run_model(
 
 
 @dataclass(frozen=True)
-class ComparisonRow:
-    label: str
-    factors: str
-    beta_mode: str
-    riskfree_mode: str
-    first_pass_avg_adj_r2: float
-    second_pass_avg_adj_r2: float
-    n_coins: int
-    n_coins_dropped: int
-    n_dates: int
-    n_dates_skipped: int
-    significant_anomalies: int
-    anomalies: tuple  # CoefficientSummary per anomaly, spec order
-
-
-@dataclass(frozen=True)
-class PairRow:
-    """Conditional-vs-unconditional delta for one factor menu."""
-
-    factors: str
-    riskfree_mode: str
-    unconditional_label: str
-    conditional_label: str
-    unconditional_sp_adj_r2: float
-    conditional_sp_adj_r2: float
-    delta_sp_adj_r2: float
-    unconditional_significant: int
-    conditional_significant: int
-    significant_change: int
-    unconditional_coins: int
-    conditional_coins: int
-
-
-@dataclass(frozen=True)
 class ComparisonReport:
-    rows: tuple[ComparisonRow, ...]
-    pairs: tuple[PairRow, ...]
+    """Each spec's result by label, in label order, and the pairs that
+    compare_models made as (unconditional label, conditional label)."""
+
+    results: Mapping[str, ModelResult]
+    pairs: tuple[tuple[str, str], ...]
     significance_z: float
-    results: Mapping[str, ModelResult] = field(compare=False, default=None)
-
-
-def _row_from_result(result: ModelResult, significance_z: float) -> ComparisonRow:
-    return ComparisonRow(
-        label=result.spec.label,
-        factors=result.spec.factors,
-        beta_mode=result.spec.beta.mode,
-        riskfree_mode=result.spec.riskfree_mode,
-        first_pass_avg_adj_r2=result.first_pass_avg_adj_r2,
-        second_pass_avg_adj_r2=result.second_pass_avg_adj_r2,
-        n_coins=len(result.fits),
-        n_coins_dropped=len(result.dropped_coins),
-        n_dates=len(result.cross_sections),
-        n_dates_skipped=len(result.skipped_dates),
-        significant_anomalies=significant_anomaly_count(result, significance_z),
-        anomalies=result.anomaly_summaries(),
-    )
 
 
 def compare_models(
@@ -397,7 +348,7 @@ def compare_models(
     specs: Sequence[ModelSpec],
     options: PipelineOptions = PipelineOptions(),
 ) -> ComparisonReport:
-    """Run every spec and tabulate, pairing each conditional spec with the
+    """Run every spec, pairing each conditional spec with every
     unconditional spec sharing its factor menu, anomaly list, and risk-free
     mode.
 
@@ -429,43 +380,14 @@ def compare_models(
             factor_sets[key] = _build_factors(panel, spec, options)
         results[spec.label] = run_model(panel, spec, factor_sets[key], options)
 
-    rows = tuple(
-        _row_from_result(results[label], options.significance_z)
-        for label in sorted(results)
-    )
-    significant = {row.label: row.significant_anomalies for row in rows}
-
-    groups: dict[tuple, dict[str, list[ModelResult]]] = {}
-    for result in results.values():
+    groups: dict[tuple, dict[str, list[str]]] = {}
+    for label, result in results.items():
         key = (result.spec.factors, result.spec.anomalies, result.spec.riskfree_mode)
-        groups.setdefault(key, {}).setdefault(result.spec.beta.mode, []).append(result)
-    pairs = []
-    for key in sorted(groups, key=repr):
-        modes = groups[key]
-        for uncond in sorted(modes.get("unconditional", []), key=lambda r: r.spec.label):
-            for cond in sorted(modes.get("conditional", []), key=lambda r: r.spec.label):
-                u_sig = significant[uncond.spec.label]
-                c_sig = significant[cond.spec.label]
-                pairs.append(
-                    PairRow(
-                        factors=key[0],
-                        riskfree_mode=key[2],
-                        unconditional_label=uncond.spec.label,
-                        conditional_label=cond.spec.label,
-                        unconditional_sp_adj_r2=uncond.second_pass_avg_adj_r2,
-                        conditional_sp_adj_r2=cond.second_pass_avg_adj_r2,
-                        delta_sp_adj_r2=cond.second_pass_avg_adj_r2
-                        - uncond.second_pass_avg_adj_r2,
-                        unconditional_significant=u_sig,
-                        conditional_significant=c_sig,
-                        significant_change=c_sig - u_sig,
-                        unconditional_coins=len(uncond.fits),
-                        conditional_coins=len(cond.fits),
-                    )
-                )
-    return ComparisonReport(
-        rows=rows,
-        pairs=tuple(pairs),
-        significance_z=options.significance_z,
-        results=results,
-    )
+        groups.setdefault(key, {}).setdefault(result.spec.beta.mode, []).append(label)
+    pairs = [
+        (uncond, cond)
+        for key in sorted(groups, key=repr)
+        for uncond in groups[key].get("unconditional", [])
+        for cond in groups[key].get("conditional", [])
+    ]
+    return ComparisonReport(results, tuple(pairs), options.significance_z)

@@ -22,48 +22,51 @@ from .condbeta import write_first_pass_params_csv, write_risk_adjusted_csv
 from .errors import InvalidConfig
 from .factors import write_factor_csv
 from .panel import SHORT_CODES
-from .pipeline import ComparisonReport, ModelResult
+from .pipeline import ComparisonReport, ModelResult, significant_anomaly_count
 
-COMPARISON_HEADER = (
-    "label",
-    "factors",
-    "beta_mode",
-    "riskfree_mode",
-    "first_pass_avg_adj_r2",
-    "second_pass_avg_adj_r2",
-    "n_coins",
-    "n_coins_dropped",
-    "n_dates",
-    "n_dates_skipped",
-    "significant_anomalies",
+# Each comparison table, one entry per column in file order: the CSV column,
+# its comparison.md heading (None: the summary leaves it out), and whether
+# the summary shows the cell with %.6g.
+COMPARISON_COLUMNS = (
+    ("label", "label", False),
+    ("factors", "factors", False),
+    ("beta_mode", "beta", False),
+    ("riskfree_mode", "riskfree", False),
+    ("first_pass_avg_adj_r2", "first-pass adj R2", True),
+    ("second_pass_avg_adj_r2", "second-pass adj R2", True),
+    ("n_coins", "coins", False),
+    ("n_coins_dropped", "dropped", False),
+    ("n_dates", "dates", False),
+    ("n_dates_skipped", "skipped", False),
+    ("significant_anomalies", "significant", False),
 )
 
-ANOMALY_HEADER = (
-    "label",
-    "anomaly",
-    "mean",
-    "fm_se",
-    "fm_t",
-    "nw_se",
-    "nw_t",
-    "nw_lags",
-    "daily_significant_share",
-    "degenerate",
+ANOMALY_COLUMNS = (
+    ("label", "label", False),
+    ("anomaly", "anomaly", False),
+    ("mean", "mean", True),
+    ("fm_se", None, False),
+    ("fm_t", "FM t", True),
+    ("nw_se", None, False),
+    ("nw_t", "NW t", True),
+    ("nw_lags", "NW lag", False),
+    ("daily_significant_share", "daily share", True),
+    ("degenerate", "degenerate", False),
 )
 
-PAIR_HEADER = (
-    "factors",
-    "riskfree_mode",
-    "unconditional_label",
-    "conditional_label",
-    "unconditional_sp_adj_r2",
-    "conditional_sp_adj_r2",
-    "delta_sp_adj_r2",
-    "unconditional_significant",
-    "conditional_significant",
-    "significant_change",
-    "unconditional_coins",
-    "conditional_coins",
+PAIR_COLUMNS = (
+    ("factors", "factors", False),
+    ("riskfree_mode", "riskfree", False),
+    ("unconditional_label", "unconditional", False),
+    ("conditional_label", "conditional", False),
+    ("unconditional_sp_adj_r2", None, False),
+    ("conditional_sp_adj_r2", None, False),
+    ("delta_sp_adj_r2", "delta second-pass adj R2", True),
+    ("unconditional_significant", "significant (uncond)", False),
+    ("conditional_significant", "significant (cond)", False),
+    ("significant_change", None, False),
+    ("unconditional_coins", None, False),
+    ("conditional_coins", None, False),
 )
 
 CHART_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
@@ -87,54 +90,87 @@ def _cell(value) -> str:
     return str(value)
 
 
-def comparison_rows(report: ComparisonReport) -> list[dict[str, str]]:
+def comparison_rows(report: ComparisonReport) -> list[tuple]:
+    """One row of COMPARISON_COLUMNS values per model, in label order."""
     return [
-        {h: _cell(getattr(row, h)) for h in COMPARISON_HEADER} for row in report.rows
+        (
+            r.spec.label, r.spec.factors, r.spec.beta.mode, r.spec.riskfree_mode,
+            r.first_pass_avg_adj_r2, r.second_pass_avg_adj_r2,
+            len(r.fits), len(r.dropped_coins),
+            len(r.cross_sections), len(r.skipped_dates),
+            significant_anomaly_count(r, report.significance_z),
+        )
+        for r in report.results.values()
     ]
 
 
-def anomaly_rows(report: ComparisonReport) -> list[dict[str, str]]:
+def anomaly_rows(report: ComparisonReport) -> list[tuple]:
+    """One row of ANOMALY_COLUMNS values per anomaly premium of each model."""
+    return [
+        (
+            label, c.name, c.mean, c.fm_se, c.fm_t, c.nw_se, c.nw_t,
+            result.fm.nw_lags, c.daily_significant_share, c.degenerate,
+        )
+        for label, result in report.results.items()
+        for c in result.anomaly_summaries()
+    ]
+
+
+def pair_rows(report: ComparisonReport) -> list[tuple]:
+    """One row of PAIR_COLUMNS values per conditional-unconditional pair."""
     rows = []
-    for row in report.rows:
-        result = report.results[row.label]
-        for summary in row.anomalies:
-            rows.append(
-                {
-                    "label": row.label,
-                    "anomaly": summary.name,
-                    "mean": _cell(summary.mean),
-                    "fm_se": _cell(summary.fm_se),
-                    "fm_t": _cell(summary.fm_t),
-                    "nw_se": _cell(summary.nw_se),
-                    "nw_t": _cell(summary.nw_t),
-                    "nw_lags": _cell(result.fm.nw_lags),
-                    "daily_significant_share": _cell(
-                        summary.daily_significant_share
-                    ),
-                    "degenerate": _cell(summary.degenerate),
-                }
+    for u_label, c_label in report.pairs:
+        uncond, cond = report.results[u_label], report.results[c_label]
+        u_r2, c_r2 = uncond.second_pass_avg_adj_r2, cond.second_pass_avg_adj_r2
+        u_sig = significant_anomaly_count(uncond, report.significance_z)
+        c_sig = significant_anomaly_count(cond, report.significance_z)
+        rows.append(
+            (
+                uncond.spec.factors, uncond.spec.riskfree_mode, u_label, c_label,
+                u_r2, c_r2, c_r2 - u_r2,
+                u_sig, c_sig, c_sig - u_sig,
+                len(uncond.fits), len(cond.fits),
             )
+        )
     return rows
 
 
-def pair_rows(report: ComparisonReport) -> list[dict[str, str]]:
-    return [{h: _cell(getattr(pair, h)) for h in PAIR_HEADER} for pair in report.pairs]
+# Each table's file, its comparison.md section, columns and row builder.
+TABLES = (
+    ("comparison.csv", "Models", COMPARISON_COLUMNS, comparison_rows),
+    ("anomalies.csv", "Anomaly premia", ANOMALY_COLUMNS, anomaly_rows),
+    ("pairs.csv", "Conditional vs unconditional", PAIR_COLUMNS, pair_rows),
+)
 
 
-def write_rows_csv(
-    path: str | Path, header: Sequence[str], rows: Sequence[Mapping[str, str]]
-) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([row[column] for column in header])
+def read_table_csv(path: Path, columns: tuple) -> list[list[str]]:
+    """The cells of a comparison table as write_report_files wrote it.
 
-
-def read_rows_csv(path: str | Path) -> list[dict[str, str]]:
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        return [dict(row) for row in reader]
+    Raises InvalidConfig, naming the file, when it is missing, is no
+    readable CSV, has any header but the table's, has a row with the wrong
+    number of fields, or has a cell comparison.md rounds that is no number.
+    """
+    if not path.exists():
+        raise InvalidConfig(f"{path} is missing, run first")
+    header = [name for name, _, _ in columns]
+    try:
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(handle))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise InvalidConfig(f"{path} is no readable CSV: {exc}") from None
+    if rows[:1] != [header]:
+        found = rows[0] if rows else None
+        raise InvalidConfig(f"{path} has header {found!r}, expected {header!r}")
+    rounded = [i for i, (_, _, g) in enumerate(columns) if g]
+    for line, row in enumerate(rows[1:], start=2):
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} fields, expected {len(header)}")
+            for i in rounded:
+                _g(row[i])
+        except ValueError as exc:
+            raise InvalidConfig(f"{path} line {line}: {exc}") from None
+    return rows[1:]
 
 
 def write_cross_section_csv(result: ModelResult, path: str | Path) -> None:
@@ -157,21 +193,20 @@ def _g(text: str) -> str:
     return format(float(text), ".6g")
 
 
-def _md_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]:
-    lines = ["| " + " | ".join(header) + " |"]
-    lines.append("|" + "|".join(" --- " for _ in header) + "|")
+def _md_section(title: str, columns: tuple, rows: list[list[str]]) -> list[str]:
+    shown = [(i, heading, g) for i, (_, heading, g) in enumerate(columns) if heading]
+    lines = ["", f"## {title}", ""]
+    lines.append("| " + " | ".join(heading for _, heading, _ in shown) + " |")
+    lines.append("|" + "|".join(" --- " for _ in shown) + "|")
     for row in rows:
-        lines.append("| " + " | ".join(row) + " |")
+        cells = (_g(row[i]) if g else row[i] for i, _, g in shown)
+        lines.append("| " + " | ".join(cells) + " |")
     return lines
 
 
-def markdown_report(
-    comparison: Sequence[Mapping[str, str]],
-    anomalies: Sequence[Mapping[str, str]],
-    pairs: Sequence[Mapping[str, str]],
-    significance_z: float,
-) -> str:
-    """Human-readable summary of the emitted comparison tables."""
+def markdown_report(tables: Sequence[list[list[str]]], significance_z: float) -> str:
+    """Human-readable summary of the comparison tables, from the CSV cells of
+    each TABLES entry in turn. A table with no rows gets no section."""
     lines = ["# Model comparison", ""]
     lines.append(
         "A coefficient counts as significant when |t| exceeds "
@@ -179,101 +214,9 @@ def markdown_report(
         "L = floor(4 * (T / 100)^(2/9)); the FM column uses the plain "
         "Fama-MacBeth standard error."
     )
-    lines.append("")
-    lines.append("## Models")
-    lines.append("")
-    lines.extend(
-        _md_table(
-            (
-                "label",
-                "factors",
-                "beta",
-                "riskfree",
-                "first-pass adj R2",
-                "second-pass adj R2",
-                "coins",
-                "dropped",
-                "dates",
-                "skipped",
-                "significant",
-            ),
-            [
-                (
-                    row["label"],
-                    row["factors"],
-                    row["beta_mode"],
-                    row["riskfree_mode"],
-                    _g(row["first_pass_avg_adj_r2"]),
-                    _g(row["second_pass_avg_adj_r2"]),
-                    row["n_coins"],
-                    row["n_coins_dropped"],
-                    row["n_dates"],
-                    row["n_dates_skipped"],
-                    row["significant_anomalies"],
-                )
-                for row in comparison
-            ],
-        )
-    )
-    lines.append("")
-    lines.append("## Anomaly premia")
-    lines.append("")
-    lines.extend(
-        _md_table(
-            (
-                "label",
-                "anomaly",
-                "mean",
-                "FM t",
-                "NW t",
-                "NW lag",
-                "daily share",
-                "degenerate",
-            ),
-            [
-                (
-                    row["label"],
-                    row["anomaly"],
-                    _g(row["mean"]),
-                    _g(row["fm_t"]),
-                    _g(row["nw_t"]),
-                    row["nw_lags"],
-                    _g(row["daily_significant_share"]),
-                    row["degenerate"],
-                )
-                for row in anomalies
-            ],
-        )
-    )
-    if pairs:
-        lines.append("")
-        lines.append("## Conditional vs unconditional")
-        lines.append("")
-        lines.extend(
-            _md_table(
-                (
-                    "factors",
-                    "riskfree",
-                    "unconditional",
-                    "conditional",
-                    "delta second-pass adj R2",
-                    "significant (uncond)",
-                    "significant (cond)",
-                ),
-                [
-                    (
-                        row["factors"],
-                        row["riskfree_mode"],
-                        row["unconditional_label"],
-                        row["conditional_label"],
-                        _g(row["delta_sp_adj_r2"]),
-                        row["unconditional_significant"],
-                        row["conditional_significant"],
-                    )
-                    for row in pairs
-                ],
-            )
-        )
+    for (_, title, columns, _), rows in zip(TABLES, tables):
+        if rows:
+            lines.extend(_md_section(title, columns, rows))
     lines.append("")
     return "\n".join(lines)
 
@@ -284,7 +227,8 @@ def render_cumulative_chart(
     """SVG line chart of the running sums of each c_* column in an emitted
     cross-section CSV. Reads the file back rather than taking arrays, so the
     chart reflects exactly what was serialized."""
-    rows = read_rows_csv(csv_path)
+    with open(csv_path, newline="") as handle:
+        rows = list(csv.DictReader(handle))
     if rows:
         columns = [k for k in rows[0] if k.startswith("c_")]
     else:
@@ -430,22 +374,26 @@ def check_labels(labels: Iterable[str]) -> None:
 def write_report_files(report: ComparisonReport, out_dir: str | Path) -> list[str]:
     """All comparison-level and per-model files for a finished run. Labels
     are checked with check_labels before any file is written."""
-    check_labels(row.label for row in report.rows)
+    check_labels(report.results)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    comparison = comparison_rows(report)
-    anomalies = anomaly_rows(report)
-    pairs = pair_rows(report)
-
-    write_rows_csv(out_dir / "comparison.csv", COMPARISON_HEADER, comparison)
-    write_rows_csv(out_dir / "anomalies.csv", ANOMALY_HEADER, anomalies)
-    write_rows_csv(out_dir / "pairs.csv", PAIR_HEADER, pairs)
-    markdown = markdown_report(comparison, anomalies, pairs, report.significance_z)
+    tables = []
+    for name, _, columns, build in TABLES:
+        rows = [
+            [_cell(value) for _, value in zip(columns, values, strict=True)]
+            for values in build(report)
+        ]
+        with open(out_dir / name, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(column for column, _, _ in columns)
+            writer.writerows(rows)
+        tables.append(rows)
+    markdown = markdown_report(tables, report.significance_z)
     (out_dir / "comparison.md").write_text(markdown)
-    names = ["comparison.csv", "anomalies.csv", "pairs.csv", "comparison.md"]
+    names = [name for name, _, _, _ in TABLES] + ["comparison.md"]
 
-    for row in report.rows:
-        names.extend(write_model_outputs(report.results[row.label], out_dir))
+    for result in report.results.values():
+        names.extend(write_model_outputs(result, out_dir))
     return names
 
 
@@ -454,23 +402,15 @@ def rerender_report(out_dir: str | Path, significance_z: float) -> list[str]:
     present in a run directory. Produces byte-identical files because the
     markdown and charts are functions of the CSV text alone."""
     out_dir = Path(out_dir)
-    for required in ("comparison.csv", "anomalies.csv", "pairs.csv"):
-        if not (out_dir / required).exists():
-            raise InvalidConfig(f"{out_dir / required} is missing, run first")
-    comparison = read_rows_csv(out_dir / "comparison.csv")
-    anomalies = read_rows_csv(out_dir / "anomalies.csv")
-    pairs = read_rows_csv(out_dir / "pairs.csv")
-    markdown = markdown_report(comparison, anomalies, pairs, significance_z)
-    (out_dir / "comparison.md").write_text(markdown)
+    tables = [read_table_csv(out_dir / name, columns) for name, _, columns, _ in TABLES]
+    (out_dir / "comparison.md").write_text(markdown_report(tables, significance_z))
     names = ["comparison.md"]
-    for row in comparison:
-        base = slugify(row["label"])
+    for label, *_ in tables[0]:  # COMPARISON_COLUMNS starts with the label
+        base = slugify(label)
         cross = out_dir / f"{base}_crosssection.csv"
         if cross.exists():
             name = f"{base}_cumulative.svg"
-            render_cumulative_chart(
-                cross, out_dir / name, f"{row['label']}: cumulative premia"
-            )
+            render_cumulative_chart(cross, out_dir / name, f"{label}: cumulative premia")
             names.append(name)
     return names
 

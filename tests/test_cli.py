@@ -8,6 +8,7 @@ import json
 from pathlib import Path
 from xml.etree import ElementTree
 
+import pytest
 from click.testing import CliRunner
 
 from coinfactors.cli import main
@@ -517,3 +518,93 @@ def test_header_only_market_csv_exits_2_naming_it(tmp_path):
         assert result.exit_code == 2, (command, result.output)
         assert isinstance(result.exception, SystemExit)  # handled, no traceback
         assert str(header_only) in result.stderr
+
+
+def _spoil_line(path: Path, index: int, text: bytes) -> None:
+    """Append text to line index (0-based) of a file."""
+    lines = path.read_bytes().splitlines()
+    lines[index] += text
+    path.write_bytes(b"\n".join(lines) + b"\n")
+
+
+# a byte that is not UTF-8, and a field over the csv module's 131072 limit
+UNREADABLE = pytest.mark.parametrize(
+    "text, word",
+    [(b"\xff", "not UTF-8"), (b"1" * 200_000, "field larger than field limit")],
+    ids=["not-utf8", "long-field"],
+)
+
+
+@UNREADABLE
+@pytest.mark.parametrize("name", ["market/C001.csv", "epu.csv", "riskfree.csv"])
+def test_ingest_unreadable_raw_csv_exits_2_naming_file(tmp_path, name, text, word):
+    raw, doc = _raw_inputs(tmp_path)
+    _spoil_line(raw / name, 30, text)
+    cfg = _config(tmp_path / "i.json", doc)
+    result = CliRunner().invoke(main, ["ingest", "--config", cfg])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    assert f"{raw / name}: line 31:" in result.stderr and word in result.stderr
+
+
+@UNREADABLE
+def test_run_unreadable_panel_file_exits_2_naming_it(tmp_path, text, word):
+    _panel_run(tmp_path, lambda lines: None)
+    _spoil_line(tmp_path / "panel.csv", 60, text)
+    result = CliRunner().invoke(main, ["run", "--config", str(tmp_path / "cfg.json")])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    assert f"{tmp_path / 'panel.csv'}: line 61:" in result.stderr
+    assert word in result.stderr
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [("{date},abc,1,1", "line 4: bad close 'abc'"),
+     ("{date},0.0,1,1", "line 4: non-positive close on {date}")],
+)
+def test_market_csv_error_names_file_and_line(tmp_path, row, message):
+    raw, doc = _raw_inputs(tmp_path)
+    path = raw / "market" / "C001.csv"
+    lines = path.read_text().splitlines()
+    date = lines[3].split(",")[0]
+    lines[3] = row.format(date=date)
+    path.write_text("\n".join(lines) + "\n")
+    result = CliRunner().invoke(main, ["ingest", "--config", _config(tmp_path / "i.json", doc)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    assert f"error: {path}: {message.format(date=date)}" in result.stderr
+
+
+def _cut_columns(path: Path) -> None:
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(",".join(line.split(",")[:3]) for line in lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "name, spoil",
+    [
+        ("comparison.csv", _cut_columns),
+        ("pairs.csv", lambda path: path.write_bytes(path.read_bytes() + b"\xff")),
+        ("anomalies.csv", lambda path: path.write_text(
+            path.read_text().splitlines()[0].replace("label", "lbl", 1) + "\n")),
+        ("anomalies.csv", lambda path: path.write_text(
+            path.read_text().replace(",false", "", 1))),
+        ("comparison.csv", lambda path: path.write_text(
+            path.read_text().replace("CAPM,", "CAPM,x", 1).replace(",0.", ",x", 1))),
+        ("pairs.csv", lambda path: path.write_text('"\n')),
+    ],
+    ids=["three-columns", "not-utf8", "renamed-header", "short-row", "not-a-number",
+         "open-quote"],
+)
+def test_report_rejects_spoiled_table_exits_2_naming_it(tmp_path, synth_a, name, spoil):
+    result = _run_labels(tmp_path, synth_a[0], ["capm-u"])
+    assert result.exit_code == 0, result.output + result.stderr
+    run_dir = tmp_path / "out"
+    before = (run_dir / "comparison.md").read_bytes()
+    spoil(run_dir / name)
+    result = CliRunner().invoke(main, ["report", "--output", str(run_dir)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    assert str(run_dir / name) in result.stderr
+    assert (run_dir / "comparison.md").read_bytes() == before  # nothing rewritten

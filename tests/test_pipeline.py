@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,13 @@ from coinfactors.pipeline import (
     run_model,
     second_pass,
     significant_anomaly_count,
+)
+from coinfactors.report import (
+    COMPARISON_COLUMNS,
+    PAIR_COLUMNS,
+    anomaly_rows,
+    comparison_rows,
+    pair_rows,
 )
 from coinfactors.synth import generate_synthetic, scenario
 
@@ -250,18 +259,25 @@ def test_run_model_end_to_end_decomposition(synth_b):
     assert errors.max() < 1e-10
 
 
+def _named(columns, rows):
+    """Row-builder rows as objects with one attribute per column."""
+    names = [name for name, _, _ in columns]
+    return [SimpleNamespace(**dict(zip(names, row, strict=True))) for row in rows]
+
+
 def test_compare_models_pairs_conditional_with_unconditional(synth_b):
     panel, truth = synth_b
     report = compare_models(panel, [COND, UNCOND])
     assert isinstance(report, ComparisonReport)
-    assert [r.label for r in report.rows] == ["capm-c", "capm-u"]
+    rows = _named(COMPARISON_COLUMNS, comparison_rows(report))
+    assert [r.label for r in rows] == ["capm-c", "capm-u"]
     assert len(report.pairs) == 1
-    pair = report.pairs[0]
+    (pair,) = _named(PAIR_COLUMNS, pair_rows(report))
     assert pair.unconditional_label == "capm-u"
     assert pair.conditional_label == "capm-c"
     assert pair.factors == "CAPM"
-    cond_row = report.rows[0]
-    uncond_row = report.rows[1]
+    cond_row = rows[0]
+    uncond_row = rows[1]
     assert pair.delta_sp_adj_r2 == (pair.conditional_sp_adj_r2
                                     - pair.unconditional_sp_adj_r2)
     assert pair.conditional_sp_adj_r2 == cond_row.second_pass_avg_adj_r2
@@ -272,14 +288,17 @@ def test_compare_models_pairs_conditional_with_unconditional(synth_b):
     results = report.results
     assert cond_row.significant_anomalies == significant_anomaly_count(
         results["capm-c"], report.significance_z)
-    assert cond_row.anomalies == results["capm-c"].anomaly_summaries()
+    assert [row[1:7] for row in anomaly_rows(report) if row[0] == "capm-c"] == [
+        (c.name, c.mean, c.fm_se, c.fm_t, c.nw_se, c.nw_t)
+        for c in results["capm-c"].anomaly_summaries()
+    ]
 
 
 def test_compare_models_no_pairs_without_both_modes(synth_b):
     panel, _ = synth_b
     report = compare_models(panel, [UNCOND])
     assert report.pairs == ()
-    assert len(report.rows) == 1
+    assert len(report.results) == 1
 
 
 FF3_SPECS = [
@@ -300,7 +319,7 @@ def test_compare_models_builds_each_menu_once(synth_b, monkeypatch):
     monkeypatch.setattr(pipeline, "build_factor_set", counting_build)
     report = compare_models(panel, [COND, UNCOND] + FF3_SPECS)
     assert sorted(menus) == ["CAPM", "FF3"]
-    assert [r.label for r in report.rows] == ["capm-c", "capm-u", "ff3-c", "ff3-u"]
+    assert list(report.results) == ["capm-c", "capm-u", "ff3-c", "ff3-u"]
     for label, result in report.results.items():
         assert result.factor_set is report.results[label[:-1] + "u"].factor_set
 
@@ -335,8 +354,9 @@ def test_comparison_rows_count_significance_at_configured_z(z):
     # threshold, not the 1.96 default
     panel, _ = generate_synthetic(scenario("C", 40, 300, seed=3))
     report = compare_models(panel, [COND, UNCOND], PipelineOptions(significance_z=z))
-    rows = {row.label: row for row in report.rows}
-    (pair,) = report.pairs
+    rows = _named(COMPARISON_COLUMNS, comparison_rows(report))
+    rows = {row.label: row for row in rows}
+    (pair,) = _named(PAIR_COLUMNS, pair_rows(report))
     for label in ("capm-c", "capm-u"):
         assert rows[label].significant_anomalies == significant_anomaly_count(
             report.results[label], z
