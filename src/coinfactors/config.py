@@ -22,7 +22,7 @@ from pathlib import Path
 from .condbeta import BetaSpec
 from .errors import InvalidConfig
 from .factors import FactorOptions
-from .ingest import UniverseConfig
+from .ingest import UniverseConfig, parse_iso_date
 from .panel import CharacteristicWindows, PanelOptions
 from .pipeline import ModelSpec, PipelineOptions
 from .synth import SynthRun
@@ -56,8 +56,8 @@ class RunConfig:
 
 
 # Value kinds beyond the JSON scalars str, int, float (an int is accepted),
-# bool and an ISO date string. An object is (class, {key: kind}); [kind] is
-# a list of objects, held as a tuple.
+# bool and a YYYY-MM-DD date string. An object is (class, {key: kind});
+# [kind] is a list of objects, held as a tuple.
 PATH = "path"  # a string naming a file or directory that exists
 STRINGS = "strings"  # a list of strings, held as a tuple
 PAIR = "pair"  # a list of two numbers, held as a tuple of floats
@@ -178,7 +178,7 @@ def _value(value, kind, where: str):
         return tuple(value)
     if kind is dt.date:
         try:
-            return dt.date.fromisoformat(value)
+            return parse_iso_date(value)
         except (TypeError, ValueError):
             raise InvalidConfig(f"{where}: bad date {value!r}") from None
     expected = str if kind is PATH else kind

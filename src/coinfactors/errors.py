@@ -69,13 +69,6 @@ class TooShort(EstimationError):
     """Fewer than two bars; no return can be computed."""
 
 
-class InsufficientHistory(EstimationError):
-    def __init__(self, characteristic: str, detail: str = "") -> None:
-        self.characteristic = characteristic
-        suffix = f": {detail}" if detail else ""
-        super().__init__(f"insufficient history for {characteristic}{suffix}")
-
-
 class CoverageGap(ValidationError):
     """A required series went stale beyond the forward-fill limit. The
     build aborts rather than dropping the date, because a stale conditioning

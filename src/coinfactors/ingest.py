@@ -4,8 +4,8 @@ network access, so its only I/O failures are file-system ones.
 
 Parsers are deliberately unforgiving. A malformed row names its file and
 line, text must be UTF-8, headers must match exactly (extra columns
-rejected, not ignored), dates must be ISO, and duplicates are errors: silent
-repair upstream turns into unexplainable numbers downstream.
+rejected, not ignored), dates must be YYYY-MM-DD, and duplicates are
+errors: silent repair upstream turns into unexplainable numbers downstream.
 """
 
 from __future__ import annotations
@@ -127,9 +127,18 @@ def _check_header(row: Sequence[str] | None, expected: tuple[str, ...]) -> None:
         raise MalformedRow(1, f"header {row!r}, expected {list(expected)!r}")
 
 
+def parse_iso_date(text: str) -> dt.date:
+    """A YYYY-MM-DD date; ValueError for any other text. date.fromisoformat
+    alone also takes 20200102 and 2020-W01-3 from Python 3.11 on."""
+    date = dt.date.fromisoformat(text)
+    if date.isoformat() != text:
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return date
+
+
 def _parse_date(text: str, line: int) -> dt.date:
     try:
-        return dt.date.fromisoformat(text)
+        return parse_iso_date(text)
     except ValueError:
         raise MalformedRow(line, f"bad date {text!r}") from None
 

@@ -16,7 +16,6 @@ import datetime as dt
 import io
 import itertools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -26,14 +25,13 @@ import numpy as np
 from .errors import (
     CoverageGap,
     DuplicateDate,
-    InsufficientHistory,
     InvalidConfig,
     MalformedRow,
     MissingBitcoin,
     MissingCharacteristic,
     TooShort,
 )
-from .ingest import CoinSeries, read_csv_rows
+from .ingest import CoinSeries, parse_iso_date, read_csv_rows
 
 ONE_DAY = dt.timedelta(days=1)
 
@@ -131,13 +129,10 @@ class RawCharacteristics:
     liquidity: float | None
     value: float | None
 
-    def missing(self) -> tuple[str, ...]:
-        return tuple(n for n in CHARACTERISTIC_NAMES if getattr(self, n) is None)
-
 
 def _trailing(
     combine: np.ufunc, start: float, daily: np.ndarray, valid: np.ndarray, backs: range
-) -> tuple[list[float], list[int]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """For every grid day i, fold daily[i - back] into start with combine,
     one back-offset at a time in the order of backs, and count the valid
     days. Offsets that reach before the grid contribute nothing.
@@ -152,104 +147,68 @@ def _trailing(
     for back in backs:
         combine(total[back:], daily[: n - back], out=total[back:])
         count[back:] += valid[: n - back]
-    return total.tolist(), count.tolist()
+    return total, count
+
+
+def _ordinals(dates) -> np.ndarray:
+    return np.array([d.toordinal() for d in dates], dtype=np.int64)
 
 
 class _CoinView:
-    """One coin's raw characteristics on its calendar grid.
+    """One coin's returns and raw characteristics on its calendar grid.
 
-    Grid day k is the first bar's date plus k days. The grid runs from the
-    first bar to the last day whose windows still reach a bar, plus one
-    final day on which every window is empty; dates off the grid resolve to
-    that final day. Each window is folded once for every grid day, with 1.0
-    (products) or 0.0 (sums) on days without data. Both are exact, so every
-    value equals a day-by-day walk over the same window bit for bit.
+    Grid day k is the day ordinal origin + k, origin being the first bar's.
+    The grid runs from the first bar to the last day whose windows still
+    reach a bar, plus one final day on which every window is empty; dates off
+    the grid resolve to that final day. ret holds each grid day's return and
+    raw the levels (characteristics x grid days, in CHARACTERISTIC_NAMES
+    order) from the windows ending that day, NaN meaning no value. Each
+    window is folded once for every grid day, with 1.0 (products) or 0.0
+    (sums) on days without data. Both are exact, so every level equals a
+    day-by-day walk over the same window bit for bit.
     """
 
     def __init__(self, series: CoinSeries, windows: CharacteristicWindows):
-        self.windows = w = windows
+        w = windows
         bars = series.bars
-        if len(bars) >= 2:
-            self.returns = dict(compute_returns(series))
-        else:
-            self.returns = {}
-        self.origin = bars[0].date if bars else dt.date.min
-        span = (bars[-1].date - self.origin).days + 1 if bars else 0
+        self.origin = (bars[0].date if bars else dt.date.min).toordinal()
+        day = _ordinals(b.date for b in bars) - self.origin
+        span = int(day[-1]) + 1 if bars else 0
         reach = max(w.momentum_days, w.liquidity_days - 1, w.value_far_days)
         n = span + reach + 1
 
-        cap = np.zeros(n)
-        growth = np.ones(n)  # 1 + ret; 1.0 on a day with no return
-        has_return = np.zeros(n, dtype=np.int64)
+        returns = compute_returns(series) if len(bars) >= 2 else ()
+        self.ret = np.full(n, np.nan)
+        self.ret[_ordinals(d for d, _ in returns) - self.origin] = [r for _, r in returns]
+        has_return = ~np.isnan(self.ret)
+        growth = np.where(has_return, 1.0 + self.ret, 1.0)
+        grid_volume, grid_cap = np.zeros((2, n))
+        grid_volume[day] = [b.volume for b in bars]
+        grid_cap[day] = [b.market_cap for b in bars]
+        has_amihud = has_return & (grid_volume > 0.0)
         amihud = np.zeros(n)  # |ret| / volume; 0.0 without return or volume
-        has_amihud = np.zeros(n, dtype=np.int64)
-        volume = {}
-        for bar in bars:
-            cap[(bar.date - self.origin).days] = bar.market_cap
-            volume[bar.date] = bar.volume
-        for date, ret in self.returns.items():
-            k = (date - self.origin).days
-            growth[k] = 1.0 + ret
-            has_return[k] = 1
-            if volume[date] > 0.0:
-                amihud[k] = abs(ret) / volume[date]
-                has_amihud[k] = 1
+        np.divide(np.abs(self.ret), grid_volume, out=amihud, where=has_amihud)
+        share = w.min_valid_share
 
-        self.cap = cap.tolist()
-        # each window: (fold, valid-day count), one entry per grid day
-        self.momentum = _trailing(
-            np.multiply, 1.0, growth, has_return, range(1, w.momentum_days + 1)
-        )
-        self.amihud = _trailing(
-            np.add, 0.0, amihud, has_amihud, range(w.liquidity_days)
-        )
-        self.long_term = _trailing(
-            np.multiply,
-            1.0,
-            growth,
-            has_return,
-            range(w.value_near_days, w.value_far_days + 1),
-        )
+        def cumulative(backs: range) -> np.ndarray:
+            total, count = _trailing(np.multiply, 1.0, growth, has_return, backs)
+            return np.where(count >= share * len(backs), total - 1.0, np.nan)
 
-    def _cumulative_return(
-        self, window: tuple[list[float], list[int]], k: int, window_len: int
-    ) -> float | None:
-        growth, valid = window[0][k], window[1][k]
-        if valid < self.windows.min_valid_share * window_len:
-            return None
-        return growth - 1.0
-
-    def raw_at(self, date: dt.date) -> RawCharacteristics:
-        w = self.windows
-        k = (date - self.origin).days
-        if not 0 <= k < len(self.cap):
-            k = -1
-        size = None
-        if self.cap[k] > 0.0:
-            size = math.log(self.cap[k])
-
-        momentum = self._cumulative_return(self.momentum, k, w.momentum_days)
-
-        amihud_sum, amihud_days = self.amihud[0][k], self.amihud[1][k]
-        liquidity = None
-        if amihud_days >= w.min_valid_share * w.liquidity_days:
-            mean = amihud_sum / amihud_days
-            if mean > 0.0:
-                liquidity = -math.log(mean)
-
-        long_term = self._cumulative_return(
-            self.long_term, k, w.value_far_days - w.value_near_days + 1
-        )
-        value = None if long_term is None else -long_term
-
-        return RawCharacteristics(size, momentum, liquidity, value)
+        self.raw = raw = np.full((len(CHARACTERISTIC_NAMES), n), np.nan)
+        sized = np.flatnonzero(grid_cap > 0.0)
+        raw[0, sized] = [math.log(c) for c in grid_cap[sized].tolist()]
+        raw[1] = cumulative(range(1, w.momentum_days + 1))
+        total, count = _trailing(np.add, 0.0, amihud, has_amihud, range(w.liquidity_days))
+        liquid = np.flatnonzero(count >= share * w.liquidity_days)
+        mean = total[liquid] / count[liquid]
+        raw[2, liquid[mean > 0.0]] = [-math.log(m) for m in mean[mean > 0.0].tolist()]
+        raw[3] = -cumulative(range(w.value_near_days, w.value_far_days + 1))
 
 
 def compute_characteristics(
     series: CoinSeries,
     date: dt.date,
     windows: CharacteristicWindows = CharacteristicWindows(),
-    require_all: bool = False,
 ) -> RawCharacteristics:
     """Raw characteristics for one coin at one date.
 
@@ -257,15 +216,14 @@ def compute_characteristics(
     momentum window ending the day before; liquidity: -ln(mean |ret|/volume
     over the liquidity window, zero-volume days excluded); value: sign-flipped
     cumulative return over the long-horizon window. A window with under
-    min_valid_share valid days yields None, or InsufficientHistory when
-    require_all is set.
+    min_valid_share valid days yields None.
     """
-    raw = _CoinView(series, windows).raw_at(date)
-    if require_all:
-        missing = raw.missing()
-        if missing:
-            raise InsufficientHistory(missing[0], f"{series.coin_id} at {date}")
-    return raw
+    view = _CoinView(series, windows)
+    k = date.toordinal() - view.origin
+    if not 0 <= k < view.ret.size:
+        k = -1
+    levels = view.raw[:, k].tolist()
+    return RawCharacteristics(*(None if math.isnan(v) else v for v in levels))
 
 
 @dataclass(frozen=True)
@@ -436,26 +394,29 @@ class PanelOptions:
             )
 
 
-class _ForwardFilled:
-    """Stepwise lookup with a staleness bound. A date before the first
-    observation resolves to None (the sample has not started); a date more
-    than limit_days past the latest observation at or before it is a
-    CoverageGap."""
+def _forward_fill(
+    days: np.ndarray, observed: np.ndarray, values: np.ndarray, limit_days: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """values, observed on the sorted day ordinals observed, carried forward
+    to each of days: NaN before the first observation. Also returns each
+    day's position in observed (-1 before the first) and whether the day is
+    more than limit_days past that observation."""
+    at = np.searchsorted(observed, days, side="right") - 1
+    stale = at >= 0
+    stale[stale] = days[stale] - observed[at[stale]] > limit_days
+    return np.append(values, np.nan)[at], at, stale
 
-    def __init__(self, values: Mapping[dt.date, float], limit_days: int, name: str):
-        self.name = name
-        self.limit = limit_days
-        self.dates = sorted(values)
-        self.values = dict(values)
 
-    def at(self, date: dt.date) -> float | None:
-        idx = bisect_right(self.dates, date) - 1
-        if idx < 0:
-            return None
-        anchor = self.dates[idx]
-        if (date - anchor).days > self.limit:
-            raise CoverageGap(self.name, date, anchor, self.limit)
-        return self.values[anchor]
+def _on_grid(grid: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """grid[k], NaN where k falls off the grid."""
+    return np.append(grid, np.nan)[np.where((k >= 0) & (k < grid.size), k, -1)]
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a 1-D array; not np.unique, which
+    imports numpy.ma: about 1 MB of resident memory."""
+    values = np.sort(values)
+    return values[np.diff(values, prepend=values[:1] - 1) != 0]
 
 
 def build_panel(
@@ -470,93 +431,115 @@ def build_panel(
     t (consecutive-day rule), the Bitcoin return at t-1, the uncertainty
     level at t-1 (forward-filled up to ffill_limit_days), the risk-free rate
     at t (same fill rule; in btc mode the Bitcoin return at t instead), and
-    all four raw characteristics at t-1. Anything else becomes a Drop record.
-    Uncertainty is z-scored over the distinct conditioning dates of the final
-    sample; characteristics are winsorized and z-scored per date.
+    all four raw characteristics at t-1. Anything else becomes a Drop record
+    naming the first of these, in that order, that fails. A conditioning
+    series staler than ffill_limit_days where it is looked up is a
+    CoverageGap instead, raised for the first such coin-day in coin then
+    date order. Uncertainty is z-scored over the distinct conditioning dates
+    of the final sample; characteristics are winsorized and z-scored per
+    date.
+
+    Each coin is handled whole on its calendar grid, every condition one
+    array over the coin's return days.
     """
     btc = next((c for c in coins if c.coin_id == options.btc_id), None)
     if btc is None:
         raise MissingBitcoin(
             f"conditioning requires {options.btc_id!r} among the input series"
         )
-    btc_returns = dict(compute_returns(btc))
-    epu_fill = _ForwardFilled(epu, options.ffill_limit_days, "epu")
-    rf_fill = _ForwardFilled(riskfree, options.ffill_limit_days, "riskfree")
+    if len(btc.bars) < 2:
+        raise TooShort(f"{btc.coin_id}: {len(btc.bars)} bars, need 2")
+    btc_view = _CoinView(btc, options.windows)
+    limit = options.ffill_limit_days
+    tbill = options.riskfree_mode == "tbill"
+    epu_dates = sorted(epu)
+    epu_days = _ordinals(epu_dates)
+    epu_levels = np.array([epu[d] for d in epu_dates], dtype=float)
+    rf_dates = sorted(riskfree) if tbill else []  # btc mode never reads it
+    rf_days = _ordinals(rf_dates)
+    rf_daily = np.array([daily_riskfree(riskfree[d]) for d in rf_dates], dtype=float)
 
     drops: list[Drop] = []
-    candidates = []
+    coin_ids: list[str] = []
+    # per coin: row, day, ret, excess, u, r_btc, raw (one row per characteristic)
+    kept = [np.empty((6 + len(CHARACTERISTIC_NAMES), 0))]
     for coin in sorted(coins, key=lambda c: c.coin_id):
-        if options.riskfree_mode == "btc" and coin.coin_id == options.btc_id:
+        if not tbill and coin.coin_id == options.btc_id:
             drops.append(Drop(coin.coin_id, None, "btc_is_riskfree"))
             continue
         if len(coin.bars) < 2:
             drops.append(Drop(coin.coin_id, None, "too_short"))
             continue
-        view = _CoinView(coin, options.windows)
-        for date in sorted(view.returns):
-            ret = view.returns[date]
-            lag = date - ONE_DAY
-            r_btc = btc_returns.get(lag)
-            if r_btc is None:
-                drops.append(Drop(coin.coin_id, date, "no_btc_return_lag"))
-                continue
-            u_raw = epu_fill.at(lag)
-            if u_raw is None:
-                drops.append(Drop(coin.coin_id, date, "no_epu"))
-                continue
-            if options.riskfree_mode == "tbill":
-                annual = rf_fill.at(date)
-                if annual is None:
-                    drops.append(Drop(coin.coin_id, date, "no_riskfree"))
-                    continue
-                excess = ret - daily_riskfree(annual)
-            else:
-                btc_today = btc_returns.get(date)
-                if btc_today is None:
-                    drops.append(Drop(coin.coin_id, date, "no_btc_return"))
-                    continue
-                excess = ret - btc_today
-            raw = view.raw_at(lag)
-            missing = raw.missing()
-            if missing:
-                drops.append(Drop(coin.coin_id, date, f"missing_{missing[0]}"))
-                continue
-            candidates.append((coin.coin_id, date, ret, excess, raw, lag, u_raw))
+        view = btc_view if coin is btc else _CoinView(coin, options.windows)
+        k = np.flatnonzero(~np.isnan(view.ret))  # grid days with a return
+        day = view.origin + k
+        ret = view.ret[k]
+        r_btc = _on_grid(btc_view.ret, day - 1 - btc_view.origin)
+        u_raw, epu_at, epu_stale = _forward_fill(day - 1, epu_days, epu_levels, limit)
+        # the stale entries name their series; the rest are drop reasons
+        gaps = {"epu": (day - 1, epu_days, epu_at)}
+        checks = [
+            ("no_btc_return_lag", np.isnan(r_btc)),
+            ("epu", epu_stale),
+            ("no_epu", epu_at < 0),
+        ]
+        if tbill:
+            benchmark, rf_at, rf_stale = _forward_fill(day, rf_days, rf_daily, limit)
+            gaps["riskfree"] = (day, rf_days, rf_at)
+            checks += [("riskfree", rf_stale), ("no_riskfree", rf_at < 0)]
+        else:
+            benchmark = _on_grid(btc_view.ret, day - btc_view.origin)
+            checks.append(("no_btc_return", np.isnan(benchmark)))
+        raw = view.raw[:, k - 1]
+        checks += [
+            (f"missing_{name}", np.isnan(level))
+            for name, level in zip(CHARACTERISTIC_NAMES, raw)
+        ]
 
-    u_by_date = {lag: u_raw for _, _, _, _, _, lag, u_raw in candidates}
-    u_values = np.array([u_by_date[d] for d in sorted(u_by_date)], dtype=float)
+        fate = np.full(k.size, len(checks))  # the first check each day fails
+        for i in reversed(range(len(checks))):
+            fate[checks[i][1]] = i
+        for j in np.flatnonzero(fate < len(checks)).tolist():
+            reason = checks[fate[j]][0]
+            if reason in gaps:
+                looked_up, observed, at = gaps[reason]
+                raise CoverageGap(
+                    reason,
+                    dt.date.fromordinal(int(looked_up[j])),
+                    dt.date.fromordinal(int(observed[at[j]])),
+                    limit,
+                )
+            drops.append(Drop(coin.coin_id, dt.date.fromordinal(int(day[j])), reason))
+        keep = fate == len(checks)
+        if keep.any():
+            row = np.full(k.size, len(coin_ids))
+            columns = [row, day, ret, ret - benchmark, u_raw, r_btc, raw]
+            kept.append(np.vstack(columns)[:, keep])
+            coin_ids.append(coin.coin_id)
+
+    block = np.concatenate(kept, axis=1)
+    rows, days = block[:2].astype(np.int64)
+    ret, excess, u_raw, r_btc, *raw = block[2:]
+    u_values = _forward_fill(_distinct(days - 1), epu_days, epu_levels, limit)[0]
     if u_values.size >= 2 and float(u_values.std()) > 0.0:
         u_mean = float(u_values.mean())
         u_sd = float(u_values.std())
+        u = (u_raw - u_mean) / u_sd
     else:
-        u_mean, u_sd = 0.0, 0.0
+        u = np.zeros_like(u_raw)
 
-    coin_ids = sorted({c[0] for c in candidates})
-    dates = sorted({c[1] for c in candidates})
-    shape = (len(coin_ids), len(dates))
-    row = {c: i for i, c in enumerate(coin_ids)}
-    col = {d: j for j, d in enumerate(dates)}
-    cells = (
-        [row[c[0]] for c in candidates],
-        [col[c[1]] for c in candidates],
-    )
+    dates = _distinct(days)
+    cols = np.searchsorted(dates, days)
+    shape = (len(coin_ids), dates.size)
     mask = np.zeros(shape, dtype=bool)
-    mask[cells] = True
-    ret, excess, u, r_btc = (np.zeros(shape) for _ in range(4))
-    raw = np.zeros((len(CHARACTERISTIC_NAMES),) + shape)
-    if candidates:
-        _, _, rets, excesses, raws, lags, u_raws = zip(*candidates)
-        ret[cells] = rets
-        excess[cells] = excesses
-        for m, name in enumerate(CHARACTERISTIC_NAMES):
-            raw[m][cells] = [getattr(r, name) for r in raws]
-        if u_sd > 0.0:
-            u[cells] = (np.array(u_raws) - u_mean) / u_sd
-        r_btc[cells] = [btc_returns[lag] for lag in lags]
-
+    mask[rows, cols] = True
+    grid = np.zeros((4 + len(CHARACTERISTIC_NAMES),) + shape)
+    grid[:, rows, cols] = [ret, excess, u, r_btc, *raw]
+    ret, excess, u, r_btc = grid[:4]
+    raw = grid[4:]
     panel = Panel(
-        coin_ids, dates, mask, ret, excess, np.zeros_like(raw), raw, u, r_btc,
-        options.riskfree_mode, drops,
+        coin_ids, [dt.date.fromordinal(d) for d in dates.tolist()], mask, ret, excess,
+        np.zeros_like(raw), raw, u, r_btc, options.riskfree_mode, drops,
     )
     return standardize_cross_section(panel, *options.winsor)
 
@@ -620,7 +603,7 @@ def _read_panel_rows(rows, riskfree_mode: str) -> Panel:
         try:
             date = day_of.get(row[1])
             if date is None:
-                date = day_of[row[1]] = dt.date.fromisoformat(row[1])
+                date = day_of[row[1]] = parse_iso_date(row[1])
             numbers = [float(x) for x in row[2:]]
         except ValueError as exc:
             raise MalformedRow(line, str(exc)) from None

@@ -226,21 +226,23 @@ def render_cumulative_chart(
 ) -> None:
     """SVG line chart of the running sums of each c_* column in an emitted
     cross-section CSV. Reads the file back rather than taking arrays, so the
-    chart reflects exactly what was serialized."""
+    chart reflects exactly what was serialized. A row with the wrong number
+    of fields or a c_* cell that is no number raises InvalidConfig naming
+    the file and line."""
     with open(csv_path, newline="") as handle:
-        rows = list(csv.DictReader(handle))
-    if rows:
-        columns = [k for k in rows[0] if k.startswith("c_")]
-    else:
-        columns = []
-    series = {}
-    for column in columns:
-        total = 0.0
-        points = []
-        for row in rows:
-            total += float(row[column])
-            points.append(total)
-        series[column] = points
+        reader = csv.DictReader(handle)
+        numbered = [(reader.line_num, row) for row in reader]
+    rows = [row for _, row in numbered]
+    columns = [k for k in rows[0] if k.startswith("c_")] if rows else []
+    series = {column: [] for column in columns}
+    for line, row in numbered:
+        try:
+            if None in row or None in row.values():
+                raise ValueError(f"expected {len(reader.fieldnames)} fields")
+            for column, points in series.items():
+                points.append((points[-1] if points else 0.0) + float(row[column]))
+        except ValueError as exc:
+            raise InvalidConfig(f"{csv_path} line {line}: {exc}") from None
 
     width, height = 800.0, 420.0
     left, right, top, bottom = 60.0, 20.0, 50.0, 40.0

@@ -1,21 +1,36 @@
-"""The per-day characteristic loop that coinfactors.panel._CoinView
-replaced, kept verbatim as the exact oracle for the grid implementation.
+"""The per-day characteristic loop and the per-coin-day build_panel that
+coinfactors.panel replaced, kept verbatim as exact oracles for the grid
+implementation.
 
 Every window is walked one calendar day at a time with a dict lookup per
 day. The grid version multiplies by 1.0 and adds 0.0 on days without data,
-which is exact, so the two must agree bit for bit.
+which is exact, so the two must agree bit for bit. build_panel visits one
+coin-day at a time, looks each conditioning series up by bisection, and
+collects the kept coin-days as tuples before filling the panel arrays.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import math
+from bisect import bisect_right
+from typing import Mapping, Sequence
 
+import numpy as np
+
+from coinfactors.errors import CoverageGap, MissingBitcoin
 from coinfactors.ingest import CoinSeries
 from coinfactors.panel import (
+    CHARACTERISTIC_NAMES,
+    ONE_DAY,
     CharacteristicWindows,
+    Drop,
+    Panel,
+    PanelOptions,
     RawCharacteristics,
     compute_returns,
+    daily_riskfree,
+    standardize_cross_section,
 )
 
 
@@ -75,3 +90,132 @@ class _CoinView:
         value = None if long_term is None else -long_term
 
         return RawCharacteristics(size, momentum, liquidity, value)
+
+
+def _missing(raw: RawCharacteristics) -> tuple[str, ...]:
+    return tuple(n for n in CHARACTERISTIC_NAMES if getattr(raw, n) is None)
+
+
+class _ForwardFilled:
+    """Stepwise lookup with a staleness bound. A date before the first
+    observation resolves to None (the sample has not started); a date more
+    than limit_days past the latest observation at or before it is a
+    CoverageGap."""
+
+    def __init__(self, values: Mapping[dt.date, float], limit_days: int, name: str):
+        self.name = name
+        self.limit = limit_days
+        self.dates = sorted(values)
+        self.values = dict(values)
+
+    def at(self, date: dt.date) -> float | None:
+        idx = bisect_right(self.dates, date) - 1
+        if idx < 0:
+            return None
+        anchor = self.dates[idx]
+        if (date - anchor).days > self.limit:
+            raise CoverageGap(self.name, date, anchor, self.limit)
+        return self.values[anchor]
+
+
+def build_panel(
+    coins: Sequence[CoinSeries],
+    epu: Mapping[dt.date, float],
+    riskfree: Mapping[dt.date, float],
+    options: PanelOptions = PanelOptions(),
+) -> Panel:
+    """Assemble the estimation panel.
+
+    An observation (coin, t) exists when all of these resolve: the return at
+    t (consecutive-day rule), the Bitcoin return at t-1, the uncertainty
+    level at t-1 (forward-filled up to ffill_limit_days), the risk-free rate
+    at t (same fill rule; in btc mode the Bitcoin return at t instead), and
+    all four raw characteristics at t-1. Anything else becomes a Drop record.
+    Uncertainty is z-scored over the distinct conditioning dates of the final
+    sample; characteristics are winsorized and z-scored per date.
+    """
+    btc = next((c for c in coins if c.coin_id == options.btc_id), None)
+    if btc is None:
+        raise MissingBitcoin(
+            f"conditioning requires {options.btc_id!r} among the input series"
+        )
+    btc_returns = dict(compute_returns(btc))
+    epu_fill = _ForwardFilled(epu, options.ffill_limit_days, "epu")
+    rf_fill = _ForwardFilled(riskfree, options.ffill_limit_days, "riskfree")
+
+    drops: list[Drop] = []
+    candidates = []
+    for coin in sorted(coins, key=lambda c: c.coin_id):
+        if options.riskfree_mode == "btc" and coin.coin_id == options.btc_id:
+            drops.append(Drop(coin.coin_id, None, "btc_is_riskfree"))
+            continue
+        if len(coin.bars) < 2:
+            drops.append(Drop(coin.coin_id, None, "too_short"))
+            continue
+        view = _CoinView(coin, options.windows)
+        for date in sorted(view.returns):
+            ret = view.returns[date]
+            lag = date - ONE_DAY
+            r_btc = btc_returns.get(lag)
+            if r_btc is None:
+                drops.append(Drop(coin.coin_id, date, "no_btc_return_lag"))
+                continue
+            u_raw = epu_fill.at(lag)
+            if u_raw is None:
+                drops.append(Drop(coin.coin_id, date, "no_epu"))
+                continue
+            if options.riskfree_mode == "tbill":
+                annual = rf_fill.at(date)
+                if annual is None:
+                    drops.append(Drop(coin.coin_id, date, "no_riskfree"))
+                    continue
+                excess = ret - daily_riskfree(annual)
+            else:
+                btc_today = btc_returns.get(date)
+                if btc_today is None:
+                    drops.append(Drop(coin.coin_id, date, "no_btc_return"))
+                    continue
+                excess = ret - btc_today
+            raw = view.raw_at(lag)
+            missing = _missing(raw)
+            if missing:
+                drops.append(Drop(coin.coin_id, date, f"missing_{missing[0]}"))
+                continue
+            candidates.append((coin.coin_id, date, ret, excess, raw, lag, u_raw))
+
+    u_by_date = {lag: u_raw for _, _, _, _, _, lag, u_raw in candidates}
+    u_values = np.array([u_by_date[d] for d in sorted(u_by_date)], dtype=float)
+    if u_values.size >= 2 and float(u_values.std()) > 0.0:
+        u_mean = float(u_values.mean())
+        u_sd = float(u_values.std())
+    else:
+        u_mean, u_sd = 0.0, 0.0
+
+    coin_ids = sorted({c[0] for c in candidates})
+    dates = sorted({c[1] for c in candidates})
+    shape = (len(coin_ids), len(dates))
+    row = {c: i for i, c in enumerate(coin_ids)}
+    col = {d: j for j, d in enumerate(dates)}
+    cells = (
+        [row[c[0]] for c in candidates],
+        [col[c[1]] for c in candidates],
+    )
+    mask = np.zeros(shape, dtype=bool)
+    mask[cells] = True
+    ret, excess, u, r_btc = (np.zeros(shape) for _ in range(4))
+    raw = np.zeros((len(CHARACTERISTIC_NAMES),) + shape)
+    if candidates:
+        _, _, rets, excesses, raws, lags, u_raws = zip(*candidates)
+        ret[cells] = rets
+        excess[cells] = excesses
+        for m, name in enumerate(CHARACTERISTIC_NAMES):
+            raw[m][cells] = [getattr(r, name) for r in raws]
+        if u_sd > 0.0:
+            u[cells] = (np.array(u_raws) - u_mean) / u_sd
+        r_btc[cells] = [btc_returns[lag] for lag in lags]
+
+    panel = Panel(
+        coin_ids, dates, mask, ret, excess, np.zeros_like(raw), raw, u, r_btc,
+        options.riskfree_mode, drops,
+    )
+    return standardize_cross_section(panel, *options.winsor)

@@ -608,3 +608,34 @@ def test_report_rejects_spoiled_table_exits_2_naming_it(tmp_path, synth_a, name,
     assert isinstance(result.exception, SystemExit)  # handled, no traceback
     assert str(run_dir / name) in result.stderr
     assert (run_dir / "comparison.md").read_bytes() == before  # nothing rewritten
+
+
+def _spoil_line_3(path: Path, spoil) -> None:
+    lines = path.read_text().splitlines()
+    lines[2] = spoil(lines[2])
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (lambda line: ",".join(
+            "abc" if k == 2 else cell for k, cell in enumerate(line.split(","))),
+         "could not convert string to float: 'abc'"),
+        (lambda line: ",".join(line.split(",")[:2]), "expected {fields} fields"),
+    ],
+    ids=["not-a-number", "short-row"],
+)
+def test_report_rejects_spoiled_cross_section_exits_2_naming_it(
+    tmp_path, synth_a, spoil, message
+):
+    result = _run_labels(tmp_path, synth_a[0], ["capm-u"])
+    assert result.exit_code == 0, result.output + result.stderr
+    path = tmp_path / "out" / "capm-u_crosssection.csv"
+    header = path.read_text().splitlines()[0].split(",")
+    assert header[2] == "c_size"
+    _spoil_line_3(path, spoil)
+    result = CliRunner().invoke(main, ["report", "--output", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    assert f"{path} line 3: {message.format(fields=len(header))}" in result.stderr

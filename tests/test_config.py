@@ -159,6 +159,13 @@ def test_nonexistent_paths_rejected(tmp_path):
         load_config(_write(tmp_path, {"panel_file": str(tmp_path / "no.csv")}))
 
 
+@pytest.mark.parametrize("date", ["20200102", "2020-W01-3"])
+def test_rank_date_must_be_yyyy_mm_dd(tmp_path, date):
+    # both parse with date.fromisoformat on Python 3.11 and later
+    with pytest.raises(InvalidConfig, match=f"universe.rank_date: bad date '{date}'"):
+        load_config(_write(tmp_path, {"universe": {"rank_date": date}}))
+
+
 def test_type_errors_rejected(tmp_path):
     with pytest.raises(InvalidConfig):
         load_config(_write(tmp_path, {"universe": {"top_n": "many"}}))

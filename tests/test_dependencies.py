@@ -22,6 +22,11 @@ def test_declared_runtime_dependencies():
         for requirement in project["dependencies"]
     }
     assert names == RUNTIME
+    # econometrics.ols_stack uses ndarray.mT, which arrived in NumPy 2.0
+    numpy = next(r for r in project["dependencies"] if r.lower().startswith("numpy"))
+    floor = re.fullmatch(r"numpy\s*>=\s*([\d.]+)", numpy, re.IGNORECASE)
+    assert floor is not None, numpy
+    assert tuple(int(part) for part in floor.group(1).split(".")) >= (2, 0)
 
 
 def _imported_modules(path: Path):

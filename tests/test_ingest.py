@@ -99,6 +99,19 @@ def test_parse_market_csv_bad_number_reports_line():
     assert info.value.line == 3
 
 
+# both parse on Python 3.11 and later, the second as 2020-01-01
+NOT_YYYY_MM_DD = ["20200102", "2020-W01-3"]
+
+
+@pytest.mark.parametrize("text", NOT_YYYY_MM_DD)
+def test_parse_market_csv_rejects_other_iso_forms(text):
+    rows = f"date,close,volume,market_cap\n2021-01-01,1.0,1.0,1.0\n{text},1.0,1.0,1.0\n"
+    with pytest.raises(MalformedRow) as info:
+        parse_market_csv(io.StringIO(rows), "X")
+    assert info.value.line == 3
+    assert f"bad date {text!r}" in str(info.value)
+
+
 def test_market_csv_round_trip(tmp_path):
     series = make_series("RT", [100.0, 101.5, 99.25])
     path = tmp_path / "RT.csv"

@@ -9,7 +9,6 @@ import pytest
 from coinfactors.errors import (
     CoverageGap,
     DuplicateDate,
-    InsufficientHistory,
     InvalidConfig,
     MalformedRow,
     MissingBitcoin,
@@ -187,12 +186,6 @@ def test_characteristic_missing_below_valid_share():
     # 14 valid days meets the floor exactly
     raw16 = compute_characteristics(_flat_series(16), day(15))
     assert raw16.momentum == 0.0
-
-
-def test_compute_characteristics_require_all():
-    with pytest.raises(InsufficientHistory) as info:
-        compute_characteristics(_flat_series(14), day(13), require_all=True)
-    assert info.value.characteristic in CHARACTERISTIC_NAMES
 
 
 def test_winsorized_zscores_two_point_example():
@@ -465,6 +458,16 @@ def test_read_panel_csv_rejects_nonfinite():
     text = ",".join(PANEL_HEADER) + "\n" + ",".join(row) + "\n"
     with pytest.raises(MalformedRow):
         read_panel_csv(io.StringIO(text))
+
+
+@pytest.mark.parametrize("date", ["20200102", "2020-W01-3"])
+def test_read_panel_csv_rejects_other_iso_date_forms(date):
+    rows = [["A", "2020-01-02"] + ["1.0"] * 12, ["B", date] + ["1.0"] * 12]
+    text = "\n".join(",".join(r) for r in [PANEL_HEADER, *rows]) + "\n"
+    with pytest.raises(MalformedRow) as info:
+        read_panel_csv(io.StringIO(text))
+    assert info.value.line == 3
+    assert repr(date) in str(info.value)
 
 
 def test_write_drop_report(tmp_path):

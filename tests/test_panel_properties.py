@@ -1,7 +1,8 @@
 """Properties of the columnar panel that hold for any input: the panel CSV
 round trip is exact, a coin on dates of its own leaves every other coin's
-first pass untouched, and rescaling every market cap leaves the factors
-unchanged on every date.
+first pass untouched, rescaling every market cap leaves the factors
+unchanged on every date, and build_panel does not depend on the order of
+its coin series.
 """
 
 import dataclasses
@@ -16,8 +17,23 @@ from hypothesis.extra.numpy import arrays
 
 from coinfactors.condbeta import BetaSpec, first_pass
 from coinfactors.factors import build_factor_set
-from coinfactors.panel import CHARACTERISTIC_NAMES, Panel, read_panel_csv, write_panel_csv
-from coinfactors.synth import generate_synthetic, scenario
+from coinfactors.ingest import (
+    CoinSeries,
+    load_coin_dir,
+    parse_epu_csv,
+    parse_riskfree_csv,
+)
+from coinfactors.panel import (
+    CHARACTERISTIC_NAMES,
+    CharacteristicWindows,
+    Panel,
+    PanelOptions,
+    build_panel,
+    read_panel_csv,
+    write_drop_report,
+    write_panel_csv,
+)
+from coinfactors.synth import emit_raw_files, generate_synthetic, scenario
 
 from conftest import D0, make_obs
 from reference_rows import panel_from_rows, row_view
@@ -148,3 +164,47 @@ def test_rescaling_caps_leaves_every_factor_unchanged(seed, k):
     # differences (about 1e-17), hence the absolute floor next to 1e-12
     for col in np.flatnonzero(base.mask):
         assert other.values[col] == pytest.approx(base.values[col], rel=1e-12, abs=1e-15)
+
+
+@pytest.fixture(scope="module")
+def raw_inputs(tmp_path_factory):
+    """Raw coin series of a small scenario-B draw, one coin with every fifth
+    bar removed and one with a single bar, and the conditioning series."""
+    panel, truth = generate_synthetic(scenario("B", 5, 200, seed=6))
+    raw = tmp_path_factory.mktemp("raw_inputs")
+    emit_raw_files(panel, truth, raw)
+    coins = list(load_coin_dir(raw / "market"))
+    gapped = coins[1]
+    kept = tuple(bar for i, bar in enumerate(gapped.bars) if i % 5)
+    coins[1] = CoinSeries(gapped.coin_id, kept)
+    coins.append(CoinSeries("ONE", coins[2].bars[:1]))
+    return coins, parse_epu_csv(raw / "epu.csv"), parse_riskfree_csv(raw / "riskfree.csv")
+
+
+def _build_bytes(coins, epu, rf, options, out):
+    panel = build_panel(coins, epu, rf, options)
+    write_panel_csv(panel, out / "panel.csv")
+    write_drop_report(panel.dropped, out / "drops.csv")
+    return (out / "panel.csv").read_bytes(), (out / "drops.csv").read_bytes()
+
+
+SHORT_WINDOWS = CharacteristicWindows(
+    momentum_days=7, liquidity_days=7, value_near_days=3, value_far_days=20
+)
+
+
+@pytest.mark.parametrize("mode", ["tbill", "btc"])
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(order=st.permutations(range(7)))
+def test_build_panel_bytes_do_not_depend_on_coin_order(
+    raw_inputs, tmp_path_factory, mode, order
+):
+    coins, epu, rf = raw_inputs
+    assert len(coins) == len(order)
+    options = PanelOptions(riskfree_mode=mode, windows=SHORT_WINDOWS)
+    out = tmp_path_factory.getbasetemp()
+    expected = _build_bytes(coins, epu, rf, options, out)
+    assert expected[0].count(b"\n") > 100  # the panel holds observations
+    shuffled = [coins[i] for i in order]
+    assert _build_bytes(shuffled, epu, rf, options, out) == expected

@@ -1,18 +1,20 @@
-"""The calendar-grid _CoinView against the per-day loop it replaced
-(tests/reference_panel.py). The grid keeps the loop's order of floating-point
-operations, so agreement is exact: equal values, equal reprs (which also
-separates -0.0 from 0.0 and a numpy scalar from a float), None where None.
+"""The calendar-grid _CoinView and build_panel against the per-day loops
+they replaced (tests/reference_panel.py). The grid keeps the loops' order of
+floating-point operations, so agreement is exact: equal values, equal reprs
+(which also separates -0.0 from 0.0 and a numpy scalar from a float), None
+where None, equal panel bytes, drops and errors.
 """
 
 import datetime as dt
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import coinfactors.panel
 import reference_panel
+from coinfactors.errors import CoinFactorsError
 from coinfactors.ingest import (
     CoinSeries,
     DailyBar,
@@ -22,6 +24,7 @@ from coinfactors.ingest import (
 )
 from coinfactors.panel import (
     CharacteristicWindows,
+    PanelOptions,
     build_panel,
     compute_characteristics,
     write_drop_report,
@@ -30,7 +33,6 @@ from coinfactors.panel import (
 from coinfactors.synth import emit_raw_files, generate_synthetic, scenario
 
 from conftest import D0
-from reference_rows import row_view
 
 DEFAULT = CharacteristicWindows()
 SMALL = CharacteristicWindows(
@@ -132,21 +134,48 @@ def _panel_bytes(panel, tmp_path, name):
     return (tmp_path / f"{name}.csv").read_bytes(), (tmp_path / f"{name}_drops.csv").read_bytes()
 
 
+def _outcome(build, inputs, tmp_path, name):
+    """The panel and drop CSV bytes and the drops, or the error's type and
+    message."""
+    try:
+        panel = build(*inputs)
+    except CoinFactorsError as exc:
+        return type(exc), str(exc)
+    return _panel_bytes(panel, tmp_path, name), panel.dropped
+
+
+def _thinned(levels, keep):
+    return {d: v for i, (d, v) in enumerate(levels.items()) if keep(i)}
+
+
 @pytest.mark.parametrize("name", ["A", "B", "C"])
-def test_build_panel_matches_reference(name, tmp_path, monkeypatch):
+def test_build_panel_matches_reference(name, tmp_path):
     panel, truth = generate_synthetic(scenario(name, 6, 420, seed=3))
     emit_raw_files(panel, truth, tmp_path / "raw")
     coins = load_coin_dir(tmp_path / "raw" / "market")
     epu = parse_epu_csv(tmp_path / "raw" / "epu.csv")
     rf = parse_riskfree_csv(tmp_path / "raw" / "riskfree.csv")
     gapped = [c if c.coin_id == "BTC" else _gapped(c, j) for j, c in enumerate(coins)]
+    gapped_btc = [_gapped(c, 5) if c.coin_id == "BTC" else c for c in coins]
+    conditioning = [
+        (_thinned(epu, lambda i: i % 5), rf),  # one-day holes: stale at limit 0
+        (epu, _thinned(rf, lambda i: not 200 < i < 206)),  # stale at limit 3
+        (_thinned(epu, lambda i: i > 120), _thinned(rf, lambda i: i > 300)),  # late starts
+    ]
 
-    for inputs in (coins, gapped):
-        grid = build_panel(inputs, epu, rf)
-        with monkeypatch.context() as patch:
-            patch.setattr(coinfactors.panel, "_CoinView", reference_panel._CoinView)
-            loop = build_panel(inputs, epu, rf)
-        assert grid.mask.any()
-        assert row_view(grid).observations == row_view(loop).observations
-        assert grid.dropped == loop.dropped
-        assert _panel_bytes(grid, tmp_path, "grid") == _panel_bytes(loop, tmp_path, "loop")
+    # default windows on the three coin sets; the short windows keep the
+    # per-day oracle quick across modes, fill limits and thinned series
+    cases = [(c, epu, rf, PanelOptions()) for c in (coins, gapped, gapped_btc)]
+    for mode, limit in itertools.product(["tbill", "btc"], [0, 3]):
+        options = PanelOptions(riskfree_mode=mode, ffill_limit_days=limit, windows=SMALL)
+        cases += [(c, epu, rf, options) for c in (coins, gapped, gapped_btc)]
+        cases += [(coins, e, r, options) for e, r in conditioning]
+
+    errors = set()
+    for inputs in cases:
+        grid = _outcome(build_panel, inputs, tmp_path, "grid")
+        loop = _outcome(reference_panel.build_panel, inputs, tmp_path, "loop")
+        assert grid == loop, inputs[3]
+        if isinstance(grid[0], type):
+            errors.add(grid[1].split()[0])
+    assert errors == {"epu", "riskfree"}  # a CoverageGap for each series
