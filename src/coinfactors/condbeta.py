@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -27,7 +26,7 @@ from .errors import (
     RankDeficient,
 )
 from .factors import FactorSet
-from .panel import Panel, characteristic_index
+from .panel import Panel, characteristic_index, csv_lead
 
 MIN_OBS_MARGIN = 30
 
@@ -211,17 +210,15 @@ def write_risk_adjusted_csv(
     fits: Sequence[FirstPassFit], dates: Sequence[dt.date], path: str | Path
 ) -> None:
     """coin_id,date,risk_adjusted for every fitted coin-day; dates is the
-    axis of the fits' risk_adjusted rows."""
+    axis of the fits' risk_adjusted rows. csv.writer's dialect, as in
+    write_panel_csv: each coin's rows go out as one write."""
     days = [d.isoformat() for d in dates]
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("coin_id", "date", "risk_adjusted"))
+        handle.write("coin_id,date,risk_adjusted\r\n")
         for fit in sorted(fits, key=lambda f: f.coin_id):
             cols = np.flatnonzero(~np.isnan(fit.risk_adjusted))
-            writer.writerows(
-                zip(
-                    itertools.repeat(fit.coin_id),
-                    [days[j] for j in cols.tolist()],
-                    map(repr, fit.risk_adjusted[cols].tolist()),
-                )
-            )
+            lead = csv_lead(fit.coin_id)
+            handle.write("".join(
+                lead + days[j] + "," + repr(value) + "\r\n"
+                for j, value in zip(cols.tolist(), fit.risk_adjusted[cols].tolist())
+            ))

@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    EstimationError,
     RankDeficient,
     SeriesTooShort,
     TooFewDates,
@@ -74,7 +75,9 @@ def ols_stack(
 
     X is (B, n, p) and y is (B, n). Returns one entry per slice, in order:
     its OlsFit, or the RankDeficient that ols would raise for it. The
-    shape, TooFewObservations and finiteness checks cover the whole stack.
+    shape, TooFewObservations and finiteness checks cover the whole stack,
+    and so does the EstimationError for a full-rank slice whose finite
+    inputs overflow into coefficients or residuals that are not finite.
     The SVD and every product run slice by slice (`@` dispatches each to
     the same BLAS call as a lone 2-D operand would), and the means reduce
     contiguous rows, so each slice gets the bits a lone ols call gives.
@@ -106,6 +109,7 @@ def ols_stack(
         xtx_inv_diag = np.einsum("bki,bk->bi", Vt**2, s**-2.0)
         stderr = np.sqrt(sigma2[:, None] * xtx_inv_diag)
 
+    overflowed = ~(np.isfinite(coef).all(axis=-1) & np.isfinite(residuals).all(axis=-1))
     fits: list[OlsFit | RankDeficient] = []
     for b in range(B):
         if deficient[b]:
@@ -113,6 +117,11 @@ def ols_stack(
             cols = np.flatnonzero(np.abs(null) >= 0.1 * np.abs(null).max())
             fits.append(RankDeficient([int(c) for c in cols]))
             continue
+        if overflowed[b]:
+            raise EstimationError(
+                "regression overflowed the float range: its coefficients or "
+                "residuals are not finite"
+            )
         fits.append(
             OlsFit(
                 coefficients=coef[b],

@@ -89,7 +89,10 @@ def read_csv_rows(source: str | Path | io.TextIOBase) -> Iterator[Iterator[list[
 
     A MalformedRow raised in the block names a file source. Text that is not
     UTF-8, or a field over the csv module's size limit, raises MalformedRow
-    too, never UnicodeDecodeError or csv.Error.
+    too, never UnicodeDecodeError or csv.Error. For a path the decode error
+    names the line of the first bad byte. A text stream can only report the
+    line after the last row read, which may come before the bad byte: a
+    stream that decodes bytes reads its text in chunks, ahead of the rows.
     """
     path = source if isinstance(source, (str, Path)) else None
     opened = (contextlib.nullcontext(source) if path is None

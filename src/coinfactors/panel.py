@@ -16,6 +16,7 @@ import datetime as dt
 import io
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -544,13 +545,16 @@ def build_panel(
     return standardize_cross_section(panel, *options.winsor)
 
 
+_HEADER_LINE = ",".join(PANEL_HEADER) + "\r\n"
+
+
 def write_panel_csv(panel: Panel, path: str | Path) -> None:
     """Serialize observations in (coin_id, date) order with repr round-trip
-    float formatting."""
+    float formatting, in csv.writer's dialect: fields quoted only where they
+    must be, lines ended by CRLF. Each coin's rows go out as one write."""
     days = [d.isoformat() for d in panel.dates]
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(PANEL_HEADER)
+        handle.write(_HEADER_LINE)
         for i, coin_id in enumerate(panel.coins):
             cols = np.flatnonzero(panel.mask[i])
             columns = [
@@ -561,13 +565,20 @@ def write_panel_csv(panel: Panel, path: str | Path) -> None:
                 panel.u[i, cols],
                 panel.r_btc[i, cols],
             ]
-            writer.writerows(
-                zip(
-                    itertools.repeat(coin_id),
-                    [days[j] for j in cols.tolist()],
-                    *(map(repr, c.tolist()) for c in columns),
-                )
-            )
+            rows = np.stack(columns, axis=1).tolist()
+            lead = csv_lead(coin_id)
+            handle.write("".join(
+                lead + days[j] + "," + ",".join(map(repr, row)) + "\r\n"
+                for j, row in zip(cols.tolist(), rows)
+            ))
+
+
+def csv_lead(field: str) -> str:
+    """field as csv.writer writes it first in a row of several, with the
+    comma after it: quoted only when it must be."""
+    out = io.StringIO()
+    csv.writer(out).writerow((field, ""))
+    return out.getvalue()[: -len("\r\n")]
 
 
 def read_panel_csv(
@@ -581,19 +592,95 @@ def read_panel_csv(
     is no positive finite market cap, a (coin_id, date) seen on an earlier
     line, text that is not UTF-8 or an over-long field raises MalformedRow
     naming its line, and the file when source is a path.
+
+    A file laid out as write_panel_csv writes it is parsed by one
+    np.loadtxt call. Any other file, and every text stream, goes through
+    the row parser, which alone accepts, rejects and words the errors.
     """
+    if isinstance(source, (str, Path)):
+        panel = _read_panel_file(source, riskfree_mode)
+        if panel is not None:
+            return panel
     with read_csv_rows(source) as rows:
-        return _read_panel_rows(rows, riskfree_mode)
+        return _assemble_panel(*_read_panel_rows(rows), riskfree_mode)
 
 
-def _read_panel_rows(rows, riskfree_mode: str) -> Panel:
+_SIZE_AT = PANEL_HEADER.index("size_raw") - 2  # position among the numbers
+# a quote or NUL needs the csv reader's judgement; loadtxt skips U+001C-U+001F
+# around a number as whitespace, where float() rejects them
+_IRREGULAR = '"\x00\x1c\x1d\x1e\x1f'
+_BLOCK_CHARS = 1 << 16  # size hint of the line blocks fed to loadtxt
+_split_keys = operator.methodcaller("split", ",", 2)
+
+
+def _read_panel_file(path: str | Path, riskfree_mode: str) -> Panel | None:
+    """The Panel of a panel file in write_panel_csv's layout, its numbers
+    parsed by one np.loadtxt call; None for any file the row parser must
+    judge. Raises only what opening the file raises.
+
+    The file streams through in blocks of lines. A block qualifies when
+    every line ends in CRLF and is no longer than the csv module's field
+    limit, and no character of _IRREGULAR occurs: the csv reader then
+    splits each line at its commas. loadtxt takes the numbers after the
+    second comma and rejects a line whose count differs. Where loadtxt and
+    float() both take a cell they give the same bits, and comments=None
+    keeps loadtxt from cutting a cell at #; a cell only float() takes (1_0,
+    a non-ASCII digit) fails loadtxt.
+    """
+    coins: list[str] = []
+    days: list[str] = []
+    limit = csv.field_size_limit()
+
+    def numbers(handle):
+        for lines in iter(lambda: handle.readlines(_BLOCK_CHARS), []):
+            block = "".join(lines)
+            if (
+                block.count("\r\n") != len(lines)
+                or max(map(len, lines)) > limit
+                or any(c in block for c in _IRREGULAR)
+            ):
+                raise ValueError("irregular block")
+            block_coins, block_days, rest = zip(*map(_split_keys, lines))
+            coins.extend(block_coins)
+            days.extend(block_days)
+            yield from rest
+
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            if handle.readline() != _HEADER_LINE:
+                return None
+            lines = numbers(handle)
+            first = next(lines, None)
+            if first is None:  # loadtxt warns on empty input
+                return None
+            table = np.loadtxt(
+                itertools.chain([first], lines),
+                delimiter=",", comments=None, dtype=float, ndmin=2,
+            )
+        date_of = {day: parse_iso_date(day) for day in set(days)}
+    except ValueError:  # UnicodeDecodeError is one too
+        return None
+    if table.shape[1] != len(PANEL_HEADER) - 2 or not np.isfinite(table).all():
+        return None
+    size = table[:, _SIZE_AT]
+    # exp of anything within +-700 is a positive finite float
+    if not all(map(_is_market_cap, size[np.abs(size) > 700.0].tolist())):
+        return None
+    panel = _assemble_panel(coins, [date_of[d] for d in days], table, riskfree_mode)
+    if int(panel.mask.sum()) != len(table):  # a (coin_id, date) repeats
+        return None
+    return panel
+
+
+def _read_panel_rows(rows) -> tuple[list[str], list[dt.date], np.ndarray]:
+    """Each data row's coin_id, date and numbers, checked row by row."""
     header = next(rows, None)
     if header is None or tuple(header) != PANEL_HEADER:
         raise MalformedRow(1, f"header {header!r}, expected {list(PANEL_HEADER)!r}")
-    size_at = PANEL_HEADER.index("size_raw") - 2  # position among the numbers
     day_of: dict[str, dt.date] = {}
     seen: set[tuple[str, dt.date]] = set()
-    keys = []
+    coins = []
+    dates = []
     values = []
     for line, row in enumerate(rows, start=2):
         if not row:
@@ -609,10 +696,10 @@ def _read_panel_rows(rows, riskfree_mode: str) -> Panel:
             raise MalformedRow(line, str(exc)) from None
         if not all(map(math.isfinite, numbers)):
             raise MalformedRow(line, "non-finite value")
-        if not _is_market_cap(numbers[size_at]):
+        if not _is_market_cap(numbers[_SIZE_AT]):
             raise MalformedRow(
                 line,
-                f"size_raw {numbers[size_at]!r}: exp(size_raw) is no positive finite "
+                f"size_raw {numbers[_SIZE_AT]!r}: exp(size_raw) is no positive finite "
                 "market cap",
             )
         key = (row[0], date)
@@ -621,16 +708,27 @@ def _read_panel_rows(rows, riskfree_mode: str) -> Panel:
                 line, f"duplicate observation of {row[0]} on {date.isoformat()}"
             )
         seen.add(key)
-        keys.append(key)
+        coins.append(row[0])
+        dates.append(date)
         values.append(numbers)
-
-    coin_ids = sorted({c for c, _ in keys})
-    dates = sorted({d for _, d in keys})
-    row_of = {c: i for i, c in enumerate(coin_ids)}
-    col_of = {d: j for j, d in enumerate(dates)}
-    cells = ([row_of[c] for c, _ in keys], [col_of[d] for _, d in keys])
     table = np.array(values, dtype=float).reshape(len(values), len(PANEL_HEADER) - 2)
-    shape = (len(coin_ids), len(dates))
+    return coins, dates, table
+
+
+def _assemble_panel(
+    coins: Sequence[str],
+    dates: Sequence[dt.date],
+    table: np.ndarray,
+    riskfree_mode: str,
+) -> Panel:
+    """The Panel of parsed panel rows: row k is coins[k] on dates[k], with
+    table[k] the numbers in PANEL_HEADER order."""
+    coin_ids = sorted(set(coins))
+    days = sorted(set(dates))
+    row_of = {c: i for i, c in enumerate(coin_ids)}
+    col_of = {d: j for j, d in enumerate(days)}
+    cells = ([row_of[c] for c in coins], [col_of[d] for d in dates])
+    shape = (len(coin_ids), len(days))
     mask = np.zeros(shape, dtype=bool)
     mask[cells] = True
     columns = np.zeros((table.shape[1],) + shape)
@@ -639,7 +737,7 @@ def _read_panel_rows(rows, riskfree_mode: str) -> Panel:
     ret, excess = columns[0], columns[1]
     z, raw = columns[2 : 2 + n_chars], columns[2 + n_chars : 2 + 2 * n_chars]
     u, r_btc = columns[2 + 2 * n_chars], columns[3 + 2 * n_chars]
-    return Panel(coin_ids, dates, mask, ret, excess, z, raw, u, r_btc, riskfree_mode)
+    return Panel(coin_ids, days, mask, ret, excess, z, raw, u, r_btc, riskfree_mode)
 
 
 def _is_market_cap(size_raw: float) -> bool:

@@ -14,6 +14,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import re
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -227,8 +228,8 @@ def render_cumulative_chart(
     """SVG line chart of the running sums of each c_* column in an emitted
     cross-section CSV. Reads the file back rather than taking arrays, so the
     chart reflects exactly what was serialized. A row with the wrong number
-    of fields or a c_* cell that is no number raises InvalidConfig naming
-    the file and line."""
+    of fields, or a c_* cell that is no number or makes its running sum
+    nan or infinite, raises InvalidConfig naming the file and line."""
     with open(csv_path, newline="") as handle:
         reader = csv.DictReader(handle)
         numbered = [(reader.line_num, row) for row in reader]
@@ -240,7 +241,12 @@ def render_cumulative_chart(
             if None in row or None in row.values():
                 raise ValueError(f"expected {len(reader.fieldnames)} fields")
             for column, points in series.items():
-                points.append((points[-1] if points else 0.0) + float(row[column]))
+                total = (points[-1] if points else 0.0) + float(row[column])
+                if not math.isfinite(total):
+                    raise ValueError(
+                        f"{column} {row[column]!r} makes its running sum non-finite"
+                    )
+                points.append(total)
         except ValueError as exc:
             raise InvalidConfig(f"{csv_path} line {line}: {exc}") from None
 

@@ -623,8 +623,14 @@ def _spoil_line_3(path: Path, spoil) -> None:
             "abc" if k == 2 else cell for k, cell in enumerate(line.split(","))),
          "could not convert string to float: 'abc'"),
         (lambda line: ",".join(line.split(",")[:2]), "expected {fields} fields"),
+        (lambda line: ",".join(
+            "nan" if k == 2 else cell for k, cell in enumerate(line.split(","))),
+         "c_size 'nan' makes its running sum non-finite"),
+        (lambda line: ",".join(
+            "-inf" if k == 2 else cell for k, cell in enumerate(line.split(","))),
+         "c_size '-inf' makes its running sum non-finite"),
     ],
-    ids=["not-a-number", "short-row"],
+    ids=["not-a-number", "short-row", "nan", "inf"],
 )
 def test_report_rejects_spoiled_cross_section_exits_2_naming_it(
     tmp_path, synth_a, spoil, message
@@ -639,3 +645,19 @@ def test_report_rejects_spoiled_cross_section_exits_2_naming_it(
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)  # handled, no traceback
     assert f"{path} line 3: {message.format(fields=len(header))}" in result.stderr
+
+
+def test_report_rejects_cross_section_whose_running_sum_overflows(tmp_path, synth_a):
+    result = _run_labels(tmp_path, synth_a[0], ["capm-u"])
+    assert result.exit_code == 0, result.output + result.stderr
+    path = tmp_path / "out" / "capm-u_crosssection.csv"
+    lines = path.read_text().splitlines()
+    for i in (1, 2):  # two finite cells whose sum overflows
+        cells = lines[i].split(",")
+        cells[2] = "1e308"
+        lines[i] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    result = CliRunner().invoke(main, ["report", "--output", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert f"{path} line 3: c_size '1e308' makes its running sum non-finite" in (
+        result.stderr)

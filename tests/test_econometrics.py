@@ -11,6 +11,7 @@ from coinfactors.econometrics import (
     ols,
 )
 from coinfactors.errors import (
+    EstimationError,
     RankDeficient,
     SeriesTooShort,
     TooFewDates,
@@ -79,6 +80,13 @@ def test_ols_rejects_nonfinite():
     X = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, np.nan]])
     with pytest.raises(ValueError):
         ols(X, np.array([1.0, 2.0, 3.0]))
+
+
+def test_ols_rejects_overflowed_fit():
+    # finite inputs whose sums leave the float range
+    X = np.column_stack([np.ones(400), np.arange(400.0)])
+    with pytest.raises(EstimationError, match="not finite"):
+        ols(X, np.full(400, 1.5e308))
 
 
 def test_ols_residuals_orthogonal_seeded_loop():

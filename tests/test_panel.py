@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from coinfactors import panel as panel_module
 from coinfactors.errors import (
     CoverageGap,
     DuplicateDate,
@@ -19,6 +20,7 @@ from coinfactors.panel import (
     CHARACTERISTIC_NAMES,
     PANEL_HEADER,
     CharacteristicWindows,
+    Panel,
     PanelOptions,
     build_panel,
     compute_characteristics,
@@ -412,24 +414,52 @@ def test_panel_constructor_rejects_malformed_layout():
     assert not panel.ret.flags.writeable
 
 
-def test_read_panel_csv_rejects_duplicate_observation():
-    row = ",".join(["A", "2021-01-02"] + ["0.0"] * 12)
-    other = ",".join(["B", "2021-01-02"] + ["0.0"] * 12)
-    text = "\n".join([",".join(PANEL_HEADER), row, other, row]) + "\n"
+def _read_both(tmp_path, text):
+    """read_panel_csv over text from a text stream (row parser only) and
+    from a file path (one-call parse first): the same Panel bit for bit, or
+    the same MalformedRow line and message, the path's naming the file.
+    Returns the Panel or raises the stream's MalformedRow."""
+    path = tmp_path / "panel.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    try:
+        from_path = read_panel_csv(path)
+    except MalformedRow as exc:
+        from_path = exc
+        assert exc.path == path
+    try:
+        from_stream = read_panel_csv(io.StringIO(text, newline=""))
+    except MalformedRow as exc:
+        assert isinstance(from_path, MalformedRow), "only the stream read failed"
+        assert (from_path.line, from_path.message) == (exc.line, exc.message)
+        raise
+    assert isinstance(from_path, Panel), "only the path read failed"
+    assert (from_path.coins, from_path.dates) == (from_stream.coins, from_stream.dates)
+    for name in ("mask", "ret", "excess", "z", "raw", "u", "r_btc"):
+        assert getattr(from_path, name).tobytes() == getattr(from_stream, name).tobytes()
+    return from_stream
+
+
+def _csv_text(rows, terminator="\r\n"):
+    """rows as write_panel_csv lays them out: comma-joined, CRLF-ended."""
+    return "".join(",".join(row) + terminator for row in rows)
+
+
+def test_read_panel_csv_rejects_duplicate_observation(tmp_path):
+    row = ["A", "2021-01-02"] + ["0.0"] * 12
+    other = ["B", "2021-01-02"] + ["0.0"] * 12
     with pytest.raises(MalformedRow) as info:
-        read_panel_csv(io.StringIO(text))
+        _read_both(tmp_path, _csv_text([PANEL_HEADER, row, other, row]))
     assert info.value.line == 4
     assert "A" in str(info.value) and "2021-01-02" in str(info.value)
 
 
 @pytest.mark.parametrize("size_raw", ["1000.0", "-1000.0"])
-def test_read_panel_csv_rejects_size_raw_without_market_cap(size_raw):
+def test_read_panel_csv_rejects_size_raw_without_market_cap(tmp_path, size_raw):
     # exp overflows at 1000 and underflows to 0.0 at -1000
     good = ["A", "2021-01-02"] + ["0.0"] * 12
     bad = ["B", "2021-01-02"] + ["0.0"] * 6 + [size_raw] + ["0.0"] * 5
-    text = "\n".join(",".join(r) for r in (PANEL_HEADER, good, bad)) + "\n"
     with pytest.raises(MalformedRow) as info:
-        read_panel_csv(io.StringIO(text))
+        _read_both(tmp_path, _csv_text([PANEL_HEADER, good, bad]))
     assert info.value.line == 3 and "size_raw" in str(info.value)
 
 
@@ -448,24 +478,74 @@ def test_panel_csv_round_trip(tmp_path):
     assert path.read_bytes() == first
 
 
-def test_read_panel_csv_rejects_bad_header():
-    with pytest.raises(MalformedRow):
-        read_panel_csv(io.StringIO("coin_id,date,ret\nA,2021-01-01,0.1\n"))
+@pytest.mark.parametrize("terminator", ["\r\n", "\n"])
+def test_read_panel_csv_path_matches_stream(tmp_path, monkeypatch, terminator):
+    # a file that write_panel_csv could have written, and the same data
+    # rows ended by LF, which only the row parser reads; also the header alone
+    coins, epu, rf = _inputs()
+    path = tmp_path / "panel.csv"
+    write_panel_csv(build_panel(coins, epu, rf, OPTIONS), path)
+    header, rows = path.read_bytes().decode("utf-8").split("\r\n", 1)
+    text = header + "\r\n" + rows.replace("\r\n", terminator)
+    row_parses = []
+    parse_rows = panel_module._read_panel_rows
+    monkeypatch.setattr(panel_module, "_read_panel_rows",
+                        lambda rows: row_parses.append(1) or parse_rows(rows))
+    assert len(_read_both(tmp_path, text).coins) == len(coins)
+    assert len(row_parses) == (1 if terminator == "\r\n" else 2)  # stream's own
+    assert _read_both(tmp_path, header + "\r\n").mask.shape == (0, 0)
 
 
-def test_read_panel_csv_rejects_nonfinite():
+def test_read_panel_csv_path_names_exact_undecodable_line(tmp_path):
+    # the bad byte sits far past the first 8 KB that the reader decodes
+    coins, epu, rf = _inputs()
+    path = tmp_path / "panel.csv"
+    write_panel_csv(build_panel(coins, epu, rf, OPTIONS), path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert sum(map(len, lines[:49])) > 8192
+    lines[49] = b"\xff" + lines[49]
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(MalformedRow) as info:
+        read_panel_csv(path)
+    assert info.value.line == 50 and info.value.path == path
+    assert "not UTF-8" in str(info.value)
+
+
+# cells the two parsers judge apart: loadtxt would cut 1.0#x at # under its
+# default comments and skips U+001C-U+001F as whitespace; float() takes the
+# underscore and the non-ASCII digits that loadtxt rejects
+@pytest.mark.parametrize("cell, value", [
+    ("1.0#x", None), ("\x1c1", None), ("1\x1f", None),
+    ("1_0", 10.0), ("\u0663", 3.0), ("\uff11", 1.0),
+])
+def test_read_panel_csv_judges_cells_as_float_does(tmp_path, cell, value):
+    rows = [PANEL_HEADER, ["A", "2020-01-02"] + ["1.0"] * 11 + [cell]]
+    if value is None:
+        with pytest.raises(MalformedRow) as info:
+            _read_both(tmp_path, _csv_text(rows))
+        assert info.value.line == 2 and repr(cell) in str(info.value)
+    else:
+        assert _read_both(tmp_path, _csv_text(rows)).r_btc[0, 0] == value
+
+
+def test_read_panel_csv_rejects_bad_header(tmp_path):
+    with pytest.raises(MalformedRow) as info:
+        _read_both(tmp_path, _csv_text([["coin_id", "date", "ret"], ["A", "2021-01-01", "0.1"]]))
+    assert info.value.line == 1
+
+
+def test_read_panel_csv_rejects_nonfinite(tmp_path):
     row = ["A", "2021-01-02", "nan"] + ["0.0"] * 11
-    text = ",".join(PANEL_HEADER) + "\n" + ",".join(row) + "\n"
-    with pytest.raises(MalformedRow):
-        read_panel_csv(io.StringIO(text))
+    with pytest.raises(MalformedRow) as info:
+        _read_both(tmp_path, _csv_text([PANEL_HEADER, row]))
+    assert info.value.line == 2 and "non-finite" in str(info.value)
 
 
 @pytest.mark.parametrize("date", ["20200102", "2020-W01-3"])
-def test_read_panel_csv_rejects_other_iso_date_forms(date):
+def test_read_panel_csv_rejects_other_iso_date_forms(tmp_path, date):
     rows = [["A", "2020-01-02"] + ["1.0"] * 12, ["B", date] + ["1.0"] * 12]
-    text = "\n".join(",".join(r) for r in [PANEL_HEADER, *rows]) + "\n"
     with pytest.raises(MalformedRow) as info:
-        read_panel_csv(io.StringIO(text))
+        _read_both(tmp_path, _csv_text([PANEL_HEADER, *rows]))
     assert info.value.line == 3
     assert repr(date) in str(info.value)
 

@@ -7,6 +7,7 @@ from coinfactors import pipeline
 from coinfactors.condbeta import BetaSpec
 from coinfactors.errors import (
     EmptyDate,
+    EstimationError,
     InvalidConfig,
     NoEligibleDates,
     StageError,
@@ -139,6 +140,16 @@ def test_second_pass_needs_two_eligible_dates():
     panel, rstar = _linear_cross_sections(n_dates=1)
     with pytest.raises(NoEligibleDates):
         second_pass(_grid(panel, rstar), panel, ("size",), floor_base=2)
+
+
+def test_second_pass_rejects_overflowed_coefficients():
+    # a finite R* near the top of the float range overflows the fit, which
+    # would otherwise write inf or nan premia to the cross-section file
+    panel, rstar = _linear_cross_sections()
+    grid = _grid(panel, rstar)
+    with pytest.raises(EstimationError, match="not finite"):
+        second_pass(np.where(np.isnan(grid), np.nan, 1.5e308), panel, ("size",),
+                    floor_base=2)
 
 
 def test_second_pass_ignores_pairs_missing_from_panel():
