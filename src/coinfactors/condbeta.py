@@ -55,11 +55,6 @@ class BetaSpec:
             raise InvalidConfig("conditional mode needs at least one characteristic")
         object.__setattr__(self, "characteristics", tuple(self.characteristics))
 
-    def params_per_factor(self) -> int:
-        if self.mode == "unconditional":
-            return 1
-        return 3 * (1 + len(self.characteristics))
-
 
 def param_names(factor_names: Sequence[str], spec: BetaSpec) -> tuple[str, ...]:
     """Coefficient labels in design-column order, intercept first."""

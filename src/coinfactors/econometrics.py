@@ -77,7 +77,8 @@ def ols_stack(
     its OlsFit, or the RankDeficient that ols would raise for it. The
     shape, TooFewObservations and finiteness checks cover the whole stack,
     and so does the EstimationError for a full-rank slice whose finite
-    inputs overflow into coefficients or residuals that are not finite.
+    inputs overflow into coefficients, residuals, standard errors or R^2
+    that are not finite.
     The SVD and every product run slice by slice (`@` dispatches each to
     the same BLAS call as a lone 2-D operand would), and the means reduce
     contiguous rows, so each slice gets the bits a lone ols call gives.
@@ -109,7 +110,13 @@ def ols_stack(
         xtx_inv_diag = np.einsum("bki,bk->bi", Vt**2, s**-2.0)
         stderr = np.sqrt(sigma2[:, None] * xtx_inv_diag)
 
-    overflowed = ~(np.isfinite(coef).all(axis=-1) & np.isfinite(residuals).all(axis=-1))
+    overflowed = ~(
+        np.isfinite(coef).all(axis=-1)
+        & np.isfinite(residuals).all(axis=-1)
+        & np.isfinite(stderr).all(axis=-1)
+        & np.isfinite(r2)
+        & np.isfinite(adj_r2)
+    )
     fits: list[OlsFit | RankDeficient] = []
     for b in range(B):
         if deficient[b]:
@@ -119,8 +126,8 @@ def ols_stack(
             continue
         if overflowed[b]:
             raise EstimationError(
-                "regression overflowed the float range: its coefficients or "
-                "residuals are not finite"
+                "regression overflowed the float range: its coefficients, "
+                "residuals, standard errors or R^2 are not finite"
             )
         fits.append(
             OlsFit(

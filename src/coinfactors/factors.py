@@ -120,16 +120,14 @@ def _date_factors(
     col: int,
     names: Sequence[str],
     options: FactorOptions,
-    caps: np.ndarray | None = None,
+    caps: np.ndarray,
 ) -> tuple[float, ...]:
     """The named factors on date column col, in order. caps holds the lagged
-    cap of every coin-day, as build_factor_set makes it; without it the
-    date's caps are computed here. The first factor that fails its
-    precondition raises EmptyDate, TooFewCoins or EmptyLeg."""
+    cap of every coin-day, as build_factor_set makes it. The first factor
+    that fails its precondition raises EmptyDate, TooFewCoins or EmptyLeg."""
     date = panel.dates[col]
     rows = np.flatnonzero(panel.mask[:, col])
-    size = panel.raw[characteristic_index("size")]
-    caps = _caps(size[rows, col]) if caps is None else caps[rows, col]
+    caps = caps[rows, col]
     excess = panel.excess[rows, col]
     out = []
     for name in names:
@@ -153,15 +151,6 @@ def _date_factors(
             spread.append(_weighted_return(caps[members], excess[members]))
         out.append(spread[0] - spread[1])
     return tuple(out)
-
-
-def market_factor(
-    panel: Panel, date: dt.date, options: FactorOptions = FactorOptions()
-) -> float:
-    """Value-weighted average excess return across the universe at date."""
-    if date not in panel.date_index:
-        raise EmptyDate(date)
-    return _date_factors(panel, panel.date_index[date], ("mkt",), options)[0]
 
 
 @dataclass(frozen=True)
@@ -200,23 +189,6 @@ def sort_portfolios(
             panel.coins[i]: _LEG_LABELS[k] for i, k in zip(rows.tolist(), legs.tolist())
         },
     )
-
-
-def long_short_factor(
-    panel: Panel,
-    date: dt.date,
-    name: str,
-    options: FactorOptions = FactorOptions(),
-) -> float:
-    """Value-weighted long-leg return minus short-leg return of the named
-    long-short factor; LONG_SHORT gives its sort characteristic and legs."""
-    if name not in LONG_SHORT:
-        raise InvalidConfig(
-            f"unknown long-short factor {name!r}, expected one of {sorted(LONG_SHORT)}"
-        )
-    if date not in panel.date_index:
-        raise TooFewCoins(date, options.min_sort_coins, 0)
-    return _date_factors(panel, panel.date_index[date], (name,), options)[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -120,17 +120,6 @@ class CharacteristicWindows:
             )
 
 
-@dataclass(frozen=True)
-class RawCharacteristics:
-    """Raw characteristic levels at one coin-date; None marks a
-    characteristic whose window had too little data."""
-
-    size: float | None
-    momentum: float | None
-    liquidity: float | None
-    value: float | None
-
-
 def _trailing(
     combine: np.ufunc, start: float, daily: np.ndarray, valid: np.ndarray, backs: range
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -204,27 +193,6 @@ class _CoinView:
         mean = total[liquid] / count[liquid]
         raw[2, liquid[mean > 0.0]] = [-math.log(m) for m in mean[mean > 0.0].tolist()]
         raw[3] = -cumulative(range(w.value_near_days, w.value_far_days + 1))
-
-
-def compute_characteristics(
-    series: CoinSeries,
-    date: dt.date,
-    windows: CharacteristicWindows = CharacteristicWindows(),
-) -> RawCharacteristics:
-    """Raw characteristics for one coin at one date.
-
-    size: ln(market cap at date); momentum: cumulative return over the
-    momentum window ending the day before; liquidity: -ln(mean |ret|/volume
-    over the liquidity window, zero-volume days excluded); value: sign-flipped
-    cumulative return over the long-horizon window. A window with under
-    min_valid_share valid days yields None.
-    """
-    view = _CoinView(series, windows)
-    k = date.toordinal() - view.origin
-    if not 0 <= k < view.ret.size:
-        k = -1
-    levels = view.raw[:, k].tolist()
-    return RawCharacteristics(*(None if math.isnan(v) else v for v in levels))
 
 
 @dataclass(frozen=True)

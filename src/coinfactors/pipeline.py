@@ -344,7 +344,7 @@ class ComparisonReport:
 
 
 def compare_models(
-    panels: Panel | Mapping[str, Panel],
+    panels: Mapping[str, Panel],
     specs: Sequence[ModelSpec],
     options: PipelineOptions = PipelineOptions(),
 ) -> ComparisonReport:
@@ -352,24 +352,20 @@ def compare_models(
     unconditional spec sharing its factor menu, anomaly list, and risk-free
     mode.
 
-    panels may be one Panel (all specs must match its risk-free mode) or a
-    mapping from mode to Panel. Each factor menu is built once per panel,
-    by the first spec in label order that uses it, and shared by the rest.
+    panels maps each risk-free mode to its Panel. Each factor menu is built
+    once per panel, by the first spec in label order that uses it, and
+    shared by the rest.
     """
     if not specs:
         raise InvalidConfig("no specs given")
     labels = [s.label for s in specs]
     if len(set(labels)) != len(labels):
         raise InvalidConfig(f"duplicate spec labels: {sorted(labels)}")
-    if isinstance(panels, Panel):
-        panel_by_mode: Mapping[str, Panel] = {panels.riskfree_mode: panels}
-    else:
-        panel_by_mode = panels
 
     results: dict[str, ModelResult] = {}
     factor_sets: dict[tuple[tuple[str, ...], str], FactorSet] = {}
     for spec in sorted(specs, key=lambda s: s.label):
-        panel = panel_by_mode.get(spec.riskfree_mode)
+        panel = panels.get(spec.riskfree_mode)
         if panel is None:
             raise InvalidConfig(
                 f"spec {spec.label!r} needs a panel with riskfree_mode "

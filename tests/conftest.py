@@ -1,4 +1,5 @@
 import datetime as dt
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from coinfactors.condbeta import build_design_matrix
 from coinfactors.factors import FactorSet
 from coinfactors.ingest import CoinSeries, DailyBar
+from coinfactors.panel import CharacteristicWindows, _CoinView
 from coinfactors.synth import generate_synthetic, scenario
+from reference_panel import RawCharacteristics
 from reference_rows import (
     CharacteristicVector,
     ConditioningInfo,
@@ -35,6 +38,18 @@ def make_series(coin_id, closes, start=D0, volume=1_000_000.0, caps=None):
             )
         )
     return CoinSeries(coin_id, tuple(bars))
+
+
+def raw_characteristics(series, date, windows=CharacteristicWindows()):
+    """The coin's raw characteristic levels at date from its calendar grid,
+    None where a window had too little data. A date off the grid reads the
+    grid's final day, on which every window is empty."""
+    view = _CoinView(series, windows)
+    k = date.toordinal() - view.origin
+    if not 0 <= k < view.ret.size:
+        k = -1
+    levels = view.raw[:, k].tolist()
+    return RawCharacteristics(*(None if math.isnan(v) else v for v in levels))
 
 
 def make_obs(

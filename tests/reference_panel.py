@@ -14,6 +14,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 from bisect import bisect_right
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -27,11 +28,21 @@ from coinfactors.panel import (
     Drop,
     Panel,
     PanelOptions,
-    RawCharacteristics,
     compute_returns,
     daily_riskfree,
     standardize_cross_section,
 )
+
+
+@dataclass(frozen=True)
+class RawCharacteristics:
+    """Raw characteristic levels at one coin-date; None marks a
+    characteristic whose window had too little data."""
+
+    size: float | None
+    momentum: float | None
+    liquidity: float | None
+    value: float | None
 
 
 class _CoinView:

@@ -37,6 +37,11 @@ from reference_rows import row_view
 COND_SIZE = BetaSpec(mode="conditional", characteristics=("size",))
 
 
+def _params_per_factor(spec):
+    """Design columns per factor: param_names of one factor, less alpha."""
+    return len(param_names(("mkt",), spec)) - 1
+
+
 def test_beta_spec_validation():
     with pytest.raises(InvalidConfig):
         BetaSpec(mode="rolling")
@@ -44,9 +49,9 @@ def test_beta_spec_validation():
         BetaSpec(mode="conditional", lagged_return="spot")
     with pytest.raises(InvalidConfig):
         BetaSpec(mode="conditional", characteristics=())
-    assert BetaSpec(mode="unconditional").params_per_factor() == 1
-    assert BetaSpec(mode="conditional").params_per_factor() == 12
-    assert COND_SIZE.params_per_factor() == 6
+    assert _params_per_factor(BetaSpec(mode="unconditional")) == 1
+    assert _params_per_factor(BetaSpec(mode="conditional")) == 12
+    assert _params_per_factor(COND_SIZE) == 6
 
 
 def test_param_names_layout():
@@ -108,7 +113,7 @@ def test_design_matrix_nests_unconditional_columns():
     C = rng.normal(size=(T, 1))
     cond = build_design_matrix(F, u, r, C, COND_SIZE)
     uncond = build_design_matrix(F, u, r, C, BetaSpec(mode="unconditional"))
-    per = COND_SIZE.params_per_factor()
+    per = _params_per_factor(COND_SIZE)
     for k in range(3):
         assert np.array_equal(cond[:, k * per], uncond[:, k])
 
@@ -118,7 +123,7 @@ def test_beta_params_vector_round_trip():
     # in the same flat layout, aligned with param_names and stderr
     rng = np.random.default_rng(43)
     spec = BetaSpec(mode="conditional", characteristics=("size", "momentum"))
-    vector = rng.normal(size=spec.params_per_factor() * 2)
+    vector = rng.normal(size=_params_per_factor(spec) * 2)
     T = 120
     F = rng.normal(0.001, 0.02, size=(T, 2))
     u = rng.normal(size=T)
@@ -236,7 +241,7 @@ def test_own_lag_decomposition_identity(synth_b):
 
 
 def test_first_pass_observation_floor():
-    p = 1 + COND_SIZE.params_per_factor()
+    p = 1 + _params_per_factor(COND_SIZE)
     obs, fs = _noiseless_coin(p + MIN_OBS_MARGIN, seed=10)
     fit = first_pass(make_panel(obs), "X", fs, COND_SIZE)
     assert fit.n_obs == p + MIN_OBS_MARGIN

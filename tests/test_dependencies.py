@@ -1,6 +1,6 @@
 """The package runs on the standard library, numpy and click alone: the
 declared runtime dependencies and every import in its source say so. Every
-name it exports resolves."""
+name it exports resolves and is named in the README."""
 
 import ast
 import re
@@ -63,3 +63,11 @@ def test_every_export_resolves():
     exec("from coinfactors import *", namespace)
     assert sorted(set(coinfactors.__all__)) == sorted(coinfactors.__all__)
     assert all(name in namespace for name in coinfactors.__all__)
+    # the top level exports only what the README documents
+    readme = (ROOT / "README.md").read_text()
+    undocumented = [
+        name
+        for name in coinfactors.__all__
+        if name != "__version__" and f"`{name}`" not in readme
+    ]
+    assert undocumented == []

@@ -87,6 +87,11 @@ def test_ols_rejects_overflowed_fit():
     X = np.column_stack([np.ones(400), np.arange(400.0)])
     with pytest.raises(EstimationError, match="not finite"):
         ols(X, np.full(400, 1.5e308))
+    # finite coefficients and residuals whose sums of squares overflow
+    rng = np.random.default_rng(0)
+    X = np.column_stack([np.ones(400), rng.standard_normal((400, 3))])
+    with pytest.raises(EstimationError, match="not finite"):
+        ols(X, rng.standard_normal(400) * 1e200)
 
 
 def test_ols_residuals_orthogonal_seeded_loop():

@@ -5,14 +5,12 @@ import random
 import numpy as np
 import pytest
 
-from coinfactors.errors import EmptyDate, EmptyLeg, InvalidConfig, TooFewCoins
+from coinfactors.errors import InvalidConfig, TooFewCoins
 from coinfactors.factors import (
     FACTOR_MENU,
     FACTOR_NAMES,
     FactorOptions,
     build_factor_set,
-    long_short_factor,
-    market_factor,
     resolve_factor_names,
     sort_portfolios,
     value_weights,
@@ -43,10 +41,18 @@ def _cross_section(date, excesses, caps=None, char_name=None, char_values=None):
     return out
 
 
+def _factor(panel, date, name, options=FactorOptions()):
+    """The named factor at date, read from a one-factor build_factor_set."""
+    fs = build_factor_set(panel, [name], options)
+    col = panel.date_index[date]
+    assert fs.mask[col], fs.dropped
+    return fs.values[col, 0]
+
+
 def test_market_factor_value_weighted_example():
     # caps 100 and 300 with excess 0.02 and 0.04 blend to 0.035
     obs = _cross_section(day(1), [0.02, 0.04], caps=[100.0, 300.0])
-    mkt = market_factor(make_panel(obs), day(1))
+    mkt = _factor(make_panel(obs), day(1), "mkt")
     assert mkt == pytest.approx(0.035, rel=1e-12)
 
 
@@ -57,14 +63,22 @@ def test_market_factor_exclude_btc():
         _obs("BBB", day(1), 0.03, 300.0),
     ]
     options = FactorOptions(exclude_btc_from_market=True)
-    mkt = market_factor(make_panel(obs), day(1), options)
+    mkt = _factor(make_panel(obs), day(1), "mkt", options)
     assert mkt == pytest.approx(0.025, rel=1e-12)
 
 
 def test_market_factor_empty_date():
-    panel = make_panel([_obs("AAA", day(1), 0.01, 100.0)])
-    with pytest.raises(EmptyDate):
-        market_factor(panel, day(2))
+    # a date where BTC is the only coin has no market once BTC is excluded
+    panel = make_panel([
+        _obs("BTC", day(1), 0.10, 1e12),
+        _obs("BTC", day(2), 0.02, 1e12),
+        _obs("AAA", day(2), 0.01, 100.0),
+    ])
+    options = FactorOptions(exclude_btc_from_market=True)
+    fs = build_factor_set(panel, "CAPM", options)
+    assert fs.mask.tolist() == [False, True]
+    assert [date for date, _ in fs.dropped] == [day(1)]
+    assert fs.dropped[0][1].startswith("EmptyDate:")
 
 
 def test_value_weights_sum_to_one():
@@ -128,7 +142,7 @@ def test_long_short_leg_spread_example():
     excesses = [0.05] * 3 + [0.0] * 4 + [0.01] * 3
     obs = _cross_section(day(1), excesses, char_name="size",
                          char_values=values)
-    smb = long_short_factor(make_panel(obs), day(1), "smb")
+    smb = _factor(make_panel(obs), day(1), "smb")
     assert smb == pytest.approx(0.04, rel=1e-12)
 
 
@@ -144,34 +158,32 @@ def test_long_short_orientation_antisymmetry():
     flipped = make_panel(_cross_section(day(1), excesses, caps=caps,
                                         char_name="momentum",
                                         char_values=[-v for v in values]))
-    mom = long_short_factor(panel, day(1), "mom")
+    mom = _factor(panel, day(1), "mom")
     assert mom != 0.0
-    assert long_short_factor(flipped, day(1), "mom") == -mom
+    assert _factor(flipped, day(1), "mom") == -mom
 
 
 def test_long_short_zero_when_legs_match():
     obs = _cross_section(day(1), [0.03] * 10, char_name="value",
                          char_values=[float(i) for i in range(10)])
-    spread = long_short_factor(make_panel(obs), day(1), "val")
+    spread = _factor(make_panel(obs), day(1), "val")
     assert spread == 0.0
 
 
 def test_long_short_rejects_unknown_orientation():
     obs = _cross_section(day(1), [0.0] * 10, char_name="size",
                          char_values=[float(i) for i in range(10)])
-    # the factor name fixes the legs; a characteristic or the market factor
-    # names no orientation
+    # the factor name fixes the legs; a characteristic names no orientation
     with pytest.raises(InvalidConfig):
-        long_short_factor(make_panel(obs), day(1), "size")
-    with pytest.raises(InvalidConfig):
-        long_short_factor(make_panel(obs), day(1), "mkt")
+        build_factor_set(make_panel(obs), ["size"])
 
 
 def test_long_short_empty_leg():
     obs = _cross_section(day(1), [0.0] * 10, char_name="size",
                          char_values=[1.0] * 10)
-    with pytest.raises(EmptyLeg):
-        long_short_factor(make_panel(obs), day(1), "smb")
+    fs = build_factor_set(make_panel(obs), ["smb"])
+    assert fs.dropped[0][0] == day(1)
+    assert fs.dropped[0][1].startswith("EmptyLeg:")
 
 
 def test_cap_scale_invariance():
@@ -184,10 +196,10 @@ def test_cap_scale_invariance():
     scaled = make_panel(_cross_section(
         day(1), excesses, caps=[c * 1000.0 for c in caps],
         char_name="momentum", char_values=values))
-    assert market_factor(scaled, day(1)) == pytest.approx(
-        market_factor(base, day(1)), abs=1e-15)
-    hml_base = long_short_factor(base, day(1), "mom")
-    hml_scaled = long_short_factor(scaled, day(1), "mom")
+    assert _factor(scaled, day(1), "mkt") == pytest.approx(
+        _factor(base, day(1), "mkt"), abs=1e-15)
+    hml_base = _factor(base, day(1), "mom")
+    hml_scaled = _factor(scaled, day(1), "mom")
     assert hml_scaled == pytest.approx(hml_base, abs=1e-15)
 
 
@@ -234,7 +246,7 @@ def test_build_factor_set_all_menu():
     assert fs.values.shape == (2, 5)
     assert np.isfinite(fs.values).all()
     assert not (fs.values.flags.writeable or fs.mask.flags.writeable)
-    assert fs.values[0, fs.names.index("mkt")] == market_factor(panel, day(1))
+    assert fs.values[0, fs.names.index("mkt")] == _factor(panel, day(1), "mkt")
 
 
 def test_build_factor_set_drops_failing_dates():
@@ -306,6 +318,6 @@ def test_factor_set_series_alignment():
     idx = fs.names.index("mom")
     mom = fs.values[:, idx]
     assert mom.shape == (2,)
-    assert mom[1] == long_short_factor(panel, day(2), "mom")
+    assert mom[1] == _factor(panel, day(2), "mom")
     with pytest.raises(ValueError):
         fs.names.index("liq")

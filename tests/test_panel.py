@@ -23,7 +23,6 @@ from coinfactors.panel import (
     Panel,
     PanelOptions,
     build_panel,
-    compute_characteristics,
     compute_returns,
     daily_riskfree,
     read_panel_csv,
@@ -33,7 +32,7 @@ from coinfactors.panel import (
     write_panel_csv,
 )
 
-from conftest import day, make_obs, make_panel, make_series
+from conftest import day, make_obs, make_panel, make_series, raw_characteristics
 from reference_rows import row_view
 
 # mpmath 50-digit evaluations of (1 + annual)^(1/365) - 1
@@ -112,12 +111,12 @@ def _flat_series(n, close=100.0, cap=None, volume=1e6):
 
 def test_size_raw_is_log_cap():
     series = _flat_series(40, cap=math.exp(20.0))
-    raw = compute_characteristics(series, day(39))
+    raw = raw_characteristics(series, day(39))
     assert raw.size == pytest.approx(20.0, rel=1e-13)
 
 
 def test_momentum_zero_returns():
-    raw = compute_characteristics(_flat_series(40), day(39))
+    raw = raw_characteristics(_flat_series(40), day(39))
     assert raw.momentum == 0.0
 
 
@@ -130,7 +129,7 @@ def test_momentum_window_endpoints():
     closes = [100.0]
     for i in range(1, n):
         closes.append(closes[-1] * factors.get(i, 1.0))
-    raw = compute_characteristics(make_series("C", closes), day(d))
+    raw = raw_characteristics(make_series("C", closes), day(d))
     assert raw.momentum == pytest.approx(1.01 * 1.02 - 1.0, rel=1e-10)
 
 
@@ -150,7 +149,7 @@ def _alternating_series(n, volumes=None):
 
 
 def test_liquidity_amihud_oracle():
-    raw = compute_characteristics(_alternating_series(45), day(44))
+    raw = raw_characteristics(_alternating_series(45), day(44))
     assert raw.liquidity == pytest.approx(LIQ_ORACLE, rel=1e-12)
 
 
@@ -159,13 +158,13 @@ def test_liquidity_excludes_zero_volume_days():
     volumes = [1e6] * n
     for i in range(n - 10, n):
         volumes[i] = 0.0  # 10 of the last 30 days carry no volume
-    raw = compute_characteristics(_alternating_series(n, volumes), day(n - 1))
+    raw = raw_characteristics(_alternating_series(n, volumes), day(n - 1))
     # mean still over |ret|/vol = 2e-8 on the remaining valid days
     assert raw.liquidity == pytest.approx(LIQ_ORACLE, rel=1e-12)
 
 
 def test_liquidity_missing_when_all_returns_zero():
-    raw = compute_characteristics(_flat_series(45), day(44))
+    raw = raw_characteristics(_flat_series(45), day(44))
     assert raw.liquidity is None  # Amihud mean is zero, log undefined
 
 
@@ -177,16 +176,16 @@ def test_value_is_sign_flipped_long_horizon_return():
     closes = [100.0]
     for i in range(1, n):
         closes.append(closes[-1] * factors.get(i, 1.0))
-    raw = compute_characteristics(make_series("C", closes), day(d), SMALL)
+    raw = raw_characteristics(make_series("C", closes), day(d), SMALL)
     assert raw.value == pytest.approx(-0.10, rel=1e-10)
 
 
 def test_characteristic_missing_below_valid_share():
     # window [d-28, d-1] at d=13 holds 12 valid days, under the 14-day floor
-    raw = compute_characteristics(_flat_series(14), day(13))
+    raw = raw_characteristics(_flat_series(14), day(13))
     assert raw.momentum is None
     # 14 valid days meets the floor exactly
-    raw16 = compute_characteristics(_flat_series(16), day(15))
+    raw16 = raw_characteristics(_flat_series(16), day(15))
     assert raw16.momentum == 0.0
 
 
@@ -386,7 +385,7 @@ def test_build_panel_look_ahead_safety():
     truncated = CoinSeries(
         series.coin_id, tuple(b for b in series.bars if b.date <= lag)
     )
-    raw = compute_characteristics(truncated, lag, SMALL)
+    raw = raw_characteristics(truncated, lag, SMALL)
     assert raw.size == target.chars.size_raw
     assert raw.momentum == target.chars.momentum_raw
     assert raw.liquidity == target.chars.liquidity_raw

@@ -26,13 +26,12 @@ from coinfactors.panel import (
     CharacteristicWindows,
     PanelOptions,
     build_panel,
-    compute_characteristics,
     write_drop_report,
     write_panel_csv,
 )
 from coinfactors.synth import emit_raw_files, generate_synthetic, scenario
 
-from conftest import D0
+from conftest import D0, raw_characteristics
 
 DEFAULT = CharacteristicWindows()
 SMALL = CharacteristicWindows(
@@ -92,7 +91,7 @@ def _query_dates(series, extra_offsets):
 def _assert_matches_reference(series, offsets, windows):
     oracle = reference_panel._CoinView(series, windows)
     for date in _query_dates(series, offsets):
-        grid = compute_characteristics(series, date, windows)
+        grid = raw_characteristics(series, date, windows)
         expected = oracle.raw_at(date)
         assert grid == expected, date
         assert repr(grid) == repr(expected), date

@@ -227,11 +227,11 @@ def test_run_model_empty_factor_set_is_stage_error():
 def test_compare_models_rejects_bad_spec_sets(synth_b):
     panel, _ = synth_b
     with pytest.raises(InvalidConfig):
-        compare_models(panel, [])
+        compare_models({panel.riskfree_mode: panel}, [])
     dup = ModelSpec(label="capm-u", factors="CAPM",
                     beta=BetaSpec(mode="conditional"))
     with pytest.raises(InvalidConfig):
-        compare_models(panel, [UNCOND, dup])
+        compare_models({panel.riskfree_mode: panel}, [UNCOND, dup])
 
 
 def test_compare_models_requires_panel_for_mode(synth_b):
@@ -240,7 +240,7 @@ def test_compare_models_requires_panel_for_mode(synth_b):
                          beta=BetaSpec(mode="unconditional"),
                          riskfree_mode="btc")
     with pytest.raises(InvalidConfig):
-        compare_models(panel, [btc_spec])
+        compare_models({panel.riskfree_mode: panel}, [btc_spec])
 
 
 def test_run_model_second_pass_floor_failure_is_stage_error(synth_b):
@@ -278,7 +278,7 @@ def _named(columns, rows):
 
 def test_compare_models_pairs_conditional_with_unconditional(synth_b):
     panel, truth = synth_b
-    report = compare_models(panel, [COND, UNCOND])
+    report = compare_models({panel.riskfree_mode: panel}, [COND, UNCOND])
     assert isinstance(report, ComparisonReport)
     rows = _named(COMPARISON_COLUMNS, comparison_rows(report))
     assert [r.label for r in rows] == ["capm-c", "capm-u"]
@@ -307,7 +307,7 @@ def test_compare_models_pairs_conditional_with_unconditional(synth_b):
 
 def test_compare_models_no_pairs_without_both_modes(synth_b):
     panel, _ = synth_b
-    report = compare_models(panel, [UNCOND])
+    report = compare_models({panel.riskfree_mode: panel}, [UNCOND])
     assert report.pairs == ()
     assert len(report.results) == 1
 
@@ -328,7 +328,7 @@ def test_compare_models_builds_each_menu_once(synth_b, monkeypatch):
         return build(panel, menu, options)
 
     monkeypatch.setattr(pipeline, "build_factor_set", counting_build)
-    report = compare_models(panel, [COND, UNCOND] + FF3_SPECS)
+    report = compare_models({panel.riskfree_mode: panel}, [COND, UNCOND] + FF3_SPECS)
     assert sorted(menus) == ["CAPM", "FF3"]
     assert list(report.results) == ["capm-c", "capm-u", "ff3-c", "ff3-u"]
     for label, result in report.results.items():
@@ -343,7 +343,7 @@ def test_compare_models_failed_build_names_first_spec(synth_b, monkeypatch):
 
     monkeypatch.setattr(pipeline, "build_factor_set", failing_build)
     with pytest.raises(StageError) as info:
-        compare_models(panel, FF3_SPECS)
+        compare_models({panel.riskfree_mode: panel}, FF3_SPECS)
     assert info.value.label == "ff3-c"
     assert info.value.stage == "factors"
     assert isinstance(info.value.cause, EmptyDate)
@@ -353,8 +353,9 @@ def test_compare_models_empty_factor_set_names_first_spec():
     # four coins cannot be sorted into legs, so every FF3 date drops out
     obs = [make_obs(_coin_id(i), day(t), size_raw=14.0 + i)
            for t in range(1, 6) for i in range(4)]
+    panel = make_panel(obs)
     with pytest.raises(StageError) as info:
-        compare_models(make_panel(obs), FF3_SPECS)
+        compare_models({panel.riskfree_mode: panel}, FF3_SPECS)
     assert info.value.label == "ff3-c"
     assert info.value.stage == "factors"
 
@@ -364,7 +365,9 @@ def test_comparison_rows_count_significance_at_configured_z(z):
     # comparison rows and pairs count the same anomalies, at the configured
     # threshold, not the 1.96 default
     panel, _ = generate_synthetic(scenario("C", 40, 300, seed=3))
-    report = compare_models(panel, [COND, UNCOND], PipelineOptions(significance_z=z))
+    report = compare_models(
+        {panel.riskfree_mode: panel}, [COND, UNCOND], PipelineOptions(significance_z=z)
+    )
     rows = _named(COMPARISON_COLUMNS, comparison_rows(report))
     rows = {row.label: row for row in rows}
     (pair,) = _named(PAIR_COLUMNS, pair_rows(report))

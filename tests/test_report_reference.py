@@ -24,6 +24,10 @@ def _spec(label, factors, mode, **kwargs):
     return ModelSpec(label=label, factors=factors, beta=BetaSpec(mode=mode), **kwargs)
 
 
+def _by_mode(panel):
+    return {panel.riskfree_mode: panel}
+
+
 def _assert_matches_reference(report, tmp_path):
     new, old = tmp_path / "new", tmp_path / "old"
     old.mkdir()
@@ -46,13 +50,13 @@ def test_several_pairs_per_menu(tmp_path, synth_b):
         _spec("ff3-c", "FF3", "conditional", anomalies=("size", "momentum")),
         _spec("ff3-c3", "FF3", "conditional"),  # other anomalies: no partner
     ]
-    report = compare_models(synth_b[0], specs)
+    report = compare_models(_by_mode(synth_b[0]), specs)
     assert len(report.pairs) == 5
     _assert_matches_reference(report, tmp_path)
 
 
 def test_no_pairs(tmp_path, synth_b):
-    report = compare_models(synth_b[0], [_spec("capm-c", "CAPM", "conditional")])
+    report = compare_models(_by_mode(synth_b[0]), [_spec("capm-c", "CAPM", "conditional")])
     assert report.pairs == ()
     _assert_matches_reference(report, tmp_path)
 
@@ -75,7 +79,7 @@ def test_two_riskfree_modes(tmp_path, synth_a, synth_b):
 @pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
 def test_degenerate_anomaly(tmp_path, synth_b, t):
     report = compare_models(
-        synth_b[0],
+        _by_mode(synth_b[0]),
         [_spec("capm-u", "CAPM", "unconditional"), _spec("capm-c", "CAPM", "conditional")],
     )
     result = report.results["capm-c"]
@@ -93,6 +97,6 @@ def test_degenerate_anomaly(tmp_path, synth_b, t):
 @pytest.mark.parametrize("z", [0.5, 2.576])
 def test_non_default_significance_z(tmp_path, synth_b, z):
     specs = [_spec("capm-u", "CAPM", "unconditional"), _spec("capm-c", "CAPM", "conditional")]
-    report = compare_models(synth_b[0], specs, PipelineOptions(significance_z=z))
+    report = compare_models(_by_mode(synth_b[0]), specs, PipelineOptions(significance_z=z))
     assert report.significance_z == z
     _assert_matches_reference(report, tmp_path)
