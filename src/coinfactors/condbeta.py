@@ -11,7 +11,6 @@ mismatch between the two.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,14 +18,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .econometrics import DEFAULT_RANK_TOLERANCE, ols
+from .econometrics import (
+    DEFAULT_RANK_TOLERANCE,
+    ols,  # unused here; kept importable, perfbench/tracer.py wraps condbeta.ols
+    ols_stack,
+)
 from .errors import (
     InsufficientObservations,
     InvalidConfig,
     RankDeficient,
 )
 from .factors import FactorSet
-from .panel import Panel, characteristic_index, csv_lead
+from .panel import Panel, characteristic_index, csv_lead, stacks_by_count
 
 MIN_OBS_MARGIN = 30
 
@@ -75,30 +78,44 @@ def build_design_matrix(
     r: np.ndarray,
     chars: np.ndarray,
     spec: BetaSpec,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Expand T factor rows into the interaction design, without intercept.
 
-    factors is T x K, u and r are length T, chars is T x M in spec order.
-    Per factor value f the conditional row block is
+    factors is T x K, u and r are length T, chars is T x M in spec order;
+    a stack of B such inputs, with a leading B axis on each, gives a
+    (B, T, width) stack. Per factor value f the conditional row block is
     f * [1, u, r, (c, u*c, r*c) for each characteristic c], giving
-    3*(1+M) columns per factor; unconditional mode emits f alone.
+    3*(1+M) columns per factor; unconditional mode emits f alone. The
+    design goes into out when given, which must have the result's shape,
+    and is returned.
     """
     F = np.asarray(factors, dtype=float)
     if F.ndim == 1:
         F = F.reshape(-1, 1)
+    lead, K = F.shape[:-1], F.shape[-1]
+    M = len(spec.characteristics)
+    q = 1 if spec.mode == "unconditional" else 3 * (1 + M)
+    if out is None:
+        out = np.empty(lead + (K * q,))
     if spec.mode == "unconditional":
-        return F.copy()
-    T, K = F.shape
-    u = np.asarray(u, dtype=float).reshape(T)
-    r = np.asarray(r, dtype=float).reshape(T)
-    C = np.asarray(chars, dtype=float).reshape(T, len(spec.characteristics))
-    base_cols = [np.ones(T), u, r]
-    for m in range(C.shape[1]):
-        c = C[:, m]
-        base_cols.extend([c, u * c, r * c])
-    base = np.column_stack(base_cols)
-    blocks = [F[:, [k]] * base for k in range(K)]
-    return np.hstack(blocks)
+        out[...] = F
+        return out
+    u = np.asarray(u, dtype=float).reshape(lead)
+    r = np.asarray(r, dtype=float).reshape(lead)
+    C = np.asarray(chars, dtype=float).reshape(lead + (M,))
+    base = np.empty(lead + (q,))
+    base[..., 0] = 1.0
+    base[..., 1] = u
+    base[..., 2] = r
+    for m in range(M):
+        c = C[..., m]
+        base[..., 3 * m + 3] = c
+        np.multiply(u, c, out=base[..., 3 * m + 4])
+        np.multiply(r, c, out=base[..., 3 * m + 5])
+    for k in range(K):
+        np.multiply(F[..., k, None], base, out=out[..., k * q : (k + 1) * q])
+    return out
 
 
 @dataclass(frozen=True)
@@ -122,6 +139,81 @@ class FirstPassFit:
     risk_adjusted: np.ndarray
 
 
+def first_pass_stack(
+    panel: Panel,
+    coin_ids: Sequence[str],
+    factor_set: FactorSet,
+    spec: BetaSpec,
+    min_obs_margin: int = MIN_OBS_MARGIN,
+    rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
+) -> list[FirstPassFit | InsufficientObservations | RankDeficient]:
+    """first_pass on each of coin_ids, fitted in stacks of coins with the
+    same number of dates (panel.stacks_by_count). Returns one entry per
+    coin, in order: its FirstPassFit, or the InsufficientObservations or
+    RankDeficient that first_pass would raise for it. Any other error
+    raises for the whole call.
+    """
+    factor_set.require_dates(panel.dates)
+    names = param_names(factor_set.names, spec)
+    p = len(names)
+    need = p + min_obs_margin
+    index = np.array([panel.coin_index.get(c, -1) for c in coin_ids], dtype=np.intp)
+    found = index >= 0
+    present = panel.mask[index] & found[:, None]
+    keep = present & factor_set.mask
+    if spec.lagged_return == "own":
+        days = np.array([d.toordinal() for d in panel.dates])
+        keep[:, 1:] &= present[:, :-1] & (np.diff(days) == 1)
+        keep[:, 0] = False
+
+    out: list = [None] * len(coin_ids)
+    for i in np.flatnonzero(~found).tolist():
+        out[i] = InsufficientObservations(coin_ids[i], need, 0)
+    for n, coins, cols in stacks_by_count(keep.T, np.flatnonzero(found), width=p):
+        if n < need:
+            for i in coins.tolist():
+                out[i] = InsufficientObservations(coin_ids[i], need, n)
+            continue
+        chars = np.array(
+            [characteristic_index(c) for c in spec.characteristics], dtype=np.intp
+        )
+        rows = index[coins, None]
+        at = (rows, cols)
+        if spec.lagged_return == "own":
+            r = panel.ret[rows, cols - 1]
+        else:
+            r = panel.r_btc[at]
+        C = np.moveaxis(panel.z[chars[:, None, None], rows, cols], 0, -1)
+        X = np.empty((coins.size, n, p))
+        X[..., 0] = 1.0
+        build_design_matrix(
+            factor_set.values[cols], panel.u[at], r, C, spec, out=X[..., 1:]
+        )
+        fits = ols_stack(X, panel.excess[at], rank_tolerance=rank_tolerance)
+        for i, row_cols, fit in zip(coins.tolist(), cols, fits):
+            coin_id = coin_ids[i]
+            if isinstance(fit, RankDeficient):
+                out[i] = RankDeficient(
+                    [names[k] for k in fit.columns], message=f"coin {coin_id}"
+                )
+                continue
+            risk_adjusted = np.full(len(panel.dates), np.nan)
+            risk_adjusted[row_cols] = fit.coefficients[0] + fit.residuals
+            risk_adjusted.flags.writeable = False
+            out[i] = FirstPassFit(
+                coin_id=coin_id,
+                param_names=names,
+                coefficients=fit.coefficients,
+                stderr=fit.stderr,
+                r2=fit.r2,
+                adj_r2=fit.adj_r2,
+                n_obs=fit.n_obs,
+                n_params=fit.n_params,
+                risk_adjusted=risk_adjusted,
+            )
+    return out
+
+
 def first_pass(
     panel: Panel,
     coin_id: str,
@@ -135,70 +227,32 @@ def first_pass(
     set. With lagged_return "own", a date also needs the coin's return on
     the previous calendar day. Requires n >= n_params + min_obs_margin
     observations, and a factor set on the panel's dates (InvalidConfig
-    otherwise).
+    otherwise). This is the one-coin case of first_pass_stack.
     """
-    factor_set.require_dates(panel.dates)
-    row = panel.coin_index.get(coin_id)
-    present = np.zeros_like(factor_set.mask) if row is None else panel.mask[row]
-    keep = present & factor_set.mask
-    if spec.lagged_return == "own":
-        days = np.array([d.toordinal() for d in panel.dates])
-        keep[1:] &= present[:-1] & (np.diff(days) == 1)
-        keep[0] = False
-    cols = np.flatnonzero(keep)
-    names = param_names(factor_set.names, spec)
-    p = len(names)
-    n = cols.size
-    if row is None or n < p + min_obs_margin:
-        raise InsufficientObservations(coin_id, p + min_obs_margin, n)
-    chars = np.array(
-        [characteristic_index(c) for c in spec.characteristics], dtype=np.intp
+    (fit,) = first_pass_stack(
+        panel, (coin_id,), factor_set, spec, min_obs_margin, rank_tolerance
     )
-
-    F = factor_set.values[cols]
-    u = panel.u[row, cols]
-    if spec.lagged_return == "own":
-        r = panel.ret[row, cols - 1]
-    else:
-        r = panel.r_btc[row, cols]
-    C = panel.z[:, row, cols][chars].T
-
-    design = build_design_matrix(F, u, r, C, spec)
-    X = np.hstack([np.ones((n, 1)), design])
-    y = panel.excess[row, cols]
-    try:
-        fit = ols(X, y, rank_tolerance=rank_tolerance)
-    except RankDeficient as exc:
-        raise RankDeficient(
-            [names[i] for i in exc.columns], message=f"coin {coin_id}"
-        ) from None
-
-    risk_adjusted = np.full(len(panel.dates), np.nan)
-    risk_adjusted[cols] = fit.coefficients[0] + fit.residuals
-    risk_adjusted.flags.writeable = False
-    return FirstPassFit(
-        coin_id=coin_id,
-        param_names=names,
-        coefficients=fit.coefficients,
-        stderr=fit.stderr,
-        r2=fit.r2,
-        adj_r2=fit.adj_r2,
-        n_obs=fit.n_obs,
-        n_params=fit.n_params,
-        risk_adjusted=risk_adjusted,
-    )
+    if not isinstance(fit, FirstPassFit):
+        raise fit
+    return fit
 
 
 def write_first_pass_params_csv(
     fits: Sequence[FirstPassFit], path: str | Path
 ) -> None:
-    """coin_id,param_name,estimate,stderr in coin then design-column order."""
+    """coin_id,param_name,estimate,stderr in coin then design-column order,
+    in csv.writer's dialect as in write_risk_adjusted_csv: each coin's rows
+    go out as one write. Parameter names need no quoting."""
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("coin_id", "param_name", "estimate", "stderr"))
+        handle.write("coin_id,param_name,estimate,stderr\r\n")
         for fit in sorted(fits, key=lambda f: f.coin_id):
-            for name, est, se in zip(fit.param_names, fit.coefficients, fit.stderr):
-                writer.writerow((fit.coin_id, name, repr(float(est)), repr(float(se))))
+            lead = csv_lead(fit.coin_id)
+            handle.write("".join(
+                lead + name + "," + repr(est) + "," + repr(se) + "\r\n"
+                for name, est, se in zip(
+                    fit.param_names, fit.coefficients.tolist(), fit.stderr.tolist()
+                )
+            ))
 
 
 def write_risk_adjusted_csv(

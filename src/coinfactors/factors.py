@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyDate, EmptyLeg, InvalidConfig, TooFewCoins
-from .panel import Panel, characteristic_index
+from .panel import Panel, characteristic_index, stacks_by_count
 
 FACTOR_NAMES = ("mkt", "smb", "val", "mom", "liq")
 
@@ -115,29 +115,50 @@ def _sort_legs(values: np.ndarray) -> np.ndarray:
     return legs
 
 
+def _market_returns(
+    panel: Panel, options: FactorOptions, caps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The market's cap-weighted excess return on every date, and which
+    dates have a member to weight. Dates with the same member count are
+    weighted as one stack (panel.stacks_by_count): each row sums and dots
+    contiguously, so every date gets the bits _weighted_return gives it."""
+    members = panel.mask
+    btc = panel.coin_index.get(options.btc_id)
+    if options.exclude_btc_from_market and btc is not None:
+        members = members.copy()
+        members[btc] = False
+    market = np.zeros(len(panel.dates))
+    for n, cols, rows in stacks_by_count(members):
+        if n == 0:
+            continue
+        at = (rows, cols[:, None])
+        c = caps[at]
+        weights = c / c.sum(axis=-1, keepdims=True)
+        market[cols] = (weights[:, None, :] @ panel.excess[at][..., None])[:, 0, 0]
+    return market, members.any(axis=0)
+
+
 def _date_factors(
     panel: Panel,
     col: int,
     names: Sequence[str],
     options: FactorOptions,
     caps: np.ndarray,
+    market: tuple[np.ndarray, np.ndarray],
 ) -> tuple[float, ...]:
     """The named factors on date column col, in order. caps holds the lagged
-    cap of every coin-day, as build_factor_set makes it. The first factor
-    that fails its precondition raises EmptyDate, TooFewCoins or EmptyLeg."""
+    cap of every coin-day, and market what _market_returns gives, as
+    build_factor_set makes them. The first factor that fails its
+    precondition raises EmptyDate, TooFewCoins or EmptyLeg."""
     date = panel.dates[col]
     rows = np.flatnonzero(panel.mask[:, col])
-    caps = caps[rows, col]
-    excess = panel.excess[rows, col]
     out = []
     for name in names:
         if name == "mkt":
-            keep = np.ones(rows.size, dtype=bool)
-            if options.exclude_btc_from_market:
-                keep = rows != panel.coin_index.get(options.btc_id, -1)
-            if not keep.any():
+            values, held = market
+            if not held[col]:
                 raise EmptyDate(date)
-            out.append(_weighted_return(caps[keep], excess[keep]))
+            out.append(values[col])
             continue
         if rows.size < options.min_sort_coins:
             raise TooFewCoins(date, options.min_sort_coins, rows.size)
@@ -145,10 +166,10 @@ def _date_factors(
         legs = _sort_legs(panel.raw[characteristic_index(characteristic), rows, col])
         spread = []
         for label in (long_label, short_label):
-            members = legs == _LEG_LABELS.index(label)
-            if not members.any():
+            members = rows[legs == _LEG_LABELS.index(label)]
+            if not members.size:
                 raise EmptyLeg(date, label)
-            spread.append(_weighted_return(caps[members], excess[members]))
+            spread.append(_weighted_return(caps[members, col], panel.excess[members, col]))
         out.append(spread[0] - spread[1])
     return tuple(out)
 
@@ -233,12 +254,13 @@ def build_factor_set(
     names = resolve_factor_names(menu)
     caps = np.zeros(panel.mask.shape)
     caps[panel.mask] = _caps(panel.raw[characteristic_index("size")][panel.mask])
+    market = _market_returns(panel, options, caps) if "mkt" in names else None
     mask = np.zeros(len(panel.dates), dtype=bool)
     values = np.full((len(panel.dates), len(names)), np.nan)
     dropped = []
     for col, date in enumerate(panel.dates):
         try:
-            values[col] = _date_factors(panel, col, names, options, caps)
+            values[col] = _date_factors(panel, col, names, options, caps, market)
             mask[col] = True
         except (TooFewCoins, EmptyLeg, EmptyDate) as exc:
             dropped.append((date, f"{type(exc).__name__}: {exc}"))

@@ -43,6 +43,11 @@ RISKFREE_MODES = ("tbill", "btc")
 
 WINSOR = (1.0, 99.0)  # default cross-sectional percentiles (lower, upper)
 
+# The most cells (slices x rows x columns, 256 KB of float64) one stacked
+# kernel call takes: enough to amortize numpy's per-call overhead, few
+# enough that a wide panel's stack stays small in memory.
+STACK_CELLS = 2**15
+
 # short column codes used by every CSV surface
 SHORT_CODES = {"size": "size", "momentum": "mom", "liquidity": "liq", "value": "val"}
 
@@ -319,6 +324,16 @@ def columns_by_count(mask: np.ndarray, cols: np.ndarray | None = None):
         group = np.flatnonzero(counts == n)
         rows = np.nonzero(sub[:, group].T)[1].reshape(group.size, n)
         yield n, cols[group], rows
+
+
+def stacks_by_count(mask: np.ndarray, cols: np.ndarray | None = None, width: int = 1):
+    """columns_by_count, with each group cut into stacks of at most
+    STACK_CELLS cells, a column taking count x width of them (always at
+    least one column per stack). Yields (count, cols, rows) per stack."""
+    for n, group, rows in columns_by_count(mask, cols):
+        step = max(1, STACK_CELLS // max(1, n * width))
+        for start in range(0, group.size, step):
+            yield n, group[start : start + step], rows[start : start + step]
 
 
 def standardize_cross_section(

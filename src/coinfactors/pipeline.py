@@ -11,7 +11,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .condbeta import MIN_OBS_MARGIN, BetaSpec, FirstPassFit, first_pass
+from .condbeta import (
+    MIN_OBS_MARGIN,
+    BetaSpec,
+    FirstPassFit,
+    first_pass,  # unused here; kept importable, perfbench/tracer.py wraps pipeline.first_pass
+    first_pass_stack,
+)
 from .econometrics import (
     DEFAULT_RANK_TOLERANCE,
     SIGNIFICANCE_Z,
@@ -36,14 +42,10 @@ from .panel import (
     Drop,
     Panel,
     characteristic_index,
-    columns_by_count,
+    stacks_by_count,
 )
 
 FLOOR_BASE = 20  # the fewest coins a cross-sectional date needs, whatever |Z|
-
-# Cross-sections per stacked OLS call: enough to amortize the per-call
-# overhead, few enough that a wide panel's stack stays small in memory.
-STACK_DATES = 64
 
 
 @dataclass(frozen=True)
@@ -154,8 +156,8 @@ def second_pass(
     none; each date holding an R* is one cross-section. Dates with fewer
     coins than the floor, or with a degenerate design (for example all-zero
     z-scores), are skipped and recorded in date order. Requires at least 2
-    surviving dates. Dates with the same coin count are fitted as stacks of
-    up to STACK_DATES cross-sections, each fit the same as a lone ols call.
+    surviving dates. Dates with the same coin count are fitted in stacks
+    (panel.stacks_by_count), each fit the same as a lone ols call.
     """
     anomalies = tuple(anomalies)
     floor = cross_section_floor(len(anomalies), floor_base)
@@ -167,22 +169,20 @@ def second_pass(
     held &= panel.mask
 
     outcome: dict[int, OlsFit | str] = {}  # a fit, or why its date is skipped
-    for n, cols, rows in columns_by_count(held, dated):
+    for n, cols, rows in stacks_by_count(held, dated, width=1 + len(chars)):
         if n < floor:
             outcome.update(dict.fromkeys(cols.tolist(), f"below_floor:{n}<{floor}"))
             continue
-        for start in range(0, cols.size, STACK_DATES):
-            chunk = cols[start : start + STACK_DATES]
-            at = (rows[start : start + STACK_DATES], chunk[:, None])
-            X = np.empty((chunk.size, n, 1 + len(chars)))
-            X[..., 0] = 1.0
-            for k, m in enumerate(chars, start=1):
-                X[..., k] = panel.z[m][at]
-            stack = ols_stack(X, rstar[at], rank_tolerance=rank_tolerance)
-            for col, fit in zip(chunk.tolist(), stack):
-                if isinstance(fit, RankDeficient):
-                    fit = f"rank_deficient:{fit.columns}"
-                outcome[col] = fit
+        at = (rows, cols[:, None])
+        X = np.empty((cols.size, n, 1 + len(chars)))
+        X[..., 0] = 1.0
+        for k, m in enumerate(chars, start=1):
+            X[..., k] = panel.z[m][at]
+        stack = ols_stack(X, rstar[at], rank_tolerance=rank_tolerance)
+        for col, fit in zip(cols.tolist(), stack):
+            if isinstance(fit, RankDeficient):
+                fit = f"rank_deficient:{fit.columns}"
+            outcome[col] = fit
 
     fits = []
     skipped = []
@@ -283,26 +283,26 @@ def run_model(
         exc = NoEligibleDates("factor set is empty")
         raise StageError(spec.label, "factors", exc) from exc
 
+    try:
+        outcomes = first_pass_stack(
+            panel,
+            panel.coins,
+            factor_set,
+            spec.beta,
+            min_obs_margin=options.min_obs_margin,
+            rank_tolerance=options.rank_tolerance,
+        )
+    except CoinFactorsError as exc:
+        raise StageError(spec.label, "first_pass", exc) from exc
     fits = []
     dropped = []
-    for coin_id in panel.coins:
-        try:
-            fits.append(
-                first_pass(
-                    panel,
-                    coin_id,
-                    factor_set,
-                    spec.beta,
-                    min_obs_margin=options.min_obs_margin,
-                    rank_tolerance=options.rank_tolerance,
-                )
-            )
-        except InsufficientObservations as exc:
-            dropped.append(Drop(coin_id, None, f"insufficient_observations: {exc}"))
-        except RankDeficient as exc:
-            dropped.append(Drop(coin_id, None, f"rank_deficient: {exc}"))
-        except CoinFactorsError as exc:
-            raise StageError(spec.label, "first_pass", exc) from exc
+    for coin_id, fit in zip(panel.coins, outcomes):
+        if isinstance(fit, InsufficientObservations):
+            dropped.append(Drop(coin_id, None, f"insufficient_observations: {fit}"))
+        elif isinstance(fit, RankDeficient):
+            dropped.append(Drop(coin_id, None, f"rank_deficient: {fit}"))
+        else:
+            fits.append(fit)
 
     rstar = np.full(panel.mask.shape, np.nan)
     for fit in fits:

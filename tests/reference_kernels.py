@@ -1,10 +1,12 @@
 """The per-row kernels that the batched code replaced, kept verbatim as
 the exact oracle for it.
 
-winsorized_zscores scores one cross-section, ols fits one design, and
-generate_synthetic draws one AR(1) path per loop and standardizes one lag
-per call. The stacked versions in coinfactors must agree with these bit for
-bit.
+winsorized_zscores scores one cross-section, ols fits one design,
+build_design_matrix expands one coin's design and first_pass fits one coin
+through it, build_factor_set weights the market one date at a time, and
+generate_synthetic draws one AR(1) path per loop and
+standardizes one lag per call. The stacked versions in coinfactors must
+agree with these bit for bit.
 """
 
 from __future__ import annotations
@@ -15,11 +17,28 @@ from typing import Sequence
 
 import numpy as np
 
-from coinfactors.condbeta import build_design_matrix
+from coinfactors.condbeta import MIN_OBS_MARGIN, BetaSpec, FirstPassFit, param_names
 from coinfactors.econometrics import DEFAULT_RANK_TOLERANCE, OlsFit
-from coinfactors.errors import MissingCharacteristic, RankDeficient, TooFewObservations
-from coinfactors.factors import FactorSet
-from coinfactors.panel import CHARACTERISTIC_NAMES, WINSOR, Panel
+from coinfactors.errors import (
+    EmptyDate,
+    EmptyLeg,
+    InsufficientObservations,
+    MissingCharacteristic,
+    RankDeficient,
+    TooFewCoins,
+    TooFewObservations,
+)
+from coinfactors.factors import (
+    _LEG_LABELS,
+    LONG_SHORT,
+    FactorOptions,
+    FactorSet,
+    _caps,
+    _sort_legs,
+    _weighted_return,
+    resolve_factor_names,
+)
+from coinfactors.panel import CHARACTERISTIC_NAMES, WINSOR, Panel, characteristic_index
 from coinfactors.synth import (
     COIN_SIZE_SPREAD,
     LIQ_RAW_MEAN,
@@ -101,6 +120,169 @@ def ols(
         n_obs=n,
         n_params=p,
     )
+
+
+def build_design_matrix(
+    factors: np.ndarray,
+    u: np.ndarray,
+    r: np.ndarray,
+    chars: np.ndarray,
+    spec: BetaSpec,
+) -> np.ndarray:
+    """Expand T factor rows into the interaction design, without intercept.
+
+    factors is T x K, u and r are length T, chars is T x M in spec order.
+    Per factor value f the conditional row block is
+    f * [1, u, r, (c, u*c, r*c) for each characteristic c], giving
+    3*(1+M) columns per factor; unconditional mode emits f alone.
+    """
+    F = np.asarray(factors, dtype=float)
+    if F.ndim == 1:
+        F = F.reshape(-1, 1)
+    if spec.mode == "unconditional":
+        return F.copy()
+    T, K = F.shape
+    u = np.asarray(u, dtype=float).reshape(T)
+    r = np.asarray(r, dtype=float).reshape(T)
+    C = np.asarray(chars, dtype=float).reshape(T, len(spec.characteristics))
+    base_cols = [np.ones(T), u, r]
+    for m in range(C.shape[1]):
+        c = C[:, m]
+        base_cols.extend([c, u * c, r * c])
+    base = np.column_stack(base_cols)
+    blocks = [F[:, [k]] * base for k in range(K)]
+    return np.hstack(blocks)
+
+
+def first_pass(
+    panel: Panel,
+    coin_id: str,
+    factor_set: FactorSet,
+    spec: BetaSpec,
+    min_obs_margin: int = MIN_OBS_MARGIN,
+    rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
+) -> FirstPassFit:
+    """Time-series regression of one coin's excess returns on the expanded
+    factor design, over the dates present in both the coin and the factor
+    set. With lagged_return "own", a date also needs the coin's return on
+    the previous calendar day. Requires n >= n_params + min_obs_margin
+    observations, and a factor set on the panel's dates (InvalidConfig
+    otherwise).
+    """
+    factor_set.require_dates(panel.dates)
+    row = panel.coin_index.get(coin_id)
+    present = np.zeros_like(factor_set.mask) if row is None else panel.mask[row]
+    keep = present & factor_set.mask
+    if spec.lagged_return == "own":
+        days = np.array([d.toordinal() for d in panel.dates])
+        keep[1:] &= present[:-1] & (np.diff(days) == 1)
+        keep[0] = False
+    cols = np.flatnonzero(keep)
+    names = param_names(factor_set.names, spec)
+    p = len(names)
+    n = cols.size
+    if row is None or n < p + min_obs_margin:
+        raise InsufficientObservations(coin_id, p + min_obs_margin, n)
+    chars = np.array(
+        [characteristic_index(c) for c in spec.characteristics], dtype=np.intp
+    )
+
+    F = factor_set.values[cols]
+    u = panel.u[row, cols]
+    if spec.lagged_return == "own":
+        r = panel.ret[row, cols - 1]
+    else:
+        r = panel.r_btc[row, cols]
+    C = panel.z[:, row, cols][chars].T
+
+    design = build_design_matrix(F, u, r, C, spec)
+    X = np.hstack([np.ones((n, 1)), design])
+    y = panel.excess[row, cols]
+    try:
+        fit = ols(X, y, rank_tolerance=rank_tolerance)
+    except RankDeficient as exc:
+        raise RankDeficient(
+            [names[i] for i in exc.columns], message=f"coin {coin_id}"
+        ) from None
+
+    risk_adjusted = np.full(len(panel.dates), np.nan)
+    risk_adjusted[cols] = fit.coefficients[0] + fit.residuals
+    risk_adjusted.flags.writeable = False
+    return FirstPassFit(
+        coin_id=coin_id,
+        param_names=names,
+        coefficients=fit.coefficients,
+        stderr=fit.stderr,
+        r2=fit.r2,
+        adj_r2=fit.adj_r2,
+        n_obs=fit.n_obs,
+        n_params=fit.n_params,
+        risk_adjusted=risk_adjusted,
+    )
+
+
+def _date_factors(
+    panel: Panel,
+    col: int,
+    names: Sequence[str],
+    options: FactorOptions,
+    caps: np.ndarray,
+) -> tuple[float, ...]:
+    """The named factors on date column col, in order. caps holds the lagged
+    cap of every coin-day, as build_factor_set makes it. The first factor
+    that fails its precondition raises EmptyDate, TooFewCoins or EmptyLeg."""
+    date = panel.dates[col]
+    rows = np.flatnonzero(panel.mask[:, col])
+    caps = caps[rows, col]
+    excess = panel.excess[rows, col]
+    out = []
+    for name in names:
+        if name == "mkt":
+            keep = np.ones(rows.size, dtype=bool)
+            if options.exclude_btc_from_market:
+                keep = rows != panel.coin_index.get(options.btc_id, -1)
+            if not keep.any():
+                raise EmptyDate(date)
+            out.append(_weighted_return(caps[keep], excess[keep]))
+            continue
+        if rows.size < options.min_sort_coins:
+            raise TooFewCoins(date, options.min_sort_coins, rows.size)
+        characteristic, long_label, short_label = LONG_SHORT[name]
+        legs = _sort_legs(panel.raw[characteristic_index(characteristic), rows, col])
+        spread = []
+        for label in (long_label, short_label):
+            members = legs == _LEG_LABELS.index(label)
+            if not members.any():
+                raise EmptyLeg(date, label)
+            spread.append(_weighted_return(caps[members], excess[members]))
+        out.append(spread[0] - spread[1])
+    return tuple(out)
+
+
+def build_factor_set(
+    panel: Panel,
+    menu: str | Sequence[str],
+    options: FactorOptions = FactorOptions(),
+) -> FactorSet:
+    """Compute the demanded factors for every panel date.
+
+    A date where any demanded factor fails its precondition (too few coins,
+    an empty leg, an empty market) is dropped from the set and recorded, not
+    imputed.
+    """
+    names = resolve_factor_names(menu)
+    caps = np.zeros(panel.mask.shape)
+    caps[panel.mask] = _caps(panel.raw[characteristic_index("size")][panel.mask])
+    mask = np.zeros(len(panel.dates), dtype=bool)
+    values = np.full((len(panel.dates), len(names)), np.nan)
+    dropped = []
+    for col, date in enumerate(panel.dates):
+        try:
+            values[col] = _date_factors(panel, col, names, options, caps)
+            mask[col] = True
+        except (TooFewCoins, EmptyLeg, EmptyDate) as exc:
+            dropped.append((date, f"{type(exc).__name__}: {exc}"))
+    return FactorSet(names, panel.dates, mask, values, tuple(dropped))
 
 
 def _ar1_path(rng: np.random.Generator, phi: float, length: int) -> np.ndarray:

@@ -1,6 +1,7 @@
-"""The csv.writer versions of write_panel_csv and write_risk_adjusted_csv,
-kept verbatim as the exact oracle for the per-coin joined text that
-replaced them: the new writers must produce these files byte for byte.
+"""The csv.writer versions of write_panel_csv, write_risk_adjusted_csv and
+write_first_pass_params_csv, kept verbatim as the exact oracle for the
+per-coin joined text that replaced them: the new writers must produce these
+files byte for byte.
 """
 
 from __future__ import annotations
@@ -61,3 +62,15 @@ def write_risk_adjusted_csv(
                     map(repr, fit.risk_adjusted[cols].tolist()),
                 )
             )
+
+
+def write_first_pass_params_csv(
+    fits: Sequence[FirstPassFit], path: str | Path
+) -> None:
+    """coin_id,param_name,estimate,stderr in coin then design-column order."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(("coin_id", "param_name", "estimate", "stderr"))
+        for fit in sorted(fits, key=lambda f: f.coin_id):
+            for name, est, se in zip(fit.param_names, fit.coefficients, fit.stderr):
+                writer.writerow((fit.coin_id, name, repr(float(est)), repr(float(se))))

@@ -1,20 +1,32 @@
-"""The batched z-score kernel, the stacked OLS, the grouped second pass and
-the vectorised generator against the per-row code they replaced
-(tests/reference_kernels.py and tests/reference_rows.py). Agreement is
-exact: equal bytes, which also separate -0.0 from 0.0.
+"""The batched z-score kernel, the stacked OLS, the stacked first pass, the
+stacked market factor, the grouped second pass and the vectorised generator
+against the per-row code they replaced (tests/reference_kernels.py and
+tests/reference_rows.py). Agreement is exact: equal bytes, which also
+separate -0.0 from 0.0.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coinfactors.panel
 import reference_kernels as ref
 import reference_rows as ref_rows
+from coinfactors.condbeta import (
+    BetaSpec,
+    FirstPassFit,
+    first_pass,
+    first_pass_stack,
+    param_names,
+)
 from coinfactors.econometrics import ols, ols_stack
-from coinfactors.errors import RankDeficient
-from coinfactors.panel import _COLUMNS, Panel, winsorized_zscores
-from coinfactors.pipeline import STACK_DATES, second_pass
+from coinfactors.errors import InsufficientObservations, RankDeficient
+from coinfactors.factors import FACTOR_MENU, FactorOptions, FactorSet, build_factor_set
+from coinfactors.panel import _COLUMNS, STACK_CELLS, Panel, winsorized_zscores
+from coinfactors.pipeline import second_pass
 from coinfactors.synth import _ar1_paths, generate_synthetic, scenario, truth_to_json
 from reference_rows import row_view
 
@@ -148,9 +160,14 @@ def _mixed_panel(seed):
     return mixed, rstar
 
 
+SMALL_STACK_CELLS = 2**11
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("anomalies", [("size", "liquidity", "momentum"), ("value",)])
-def test_grouped_second_pass_equals_the_per_date_oracle(seed, anomalies):
+def test_grouped_second_pass_equals_the_per_date_oracle(monkeypatch, seed, anomalies):
+    # a budget small enough that a stack holds 17 or 34 of these dates
+    monkeypatch.setattr(coinfactors.panel, "STACK_CELLS", SMALL_STACK_CELLS)
     panel, rstar = _mixed_panel(seed)
     by_coin = {
         coin: {
@@ -172,7 +189,8 @@ def test_grouped_second_pass_equals_the_per_date_oracle(seed, anomalies):
     if "size" in anomalies:
         assert "rank_deficient" in reasons
     # some coin count fills more than one stack
-    assert sum(f.n_coins == 30 for f in new.fits) > STACK_DATES
+    per_stack = SMALL_STACK_CELLS // (30 * (1 + len(anomalies)))
+    assert sum(f.n_coins == 30 for f in new.fits) > per_stack
 
 
 @pytest.mark.parametrize("phi", [0.0, 0.5, 0.95])
@@ -198,3 +216,191 @@ def test_generate_synthetic_equals_the_per_coin_oracle(name, n_coins):
         assert getattr(panel, column).tobytes() == getattr(expected, column).tobytes(), column
     assert panel.coins == expected.coins and panel.dates == expected.dates
     assert truth_to_json(truth) == truth_to_json(expected_truth)
+
+
+def _gapped_panel(kinds, gaps, seed, menu, drop_every=13, n_days=200):
+    """A scenario-B panel with one coin per kind, on a factor set with menu's
+    factors (drawn values) that drops every drop_every-th date. A "full"
+    coin keeps every date; a "gap" coin loses gaps[i] = (start, length); a
+    "short" coin keeps 20 dates, too few for any spec; a "flat" coin keeps
+    every date with its uncertainty zeroed, so any conditional design of it
+    is rank-deficient. The last coin must be full so that every date keeps
+    an observation."""
+    assert kinds[-1] == "full"
+    panel, _ = generate_synthetic(scenario("B", len(kinds), n_days, seed))
+    mask = np.ones(panel.mask.shape, dtype=bool)
+    u = np.array(panel.u)
+    for i, kind in enumerate(kinds):
+        if kind == "gap":
+            start, length = gaps[i]
+            mask[i, start : start + length] = False
+        elif kind == "short":
+            mask[i, 20:] = False
+        elif kind == "flat":
+            u[i] = 0.0
+    columns = {name: getattr(panel, name) for name in _COLUMNS}
+    columns.update(mask=mask, u=u, r_btc=np.array(panel.r_btc))
+    gapped = Panel(coins=panel.coins, dates=panel.dates,
+                   riskfree_mode=panel.riskfree_mode, **columns)
+    names = FACTOR_MENU[menu]
+    values = 0.02 * np.random.default_rng(seed).standard_normal((len(panel.dates), len(names)))
+    kept = np.ones(len(panel.dates), dtype=bool)
+    if drop_every:
+        kept[::drop_every] = False
+    values[~kept] = np.nan
+    return gapped, FactorSet(names, panel.dates, kept, values)
+
+
+def _outcome(fit):
+    if isinstance(fit, FirstPassFit):
+        return (fit.coin_id, fit.param_names, fit.coefficients.tobytes(),
+                fit.stderr.tobytes(), repr((fit.r2, fit.adj_r2, fit.n_obs, fit.n_params)),
+                fit.risk_adjusted.tobytes(), fit.risk_adjusted.flags.writeable)
+    return (type(fit).__name__, str(fit), getattr(fit, "columns", None))
+
+
+def _fit_or_drop(fit_one, *args):
+    try:
+        return fit_one(*args)
+    except (InsufficientObservations, RankDeficient) as exc:
+        return exc
+
+
+def _check_first_pass(panel, factor_set, spec, cells):
+    """first_pass_stack under a budget of cells, and first_pass per coin,
+    against the per-coin oracle; returns the stacked outcomes."""
+    with mock.patch.object(coinfactors.panel, "STACK_CELLS", cells):
+        stacked = first_pass_stack(panel, panel.coins, factor_set, spec)
+        lone = [_fit_or_drop(first_pass, panel, c, factor_set, spec) for c in panel.coins]
+    expected = [
+        _outcome(_fit_or_drop(ref.first_pass, panel, c, factor_set, spec))
+        for c in panel.coins
+    ]
+    assert [_outcome(f) for f in stacked] == expected
+    assert [_outcome(f) for f in lone] == expected
+    return stacked
+
+
+SPEC_CHARACTERISTICS = st.sampled_from(
+    [("size",), ("size", "momentum", "liquidity"), ("value", "liquidity")]
+)
+
+
+@st.composite
+def first_pass_cases(draw):
+    """Up to 8 coins of every kind, gaps of two lengths so that count groups
+    form, any menu, beta mode and lagged return, and stack budgets from one
+    coin per stack to the module's."""
+    n_coins = draw(st.integers(2, 8))
+    kinds = draw(st.lists(st.sampled_from(["full", "gap", "short", "flat"]),
+                          min_size=n_coins - 1, max_size=n_coins - 1)) + ["full"]
+    gaps = [(draw(st.integers(0, 170)), draw(st.sampled_from([1, 9]))) for _ in kinds]
+    panel, factor_set = _gapped_panel(
+        kinds, gaps, draw(st.integers(0, 2**16)), draw(st.sampled_from(["CAPM", "FF3", "ALL"])),
+        drop_every=draw(st.sampled_from([0, 7, 13])),
+    )
+    spec = BetaSpec(draw(st.sampled_from(["unconditional", "conditional"])),
+                    draw(SPEC_CHARACTERISTICS), draw(st.sampled_from(["btc", "own"])))
+    return panel, factor_set, spec, draw(st.sampled_from([1, 2**10, 2**13, STACK_CELLS]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=first_pass_cases())
+def test_stacked_first_pass_equals_the_per_coin_oracle(case):
+    _check_first_pass(*case)
+
+
+@pytest.mark.parametrize("lagged_return", ["btc", "own"])
+@pytest.mark.parametrize("mode", ["unconditional", "conditional"])
+def test_stacked_first_pass_splits_groups_and_keeps_drops_in_place(mode, lagged_return):
+    kinds = ["full", "flat", "full", "full", "gap", "gap", "short", "full"]
+    # equal gaps clear of the dropped dates (multiples of 13): one group
+    gaps = {4: (27, 9), 5: (79, 9)}
+    panel, factor_set = _gapped_panel(kinds, gaps, seed=5, menu="FF3")
+    spec = BetaSpec(mode, lagged_return=lagged_return)
+    p = len(param_names(factor_set.names, spec))
+    n_full = ref.first_pass(panel, panel.coins[0], factor_set, spec).n_obs
+    # three coins a stack: the full-length coins take two stacks, with the
+    # flat coin in the middle of the first
+    for cells in (3 * n_full * p, STACK_CELLS):
+        outcomes = _check_first_pass(panel, factor_set, spec, cells)
+        assert isinstance(outcomes[6], InsufficientObservations)
+        assert outcomes[6].available < 20
+        if mode == "conditional":
+            flat = outcomes[1]
+            assert isinstance(flat, RankDeficient)
+            assert str(flat) == f"rank-deficient design: coin {panel.coins[1]}"
+            # the null direction loads on uncertainty columns alone
+            assert flat.columns and all(c.endswith(".u") for c in flat.columns)
+        else:
+            assert isinstance(outcomes[1], FirstPassFit)
+        n_obs = [f.n_obs for f in outcomes if isinstance(f, FirstPassFit)]
+        assert n_obs.count(n_full) == (4 if mode == "conditional" else 5)
+        assert n_obs[-3:-1] == [n_obs[-3]] * 2 and n_obs[-3] < n_full
+
+
+@st.composite
+def market_cases(draw):
+    """A panel with holes, BTC among its coins or not, a date on which
+    BTC is alone, the market with or without BTC, menus with the market
+    first, last or alone, and stack budgets from one date per stack up."""
+    # past 8 coins numpy sums a row with eight accumulators
+    n_coins = draw(st.one_of(st.integers(2, 8), st.sampled_from([9, 17, 40])))
+    panel, _ = generate_synthetic(scenario("A", n_coins, 200, draw(st.integers(0, 2**16))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    mask = rng.random(panel.mask.shape) < draw(st.sampled_from([0.4, 0.8, 1.0]))
+    btc = draw(st.integers(-1, n_coins - 1))
+    if btc >= 0 and draw(st.booleans()):
+        col = draw(st.integers(0, len(panel.dates) - 1))
+        mask[:, col] = False
+        mask[btc, col] = True
+    mask[rng.integers(n_coins), ~mask.any(axis=0)] = True
+    mask[~mask.any(axis=1), 0] = True
+    columns = {name: getattr(panel, name) for name in _COLUMNS}
+    columns.update(mask=mask, u=np.array(panel.u), r_btc=np.array(panel.r_btc))
+    holed = Panel(coins=panel.coins, dates=panel.dates,
+                  riskfree_mode=panel.riskfree_mode, **columns)
+    options = FactorOptions(
+        min_sort_coins=draw(st.integers(1, 5)),
+        exclude_btc_from_market=draw(st.booleans()),
+        btc_id=panel.coins[btc] if btc >= 0 else "BTC",
+    )
+    menu = draw(st.sampled_from(["CAPM", "FF3", "ALL", ("smb", "mkt"), ("liq", "mkt", "val")]))
+    return holed, menu, options, draw(st.sampled_from([1, 16, STACK_CELLS]))
+
+
+def _check_factor_set(panel, menu, options, cells):
+    with mock.patch.object(coinfactors.panel, "STACK_CELLS", cells):
+        new = build_factor_set(panel, menu, options)
+    old = ref.build_factor_set(panel, menu, options)
+    assert (new.names, new.dates, new.dropped) == (old.names, old.dates, old.dropped)
+    assert new.mask.tobytes() == old.mask.tobytes()
+    assert new.values.tobytes() == old.values.tobytes()
+    return new
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=market_cases())
+def test_stacked_market_factor_equals_the_per_date_oracle(case):
+    _check_factor_set(*case)
+
+
+def test_btc_only_date_drops_with_the_first_failing_factor():
+    panel, _ = generate_synthetic(scenario("A", 6, 200, seed=4))
+    mask = np.ones(panel.mask.shape, dtype=bool)
+    mask[1:, 10] = False  # coin 0 alone on date 10
+    mask[2, 20:30] = False
+    columns = {name: getattr(panel, name) for name in _COLUMNS}
+    columns.update(mask=mask, u=np.array(panel.u), r_btc=np.array(panel.r_btc))
+    holed = Panel(coins=panel.coins, dates=panel.dates,
+                  riskfree_mode=panel.riskfree_mode, **columns)
+    options = FactorOptions(exclude_btc_from_market=True, btc_id=panel.coins[0])
+    date = panel.dates[10].isoformat()
+    for menu, reason in (
+        ("CAPM", f"EmptyDate: no valid observations on {date}"),
+        (("smb", "mkt"), f"TooFewCoins: 1 coins sortable on {date}, need 5"),
+        (("mkt", "smb"), f"EmptyDate: no valid observations on {date}"),
+    ):
+        for cells in (1, 16, STACK_CELLS):
+            factor_set = _check_factor_set(holed, menu, options, cells)
+            assert factor_set.dropped == ((panel.dates[10], reason),)

@@ -1,17 +1,24 @@
 """Properties of the columnar panel that hold for any input: the panel CSV
 round trip is exact, a coin on dates of its own leaves every other coin's
 first pass untouched, rescaling every market cap leaves the factors
-unchanged on every date, and build_panel does not depend on the order of
-its coin series.
+unchanged on every date, build_panel does not depend on the order of its
+coin series, and renaming the coins leaves every run output unchanged up to
+labels and row order.
 """
 
+import csv
 import dataclasses
 import datetime as dt
+import functools
+import io
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -24,6 +31,7 @@ from coinfactors.ingest import (
     parse_riskfree_csv,
 )
 from coinfactors.panel import (
+    _COLUMNS,
     CHARACTERISTIC_NAMES,
     CharacteristicWindows,
     Panel,
@@ -33,6 +41,8 @@ from coinfactors.panel import (
     write_drop_report,
     write_panel_csv,
 )
+from coinfactors.pipeline import ModelSpec, PipelineOptions, compare_models
+from coinfactors.report import write_report_files
 from coinfactors.synth import emit_raw_files, generate_synthetic, scenario
 
 from conftest import D0, make_obs
@@ -208,3 +218,87 @@ def test_build_panel_bytes_do_not_depend_on_coin_order(
     assert expected[0].count(b"\n") > 100  # the panel holds observations
     shuffled = [coins[i] for i in order]
     assert _build_bytes(shuffled, epu, rf, options, out) == expected
+
+
+# with floor_base 0 a single anomaly needs 6 coins a date, which 8 coins
+# keep: every spec reaches the second pass
+RELABEL_SPECS = [
+    ModelSpec(label, menu, BetaSpec(mode), anomalies=("size",))
+    for label, menu, mode in (
+        ("capm-u", "CAPM", "unconditional"),
+        ("capm-c", "CAPM", "conditional"),
+        ("ff3-c", "FF3", "conditional"),
+    )
+]
+RELABEL_OPTIONS = PipelineOptions(floor_base=0)
+
+
+@functools.lru_cache(maxsize=None)
+def _relabel_base():
+    """8 scenario-B coins, one short of history (dropped by every spec) and
+    one missing a block of dates."""
+    panel, _ = generate_synthetic(scenario("B", 8, 200, seed=9))
+    mask = np.ones(panel.mask.shape, dtype=bool)
+    mask[2, 30:] = False
+    mask[5, 60:90] = False
+    columns = {name: getattr(panel, name) for name in _COLUMNS}
+    columns.update(mask=mask, u=np.array(panel.u), r_btc=np.array(panel.r_btc))
+    return Panel(coins=panel.coins, dates=panel.dates,
+                 riskfree_mode=panel.riskfree_mode, **columns)
+
+
+def _run_outputs(panel):
+    """Every file a run writes for RELABEL_SPECS, by name."""
+    report = compare_models({panel.riskfree_mode: panel}, RELABEL_SPECS, RELABEL_OPTIONS)
+    with tempfile.TemporaryDirectory() as out:
+        names = write_report_files(report, out)
+        return {name: (Path(out) / name).read_text() for name in names}
+
+
+NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|-?inf|nan")
+
+
+def _assert_same_up_to_rounding(a, b, rel):
+    """Equal text around the numbers, and numbers equal or within rel."""
+    assert NUMBER.split(a) == NUMBER.split(b)
+    for x, y in zip(NUMBER.findall(a), NUMBER.findall(b)):
+        assert x == y or math.isclose(float(x), float(y), rel_tol=rel, abs_tol=rel * 1e-3)
+
+
+def _sorted_rows(text, rename):
+    """A CSV's header and its rows with every coin label mapped by rename,
+    sorted, one text line per row."""
+    rows = [[rename.get(cell, cell) for cell in row] for row in csv.reader(io.StringIO(text))]
+    return "\n".join("\x1f".join(row) for row in rows[:1] + sorted(rows[1:]))
+
+
+@settings(max_examples=15, deadline=None)
+@example(labels=["A", "B", "C", "X", "Y", "Z", "ZA", "ZB"])  # the same order
+@example(labels=["ZB", "ZA", "Z", "Y", "X", "C", "B", "A"])  # reversed
+@given(labels=st.lists(st.text("ABCXYZ,\"-_ ", min_size=1, max_size=4),
+                       min_size=8, max_size=8, unique=True))
+def test_renaming_coins_changes_no_run_output_but_the_labels(labels):
+    base = _relabel_base()
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    columns = {}
+    for name in _COLUMNS:
+        values = np.asarray(getattr(base, name))
+        columns[name] = values[:, order] if values.ndim == 3 else values[order]
+    renamed = Panel(coins=[labels[i] for i in order], dates=base.dates,
+                    riskfree_mode=base.riskfree_mode, **columns)
+    expected = _run_outputs(base)
+    got = _run_outputs(renamed)
+    assert sorted(got) == sorted(expected)
+    back = {labels[i]: coin for i, coin in enumerate(base.coins)}
+    # the same coin order sums every cross-section in the same order, so the
+    # bytes agree; another order may move the last bits of a sum
+    exact = order == sorted(order)
+    for name, text in expected.items():
+        if name.endswith(".csv"):
+            want, have, rel = _sorted_rows(text, {}), _sorted_rows(got[name], back), 1e-9
+        else:  # the summary and the charts, whose numbers are rounded
+            want, have, rel = text, got[name], 1e-4
+        if exact:
+            assert have == want, name
+        else:
+            _assert_same_up_to_rounding(want, have, rel)

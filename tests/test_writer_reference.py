@@ -1,7 +1,7 @@
-"""write_panel_csv and write_risk_adjusted_csv against the csv.writer loops
-they replaced (tests/reference_writers.py): the files must be byte-identical
-for any coin ids, any float values and any mask, a coin with no kept day
-and an all-NaN fit included."""
+"""write_panel_csv, write_risk_adjusted_csv and write_first_pass_params_csv
+against the csv.writer loops they replaced (tests/reference_writers.py): the
+files must be byte-identical for any coin ids, any float values and any
+mask, a coin with no kept day and an all-NaN fit included."""
 
 import datetime as dt
 import types
@@ -11,7 +11,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_writers as ref
-from coinfactors.condbeta import FirstPassFit, write_risk_adjusted_csv
+from coinfactors.condbeta import (
+    BetaSpec,
+    FirstPassFit,
+    param_names,
+    write_first_pass_params_csv,
+    write_risk_adjusted_csv,
+)
 from coinfactors.panel import CHARACTERISTIC_NAMES, write_panel_csv
 
 D0 = dt.date(2020, 12, 30)
@@ -86,4 +92,37 @@ def test_write_risk_adjusted_csv_matches_csv_writer(tmp_path, drawn):
     fit_list, dates = drawn
     write_risk_adjusted_csv(fit_list, dates, tmp_path / "new.csv")
     ref.write_risk_adjusted_csv(fit_list, dates, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+# unconditional CAPM up to conditional ALL: 2 to 61 names per coin
+NAME_SETS = [
+    param_names(factors, BetaSpec(mode, characteristics))
+    for factors in (("mkt",), ("mkt", "smb", "val"), ("mkt", "smb", "val", "mom", "liq"))
+    for mode, characteristics in (
+        ("unconditional", ()), ("conditional", ("size",)),
+        ("conditional", ("size", "momentum", "liquidity")),
+    )
+]
+
+
+@st.composite
+def param_fits(draw):
+    names = draw(st.sampled_from(NAME_SETS))
+    out = []
+    for coin_id in draw(st.lists(IDS, max_size=4)):
+        coefficients, stderr = (
+            np.array(draw(st.lists(VALUES, min_size=len(names), max_size=len(names))))
+            for _ in range(2)
+        )
+        out.append(FirstPassFit(coin_id, names, coefficients, stderr,
+                                0.0, 0.0, 0, len(names), np.zeros(1)))
+    return out
+
+
+@SETTINGS
+@given(fit_list=param_fits())
+def test_write_first_pass_params_csv_matches_csv_writer(tmp_path, fit_list):
+    write_first_pass_params_csv(fit_list, tmp_path / "new.csv")
+    ref.write_first_pass_params_csv(fit_list, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
