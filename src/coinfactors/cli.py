@@ -14,6 +14,7 @@ only.
 from __future__ import annotations
 
 import dataclasses
+import datetime as dt
 import json
 import sys
 from pathlib import Path
@@ -134,7 +135,7 @@ def _select_universe(cfg: RunConfig, coins) -> list:
     state."""
     universe = cfg.universe
     if universe.rank_date is None:
-        last = max(series.last_date() for series in coins)
+        last = dt.date.fromordinal(max(int(series.bars["day"][-1]) for series in coins))
         universe = dataclasses.replace(universe, rank_date=last)
     chosen = filter_universe(coins, universe)
     keep = set(chosen) | {cfg.panel.btc_id}

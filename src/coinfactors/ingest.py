@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import (
     DuplicateDate,
     EmptyUniverse,
@@ -32,34 +34,33 @@ EPU_HEADER = ("date", "epu")
 RISKFREE_HEADER = ("date", "rate")
 
 
-@dataclass(frozen=True)
-class DailyBar:
-    """One coin-day: close in USD, 24h traded value in USD, cap in USD."""
-
-    date: dt.date
-    close: float
-    volume: float
-    market_cap: float
+# One coin-day: day is date.toordinal(); close, 24h traded value and cap in USD.
+BAR_DTYPE = np.dtype(
+    [("day", np.int64), ("close", float), ("volume", float), ("market_cap", float)]
+)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoinSeries:
+    """One coin's bars: a read-only 1-D BAR_DTYPE array, ascending by day
+    with unique days. The constructor raises DuplicateDate for a repeated
+    day and InvalidConfig for any other malformed layout."""
+
     coin_id: str
-    bars: tuple[DailyBar, ...]  # ascending by date, unique dates
+    bars: np.ndarray
 
-    def first_date(self) -> dt.date:
-        return self.bars[0].date
-
-    def last_date(self) -> dt.date:
-        return self.bars[-1].date
-
-    def cap_at_or_before(self, date: dt.date) -> float | None:
-        cap = None
-        for bar in self.bars:
-            if bar.date > date:
-                break
-            cap = bar.market_cap
-        return cap
+    def __post_init__(self):
+        bars = np.array(self.bars)  # a copy no caller holds, so none can write it
+        if bars.dtype != BAR_DTYPE or bars.ndim != 1:
+            raise InvalidConfig(f"{self.coin_id}: bars must be a 1-D BAR_DTYPE array")
+        step = np.diff(bars["day"])
+        if (step < 0).any():
+            raise InvalidConfig(f"{self.coin_id}: bars must ascend by day")
+        if (step == 0).any():
+            day = int(bars["day"][np.flatnonzero(step == 0)[0]])
+            raise DuplicateDate(dt.date.fromordinal(day), context=self.coin_id)
+        bars.flags.writeable = False
+        object.__setattr__(self, "bars", bars)
 
 
 @dataclass(frozen=True)
@@ -163,7 +164,7 @@ def parse_market_csv(source: str | Path | io.TextIOBase, coin_id: str) -> CoinSe
     MalformedRow, naming its line (and file), for structural problems and,
     as NonPositivePrice, for close <= 0; DuplicateDate when a date repeats.
     """
-    bars = []
+    records = []
     with read_csv_rows(source) as rows:
         _check_header(next(rows, None), MARKET_HEADER)
         for line, row in enumerate(rows, start=2):
@@ -181,12 +182,10 @@ def parse_market_csv(source: str | Path | io.TextIOBase, coin_id: str) -> CoinSe
                 raise MalformedRow(line, f"negative volume {row[2]!r}")
             if cap < 0.0:
                 raise MalformedRow(line, f"negative market_cap {row[3]!r}")
-            bars.append(DailyBar(date, close, volume, cap))
-    bars.sort(key=lambda b: b.date)
-    for prev, cur in zip(bars, bars[1:]):
-        if prev.date == cur.date:
-            raise DuplicateDate(cur.date, context=coin_id)
-    return CoinSeries(coin_id=coin_id, bars=tuple(bars))
+            records.append((date.toordinal(), close, volume, cap))
+    bars = np.array(records, dtype=BAR_DTYPE)
+    # sorted by day, the constructor raises DuplicateDate for the first repeat
+    return CoinSeries(coin_id, bars[np.argsort(bars["day"], kind="stable")])
 
 
 def _parse_level_csv(
@@ -242,15 +241,10 @@ def write_market_csv(series: CoinSeries, path: str | Path) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(MARKET_HEADER)
-        for bar in series.bars:
-            writer.writerow(
-                [
-                    bar.date.isoformat(),
-                    repr(bar.close),
-                    repr(bar.volume),
-                    repr(bar.market_cap),
-                ]
-            )
+        writer.writerows(
+            (dt.date.fromordinal(day).isoformat(), repr(close), repr(volume), repr(cap))
+            for day, close, volume, cap in series.bars.tolist()
+        )
 
 
 def filter_universe(
@@ -264,17 +258,15 @@ def filter_universe(
     descending, ties broken by ascending coin_id, and the top_n ids returned.
     Raises EmptyUniverse when nothing survives.
     """
+    rank = cfg.rank_date.toordinal()
     ranked = []
     for coin in coins:
-        if not coin.bars:
+        day = coin.bars["day"]
+        if not day.size or rank - day[0] < cfg.min_history_days:
             continue
-        age = (cfg.rank_date - coin.first_date()).days
-        if age < cfg.min_history_days:
-            continue
-        cap = coin.cap_at_or_before(cfg.rank_date)
-        if cap is None:
-            continue
-        ranked.append((-cap, coin.coin_id))
+        # the latest bar at or before rank_date; the age check puts one there
+        at = np.searchsorted(day, rank, side="right") - 1
+        ranked.append((-coin.bars["market_cap"][at].item(), coin.coin_id))
     if not ranked:
         raise EmptyUniverse(
             f"no coins with {cfg.min_history_days}+ days of history "
@@ -296,7 +288,7 @@ def load_coin_dir(directory: str | Path) -> tuple[CoinSeries, ...]:
     coins = []
     for path in paths:
         series = parse_market_csv(path, path.stem)
-        if not series.bars:
+        if not series.bars.size:
             raise MalformedRow(2, f"{path} has a header but no data rows")
         coins.append(series)
     return tuple(coins)

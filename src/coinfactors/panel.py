@@ -34,8 +34,6 @@ from .errors import (
 )
 from .ingest import CoinSeries, parse_iso_date, read_csv_rows
 
-ONE_DAY = dt.timedelta(days=1)
-
 CHARACTERISTIC_NAMES = ("size", "momentum", "liquidity", "value")
 
 # tbill: excess over the de-annualized T-bill rate; btc: over Bitcoin's return
@@ -67,22 +65,6 @@ PANEL_HEADER = (
     "u_lag",
     "rbtc_lag",
 )
-
-
-def compute_returns(series: CoinSeries) -> tuple[tuple[dt.date, float], ...]:
-    """Simple daily returns close_t / close_{t-1} - 1.
-
-    A return exists only when the immediately preceding calendar day has a
-    bar; after a gap the first day gets no return. Raises TooShort below
-    2 bars.
-    """
-    if len(series.bars) < 2:
-        raise TooShort(f"{series.coin_id}: {len(series.bars)} bars, need 2")
-    out = []
-    for prev, cur in zip(series.bars, series.bars[1:]):
-        if cur.date - prev.date == ONE_DAY:
-            out.append((cur.date, cur.close / prev.close - 1.0))
-    return tuple(out)
 
 
 def daily_riskfree(annual_rate: float) -> float:
@@ -166,20 +148,22 @@ class _CoinView:
     def __init__(self, series: CoinSeries, windows: CharacteristicWindows):
         w = windows
         bars = series.bars
-        self.origin = (bars[0].date if bars else dt.date.min).toordinal()
-        day = _ordinals(b.date for b in bars) - self.origin
-        span = int(day[-1]) + 1 if bars else 0
+        self.origin = int(bars["day"][0]) if bars.size else dt.date.min.toordinal()
+        day = bars["day"] - self.origin
+        span = int(day[-1]) + 1 if bars.size else 0
         reach = max(w.momentum_days, w.liquidity_days - 1, w.value_far_days)
         n = span + reach + 1
 
-        returns = compute_returns(series) if len(bars) >= 2 else ()
+        # a return close_t / close_{t-1} - 1 only where the day before has a bar
+        close = bars["close"]
+        after = np.flatnonzero(np.diff(day) == 1) + 1
         self.ret = np.full(n, np.nan)
-        self.ret[_ordinals(d for d, _ in returns) - self.origin] = [r for _, r in returns]
+        self.ret[day[after]] = close[after] / close[after - 1] - 1.0
         has_return = ~np.isnan(self.ret)
         growth = np.where(has_return, 1.0 + self.ret, 1.0)
         grid_volume, grid_cap = np.zeros((2, n))
-        grid_volume[day] = [b.volume for b in bars]
-        grid_cap[day] = [b.market_cap for b in bars]
+        grid_volume[day] = bars["volume"]
+        grid_cap[day] = bars["market_cap"]
         has_amihud = has_return & (grid_volume > 0.0)
         amihud = np.zeros(n)  # |ret| / volume; 0.0 without return or volume
         np.divide(np.abs(self.ret), grid_volume, out=amihud, where=has_amihud)
@@ -456,6 +440,9 @@ def build_panel(
             continue
         view = btc_view if coin is btc else _CoinView(coin, options.windows)
         k = np.flatnonzero(~np.isnan(view.ret))  # grid days with a return
+        if not k.size:
+            drops.append(Drop(coin.coin_id, None, "no_returns"))
+            continue
         day = view.origin + k
         ret = view.ret[k]
         r_btc = _on_grid(btc_view.ret, day - 1 - btc_view.origin)
@@ -513,19 +500,30 @@ def build_panel(
         u = np.zeros_like(u_raw)
 
     dates = _distinct(days)
-    cols = np.searchsorted(dates, days)
-    shape = (len(coin_ids), dates.size)
-    mask = np.zeros(shape, dtype=bool)
-    mask[rows, cols] = True
-    grid = np.zeros((4 + len(CHARACTERISTIC_NAMES),) + shape)
-    grid[:, rows, cols] = [ret, excess, u, r_btc, *raw]
-    ret, excess, u, r_btc = grid[:4]
-    raw = grid[4:]
-    panel = Panel(
-        coin_ids, [dt.date.fromordinal(d) for d in dates.tolist()], mask, ret, excess,
-        np.zeros_like(raw), raw, u, r_btc, options.riskfree_mode, drops,
+    z = np.zeros((len(CHARACTERISTIC_NAMES), ret.size))
+    panel = _panel_of(
+        coin_ids, [dt.date.fromordinal(d) for d in dates.tolist()],
+        rows, np.searchsorted(dates, days), [ret, excess, *z, *raw, u, r_btc],
+        options.riskfree_mode, drops,
     )
     return standardize_cross_section(panel, *options.winsor)
+
+
+def _panel_of(
+    coins: Sequence[str], dates: Sequence[dt.date], rows, cols, columns,
+    riskfree_mode: str, dropped: Sequence[Drop] = (),
+) -> Panel:
+    """The Panel of a coin-day table: entry k of each of columns (the
+    numbers in PANEL_HEADER order) is coins[rows[k]] on dates[cols[k]]."""
+    shape = (len(coins), len(dates))
+    mask = np.zeros(shape, dtype=bool)
+    mask[rows, cols] = True
+    grid = np.zeros((len(PANEL_HEADER) - 2,) + shape)
+    grid[:, rows, cols] = columns
+    n = len(CHARACTERISTIC_NAMES)
+    ret, excess, z, raw = grid[0], grid[1], grid[2 : 2 + n], grid[2 + n : 2 + 2 * n]
+    u, r_btc = grid[2 + 2 * n :]
+    return Panel(coins, dates, mask, ret, excess, z, raw, u, r_btc, riskfree_mode, dropped)
 
 
 _HEADER_LINE = ",".join(PANEL_HEADER) + "\r\n"
@@ -710,17 +708,9 @@ def _assemble_panel(
     days = sorted(set(dates))
     row_of = {c: i for i, c in enumerate(coin_ids)}
     col_of = {d: j for j, d in enumerate(days)}
-    cells = ([row_of[c] for c in coins], [col_of[d] for d in dates])
-    shape = (len(coin_ids), len(days))
-    mask = np.zeros(shape, dtype=bool)
-    mask[cells] = True
-    columns = np.zeros((table.shape[1],) + shape)
-    columns[(slice(None),) + cells] = table.T
-    n_chars = len(CHARACTERISTIC_NAMES)
-    ret, excess = columns[0], columns[1]
-    z, raw = columns[2 : 2 + n_chars], columns[2 + n_chars : 2 + 2 * n_chars]
-    u, r_btc = columns[2 + 2 * n_chars], columns[3 + 2 * n_chars]
-    return Panel(coin_ids, days, mask, ret, excess, z, raw, u, r_btc, riskfree_mode)
+    rows = [row_of[c] for c in coins]
+    cols = [col_of[d] for d in dates]
+    return _panel_of(coin_ids, days, rows, cols, table.T, riskfree_mode)
 
 
 def _is_market_cap(size_raw: float) -> bool:

@@ -25,8 +25,8 @@ from .condbeta import BetaSpec, build_design_matrix
 from .econometrics import SIGNIFICANCE_Z
 from .errors import InvalidConfig, MissingCharacteristic, SpecMismatch
 from .factors import FACTOR_NAMES, FactorSet
-from .ingest import CoinSeries, DailyBar, write_market_csv
-from .panel import CHARACTERISTIC_NAMES, ONE_DAY, Panel, winsorized_zscores
+from .ingest import BAR_DTYPE, CoinSeries, write_market_csv
+from .panel import CHARACTERISTIC_NAMES, Panel, winsorized_zscores
 from .pipeline import ModelResult
 
 SIZE_RAW_MEAN = 18.0
@@ -460,44 +460,38 @@ def emit_raw_files(panel: Panel, truth: GroundTruth, out_dir: str | Path) -> Non
     market.mkdir(parents=True, exist_ok=True)
     cfg = truth.config
     dates = [cfg.start + dt.timedelta(days=i) for i in range(cfg.n_days)]
+    first = cfg.start.toordinal()
+    days = np.arange(first, first + cfg.n_days)
 
+    def write(coin_id: str, close: np.ndarray, cap: np.ndarray) -> None:
+        bars = np.empty(days.size, dtype=BAR_DTYPE)
+        bars["day"], bars["close"], bars["market_cap"] = days, close, cap
+        bars["volume"] = cap / 20.0
+        write_market_csv(CoinSeries(coin_id, bars), market / f"{coin_id}.csv")
+
+    # each panel date's index among the emitted days
+    at = np.array([d.toordinal() for d in panel.dates], dtype=np.int64) - first
     size = panel.raw[CHARACTERISTIC_NAMES.index("size")]
     for i, coin_id in enumerate(panel.coins):
-        cols = np.flatnonzero(panel.mask[i]).tolist()
-        days = [panel.dates[j] for j in cols]
-        ret_by_date = dict(zip(days, panel.ret[i, cols].tolist()))
-        cap_by_lag = {
-            d - ONE_DAY: math.exp(s) for d, s in zip(days, size[i, cols].tolist())
-        }
-        close = 100.0
-        bars = []
-        last_cap = next(iter(cap_by_lag.values()))
-        for date in dates:
-            ret = ret_by_date.get(date)
-            if ret is not None:
-                close *= 1.0 + ret
-            cap = cap_by_lag.get(date)
-            if cap is not None:
-                last_cap = cap
-            bars.append(
-                DailyBar(
-                    date=date,
-                    close=close,
-                    volume=last_cap / 20.0,
-                    market_cap=last_cap,
-                )
-            )
-        write_market_csv(CoinSeries(coin_id, tuple(bars)), market / f"{coin_id}.csv")
+        cols = np.flatnonzero(panel.mask[i])
+        k = at[cols]
+        emitted = (k >= 0) & (k < days.size)
+        # closes compound the returns one day at a time (accumulate is sequential)
+        growth = np.ones(days.size)
+        growth[k[emitted]] = 1.0 + panel.ret[i, cols[emitted]]
+        close = np.multiply.accumulate(np.concatenate([[100.0], growth]))[1:]
+        # a coin-day's lagged size is the day before's cap, carried forward;
+        # the first one also stands for the days before it
+        caps = np.array([math.exp(v) for v in size[i, cols].tolist()])
+        lag = k - 1
+        known = (lag >= 0) & (lag < days.size)
+        latest = np.full(days.size, -1)
+        latest[lag[known]] = np.flatnonzero(known)
+        write(coin_id, close, caps[np.maximum(np.maximum.accumulate(latest), 0)])
 
-    close = 20000.0
-    btc_bars = []
-    for i, date in enumerate(dates):
-        if i > 0:
-            close *= 1.0 + truth.r_btc.get(date, 0.0)
-        cap = close * 1.9e7
-        btc_bars.append(DailyBar(date=date, close=close, volume=cap / 20.0,
-                                 market_cap=cap))
-    write_market_csv(CoinSeries("BTC", tuple(btc_bars)), market / "BTC.csv")
+    growth = [1.0 + truth.r_btc.get(date, 0.0) for date in dates[1:]]
+    close = np.multiply.accumulate(np.array([20000.0] + growth))
+    write("BTC", close, close * 1.9e7)
 
     with open(out / "epu.csv", "w", newline="") as handle:
         writer = csv.writer(handle)

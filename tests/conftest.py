@@ -6,7 +6,7 @@ import pytest
 
 from coinfactors.condbeta import build_design_matrix
 from coinfactors.factors import FactorSet
-from coinfactors.ingest import CoinSeries, DailyBar
+from coinfactors.ingest import BAR_DTYPE, CoinSeries
 from coinfactors.panel import CharacteristicWindows, _CoinView
 from coinfactors.synth import generate_synthetic, scenario
 from reference_panel import RawCharacteristics
@@ -26,18 +26,19 @@ def day(i: int) -> dt.date:
 
 def make_series(coin_id, closes, start=D0, volume=1_000_000.0, caps=None):
     """CoinSeries over consecutive days; caps default to 100x close."""
-    bars = []
-    for i, close in enumerate(closes):
-        cap = caps[i] if caps is not None else close * 100.0
-        bars.append(
-            DailyBar(
-                date=start + dt.timedelta(days=i),
-                close=float(close),
-                volume=float(volume),
-                market_cap=float(cap),
-            )
-        )
-    return CoinSeries(coin_id, tuple(bars))
+    closes = np.array(closes, dtype=float)
+    bars = np.empty(closes.size, dtype=BAR_DTYPE)
+    bars["day"] = start.toordinal() + np.arange(closes.size)
+    bars["close"] = closes
+    bars["volume"] = volume
+    bars["market_cap"] = closes * 100.0 if caps is None else caps
+    return CoinSeries(coin_id, bars)
+
+
+def bar_series(coin_id, rows):
+    """CoinSeries of (date, close, volume, market_cap) rows."""
+    bars = [(d.toordinal(), close, volume, cap) for d, close, volume, cap in rows]
+    return CoinSeries(coin_id, np.array(bars, dtype=BAR_DTYPE))
 
 
 def raw_characteristics(series, date, windows=CharacteristicWindows()):

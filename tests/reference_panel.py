@@ -7,6 +7,8 @@ day. The grid version multiplies by 1.0 and adds 0.0 on days without data,
 which is exact, so the two must agree bit for bit. build_panel visits one
 coin-day at a time, looks each conditioning series up by bisection, and
 collects the kept coin-days as tuples before filling the panel arrays.
+Both take reference_bars' DailyBar series; reference_bars.rows_of turns an
+array series into one.
 """
 
 from __future__ import annotations
@@ -20,18 +22,16 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from coinfactors.errors import CoverageGap, MissingBitcoin
-from coinfactors.ingest import CoinSeries
 from coinfactors.panel import (
     CHARACTERISTIC_NAMES,
-    ONE_DAY,
     CharacteristicWindows,
     Drop,
     Panel,
     PanelOptions,
-    compute_returns,
     daily_riskfree,
     standardize_cross_section,
 )
+from reference_bars import ONE_DAY, CoinSeries, compute_returns
 
 
 @dataclass(frozen=True)
@@ -164,6 +164,9 @@ def build_panel(
             drops.append(Drop(coin.coin_id, None, "too_short"))
             continue
         view = _CoinView(coin, options.windows)
+        if not view.returns:
+            drops.append(Drop(coin.coin_id, None, "no_returns"))
+            continue
         for date in sorted(view.returns):
             ret = view.returns[date]
             lag = date - ONE_DAY

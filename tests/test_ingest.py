@@ -31,9 +31,9 @@ MARKET_TEXT = """date,close,volume,market_cap
 def test_parse_market_csv_basic():
     series = parse_market_csv(io.StringIO(MARKET_TEXT), "ABC")
     assert series.coin_id == "ABC"
-    assert [b.date for b in series.bars] == [day(0), day(1), day(2)]
-    assert series.bars[1].close == 110.0
-    assert series.bars[2].volume == 0.0  # zero volume is data, not an error
+    assert series.bars["day"].tolist() == [day(i).toordinal() for i in range(3)]
+    assert series.bars["close"][1] == 110.0
+    assert series.bars["volume"][2] == 0.0  # zero volume is data, not an error
 
 
 def test_parse_market_csv_sorts_rows():
@@ -44,7 +44,7 @@ def test_parse_market_csv_sorts_rows():
         "2021-01-02,110.0,1.0,2.0\n"
     )
     series = parse_market_csv(io.StringIO(shuffled), "X")
-    assert [b.market_cap for b in series.bars] == [1.0, 2.0, 3.0]
+    assert series.bars["market_cap"].tolist() == [1.0, 2.0, 3.0]
 
 
 def test_parse_market_csv_rejects_bad_header():
@@ -117,7 +117,8 @@ def test_market_csv_round_trip(tmp_path):
     path = tmp_path / "RT.csv"
     write_market_csv(series, path)
     again = parse_market_csv(path, "RT")
-    assert again == series
+    assert again.coin_id == series.coin_id
+    assert again.bars.tolist() == series.bars.tolist()
     # byte-stable rewrite
     first = path.read_bytes()
     write_market_csv(again, path)

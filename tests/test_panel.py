@@ -15,15 +15,16 @@ from coinfactors.errors import (
     MissingBitcoin,
     TooShort,
 )
-from coinfactors.ingest import CoinSeries, DailyBar
+from coinfactors.ingest import CoinSeries
 from coinfactors.panel import (
     CHARACTERISTIC_NAMES,
     PANEL_HEADER,
     CharacteristicWindows,
+    Drop,
     Panel,
     PanelOptions,
+    _CoinView,
     build_panel,
-    compute_returns,
     daily_riskfree,
     read_panel_csv,
     standardize_cross_section,
@@ -32,7 +33,14 @@ from coinfactors.panel import (
     write_panel_csv,
 )
 
-from conftest import day, make_obs, make_panel, make_series, raw_characteristics
+from conftest import (
+    bar_series,
+    day,
+    make_obs,
+    make_panel,
+    make_series,
+    raw_characteristics,
+)
 from reference_rows import row_view
 
 # mpmath 50-digit evaluations of (1 + annual)^(1/365) - 1
@@ -48,30 +56,40 @@ SMALL = CharacteristicWindows(
 )
 
 
-def test_compute_returns_examples():
-    single = compute_returns(make_series("A", [100.0, 110.0]))
+def _returns(series):
+    """The coin's (date, return) pairs off its calendar grid."""
+    view = _CoinView(series, CharacteristicWindows())
+    k = np.flatnonzero(~np.isnan(view.ret))
+    return [(dt.date.fromordinal(view.origin + j), r) for j, r in zip(k, view.ret[k])]
+
+
+def test_returns_examples():
+    single = _returns(make_series("A", [100.0, 110.0]))
     assert [d for d, _ in single] == [day(1)]
     assert [r for _, r in single] == pytest.approx([0.10])
-    zero = compute_returns(make_series("A", [50.0, 50.0, 50.0]))
+    zero = _returns(make_series("A", [50.0, 50.0, 50.0]))
     assert [r for _, r in zero] == [0.0, 0.0]
-    seq = compute_returns(make_series("A", [100.0, 110.0, 99.0]))
+    seq = _returns(make_series("A", [100.0, 110.0, 99.0]))
     assert [r for _, r in seq] == pytest.approx([0.10, -0.10])
 
 
-def test_compute_returns_gap_skips_post_gap_day():
-    bars = (
-        DailyBar(day(0), 100.0, 1.0, 1.0),
-        DailyBar(day(1), 110.0, 1.0, 1.0),
-        DailyBar(day(3), 121.0, 1.0, 1.0),  # day 2 missing
-        DailyBar(day(4), 133.1, 1.0, 1.0),
-    )
-    rets = compute_returns(CoinSeries("G", bars))
-    assert [d for d, _ in rets] == [day(1), day(4)]
+def test_returns_gap_skips_post_gap_day():
+    series = bar_series("G", [
+        (day(0), 100.0, 1.0, 1.0),
+        (day(1), 110.0, 1.0, 1.0),
+        (day(3), 121.0, 1.0, 1.0),  # day 2 missing
+        (day(4), 133.1, 1.0, 1.0),
+    ])
+    assert [d for d, _ in _returns(series)] == [day(1), day(4)]
 
 
-def test_compute_returns_too_short():
-    with pytest.raises(TooShort):
-        compute_returns(make_series("A", [100.0]))
+def test_returns_too_short():
+    assert _returns(make_series("A", [100.0])) == []
+    assert _returns(bar_series("A", [])) == []
+    coins, epu, rf = _inputs()
+    coins[0] = make_series("BTC", [100.0])
+    with pytest.raises(TooShort, match="BTC: 1 bars, need 2"):
+        build_panel(coins, epu, rf, OPTIONS)
 
 
 def test_daily_riskfree_values():
@@ -141,11 +159,9 @@ def _alternating_series(n, volumes=None):
         closes.append(closes[-1] * (1.0 + sign * 0.02))
     if volumes is None:
         return make_series("C", closes, volume=1e6)
-    bars = tuple(
-        DailyBar(day(i), closes[i], volumes[i], closes[i] * 100.0)
-        for i in range(n)
+    return bar_series(
+        "C", [(day(i), closes[i], volumes[i], closes[i] * 100.0) for i in range(n)]
     )
-    return CoinSeries("C", bars)
 
 
 def test_liquidity_amihud_oracle():
@@ -366,6 +382,19 @@ def test_build_panel_drop_reasons():
                for d in panel2.dropped)
 
 
+def test_build_panel_drops_a_coin_without_returns(tmp_path):
+    # bars every other day: two or more bars, yet no day follows another
+    coins, epu, rf = _inputs()
+    rows = [(day(2 * i), 10.0 + i, 1e6, 1e9) for i in range(250)]
+    panel = build_panel(coins + [bar_series("ALT", rows)], epu, rf, OPTIONS)
+    assert "ALT" not in panel.coins
+    assert [d for d in panel.dropped if d.coin_id == "ALT"] == [
+        Drop("ALT", None, "no_returns")
+    ]
+    write_drop_report(panel.dropped, tmp_path / "drops.csv")
+    assert b"ALT,,no_returns\r\n" in (tmp_path / "drops.csv").read_bytes()
+
+
 def test_build_panel_order_independent():
     coins, epu, rf = _inputs()
     a = build_panel(coins, epu, rf, OPTIONS)
@@ -383,7 +412,7 @@ def test_build_panel_look_ahead_safety():
     lag = day(14)
     series = next(c for c in coins if c.coin_id == target.coin_id)
     truncated = CoinSeries(
-        series.coin_id, tuple(b for b in series.bars if b.date <= lag)
+        series.coin_id, series.bars[series.bars["day"] <= lag.toordinal()]
     )
     raw = raw_characteristics(truncated, lag, SMALL)
     assert raw.size == target.chars.size_raw

@@ -185,8 +185,8 @@ def raw_inputs(tmp_path_factory):
     emit_raw_files(panel, truth, raw)
     coins = list(load_coin_dir(raw / "market"))
     gapped = coins[1]
-    kept = tuple(bar for i, bar in enumerate(gapped.bars) if i % 5)
-    coins[1] = CoinSeries(gapped.coin_id, kept)
+    kept = np.arange(len(gapped.bars)) % 5 != 0
+    coins[1] = CoinSeries(gapped.coin_id, gapped.bars[kept])
     coins.append(CoinSeries("ONE", coins[2].bars[:1]))
     return coins, parse_epu_csv(raw / "epu.csv"), parse_riskfree_csv(raw / "riskfree.csv")
 

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 import reference_panel
 from coinfactors.errors import CoinFactorsError
 from coinfactors.ingest import (
+    BAR_DTYPE,
     CoinSeries,
-    DailyBar,
     load_coin_dir,
     parse_epu_csv,
     parse_riskfree_csv,
@@ -32,6 +32,7 @@ from coinfactors.panel import (
 from coinfactors.synth import emit_raw_files, generate_synthetic, scenario
 
 from conftest import D0, raw_characteristics
+from reference_bars import rows_of
 
 DEFAULT = CharacteristicWindows()
 SMALL = CharacteristicWindows(
@@ -66,10 +67,9 @@ def coin_series(draw, max_bars):
     closes = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.05, n)))
     volumes = rng.lognormal(14.0, 1.0, n) * (rng.random(n) >= zero_volume_share)
     caps = rng.lognormal(20.0, 1.0, n) * (rng.random(n) >= zero_cap_share)
-    bars = tuple(
-        DailyBar(D0 + dt.timedelta(days=int(o)), float(c), float(v), float(m))
-        for o, c, v, m in zip(offsets, closes, volumes, caps)
-    )
+    bars = np.empty(n, dtype=BAR_DTYPE)
+    bars["day"] = D0.toordinal() + offsets
+    bars["close"], bars["volume"], bars["market_cap"] = closes, volumes, caps
     return CoinSeries("X", bars)
 
 
@@ -77,19 +77,20 @@ def _query_dates(series, extra_offsets):
     """Before the first bar, inside every gap, at the first and last bar,
     past the last bar, far off either end, and the drawn offsets from the
     first bar."""
-    first, last = series.first_date(), series.last_date()
+    days = series.bars["day"].tolist()
+    first, last = dt.date.fromordinal(days[0]), dt.date.fromordinal(days[-1])
     far = dt.timedelta(days=1000)
     dates = {first - far, first - dt.timedelta(days=1), first, last,
              last + dt.timedelta(days=1), last + far}
-    for prev, cur in zip(series.bars, series.bars[1:]):
-        if (cur.date - prev.date).days > 1:
-            dates.add(prev.date + dt.timedelta(days=1))
+    for prev, cur in zip(days, days[1:]):
+        if cur - prev > 1:
+            dates.add(dt.date.fromordinal(prev + 1))
     dates.update(first + dt.timedelta(days=k) for k in extra_offsets)
     return sorted(dates)
 
 
 def _assert_matches_reference(series, offsets, windows):
-    oracle = reference_panel._CoinView(series, windows)
+    oracle = reference_panel._CoinView(rows_of(series), windows)
     for date in _query_dates(series, offsets):
         grid = raw_characteristics(series, date, windows)
         expected = oracle.raw_at(date)
@@ -119,12 +120,10 @@ def test_characteristics_match_reference_small_windows(windows, series, offsets)
 def _gapped(series, phase):
     """The series with a bar removed every 13 days and zero volume every 7,
     the pattern shifted by phase so coins differ."""
-    bars = tuple(
-        DailyBar(b.date, b.close, 0.0 if (i + phase) % 7 == 0 else b.volume, b.market_cap)
-        for i, b in enumerate(series.bars)
-        if (i + phase) % 13 != 0
-    )
-    return CoinSeries(series.coin_id, bars)
+    i = np.arange(len(series.bars)) + phase
+    bars = series.bars.copy()
+    bars["volume"][i % 7 == 0] = 0.0
+    return CoinSeries(series.coin_id, bars[i % 13 != 0])
 
 
 def _panel_bytes(panel, tmp_path, name):
@@ -173,7 +172,8 @@ def test_build_panel_matches_reference(name, tmp_path):
     errors = set()
     for inputs in cases:
         grid = _outcome(build_panel, inputs, tmp_path, "grid")
-        loop = _outcome(reference_panel.build_panel, inputs, tmp_path, "loop")
+        rows = ([rows_of(c) for c in inputs[0]],) + inputs[1:]
+        loop = _outcome(reference_panel.build_panel, rows, tmp_path, "loop")
         assert grid == loop, inputs[3]
         if isinstance(grid[0], type):
             errors.add(grid[1].split()[0])
