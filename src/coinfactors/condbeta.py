@@ -57,6 +57,9 @@ class BetaSpec:
         if self.mode == "conditional" and not self.characteristics:
             raise InvalidConfig("conditional mode needs at least one characteristic")
         object.__setattr__(self, "characteristics", tuple(self.characteristics))
+        for i, name in enumerate(self.characteristics):
+            if name in self.characteristics[:i]:
+                raise InvalidConfig(f"characteristic {name!r} repeated")
 
 
 def param_names(factor_names: Sequence[str], spec: BetaSpec) -> tuple[str, ...]:

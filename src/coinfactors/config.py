@@ -97,7 +97,6 @@ SECTIONS = {
     "seed": ("seed", int),
     "output_dir": ("output_dir", str),
 }
-TOP_KEYS = set(SECTIONS)
 
 
 def _required(cls) -> list[str]:

@@ -91,87 +91,46 @@ def value_weights(size_raw: Sequence[float] | np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-def _weighted_return(caps: np.ndarray, excess: np.ndarray) -> float:
-    """Cap-weighted excess return, with weights normalized to sum to 1."""
-    return float((caps / caps.sum()) @ excess)
-
-
 _LEG_LABELS = ("LOW", "MID", "HIGH")
 
 
 def _sort_legs(values: np.ndarray) -> np.ndarray:
-    """Leg code per entry (0 LOW, 1 MID, 2 HIGH), entries in coin order.
+    """Leg code per entry (0 LOW, 1 MID, 2 HIGH) of each row, sorting along
+    the last axis; a 1-D argument is one row of entries in coin order.
 
     Percentile rank = position / n in (value, coin) ascending order, with
     ties sharing the rank of their first occurrence, so the partition does
     not depend on input order. LOW is rank < 0.30, HIGH is rank >= 0.70.
     """
-    n = values.size
-    order = np.lexsort((np.arange(n), values))
-    ordered = values[order]
-    rank = np.searchsorted(ordered, ordered, side="left") / n
-    legs = np.empty(n, dtype=np.int64)
-    legs[order] = (rank >= LOW_BREAK).astype(np.int64) + (rank >= HIGH_BREAK)
+    n = values.shape[-1]
+    position = np.broadcast_to(np.arange(n), values.shape)
+    order = np.lexsort((position, values))
+    ordered = np.take_along_axis(values, order, axis=-1)
+    starts = np.ones(values.shape, dtype=bool)
+    starts[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
+    rank = np.maximum.accumulate(np.where(starts, position, 0), axis=-1) / n
+    legs = np.empty(values.shape, dtype=np.int64)
+    codes = (rank >= LOW_BREAK).astype(np.int64) + (rank >= HIGH_BREAK)
+    np.put_along_axis(legs, order, codes, axis=-1)
     return legs
 
 
-def _market_returns(
-    panel: Panel, options: FactorOptions, caps: np.ndarray
+def _weighted_returns(
+    members: np.ndarray, caps: np.ndarray, excess: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The market's cap-weighted excess return on every date, and which
-    dates have a member to weight. Dates with the same member count are
-    weighted as one stack (panel.stacks_by_count): each row sums and dots
-    contiguously, so every date gets the bits _weighted_return gives it."""
-    members = panel.mask
-    btc = panel.coin_index.get(options.btc_id)
-    if options.exclude_btc_from_market and btc is not None:
-        members = members.copy()
-        members[btc] = False
-    market = np.zeros(len(panel.dates))
-    for n, cols, rows in stacks_by_count(members):
-        if n == 0:
-            continue
+    """The cap-weighted excess return of each date's members, weights
+    normalized to sum to 1, and which dates have a member. members is a
+    boolean (coins x dates) mask, caps and excess (coins x dates) arrays.
+    Dates with the same member count are weighted as one stack
+    (panel.stacks_by_count): each row sums and dots contiguously, so every
+    date gets the bits (c / c.sum()) @ excess gives on its members alone."""
+    values = np.zeros(members.shape[1])
+    for _, cols, rows in stacks_by_count(members):
         at = (rows, cols[:, None])
         c = caps[at]
         weights = c / c.sum(axis=-1, keepdims=True)
-        market[cols] = (weights[:, None, :] @ panel.excess[at][..., None])[:, 0, 0]
-    return market, members.any(axis=0)
-
-
-def _date_factors(
-    panel: Panel,
-    col: int,
-    names: Sequence[str],
-    options: FactorOptions,
-    caps: np.ndarray,
-    market: tuple[np.ndarray, np.ndarray],
-) -> tuple[float, ...]:
-    """The named factors on date column col, in order. caps holds the lagged
-    cap of every coin-day, and market what _market_returns gives, as
-    build_factor_set makes them. The first factor that fails its
-    precondition raises EmptyDate, TooFewCoins or EmptyLeg."""
-    date = panel.dates[col]
-    rows = np.flatnonzero(panel.mask[:, col])
-    out = []
-    for name in names:
-        if name == "mkt":
-            values, held = market
-            if not held[col]:
-                raise EmptyDate(date)
-            out.append(values[col])
-            continue
-        if rows.size < options.min_sort_coins:
-            raise TooFewCoins(date, options.min_sort_coins, rows.size)
-        characteristic, long_label, short_label = LONG_SHORT[name]
-        legs = _sort_legs(panel.raw[characteristic_index(characteristic), rows, col])
-        spread = []
-        for label in (long_label, short_label):
-            members = rows[legs == _LEG_LABELS.index(label)]
-            if not members.size:
-                raise EmptyLeg(date, label)
-            spread.append(_weighted_return(caps[members, col], panel.excess[members, col]))
-        out.append(spread[0] - spread[1])
-    return tuple(out)
+        values[cols] = (weights[:, None, :] @ excess[at][..., None])[:, 0, 0]
+    return values, members.any(axis=0)
 
 
 @dataclass(frozen=True)
@@ -249,21 +208,45 @@ def build_factor_set(
 
     A date where any demanded factor fails its precondition (too few coins,
     an empty leg, an empty market) is dropped from the set and recorded, not
-    imputed.
+    imputed. The reason is that of the first failing check, in menu order.
     """
     names = resolve_factor_names(menu)
     caps = np.zeros(panel.mask.shape)
     caps[panel.mask] = _caps(panel.raw[characteristic_index("size")][panel.mask])
-    market = _market_returns(panel, options, caps) if "mkt" in names else None
-    mask = np.zeros(len(panel.dates), dtype=bool)
-    values = np.full((len(panel.dates), len(names)), np.nan)
+    counts = panel.mask.sum(axis=0)
+    values = np.empty((len(panel.dates), len(names)))
+    checks = []  # (failing dates, the error of one date column), in order
+    for k, name in enumerate(names):
+        if name == "mkt":
+            members = panel.mask.copy()
+            if options.exclude_btc_from_market and options.btc_id in panel.coin_index:
+                members[panel.coin_index[options.btc_id]] = False
+            values[:, k], held = _weighted_returns(members, caps, panel.excess)
+            checks.append((~held, lambda col: EmptyDate(panel.dates[col])))
+            continue
+        need = options.min_sort_coins
+        checks.append(
+            (counts < need, lambda col: TooFewCoins(panel.dates[col], need, int(counts[col])))
+        )
+        characteristic, *labels = LONG_SHORT[name]
+        # each coin-day's leg, sorted in stacks of dates with one coin count
+        raw = panel.raw[characteristic_index(characteristic)]
+        legs = np.full(panel.mask.shape, -1, dtype=np.int8)
+        for _, cols, rows in stacks_by_count(panel.mask):
+            legs[rows, cols[:, None]] = _sort_legs(raw[rows, cols[:, None]])
+        spread = []
+        for label in labels:  # long, then short
+            leg, held = _weighted_returns(legs == _LEG_LABELS.index(label), caps, panel.excess)
+            spread.append(leg)
+            checks.append((~held, lambda col, label=label: EmptyLeg(panel.dates[col], label)))
+        values[:, k] = spread[0] - spread[1]
+    failing = np.array([fails for fails, _ in checks])
+    mask = ~failing.any(axis=0)
+    values[~mask] = np.nan
     dropped = []
-    for col, date in enumerate(panel.dates):
-        try:
-            values[col] = _date_factors(panel, col, names, options, caps, market)
-            mask[col] = True
-        except (TooFewCoins, EmptyLeg, EmptyDate) as exc:
-            dropped.append((date, f"{type(exc).__name__}: {exc}"))
+    for col in np.flatnonzero(~mask).tolist():
+        exc = checks[int(failing[:, col].argmax())][1](col)
+        dropped.append((panel.dates[col], f"{type(exc).__name__}: {exc}"))
     return FactorSet(names, panel.dates, mask, values, tuple(dropped))
 
 

@@ -65,9 +65,11 @@ class ModelSpec:
         object.__setattr__(self, "anomalies", tuple(self.anomalies))
         if not self.anomalies:
             raise InvalidConfig(f"spec {self.label!r}: anomalies must be non-empty")
-        for name in self.anomalies:
+        for i, name in enumerate(self.anomalies):
             if name not in CHARACTERISTIC_NAMES:
                 raise InvalidConfig(f"spec {self.label!r}: unknown anomaly {name!r}")
+            if name in self.anomalies[:i]:
+                raise InvalidConfig(f"spec {self.label!r}: anomaly {name!r} repeated")
         if self.riskfree_mode not in RISKFREE_MODES:
             raise InvalidConfig(
                 f"spec {self.label!r}: unknown riskfree_mode {self.riskfree_mode!r}"

@@ -3,10 +3,10 @@ the exact oracle for it.
 
 winsorized_zscores scores one cross-section, ols fits one design,
 build_design_matrix expands one coin's design and first_pass fits one coin
-through it, build_factor_set weights the market one date at a time, and
-generate_synthetic draws one AR(1) path per loop and
-standardizes one lag per call. The stacked versions in coinfactors must
-agree with these bit for bit.
+through it, build_factor_set sorts the legs and weights the market and each
+leg one date at a time (_sort_legs, _weighted_return), and
+generate_synthetic draws one AR(1) path per loop and standardizes one lag per
+call. The stacked versions in coinfactors must agree with these bit for bit.
 """
 
 from __future__ import annotations
@@ -30,12 +30,12 @@ from coinfactors.errors import (
 )
 from coinfactors.factors import (
     _LEG_LABELS,
+    HIGH_BREAK,
     LONG_SHORT,
+    LOW_BREAK,
     FactorOptions,
     FactorSet,
     _caps,
-    _sort_legs,
-    _weighted_return,
     resolve_factor_names,
 )
 from coinfactors.panel import CHARACTERISTIC_NAMES, WINSOR, Panel, characteristic_index
@@ -219,6 +219,27 @@ def first_pass(
         n_params=fit.n_params,
         risk_adjusted=risk_adjusted,
     )
+
+
+def _weighted_return(caps: np.ndarray, excess: np.ndarray) -> float:
+    """Cap-weighted excess return, with weights normalized to sum to 1."""
+    return float((caps / caps.sum()) @ excess)
+
+
+def _sort_legs(values: np.ndarray) -> np.ndarray:
+    """Leg code per entry (0 LOW, 1 MID, 2 HIGH), entries in coin order.
+
+    Percentile rank = position / n in (value, coin) ascending order, with
+    ties sharing the rank of their first occurrence, so the partition does
+    not depend on input order. LOW is rank < 0.30, HIGH is rank >= 0.70.
+    """
+    n = values.size
+    order = np.lexsort((np.arange(n), values))
+    ordered = values[order]
+    rank = np.searchsorted(ordered, ordered, side="left") / n
+    legs = np.empty(n, dtype=np.int64)
+    legs[order] = (rank >= LOW_BREAK).astype(np.int64) + (rank >= HIGH_BREAK)
+    return legs
 
 
 def _date_factors(

@@ -24,7 +24,13 @@ from coinfactors.condbeta import (
 )
 from coinfactors.econometrics import ols, ols_stack
 from coinfactors.errors import InsufficientObservations, RankDeficient
-from coinfactors.factors import FACTOR_MENU, FactorOptions, FactorSet, build_factor_set
+from coinfactors.factors import (
+    FACTOR_MENU,
+    FactorOptions,
+    FactorSet,
+    _sort_legs,
+    build_factor_set,
+)
 from coinfactors.panel import _COLUMNS, STACK_CELLS, Panel, winsorized_zscores
 from coinfactors.pipeline import second_pass
 from coinfactors.synth import _ar1_paths, generate_synthetic, scenario, truth_to_json
@@ -343,7 +349,9 @@ def test_stacked_first_pass_splits_groups_and_keeps_drops_in_place(mode, lagged_
 def market_cases(draw):
     """A panel with holes, BTC among its coins or not, a date on which
     BTC is alone, the market with or without BTC, menus with the market
-    first, last or alone, and stack budgets from one date per stack up."""
+    first, last or alone, tied characteristic levels (rounded, 0.0 mixed
+    with -0.0), min_sort_coins above some dates' coin counts, and stack
+    budgets from one date per stack up."""
     # past 8 coins numpy sums a row with eight accumulators
     n_coins = draw(st.one_of(st.integers(2, 8), st.sampled_from([9, 17, 40])))
     panel, _ = generate_synthetic(scenario("A", n_coins, 200, draw(st.integers(0, 2**16))))
@@ -356,12 +364,18 @@ def market_cases(draw):
         mask[btc, col] = True
     mask[rng.integers(n_coins), ~mask.any(axis=0)] = True
     mask[~mask.any(axis=1), 0] = True
+    raw = np.array(panel.raw)
+    decimals = draw(st.sampled_from([None, 1, 0]))
+    if decimals is not None:
+        raw = np.round(raw, decimals)
+        zeros = raw == 0.0
+        raw[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
     columns = {name: getattr(panel, name) for name in _COLUMNS}
-    columns.update(mask=mask, u=np.array(panel.u), r_btc=np.array(panel.r_btc))
+    columns.update(mask=mask, raw=raw, u=np.array(panel.u), r_btc=np.array(panel.r_btc))
     holed = Panel(coins=panel.coins, dates=panel.dates,
                   riskfree_mode=panel.riskfree_mode, **columns)
     options = FactorOptions(
-        min_sort_coins=draw(st.integers(1, 5)),
+        min_sort_coins=draw(st.integers(1, n_coins + 1)),
         exclude_btc_from_market=draw(st.booleans()),
         btc_id=panel.coins[btc] if btc >= 0 else "BTC",
     )
@@ -383,6 +397,18 @@ def _check_factor_set(panel, menu, options, cells):
 @given(case=market_cases())
 def test_stacked_market_factor_equals_the_per_date_oracle(case):
     _check_factor_set(*case)
+
+
+def test_stacked_leg_sort_equals_one_row_calls():
+    # ties, 0.0 beside -0.0 and a row that is all one level
+    rows = np.array([
+        [0.5, -0.0, 2.0, 0.0, 0.5, -1.0, 0.0, 3.0, 0.5, -0.0],
+        [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+    ])
+    stacked = _sort_legs(rows)
+    for row, legs in zip(rows, stacked):
+        assert legs.tolist() == _sort_legs(row).tolist() == ref._sort_legs(row).tolist()
+    assert stacked.tolist() == [[1, 0, 2, 0, 1, 0, 0, 2, 1, 0], [0] * 10]
 
 
 def test_btc_only_date_drops_with_the_first_failing_factor():

@@ -182,6 +182,16 @@ def test_unknown_config_key_is_validation_error(tmp_path):
     assert "bogus" in result.stderr
 
 
+def test_repeated_anomaly_is_validation_error(tmp_path):
+    spec = {"label": "a", "factors": "CAPM", "beta": {"mode": "unconditional"},
+            "anomalies": ["size", "size"]}
+    cfg = _config(tmp_path / "cfg.json", {"specs": [spec], "output_dir": str(tmp_path / "o")})
+    result = CliRunner().invoke(main, ["run", "--config", cfg])
+    assert result.exit_code == 2
+    assert "specs[0]: spec 'a': anomaly 'size' repeated" in result.stderr
+    assert not (tmp_path / "o").exists()
+
+
 def test_synth_requires_section_and_seed(tmp_path):
     out = str(tmp_path / "out")
     no_section = _config(tmp_path / "a.json", {"output_dir": out, "seed": 3})

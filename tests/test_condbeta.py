@@ -49,6 +49,8 @@ def test_beta_spec_validation():
         BetaSpec(mode="conditional", lagged_return="spot")
     with pytest.raises(InvalidConfig):
         BetaSpec(mode="conditional", characteristics=())
+    with pytest.raises(InvalidConfig, match="characteristic 'size' repeated"):
+        BetaSpec(mode="conditional", characteristics=("size", "value", "size"))
     assert _params_per_factor(BetaSpec(mode="unconditional")) == 1
     assert _params_per_factor(BetaSpec(mode="conditional")) == 12
     assert _params_per_factor(COND_SIZE) == 6

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from coinfactors import config
 from coinfactors.config import load_config, resolved_dict
 from coinfactors.errors import InvalidConfig
 
@@ -206,6 +207,19 @@ def test_spec_requirements(tmp_path):
         }))
 
 
+@pytest.mark.parametrize("spec, where, repeated", [
+    (dict(SPEC, anomalies=["size", "liquidity", "size"]), "specs[0]", "anomaly 'size'"),
+    (dict(SPEC, beta={"mode": "conditional", "characteristics": ["value", "value"]}),
+     "specs[0].beta", "characteristic 'value'"),
+])
+def test_repeated_anomaly_or_characteristic_rejected(tmp_path, spec, where, repeated):
+    # every design would hold two equal columns, so the run could only fail late
+    with pytest.raises(InvalidConfig) as info:
+        load_config(_write(tmp_path, {"specs": [spec]}))
+    assert str(info.value).startswith(f"{where}: ")
+    assert f"{repeated} repeated" in str(info.value)
+
+
 def test_duplicate_spec_labels_rejected(tmp_path):
     doc = {"specs": [SPEC, dict(SPEC, factors="FF3")]}
     with pytest.raises(InvalidConfig) as info:
@@ -223,8 +237,7 @@ def test_resolved_dict_is_complete_and_stable(tmp_path):
     doc = resolved_dict(cfg)
     # round trips through JSON and reloads to the same resolved form
     assert json.loads(json.dumps(doc)) == doc
-    from coinfactors.config import TOP_KEYS
-    assert set(doc) == TOP_KEYS
+    assert set(doc) == set(config.SECTIONS)
     assert doc["universe"] == {"top_n": 200, "min_history_days": 365,
                                "rank_date": None}
     assert doc["windows"]["value_far_days"] == 365

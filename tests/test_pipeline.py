@@ -58,6 +58,9 @@ def test_model_spec_validation():
     with pytest.raises(InvalidConfig):
         ModelSpec(label="x", factors="CAPM", beta=BetaSpec(mode="unconditional"),
                   anomalies=("size", "beta"))
+    with pytest.raises(InvalidConfig, match="spec 'x': anomaly 'size' repeated"):
+        ModelSpec(label="x", factors="CAPM", beta=BetaSpec(mode="unconditional"),
+                  anomalies=("size", "size"))
     with pytest.raises(InvalidConfig):
         ModelSpec(label="x", factors="CAPM", beta=BetaSpec(mode="unconditional"),
                   riskfree_mode="gold")
