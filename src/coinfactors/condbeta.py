@@ -192,26 +192,26 @@ def first_pass_stack(
         build_design_matrix(
             factor_set.values[cols], panel.u[at], r, C, spec, out=X[..., 1:]
         )
-        fits = ols_stack(X, panel.excess[at], rank_tolerance=rank_tolerance)
-        for i, row_cols, fit in zip(coins.tolist(), cols, fits):
+        fit = ols_stack(X, panel.excess[at], rank_tolerance=rank_tolerance)
+        for b, (i, row_cols) in enumerate(zip(coins.tolist(), cols)):
             coin_id = coin_ids[i]
-            if isinstance(fit, RankDeficient):
+            if fit.deficient[b]:
                 out[i] = RankDeficient(
-                    [names[k] for k in fit.columns], message=f"coin {coin_id}"
+                    [names[k] for k in fit.null_columns(b)], message=f"coin {coin_id}"
                 )
                 continue
             risk_adjusted = np.full(len(panel.dates), np.nan)
-            risk_adjusted[row_cols] = fit.coefficients[0] + fit.residuals
+            risk_adjusted[row_cols] = fit.coefficients[b, 0] + fit.residuals[b]
             risk_adjusted.flags.writeable = False
             out[i] = FirstPassFit(
                 coin_id=coin_id,
                 param_names=names,
-                coefficients=fit.coefficients,
-                stderr=fit.stderr,
-                r2=fit.r2,
-                adj_r2=fit.adj_r2,
-                n_obs=fit.n_obs,
-                n_params=fit.n_params,
+                coefficients=fit.coefficients[b],
+                stderr=fit.stderr[b],
+                r2=float(fit.r2[b]),
+                adj_r2=float(fit.adj_r2[b]),
+                n_obs=n,
+                n_params=p,
                 risk_adjusted=risk_adjusted,
             )
     return out

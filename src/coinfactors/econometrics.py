@@ -1,17 +1,17 @@
 """Regression core: OLS with diagnostics, Newey-West standard errors, and
 Fama-MacBeth aggregation of per-date cross-sectional fits.
 
-Everything here is pure and deterministic. Means over dates use numpy's
-pairwise summation on date-sorted arrays, so results do not depend on the
-order in which callers collected the fits.
+Everything here is pure and deterministic. A stack of fits and the
+per-date fits Fama-MacBeth aggregates are arrays with one row per slice
+or date; means over dates use numpy's pairwise summation on those rows in
+date order.
 """
 
 from __future__ import annotations
 
-import datetime as dt
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,6 +46,31 @@ class OlsFit:
     n_params: int
 
 
+@dataclass(frozen=True)
+class StackFit:
+    """The fits of a stack of B equal-shape designs, one row per slice.
+
+    coefficients and stderr are (B, p), residuals (B, n), r2 and adj_r2
+    (B,). deficient marks the rank-deficient slices, whose numbers mean
+    nothing; null holds each slice's direction of smallest singular value,
+    from which null_columns names the columns a deficient slice loads on.
+    """
+
+    coefficients: np.ndarray
+    residuals: np.ndarray
+    stderr: np.ndarray
+    r2: np.ndarray
+    adj_r2: np.ndarray
+    deficient: np.ndarray
+    null: np.ndarray
+
+    def null_columns(self, b: int) -> tuple[int, ...]:
+        """The columns whose weight on slice b's null direction is at least
+        a tenth of the largest."""
+        null = np.abs(self.null[b])
+        return tuple(np.flatnonzero(null >= 0.1 * null.max()).tolist())
+
+
 def ols(
     X: Sequence | np.ndarray,
     y: Sequence | np.ndarray,
@@ -60,25 +85,28 @@ def ols(
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
-    (fit,) = ols_stack(X[None], y[None], rank_tolerance)
-    if isinstance(fit, RankDeficient):
-        raise fit
-    return fit
+    fit = ols_stack(X[None], y[None], rank_tolerance)
+    if fit.deficient[0]:
+        raise RankDeficient(fit.null_columns(0))
+    return OlsFit(
+        fit.coefficients[0], fit.residuals[0], fit.stderr[0],
+        float(fit.r2[0]), float(fit.adj_r2[0]), *X.shape,
+    )
 
 
 def ols_stack(
     X: np.ndarray,
     y: np.ndarray,
     rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
-) -> list[OlsFit | RankDeficient]:
+) -> StackFit:
     """ols on each slice of a stack of equal-shape designs.
 
-    X is (B, n, p) and y is (B, n). Returns one entry per slice, in order:
-    its OlsFit, or the RankDeficient that ols would raise for it. The
-    shape, TooFewObservations and finiteness checks cover the whole stack,
-    and so does the EstimationError for a full-rank slice whose finite
-    inputs overflow into coefficients, residuals, standard errors or R^2
-    that are not finite.
+    X is (B, n, p) and y is (B, n). Row b of the StackFit is what ols gives
+    for slice b, or, where deficient[b], the slice ols would reject with
+    RankDeficient(null_columns(b)). The shape, TooFewObservations and
+    finiteness checks cover the whole stack, and so does the
+    EstimationError for a full-rank slice whose finite inputs overflow into
+    coefficients, residuals, standard errors or R^2 that are not finite.
     The SVD and every product run slice by slice (`@` dispatches each to
     the same BLAS call as a lone 2-D operand would), and the means reduce
     contiguous rows, so each slice gets the bits a lone ols call gives.
@@ -96,7 +124,7 @@ def ols_stack(
     U, s, Vt = np.linalg.svd(X, full_matrices=False)
     deficient = (s[:, 0] <= 0.0) | (s[:, -1] <= rank_tolerance * s[:, 0])
     # a deficient slice divides by a vanishing singular value; its numbers
-    # are discarded below
+    # mean nothing, and every caller skips them
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         coef = (Vt.mT @ ((U.mT @ y[..., None]) / s[..., None]))[..., 0]
         residuals = y - (X @ coef[..., None])[..., 0]
@@ -110,37 +138,19 @@ def ols_stack(
         xtx_inv_diag = np.einsum("bki,bk->bi", Vt**2, s**-2.0)
         stderr = np.sqrt(sigma2[:, None] * xtx_inv_diag)
 
-    overflowed = ~(
+    finite = (
         np.isfinite(coef).all(axis=-1)
         & np.isfinite(residuals).all(axis=-1)
         & np.isfinite(stderr).all(axis=-1)
         & np.isfinite(r2)
         & np.isfinite(adj_r2)
     )
-    fits: list[OlsFit | RankDeficient] = []
-    for b in range(B):
-        if deficient[b]:
-            null = Vt[b, -1]
-            cols = np.flatnonzero(np.abs(null) >= 0.1 * np.abs(null).max())
-            fits.append(RankDeficient([int(c) for c in cols]))
-            continue
-        if overflowed[b]:
-            raise EstimationError(
-                "regression overflowed the float range: its coefficients, "
-                "residuals, standard errors or R^2 are not finite"
-            )
-        fits.append(
-            OlsFit(
-                coefficients=coef[b],
-                residuals=residuals[b],
-                stderr=stderr[b],
-                r2=float(r2[b]),
-                adj_r2=float(adj_r2[b]),
-                n_obs=n,
-                n_params=p,
-            )
+    if not (finite | deficient).all():
+        raise EstimationError(
+            "regression overflowed the float range: its coefficients, "
+            "residuals, standard errors or R^2 are not finite"
         )
-    return fits
+    return StackFit(coef, residuals, stderr, r2, adj_r2, deficient, Vt[:, -1].copy())
 
 
 def newey_west_lag(n_dates: int) -> int:
@@ -210,35 +220,36 @@ def _t_ratio(mean: float, se: float) -> tuple[float, bool]:
 
 
 def fama_macbeth(
-    daily_fits: Mapping[dt.date, OlsFit],
+    coefficients: np.ndarray,
+    stderr: np.ndarray,
+    adj_r2: np.ndarray,
     coefficient_names: Sequence[str],
     nw_lags: int | None = None,
     significance_z: float = SIGNIFICANCE_Z,
 ) -> FMSummary:
     """Aggregate per-date cross-sectional fits into Fama-MacBeth summaries.
 
-    For each coefficient: the arithmetic mean over dates, the plain FM
-    standard error sd/sqrt(T), its t-ratio, the Newey-West t-ratio, and the
-    share of dates whose own cross-sectional |t| exceeds significance_z.
+    coefficients and stderr are (dates x names) grids in date order, one
+    row per date's fit, and adj_r2 holds each fit's adjusted R^2. For each
+    coefficient: the arithmetic mean over dates, the plain FM standard
+    error sd/sqrt(T), its t-ratio, the Newey-West t-ratio, and the share of
+    dates whose own cross-sectional |t| exceeds significance_z.
     Zero-variance coefficient series get a non-finite t and a degenerate
     flag rather than being dropped.
     """
-    items = sorted(daily_fits.items())
-    T = len(items)
+    T = len(coefficients)
     if T < 2:
         raise TooFewDates(f"{T} dates available, need at least 2")
-    coefs = np.array([fit.coefficients for _, fit in items], dtype=float)
-    ses = np.array([fit.stderr for _, fit in items], dtype=float)
-    if coefs.shape[1] != len(coefficient_names):
+    if coefficients.shape[1] != len(coefficient_names):
         raise ValueError(
-            f"{coefs.shape[1]} coefficients per date, "
+            f"{coefficients.shape[1]} coefficients per date, "
             f"{len(coefficient_names)} names given"
         )
     lags = newey_west_lag(T) if nw_lags is None else nw_lags
 
     summaries = []
     for i, name in enumerate(coefficient_names):
-        series = coefs[:, i]
+        series = coefficients[:, i]
         mean = float(np.mean(series))
         fm_se = float(np.std(series, ddof=1)) / math.sqrt(T)
         fm_t, degenerate = _t_ratio(mean, fm_se)
@@ -247,7 +258,7 @@ def fama_macbeth(
         # a zero stderr gives +-inf for a nonzero coefficient and NaN for
         # 0/0, which never counts as significant
         with np.errstate(divide="ignore", invalid="ignore"):
-            daily_t = series / ses[:, i]
+            daily_t = series / stderr[:, i]
         share = float(np.mean(np.abs(daily_t) > significance_z))
         summaries.append(
             CoefficientSummary(
@@ -261,7 +272,7 @@ def fama_macbeth(
                 degenerate=degenerate or nw_degenerate,
             )
         )
-    avg_adj_r2 = float(np.mean([fit.adj_r2 for _, fit in items]))
+    avg_adj_r2 = float(np.mean(adj_r2))
     return FMSummary(
         coefficients=tuple(summaries),
         avg_adj_r2=avg_adj_r2,

@@ -92,6 +92,20 @@ class MissingBitcoin(ValidationError):
     """The Bitcoin series, required for the lagged conditioner, is absent."""
 
 
+class EmptyPanel(ValidationError):
+    """No coin-day survived the panel build. dropped holds every Drop, the
+    first of which the message names."""
+
+    def __init__(self, dropped: Sequence) -> None:
+        self.dropped = tuple(dropped)
+        first = self.dropped[0]
+        on = "" if first.date is None else f" on {first.date.isoformat()}"
+        super().__init__(
+            f"no coin-day survives the panel build: {len(self.dropped)} drops, "
+            f"the first {first.coin_id}{on}: {first.reason}"
+        )
+
+
 # factors --------------------------------------------------------------
 
 class EmptyDate(EstimationError):

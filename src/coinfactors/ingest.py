@@ -39,6 +39,9 @@ BAR_DTYPE = np.dtype(
     [("day", np.int64), ("close", float), ("volume", float), ("market_cap", float)]
 )
 
+# One day of a conditioning series (uncertainty, annual risk-free rate).
+LEVEL_DTYPE = np.dtype([("day", np.int64), ("level", float)])
+
 
 @dataclass(frozen=True, eq=False)
 class CoinSeries:
@@ -193,8 +196,8 @@ def _parse_level_csv(
     header: tuple[str, ...],
     column: str,
     check: Callable[[float, dt.date, int], None],
-) -> dict[dt.date, float]:
-    values: dict[dt.date, float] = {}
+) -> np.ndarray:
+    values: dict[int, float] = {}  # by day ordinal, in line order
     with read_csv_rows(source) as rows:
         _check_header(next(rows, None), header)
         for line, row in enumerate(rows, start=2):
@@ -205,10 +208,10 @@ def _parse_level_csv(
             date = _parse_date(row[0], line)
             value = _parse_float(row[1], line, column)
             check(value, date, line)
-            if date in values:
+            if date.toordinal() in values:
                 raise DuplicateDate(date, context=column)
-            values[date] = value
-    return dict(sorted(values.items()))
+            values[date.toordinal()] = value
+    return np.array(sorted(values.items()), dtype=LEVEL_DTYPE)
 
 
 def _check_epu(value: float, date: dt.date, line: int) -> None:
@@ -222,17 +225,16 @@ def _check_rate(value: float, date: dt.date, line: int) -> None:
         raise MalformedRow(line, f"rate {value!r} on {date.isoformat()} must exceed -1")
 
 
-def parse_epu_csv(source: str | Path | io.TextIOBase) -> dict[dt.date, float]:
-    """Parse the date,epu uncertainty series. Negative levels are rejected.
-
-    Returns a dict whose iteration order is ascending by date.
-    """
+def parse_epu_csv(source: str | Path | io.TextIOBase) -> np.ndarray:
+    """Parse the date,epu uncertainty series into a LEVEL_DTYPE array,
+    ascending by day. Negative levels are rejected."""
     return _parse_level_csv(source, EPU_HEADER, "epu", _check_epu)
 
 
-def parse_riskfree_csv(source: str | Path | io.TextIOBase) -> dict[dt.date, float]:
-    """Parse the date,rate annualized risk-free series. Rates may be negative
-    but must exceed -1 (MalformedRow otherwise)."""
+def parse_riskfree_csv(source: str | Path | io.TextIOBase) -> np.ndarray:
+    """Parse the date,rate annualized risk-free series into a LEVEL_DTYPE
+    array, ascending by day. Rates may be negative but must exceed -1
+    (MalformedRow otherwise)."""
     return _parse_level_csv(source, RISKFREE_HEADER, "rate", _check_rate)
 
 

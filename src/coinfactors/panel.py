@@ -26,13 +26,14 @@ import numpy as np
 from .errors import (
     CoverageGap,
     DuplicateDate,
+    EmptyPanel,
     InvalidConfig,
     MalformedRow,
     MissingBitcoin,
     MissingCharacteristic,
     TooShort,
 )
-from .ingest import CoinSeries, parse_iso_date, read_csv_rows
+from .ingest import LEVEL_DTYPE, CoinSeries, parse_iso_date, read_csv_rows
 
 CHARACTERISTIC_NAMES = ("size", "momentum", "liquidity", "value")
 
@@ -125,10 +126,6 @@ def _trailing(
         combine(total[back:], daily[: n - back], out=total[back:])
         count[back:] += valid[: n - back]
     return total, count
-
-
-def _ordinals(dates) -> np.ndarray:
-    return np.array([d.toordinal() for d in dates], dtype=np.int64)
 
 
 class _CoinView:
@@ -389,11 +386,13 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 
 def build_panel(
     coins: Sequence[CoinSeries],
-    epu: Mapping[dt.date, float],
-    riskfree: Mapping[dt.date, float],
+    epu: np.ndarray,
+    riskfree: np.ndarray,
     options: PanelOptions = PanelOptions(),
 ) -> Panel:
-    """Assemble the estimation panel.
+    """Assemble the estimation panel. epu and riskfree are LEVEL_DTYPE
+    arrays, ascending by unique day, as parse_epu_csv and
+    parse_riskfree_csv return them (InvalidConfig otherwise).
 
     An observation (coin, t) exists when all of these resolve: the return at
     t (consecutive-day rule), the Bitcoin return at t-1, the uncertainty
@@ -403,13 +402,17 @@ def build_panel(
     naming the first of these, in that order, that fails. A conditioning
     series staler than ffill_limit_days where it is looked up is a
     CoverageGap instead, raised for the first such coin-day in coin then
-    date order. Uncertainty is z-scored over the distinct conditioning dates
-    of the final sample; characteristics are winsorized and z-scored per
-    date.
+    date order. A build in which no coin-day survives raises EmptyPanel.
+    Uncertainty is z-scored over the distinct conditioning dates of the
+    final sample; characteristics are winsorized and z-scored per date.
 
     Each coin is handled whole on its calendar grid, every condition one
     array over the coin's return days.
     """
+    for name, levels in (("epu", epu), ("riskfree", riskfree)):
+        shaped = isinstance(levels, np.ndarray) and levels.dtype == LEVEL_DTYPE
+        if not shaped or levels.ndim != 1 or (np.diff(levels["day"]) <= 0).any():
+            raise InvalidConfig(f"{name} must be a 1-D LEVEL_DTYPE array ascending by day")
     btc = next((c for c in coins if c.coin_id == options.btc_id), None)
     if btc is None:
         raise MissingBitcoin(
@@ -420,12 +423,10 @@ def build_panel(
     btc_view = _CoinView(btc, options.windows)
     limit = options.ffill_limit_days
     tbill = options.riskfree_mode == "tbill"
-    epu_dates = sorted(epu)
-    epu_days = _ordinals(epu_dates)
-    epu_levels = np.array([epu[d] for d in epu_dates], dtype=float)
-    rf_dates = sorted(riskfree) if tbill else []  # btc mode never reads it
-    rf_days = _ordinals(rf_dates)
-    rf_daily = np.array([daily_riskfree(riskfree[d]) for d in rf_dates], dtype=float)
+    epu_days, epu_levels = epu["day"], epu["level"]
+    riskfree = riskfree if tbill else riskfree[:0]  # btc mode never reads it
+    rf_days = riskfree["day"]
+    rf_daily = np.array([daily_riskfree(r) for r in riskfree["level"].tolist()])
 
     drops: list[Drop] = []
     coin_ids: list[str] = []
@@ -488,6 +489,8 @@ def build_panel(
             kept.append(np.vstack(columns)[:, keep])
             coin_ids.append(coin.coin_id)
 
+    if not coin_ids:
+        raise EmptyPanel(drops)
     block = np.concatenate(kept, axis=1)
     rows, days = block[:2].astype(np.int64)
     ret, excess, u_raw, r_btc, *raw = block[2:]
@@ -572,7 +575,8 @@ def read_panel_csv(
     count, an unparsable or non-finite value, a size_raw whose exponential
     is no positive finite market cap, a (coin_id, date) seen on an earlier
     line, text that is not UTF-8 or an over-long field raises MalformedRow
-    naming its line, and the file when source is a path.
+    naming its line, and the file when source is a path; so does a header
+    with no data rows below it.
 
     A file laid out as write_panel_csv writes it is parsed by one
     np.loadtxt call. Any other file, and every text stream, goes through
@@ -692,7 +696,9 @@ def _read_panel_rows(rows) -> tuple[list[str], list[dt.date], np.ndarray]:
         coins.append(row[0])
         dates.append(date)
         values.append(numbers)
-    table = np.array(values, dtype=float).reshape(len(values), len(PANEL_HEADER) - 2)
+    if not values:
+        raise MalformedRow(2, "the file has a header but no data rows")
+    table = np.array(values, dtype=float)
     return coins, dates, table
 
 

@@ -22,7 +22,6 @@ from .econometrics import (
     DEFAULT_RANK_TOLERANCE,
     SIGNIFICANCE_Z,
     FMSummary,
-    OlsFit,
     fama_macbeth,
     ols,  # unused here; kept importable, perfbench/tracer.py wraps pipeline.ols
     ols_stack,
@@ -116,29 +115,22 @@ def cross_section_floor(n_anomalies: int, base: int = FLOOR_BASE) -> int:
 
 
 @dataclass(frozen=True)
-class CrossSectionFit:
-    """One date's regression of risk-adjusted returns on [1 | Z]."""
+class CrossSections:
+    """The fitted dates' regressions of risk-adjusted returns on [1 | Z],
+    in date order: coefficients is (dates x (1 + |Z|)), c0 first, and
+    adj_r2 holds one adjusted R^2 per date."""
 
-    date: dt.date
-    fit: OlsFit
-    n_coins: int
+    dates: tuple[dt.date, ...]
+    coefficients: np.ndarray
+    adj_r2: np.ndarray
 
-    @property
-    def c0(self) -> float:
-        return float(self.fit.coefficients[0])
-
-    @property
-    def c(self) -> np.ndarray:
-        return self.fit.coefficients[1:]
-
-    @property
-    def adj_r2(self) -> float:
-        return self.fit.adj_r2
+    def __len__(self) -> int:
+        return len(self.dates)
 
 
 @dataclass(frozen=True)
 class SecondPassResult:
-    fits: tuple[CrossSectionFit, ...]
+    fits: CrossSections
     fm: FMSummary
     skipped: tuple[tuple[dt.date, str], ...]
 
@@ -159,7 +151,8 @@ def second_pass(
     coins than the floor, or with a degenerate design (for example all-zero
     z-scores), are skipped and recorded in date order. Requires at least 2
     surviving dates. Dates with the same coin count are fitted in stacks
-    (panel.stacks_by_count), each fit the same as a lone ols call.
+    (panel.stacks_by_count), each fit the same as a lone ols call, into one
+    (dates x (1 + |Z|)) grid each of coefficients and standard errors.
     """
     anomalies = tuple(anomalies)
     floor = cross_section_floor(len(anomalies), floor_base)
@@ -170,42 +163,40 @@ def second_pass(
     dated = np.flatnonzero(held.any(axis=0))
     held &= panel.mask
 
-    outcome: dict[int, OlsFit | str] = {}  # a fit, or why its date is skipped
-    for n, cols, rows in stacks_by_count(held, dated, width=1 + len(chars)):
+    width = 1 + len(chars)
+    coefs, ses = np.empty((2, rstar.shape[1], width))  # one row per date
+    adj_r2 = np.empty(rstar.shape[1])
+    why = np.full(rstar.shape[1], "", dtype=object)  # why a date is skipped
+    for n, cols, rows in stacks_by_count(held, dated, width=width):
         if n < floor:
-            outcome.update(dict.fromkeys(cols.tolist(), f"below_floor:{n}<{floor}"))
+            why[cols] = f"below_floor:{n}<{floor}"
             continue
         at = (rows, cols[:, None])
-        X = np.empty((cols.size, n, 1 + len(chars)))
+        X = np.empty((cols.size, n, width))
         X[..., 0] = 1.0
         for k, m in enumerate(chars, start=1):
             X[..., k] = panel.z[m][at]
-        stack = ols_stack(X, rstar[at], rank_tolerance=rank_tolerance)
-        for col, fit in zip(cols.tolist(), stack):
-            if isinstance(fit, RankDeficient):
-                fit = f"rank_deficient:{fit.columns}"
-            outcome[col] = fit
+        fit = ols_stack(X, rstar[at], rank_tolerance=rank_tolerance)
+        coefs[cols] = fit.coefficients
+        ses[cols] = fit.stderr
+        adj_r2[cols] = fit.adj_r2
+        for b in np.flatnonzero(fit.deficient).tolist():
+            why[cols[b]] = f"rank_deficient:{fit.null_columns(b)}"
 
-    fits = []
-    skipped = []
-    for col in dated.tolist():
-        date = panel.dates[col]
-        fit = outcome[col]
-        if isinstance(fit, str):
-            skipped.append((date, fit))
-        else:
-            fits.append(CrossSectionFit(date=date, fit=fit, n_coins=fit.n_obs))
-    if len(fits) < 2:
+    kept = dated[why[dated] == ""]
+    if kept.size < 2:
         raise NoEligibleDates(
-            f"{len(fits)} eligible dates after floor {floor}, need at least 2"
+            f"{kept.size} eligible dates after floor {floor}, need at least 2"
         )
-    fm = fama_macbeth(
-        {f.date: f.fit for f in fits},
-        ("c0",) + anomalies,
-        nw_lags=nw_lags,
-        significance_z=significance_z,
+    fits = CrossSections(
+        tuple(panel.dates[j] for j in kept.tolist()), coefs[kept], adj_r2[kept]
     )
-    return SecondPassResult(fits=tuple(fits), fm=fm, skipped=tuple(skipped))
+    fm = fama_macbeth(
+        fits.coefficients, ses[kept], fits.adj_r2, ("c0",) + anomalies,
+        nw_lags=nw_lags, significance_z=significance_z,
+    )
+    skipped = tuple((panel.dates[j], why[j]) for j in dated.tolist() if why[j])
+    return SecondPassResult(fits=fits, fm=fm, skipped=skipped)
 
 
 @dataclass(frozen=True)
@@ -213,7 +204,7 @@ class ModelResult:
     spec: ModelSpec
     factor_set: FactorSet
     fits: tuple[FirstPassFit, ...]
-    cross_sections: tuple[CrossSectionFit, ...]
+    cross_sections: CrossSections
     fm: FMSummary
     first_pass_avg_adj_r2: float
     dropped_coins: tuple[Drop, ...]
@@ -298,17 +289,15 @@ def run_model(
         raise StageError(spec.label, "first_pass", exc) from exc
     fits = []
     dropped = []
-    for coin_id, fit in zip(panel.coins, outcomes):
+    rstar = np.full(panel.mask.shape, np.nan)
+    for row, (coin_id, fit) in enumerate(zip(panel.coins, outcomes)):
         if isinstance(fit, InsufficientObservations):
             dropped.append(Drop(coin_id, None, f"insufficient_observations: {fit}"))
         elif isinstance(fit, RankDeficient):
             dropped.append(Drop(coin_id, None, f"rank_deficient: {fit}"))
         else:
             fits.append(fit)
-
-    rstar = np.full(panel.mask.shape, np.nan)
-    for fit in fits:
-        rstar[panel.coin_index[fit.coin_id]] = fit.risk_adjusted
+            rstar[row] = fit.risk_adjusted
     try:
         second = second_pass(
             rstar,

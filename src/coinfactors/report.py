@@ -180,11 +180,11 @@ def write_cross_section_csv(result: ModelResult, path: str | Path) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["date", "c0"] + codes + ["adj_r2"])
-        for cs in result.cross_sections:
-            row = [cs.date.isoformat(), repr(cs.c0)]
-            row.extend(repr(float(v)) for v in cs.c)
-            row.append(repr(cs.adj_r2))
-            writer.writerow(row)
+        cross = result.cross_sections
+        for date, coefs, adj_r2 in zip(
+            cross.dates, cross.coefficients.tolist(), cross.adj_r2.tolist()
+        ):
+            writer.writerow([date.isoformat(), *map(repr, coefs), repr(adj_r2)])
 
 
 def _g(text: str) -> str:

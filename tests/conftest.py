@@ -6,8 +6,8 @@ import pytest
 
 from coinfactors.condbeta import build_design_matrix
 from coinfactors.factors import FactorSet
-from coinfactors.ingest import BAR_DTYPE, CoinSeries
-from coinfactors.panel import CharacteristicWindows, _CoinView
+from coinfactors.ingest import BAR_DTYPE, LEVEL_DTYPE, CoinSeries
+from coinfactors.panel import CharacteristicWindows, PanelOptions, _CoinView, build_panel
 from coinfactors.synth import generate_synthetic, scenario
 from reference_panel import RawCharacteristics
 from reference_rows import (
@@ -39,6 +39,24 @@ def bar_series(coin_id, rows):
     """CoinSeries of (date, close, volume, market_cap) rows."""
     bars = [(d.toordinal(), close, volume, cap) for d, close, volume, cap in rows]
     return CoinSeries(coin_id, np.array(bars, dtype=BAR_DTYPE))
+
+
+def level_array(levels):
+    """A {date: level} mapping as the LEVEL_DTYPE array a level parser
+    returns."""
+    rows = sorted((d.toordinal(), value) for d, value in levels.items())
+    return np.array(rows, dtype=LEVEL_DTYPE)
+
+
+def level_dict(levels):
+    """A LEVEL_DTYPE array as the {date: level} mapping the old level
+    parsers returned."""
+    return {dt.date.fromordinal(d): value for d, value in levels.tolist()}
+
+
+def build_panel_of_dicts(coins, epu, riskfree, options=PanelOptions()):
+    """build_panel on {date: level} mappings of the two series."""
+    return build_panel(coins, level_array(epu), level_array(riskfree), options)
 
 
 def raw_characteristics(series, date, windows=CharacteristicWindows()):

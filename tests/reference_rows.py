@@ -8,7 +8,8 @@ them before they moved onto the panel's date axis. row_view turns a
 columnar Panel into these rows and panel_from_rows goes the other way, so
 the same panel can be fed to both implementations. Both keep every float as stored, so the column
 code must agree with this module bit for bit. Its z-scores and fits come
-from the per-row kernels in reference_kernels.py, not from the batched ones.
+from the per-row kernels in reference_kernels.py, not from the batched ones,
+and its Fama-MacBeth step and cross-section records from reference_fits.py.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from coinfactors.condbeta import (
     build_design_matrix,
     param_names,
 )
-from coinfactors.econometrics import DEFAULT_RANK_TOLERANCE, fama_macbeth
+from coinfactors.econometrics import DEFAULT_RANK_TOLERANCE
 from coinfactors.errors import (
     DuplicateDate,
     EmptyDate,
@@ -47,12 +48,8 @@ from coinfactors.factors import (
 )
 from coinfactors.panel import CHARACTERISTIC_NAMES, Drop
 from coinfactors.panel import Panel as ColumnPanel
-from coinfactors.pipeline import (
-    SIGNIFICANCE_Z,
-    CrossSectionFit,
-    SecondPassResult,
-    cross_section_floor,
-)
+from coinfactors.pipeline import SIGNIFICANCE_Z, cross_section_floor
+from reference_fits import CrossSectionFit, SecondPassResult, fama_macbeth
 from reference_kernels import ols, winsorized_zscores
 
 

@@ -1,8 +1,9 @@
 """The batched z-score kernel, the stacked OLS, the stacked first pass, the
 stacked market factor, the grouped second pass and the vectorised generator
 against the per-row code they replaced (tests/reference_kernels.py and
-tests/reference_rows.py). Agreement is exact: equal bytes, which also
-separate -0.0 from 0.0.
+tests/reference_rows.py), and the StackFit of ols_stack against the
+per-slice list it replaced (tests/reference_fits.py). Agreement is exact:
+equal bytes, which also separate -0.0 from 0.0.
 """
 
 from unittest import mock
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coinfactors.panel
+import reference_fits as ref_fits
 import reference_kernels as ref
 import reference_rows as ref_rows
 from coinfactors.condbeta import (
@@ -23,7 +25,7 @@ from coinfactors.condbeta import (
     param_names,
 )
 from coinfactors.econometrics import ols, ols_stack
-from coinfactors.errors import InsufficientObservations, RankDeficient
+from coinfactors.errors import EstimationError, InsufficientObservations, RankDeficient
 from coinfactors.factors import (
     FACTOR_MENU,
     FactorOptions,
@@ -34,6 +36,7 @@ from coinfactors.factors import (
 from coinfactors.panel import _COLUMNS, STACK_CELLS, Panel, winsorized_zscores
 from coinfactors.pipeline import second_pass
 from coinfactors.synth import _ar1_paths, generate_synthetic, scenario, truth_to_json
+from reference_fits import fitted_rows
 from reference_rows import row_view
 
 # numpy sums a contiguous row with eight accumulators up to 128 values and
@@ -94,8 +97,9 @@ def test_zscores_reduce_a_contiguous_row_whatever_the_input_layout():
 @st.composite
 def design_stacks(draw):
     """Equal-shape designs, each slice plain, rank-deficient (a repeated
-    column, or all zeros), with a constant response (sst == 0) or with an
-    exactly fitted one."""
+    column, or all zeros), with a constant response (sst == 0), with an
+    exactly fitted one, or with one near the top of the float range, whose
+    fit overflows unless the slice is also rank-deficient."""
     p = draw(st.integers(1, 5))
     n = draw(st.integers(p + 1, p + 25))
     B = draw(st.integers(1, 6))
@@ -103,15 +107,19 @@ def design_stacks(draw):
     X = rng.standard_normal((B, n, p))
     y = rng.standard_normal((B, n))
     for b in range(B):
-        kind = draw(st.sampled_from(["plain", "deficient", "constant", "exact"]))
-        if kind == "deficient" and p > 1:
+        kind = draw(st.sampled_from(
+            ["plain", "deficient", "constant", "exact", "overflow", "deficient overflow"]
+        ))
+        if "deficient" in kind and p > 1:
             X[b, :, -1] = 2.0 * X[b, :, 0]
-        elif kind == "deficient":
+        elif "deficient" in kind:
             X[b] = 0.0
         elif kind == "constant":
             y[b] = 1.5
         elif kind == "exact":
             y[b] = X[b] @ rng.standard_normal(p)
+        if "overflow" in kind:
+            y[b] *= 1e300
     return X, y
 
 
@@ -124,24 +132,54 @@ def _fit_bytes(fit):
     )
 
 
-@settings(max_examples=200, deadline=None)
+def _stack_outcome(fits):
+    """Per slice: the RankDeficient columns, or the fit's bytes."""
+    return [
+        ("deficient", fit.columns) if isinstance(fit, RankDeficient) else _fit_bytes(fit)
+        for fit in fits
+    ]
+
+
+def _stack_rows(stack, n, p):
+    """A StackFit as _stack_outcome reads the per-slice fits."""
+    return [
+        ("deficient", stack.null_columns(b)) if stack.deficient[b] else (
+            stack.coefficients[b].tobytes(),
+            stack.residuals[b].tobytes(),
+            stack.stderr[b].tobytes(),
+            repr((float(stack.r2[b]), float(stack.adj_r2[b]), n, p)),
+        )
+        for b in range(len(stack.deficient))
+    ]
+
+
+@settings(max_examples=300, deadline=None)
 @given(stack=design_stacks())
 def test_ols_stack_equals_per_slice_ols(stack):
     X, y = stack
-    fits = ols_stack(X, y)
-    assert len(fits) == len(X)
-    for b, fit in enumerate(fits):
+    B, n, p = X.shape
+    try:
+        expected = ref_fits.ols_stack(X, y)
+    except EstimationError as exc:
+        with pytest.raises(EstimationError) as info:
+            ols_stack(X, y)
+        assert str(info.value) == str(exc)
+        return
+    fit = ols_stack(X, y)
+    assert fit.coefficients.shape == fit.stderr.shape == (B, p)
+    assert fit.residuals.shape == (B, n)
+    assert _stack_rows(fit, n, p) == _stack_outcome(expected)
+    for b in range(B):
         try:
-            expected = ref.ols(X[b], y[b])
+            lone = ref.ols(X[b], y[b])
         except RankDeficient as exc:
-            assert isinstance(fit, RankDeficient)
-            assert fit.columns == exc.columns
+            assert fit.deficient[b] and fit.null_columns(b) == exc.columns
             with pytest.raises(RankDeficient) as info:
                 ols(X[b], y[b])
             assert info.value.columns == exc.columns
             continue
-        assert _fit_bytes(fit) == _fit_bytes(expected)
-        assert _fit_bytes(ols(X[b], y[b])) == _fit_bytes(expected)
+        assert _fit_bytes(lone) == _stack_rows(fit, n, p)[b]
+        assert _fit_bytes(ols(X[b], y[b])) == _fit_bytes(lone)
 
 
 def _mixed_panel(seed):
@@ -184,10 +222,7 @@ def test_grouped_second_pass_equals_the_per_date_oracle(monkeypatch, seed, anoma
     }
     new = second_pass(rstar, panel, anomalies)
     old = ref_rows.second_pass(by_coin, row_view(panel), anomalies)
-    assert [f.date for f in new.fits] == [f.date for f in old.fits]
-    for a, b in zip(new.fits, old.fits):
-        assert a.n_coins == b.n_coins
-        assert _fit_bytes(a.fit) == _fit_bytes(b.fit)
+    assert fitted_rows(new.fits) == fitted_rows(old.fits)
     assert repr(new.fm) == repr(old.fm)
     assert new.skipped == old.skipped
     reasons = {reason.split(":")[0] for _, reason in new.skipped}
@@ -196,7 +231,7 @@ def test_grouped_second_pass_equals_the_per_date_oracle(monkeypatch, seed, anoma
         assert "rank_deficient" in reasons
     # some coin count fills more than one stack
     per_stack = SMALL_STACK_CELLS // (30 * (1 + len(anomalies)))
-    assert sum(f.n_coins == 30 for f in new.fits) > per_stack
+    assert sum(f.n_coins == 30 for f in old.fits) > per_stack
 
 
 @pytest.mark.parametrize("phi", [0.0, 0.5, 0.95])

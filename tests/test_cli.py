@@ -340,6 +340,35 @@ def test_ingest_epu_coverage_gap_exits_2(tmp_path):
     assert "ffill_limit_days" in result.stderr
 
 
+@pytest.mark.parametrize("name, command", [
+    ("epu.csv", "ingest"), ("riskfree.csv", "ingest"), ("epu.csv", "run"),
+])
+def test_header_only_conditioning_series_exits_2(tmp_path, name, command):
+    # every coin-day drops for want of the series; ingest used to exit 0
+    # with a header-only panel.csv, run to exit 4 at the factor stage
+    raw, doc = _raw_inputs(tmp_path)
+    path = raw / name
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    if command == "run":
+        doc = dict(doc, specs=_capm_specs()[:1])
+    result = CliRunner().invoke(main, [command, "--config", _config(tmp_path / "c.json", doc)])
+    assert result.exit_code == 2, result.output + result.stderr
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    assert "no coin-day survives the panel build" in result.stderr
+    assert not (tmp_path / "ingest" / "panel.csv").exists()
+
+
+def test_run_header_only_panel_file_exits_2_naming_it(tmp_path):
+    def keep_header(lines):
+        del lines[1:]
+
+    result = _panel_run(tmp_path, keep_header)
+    assert result.exit_code == 2, result.output + result.stderr
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    assert f"{tmp_path / 'panel.csv'}: line 2:" in result.stderr
+    assert "has a header but no data rows" in result.stderr
+
+
 def _panel_run(tmp_path, edit):
     """Write a small synthetic panel.csv, let edit change its lines, and run
     one CAPM spec on it."""

@@ -28,6 +28,7 @@ from coinfactors.panel import (
 )
 from coinfactors.pipeline import second_pass
 from coinfactors.synth import emit_raw_files, generate_synthetic, scenario
+from reference_fits import fitted_rows
 from reference_rows import panel_from_rows, row_view
 
 SPECS = (
@@ -82,12 +83,7 @@ def _fit_key(fit, dates=None):
 def _second_pass_key(result):
     if isinstance(result, tuple):
         return result
-    fits = [
-        (f.date, f.n_coins, f.fit.coefficients.tobytes(), f.fit.stderr.tobytes(),
-         f.fit.residuals.tobytes(), repr((f.fit.r2, f.fit.adj_r2)))
-        for f in result.fits
-    ]
-    return fits, repr(result.fm), result.skipped
+    return fitted_rows(result.fits), repr(result.fm), result.skipped
 
 
 def assert_matches_reference(panel, menus, options=FactorOptions(), floor_base=20):

@@ -1,7 +1,12 @@
 import datetime as dt
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_fits as ref_fits
 
 from coinfactors.econometrics import (
     OlsFit,
@@ -158,36 +163,61 @@ def test_newey_west_series_too_short():
         newey_west_se(np.array([1.0, 2.0, 3.0]), lags=3)
 
 
-def _fit_with_coefs(coefs, ses=None, adj_r2=0.0):
-    coefs = np.asarray(coefs, dtype=float)
-    k = len(coefs)
-    ses = np.ones(k) if ses is None else np.asarray(ses, dtype=float)
-    return OlsFit(
-        coefficients=coefs,
-        residuals=np.zeros(k + 1),
-        stderr=ses,
-        r2=0.0,
-        adj_r2=adj_r2,
-        n_obs=k + 1,
-        n_params=k,
-    )
-
-
 def _daily(series_by_name, ses=None, adj_r2=0.0):
-    names = list(series_by_name)
-    length = len(series_by_name[names[0]])
-    fits = {}
-    for t in range(length):
-        coefs = [series_by_name[n][t] for n in names]
-        fits[dt.date(2021, 1, 1) + dt.timedelta(days=t)] = _fit_with_coefs(
-            coefs, ses=ses, adj_r2=adj_r2
+    """The (dates x names) coefficient and stderr grids and the adj R^2 row
+    of one fit per date; every stderr is 1 unless ses gives one per name."""
+    names = tuple(series_by_name)
+    coefs = np.array([series_by_name[n] for n in names], dtype=float).T.copy()
+    stderr = np.ones(coefs.shape) if ses is None else np.tile(ses, (len(coefs), 1))
+    return (coefs, stderr, np.full(len(coefs), adj_r2)), names
+
+
+def _date_fits(coefs, ses, adj_r2):
+    """The same fits as the oracle's {date: OlsFit} mapping."""
+    return {
+        dt.date(2021, 1, 1) + dt.timedelta(days=t): OlsFit(
+            coefficients=c, residuals=np.zeros(c.size + 1), stderr=s,
+            r2=0.0, adj_r2=a, n_obs=c.size + 1, n_params=c.size,
         )
-    return fits, tuple(names)
+        for t, (c, s, a) in enumerate(zip(coefs, ses, adj_r2.tolist()))
+    }
+
+
+@st.composite
+def fm_grids(draw):
+    """Per-date fits: free coefficients, a constant or all-zero series in
+    some columns, and zero standard errors on some dates."""
+    T = draw(st.sampled_from([2, 3, 8, 9, 16, 17, 40, 129]))
+    k = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coefs = rng.standard_normal((T, k))
+    ses = rng.uniform(0.1, 2.0, (T, k))
+    for i in range(k):
+        kind = draw(st.sampled_from(["free", "constant", "zero"]))
+        if kind != "free":
+            coefs[:, i] = 0.0 if kind == "zero" else 0.7
+    ses[rng.random(T) < draw(st.sampled_from([0.0, 0.3])), :] = 0.0
+    adj_r2 = rng.uniform(-0.5, 1.0, T)
+    return coefs, ses, adj_r2, draw(st.sampled_from([None, 0, 1, 3]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(grids=fm_grids())
+def test_fama_macbeth_equals_the_date_keyed_oracle(grids):
+    coefs, ses, adj_r2, lags = grids
+    names = tuple(f"c{i}" for i in range(coefs.shape[1]))
+    try:
+        expected = ref_fits.fama_macbeth(_date_fits(coefs, ses, adj_r2), names, lags)
+    except Exception as exc:  # SeriesTooShort when lags reach T
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            fama_macbeth(coefs, ses, adj_r2, names, lags)
+        return
+    assert repr(fama_macbeth(coefs, ses, adj_r2, names, lags)) == repr(expected)
 
 
 def test_fama_macbeth_two_point_hand_values():
     fits, names = _daily({"c0": [1.0, 3.0]}, adj_r2=0.25)
-    summary = fama_macbeth(fits, names, nw_lags=0)
+    summary = fama_macbeth(*fits, names, nw_lags=0)
     c = summary.coefficient("c0")
     assert c.mean == pytest.approx(2.0, abs=1e-15)
     assert c.fm_se == pytest.approx(1.0, rel=1e-14)
@@ -201,7 +231,7 @@ def test_fama_macbeth_two_point_hand_values():
 
 def test_fama_macbeth_constant_series_flagged():
     fits, names = _daily({"c0": [0.5, 0.5, 0.5]})
-    c = fama_macbeth(fits, names).coefficient("c0")
+    c = fama_macbeth(*fits, names).coefficient("c0")
     assert c.mean == pytest.approx(0.5)
     assert c.fm_se == 0.0
     assert c.degenerate
@@ -210,7 +240,7 @@ def test_fama_macbeth_constant_series_flagged():
 
 def test_fama_macbeth_symmetric_mean_zero():
     fits, names = _daily({"c0": [-0.3, 0.3, -0.3, 0.3]})
-    c = fama_macbeth(fits, names, nw_lags=0).coefficient("c0")
+    c = fama_macbeth(*fits, names, nw_lags=0).coefficient("c0")
     assert c.mean == pytest.approx(0.0, abs=1e-18)
     assert c.fm_t == pytest.approx(0.0, abs=1e-18)
 
@@ -218,14 +248,14 @@ def test_fama_macbeth_symmetric_mean_zero():
 def test_fama_macbeth_requires_two_dates():
     fits, names = _daily({"c0": [1.0]})
     with pytest.raises(TooFewDates):
-        fama_macbeth(fits, names)
+        fama_macbeth(*fits, names)
 
 
 def test_fama_macbeth_mean_is_numpy_mean_exactly():
     rng = np.random.default_rng(3)
     series = rng.standard_normal(257)
     fits, names = _daily({"c0": series})
-    c = fama_macbeth(fits, names).coefficient("c0")
+    c = fama_macbeth(*fits, names).coefficient("c0")
     # Pairwise summation both sides: bit-identical.
     assert c.mean == np.mean(series)
 
@@ -233,13 +263,13 @@ def test_fama_macbeth_mean_is_numpy_mean_exactly():
 def test_fama_macbeth_daily_significant_share():
     # |coef/se| with se=1: significant iff |coef| > 1.96
     fits, names = _daily({"c0": [0.5, 2.5, -3.0, 0.1]})
-    c = fama_macbeth(fits, names, nw_lags=0).coefficient("c0")
+    c = fama_macbeth(*fits, names, nw_lags=0).coefficient("c0")
     assert c.daily_significant_share == pytest.approx(0.5)
 
 
 def test_fama_macbeth_multiple_names_align():
     fits, names = _daily({"c0": [1.0, 2.0], "c_size": [3.0, 5.0]})
-    summary = fama_macbeth(fits, names, nw_lags=0)
+    summary = fama_macbeth(*fits, names, nw_lags=0)
     assert summary.coefficient("c0").mean == pytest.approx(1.5)
     assert summary.coefficient("c_size").mean == pytest.approx(4.0)
     with pytest.raises(KeyError):
@@ -250,10 +280,10 @@ def test_fama_macbeth_zero_stderr_share():
     # a date with stderr 0 counts as significant only when its coefficient
     # is nonzero: 0/0 is not evidence, 0.4/0 is an infinite t
     fits, names = _daily({"c0": [0.0, 0.0, 0.0, 0.0]}, ses=[0.0])
-    c = fama_macbeth(fits, names, nw_lags=0).coefficient("c0")
+    c = fama_macbeth(*fits, names, nw_lags=0).coefficient("c0")
     assert c.daily_significant_share == 0.0
     fits, names = _daily({"c0": [0.4, -0.4, 0.0, 0.1]}, ses=[0.0])
-    c = fama_macbeth(fits, names, nw_lags=0).coefficient("c0")
+    c = fama_macbeth(*fits, names, nw_lags=0).coefficient("c0")
     assert c.daily_significant_share == pytest.approx(0.75)
 
 

@@ -10,6 +10,7 @@ from coinfactors.errors import (
     NonPositivePrice,
 )
 from coinfactors.ingest import (
+    LEVEL_DTYPE,
     UniverseConfig,
     filter_universe,
     load_coin_dir,
@@ -128,8 +129,8 @@ def test_market_csv_round_trip(tmp_path):
 def test_parse_epu_csv():
     text = "date,epu\n2021-01-02,120.5\n2021-01-01,100.25\n"
     levels = parse_epu_csv(io.StringIO(text))
-    assert list(levels) == [day(0), day(1)]  # ascending iteration
-    assert levels[day(1)] == 120.5
+    assert levels.dtype == LEVEL_DTYPE
+    assert levels.tolist() == [(day(0).toordinal(), 100.25), (day(1).toordinal(), 120.5)]
 
 
 def test_parse_epu_rejects_negative_level():
@@ -139,7 +140,7 @@ def test_parse_epu_rejects_negative_level():
 
 def test_parse_riskfree_allows_negative_rate():
     rates = parse_riskfree_csv(io.StringIO("date,rate\n2021-01-01,-0.001\n"))
-    assert rates[day(0)] == -0.001
+    assert rates.tolist() == [(day(0).toordinal(), -0.001)]
 
 
 def test_parse_riskfree_rejects_rate_at_or_below_minus_one():

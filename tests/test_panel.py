@@ -10,10 +10,12 @@ from coinfactors import panel as panel_module
 from coinfactors.errors import (
     CoverageGap,
     DuplicateDate,
+    EmptyPanel,
     InvalidConfig,
     MalformedRow,
     MissingBitcoin,
     TooShort,
+    ValidationError,
 )
 from coinfactors.ingest import CoinSeries
 from coinfactors.panel import (
@@ -35,6 +37,8 @@ from coinfactors.panel import (
 
 from conftest import (
     bar_series,
+    build_panel_of_dicts,
+    level_array,
     day,
     make_obs,
     make_panel,
@@ -89,7 +93,7 @@ def test_returns_too_short():
     coins, epu, rf = _inputs()
     coins[0] = make_series("BTC", [100.0])
     with pytest.raises(TooShort, match="BTC: 1 bars, need 2"):
-        build_panel(coins, epu, rf, OPTIONS)
+        build_panel_of_dicts(coins, epu, rf, OPTIONS)
 
 
 def test_daily_riskfree_values():
@@ -279,7 +283,7 @@ OPTIONS = PanelOptions(windows=SMALL)
 
 def test_build_panel_alignment_and_exactness():
     coins, epu, rf = _inputs()
-    panel = build_panel(coins, epu, rf, OPTIONS)
+    panel = build_panel_of_dicts(coins, epu, rf, OPTIONS)
     # value window [lag-8, lag-2] first has 4 valid days at lag 6, so
     # observations start at t = 7
     assert panel.dates == tuple(day(i) for i in range(7, 20))
@@ -292,7 +296,7 @@ def test_build_panel_alignment_and_exactness():
 
 def test_build_panel_lagged_conditioning_values():
     coins, epu, rf = _inputs()
-    panel = build_panel(coins, epu, rf, OPTIONS)
+    panel = build_panel_of_dicts(coins, epu, rf, OPTIONS)
     obs = row_view(panel).by_date(day(12))[0]
     assert obs.cond.r_btc == pytest.approx(0.002, rel=1e-9)
     # u is the z-scored epu level at t-1 over the distinct lag dates
@@ -304,7 +308,7 @@ def test_build_panel_lagged_conditioning_values():
 
 def test_build_panel_u_zscore_moments():
     coins, epu, rf = _inputs()
-    panel = build_panel(coins, epu, rf, OPTIONS)
+    panel = build_panel_of_dicts(coins, epu, rf, OPTIONS)
     u_by_lag = {o.date: o.cond.u for o in row_view(panel).observations}
     u = np.array(sorted(u_by_lag.values()))
     assert abs(u.mean()) < 1e-12
@@ -314,7 +318,7 @@ def test_build_panel_u_zscore_moments():
 def test_build_panel_btc_mode():
     coins, epu, rf = _inputs()
     options = PanelOptions(riskfree_mode="btc", windows=SMALL)
-    panel = build_panel(coins, epu, rf, options)
+    panel = build_panel_of_dicts(coins, epu, rf, options)
     assert panel.riskfree_mode == "btc"
     assert "BTC" not in panel.coins
     assert any(d.coin_id == "BTC" and d.reason == "btc_is_riskfree"
@@ -324,22 +328,58 @@ def test_build_panel_btc_mode():
         assert o.excess == pytest.approx(o.ret - 0.002, abs=1e-12)
 
 
+@pytest.mark.parametrize("series", ["epu", "riskfree"])
+def test_build_panel_without_any_coin_day_raises(series):
+    # a header-only conditioning file used to give an empty panel, which
+    # ingest wrote out with exit code 0
+    coins, epu, rf = _inputs()
+    levels = {"epu": epu, "riskfree": rf}
+    levels[series] = {}
+    with pytest.raises(EmptyPanel) as info:
+        build_panel_of_dicts(coins, levels["epu"], levels["riskfree"], OPTIONS)
+    assert isinstance(info.value, ValidationError)
+    dropped = info.value.dropped
+    reason = "no_epu" if series == "epu" else "no_riskfree"
+    assert {d.reason for d in dropped} >= {reason}
+    first = dropped[0]
+    assert str(info.value) == (
+        f"no coin-day survives the panel build: {len(dropped)} drops, the first "
+        f"{first.coin_id} on {first.date.isoformat()}: {first.reason}"
+    )
+    # every return day of every coin is one drop
+    candidates = sum(len(c.bars) - 1 for c in coins)
+    assert len(dropped) == candidates
+
+
+def test_build_panel_rejects_conditioning_levels_out_of_day_order():
+    # a mapping, or an array out of day order, used to end in KeyError or a
+    # CoverageGap that named the wrong dates
+    coins, epu, rf = _inputs()
+    levels = level_array(epu)
+    repeated = np.concatenate([levels[:3], levels[2:]])
+    for bad in (epu, levels[::-1].copy(), repeated, levels[None], levels["level"]):
+        with pytest.raises(InvalidConfig, match="epu must be a 1-D LEVEL_DTYPE array"):
+            build_panel(coins, bad, level_array(rf), OPTIONS)
+    with pytest.raises(InvalidConfig, match="riskfree must be"):
+        build_panel(coins, levels, level_array(rf)[::-1].copy(), OPTIONS)
+
+
 def test_build_panel_requires_bitcoin():
     coins, epu, rf = _inputs()
     with pytest.raises(MissingBitcoin):
-        build_panel([c for c in coins if c.coin_id != "BTC"], epu, rf, OPTIONS)
+        build_panel_of_dicts([c for c in coins if c.coin_id != "BTC"], epu, rf, OPTIONS)
 
 
 def test_build_panel_rejects_unknown_mode():
     coins, epu, rf = _inputs()
     with pytest.raises(InvalidConfig):
-        build_panel(coins, epu, rf, PanelOptions(riskfree_mode="gold"))
+        build_panel_of_dicts(coins, epu, rf, PanelOptions(riskfree_mode="gold"))
 
 
 def test_build_panel_forward_fill_within_limit():
     coins, epu, rf = _inputs()
     del epu[day(11)], epu[day(12)]  # 2-day hole, inside the 3-day limit
-    panel = build_panel(coins, epu, rf, OPTIONS)
+    panel = build_panel_of_dicts(coins, epu, rf, OPTIONS)
     assert panel.dates == tuple(day(i) for i in range(7, 20))
     # lag dates 11 and 12 resolve to the day-10 level before z-scoring
     filled = {i: _epu_level(10 if i in (11, 12) else i) for i in range(6, 19)}
@@ -354,7 +394,7 @@ def test_build_panel_coverage_gap_beyond_limit():
     for i in range(11, 16):  # 5-day hole > 3-day fill limit
         del epu[day(i)]
     with pytest.raises(CoverageGap) as info:
-        build_panel(coins, epu, rf, OPTIONS)
+        build_panel_of_dicts(coins, epu, rf, OPTIONS)
     assert info.value.series == "epu"
     # lag day 14 is the first more than 3 days past the day-10 level
     assert (info.value.date, info.value.last, info.value.limit_days) == (day(14), day(10), 3)
@@ -364,20 +404,20 @@ def test_build_panel_coverage_gap_beyond_limit():
 def test_build_panel_leading_edge_skips_not_raises():
     coins, epu, rf = _inputs()
     late_epu = {d: v for d, v in epu.items() if d >= day(14)}
-    panel = build_panel(coins, late_epu, rf, OPTIONS)
+    panel = build_panel_of_dicts(coins, late_epu, rf, OPTIONS)
     assert panel.dates[0] == day(15)
     assert any(d.reason == "no_epu" for d in panel.dropped)
 
 
 def test_build_panel_drop_reasons():
     coins, epu, rf = _inputs()
-    panel = build_panel(coins, epu, rf, OPTIONS)
+    panel = build_panel_of_dicts(coins, epu, rf, OPTIONS)
     reasons = {d.reason for d in panel.dropped}
     assert "no_btc_return_lag" in reasons  # t=1 has no lagged btc return
     assert "missing_momentum" in reasons
     assert "missing_value" in reasons
     stub = make_series("ZZZ", [50.0])
-    panel2 = build_panel(coins + [stub], epu, rf, OPTIONS)
+    panel2 = build_panel_of_dicts(coins + [stub], epu, rf, OPTIONS)
     assert any(d.coin_id == "ZZZ" and d.reason == "too_short"
                for d in panel2.dropped)
 
@@ -386,7 +426,7 @@ def test_build_panel_drops_a_coin_without_returns(tmp_path):
     # bars every other day: two or more bars, yet no day follows another
     coins, epu, rf = _inputs()
     rows = [(day(2 * i), 10.0 + i, 1e6, 1e9) for i in range(250)]
-    panel = build_panel(coins + [bar_series("ALT", rows)], epu, rf, OPTIONS)
+    panel = build_panel_of_dicts(coins + [bar_series("ALT", rows)], epu, rf, OPTIONS)
     assert "ALT" not in panel.coins
     assert [d for d in panel.dropped if d.coin_id == "ALT"] == [
         Drop("ALT", None, "no_returns")
@@ -397,8 +437,8 @@ def test_build_panel_drops_a_coin_without_returns(tmp_path):
 
 def test_build_panel_order_independent():
     coins, epu, rf = _inputs()
-    a = build_panel(coins, epu, rf, OPTIONS)
-    b = build_panel(list(reversed(coins)), epu, rf, OPTIONS)
+    a = build_panel_of_dicts(coins, epu, rf, OPTIONS)
+    b = build_panel_of_dicts(list(reversed(coins)), epu, rf, OPTIONS)
     assert row_view(a).observations == row_view(b).observations
     assert a.dropped == b.dropped
 
@@ -407,7 +447,7 @@ def test_build_panel_look_ahead_safety():
     # everything attached at (coin, t) except the return recomputes from
     # inputs truncated at t-1
     coins, epu, rf = _inputs()
-    panel = build_panel(coins, epu, rf, OPTIONS)
+    panel = build_panel_of_dicts(coins, epu, rf, OPTIONS)
     target = row_view(panel).by_date(day(15))[0]
     lag = day(14)
     series = next(c for c in coins if c.coin_id == target.coin_id)
@@ -493,7 +533,7 @@ def test_read_panel_csv_rejects_size_raw_without_market_cap(tmp_path, size_raw):
 
 def test_panel_csv_round_trip(tmp_path):
     coins, epu, rf = _inputs()
-    panel = build_panel(coins, epu, rf, OPTIONS)
+    panel = build_panel_of_dicts(coins, epu, rf, OPTIONS)
     path = tmp_path / "panel.csv"
     write_panel_csv(panel, path)
     header = path.read_text().splitlines()[0]
@@ -512,7 +552,7 @@ def test_read_panel_csv_path_matches_stream(tmp_path, monkeypatch, terminator):
     # rows ended by LF, which only the row parser reads; also the header alone
     coins, epu, rf = _inputs()
     path = tmp_path / "panel.csv"
-    write_panel_csv(build_panel(coins, epu, rf, OPTIONS), path)
+    write_panel_csv(build_panel_of_dicts(coins, epu, rf, OPTIONS), path)
     header, rows = path.read_bytes().decode("utf-8").split("\r\n", 1)
     text = header + "\r\n" + rows.replace("\r\n", terminator)
     row_parses = []
@@ -521,14 +561,17 @@ def test_read_panel_csv_path_matches_stream(tmp_path, monkeypatch, terminator):
                         lambda rows: row_parses.append(1) or parse_rows(rows))
     assert len(_read_both(tmp_path, text).coins) == len(coins)
     assert len(row_parses) == (1 if terminator == "\r\n" else 2)  # stream's own
-    assert _read_both(tmp_path, header + "\r\n").mask.shape == (0, 0)
+    for only_header in (header + "\r\n", header + "\r\n\r\n"):
+        with pytest.raises(MalformedRow, match="has a header but no data rows") as info:
+            _read_both(tmp_path, only_header)
+        assert info.value.line == 2
 
 
 def test_read_panel_csv_path_names_exact_undecodable_line(tmp_path):
     # the bad byte sits far past the first 8 KB that the reader decodes
     coins, epu, rf = _inputs()
     path = tmp_path / "panel.csv"
-    write_panel_csv(build_panel(coins, epu, rf, OPTIONS), path)
+    write_panel_csv(build_panel_of_dicts(coins, epu, rf, OPTIONS), path)
     lines = path.read_bytes().splitlines(keepends=True)
     assert sum(map(len, lines[:49])) > 8192
     lines[49] = b"\xff" + lines[49]
@@ -580,7 +623,7 @@ def test_read_panel_csv_rejects_other_iso_date_forms(tmp_path, date):
 
 def test_write_drop_report(tmp_path):
     coins, epu, rf = _inputs()
-    panel = build_panel(coins, epu, rf, OPTIONS)
+    panel = build_panel_of_dicts(coins, epu, rf, OPTIONS)
     path = tmp_path / "drops.csv"
     write_drop_report(panel.dropped, path)
     lines = path.read_text().splitlines()

@@ -31,7 +31,7 @@ from coinfactors.panel import (
 )
 from coinfactors.synth import emit_raw_files, generate_synthetic, scenario
 
-from conftest import D0, raw_characteristics
+from conftest import D0, level_dict, raw_characteristics
 from reference_bars import rows_of
 
 DEFAULT = CharacteristicWindows()
@@ -143,7 +143,7 @@ def _outcome(build, inputs, tmp_path, name):
 
 
 def _thinned(levels, keep):
-    return {d: v for i, (d, v) in enumerate(levels.items()) if keep(i)}
+    return levels[[bool(keep(i)) for i in range(len(levels))]]
 
 
 @pytest.mark.parametrize("name", ["A", "B", "C"])
@@ -172,7 +172,9 @@ def test_build_panel_matches_reference(name, tmp_path):
     errors = set()
     for inputs in cases:
         grid = _outcome(build_panel, inputs, tmp_path, "grid")
-        rows = ([rows_of(c) for c in inputs[0]],) + inputs[1:]
+        series, epu_levels, rf_levels, options = inputs
+        rows = ([rows_of(c) for c in series], level_dict(epu_levels),
+                level_dict(rf_levels), options)
         loop = _outcome(reference_panel.build_panel, rows, tmp_path, "loop")
         assert grid == loop, inputs[3]
         if isinstance(grid[0], type):

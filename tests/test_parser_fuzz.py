@@ -6,7 +6,10 @@ the header included.
 
 A panel file path may take the one-call parse, while a text stream always
 takes the row parser, so the same text read both ways must give the same
-Panel bit for bit, or the same MalformedRow line and message."""
+Panel bit for bit, or the same MalformedRow line and message. The EPU and
+risk-free parsers must give the rows, or the error type and message, of
+the dict-returning parsers they replaced (tests/reference_levels.py),
+whatever the row order and wherever a date repeats."""
 
 import csv
 import io
@@ -15,6 +18,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import reference_levels
 from coinfactors import panel as panel_module
 from coinfactors.errors import MalformedRow, ValidationError
 from coinfactors.ingest import (
@@ -88,6 +92,40 @@ def test_parsers_return_or_raise_validation_error(tmp_path, spoiled):
         PARSERS[kind][2](path)
     except ValidationError:
         pass
+
+
+def _level_outcome(parse, path):
+    """A level parser's (day, level) rows in order, or the type and text of
+    the ValidationError it raised."""
+    try:
+        levels = parse(path)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    if isinstance(levels, dict):
+        levels = [(d.toordinal(), value) for d, value in levels.items()]
+    else:
+        levels = levels.tolist()
+    return repr(levels)
+
+
+ORACLES = {"epu": reference_levels.parse_epu_csv,
+           "riskfree": reference_levels.parse_riskfree_csv}
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(spoiled=spoiled_files(kinds=("epu", "riskfree")),
+       repeats=st.integers(0, 2), order=st.randoms(use_true_random=False))
+def test_level_parsers_equal_the_dict_oracle(tmp_path, spoiled, repeats, order):
+    kind, data = spoiled
+    lines = data.split(b"\n")
+    body = lines[1:] + lines[1 : 1 + repeats]
+    order.shuffle(body)  # rows in any order, repeated dates anywhere
+    path = tmp_path / f"{kind}.csv"
+    path.write_bytes(b"\n".join(lines[:1] + body))
+    got = _level_outcome(PARSERS[kind][2], path)
+    assert got == _level_outcome(ORACLES[kind], path)
 
 
 def _outcome(read):

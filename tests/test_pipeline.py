@@ -99,10 +99,11 @@ def test_second_pass_recovers_exact_linear_premium():
     result = second_pass(_grid(panel, rstar), panel, ("size",), floor_base=2)
     assert len(result.fits) == 30
     assert result.skipped == ()
-    for f in result.fits:
-        assert f.n_coins == 6
-        assert f.c0 == pytest.approx(0.001, abs=1e-14)
-        assert f.c[0] == pytest.approx(0.0005, abs=1e-14)
+    assert result.fits.dates == panel.dates
+    assert result.fits.coefficients.shape == (30, 2)
+    for c0, c_size in result.fits.coefficients.tolist():
+        assert c0 == pytest.approx(0.001, abs=1e-14)
+        assert c_size == pytest.approx(0.0005, abs=1e-14)
     names = [c.name for c in result.fm.coefficients]
     assert names == ["c0", "size"]
     premium = result.fm.coefficients[1]
@@ -163,8 +164,9 @@ def test_second_pass_ignores_pairs_missing_from_panel():
     panel = make_panel(list(row_view(panel_obs).observations) + [ghost])
     rstar["GHOST"] = {day(t): 0.5 for t in range(1, 31)}
     result = second_pass(_grid(panel, rstar), panel, ("size",), floor_base=2)
-    assert len(result.fits) == 30
-    assert all(f.n_coins == 6 for f in result.fits)
+    assert result.fits.dates == panel.dates[:30]
+    # GHOST's R* would make a 7-coin, not exactly linear, cross-section
+    assert result.fits.coefficients[:, 1] == pytest.approx(0.0005, abs=1e-14)
     assert result.skipped == ()
 
 

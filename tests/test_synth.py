@@ -183,7 +183,7 @@ def test_emit_raw_files_reingests(tmp_path, synth_b):
     coins = load_coin_dir(market)
     epu = parse_epu_csv(tmp_path / "epu.csv")
     riskfree = parse_riskfree_csv(tmp_path / "riskfree.csv")
-    assert set(epu) == set(riskfree)
+    assert epu["day"].tolist() == riskfree["day"].tolist()
     rebuilt = build_panel(coins, epu, riskfree, PanelOptions())
     assert rebuilt.riskfree_mode == "tbill"
     assert len(rebuilt.coins) == truth.config.n_coins + 1
