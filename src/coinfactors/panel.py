@@ -33,7 +33,7 @@ from .errors import (
     MissingCharacteristic,
     TooShort,
 )
-from .ingest import LEVEL_DTYPE, CoinSeries, parse_iso_date, read_csv_rows
+from .ingest import CoinSeries, parse_iso_date, read_csv_rows
 
 CHARACTERISTIC_NAMES = ("size", "momentum", "liquidity", "value")
 
@@ -390,9 +390,9 @@ def build_panel(
     riskfree: np.ndarray,
     options: PanelOptions = PanelOptions(),
 ) -> Panel:
-    """Assemble the estimation panel. epu and riskfree are LEVEL_DTYPE
+    """Assemble the estimation panel. epu and riskfree are ingest.LEVEL_DTYPE
     arrays, ascending by unique day, as parse_epu_csv and
-    parse_riskfree_csv return them (InvalidConfig otherwise).
+    parse_riskfree_csv return them.
 
     An observation (coin, t) exists when all of these resolve: the return at
     t (consecutive-day rule), the Bitcoin return at t-1, the uncertainty
@@ -409,10 +409,6 @@ def build_panel(
     Each coin is handled whole on its calendar grid, every condition one
     array over the coin's return days.
     """
-    for name, levels in (("epu", epu), ("riskfree", riskfree)):
-        shaped = isinstance(levels, np.ndarray) and levels.dtype == LEVEL_DTYPE
-        if not shaped or levels.ndim != 1 or (np.diff(levels["day"]) <= 0).any():
-            raise InvalidConfig(f"{name} must be a 1-D LEVEL_DTYPE array ascending by day")
     btc = next((c for c in coins if c.coin_id == options.btc_id), None)
     if btc is None:
         raise MissingBitcoin(
@@ -431,7 +427,7 @@ def build_panel(
     drops: list[Drop] = []
     coin_ids: list[str] = []
     # per coin: row, day, ret, excess, u, r_btc, raw (one row per characteristic)
-    kept = [np.empty((6 + len(CHARACTERISTIC_NAMES), 0))]
+    kept = []
     for coin in sorted(coins, key=lambda c: c.coin_id):
         if not tbill and coin.coin_id == options.btc_id:
             drops.append(Drop(coin.coin_id, None, "btc_is_riskfree"))

@@ -26,7 +26,6 @@ from coinfactors.panel import (
     Panel,
     PanelOptions,
     _CoinView,
-    build_panel,
     daily_riskfree,
     read_panel_csv,
     standardize_cross_section,
@@ -38,7 +37,6 @@ from coinfactors.panel import (
 from conftest import (
     bar_series,
     build_panel_of_dicts,
-    level_array,
     day,
     make_obs,
     make_panel,
@@ -349,19 +347,6 @@ def test_build_panel_without_any_coin_day_raises(series):
     # every return day of every coin is one drop
     candidates = sum(len(c.bars) - 1 for c in coins)
     assert len(dropped) == candidates
-
-
-def test_build_panel_rejects_conditioning_levels_out_of_day_order():
-    # a mapping, or an array out of day order, used to end in KeyError or a
-    # CoverageGap that named the wrong dates
-    coins, epu, rf = _inputs()
-    levels = level_array(epu)
-    repeated = np.concatenate([levels[:3], levels[2:]])
-    for bad in (epu, levels[::-1].copy(), repeated, levels[None], levels["level"]):
-        with pytest.raises(InvalidConfig, match="epu must be a 1-D LEVEL_DTYPE array"):
-            build_panel(coins, bad, level_array(rf), OPTIONS)
-    with pytest.raises(InvalidConfig, match="riskfree must be"):
-        build_panel(coins, levels, level_array(rf)[::-1].copy(), OPTIONS)
 
 
 def test_build_panel_requires_bitcoin():

@@ -165,7 +165,10 @@ def test_second_pass_ignores_pairs_missing_from_panel():
     rstar["GHOST"] = {day(t): 0.5 for t in range(1, 31)}
     result = second_pass(_grid(panel, rstar), panel, ("size",), floor_base=2)
     assert result.fits.dates == panel.dates[:30]
-    # GHOST's R* would make a 7-coin, not exactly linear, cross-section
+    # a leaked GHOST would join each date at size z 0 (its value off the
+    # mask), the mean of the six sizes: the slope would hold and the
+    # intercept move to about 0.072
+    assert result.fits.coefficients[:, 0] == pytest.approx(0.001, abs=1e-14)
     assert result.fits.coefficients[:, 1] == pytest.approx(0.0005, abs=1e-14)
     assert result.skipped == ()
 
