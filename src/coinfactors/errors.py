@@ -9,6 +9,7 @@ exception class here uses it.
 from __future__ import annotations
 
 import datetime as dt
+from collections import Counter
 from typing import Sequence
 
 
@@ -93,16 +94,19 @@ class MissingBitcoin(ValidationError):
 
 
 class EmptyPanel(ValidationError):
-    """No coin-day survived the panel build. dropped holds every Drop, the
-    first of which the message names."""
+    """No coin-day survived the panel build. dropped holds every Drop; the
+    message names the commonest reason (the earliest seen on a tie), then
+    the first drop."""
 
     def __init__(self, dropped: Sequence) -> None:
         self.dropped = tuple(dropped)
+        [(reason, count)] = Counter(d.reason for d in self.dropped).most_common(1)
         first = self.dropped[0]
         on = "" if first.date is None else f" on {first.date.isoformat()}"
         super().__init__(
             f"no coin-day survives the panel build: {len(self.dropped)} drops, "
-            f"the first {first.coin_id}{on}: {first.reason}"
+            f"most often {reason} ({count}); the first {first.coin_id}{on}: "
+            f"{first.reason}"
         )
 
 

@@ -78,16 +78,10 @@ def resolve_factor_names(menu: str | Sequence[str]) -> tuple[str, ...]:
     return names
 
 
-def _caps(size_raw: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Lagged market caps from size_raw (ln cap), one math.exp per value:
-    np.exp can differ from it in the last bit."""
-    return np.array([math.exp(x) for x in np.asarray(size_raw, dtype=float).tolist()])
-
-
 def value_weights(size_raw: Sequence[float] | np.ndarray) -> np.ndarray:
     """Normalized lagged-cap weights (size_raw is ln cap, so exp recovers
-    the cap). Sums to 1."""
-    w = _caps(size_raw)
+    the cap, one math.exp per value as Panel.caps takes it). Sums to 1."""
+    w = np.array([math.exp(x) for x in np.asarray(size_raw, dtype=float).tolist()])
     return w / w.sum()
 
 
@@ -211,8 +205,7 @@ def build_factor_set(
     imputed. The reason is that of the first failing check, in menu order.
     """
     names = resolve_factor_names(menu)
-    caps = np.zeros(panel.mask.shape)
-    caps[panel.mask] = _caps(panel.raw[characteristic_index("size")][panel.mask])
+    caps = panel.caps
     counts = panel.mask.sum(axis=0)
     values = np.empty((len(panel.dates), len(names)))
     checks = []  # (failing dates, the error of one date column), in order

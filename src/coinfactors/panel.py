@@ -13,13 +13,15 @@ from __future__ import annotations
 import csv
 import dataclasses
 import datetime as dt
+import functools
 import io
 import itertools
 import math
 import operator
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -253,6 +255,22 @@ class Panel:
             raise InvalidConfig("every panel coin and date needs an observation")
         object.__setattr__(self, "coin_index", {c: i for i, c in enumerate(self.coins)})
         object.__setattr__(self, "date_index", {d: j for j, d in enumerate(self.dates)})
+
+    @functools.cached_property
+    def caps(self) -> np.ndarray:
+        """The lagged market caps that factor weights use, exp(size_raw)
+        on present cells and 0.0 elsewhere: a read-only (coins, dates) array
+        computed at first use. One math.exp per value, taken STACK_CELLS
+        values at a time; np.exp can differ from it in the last bit."""
+        size = self.raw[characteristic_index("size")].ravel()
+        present = np.flatnonzero(self.mask)
+        caps = np.zeros(self.mask.size)
+        for start in range(0, present.size, STACK_CELLS):
+            at = present[start : start + STACK_CELLS]
+            caps[at] = np.fromiter(map(math.exp, size[at].tolist()), float, at.size)
+        caps = caps.reshape(self.mask.shape)
+        caps.flags.writeable = False
+        return caps
 
 
 def characteristic_index(name: str) -> int:
@@ -606,10 +624,13 @@ def _read_panel_file(path: str | Path, riskfree_mode: str) -> Panel | None:
     second comma and rejects a line whose count differs. Where loadtxt and
     float() both take a cell they give the same bits, and comments=None
     keeps loadtxt from cutting a cell at #; a cell only float() takes (1_0,
-    a non-ASCII digit) fails loadtxt.
+    a non-ASCII digit) fails loadtxt. Each block's coin ids and date
+    strings leave it as integer codes, so no per-row string outlives its
+    block.
     """
-    coins: list[str] = []
-    days: list[str] = []
+    coin_code: dict[str, int] = {}
+    day_code: dict[str, int] = {}
+    coins, days = array("q"), array("q")
     limit = csv.field_size_limit()
 
     def numbers(handle):
@@ -622,8 +643,8 @@ def _read_panel_file(path: str | Path, riskfree_mode: str) -> Panel | None:
             ):
                 raise ValueError("irregular block")
             block_coins, block_days, rest = zip(*map(_split_keys, lines))
-            coins.extend(block_coins)
-            days.extend(block_days)
+            coins.extend(_encode(coin_code, block_coins))
+            days.extend(_encode(day_code, block_days))
             yield from rest
 
     try:
@@ -638,7 +659,7 @@ def _read_panel_file(path: str | Path, riskfree_mode: str) -> Panel | None:
                 itertools.chain([first], lines),
                 delimiter=",", comments=None, dtype=float, ndmin=2,
             )
-        date_of = {day: parse_iso_date(day) for day in set(days)}
+        date_code = {parse_iso_date(day): k for day, k in day_code.items()}
     except ValueError:  # UnicodeDecodeError is one too
         return None
     if table.shape[1] != len(PANEL_HEADER) - 2 or not np.isfinite(table).all():
@@ -647,21 +668,31 @@ def _read_panel_file(path: str | Path, riskfree_mode: str) -> Panel | None:
     # exp of anything within +-700 is a positive finite float
     if not all(map(_is_market_cap, size[np.abs(size) > 700.0].tolist())):
         return None
-    panel = _assemble_panel(coins, [date_of[d] for d in days], table, riskfree_mode)
+    panel = _assemble_panel(coin_code, date_code, coins, days, table, riskfree_mode)
     if int(panel.mask.sum()) != len(table):  # a (coin_id, date) repeats
         return None
     return panel
 
 
-def _read_panel_rows(rows) -> tuple[list[str], list[dt.date], np.ndarray]:
-    """Each data row's coin_id, date and numbers, checked row by row."""
+def _encode(code: dict, keys: Sequence) -> Iterator[int]:
+    """The code of each of keys, giving each key not yet in code the next
+    free one (in no set order: _decode ranks the keys)."""
+    for key in set(keys).difference(code):
+        code[key] = len(code)
+    return map(code.__getitem__, keys)
+
+
+def _read_panel_rows(rows) -> tuple[dict, dict, array, array, np.ndarray]:
+    """Each data row's coin_id and date, as codes in order of first sight,
+    and numbers, checked row by row."""
     header = next(rows, None)
     if header is None or tuple(header) != PANEL_HEADER:
         raise MalformedRow(1, f"header {header!r}, expected {list(PANEL_HEADER)!r}")
     day_of: dict[str, dt.date] = {}
     seen: set[tuple[str, dt.date]] = set()
-    coins = []
-    dates = []
+    coin_code: dict[str, int] = {}
+    date_code: dict[dt.date, int] = {}
+    coins, dates = array("q"), array("q")
     values = []
     for line, row in enumerate(rows, start=2):
         if not row:
@@ -689,30 +720,38 @@ def _read_panel_rows(rows) -> tuple[list[str], list[dt.date], np.ndarray]:
                 line, f"duplicate observation of {row[0]} on {date.isoformat()}"
             )
         seen.add(key)
-        coins.append(row[0])
-        dates.append(date)
+        coins.append(coin_code.setdefault(row[0], len(coin_code)))
+        dates.append(date_code.setdefault(date, len(date_code)))
         values.append(numbers)
     if not values:
         raise MalformedRow(2, "the file has a header but no data rows")
     table = np.array(values, dtype=float)
-    return coins, dates, table
+    return coin_code, date_code, coins, dates, table
 
 
 def _assemble_panel(
-    coins: Sequence[str],
-    dates: Sequence[dt.date],
+    coin_code: Mapping[str, int],
+    date_code: Mapping[dt.date, int],
+    coins: array,
+    dates: array,
     table: np.ndarray,
     riskfree_mode: str,
 ) -> Panel:
-    """The Panel of parsed panel rows: row k is coins[k] on dates[k], with
-    table[k] the numbers in PANEL_HEADER order."""
-    coin_ids = sorted(set(coins))
-    days = sorted(set(dates))
-    row_of = {c: i for i, c in enumerate(coin_ids)}
-    col_of = {d: j for j, d in enumerate(days)}
-    rows = [row_of[c] for c in coins]
-    cols = [col_of[d] for d in dates]
+    """The Panel of parsed panel rows: row k is the coin coded coins[k] on
+    the date coded dates[k], with table[k] the numbers in PANEL_HEADER
+    order."""
+    coin_ids, rows = _decode(coin_code, coins)
+    days, cols = _decode(date_code, dates)
     return _panel_of(coin_ids, days, rows, cols, table.T, riskfree_mode)
+
+
+def _decode(code: Mapping, codes: array) -> tuple[list, np.ndarray]:
+    """The sorted keys of code, and each of codes as its key's position
+    among them."""
+    keys = sorted(code)
+    rank = np.empty(len(keys), dtype=np.intp)
+    rank[[code[key] for key in keys]] = np.arange(len(keys))
+    return keys, rank[np.frombuffer(codes, dtype=np.int64)]
 
 
 def _is_market_cap(size_raw: float) -> bool:

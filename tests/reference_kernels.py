@@ -35,10 +35,10 @@ from coinfactors.factors import (
     LOW_BREAK,
     FactorOptions,
     FactorSet,
-    _caps,
     resolve_factor_names,
 )
 from coinfactors.panel import CHARACTERISTIC_NAMES, WINSOR, Panel, characteristic_index
+from reference_reader import _caps
 from coinfactors.synth import (
     COIN_SIZE_SPREAD,
     LIQ_RAW_MEAN,

@@ -355,6 +355,9 @@ def test_header_only_conditioning_series_exits_2(tmp_path, name, command):
     assert result.exit_code == 2, result.output + result.stderr
     assert isinstance(result.exception, SystemExit)  # handled, no traceback
     assert "no coin-day survives the panel build" in result.stderr
+    # the cause, not only the first drop, which is BTC's first return day
+    reason = "no_epu" if name == "epu.csv" else "no_riskfree"
+    assert f"most often {reason} (" in result.stderr
     assert not (tmp_path / "ingest" / "panel.csv").exists()
 
 

@@ -339,10 +339,16 @@ def test_build_panel_without_any_coin_day_raises(series):
     dropped = info.value.dropped
     reason = "no_epu" if series == "epu" else "no_riskfree"
     assert {d.reason for d in dropped} >= {reason}
+    # the message names the commonest reason before the first drop, which
+    # here is BTC's first day, with no lagged Bitcoin return
+    count = sum(d.reason == reason for d in dropped)
+    assert count > len(dropped) / 2
     first = dropped[0]
+    assert first.reason != reason
     assert str(info.value) == (
-        f"no coin-day survives the panel build: {len(dropped)} drops, the first "
-        f"{first.coin_id} on {first.date.isoformat()}: {first.reason}"
+        f"no coin-day survives the panel build: {len(dropped)} drops, most often "
+        f"{reason} ({count}); the first {first.coin_id} on "
+        f"{first.date.isoformat()}: {first.reason}"
     )
     # every return day of every coin is one drop
     candidates = sum(len(c.bars) - 1 for c in coins)

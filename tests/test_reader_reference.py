@@ -1,0 +1,199 @@
+"""read_panel_csv and Panel.caps against the code they replaced
+(tests/reference_reader.py).
+
+The reader now turns each block's coin ids and date strings into integer
+codes and ranks them once at the end; the oracle carried every row's
+strings to the assembly. Written panel files, then shuffled, thinned, given
+a repeated (coin, date), quoted coin ids or bytes that send them to the row
+parser, must give both the same Panel array for array and byte for byte,
+or the same error type and text, and take the one-call parse in the same
+cases. Panel.caps must hold the bits the per-build cap computation gave.
+"""
+
+import datetime as dt
+import io
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import reference_reader as ref
+from coinfactors import panel as panel_module
+from coinfactors.panel import (
+    _COLUMNS,
+    CHARACTERISTIC_NAMES,
+    Panel,
+    read_panel_csv,
+    write_panel_csv,
+)
+from coinfactors.synth import generate_synthetic, scenario
+
+D0 = dt.date(2020, 12, 28)
+# plain ids take the one-call parse; csv.writer quotes the others
+IDS = st.sampled_from(["BTC", "ETH", "C001", "a b", "é", "a,b", 'q"t', "n\nl", ""])
+VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e308, -1e308, 0.1, 1.0 / 3.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# exp overflows above about 709.78 and reaches 0.0 below about -745.13; the
+# reader checks |size_raw| > 700 one value at a time
+SIZES = st.one_of(
+    st.sampled_from([700.0, -700.0, 700.0000000000001, -700.0000000000001,
+                     709.782712893384, -708.4, -745.1, 0.0, -0.0, 15.0]),
+    st.floats(-745.1, 709.78),
+)
+BAD_SIZES = ["709.7827128933841", "709.79", "-745.2", "-760.0"]
+# what sends a file to the row parser, or is rejected there
+IRREGULAR = ["LF", "blank", "size", "\x00", "\x1c", '"', "1_0", " 1.0", "nan", "1e999"]
+SETTINGS = settings(max_examples=200, deadline=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                           HealthCheck.too_slow])
+
+
+def _grid(draw, shape, values=VALUES):
+    n = int(np.prod(shape))
+    return np.array(draw(st.lists(values, min_size=n, max_size=n))).reshape(shape)
+
+
+@st.composite
+def panels(draw, sizes=SIZES):
+    """A Panel of up to 4 coins and 5 dates, every coin and date present."""
+    coins = sorted(draw(st.lists(IDS, min_size=1, max_size=4, unique=True)))
+    offsets = sorted(draw(st.sets(st.integers(0, 9), min_size=1, max_size=5)))
+    shape = (len(coins), len(offsets))
+    mask = _grid(draw, shape, st.booleans())
+    for i in range(shape[0]):  # every coin and every date needs a cell
+        mask[i, draw(st.integers(0, shape[1] - 1))] = True
+    for j in range(shape[1]):
+        mask[draw(st.integers(0, shape[0] - 1)), j] = True
+    chars = (len(CHARACTERISTIC_NAMES),) + shape
+    raw = _grid(draw, chars)
+    raw[0] = _grid(draw, shape, sizes)
+    return Panel(
+        coins, [D0 + dt.timedelta(days=k) for k in offsets], mask,
+        _grid(draw, shape), _grid(draw, shape), _grid(draw, chars), raw,
+        _grid(draw, shape), _grid(draw, shape), draw(st.sampled_from(["tbill", "btc"])),
+    )
+
+
+def _outcome(read, source, riskfree_mode):
+    """The Panel a reader returns, as its fields with every array in bytes,
+    or the type and text of what it raised."""
+    try:
+        panel = read(source, riskfree_mode)
+    except Exception as exc:  # every failure must match too
+        return type(exc), str(exc)
+    arrays = [(name, getattr(panel, name)) for name in _COLUMNS]
+    return (panel.coins, panel.dates, panel.riskfree_mode, panel.dropped,
+            [(name, a.dtype.str, a.shape, a.tobytes()) for name, a in arrays])
+
+
+@st.composite
+def panel_files(draw):
+    """The text of a written panel file, its data lines shuffled and
+    thinned, maybe with one line repeated and one irregular edit."""
+    panel = draw(panels())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "panel.csv"
+        write_panel_csv(panel, path)
+        text = path.read_bytes().decode("utf-8")
+    header, *lines = [line + "\r\n" for line in text.split("\r\n")[:-1]]
+    lines = draw(st.permutations(lines))
+    if draw(st.booleans()):  # missing coin-days, maybe all of them
+        keep = draw(st.lists(st.booleans(), min_size=len(lines), max_size=len(lines)))
+        lines = [line for line, kept in zip(lines, keep) if kept]
+    if lines and draw(st.booleans()):  # a (coin_id, date) repeats
+        lines.insert(draw(st.integers(0, len(lines))),
+                     lines[draw(st.integers(0, len(lines) - 1))])
+    if lines and draw(st.booleans()):
+        k = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(IRREGULAR))
+        if edit == "LF":
+            lines[k] = lines[k][:-2] + "\n"
+        elif edit == "blank":
+            lines.insert(k, "\r\n")
+        elif len(edit) == 1:  # a character anywhere in the line
+            at = draw(st.integers(0, len(lines[k]) - 2))
+            lines[k] = lines[k][:at] + edit + lines[k][at:]
+        else:  # a cell from the end, counted as a quoted id may hold commas
+            cells = lines[k][:-2].split(",")
+            if edit == "size":  # a size_raw whose exp is no market cap
+                at, edit = -6, draw(st.sampled_from(BAD_SIZES))
+            else:  # a number only float() takes, or neither
+                at = draw(st.integers(-12, -1))
+            cells[at] = edit
+            lines[k] = ",".join(cells) + "\r\n"
+    return panel.riskfree_mode, header + "".join(lines)
+
+
+@SETTINGS
+@given(drawn=panel_files())
+def test_read_panel_csv_equals_oracle(tmp_path, drawn):
+    riskfree_mode, text = drawn
+    path = tmp_path / "panel.csv"
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    assert _outcome(read_panel_csv, path, riskfree_mode) == _outcome(
+        ref.read_panel_csv, path, riskfree_mode
+    )
+    # a stream takes the row parser on both sides
+    assert _outcome(read_panel_csv, io.StringIO(text, newline=""), riskfree_mode) == (
+        _outcome(ref.read_panel_csv, io.StringIO(text, newline=""), riskfree_mode)
+    )
+    # and a path takes the one-call parse in the same cases
+    fast = panel_module._read_panel_file(path, riskfree_mode)
+    assert (fast is None) == (ref._read_panel_file(path, riskfree_mode) is None)
+
+
+def test_read_panel_csv_equals_oracle_on_a_written_synthetic_panel(tmp_path):
+    panel = generate_synthetic(scenario("B", n_coins=12, n_days=200, seed=4))[0]
+    path = tmp_path / "panel.csv"
+    write_panel_csv(panel, path)
+    assert panel_module._read_panel_file(path, "tbill") is not None
+    new = _outcome(read_panel_csv, path, "tbill")
+    assert new == _outcome(ref.read_panel_csv, path, "tbill")
+    assert new == _outcome(lambda *_: panel, path, "tbill")
+
+
+def _old_caps(panel):
+    """The caps grid build_factor_set made on every build."""
+    caps = np.zeros(panel.mask.shape)
+    caps[panel.mask] = ref._caps(panel.raw[0][panel.mask])
+    return caps
+
+
+def _caps_outcome(make):
+    try:
+        return make().tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@SETTINGS
+@given(panel=panels(st.one_of(SIZES, st.sampled_from(list(map(float, BAD_SIZES))))),
+       cells=st.integers(1, 7))
+def test_panel_caps_equal_the_per_build_caps(panel, cells):
+    with mock.patch.object(panel_module, "STACK_CELLS", cells):  # many chunks
+        new = _caps_outcome(lambda: panel.caps)
+    assert new == _caps_outcome(lambda: _old_caps(panel))
+
+
+def test_panel_caps_are_read_only_and_computed_once():
+    rng = np.random.default_rng(0)
+    shape = (200, 200)  # 40,000 cells: two chunks of STACK_CELLS
+    raw = rng.uniform(-700.0, 700.0, size=(len(CHARACTERISTIC_NAMES),) + shape)
+    mask = rng.random(shape) < 0.9
+    mask[:, 0] = mask[0] = True
+    grid = np.zeros(shape)
+    panel = Panel([f"C{i:03d}" for i in range(shape[0])],
+                  [D0 + dt.timedelta(days=j) for j in range(shape[1])],
+                  mask, grid, grid, raw, raw, grid, grid, "tbill")
+    assert panel.mask.sum() > panel_module.STACK_CELLS
+    caps = panel.caps
+    assert caps.tobytes() == _old_caps(panel).tobytes()
+    assert panel.caps is caps
+    with pytest.raises(ValueError):
+        caps[0, 0] = 1.0
