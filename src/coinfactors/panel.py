@@ -308,10 +308,12 @@ def winsorized_zscores(
     return out
 
 
-def columns_by_count(mask: np.ndarray, cols: np.ndarray | None = None):
+def stacks_by_count(mask: np.ndarray, cols: np.ndarray | None = None, width: int = 1):
     """Group columns of a boolean (rows, columns) mask by how many entries
-    they set, all columns unless cols names some. Yields (count, cols, rows)
-    per distinct count, ascending: cols keeps the given order and rows is a
+    they set, all columns unless cols names some, and cut each group into
+    stacks of at most STACK_CELLS cells, a column taking count x width of
+    them (always at least one column per stack). Yields (count, cols, rows)
+    per stack, counts ascending: cols keeps the given order and rows is a
     (len(cols), count) array whose row b lists the set rows of cols[b]
     ascending, ready to gather one stacked cross-section per column."""
     if cols is None:
@@ -322,17 +324,9 @@ def columns_by_count(mask: np.ndarray, cols: np.ndarray | None = None):
     for n in sorted(set(counts.tolist())):
         group = np.flatnonzero(counts == n)
         rows = np.nonzero(sub[:, group].T)[1].reshape(group.size, n)
-        yield n, cols[group], rows
-
-
-def stacks_by_count(mask: np.ndarray, cols: np.ndarray | None = None, width: int = 1):
-    """columns_by_count, with each group cut into stacks of at most
-    STACK_CELLS cells, a column taking count x width of them (always at
-    least one column per stack). Yields (count, cols, rows) per stack."""
-    for n, group, rows in columns_by_count(mask, cols):
         step = max(1, STACK_CELLS // max(1, n * width))
         for start in range(0, group.size, step):
-            yield n, group[start : start + step], rows[start : start + step]
+            yield n, cols[group[start : start + step]], rows[start : start + step]
 
 
 def standardize_cross_section(
@@ -340,10 +334,10 @@ def standardize_cross_section(
 ) -> Panel:
     """Recompute every z-unit characteristic from the stored raw levels,
     per date across the coins present. Idempotent; raw values pass through
-    unchanged. Dates with the same number of coins present are scored as
-    one stack, one row per date."""
+    unchanged. Dates with the same number of coins present are scored in
+    stacks (stacks_by_count), one row per date."""
     z = np.zeros_like(panel.raw)
-    for _, cols, rows in columns_by_count(panel.mask):
+    for _, cols, rows in stacks_by_count(panel.mask):
         at = (rows, cols[:, None])
         for m in range(len(CHARACTERISTIC_NAMES)):
             z[m][at] = winsorized_zscores(panel.raw[m][at], lower, upper)
@@ -684,7 +678,7 @@ def _encode(code: dict, keys: Sequence) -> Iterator[int]:
 
 def _read_panel_rows(rows) -> tuple[dict, dict, array, array, np.ndarray]:
     """Each data row's coin_id and date, as codes in order of first sight,
-    and numbers, checked row by row."""
+    and numbers, checked row by row and kept in one float array."""
     header = next(rows, None)
     if header is None or tuple(header) != PANEL_HEADER:
         raise MalformedRow(1, f"header {header!r}, expected {list(PANEL_HEADER)!r}")
@@ -693,7 +687,7 @@ def _read_panel_rows(rows) -> tuple[dict, dict, array, array, np.ndarray]:
     coin_code: dict[str, int] = {}
     date_code: dict[dt.date, int] = {}
     coins, dates = array("q"), array("q")
-    values = []
+    values = array("d")
     for line, row in enumerate(rows, start=2):
         if not row:
             continue
@@ -722,10 +716,10 @@ def _read_panel_rows(rows) -> tuple[dict, dict, array, array, np.ndarray]:
         seen.add(key)
         coins.append(coin_code.setdefault(row[0], len(coin_code)))
         dates.append(date_code.setdefault(date, len(date_code)))
-        values.append(numbers)
+        values.extend(numbers)
     if not values:
         raise MalformedRow(2, "the file has a header but no data rows")
-    table = np.array(values, dtype=float)
+    table = np.frombuffer(values).reshape(-1, len(PANEL_HEADER) - 2)
     return coin_code, date_code, coins, dates, table
 
 

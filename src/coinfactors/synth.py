@@ -103,7 +103,9 @@ class GroundTruth:
     values, the conditioning series, and the injected anomaly premiums.
 
     Each coin's loadings are one vector in param_names order without the
-    intercept, the layout of FirstPassFit.coefficients[1:]."""
+    intercept, the layout of FirstPassFit.coefficients[1:]. u and r_btc are
+    read-only arrays on the lag axis: entry t is the value on config.start
+    plus t days, for t < n_days - 1."""
 
     config: SynthConfig
     factor_set: FactorSet
@@ -111,8 +113,8 @@ class GroundTruth:
     theta: Mapping[str, np.ndarray]
     alpha: Mapping[str, float]
     anomaly_effects: Mapping[str, float]
-    u: Mapping[dt.date, float]
-    r_btc: Mapping[dt.date, float]
+    u: np.ndarray
+    r_btc: np.ndarray
 
 
 def _ar1_paths(paths: np.ndarray, phi: float) -> np.ndarray:
@@ -195,6 +197,7 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[Panel, GroundTruth]:
     u_z = (u_raw - u_raw.mean()) / u_sd if u_sd > 0 else np.zeros(n_lags)
 
     r_btc = cfg.rbtc_mean + cfg.rbtc_vol * btc_rng.standard_normal(n_lags)
+    u_z.flags.writeable = r_btc.flags.writeable = False
 
     # phase one: per-coin draws in a fixed order so streams never shift;
     # the characteristic innovations go straight into (characteristic,
@@ -273,8 +276,8 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[Panel, GroundTruth]:
         theta=theta_map,
         alpha=alpha_map,
         anomaly_effects=dict(cfg.anomaly_effects),
-        u={dates[i]: float(u_z[i]) for i in range(n_lags)},
-        r_btc={dates[i]: float(r_btc[i]) for i in range(n_lags)},
+        u=u_z,
+        r_btc=r_btc,
     )
     return panel, truth
 
@@ -400,7 +403,7 @@ def verify_recovery(
 
 def _jsonable(value):
     if isinstance(value, dict):
-        return {_json_key(k): _jsonable(v) for k, v in sorted(value.items(), key=lambda kv: _json_key(kv[0]))}
+        return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, (dt.date, dt.datetime)):
@@ -417,16 +420,13 @@ def _jsonable(value):
     return value
 
 
-def _json_key(key) -> str:
-    if isinstance(key, (dt.date, dt.datetime)):
-        return key.isoformat()
-    return str(key)
-
-
 def truth_to_json(truth: GroundTruth) -> dict:
-    """Ground truth as a plain JSON-serializable document."""
+    """Ground truth as a plain JSON-serializable document, every dated
+    series keyed by ISO date."""
     factors = truth.factor_set
-    kept = itertools.compress(factors.dates, factors.mask)
+    kept = map(dt.date.isoformat, itertools.compress(factors.dates, factors.mask))
+    start = truth.config.start
+    lags = [(start + dt.timedelta(days=t)).isoformat() for t in range(truth.u.size)]
     return {
         "config": _jsonable(truth.config),
         "beta_spec": _jsonable(truth.beta_spec),
@@ -435,8 +435,8 @@ def truth_to_json(truth: GroundTruth) -> dict:
         "theta": _jsonable(dict(truth.theta)),
         "alpha": _jsonable(dict(truth.alpha)),
         "anomaly_effects": _jsonable(dict(truth.anomaly_effects)),
-        "u": _jsonable(dict(truth.u)),
-        "r_btc": _jsonable(dict(truth.r_btc)),
+        "u": dict(zip(lags, truth.u.tolist())),
+        "r_btc": dict(zip(lags, truth.r_btc.tolist())),
     }
 
 
@@ -471,7 +471,6 @@ def emit_raw_files(panel: Panel, truth: GroundTruth, out_dir: str | Path) -> Non
 
     # each panel date's index among the emitted days
     at = np.array([d.toordinal() for d in panel.dates], dtype=np.int64) - first
-    size = panel.raw[CHARACTERISTIC_NAMES.index("size")]
     for i, coin_id in enumerate(panel.coins):
         cols = np.flatnonzero(panel.mask[i])
         k = at[cols]
@@ -482,22 +481,23 @@ def emit_raw_files(panel: Panel, truth: GroundTruth, out_dir: str | Path) -> Non
         close = np.multiply.accumulate(np.concatenate([[100.0], growth]))[1:]
         # a coin-day's lagged size is the day before's cap, carried forward;
         # the first one also stands for the days before it
-        caps = np.array([math.exp(v) for v in size[i, cols].tolist()])
+        caps = panel.caps[i, cols]
         lag = k - 1
         known = (lag >= 0) & (lag < days.size)
         latest = np.full(days.size, -1)
         latest[lag[known]] = np.flatnonzero(known)
         write(coin_id, close, caps[np.maximum(np.maximum.accumulate(latest), 0)])
 
-    growth = [1.0 + truth.r_btc.get(date, 0.0) for date in dates[1:]]
-    close = np.multiply.accumulate(np.array([20000.0] + growth))
+    # the last emitted day is no lag day: its Bitcoin return is 0
+    growth = 1.0 + np.append(truth.r_btc[1:], 0.0)
+    close = np.multiply.accumulate(np.concatenate([[20000.0], growth]))
     write("BTC", close, close * 1.9e7)
 
     with open(out / "epu.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(("date", "epu"))
-        for date in dates:
-            u = truth.u.get(date, 0.0)
+        # math.exp per value: np.exp can differ in the last bit
+        for date, u in zip(dates, np.append(truth.u, 0.0).tolist()):
             writer.writerow((date.isoformat(), repr(100.0 * math.exp(0.2 * u))))
     with open(out / "riskfree.csv", "w", newline="") as handle:
         writer = csv.writer(handle)

@@ -7,11 +7,17 @@ through it, build_factor_set sorts the legs and weights the market and each
 leg one date at a time (_sort_legs, _weighted_return), and
 generate_synthetic draws one AR(1) path per loop and standardizes one lag per
 call. The stacked versions in coinfactors must agree with these bit for bit.
+
+generate_synthetic's GroundTruth keeps u and r_btc as {date: float} dicts,
+and truth_to_json serializes them as the package did before the series
+became arrays on the lag axis; the package's truth_to_json over its arrays
+must give the same document.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import itertools
 import math
 from typing import Sequence
 
@@ -426,3 +432,45 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[Panel, GroundTruth]:
         r_btc={dates[i]: float(r_btc[i]) for i in range(n_lags)},
     )
     return panel, truth
+
+
+def _jsonable(value):
+    if isinstance(value, dict):
+        return {_json_key(k): _jsonable(v) for k, v in sorted(value.items(), key=lambda kv: _json_key(kv[0]))}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, (dt.date, dt.datetime)):
+        return value.isoformat()
+    if isinstance(value, np.ndarray):
+        return [_jsonable(v) for v in value.tolist()]
+    if isinstance(value, (np.floating, np.integer)):
+        return value.item()
+    if hasattr(value, "__dataclass_fields__"):
+        return {
+            name: _jsonable(getattr(value, name))
+            for name in value.__dataclass_fields__
+        }
+    return value
+
+
+def _json_key(key) -> str:
+    if isinstance(key, (dt.date, dt.datetime)):
+        return key.isoformat()
+    return str(key)
+
+
+def truth_to_json(truth: GroundTruth) -> dict:
+    """Ground truth as a plain JSON-serializable document."""
+    factors = truth.factor_set
+    kept = itertools.compress(factors.dates, factors.mask)
+    return {
+        "config": _jsonable(truth.config),
+        "beta_spec": _jsonable(truth.beta_spec),
+        "factor_names": list(truth.factor_set.names),
+        "factors": _jsonable(dict(zip(kept, factors.values[factors.mask]))),
+        "theta": _jsonable(dict(truth.theta)),
+        "alpha": _jsonable(dict(truth.alpha)),
+        "anomaly_effects": _jsonable(dict(truth.anomaly_effects)),
+        "u": _jsonable(dict(truth.u)),
+        "r_btc": _jsonable(dict(truth.r_btc)),
+    }

@@ -153,6 +153,18 @@ def _thinned(panel, rng, date_share, cell_share):
     )
 
 
+def _dated(truth):
+    """The truth with its lag-axis series as the {date: value} dicts the
+    reference reads. Entry t of an array is the value on config.start + t
+    days by definition, so a truth whose start was shifted puts the series
+    on its own shifted calendar."""
+    start = truth.config.start
+    return dataclasses.replace(truth, **{
+        name: {start + dt.timedelta(days=t): v for t, v in enumerate(getattr(truth, name).tolist())}
+        for name in ("u", "r_btc")
+    })
+
+
 @pytest.fixture(scope="module")
 def small_draw():
     return generate_synthetic(scenario("B", 4, 200, seed=11))
@@ -176,7 +188,7 @@ def test_emit_raw_files_matches_reference(small_draw, tmp_path_factory, seed,
     truth = dataclasses.replace(truth, config=config)
     out = tmp_path_factory.mktemp("raw")
     emit_raw_files(gapped, truth, out / "new")
-    ref.emit_raw_files(gapped, truth, out / "old")
+    ref.emit_raw_files(gapped, _dated(truth), out / "old")
     names = sorted(p.relative_to(out / "old") for p in (out / "old").rglob("*.csv"))
     assert names == sorted(p.relative_to(out / "new") for p in (out / "new").rglob("*.csv"))
     for name in names:
@@ -186,7 +198,7 @@ def test_emit_raw_files_matches_reference(small_draw, tmp_path_factory, seed,
 def test_emit_raw_files_matches_reference_on_full_panel(small_draw, tmp_path):
     panel, truth = small_draw
     emit_raw_files(panel, truth, tmp_path / "new")
-    ref.emit_raw_files(panel, truth, tmp_path / "old")
+    ref.emit_raw_files(panel, _dated(truth), tmp_path / "old")
     for path in sorted((tmp_path / "old").rglob("*.csv")):
         name = path.relative_to(tmp_path / "old")
         assert (tmp_path / "new" / name).read_bytes() == path.read_bytes(), name

@@ -256,7 +256,7 @@ def test_generate_synthetic_equals_the_per_coin_oracle(name, n_coins):
     for column in _COLUMNS:
         assert getattr(panel, column).tobytes() == getattr(expected, column).tobytes(), column
     assert panel.coins == expected.coins and panel.dates == expected.dates
-    assert truth_to_json(truth) == truth_to_json(expected_truth)
+    assert truth_to_json(truth) == ref.truth_to_json(expected_truth)
 
 
 def _gapped_panel(kinds, gaps, seed, menu, drop_every=13, n_days=200):

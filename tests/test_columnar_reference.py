@@ -7,9 +7,12 @@ exception message. The oracle keeps factors and risk-adjusted returns in
 axis, and each is turned into the other's form only to compare.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import coinfactors.panel
 import reference_rows as ref
 from coinfactors.condbeta import BetaSpec, first_pass
 from coinfactors.factors import FactorOptions, build_factor_set, sort_portfolios
@@ -21,6 +24,7 @@ from coinfactors.ingest import (
 )
 from coinfactors.panel import (
     CHARACTERISTIC_NAMES,
+    STACK_CELLS,
     CharacteristicWindows,
     PanelOptions,
     build_panel,
@@ -92,10 +96,14 @@ def assert_matches_reference(panel, menus, options=FactorOptions(), floor_base=2
     Returns the counts of first-pass fits, first-pass failures and skipped
     cross-section dates."""
     rows = row_view(panel)
-    standardized = standardize_cross_section(panel)
-    assert repr(row_view(standardized).observations) == repr(
-        ref.standardize_cross_section(rows).observations
-    )
+    expected = repr(ref.standardize_cross_section(rows).observations)
+    # budgets of one date a stack, of a few small dates a stack, and the default
+    for cells in (1, 16, STACK_CELLS):
+        with mock.patch.object(coinfactors.panel, "STACK_CELLS", cells):
+            standardized = standardize_cross_section(panel)
+        # compared outside the assert: pytest's diff of two long reprs is slow
+        same = repr(row_view(standardized).observations) == expected
+        assert same, f"z-scores differ at STACK_CELLS={cells}"
     fitted = failed = skipped = 0
     for menu in menus:
         factor_set = build_factor_set(panel, menu, options)

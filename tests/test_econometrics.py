@@ -1,11 +1,16 @@
 import datetime as dt
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coinfactors
 import reference_fits as ref_fits
 
 from coinfactors.econometrics import (
@@ -300,3 +305,40 @@ def test_negative_rank_tolerance_option_rejected_before_ols():
         ols(X, rng.normal(size=50), rank_tolerance=PipelineOptions().rank_tolerance)
     with pytest.raises(InvalidConfig, match="rank_tolerance"):
         PipelineOptions(rank_tolerance=-1.0)
+
+
+_BLAS_PROBE = """
+import hashlib
+import numpy as np
+from coinfactors.econometrics import ols_stack
+rng = np.random.default_rng(61)
+X = rng.standard_normal((1, 364, 61))  # the width of an ALL-conditional design
+y = rng.standard_normal((1, 364))
+fit = ols_stack(X, y)
+print(hashlib.sha256(fit.coefficients.tobytes() + fit.residuals.tobytes()).hexdigest())
+"""
+
+
+def _probe_digest(threads):
+    """The digest of a seeded wide ols_stack fit, in a fresh interpreter
+    whose BLAS runs on the given number of threads."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = str(Path(coinfactors.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _BLAS_PROBE], env=env, capture_output=True,
+        text=True, check=True, timeout=120,
+    )
+    return done.stdout.strip()
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs")
+@pytest.mark.xfail(
+    strict=False,
+    reason="ROADMAP item 3: LAPACK gesdd's U depends on the BLAS thread count "
+    "at 364 x 61, so a wide fit's bytes do too",
+)
+def test_wide_ols_stack_bytes_do_not_depend_on_blas_threads():
+    # at most 2 threads: this checks that a fit depends only on X and y
+    one = _probe_digest(1)
+    assert one == _probe_digest(1)
+    assert _probe_digest(2) == one

@@ -3,8 +3,11 @@
 read_panel_csv holds the loadtxt table and the Panel's grid at once, so its
 traced peak cannot fall much below twice the Panel's array bytes. Per-row
 coin and date strings, or per-row index lists, lifted it to about 3.8
-times; the bound is 3. A factor build reads the panel's cached caps, so a
-second build on one panel takes no exponential at all.
+times; the bound is 3. The row parser, which takes any irregular file,
+keeps its numbers in one float array: as a list of float lists per row
+they lifted its peak to about 8 times, and the bound there is 4. A factor
+build reads the panel's cached caps, so a second build on one panel takes
+no exponential at all.
 """
 
 import datetime as dt
@@ -23,6 +26,7 @@ from coinfactors.panel import (
 )
 
 PEAK_PER_PANEL_BYTE = 3.0
+ROW_PARSER_PEAK_PER_PANEL_BYTE = 4.0
 
 
 def _dense_panel(n_coins, n_dates, seed=0):
@@ -41,17 +45,38 @@ def _dense_panel(n_coins, n_dates, seed=0):
     )
 
 
-def test_read_panel_csv_traced_peak_is_bounded_by_the_panel(tmp_path):
-    path = tmp_path / "panel.csv"
-    write_panel_csv(_dense_panel(60, 100), path)  # 6,000 rows, 1.5 MB
+def _traced_read(path):
+    """The panel read from path, and the peak of memory traced meanwhile."""
     tracemalloc.start()
     try:
         panel = read_panel_csv(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    panel_bytes = sum(getattr(panel, name).nbytes for name in _COLUMNS)
-    assert peak <= PEAK_PER_PANEL_BYTE * panel_bytes, (peak, panel_bytes)
+    return panel, peak
+
+
+def _panel_bytes(panel):
+    return sum(getattr(panel, name).nbytes for name in _COLUMNS)
+
+
+def test_read_panel_csv_traced_peak_is_bounded_by_the_panel(tmp_path):
+    path = tmp_path / "panel.csv"
+    write_panel_csv(_dense_panel(60, 100), path)  # 6,000 rows, 1.5 MB
+    panel, peak = _traced_read(path)
+    assert peak <= PEAK_PER_PANEL_BYTE * _panel_bytes(panel), (peak, _panel_bytes(panel))
+
+
+def test_row_parser_traced_peak_is_bounded_by_the_panel(tmp_path):
+    path = tmp_path / "panel.csv"
+    write_panel_csv(_dense_panel(60, 200), path)  # 12,000 rows
+    lines = path.read_bytes().split(b"\r\n")
+    lines[1] = b'"' + lines[1].replace(b",", b'",', 1)  # a quote takes the row parser
+    path.write_bytes(b"\r\n".join(lines))
+    panel, peak = _traced_read(path)
+    assert panel.coins[0] == "C0000" and panel.mask.all()
+    bound = ROW_PARSER_PEAK_PER_PANEL_BYTE * _panel_bytes(panel)
+    assert peak <= bound, (peak, _panel_bytes(panel))
 
 
 def test_second_factor_build_takes_no_exponential(monkeypatch):

@@ -73,14 +73,16 @@ def test_characteristics_standardized_per_date(synth_b):
 
 def test_conditioning_series_standardized(synth_b):
     panel, truth = synth_b
-    u = np.array(sorted(truth.u.values()))
+    assert not truth.u.flags.writeable and not truth.r_btc.flags.writeable
+    u = np.sort(truth.u)
     assert abs(u.mean()) < 1e-9
     assert abs(u.std() - 1.0) < 1e-9
-    # observations carry the lagged value
+    # observations carry the lagged value, entry t of the lag axis being
+    # config.start + t days
     obs = row_view(panel).observations[0]
-    lag = obs.date - dt.timedelta(days=1)
-    assert obs.cond.u == truth.u[lag]
-    assert obs.cond.r_btc == truth.r_btc[lag]
+    t = (obs.date - dt.timedelta(days=1) - truth.config.start).days
+    assert obs.cond.u == truth.u[t]
+    assert obs.cond.r_btc == truth.r_btc[t]
 
 
 def test_coin_label_width():
