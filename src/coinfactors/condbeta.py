@@ -29,7 +29,7 @@ from .errors import (
     RankDeficient,
 )
 from .factors import FactorSet
-from .panel import Panel, characteristic_index, csv_lead, stacks_by_count
+from .panel import CHARACTERISTIC_NAMES, Panel, characteristic_index, csv_lead, stacks_by_count
 
 MIN_OBS_MARGIN = 30
 
@@ -43,6 +43,8 @@ class BetaSpec:
     listed characteristic (size plays the same structural role as the rest).
     lagged_return picks what r is: the Bitcoin return ("btc", the default)
     or the coin's own previous-day return ("own", a sensitivity variant).
+    A characteristic outside CHARACTERISTIC_NAMES, or listed twice, raises
+    InvalidConfig.
     """
 
     mode: str
@@ -58,6 +60,8 @@ class BetaSpec:
             raise InvalidConfig("conditional mode needs at least one characteristic")
         object.__setattr__(self, "characteristics", tuple(self.characteristics))
         for i, name in enumerate(self.characteristics):
+            if name not in CHARACTERISTIC_NAMES:
+                raise InvalidConfig(f"unknown characteristic {name!r}")
             if name in self.characteristics[:i]:
                 raise InvalidConfig(f"characteristic {name!r} repeated")
 
@@ -181,18 +185,17 @@ def first_pass_stack(
             [characteristic_index(c) for c in spec.characteristics], dtype=np.intp
         )
         rows = index[coins, None]
-        at = (rows, cols)
         if spec.lagged_return == "own":
             r = panel.ret[rows, cols - 1]
         else:
-            r = panel.r_btc[at]
+            r = panel.r_btc[cols]
         C = np.moveaxis(panel.z[chars[:, None, None], rows, cols], 0, -1)
         X = np.empty((coins.size, n, p))
         X[..., 0] = 1.0
         build_design_matrix(
-            factor_set.values[cols], panel.u[at], r, C, spec, out=X[..., 1:]
+            factor_set.values[cols], panel.u[cols], r, C, spec, out=X[..., 1:]
         )
-        fit = ols_stack(X, panel.excess[at], rank_tolerance=rank_tolerance)
+        fit = ols_stack(X, panel.excess[rows, cols], rank_tolerance=rank_tolerance)
         for b, (i, row_cols) in enumerate(zip(coins.tolist(), cols)):
             coin_id = coin_ids[i]
             if fit.deficient[b]:

@@ -10,6 +10,7 @@ the conditioning values carry an explicit one-day lag.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import dataclasses
 import datetime as dt
@@ -68,6 +69,8 @@ PANEL_HEADER = (
     "u_lag",
     "rbtc_lag",
 )
+# where the market-wide series, u_lag and rbtc_lag, start among the numbers
+_SERIES_AT = PANEL_HEADER.index("u_lag") - 2
 
 
 def daily_riskfree(annual_rate: float) -> float:
@@ -192,7 +195,8 @@ class Drop:
     reason: str
 
 
-# the Panel's array fields, one cell per (coin, date)
+# the Panel's array fields: grids of one cell per (coin, date), then the
+# market-wide conditioning series of one value per date
 _COLUMNS = ("mask", "ret", "excess", "z", "raw", "u", "r_btc")
 
 
@@ -200,18 +204,21 @@ _COLUMNS = ("mask", "ret", "excess", "z", "raw", "u", "r_btc")
 class Panel:
     """Coin-day observations as columns over sorted coins x sorted dates.
 
-    mask[i, j] marks the coin-days present; the other arrays hold one value
-    per cell, and only present cells carry meaning. ret, excess, u (the
-    standardized uncertainty level at t-1) and r_btc (the Bitcoin return at
-    t-1) are (coins, dates); z (winsorized cross-sectional z-scores) and raw
-    (levels at t-1) are (characteristics, coins, dates) in
-    CHARACTERISTIC_NAMES order. Every coin and every date has at least one
-    observation, and the arrays are read-only. riskfree_mode records whether
-    excess returns were taken against the treasury rate ("tbill") or the
-    Bitcoin return ("btc").
+    mask[i, j] marks the coin-days present; ret, excess, z and raw hold one
+    value per cell, and only present cells carry meaning. ret and excess are
+    (coins, dates); z (winsorized cross-sectional z-scores) and raw (levels
+    at t-1) are (characteristics, coins, dates) in CHARACTERISTIC_NAMES
+    order. u (the standardized uncertainty level at t-1) and r_btc (the
+    Bitcoin return at t-1) are market-wide: one value per date, (dates,).
+    Every coin and every date has at least one observation, and the arrays
+    are read-only. riskfree_mode records whether excess returns were taken
+    against the treasury rate ("tbill") or the Bitcoin return ("btc").
 
-    The constructor raises DuplicateDate for a repeated date and
-    InvalidConfig for any other malformed layout.
+    The constructor also takes u or r_btc as a (coins, dates) grid, when
+    every date's present cells hold the same bits, and keeps that one value
+    per date. It raises DuplicateDate for a repeated date and InvalidConfig
+    for any other malformed layout, naming the coin and the date of a grid
+    cell that differs from its date's first.
     """
 
     coins: tuple[str, ...]
@@ -245,16 +252,33 @@ class Panel:
             want = shape
             if name in ("z", "raw"):
                 want = (len(CHARACTERISTIC_NAMES),) + shape
+            elif name in ("u", "r_btc"):
+                if values.shape == shape:
+                    values = self._date_vector(name, values)
+                want = shape[1:]
             if values.shape != want:
                 raise InvalidConfig(
                     f"panel {name} has shape {values.shape}, expected {want}"
                 )
             values.flags.writeable = False
             object.__setattr__(self, name, values)
-        if not (self.mask.any(axis=1).all() and self.mask.any(axis=0).all()):
-            raise InvalidConfig("every panel coin and date needs an observation")
+            if name == "mask" and not (values.any(1).all() and values.any(0).all()):
+                raise InvalidConfig("every panel coin and date needs an observation")
         object.__setattr__(self, "coin_index", {c: i for i, c in enumerate(self.coins)})
         object.__setattr__(self, "date_index", {d: j for j, d in enumerate(self.dates)})
+
+    def _date_vector(self, name: str, grid: np.ndarray) -> np.ndarray:
+        """The one value per date of a (coins, dates) grid of a series."""
+        rows, cols = np.nonzero(self.mask)
+        (vector,), odd = _one_per_date(grid[None, rows, cols], cols, len(self.dates))
+        if odd is not None:
+            _, k, first = odd
+            raise InvalidConfig(
+                f"panel {name} of {self.coins[rows[k]]} on {self.dates[cols[k]]} is "
+                f"{float(grid[rows[k], cols[k]])!r}, where {self.coins[rows[first]]} has "
+                f"{float(vector[cols[k]])!r}: the series holds one value per date"
+            )
+        return vector
 
     @functools.cached_property
     def caps(self) -> np.ndarray:
@@ -271,6 +295,24 @@ class Panel:
         caps = caps.reshape(self.mask.shape)
         caps.flags.writeable = False
         return caps
+
+
+def _one_per_date(values: np.ndarray, cols, n_dates: int):
+    """Series that hold one value per date, from a (series, entries) array
+    whose entry k lies on date cols[k], every date having an entry: each
+    date takes its first entry's values. Returns these (series, n_dates)
+    vectors and None, or, when an entry's bits differ from its date's first
+    in some series, (series, entry, first entry of its date) for the first
+    such entry. Bits, so that -0.0 differs from 0.0."""
+    cols = np.asarray(cols)
+    first = np.full(n_dates, cols.size)
+    np.minimum.at(first, cols, np.arange(cols.size))
+    vectors = values[:, first]
+    odd = np.argwhere((values.view(np.int64) != vectors[:, cols].view(np.int64)).T)
+    if not odd.size:
+        return vectors, None
+    k, m = odd[0].tolist()
+    return vectors, (m, k, int(first[cols[k]]))
 
 
 def characteristic_index(name: str) -> int:
@@ -438,7 +480,7 @@ def build_panel(
 
     drops: list[Drop] = []
     coin_ids: list[str] = []
-    # per coin: row, day, ret, excess, u, r_btc, raw (one row per characteristic)
+    # per coin: row, day, ret, excess, raw (one row per characteristic)
     kept = []
     for coin in sorted(coins, key=lambda c: c.coin_id):
         if not tbill and coin.coin_id == options.btc_id:
@@ -455,7 +497,7 @@ def build_panel(
         day = view.origin + k
         ret = view.ret[k]
         r_btc = _on_grid(btc_view.ret, day - 1 - btc_view.origin)
-        u_raw, epu_at, epu_stale = _forward_fill(day - 1, epu_days, epu_levels, limit)
+        _, epu_at, epu_stale = _forward_fill(day - 1, epu_days, epu_levels, limit)
         # the stale entries name their series; the rest are drop reasons
         gaps = {"epu": (day - 1, epu_days, epu_at)}
         checks = [
@@ -493,7 +535,7 @@ def build_panel(
         keep = fate == len(checks)
         if keep.any():
             row = np.full(k.size, len(coin_ids))
-            columns = [row, day, ret, ret - benchmark, u_raw, r_btc, raw]
+            columns = [row, day, ret, ret - benchmark, raw]
             kept.append(np.vstack(columns)[:, keep])
             coin_ids.append(coin.coin_id)
 
@@ -501,20 +543,19 @@ def build_panel(
         raise EmptyPanel(drops)
     block = np.concatenate(kept, axis=1)
     rows, days = block[:2].astype(np.int64)
-    ret, excess, u_raw, r_btc, *raw = block[2:]
-    u_values = _forward_fill(_distinct(days - 1), epu_days, epu_levels, limit)[0]
-    if u_values.size >= 2 and float(u_values.std()) > 0.0:
-        u_mean = float(u_values.mean())
-        u_sd = float(u_values.std())
-        u = (u_raw - u_mean) / u_sd
-    else:
-        u = np.zeros_like(u_raw)
-
+    ret, excess, *raw = block[2:]
     dates = _distinct(days)
+    u = _forward_fill(dates - 1, epu_days, epu_levels, limit)[0]
+    if u.size >= 2 and float(u.std()) > 0.0:
+        u = (u - float(u.mean())) / float(u.std())
+    else:
+        u = np.zeros(u.size)
+    r_btc = _on_grid(btc_view.ret, dates - 1 - btc_view.origin)
+
     z = np.zeros((len(CHARACTERISTIC_NAMES), ret.size))
     panel = _panel_of(
         coin_ids, [dt.date.fromordinal(d) for d in dates.tolist()],
-        rows, np.searchsorted(dates, days), [ret, excess, *z, *raw, u, r_btc],
+        rows, np.searchsorted(dates, days), [ret, excess, *z, *raw], u, r_btc,
         options.riskfree_mode, drops,
     )
     return standardize_cross_section(panel, *options.winsor)
@@ -522,18 +563,18 @@ def build_panel(
 
 def _panel_of(
     coins: Sequence[str], dates: Sequence[dt.date], rows, cols, columns,
-    riskfree_mode: str, dropped: Sequence[Drop] = (),
+    u: np.ndarray, r_btc: np.ndarray, riskfree_mode: str, dropped: Sequence[Drop] = (),
 ) -> Panel:
-    """The Panel of a coin-day table: entry k of each of columns (the
-    numbers in PANEL_HEADER order) is coins[rows[k]] on dates[cols[k]]."""
+    """The Panel of a coin-day table and the two series on its dates: entry
+    k of each of columns (the numbers in PANEL_HEADER order up to u_lag) is
+    coins[rows[k]] on dates[cols[k]]."""
     shape = (len(coins), len(dates))
     mask = np.zeros(shape, dtype=bool)
     mask[rows, cols] = True
-    grid = np.zeros((len(PANEL_HEADER) - 2,) + shape)
+    grid = np.zeros((_SERIES_AT,) + shape)
     grid[:, rows, cols] = columns
     n = len(CHARACTERISTIC_NAMES)
-    ret, excess, z, raw = grid[0], grid[1], grid[2 : 2 + n], grid[2 + n : 2 + 2 * n]
-    u, r_btc = grid[2 + 2 * n :]
+    ret, excess, z, raw = grid[0], grid[1], grid[2 : 2 + n], grid[2 + n :]
     return Panel(coins, dates, mask, ret, excess, z, raw, u, r_btc, riskfree_mode, dropped)
 
 
@@ -554,8 +595,8 @@ def write_panel_csv(panel: Panel, path: str | Path) -> None:
                 panel.excess[i, cols],
                 *panel.z[:, i, cols],
                 *panel.raw[:, i, cols],
-                panel.u[i, cols],
-                panel.r_btc[i, cols],
+                panel.u[cols],
+                panel.r_btc[cols],
             ]
             rows = np.stack(columns, axis=1).tolist()
             lead = csv_lead(coin_id)
@@ -584,7 +625,10 @@ def read_panel_csv(
     is no positive finite market cap, a (coin_id, date) seen on an earlier
     line, text that is not UTF-8 or an over-long field raises MalformedRow
     naming its line, and the file when source is a path; so does a header
-    with no data rows below it.
+    with no data rows below it. u_lag and rbtc_lag are market-wide, so
+    every row of a date must hold the same bits in each: once every row
+    has passed, the first row that differs from its date's first row
+    raises MalformedRow naming both lines, the coin and the date.
 
     A file laid out as write_panel_csv writes it is parsed by one
     np.loadtxt call. Any other file, and every text stream, goes through
@@ -662,7 +706,10 @@ def _read_panel_file(path: str | Path, riskfree_mode: str) -> Panel | None:
     # exp of anything within +-700 is a positive finite float
     if not all(map(_is_market_cap, size[np.abs(size) > 700.0].tolist())):
         return None
-    panel = _assemble_panel(coin_code, date_code, coins, days, table, riskfree_mode)
+    series, odd = _one_per_date(table.T[_SERIES_AT:], days, len(date_code))
+    if odd is not None:
+        return None
+    panel = _assemble_panel(coin_code, date_code, coins, days, table, series, riskfree_mode)
     if int(panel.mask.sum()) != len(table):  # a (coin_id, date) repeats
         return None
     return panel
@@ -676,9 +723,11 @@ def _encode(code: dict, keys: Sequence) -> Iterator[int]:
     return map(code.__getitem__, keys)
 
 
-def _read_panel_rows(rows) -> tuple[dict, dict, array, array, np.ndarray]:
+def _read_panel_rows(rows) -> tuple[dict, dict, array, array, np.ndarray, np.ndarray]:
     """Each data row's coin_id and date, as codes in order of first sight,
-    and numbers, checked row by row and kept in one float array."""
+    and numbers, checked row by row and kept in one float array; then the
+    u_lag and rbtc_lag series by date code, checked to hold one value per
+    date."""
     header = next(rows, None)
     if header is None or tuple(header) != PANEL_HEADER:
         raise MalformedRow(1, f"header {header!r}, expected {list(PANEL_HEADER)!r}")
@@ -688,8 +737,10 @@ def _read_panel_rows(rows) -> tuple[dict, dict, array, array, np.ndarray]:
     date_code: dict[dt.date, int] = {}
     coins, dates = array("q"), array("q")
     values = array("d")
+    blanks = array("q")  # the number of data rows above each blank row
     for line, row in enumerate(rows, start=2):
         if not row:
+            blanks.append(len(coins))
             continue
         if len(row) != len(PANEL_HEADER):
             raise MalformedRow(line, f"{len(row)} fields, expected {len(PANEL_HEADER)}")
@@ -719,8 +770,18 @@ def _read_panel_rows(rows) -> tuple[dict, dict, array, array, np.ndarray]:
         values.extend(numbers)
     if not values:
         raise MalformedRow(2, "the file has a header but no data rows")
+    del seen  # a set of every row's key: free it before the series check
     table = np.frombuffer(values).reshape(-1, len(PANEL_HEADER) - 2)
-    return coin_code, date_code, coins, dates, table
+    series, odd = _one_per_date(table.T[_SERIES_AT:], dates, len(date_code))
+    if odd is not None:
+        m, k, j = odd
+        at, coin_ids = _SERIES_AT + m, list(coin_code)
+        line, first = (2 + i + bisect.bisect_right(blanks, i) for i in (k, j))
+        raise MalformedRow(line, (
+            f"{PANEL_HEADER[2 + at]} {float(table[k, at])!r} of {coin_ids[coins[k]]} on "
+            f"{list(date_code)[dates[k]]} differs from {float(table[j, at])!r} of "
+            f"{coin_ids[coins[j]]} on line {first}: the series holds one value per date"))
+    return coin_code, date_code, coins, dates, table, series
 
 
 def _assemble_panel(
@@ -729,23 +790,27 @@ def _assemble_panel(
     coins: array,
     dates: array,
     table: np.ndarray,
+    series: np.ndarray,
     riskfree_mode: str,
 ) -> Panel:
     """The Panel of parsed panel rows: row k is the coin coded coins[k] on
     the date coded dates[k], with table[k] the numbers in PANEL_HEADER
-    order."""
-    coin_ids, rows = _decode(coin_code, coins)
-    days, cols = _decode(date_code, dates)
-    return _panel_of(coin_ids, days, rows, cols, table.T, riskfree_mode)
+    order, and series[:, c] the u_lag and rbtc_lag of the date coded c."""
+    coin_ids, rows, _ = _decode(coin_code, coins)
+    days, cols, order = _decode(date_code, dates)
+    u, r_btc = series[:, order]
+    return _panel_of(coin_ids, days, rows, cols, table.T[:_SERIES_AT], u, r_btc,
+                     riskfree_mode)
 
 
-def _decode(code: Mapping, codes: array) -> tuple[list, np.ndarray]:
-    """The sorted keys of code, and each of codes as its key's position
-    among them."""
+def _decode(code: Mapping, codes: array) -> tuple[list, np.ndarray, np.ndarray]:
+    """The sorted keys of code, each of codes as its key's position among
+    them, and the codes in key order."""
     keys = sorted(code)
+    order = np.array([code[key] for key in keys], dtype=np.intp)
     rank = np.empty(len(keys), dtype=np.intp)
-    rank[[code[key] for key in keys]] = np.arange(len(keys))
-    return keys, rank[np.frombuffer(codes, dtype=np.int64)]
+    rank[order] = np.arange(len(keys))
+    return keys, rank[np.frombuffer(codes, dtype=np.int64)], order
 
 
 def _is_market_cap(size_raw: float) -> bool:

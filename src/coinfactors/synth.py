@@ -23,7 +23,7 @@ import numpy as np
 
 from .condbeta import BetaSpec, build_design_matrix
 from .econometrics import SIGNIFICANCE_Z
-from .errors import InvalidConfig, MissingCharacteristic, SpecMismatch
+from .errors import InvalidConfig, SpecMismatch
 from .factors import FACTOR_NAMES, FactorSet
 from .ingest import BAR_DTYPE, CoinSeries, write_market_csv
 from .panel import CHARACTERISTIC_NAMES, Panel, winsorized_zscores
@@ -227,11 +227,7 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[Panel, GroundTruth]:
         z[m] = winsorized_zscores(raw[m].T).T
 
     # phase three: returns through the shared design expansion
-    spec_char_idx = []
-    for c in cfg.beta_spec.characteristics:
-        if c not in CHARACTERISTIC_NAMES:
-            raise MissingCharacteristic(c)
-        spec_char_idx.append(CHARACTERISTIC_NAMES.index(c))
+    spec_char_idx = [CHARACTERISTIC_NAMES.index(c) for c in cfg.beta_spec.characteristics]
     returns = np.empty((cfg.n_coins, t_obs))
     theta_map = {}
     alpha_map = {}
@@ -253,17 +249,16 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[Panel, GroundTruth]:
         alpha_map[coin_id] = float(alphas[i])
 
     # observation row t sits on date t+1 and carries the lag-t values
-    shape = (cfg.n_coins, t_obs)
     panel = Panel(
         coins=tuple(coin_label(i, cfg.n_coins) for i in range(cfg.n_coins)),
         dates=tuple(dates[1:]),
-        mask=np.ones(shape, dtype=bool),
+        mask=np.ones((cfg.n_coins, t_obs), dtype=bool),
         ret=returns,
         excess=returns,
         z=z,
         raw=raw,
-        u=np.broadcast_to(u_z, shape),
-        r_btc=np.broadcast_to(r_btc, shape),
+        u=u_z,
+        r_btc=r_btc,
         riskfree_mode="tbill",
     )
     factor_set = FactorSet(

@@ -194,11 +194,11 @@ def first_pass(
     )
 
     F = factor_set.values[cols]
-    u = panel.u[row, cols]
+    u = panel.u[cols]
     if spec.lagged_return == "own":
         r = panel.ret[row, cols - 1]
     else:
-        r = panel.r_btc[row, cols]
+        r = panel.r_btc[cols]
     C = panel.z[:, row, cols][chars].T
 
     design = build_design_matrix(F, u, r, C, spec)

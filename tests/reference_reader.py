@@ -2,8 +2,12 @@
 coinfactors replaced, kept verbatim as exact oracles: read_panel_csv and its
 three helpers, which carried each row's coin id and date string to one
 assembly, and factors._caps, which every factor build called on the
-panel's size_raw cells. The row checks, the CSV reader and _panel_of are
-unchanged and come from the package.
+panel's size_raw cells. The row checks and the CSV reader are unchanged and
+come from the package. _panel_of is the package's as it was when the Panel
+held u and r_btc as (coins, dates) grids: it hands the Panel both as grids,
+and the Panel keeps their one value per date, or raises InvalidConfig where
+a date's rows differ. That is the one place the package parts from this
+oracle: its reader rejects such a file with a MalformedRow.
 """
 
 from __future__ import annotations
@@ -22,11 +26,12 @@ import numpy as np
 from coinfactors.errors import MalformedRow
 from coinfactors.ingest import parse_iso_date, read_csv_rows
 from coinfactors.panel import (
+    CHARACTERISTIC_NAMES,
     PANEL_HEADER,
+    Drop,
     Panel,
     _HEADER_LINE,
     _is_market_cap,
-    _panel_of,
 )
 
 
@@ -183,6 +188,23 @@ def _assemble_panel(
     rows = [row_of[c] for c in coins]
     cols = [col_of[d] for d in dates]
     return _panel_of(coin_ids, days, rows, cols, table.T, riskfree_mode)
+
+
+def _panel_of(
+    coins: Sequence[str], dates: Sequence[dt.date], rows, cols, columns,
+    riskfree_mode: str, dropped: Sequence[Drop] = (),
+) -> Panel:
+    """The Panel of a coin-day table: entry k of each of columns (the
+    numbers in PANEL_HEADER order) is coins[rows[k]] on dates[cols[k]]."""
+    shape = (len(coins), len(dates))
+    mask = np.zeros(shape, dtype=bool)
+    mask[rows, cols] = True
+    grid = np.zeros((len(PANEL_HEADER) - 2,) + shape)
+    grid[:, rows, cols] = columns
+    n = len(CHARACTERISTIC_NAMES)
+    ret, excess, z, raw = grid[0], grid[1], grid[2 : 2 + n], grid[2 + n : 2 + 2 * n]
+    u, r_btc = grid[2 + 2 * n :]
+    return Panel(coins, dates, mask, ret, excess, z, raw, u, r_btc, riskfree_mode, dropped)
 
 
 def _caps(size_raw: Sequence[float] | np.ndarray) -> np.ndarray:

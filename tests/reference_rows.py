@@ -97,7 +97,7 @@ def row_view(panel: ColumnPanel) -> "Panel":
             chars = CharacteristicVector(
                 *panel.z[:, i, j].tolist(), *panel.raw[:, i, j].tolist()
             )
-            cond = ConditioningInfo(float(panel.u[i, j]), float(panel.r_btc[i, j]))
+            cond = ConditioningInfo(float(panel.u[j]), float(panel.r_btc[j]))
             observations.append(
                 PanelObservation(
                     coin_id,

@@ -32,8 +32,8 @@ def write_panel_csv(panel: Panel, path: str | Path) -> None:
                 panel.excess[i, cols],
                 *panel.z[:, i, cols],
                 *panel.raw[:, i, cols],
-                panel.u[i, cols],
-                panel.r_btc[i, cols],
+                panel.u[cols],
+                panel.r_btc[cols],
             ]
             writer.writerows(
                 zip(

@@ -28,6 +28,7 @@ from coinfactors.panel import CharacteristicWindows, _CoinView
 from coinfactors.synth import emit_raw_files, generate_synthetic, scenario
 
 from conftest import D0, bar_series, make_series
+from oracle_compare import assert_same
 
 
 def _outcome(fn, *args):
@@ -84,8 +85,8 @@ def market_text(draw):
 def test_parse_market_csv_matches_reference(text, tmp_path_factory):
     new = _rows(_outcome(parse_market_csv, io.StringIO(text), "C,1"))
     old = _outcome(ref.parse_market_csv, io.StringIO(text), "C,1")
+    assert_same(new, old, "parsed series")
     assert new == old
-    assert repr(new) == repr(old)
     if isinstance(old, ref.CoinSeries):
         out = tmp_path_factory.mktemp("market")
         write_market_csv(ref.array_of(old), out / "new.csv")
@@ -133,7 +134,7 @@ def test_grid_returns_match_reference(series):
            for j, r in zip(k.tolist(), view.ret[k].tolist())]
     rows = ref.rows_of(series)
     old = list(ref.compute_returns(rows)) if len(rows.bars) >= 2 else []
-    assert repr(new) == repr(old)
+    assert_same(new, old, "returns")
 
 
 def _thinned(panel, rng, date_share, cell_share):

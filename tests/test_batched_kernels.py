@@ -33,9 +33,16 @@ from coinfactors.factors import (
     _sort_legs,
     build_factor_set,
 )
-from coinfactors.panel import _COLUMNS, STACK_CELLS, Panel, winsorized_zscores
+from coinfactors.panel import (
+    _COLUMNS,
+    CHARACTERISTIC_NAMES,
+    STACK_CELLS,
+    Panel,
+    winsorized_zscores,
+)
 from coinfactors.pipeline import second_pass
 from coinfactors.synth import _ar1_paths, generate_synthetic, scenario, truth_to_json
+from oracle_compare import assert_same
 from reference_fits import fitted_rows
 from reference_rows import row_view
 
@@ -223,7 +230,7 @@ def test_grouped_second_pass_equals_the_per_date_oracle(monkeypatch, seed, anoma
     new = second_pass(rstar, panel, anomalies)
     old = ref_rows.second_pass(by_coin, row_view(panel), anomalies)
     assert fitted_rows(new.fits) == fitted_rows(old.fits)
-    assert repr(new.fm) == repr(old.fm)
+    assert_same(new.fm, old.fm, "fm")
     assert new.skipped == old.skipped
     reasons = {reason.split(":")[0] for _, reason in new.skipped}
     assert "below_floor" in reasons
@@ -264,13 +271,13 @@ def _gapped_panel(kinds, gaps, seed, menu, drop_every=13, n_days=200):
     factors (drawn values) that drops every drop_every-th date. A "full"
     coin keeps every date; a "gap" coin loses gaps[i] = (start, length); a
     "short" coin keeps 20 dates, too few for any spec; a "flat" coin keeps
-    every date with its uncertainty zeroed, so any conditional design of it
+    every date with its size z zeroed, so any conditional design of it
     is rank-deficient. The last coin must be full so that every date keeps
     an observation."""
     assert kinds[-1] == "full"
     panel, _ = generate_synthetic(scenario("B", len(kinds), n_days, seed))
     mask = np.ones(panel.mask.shape, dtype=bool)
-    u = np.array(panel.u)
+    z = np.array(panel.z)
     for i, kind in enumerate(kinds):
         if kind == "gap":
             start, length = gaps[i]
@@ -278,9 +285,9 @@ def _gapped_panel(kinds, gaps, seed, menu, drop_every=13, n_days=200):
         elif kind == "short":
             mask[i, 20:] = False
         elif kind == "flat":
-            u[i] = 0.0
+            z[CHARACTERISTIC_NAMES.index("size"), i] = 0.0
     columns = {name: getattr(panel, name) for name in _COLUMNS}
-    columns.update(mask=mask, u=u, r_btc=np.array(panel.r_btc))
+    columns.update(mask=mask, z=z)
     gapped = Panel(coins=panel.coins, dates=panel.dates,
                    riskfree_mode=panel.riskfree_mode, **columns)
     names = FACTOR_MENU[menu]
@@ -371,8 +378,8 @@ def test_stacked_first_pass_splits_groups_and_keeps_drops_in_place(mode, lagged_
             flat = outcomes[1]
             assert isinstance(flat, RankDeficient)
             assert str(flat) == f"rank-deficient design: coin {panel.coins[1]}"
-            # the null direction loads on uncertainty columns alone
-            assert flat.columns and all(c.endswith(".u") for c in flat.columns)
+            # the null direction loads on size columns alone
+            assert flat.columns and all(".size." in c for c in flat.columns)
         else:
             assert isinstance(outcomes[1], FirstPassFit)
         n_obs = [f.n_obs for f in outcomes if isinstance(f, FirstPassFit)]

@@ -192,6 +192,23 @@ def test_repeated_anomaly_is_validation_error(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+def test_unknown_beta_characteristic_exits_2_at_config_load(tmp_path, monkeypatch):
+    def no_read(*args, **kwargs):
+        raise AssertionError("input read before the config was checked")
+
+    monkeypatch.setattr("coinfactors.cli.read_panel_csv", no_read)
+    panel_path = tmp_path / "panel.csv"
+    panel_path.write_text("")
+    spec = {"label": "c", "factors": "CAPM",
+            "beta": {"mode": "conditional", "characteristics": ["sise"]}}
+    cfg = _config(tmp_path / "cfg.json", {"panel_file": str(panel_path), "specs": [spec],
+                                          "output_dir": str(tmp_path / "o")})
+    result = CliRunner().invoke(main, ["run", "--config", cfg])
+    assert result.exit_code == 2, result.output + result.stderr
+    assert "specs[0].beta: unknown characteristic 'sise'" in result.stderr
+    assert not (tmp_path / "o").exists()
+
+
 def test_synth_requires_section_and_seed(tmp_path):
     out = str(tmp_path / "out")
     no_section = _config(tmp_path / "a.json", {"output_dir": out, "seed": 3})

@@ -32,6 +32,7 @@ from coinfactors.panel import (
 )
 from coinfactors.pipeline import second_pass
 from coinfactors.synth import emit_raw_files, generate_synthetic, scenario
+from oracle_compare import assert_same
 from reference_fits import fitted_rows
 from reference_rows import panel_from_rows, row_view
 
@@ -64,8 +65,8 @@ def _dict_factor_set(factor_set):
 
 
 def _fit_key(fit, dates=None):
-    """A fit's exact content; dates is the axis of a columnar fit's R* row,
-    None for an oracle fit."""
+    """A fit's exact content, its arrays to be compared by bytes; dates is
+    the axis of a columnar fit's R* row, None for an oracle fit."""
     if isinstance(fit, tuple):
         return fit
     if dates is None:
@@ -74,20 +75,20 @@ def _fit_key(fit, dates=None):
         cols = np.flatnonzero(~np.isnan(fit.risk_adjusted)).tolist()
         values = fit.risk_adjusted.tolist()
         risk_adjusted = [(dates[j], values[j]) for j in cols]
-    return (
-        fit.coin_id,
-        fit.param_names,
-        fit.coefficients.tobytes(),
-        fit.stderr.tobytes(),
-        repr((fit.r2, fit.adj_r2, fit.n_obs, fit.n_params)),
-        repr(risk_adjusted),
-    )
+    return {
+        "coin_id": fit.coin_id,
+        "param_names": fit.param_names,
+        "coefficients": fit.coefficients,
+        "stderr": fit.stderr,
+        "stats": (fit.r2, fit.adj_r2, fit.n_obs, fit.n_params),
+        "risk_adjusted": risk_adjusted,
+    }
 
 
 def _second_pass_key(result):
     if isinstance(result, tuple):
         return result
-    return fitted_rows(result.fits), repr(result.fm), result.skipped
+    return {"fits": fitted_rows(result.fits), "fm": result.fm, "skipped": result.skipped}
 
 
 def assert_matches_reference(panel, menus, options=FactorOptions(), floor_base=20):
@@ -96,28 +97,28 @@ def assert_matches_reference(panel, menus, options=FactorOptions(), floor_base=2
     Returns the counts of first-pass fits, first-pass failures and skipped
     cross-section dates."""
     rows = row_view(panel)
-    expected = repr(ref.standardize_cross_section(rows).observations)
+    expected = ref.standardize_cross_section(rows).observations
     # budgets of one date a stack, of a few small dates a stack, and the default
     for cells in (1, 16, STACK_CELLS):
         with mock.patch.object(coinfactors.panel, "STACK_CELLS", cells):
             standardized = standardize_cross_section(panel)
-        # compared outside the assert: pytest's diff of two long reprs is slow
-        same = repr(row_view(standardized).observations) == expected
-        assert same, f"z-scores differ at STACK_CELLS={cells}"
+        assert_same(row_view(standardized).observations, expected,
+                    f"z-scores at STACK_CELLS={cells}: observations")
     fitted = failed = skipped = 0
     for menu in menus:
         factor_set = build_factor_set(panel, menu, options)
         reference = ref.build_factor_set(rows, menu, options)
         as_dict = _dict_factor_set(factor_set)
+        assert_same(as_dict.values, reference.values, f"{menu} factor values")
         assert as_dict == reference
-        assert repr(as_dict.values) == repr(reference.values)
         for spec in SPECS:
             fits = {}
             rstar = np.full(panel.mask.shape, np.nan)
             for coin in panel.coins:
                 new = _outcome(first_pass, panel, coin, factor_set, spec)
                 old = _outcome(ref.first_pass, rows.by_coin(coin), reference, spec)
-                assert _fit_key(new, panel.dates) == _fit_key(old), coin
+                assert_same(_fit_key(new, panel.dates), _fit_key(old),
+                            f"{menu} {spec} first pass of {coin}", exact=True)
                 if not isinstance(new, tuple):
                     fits[coin] = old.risk_adjusted
                     rstar[panel.coin_index[coin]] = new.risk_adjusted
@@ -126,7 +127,8 @@ def assert_matches_reference(panel, menus, options=FactorOptions(), floor_base=2
             for anomalies in ANOMALIES:
                 new = _outcome(second_pass, rstar, panel, anomalies, floor_base=floor_base)
                 old = _outcome(ref.second_pass, fits, rows, anomalies, floor_base=floor_base)
-                assert _second_pass_key(new) == _second_pass_key(old)
+                assert_same(_second_pass_key(new), _second_pass_key(old),
+                            f"{menu} {spec} second pass on {anomalies}")
                 if not isinstance(new, tuple):
                     skipped += len(new.skipped)
     return fitted, failed, skipped

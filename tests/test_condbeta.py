@@ -17,7 +17,6 @@ from coinfactors.condbeta import (
 from coinfactors.errors import (
     InsufficientObservations,
     InvalidConfig,
-    MissingCharacteristic,
     RankDeficient,
     SpecMismatch,
 )
@@ -80,10 +79,8 @@ def test_expand_design_unconditional_passthrough():
 
 
 def test_expand_design_unknown_characteristic():
-    obs, fs = _noiseless_coin(60, seed=4)
-    spec = BetaSpec(mode="conditional", characteristics=("sizzle",))
-    with pytest.raises(MissingCharacteristic):
-        first_pass(make_panel(obs), "X", fs, spec)
+    with pytest.raises(InvalidConfig, match="unknown characteristic 'sizzle'"):
+        BetaSpec(mode="conditional", characteristics=("sizzle",))
 
 
 def test_design_matrix_matches_manual_expansion():

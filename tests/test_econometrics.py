@@ -27,6 +27,7 @@ from coinfactors.errors import (
     TooFewDates,
     TooFewObservations,
 )
+from oracle_compare import assert_same
 
 # Frozen with mpmath at 50 digits: solve the normal equations for
 # X = [[1,0],[1,1],[1,2]], y = [1,1,2].
@@ -217,7 +218,7 @@ def test_fama_macbeth_equals_the_date_keyed_oracle(grids):
         with pytest.raises(type(exc), match=re.escape(str(exc))):
             fama_macbeth(coefs, ses, adj_r2, names, lags)
         return
-    assert repr(fama_macbeth(coefs, ses, adj_r2, names, lags)) == repr(expected)
+    assert_same(fama_macbeth(coefs, ses, adj_r2, names, lags), expected, "fm")
 
 
 def test_fama_macbeth_two_point_hand_values():

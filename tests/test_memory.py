@@ -30,7 +30,8 @@ ROW_PARSER_PEAK_PER_PANEL_BYTE = 4.0
 
 
 def _dense_panel(n_coins, n_dates, seed=0):
-    """A full panel of normal draws, ln caps around 20."""
+    """A full panel of normal draws, ln caps around 20, and one draw of each
+    market-wide series per date."""
     rng = np.random.default_rng(seed)
     shape = (n_coins, n_dates)
     chars = (len(CHARACTERISTIC_NAMES),) + shape
@@ -40,7 +41,7 @@ def _dense_panel(n_coins, n_dates, seed=0):
         [f"C{i:04d}" for i in range(n_coins)],
         [dt.date(2020, 1, 1) + dt.timedelta(days=j) for j in range(n_dates)],
         np.ones(shape, dtype=bool), rng.normal(size=shape), rng.normal(size=shape),
-        rng.normal(size=chars), raw, rng.normal(size=shape), rng.normal(size=shape),
+        rng.normal(size=chars), raw, rng.normal(size=n_dates), rng.normal(size=n_dates),
         "tbill",
     )
 

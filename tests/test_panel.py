@@ -313,6 +313,14 @@ def test_build_panel_u_zscore_moments():
     assert abs(u.std() - 1.0) < 1e-12
 
 
+def test_build_panel_constant_uncertainty_level_scores_zero():
+    # the level has no spread over the lag dates: u is +0.0 on every date
+    coins, epu, rf = _inputs()
+    panel = build_panel_of_dicts(coins, dict.fromkeys(epu, 120.0), rf, OPTIONS)
+    u = np.asarray(panel.u)
+    assert u.size and u.tobytes() == np.zeros(u.shape).tobytes()
+
+
 def test_build_panel_btc_mode():
     coins, epu, rf = _inputs()
     options = PanelOptions(riskfree_mode="btc", windows=SMALL)
@@ -473,6 +481,24 @@ def test_panel_constructor_rejects_malformed_layout():
     assert not panel.ret.flags.writeable
 
 
+def test_panel_keeps_one_value_per_date_of_a_series_grid():
+    # A on days 1 and 2, B on day 2 only: B's day-1 cell is absent and ignored
+    panel = make_panel([make_obs("A", day(1), u=0.5, r_btc=-0.0),
+                        make_obs("A", day(2), u=0.25), make_obs("B", day(2), u=0.25)])
+    assert panel.u.tolist() == [0.5, 0.25] and not panel.u.flags.writeable
+    assert panel.r_btc.tobytes() == np.array([-0.0, 0.0]).tobytes()
+    grid = np.array([[0.5, 0.25], [7.0, 0.25]])
+    assert dataclasses.replace(panel, u=grid).u.tobytes() == panel.u.tobytes()
+    grid[1, 1] = 0.125
+    with pytest.raises(InvalidConfig, match=(
+        r"panel u of B on 2021-01-03 is 0.125, where A has 0.25: "
+        "the series holds one value per date"
+    )):
+        dataclasses.replace(panel, u=grid)
+    with pytest.raises(InvalidConfig, match="panel r_btc of B on 2021-01-03 is -0.0"):
+        dataclasses.replace(panel, r_btc=np.array([[0.0, 0.0], [0.0, -0.0]]))
+
+
 def _read_both(tmp_path, text):
     """read_panel_csv over text from a text stream (row parser only) and
     from a file path (one-call parse first): the same Panel bit for bit, or
@@ -510,6 +536,35 @@ def test_read_panel_csv_rejects_duplicate_observation(tmp_path):
         _read_both(tmp_path, _csv_text([PANEL_HEADER, row, other, row]))
     assert info.value.line == 4
     assert "A" in str(info.value) and "2021-01-02" in str(info.value)
+
+
+@pytest.mark.parametrize("column, first, odd", [
+    ("u_lag", "0.5", "0.25"), ("rbtc_lag", "0.0", "-0.0"), ("u_lag", "1e-310", "0.0"),
+])
+@pytest.mark.parametrize("blank", [False, True])
+def test_read_panel_csv_rejects_a_series_that_differs_within_a_date(
+    tmp_path, column, first, odd, blank
+):
+    # u_lag and rbtc_lag are market-wide: every row of a date holds the same
+    # bits; the row blamed is the first that differs from its date's first
+    at = PANEL_HEADER.index(column)
+
+    def row(coin, date, value="0.0"):
+        cells = [coin, date] + ["0.0"] * 12
+        cells[at] = value
+        return cells
+
+    rows = [PANEL_HEADER, row("A", "2021-01-02", first), row("A", "2021-01-03"),
+            row("B", "2021-01-03"), row("B", "2021-01-02", odd), row("C", "2021-01-02", odd)]
+    if blank:
+        rows.insert(3, [])
+    with pytest.raises(MalformedRow) as info:
+        _read_both(tmp_path, _csv_text(rows))
+    assert info.value.line == 5 + blank
+    assert str(info.value) == (
+        f"line {5 + blank}: {column} {float(odd)!r} of B on 2021-01-02 differs from "
+        f"{float(first)!r} of A on line 2: the series holds one value per date"
+    )
 
 
 @pytest.mark.parametrize("size_raw", ["1000.0", "-1000.0"])
@@ -587,7 +642,7 @@ def test_read_panel_csv_judges_cells_as_float_does(tmp_path, cell, value):
             _read_both(tmp_path, _csv_text(rows))
         assert info.value.line == 2 and repr(cell) in str(info.value)
     else:
-        assert _read_both(tmp_path, _csv_text(rows)).r_btc[0, 0] == value
+        assert _read_both(tmp_path, _csv_text(rows)).r_btc[0] == value
 
 
 def test_read_panel_csv_rejects_bad_header(tmp_path):

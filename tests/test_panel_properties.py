@@ -57,7 +57,8 @@ SIZE_RAW = st.floats(min_value=-700.0, max_value=700.0)
 @st.composite
 def gapped_panels(draw):
     """Small panels with gapped dates, coins missing on some of them, and
-    any finite values, -0.0 and subnormals included."""
+    any finite values, -0.0 and subnormals included: one per cell, and one
+    per date for u and r_btc."""
     n_coins = draw(st.integers(1, 4))
     n_dates = draw(st.integers(1, 6))
     coins = sorted(draw(st.sets(st.text("AZ09-_, \"", min_size=1, max_size=4),
@@ -79,8 +80,8 @@ def gapped_panels(draw):
         excess=draw(arrays(float, shape, elements=FINITE)),
         z=draw(arrays(float, (N_CHARS,) + shape, elements=FINITE)),
         raw=raw,
-        u=draw(arrays(float, shape, elements=FINITE)),
-        r_btc=draw(arrays(float, shape, elements=FINITE)),
+        u=draw(arrays(float, n_dates, elements=FINITE)),
+        r_btc=draw(arrays(float, n_dates, elements=FINITE)),
         riskfree_mode="tbill",
     )
 
@@ -95,8 +96,10 @@ def test_panel_csv_round_trip_is_exact(panel, tmp_path_factory):
     assert again.dates == panel.dates
     assert np.array_equal(again.mask, panel.mask)
     present = panel.mask
-    for name in ("ret", "excess", "u", "r_btc"):
+    for name in ("ret", "excess"):
         assert getattr(again, name)[present].tobytes() == getattr(panel, name)[present].tobytes()
+    for name in ("u", "r_btc"):
+        assert getattr(again, name).tobytes() == getattr(panel, name).tobytes()
     for name in ("z", "raw"):
         assert getattr(again, name)[:, present].tobytes() == \
             getattr(panel, name)[:, present].tobytes()
@@ -281,9 +284,11 @@ def test_renaming_coins_changes_no_run_output_but_the_labels(labels):
     base = _relabel_base()
     order = sorted(range(len(labels)), key=labels.__getitem__)
     columns = {}
-    for name in _COLUMNS:
+    for name in _COLUMNS:  # u and r_btc, one value per date, stay as they are
         values = np.asarray(getattr(base, name))
-        columns[name] = values[:, order] if values.ndim == 3 else values[order]
+        if values.ndim > 1:
+            values = values[..., order, :]
+        columns[name] = values
     renamed = Panel(coins=[labels[i] for i in order], dates=base.dates,
                     riskfree_mode=base.riskfree_mode, **columns)
     expected = _run_outputs(base)

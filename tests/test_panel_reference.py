@@ -32,6 +32,7 @@ from coinfactors.panel import (
 from coinfactors.synth import emit_raw_files, generate_synthetic, scenario
 
 from conftest import D0, level_dict, raw_characteristics
+from oracle_compare import assert_same
 from reference_bars import rows_of
 
 DEFAULT = CharacteristicWindows()
@@ -94,8 +95,8 @@ def _assert_matches_reference(series, offsets, windows):
     for date in _query_dates(series, offsets):
         grid = raw_characteristics(series, date, windows)
         expected = oracle.raw_at(date)
+        assert_same(grid, expected, f"raw_at({date})")
         assert grid == expected, date
-        assert repr(grid) == repr(expected), date
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +13,7 @@ from coinfactors.errors import (
     NoEligibleDates,
     StageError,
 )
+from coinfactors.panel import characteristic_index
 from coinfactors.pipeline import (
     ComparisonReport,
     ModelSpec,
@@ -230,6 +232,34 @@ def test_run_model_empty_factor_set_is_stage_error():
         run_model(panel, UNCOND, factor_set=empty)
     assert info.value.stage == "factors"
     assert info.value.label == "capm-u"
+
+
+def test_run_model_drops_a_coin_with_a_rank_deficient_first_pass(synth_b):
+    # a size z of 0 on all of a coin's dates zeroes its three size columns
+    panel, truth = synth_b
+    z = np.array(panel.z)
+    z[characteristic_index("size"), 3] = 0.0
+    result = run_model(dataclasses.replace(panel, z=z), COND, factor_set=truth.factor_set)
+    (drop,) = result.dropped_coins
+    assert (drop.coin_id, drop.date) == (panel.coins[3], None)
+    assert drop.reason == f"rank_deficient: rank-deficient design: coin {panel.coins[3]}"
+    assert [fit.coin_id for fit in result.fits] == [
+        c for c in panel.coins if c != panel.coins[3]
+    ]
+
+
+def test_run_model_first_pass_overflow_is_stage_error(synth_b):
+    # finite excess returns near the top of the float range overflow a
+    # full-rank fit; run_model stops and names the stage
+    panel, truth = synth_b
+    excess = np.array(panel.excess)
+    excess[0] = 1.5e308
+    with pytest.raises(StageError) as info:
+        run_model(dataclasses.replace(panel, excess=excess), UNCOND,
+                  factor_set=truth.factor_set)
+    assert (info.value.label, info.value.stage) == ("capm-u", "first_pass")
+    assert isinstance(info.value.__cause__, EstimationError)
+    assert "not finite" in str(info.value)
 
 
 def test_compare_models_rejects_bad_spec_sets(synth_b):

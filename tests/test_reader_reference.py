@@ -7,9 +7,14 @@ strings to the assembly. Written panel files, then shuffled, thinned, given
 a repeated (coin, date), quoted coin ids or bytes that send them to the row
 parser, must give both the same Panel array for array and byte for byte,
 or the same error type and text, and take the one-call parse in the same
-cases. Panel.caps must hold the bits the per-build cap computation gave.
+cases. The one exception is a file whose u_lag or rbtc_lag differs across
+one date's rows: the oracle's reader accepts it and the Panel it builds
+raises InvalidConfig, where the reader rejects it with a MalformedRow and
+its one-call parse declines it. Panel.caps must hold the bits the
+per-build cap computation gave.
 """
 
+import csv
 import datetime as dt
 import io
 import tempfile
@@ -23,6 +28,7 @@ from hypothesis import strategies as st
 
 import reference_reader as ref
 from coinfactors import panel as panel_module
+from coinfactors.errors import InvalidConfig, MalformedRow
 from coinfactors.panel import (
     _COLUMNS,
     CHARACTERISTIC_NAMES,
@@ -49,6 +55,7 @@ SIZES = st.one_of(
 BAD_SIZES = ["709.7827128933841", "709.79", "-745.2", "-760.0"]
 # what sends a file to the row parser, or is rejected there
 IRREGULAR = ["LF", "blank", "size", "\x00", "\x1c", '"', "1_0", " 1.0", "nan", "1e999"]
+SERIES_RULE = "the series holds one value per date"
 SETTINGS = settings(max_examples=200, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture,
                                            HealthCheck.too_slow])
@@ -61,7 +68,8 @@ def _grid(draw, shape, values=VALUES):
 
 @st.composite
 def panels(draw, sizes=SIZES):
-    """A Panel of up to 4 coins and 5 dates, every coin and date present."""
+    """A Panel of up to 4 coins and 5 dates, every coin and date present,
+    with one draw of u and r_btc per date."""
     coins = sorted(draw(st.lists(IDS, min_size=1, max_size=4, unique=True)))
     offsets = sorted(draw(st.sets(st.integers(0, 9), min_size=1, max_size=5)))
     shape = (len(coins), len(offsets))
@@ -76,7 +84,8 @@ def panels(draw, sizes=SIZES):
     return Panel(
         coins, [D0 + dt.timedelta(days=k) for k in offsets], mask,
         _grid(draw, shape), _grid(draw, shape), _grid(draw, chars), raw,
-        _grid(draw, shape), _grid(draw, shape), draw(st.sampled_from(["tbill", "btc"])),
+        _grid(draw, shape[1:]), _grid(draw, shape[1:]),
+        draw(st.sampled_from(["tbill", "btc"])),
     )
 
 
@@ -130,22 +139,72 @@ def panel_files(draw):
     return panel.riskfree_mode, header + "".join(lines)
 
 
+def _series_rule(outcome):
+    """Whether an oracle outcome is its Panel's rejection of a u_lag or
+    rbtc_lag that differs across one date's rows."""
+    return outcome[0] is InvalidConfig and outcome[1].endswith(SERIES_RULE)
+
+
+def _assert_agrees(new, old):
+    if _series_rule(old):  # the one intended divergence
+        assert new[0] is MalformedRow, new
+    else:
+        assert new == old
+
+
 @SETTINGS
 @given(drawn=panel_files())
 def test_read_panel_csv_equals_oracle(tmp_path, drawn):
     riskfree_mode, text = drawn
     path = tmp_path / "panel.csv"
     path.write_bytes(text.encode("utf-8", "surrogatepass"))
-    assert _outcome(read_panel_csv, path, riskfree_mode) == _outcome(
-        ref.read_panel_csv, path, riskfree_mode
-    )
+    _assert_agrees(_outcome(read_panel_csv, path, riskfree_mode),
+                   _outcome(ref.read_panel_csv, path, riskfree_mode))
     # a stream takes the row parser on both sides
-    assert _outcome(read_panel_csv, io.StringIO(text, newline=""), riskfree_mode) == (
-        _outcome(ref.read_panel_csv, io.StringIO(text, newline=""), riskfree_mode)
-    )
+    _assert_agrees(_outcome(read_panel_csv, io.StringIO(text, newline=""), riskfree_mode),
+                   _outcome(ref.read_panel_csv, io.StringIO(text, newline=""), riskfree_mode))
     # and a path takes the one-call parse in the same cases
     fast = panel_module._read_panel_file(path, riskfree_mode)
-    assert (fast is None) == (ref._read_panel_file(path, riskfree_mode) is None)
+    try:
+        declined = ref._read_panel_file(path, riskfree_mode) is None
+    except InvalidConfig as exc:  # the row parser then rejects the file
+        assert str(exc).endswith(SERIES_RULE)
+        declined = True
+    assert (fast is None) == declined
+
+
+@SETTINGS
+@given(panel=panels(), data=st.data())
+def test_read_panel_csv_rejects_what_the_oracle_panel_rejects(tmp_path, panel, data):
+    """A written file with one u_lag or rbtc_lag cell redrawn: where the
+    oracle's Panel rejects it, both routes raise a MalformedRow for the
+    first row whose series bits differ from its date's first row; where
+    another row on that date holds the same bits, or none, both read it."""
+    path = tmp_path / "panel.csv"
+    write_panel_csv(panel, path)
+    header, *rows = csv.reader(io.StringIO(path.read_bytes().decode("utf-8"), newline=""))
+    k = data.draw(st.integers(0, len(rows) - 1))
+    at = data.draw(st.sampled_from([-2, -1]))
+    rows[k][at] = repr(data.draw(VALUES))
+    out = io.StringIO(newline="")
+    csv.writer(out).writerows([header] + rows)
+    text = out.getvalue()
+    path.write_text(text, encoding="utf-8", newline="")
+    old = _outcome(ref.read_panel_csv, path, panel.riskfree_mode)
+    first = {}
+    odd = next((line for line, row in enumerate(rows, start=2)
+                if first.setdefault(row[1], (line, row))[1][-2:] != row[-2:]), None)
+    for source in (path, io.StringIO(text, newline="")):
+        new = _outcome(read_panel_csv, source, panel.riskfree_mode)
+        if odd is None:
+            assert new == old
+            continue
+        assert _series_rule(old)
+        coin, date = rows[odd - 2][:2]
+        line, row = first[date]
+        assert new[0] is MalformedRow
+        assert f"line {odd}: " in new[1] and f" of {coin} on {date} differs from " in new[1]
+        assert new[1].endswith(f" of {row[0]} on line {line}: {SERIES_RULE}")
 
 
 def test_read_panel_csv_equals_oracle_on_a_written_synthetic_panel(tmp_path):

@@ -43,8 +43,9 @@ def _grid(draw, shape):
 
 @st.composite
 def panels(draw):
-    """A stand-in with the Panel fields write_panel_csv reads; unlike a
-    Panel it may hold a coin with no kept day."""
+    """A stand-in with the Panel fields write_panel_csv reads, u and r_btc
+    one value per date; unlike a Panel it may hold a coin with no kept
+    day."""
     coins = draw(st.lists(IDS, max_size=4, unique=True))
     n_dates = draw(st.integers(1, 4))
     shape = (len(coins), n_dates)
@@ -57,7 +58,7 @@ def panels(draw):
         mask=mask,
         ret=_grid(draw, shape), excess=_grid(draw, shape),
         z=_grid(draw, chars), raw=_grid(draw, chars),
-        u=_grid(draw, shape), r_btc=_grid(draw, shape),
+        u=_grid(draw, (n_dates,)), r_btc=_grid(draw, (n_dates,)),
     )
 
 
