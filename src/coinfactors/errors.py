@@ -138,11 +138,14 @@ class EmptyLeg(EstimationError):
 # econometrics ----------------------------------------------------------
 
 class RankDeficient(EstimationError):
-    """Design matrix has a (near-)exact linear dependency."""
+    """Design matrix has a (near-)exact linear dependency. message, when
+    given, goes before the dependent columns (say the coin fitted)."""
 
     def __init__(self, columns: Sequence, message: str = "") -> None:
         self.columns = tuple(columns)
-        detail = message or f"dependent columns {list(self.columns)}"
+        detail = f"dependent columns {list(self.columns)}"
+        if message:
+            detail = f"{message}: {detail}"
         super().__init__(f"rank-deficient design: {detail}")
 
 

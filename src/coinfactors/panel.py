@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import bisect
 import csv
-import dataclasses
 import datetime as dt
 import functools
 import io
@@ -186,7 +185,7 @@ class _CoinView:
         raw[3] = -cumulative(range(w.value_near_days, w.value_far_days + 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Drop:
     """One excluded coin-day (date None when the whole coin fell out)."""
 
@@ -340,13 +339,41 @@ def winsorized_zscores(
     out = np.zeros(x.shape)
     if x.shape[-1] < 2:
         return out
-    lo, hi = np.percentile(x, [lower, upper], axis=-1, keepdims=True)
-    np.clip(x, lo, hi, out=out)
+    np.clip(x, *_percentiles(x, (lower, upper)), out=out)
     sd = out.std(axis=-1, keepdims=True)
     out -= out.mean(axis=-1, keepdims=True)
     flat = sd == 0.0
     np.divide(out, sd, out=out, where=~flat)
     np.copyto(out, 0.0, where=flat)
+    return out
+
+
+def _percentiles(x: np.ndarray, percents: Sequence[float]) -> list[np.ndarray]:
+    """np.percentile(x, percents, axis=-1, keepdims=True) of a float array
+    of at least one value a row, bit for bit, by numpy's steps for its
+    default linear method: one partition of a copy, the two neighbours of
+    each virtual index, and numpy's lerp; a row holding NaN gives its last
+    partitioned value, NaN. Not np.percentile, which imports numpy.ma
+    through np.unique: about 1 MB of resident memory."""
+    n = x.shape[-1]
+    picks, kth = [], {0, -1}
+    for p in percents:
+        index = (n - 1) * (p / 100)
+        below = math.floor(index) if index < n - 1 else -1  # -1: the last
+        above = below + 1 if below >= 0 else -1
+        picks.append((index - below, below, above))
+        kth.update((below, above))
+    # numpy's very kth list, so that tied values (0.0 and -0.0) land alike
+    ranked = x.copy()
+    ranked.partition(sorted(kth), axis=-1)
+    nan = np.isnan(ranked[..., -1:])
+    out = []
+    for t, below, above in picks:
+        a, b = ranked[..., below, None], ranked[..., above, None]
+        diff = b - a
+        value = b - diff * (1 - t) if t >= 0.5 else a + diff * t
+        np.copyto(value, ranked[..., -1:], where=nan)
+        out.append(value)
     return out
 
 
@@ -371,19 +398,18 @@ def stacks_by_count(mask: np.ndarray, cols: np.ndarray | None = None, width: int
             yield n, cols[group[start : start + step]], rows[start : start + step]
 
 
-def standardize_cross_section(
-    panel: Panel, lower: float = WINSOR[0], upper: float = WINSOR[1]
-) -> Panel:
-    """Recompute every z-unit characteristic from the stored raw levels,
-    per date across the coins present. Idempotent; raw values pass through
-    unchanged. Dates with the same number of coins present are scored in
-    stacks (stacks_by_count), one row per date."""
-    z = np.zeros_like(panel.raw)
-    for _, cols, rows in stacks_by_count(panel.mask):
+def _standardize(
+    mask: np.ndarray, raw: np.ndarray, z: np.ndarray, lower: float, upper: float
+) -> None:
+    """Write into z the winsorized z-scores of the raw levels (both
+    (characteristics, coins, dates)) per date across the coins that mask
+    marks present, leaving the other cells as they are. Dates with the same
+    number of coins present are scored in stacks (stacks_by_count), one row
+    per date."""
+    for _, cols, rows in stacks_by_count(mask):
         at = (rows, cols[:, None])
-        for m in range(len(CHARACTERISTIC_NAMES)):
-            z[m][at] = winsorized_zscores(panel.raw[m][at], lower, upper)
-    return dataclasses.replace(panel, z=z)
+        for m in range(len(raw)):
+            z[m][at] = winsorized_zscores(raw[m][at], lower, upper)
 
 
 @dataclass(frozen=True)
@@ -461,7 +487,9 @@ def build_panel(
     final sample; characteristics are winsorized and z-scored per date.
 
     Each coin is handled whole on its calendar grid, every condition one
-    array over the coin's return days.
+    array over the coin's return days. Its kept coin-days wait in one block
+    until every coin is done and the dates are known, then go straight
+    into the Panel's grid, whose z layers are scored in place.
     """
     btc = next((c for c in coins if c.coin_id == options.btc_id), None)
     if btc is None:
@@ -478,10 +506,9 @@ def build_panel(
     rf_days = riskfree["day"]
     rf_daily = np.array([daily_riskfree(r) for r in riskfree["level"].tolist()])
 
+    date_of = functools.cache(dt.date.fromordinal)  # one date object a day
     drops: list[Drop] = []
-    coin_ids: list[str] = []
-    # per coin: row, day, ret, excess, raw (one row per characteristic)
-    kept = []
+    kept = []  # per coin: its id, kept days, and (ret, excess, *raw) on them
     for coin in sorted(coins, key=lambda c: c.coin_id):
         if not tbill and coin.coin_id == options.btc_id:
             drops.append(Drop(coin.coin_id, None, "btc_is_riskfree"))
@@ -531,20 +558,15 @@ def build_panel(
                     dt.date.fromordinal(int(observed[at[j]])),
                     limit,
                 )
-            drops.append(Drop(coin.coin_id, dt.date.fromordinal(int(day[j])), reason))
+            drops.append(Drop(coin.coin_id, date_of(int(day[j])), reason))
         keep = fate == len(checks)
         if keep.any():
-            row = np.full(k.size, len(coin_ids))
-            columns = [row, day, ret, ret - benchmark, raw]
-            kept.append(np.vstack(columns)[:, keep])
-            coin_ids.append(coin.coin_id)
+            block = np.vstack([ret, ret - benchmark, raw])[:, keep]
+            kept.append((coin.coin_id, day[keep], block))
 
-    if not coin_ids:
+    if not kept:
         raise EmptyPanel(drops)
-    block = np.concatenate(kept, axis=1)
-    rows, days = block[:2].astype(np.int64)
-    ret, excess, *raw = block[2:]
-    dates = _distinct(days)
+    dates = _distinct(np.concatenate([day for _, day, _ in kept]))
     u = _forward_fill(dates - 1, epu_days, epu_levels, limit)[0]
     if u.size >= 2 and float(u.std()) > 0.0:
         u = (u - float(u.mean())) / float(u.std())
@@ -552,13 +574,23 @@ def build_panel(
         u = np.zeros(u.size)
     r_btc = _on_grid(btc_view.ret, dates - 1 - btc_view.origin)
 
-    z = np.zeros((len(CHARACTERISTIC_NAMES), ret.size))
-    panel = _panel_of(
-        coin_ids, [dt.date.fromordinal(d) for d in dates.tolist()],
-        rows, np.searchsorted(dates, days), [ret, excess, *z, *raw], u, r_btc,
-        options.riskfree_mode, drops,
+    n = len(CHARACTERISTIC_NAMES)
+    mask = np.zeros((len(kept), dates.size), dtype=bool)
+    grid = np.zeros((_SERIES_AT,) + mask.shape)
+    ret, excess, z, raw = grid[0], grid[1], grid[2 : 2 + n], grid[2 + n :]
+    coin_ids = []
+    for i, (coin_id, day, block) in enumerate(kept):
+        cols = np.searchsorted(dates, day)
+        mask[i, cols] = True
+        ret[i, cols], excess[i, cols] = block[:2]
+        raw[:, i, cols] = block[2:]
+        coin_ids.append(coin_id)
+    del kept
+    _standardize(mask, raw, z, *options.winsor)
+    return Panel(
+        coin_ids, list(map(date_of, dates.tolist())), mask, ret, excess, z, raw,
+        u, r_btc, options.riskfree_mode, drops,
     )
-    return standardize_cross_section(panel, *options.winsor)
 
 
 def _panel_of(

@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import math
 
@@ -7,7 +8,13 @@ import pytest
 from coinfactors.condbeta import build_design_matrix
 from coinfactors.factors import FactorSet
 from coinfactors.ingest import BAR_DTYPE, LEVEL_DTYPE, CoinSeries
-from coinfactors.panel import CharacteristicWindows, PanelOptions, _CoinView, build_panel
+from coinfactors.panel import (
+    CharacteristicWindows,
+    PanelOptions,
+    _CoinView,
+    _standardize,
+    build_panel,
+)
 from coinfactors.synth import generate_synthetic, scenario
 from reference_panel import RawCharacteristics
 from reference_rows import (
@@ -52,6 +59,14 @@ def level_dict(levels):
     """A LEVEL_DTYPE array as the {date: level} mapping the old level
     parsers returned."""
     return {dt.date.fromordinal(d): value for d, value in levels.tolist()}
+
+
+def standardized(panel):
+    """The panel with every z-score recomputed from its raw levels by the
+    stacked pass build_panel scores with, at the default winsor."""
+    z = np.zeros_like(panel.raw)
+    _standardize(panel.mask, panel.raw, z, *PanelOptions().winsor)
+    return dataclasses.replace(panel, z=z)
 
 
 def build_panel_of_dicts(coins, epu, riskfree, options=PanelOptions()):

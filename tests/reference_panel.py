@@ -6,13 +6,16 @@ Every window is walked one calendar day at a time with a dict lookup per
 day. The grid version multiplies by 1.0 and adds 0.0 on days without data,
 which is exact, so the two must agree bit for bit. build_panel visits one
 coin-day at a time, looks each conditioning series up by bisection, and
-collects the kept coin-days as tuples before filling the panel arrays.
+collects the kept coin-days as tuples before filling the panel arrays,
+then scores a second z grid with standardize_cross_section, the package's
+z-score pass before build_panel wrote into its own grid.
 Both take reference_bars' DailyBar series; reference_bars.rows_of turns an
 array series into one.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as dt
 import math
 from bisect import bisect_right
@@ -24,12 +27,14 @@ import numpy as np
 from coinfactors.errors import CoverageGap, MissingBitcoin
 from coinfactors.panel import (
     CHARACTERISTIC_NAMES,
+    WINSOR,
     CharacteristicWindows,
     Drop,
     Panel,
     PanelOptions,
     daily_riskfree,
-    standardize_cross_section,
+    stacks_by_count,
+    winsorized_zscores,
 )
 from reference_bars import ONE_DAY, CoinSeries, compute_returns
 
@@ -233,3 +238,18 @@ def build_panel(
         options.riskfree_mode, drops,
     )
     return standardize_cross_section(panel, *options.winsor)
+
+
+def standardize_cross_section(
+    panel: Panel, lower: float = WINSOR[0], upper: float = WINSOR[1]
+) -> Panel:
+    """Recompute every z-unit characteristic from the stored raw levels,
+    per date across the coins present. Idempotent; raw values pass through
+    unchanged. Dates with the same number of coins present are scored in
+    stacks (stacks_by_count), one row per date."""
+    z = np.zeros_like(panel.raw)
+    for _, cols, rows in stacks_by_count(panel.mask):
+        at = (rows, cols[:, None])
+        for m in range(len(CHARACTERISTIC_NAMES)):
+            z[m][at] = winsorized_zscores(panel.raw[m][at], lower, upper)
+    return dataclasses.replace(panel, z=z)

@@ -38,6 +38,7 @@ from coinfactors.panel import (
     CHARACTERISTIC_NAMES,
     STACK_CELLS,
     Panel,
+    _percentiles,
     winsorized_zscores,
 )
 from coinfactors.pipeline import second_pass
@@ -87,6 +88,39 @@ def test_batched_zscores_equal_the_per_row_kernel(x, winsor):
         assert scores.tobytes() == ref.winsorized_zscores(row, *winsor).tobytes()
     if x.shape[0] == 1:
         assert winsorized_zscores(x[0], *winsor).tobytes() == z[0].tobytes()
+
+
+# percentiles near the ends, the middle and anywhere, 0 <= lower < upper <= 100
+PERCENTILE_PAIRS = st.one_of(
+    st.sampled_from([(1.0, 99.0), (0.0, 100.0), (0.0, 1e-9), (50.0, 100.0)]),
+    st.tuples(st.floats(0, 100), st.floats(0, 100)).filter(lambda b: b[0] < b[1]),
+)
+
+
+@st.composite
+def percentile_stacks(draw):
+    """1-5 rows of 2-400 values, from one seeded generator: magnitudes from
+    1e-300 to 1e300 of either sign, a share of ties from a small pool that
+    holds 0.0 and -0.0, and rows holding NaN; in C or Fortran order."""
+    n = draw(st.integers(2, 400))
+    n_rows = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    signs = rng.choice([-1.0, 1.0], (n_rows, n))
+    x = signs * 10.0 ** rng.uniform(-300, 300, (n_rows, n))
+    pool = np.concatenate([[0.0, -0.0], x[0, : draw(st.integers(0, 3))]])
+    ties = rng.random((n_rows, n)) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    x[ties] = rng.choice(pool, ties.sum())
+    for row in range(n_rows):
+        if draw(st.booleans()) and draw(st.booleans()):
+            x[row, rng.integers(n, size=draw(st.integers(1, 3)))] = np.nan
+    return np.asfortranarray(x) if draw(st.booleans()) else x
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=percentile_stacks(), percents=PERCENTILE_PAIRS)
+def test_percentiles_equal_numpy_percentile(x, percents):
+    expected = np.percentile(x, percents, axis=-1, keepdims=True)
+    assert_same(np.stack(_percentiles(x, percents)), expected, "percentiles", exact=True)
 
 
 def test_zscores_reduce_a_contiguous_row_whatever_the_input_layout():
@@ -377,9 +411,12 @@ def test_stacked_first_pass_splits_groups_and_keeps_drops_in_place(mode, lagged_
         if mode == "conditional":
             flat = outcomes[1]
             assert isinstance(flat, RankDeficient)
-            assert str(flat) == f"rank-deficient design: coin {panel.coins[1]}"
             # the null direction loads on size columns alone
             assert flat.columns and all(".size." in c for c in flat.columns)
+            assert str(flat) == (
+                f"rank-deficient design: coin {panel.coins[1]}: "
+                f"dependent columns {list(flat.columns)}"
+            )
         else:
             assert isinstance(outcomes[1], FirstPassFit)
         n_obs = [f.n_obs for f in outcomes if isinstance(f, FirstPassFit)]

@@ -28,10 +28,10 @@ from coinfactors.panel import (
     CharacteristicWindows,
     PanelOptions,
     build_panel,
-    standardize_cross_section,
 )
 from coinfactors.pipeline import second_pass
 from coinfactors.synth import emit_raw_files, generate_synthetic, scenario
+from conftest import standardized
 from oracle_compare import assert_same
 from reference_fits import fitted_rows
 from reference_rows import panel_from_rows, row_view
@@ -101,8 +101,8 @@ def assert_matches_reference(panel, menus, options=FactorOptions(), floor_base=2
     # budgets of one date a stack, of a few small dates a stack, and the default
     for cells in (1, 16, STACK_CELLS):
         with mock.patch.object(coinfactors.panel, "STACK_CELLS", cells):
-            standardized = standardize_cross_section(panel)
-        assert_same(row_view(standardized).observations, expected,
+            rescored = standardized(panel)
+        assert_same(row_view(rescored).observations, expected,
                     f"z-scores at STACK_CELLS={cells}: observations")
     fitted = failed = skipped = 0
     for menu in menus:

@@ -1,4 +1,5 @@
-"""Memory the panel reader and the factor build may use.
+"""Memory the panel reader, the panel build and the factor build may use,
+and a module no command imports.
 
 read_panel_csv holds the loadtxt table and the Panel's grid at once, so its
 traced peak cannot fall much below twice the Panel's array bytes. Per-row
@@ -8,25 +9,45 @@ keeps its numbers in one float array: as a list of float lists per row
 they lifted its peak to about 8 times, and the bound there is 4. A factor
 build reads the panel's cached caps, so a second build on one panel takes
 no exponential at all.
+
+build_panel scatters each coin's kept coin-days straight into the Panel's
+grid and writes the z-scores into its z layers, so its traced peak is the
+grid, the per-coin blocks and the drop records: about 2.8 times the
+Panel's array bytes on a small raw set. Holding the joined coin-day table,
+a list-to-array temporary and a second z grid besides, with a date object
+per drop, lifted it to about 6.3 times; the bound is 4.
+
+np.percentile reaches np.unique, which imports numpy.ma: 1.3 MB of
+resident memory that no command needs.
 """
 
 import datetime as dt
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from coinfactors.factors import build_factor_set
+from coinfactors.ingest import load_coin_dir, parse_epu_csv, parse_riskfree_csv
 from coinfactors.panel import (
     _COLUMNS,
     CHARACTERISTIC_NAMES,
     Panel,
+    build_panel,
     read_panel_csv,
     write_panel_csv,
 )
+from coinfactors.synth import emit_raw_files, generate_synthetic, scenario
 
 PEAK_PER_PANEL_BYTE = 3.0
 ROW_PARSER_PEAK_PER_PANEL_BYTE = 4.0
+BUILD_PEAK_PER_PANEL_BYTE = 4.0
 
 
 def _dense_panel(n_coins, n_dates, seed=0):
@@ -89,3 +110,98 @@ def test_second_factor_build_takes_no_exponential(monkeypatch):
     second = build_factor_set(panel, "FF3")
     assert calls == []
     assert second.values.tobytes() == first.values[:, :3].tobytes()
+
+
+def _raw_set(directory, n_coins, n_days, seed=3):
+    """build_panel's arguments for the raw files of a scenario-B run."""
+    panel, truth = generate_synthetic(scenario("B", n_coins, n_days, seed=seed))
+    emit_raw_files(panel, truth, directory)
+    return (
+        load_coin_dir(directory / "market"),
+        parse_epu_csv(directory / "epu.csv"),
+        parse_riskfree_csv(directory / "riskfree.csv"),
+    )
+
+
+def test_build_panel_traced_peak_is_bounded_by_the_panel(tmp_path):
+    inputs = _raw_set(tmp_path / "raw", 30, 400)
+    build_panel(*inputs)  # the first call's imports are not the build's
+    tracemalloc.start()
+    try:
+        panel = build_panel(*inputs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert panel.dropped
+    bound = BUILD_PEAK_PER_PANEL_BYTE * _panel_bytes(panel)
+    assert peak <= bound, (peak, _panel_bytes(panel))
+
+
+# Runs a command line (argv after the script's name), or with no arguments
+# a synthetic scenario through run_model, then checks the modules loaded.
+_NO_NUMPY_MA = """
+import sys
+
+if sys.argv[1:]:
+    from coinfactors.cli import main
+
+    try:
+        main(sys.argv[1:])
+    except SystemExit as exc:
+        assert not exc.code, exc.code
+else:
+    from coinfactors.condbeta import BetaSpec
+    from coinfactors.pipeline import ModelSpec, run_model
+    from coinfactors.synth import generate_synthetic, scenario
+
+    panel, truth = generate_synthetic(scenario("B", 24, 240, seed=4))
+    run_model(panel, ModelSpec("capm-c", "CAPM", BetaSpec("conditional")))
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+
+
+def _no_numpy_ma(*argv):
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_MA, *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
+@pytest.fixture(scope="module")
+def command_configs(tmp_path_factory):
+    """Configs of synth, ingest, run on raw files and run on a panel file,
+    the inputs written here so that each command runs on its own."""
+    root = tmp_path_factory.mktemp("commands")
+    panel, truth = generate_synthetic(scenario("B", 24, 400, seed=5))
+    emit_raw_files(panel, truth, root / "raw")
+    write_panel_csv(panel, root / "panel.csv")
+    data = {
+        "market_dir": str(root / "raw" / "market"),
+        "epu_file": str(root / "raw" / "epu.csv"),
+        "riskfree_file": str(root / "raw" / "riskfree.csv"),
+    }
+    specs = [{"label": "capm-c", "factors": "CAPM", "beta": {"mode": "conditional"}}]
+    docs = {
+        "synth": {"synth": {"scenario": "B", "n_coins": 24, "n_days": 400,
+                            "emit_raw": True}, "seed": 5},
+        "ingest": {"data": data},
+        "run_raw": {"data": data, "specs": specs},
+        "run_panel": {"panel_file": str(root / "panel.csv"), "specs": specs},
+    }
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = root / f"{name}.json"
+        paths[name].write_text(json.dumps({**doc, "output_dir": str(root / name)}))
+    return paths
+
+
+@pytest.mark.parametrize("config", ["synth", "ingest", "run_raw", "run_panel"])
+def test_command_does_not_import_numpy_ma(config, command_configs):
+    command = config.split("_")[0]
+    _no_numpy_ma(command, "--config", str(command_configs[config]))
+
+
+def test_synthetic_run_model_does_not_import_numpy_ma():
+    _no_numpy_ma()

@@ -28,7 +28,6 @@ from coinfactors.panel import (
     _CoinView,
     daily_riskfree,
     read_panel_csv,
-    standardize_cross_section,
     winsorized_zscores,
     write_drop_report,
     write_panel_csv,
@@ -42,6 +41,7 @@ from conftest import (
     make_panel,
     make_series,
     raw_characteristics,
+    standardized,
 )
 from reference_rows import row_view
 
@@ -239,17 +239,17 @@ def test_standardize_cross_section_properties():
         make_obs("C", day(1), size_raw=14.0, momentum_raw=-0.2,
                  liquidity_raw=17.5, value_raw=0.1),
     ]
-    panel = standardize_cross_section(make_panel(obs))
+    panel = standardized(make_panel(obs))
     for name in CHARACTERISTIC_NAMES:
         zs = [o.chars.z(name) for o in row_view(panel).by_date(day(1))]
         assert abs(np.mean(zs)) < 1e-9
         assert abs(np.std(zs) - 1.0) < 1e-9
-    again = standardize_cross_section(panel)
+    again = standardized(panel)
     assert row_view(again).observations == row_view(panel).observations
 
 
 def test_standardize_single_coin_zeroes():
-    panel = standardize_cross_section(make_panel([make_obs("A", day(1))]))
+    panel = standardized(make_panel([make_obs("A", day(1))]))
     obs = row_view(panel).observations[0]
     assert all(obs.chars.z(n) == 0.0 for n in CHARACTERISTIC_NAMES)
 

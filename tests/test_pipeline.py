@@ -242,7 +242,11 @@ def test_run_model_drops_a_coin_with_a_rank_deficient_first_pass(synth_b):
     result = run_model(dataclasses.replace(panel, z=z), COND, factor_set=truth.factor_set)
     (drop,) = result.dropped_coins
     assert (drop.coin_id, drop.date) == (panel.coins[3], None)
-    assert drop.reason == f"rank_deficient: rank-deficient design: coin {panel.coins[3]}"
+    size = ["mkt.size.base", "mkt.size.u", "mkt.size.r"]
+    assert drop.reason == (
+        f"rank_deficient: rank-deficient design: coin {panel.coins[3]}: "
+        f"dependent columns {size}"
+    )
     assert [fit.coin_id for fit in result.fits] == [
         c for c in panel.coins if c != panel.coins[3]
     ]
