@@ -272,7 +272,7 @@ def cmd_report(output: str) -> None:
         if not manifest_path.exists():
             raise InvalidConfig(f"{manifest_path} is missing, run first")
         try:
-            manifest = json.loads(manifest_path.read_text())
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
             z = float(manifest["config"]["econometrics"]["significance_z"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError):
             raise InvalidConfig(

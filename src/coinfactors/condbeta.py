@@ -29,7 +29,8 @@ from .errors import (
     RankDeficient,
 )
 from .factors import FactorSet
-from .panel import CHARACTERISTIC_NAMES, Panel, characteristic_index, csv_lead, stacks_by_count
+from .ingest import write_csv_rows
+from .panel import CHARACTERISTIC_NAMES, Panel, characteristic_index, stacks_by_count
 
 MIN_OBS_MARGIN = 30
 
@@ -247,33 +248,29 @@ def write_first_pass_params_csv(
     fits: Sequence[FirstPassFit], path: str | Path
 ) -> None:
     """coin_id,param_name,estimate,stderr in coin then design-column order,
-    in csv.writer's dialect as in write_risk_adjusted_csv: each coin's rows
-    go out as one write. Parameter names need no quoting."""
-    with open(path, "w", newline="") as handle:
-        handle.write("coin_id,param_name,estimate,stderr\r\n")
+    through write_csv_rows: each coin's rows go out as one write. Parameter
+    names need no quoting."""
+    with write_csv_rows(path, ("coin_id", "param_name", "estimate", "stderr")) as write:
         for fit in sorted(fits, key=lambda f: f.coin_id):
-            lead = csv_lead(fit.coin_id)
-            handle.write("".join(
-                lead + name + "," + repr(est) + "," + repr(se) + "\r\n"
+            write((
+                name + "," + repr(est) + "," + repr(se)
                 for name, est, se in zip(
                     fit.param_names, fit.coefficients.tolist(), fit.stderr.tolist()
                 )
-            ))
+            ), key=fit.coin_id)
 
 
 def write_risk_adjusted_csv(
     fits: Sequence[FirstPassFit], dates: Sequence[dt.date], path: str | Path
 ) -> None:
     """coin_id,date,risk_adjusted for every fitted coin-day; dates is the
-    axis of the fits' risk_adjusted rows. csv.writer's dialect, as in
+    axis of the fits' risk_adjusted rows. Through write_csv_rows, as
     write_panel_csv: each coin's rows go out as one write."""
     days = [d.isoformat() for d in dates]
-    with open(path, "w", newline="") as handle:
-        handle.write("coin_id,date,risk_adjusted\r\n")
+    with write_csv_rows(path, ("coin_id", "date", "risk_adjusted")) as write:
         for fit in sorted(fits, key=lambda f: f.coin_id):
             cols = np.flatnonzero(~np.isnan(fit.risk_adjusted))
-            lead = csv_lead(fit.coin_id)
-            handle.write("".join(
-                lead + days[j] + "," + repr(value) + "\r\n"
+            write((
+                days[j] + "," + repr(value)
                 for j, value in zip(cols.tolist(), fit.risk_adjusted[cols].tolist())
-            ))
+            ), key=fit.coin_id)

@@ -196,7 +196,7 @@ def load_config(path: str | Path) -> RunConfig:
     if not path.exists():
         raise InvalidConfig(f"config file {path} does not exist")
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # bad JSON or bad UTF-8
         raise InvalidConfig(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):

@@ -9,7 +9,6 @@ beyond the returns being priced.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import math
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyDate, EmptyLeg, InvalidConfig, TooFewCoins
+from .ingest import write_csv_rows
 from .panel import Panel, characteristic_index, stacks_by_count
 
 FACTOR_NAMES = ("mkt", "smb", "val", "mom", "liq")
@@ -246,13 +246,11 @@ def build_factor_set(
 def write_factor_csv(factor_set: FactorSet, path: str | Path) -> None:
     """Serialize the kept dates as date,mkt,smb,val,mom,liq with empty cells
     for factors the set does not carry."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("date",) + FACTOR_NAMES)
+    with write_csv_rows(path, ("date",) + FACTOR_NAMES) as write:
         for col in np.flatnonzero(factor_set.mask).tolist():
             vector = factor_set.values[col].tolist()
             cells = {name: repr(v) for name, v in zip(factor_set.names, vector)}
-            writer.writerow(
+            write([
                 [factor_set.dates[col].isoformat()]
                 + [cells.get(name, "") for name in FACTOR_NAMES]
-            )
+            ])

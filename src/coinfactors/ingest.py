@@ -1,4 +1,5 @@
-"""Input acquisition: strict CSV parsers for the three source tables and
+"""Input acquisition: strict CSV parsers for the three source tables, the
+package's one CSV reader and one CSV writer (UTF-8 whatever the locale), and
 universe selection. Every input is read from local files; ingest does no
 network access, so its only I/O failures are file-system ones.
 
@@ -16,7 +17,7 @@ import datetime as dt
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -115,6 +116,28 @@ def read_csv_rows(source: str | Path | io.TextIOBase) -> Iterator[Iterator[list[
             if exc.path is None:
                 exc.path = path
             raise
+
+
+@contextlib.contextmanager
+def write_csv_rows(path: str | Path, header: Sequence[str]) -> Iterator[Callable]:
+    """A new UTF-8 CSV file at path, its header row written, for one with
+    block, in csv.writer's dialect: fields quoted only where they must be,
+    lines ended by CRLF. The block gets write: write(rows) writes rows as
+    csv.writer does; write(tails, key) writes one row per tail in one write,
+    key quoted as csv.writer quotes it, then tail, already in the dialect."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        # a csv.writer keeps a 128 KiB record buffer: none outlives its call
+        def write(rows: Iterable, key: str | None = None) -> None:
+            if key is None:
+                csv.writer(handle).writerows(rows)
+            else:
+                lead = io.StringIO()
+                csv.writer(lead).writerow((key, ""))
+                lead = lead.getvalue()[: -len("\r\n")]
+                handle.write("".join(lead + tail + "\r\n" for tail in rows))
+
+        write([header])
+        yield write
 
 
 def _undecodable_line(path: str | Path) -> int:
@@ -240,10 +263,8 @@ def parse_riskfree_csv(source: str | Path | io.TextIOBase) -> np.ndarray:
 
 def write_market_csv(series: CoinSeries, path: str | Path) -> None:
     """Inverse of parse_market_csv, with repr round-trip float formatting."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(MARKET_HEADER)
-        writer.writerows(
+    with write_csv_rows(path, MARKET_HEADER) as write:
+        write(
             (dt.date.fromordinal(day).isoformat(), repr(close), repr(volume), repr(cap))
             for day, close, volume, cap in series.bars.tolist()
         )

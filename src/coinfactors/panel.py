@@ -35,7 +35,7 @@ from .errors import (
     MissingCharacteristic,
     TooShort,
 )
-from .ingest import CoinSeries, parse_iso_date, read_csv_rows
+from .ingest import CoinSeries, parse_iso_date, read_csv_rows, write_csv_rows
 
 CHARACTERISTIC_NAMES = ("size", "momentum", "liquidity", "value")
 
@@ -615,11 +615,10 @@ _HEADER_LINE = ",".join(PANEL_HEADER) + "\r\n"
 
 def write_panel_csv(panel: Panel, path: str | Path) -> None:
     """Serialize observations in (coin_id, date) order with repr round-trip
-    float formatting, in csv.writer's dialect: fields quoted only where they
-    must be, lines ended by CRLF. Each coin's rows go out as one write."""
+    float formatting, through write_csv_rows: each coin's rows go out as one
+    write."""
     days = [d.isoformat() for d in panel.dates]
-    with open(path, "w", newline="") as handle:
-        handle.write(_HEADER_LINE)
+    with write_csv_rows(path, PANEL_HEADER) as write:
         for i, coin_id in enumerate(panel.coins):
             cols = np.flatnonzero(panel.mask[i])
             columns = [
@@ -631,19 +630,10 @@ def write_panel_csv(panel: Panel, path: str | Path) -> None:
                 panel.r_btc[cols],
             ]
             rows = np.stack(columns, axis=1).tolist()
-            lead = csv_lead(coin_id)
-            handle.write("".join(
-                lead + days[j] + "," + ",".join(map(repr, row)) + "\r\n"
+            write((
+                days[j] + "," + ",".join(map(repr, row))
                 for j, row in zip(cols.tolist(), rows)
-            ))
-
-
-def csv_lead(field: str) -> str:
-    """field as csv.writer writes it first in a row of several, with the
-    comma after it: quoted only when it must be."""
-    out = io.StringIO()
-    csv.writer(out).writerow((field, ""))
-    return out.getvalue()[: -len("\r\n")]
+            ), key=coin_id)
 
 
 def read_panel_csv(
@@ -856,10 +846,8 @@ def _is_market_cap(size_raw: float) -> bool:
 
 def write_drop_report(drops: Sequence[Drop], path: str | Path) -> None:
     """Audit CSV of excluded coin-days: coin_id,date,reason."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("coin_id", "date", "reason"))
-        for d in drops:
-            writer.writerow(
-                (d.coin_id, "" if d.date is None else d.date.isoformat(), d.reason)
-            )
+    with write_csv_rows(path, ("coin_id", "date", "reason")) as write:
+        write(
+            (d.coin_id, "" if d.date is None else d.date.isoformat(), d.reason)
+            for d in drops
+        )

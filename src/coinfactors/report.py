@@ -1,16 +1,16 @@
 """Run outputs: comparison tables as CSV, a markdown summary, per-model
 artifact files, cumulative-coefficient SVG charts, and the run manifest.
 
-Everything here is a pure serialization of already-computed results. Charts
-are rendered from the emitted CSV text, never from in-memory arrays, so a
-re-render from disk is byte-identical to the original. No timestamps, no
-environment-dependent values; floats are written with repr for exact
-round-trips and displayed with %.6g in human-facing tables.
+Everything here is a pure serialization of already-computed results.
+comparison.md and the charts are rendered from the emitted CSV text alone,
+at run and at report, so a re-render from disk is byte-identical to the
+original. No timestamps, no environment-dependent values, UTF-8 whatever the
+locale; floats are written with repr for exact round-trips and displayed
+with %.6g in human-facing tables.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import io
 import json
@@ -22,6 +22,7 @@ from typing import Iterable, Mapping, Sequence
 from .condbeta import write_first_pass_params_csv, write_risk_adjusted_csv
 from .errors import InvalidConfig
 from .factors import write_factor_csv
+from .ingest import read_csv_rows, write_csv_rows
 from .panel import SHORT_CODES
 from .pipeline import ComparisonReport, ModelResult, significant_anomaly_count
 
@@ -147,18 +148,16 @@ TABLES = (
 def read_table_csv(path: Path, columns: tuple) -> list[list[str]]:
     """The cells of a comparison table as write_report_files wrote it.
 
-    Raises InvalidConfig, naming the file, when it is missing, is no
-    readable CSV, has any header but the table's, has a row with the wrong
-    number of fields, or has a cell comparison.md rounds that is no number.
+    Raises InvalidConfig, naming the file, when it is missing, has any
+    header but the table's, has a row with the wrong number of fields, or
+    has a cell comparison.md rounds that is no number; read_csv_rows raises
+    MalformedRow, naming the file and line, for text that is no UTF-8 CSV.
     """
     if not path.exists():
         raise InvalidConfig(f"{path} is missing, run first")
     header = [name for name, _, _ in columns]
-    try:
-        with open(path, newline="") as handle:
-            rows = list(csv.reader(handle))
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise InvalidConfig(f"{path} is no readable CSV: {exc}") from None
+    with read_csv_rows(path) as reader:
+        rows = list(reader)
     if rows[:1] != [header]:
         found = rows[0] if rows else None
         raise InvalidConfig(f"{path} has header {found!r}, expected {header!r}")
@@ -177,14 +176,14 @@ def read_table_csv(path: Path, columns: tuple) -> list[list[str]]:
 def write_cross_section_csv(result: ModelResult, path: str | Path) -> None:
     """Daily second-pass coefficients: date,c0,c_<anomaly codes>,adj_r2."""
     codes = [f"c_{SHORT_CODES[a]}" for a in result.spec.anomalies]
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["date", "c0"] + codes + ["adj_r2"])
-        cross = result.cross_sections
-        for date, coefs, adj_r2 in zip(
-            cross.dates, cross.coefficients.tolist(), cross.adj_r2.tolist()
-        ):
-            writer.writerow([date.isoformat(), *map(repr, coefs), repr(adj_r2)])
+    cross = result.cross_sections
+    with write_csv_rows(path, ["date", "c0"] + codes + ["adj_r2"]) as write:
+        write(
+            [date.isoformat(), *map(repr, coefs), repr(adj_r2)]
+            for date, coefs, adj_r2 in zip(
+                cross.dates, cross.coefficients.tolist(), cross.adj_r2.tolist()
+            )
+        )
 
 
 def _g(text: str) -> str:
@@ -229,23 +228,23 @@ def render_cumulative_chart(
     cross-section CSV. Reads the file back rather than taking arrays, so the
     chart reflects exactly what was serialized. A row with the wrong number
     of fields, or a c_* cell that is no number or makes its running sum
-    nan or infinite, raises InvalidConfig naming the file and line."""
-    with open(csv_path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        numbered = [(reader.line_num, row) for row in reader]
-    rows = [row for _, row in numbered]
-    columns = [k for k in rows[0] if k.startswith("c_")] if rows else []
-    series = {column: [] for column in columns}
+    nan or infinite, raises InvalidConfig naming the file and line;
+    read_csv_rows raises MalformedRow for text that is no UTF-8 CSV."""
+    with read_csv_rows(csv_path) as reader:
+        header = next(reader, [])
+        numbered = [(reader.line_num, row) for row in reader if row]
+    dates = [row[0] for _, row in numbered]
+    at = {k: i for i, k in enumerate(header) if k.startswith("c_")} if numbered else {}
+    series = {column: [] for column in at}
     for line, row in numbered:
         try:
-            if None in row or None in row.values():
-                raise ValueError(f"expected {len(reader.fieldnames)} fields")
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} fields")
             for column, points in series.items():
-                total = (points[-1] if points else 0.0) + float(row[column])
+                cell = row[at[column]]
+                total = (points[-1] if points else 0.0) + float(cell)
                 if not math.isfinite(total):
-                    raise ValueError(
-                        f"{column} {row[column]!r} makes its running sum non-finite"
-                    )
+                    raise ValueError(f"{column} {cell!r} makes its running sum non-finite")
                 points.append(total)
         except ValueError as exc:
             raise InvalidConfig(f"{csv_path} line {line}: {exc}") from None
@@ -255,12 +254,11 @@ def render_cumulative_chart(
     plot_w = width - left - right
     plot_h = height - top - bottom
 
-    values = [v for pts in series.values() for v in pts] or [0.0]
-    lo = min(values + [0.0])
-    hi = max(values + [0.0])
+    values = [v for pts in series.values() for v in pts] + [0.0]
+    lo, hi = min(values), max(values)
     if hi - lo < 1e-30:
         hi = lo + 1.0
-    n = max(len(rows), 1)
+    n = max(len(dates), 1)
 
     def x_at(i: int) -> float:
         if n == 1:
@@ -270,26 +268,30 @@ def render_cumulative_chart(
     def y_at(v: float) -> float:
         return top + plot_h * (1.0 - (v - lo) / (hi - lo))
 
+    out = io.StringIO()
+
+    def text(x: float, y: str, body: str, size=11, fill="#444444", end=False) -> None:
+        anchor = ' text-anchor="end"' if end else ""
+        out.write(
+            f'<text x="{x:.1f}" y="{y}"{anchor} font-family="sans-serif" '
+            f'font-size="{size}" fill="{fill}">{body}</text>\n'
+        )
+
     # escaped here: importing xml.sax.saxutils loads urllib.request (~7 MB)
     title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    out = io.StringIO()
     out.write(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
         f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">\n'
     )
     out.write(f'<rect width="{width:.0f}" height="{height:.0f}" fill="#ffffff"/>\n')
+    text(left, "24", title, 16, "#222222")
     out.write(
-        f'<text x="{left:.1f}" y="24" font-family="sans-serif" font-size="16" '
-        f'fill="#222222">{title}</text>\n'
-    )
-    axis = (
         f'<line x1="{left:.1f}" y1="{top:.1f}" x2="{left:.1f}" '
         f'y2="{top + plot_h:.1f}" stroke="#444444" stroke-width="1"/>\n'
         f'<line x1="{left:.1f}" y1="{top + plot_h:.1f}" '
         f'x2="{left + plot_w:.1f}" y2="{top + plot_h:.1f}" '
         f'stroke="#444444" stroke-width="1"/>\n'
     )
-    out.write(axis)
     if lo < 0.0 < hi:
         zero_y = y_at(0.0)
         out.write(
@@ -297,71 +299,40 @@ def render_cumulative_chart(
             f'y2="{zero_y:.2f}" stroke="#cccccc" stroke-width="1" '
             'stroke-dasharray="4 3"/>\n'
         )
-    out.write(
-        f'<text x="{left - 6:.1f}" y="{y_at(hi) + 4:.2f}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="11" fill="#444444">{hi:.4g}</text>\n'
-    )
-    out.write(
-        f'<text x="{left - 6:.1f}" y="{y_at(lo) + 4:.2f}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="11" fill="#444444">{lo:.4g}</text>\n'
-    )
-    if rows:
-        out.write(
-            f'<text x="{left:.1f}" y="{height - 14:.1f}" '
-            f'font-family="sans-serif" font-size="11" fill="#444444">'
-            f'{rows[0]["date"]}</text>\n'
-        )
-        out.write(
-            f'<text x="{left + plot_w:.1f}" y="{height - 14:.1f}" '
-            f'text-anchor="end" font-family="sans-serif" font-size="11" '
-            f'fill="#444444">{rows[-1]["date"]}</text>\n'
-        )
-    for idx, column in enumerate(columns):
+    text(left - 6, f"{y_at(hi) + 4:.2f}", f"{hi:.4g}", end=True)
+    text(left - 6, f"{y_at(lo) + 4:.2f}", f"{lo:.4g}", end=True)
+    if dates:
+        text(left, f"{height - 14:.1f}", dates[0])
+        text(left + plot_w, f"{height - 14:.1f}", dates[-1], end=True)
+    for idx, (column, sums) in enumerate(series.items()):
         color = CHART_COLORS[idx % len(CHART_COLORS)]
-        points = " ".join(
-            f"{x_at(i):.2f},{y_at(v):.2f}" for i, v in enumerate(series[column])
-        )
+        points = " ".join(f"{x_at(i):.2f},{y_at(v):.2f}" for i, v in enumerate(sums))
         out.write(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
             f'points="{points}"/>\n'
         )
-        out.write(
-            f'<text x="{left + plot_w - 110:.1f}" y="{top + 14 * idx + 2:.1f}" '
-            f'font-family="sans-serif" font-size="12" fill="{color}">'
-            f"{column}</text>\n"
-        )
+        text(left + plot_w - 110, f"{top + 14 * idx + 2:.1f}", column, 12, color)
     out.write("</svg>\n")
-    Path(svg_path).write_text(out.getvalue())
+    Path(svg_path).write_text(out.getvalue(), encoding="utf-8")
+
+
+# Each per-model file after its label's slug, and its writer.
+MODEL_FILES = (
+    ("_factors.csv", lambda r, path: write_factor_csv(r.factor_set, path)),
+    ("_first_pass.csv", lambda r, path: write_first_pass_params_csv(r.fits, path)),
+    ("_risk_adjusted.csv",
+     lambda r, path: write_risk_adjusted_csv(r.fits, r.factor_set.dates, path)),
+    ("_crosssection.csv", write_cross_section_csv),
+)
 
 
 def write_model_outputs(result: ModelResult, out_dir: str | Path) -> list[str]:
-    """Per-model artifact files, named by the slugified label. Returns the
-    relative file names written, chart included."""
-    out_dir = Path(out_dir)
+    """The per-model CSVs of MODEL_FILES, named by the slugified label.
+    Returns the relative file names written."""
     base = slugify(result.spec.label)
-    names = []
-
-    name = f"{base}_factors.csv"
-    write_factor_csv(result.factor_set, out_dir / name)
-    names.append(name)
-
-    name = f"{base}_first_pass.csv"
-    write_first_pass_params_csv(result.fits, out_dir / name)
-    names.append(name)
-
-    name = f"{base}_risk_adjusted.csv"
-    write_risk_adjusted_csv(result.fits, result.factor_set.dates, out_dir / name)
-    names.append(name)
-
-    cross_name = f"{base}_crosssection.csv"
-    write_cross_section_csv(result, out_dir / cross_name)
-    names.append(cross_name)
-
-    name = f"{base}_cumulative.svg"
-    render_cumulative_chart(
-        out_dir / cross_name, out_dir / name, f"{result.spec.label}: cumulative premia"
-    )
-    names.append(name)
+    names = [base + suffix for suffix, _ in MODEL_FILES]
+    for name, (_, write) in zip(names, MODEL_FILES):
+        write(result, Path(out_dir) / name)
     return names
 
 
@@ -380,29 +351,23 @@ def check_labels(labels: Iterable[str]) -> None:
 
 
 def write_report_files(report: ComparisonReport, out_dir: str | Path) -> list[str]:
-    """All comparison-level and per-model files for a finished run. Labels
-    are checked with check_labels before any file is written."""
+    """All comparison-level and per-model files for a finished run: the
+    CSVs, then comparison.md and the charts from them by rerender_report.
+    Labels are checked with check_labels before any file is written."""
     check_labels(report.results)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tables = []
+    names = []
     for name, _, columns, build in TABLES:
-        rows = [
-            [_cell(value) for _, value in zip(columns, values, strict=True)]
-            for values in build(report)
-        ]
-        with open(out_dir / name, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(column for column, _, _ in columns)
-            writer.writerows(rows)
-        tables.append(rows)
-    markdown = markdown_report(tables, report.significance_z)
-    (out_dir / "comparison.md").write_text(markdown)
-    names = [name for name, _, _, _ in TABLES] + ["comparison.md"]
-
+        with write_csv_rows(out_dir / name, [column for column, _, _ in columns]) as write:
+            write(
+                [_cell(value) for _, value in zip(columns, values, strict=True)]
+                for values in build(report)
+            )
+        names.append(name)
     for result in report.results.values():
         names.extend(write_model_outputs(result, out_dir))
-    return names
+    return names + rerender_report(out_dir, report.significance_z)
 
 
 def rerender_report(out_dir: str | Path, significance_z: float) -> list[str]:
@@ -411,7 +376,8 @@ def rerender_report(out_dir: str | Path, significance_z: float) -> list[str]:
     markdown and charts are functions of the CSV text alone."""
     out_dir = Path(out_dir)
     tables = [read_table_csv(out_dir / name, columns) for name, _, columns, _ in TABLES]
-    (out_dir / "comparison.md").write_text(markdown_report(tables, significance_z))
+    markdown = markdown_report(tables, significance_z)
+    (out_dir / "comparison.md").write_text(markdown, encoding="utf-8")
     names = ["comparison.md"]
     for label, *_ in tables[0]:  # COMPARISON_COLUMNS starts with the label
         base = slugify(label)
@@ -452,4 +418,4 @@ def write_manifest(
         "seed": seed,
         "version": version,
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")

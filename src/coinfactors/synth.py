@@ -10,7 +10,6 @@ generation order never changes results.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import itertools
 import json
@@ -25,7 +24,7 @@ from .condbeta import BetaSpec, build_design_matrix
 from .econometrics import SIGNIFICANCE_Z
 from .errors import InvalidConfig, SpecMismatch
 from .factors import FACTOR_NAMES, FactorSet
-from .ingest import BAR_DTYPE, CoinSeries, write_market_csv
+from .ingest import BAR_DTYPE, EPU_HEADER, RISKFREE_HEADER, CoinSeries, write_csv_rows, write_market_csv
 from .panel import CHARACTERISTIC_NAMES, Panel, winsorized_zscores
 from .pipeline import ModelResult
 
@@ -436,9 +435,8 @@ def truth_to_json(truth: GroundTruth) -> dict:
 
 
 def write_truth_json(truth: GroundTruth, path: str | Path) -> None:
-    with open(path, "w") as handle:
-        json.dump(truth_to_json(truth), handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    text = json.dumps(truth_to_json(truth), sort_keys=True, indent=2) + "\n"
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def emit_raw_files(panel: Panel, truth: GroundTruth, out_dir: str | Path) -> None:
@@ -488,14 +486,11 @@ def emit_raw_files(panel: Panel, truth: GroundTruth, out_dir: str | Path) -> Non
     close = np.multiply.accumulate(np.concatenate([[20000.0], growth]))
     write("BTC", close, close * 1.9e7)
 
-    with open(out / "epu.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("date", "epu"))
+    with write_csv_rows(out / "epu.csv", EPU_HEADER) as write_rows:
         # math.exp per value: np.exp can differ in the last bit
-        for date, u in zip(dates, np.append(truth.u, 0.0).tolist()):
-            writer.writerow((date.isoformat(), repr(100.0 * math.exp(0.2 * u))))
-    with open(out / "riskfree.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("date", "rate"))
-        for date in dates:
-            writer.writerow((date.isoformat(), repr(0.0)))
+        write_rows(
+            (date.isoformat(), repr(100.0 * math.exp(0.2 * u)))
+            for date, u in zip(dates, np.append(truth.u, 0.0).tolist())
+        )
+    with write_csv_rows(out / "riskfree.csv", RISKFREE_HEADER) as write_rows:
+        write_rows((date.isoformat(), repr(0.0)) for date in dates)

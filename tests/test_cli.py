@@ -5,6 +5,9 @@ temp directory; the rest pin exit codes and the override flags.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -706,6 +709,20 @@ def test_report_rejects_spoiled_cross_section_exits_2_naming_it(
     assert f"{path} line 3: {message.format(fields=len(header))}" in result.stderr
 
 
+@UNREADABLE
+def test_report_rejects_unreadable_cross_section_exits_2_naming_it(
+    tmp_path, synth_a, text, word
+):
+    result = _run_labels(tmp_path, synth_a[0], ["capm-u"])
+    assert result.exit_code == 0, result.output + result.stderr
+    path = tmp_path / "out" / "capm-u_crosssection.csv"
+    _spoil_line(path, 300, text)
+    result = CliRunner().invoke(main, ["report", "--output", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    assert f"{path}: line 301:" in result.stderr and word in result.stderr
+
+
 def test_report_rejects_cross_section_whose_running_sum_overflows(tmp_path, synth_a):
     result = _run_labels(tmp_path, synth_a[0], ["capm-u"])
     assert result.exit_code == 0, result.output + result.stderr
@@ -720,3 +737,52 @@ def test_report_rejects_cross_section_whose_running_sum_overflows(tmp_path, synt
     assert result.exit_code == 2, result.output
     assert f"{path} line 3: c_size '1e308' makes its running sum non-finite" in (
         result.stderr)
+
+
+def _posix_locale(utf8: bool, *args: str) -> subprocess.CompletedProcess:
+    """Python in a subprocess under the POSIX locale, in UTF-8 mode or, with
+    utf8 false, with ASCII as the preferred encoding."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "LC_ALL": "POSIX", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": str(src)}
+    return subprocess.run(
+        [sys.executable, "-X", f"utf8={int(utf8)}", *args],
+        env=env, capture_output=True, timeout=300,
+    )
+
+
+@pytest.mark.parametrize(
+    "label, coin, slug", [("é-capm", "C000", "capm"), ("capm-u", "é000", "capm-u")],
+    ids=["label", "coin-id"],
+)
+def test_run_outputs_do_not_depend_on_the_locale(tmp_path, synth_a, label, coin, slug):
+    probe = _posix_locale(False, "-c", "import codecs, locale; "
+                          "print(codecs.lookup(locale.getpreferredencoding(False)).name)")
+    assert probe.stdout.strip() == b"ascii", probe
+    panel_path = tmp_path / "panel.csv"
+    write_panel_csv(synth_a[0], panel_path)
+    text = panel_path.read_bytes().replace(b"\nC000,", b"\n" + coin.encode() + b",")
+    panel_path.write_bytes(text)
+    outputs = {}
+    for utf8 in (False, True):
+        out = tmp_path / f"utf8-{int(utf8)}"
+        cfg = tmp_path / f"cfg-{int(utf8)}.json"
+        cfg.write_bytes(json.dumps({  # the label as UTF-8 bytes, not a \u escape
+            "panel_file": str(panel_path), "output_dir": str(out),
+            "specs": [{"label": label, "factors": "CAPM",
+                       "beta": {"mode": "unconditional"}}],
+        }, ensure_ascii=False).encode())
+        done = _posix_locale(utf8, "-m", "coinfactors.cli", "run", "--config", str(cfg))
+        assert done.returncode == 0, done.stderr.decode(errors="replace")
+        outputs[utf8] = _snapshot(out)
+        manifest = json.loads(outputs[utf8].pop("manifest.json"))
+        assert manifest["config"].pop("output_dir") == str(out)
+        outputs[utf8]["manifest.json"] = manifest
+    assert outputs[False] == outputs[True]
+    assert label.encode() in outputs[False]["comparison.csv"]
+    assert b"\r\n" + coin.encode() + b"," in outputs[False][f"{slug}_first_pass.csv"]
+    out = tmp_path / "utf8-0"
+    before = _snapshot(out)
+    done = _posix_locale(False, "-m", "coinfactors.cli", "report", "--output", str(out))
+    assert done.returncode == 0, done.stderr.decode(errors="replace")
+    assert _snapshot(out) == before
