@@ -35,12 +35,13 @@ from .ingest import (
     parse_riskfree_csv,
 )
 from .panel import Panel, build_panel, read_panel_csv, write_drop_report, write_panel_csv
-from .pipeline import compare_models, significant_anomaly_count
+from .pipeline import comparison_report, fit_models, significant_anomaly_count
 from .report import (
     check_labels,
     rerender_report,
     sha256_file,
     write_manifest,
+    write_model_outputs,
     write_report_files,
 )
 from .synth import emit_raw_files, generate_synthetic, scenario, write_truth_json
@@ -207,9 +208,14 @@ def cmd_run(config_path: str, output: str | None, seed: int | None) -> None:
         out = _out_dir(cfg)
         modes = {spec.riskfree_mode for spec in cfg.specs}
         panels, digests = _build_panels(cfg, modes)
-        report = compare_models(panels, cfg.specs, cfg.pipeline)
-        names = write_report_files(report, out)
-        _write_manifest(cfg, out, "run", digests, names)
+        names, results = [], {}
+        for result in fit_models(panels, cfg.specs, cfg.pipeline):
+            names += write_model_outputs(result, out)
+            results[result.spec.label] = result.without_risk_adjusted()
+            del result  # one model's R* rows at a time
+        report = comparison_report(results, cfg.pipeline.significance_z)
+        names = write_report_files(report, out) + names
+        _write_manifest(cfg, out, "run", digests, names)  # last: marks a finished run
         for label, result in report.results.items():
             count = significant_anomaly_count(result, report.significance_z)
             click.echo(

@@ -133,7 +133,8 @@ class FirstPassFit:
     coefficients, param_names and stderr align index for index in design
     column order, alpha first. risk_adjusted is the coin's read-only row on
     the panel's date axis: alpha plus the residual on every fitted date,
-    NaN on the others.
+    NaN on the others; None in a result kept without it
+    (ModelResult.without_risk_adjusted).
     """
 
     coin_id: str
@@ -144,7 +145,7 @@ class FirstPassFit:
     adj_r2: float
     n_obs: int
     n_params: int
-    risk_adjusted: np.ndarray
+    risk_adjusted: np.ndarray | None
 
 
 def first_pass_stack(

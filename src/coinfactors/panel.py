@@ -15,7 +15,6 @@ import csv
 import datetime as dt
 import functools
 import io
-import itertools
 import math
 import operator
 from array import array
@@ -605,6 +604,15 @@ def _panel_of(
     mask[rows, cols] = True
     grid = np.zeros((_SERIES_AT,) + shape)
     grid[:, rows, cols] = columns
+    return _grid_panel(coins, dates, mask, grid, u, r_btc, riskfree_mode, dropped)
+
+
+def _grid_panel(
+    coins: Sequence[str], dates: Sequence[dt.date], mask: np.ndarray, grid: np.ndarray,
+    u: np.ndarray, r_btc: np.ndarray, riskfree_mode: str, dropped: Sequence[Drop] = (),
+) -> Panel:
+    """The Panel whose ret, excess, z and raw are the layers of grid, in
+    PANEL_HEADER order up to u_lag."""
     n = len(CHARACTERISTIC_NAMES)
     ret, excess, z, raw = grid[0], grid[1], grid[2 : 2 + n], grid[2 + n :]
     return Panel(coins, dates, mask, ret, excess, z, raw, u, r_btc, riskfree_mode, dropped)
@@ -652,9 +660,10 @@ def read_panel_csv(
     has passed, the first row that differs from its date's first row
     raises MalformedRow naming both lines, the coin and the date.
 
-    A file laid out as write_panel_csv writes it is parsed by one
-    np.loadtxt call. Any other file, and every text stream, goes through
-    the row parser, which alone accepts, rejects and words the errors.
+    A file laid out as write_panel_csv writes it is read twice, its
+    numbers parsed by np.loadtxt a block at a time (_read_panel_file). Any
+    other file, and every text stream, goes through the row parser, which
+    alone accepts, rejects and words the errors.
     """
     if isinstance(source, (str, Path)):
         panel = _read_panel_file(source, riskfree_mode)
@@ -674,75 +683,97 @@ _split_keys = operator.methodcaller("split", ",", 2)
 
 def _read_panel_file(path: str | Path, riskfree_mode: str) -> Panel | None:
     """The Panel of a panel file in write_panel_csv's layout, its numbers
-    parsed by one np.loadtxt call; None for any file the row parser must
-    judge. Raises only what opening the file raises.
+    parsed by np.loadtxt one block of lines at a time; None for any file
+    the row parser must judge. Raises only what opening the file raises.
 
-    The file streams through in blocks of lines. A block qualifies when
-    every line ends in CRLF and is no longer than the csv module's field
-    limit, and no character of _IRREGULAR occurs: the csv reader then
-    splits each line at its commas. loadtxt takes the numbers after the
-    second comma and rejects a line whose count differs. Where loadtxt and
-    float() both take a cell they give the same bits, and comments=None
-    keeps loadtxt from cutting a cell at #; a cell only float() takes (1_0,
-    a non-ASCII digit) fails loadtxt. Each block's coin ids and date
-    strings leave it as integer codes, so no per-row string outlives its
-    block.
+    The file is read twice, in the same blocks of lines. The first read
+    checks each block and gathers the distinct coin ids and date strings,
+    which rank the Panel's axes. The second parses each block's numbers and
+    scatters them straight into the Panel's grid, so no table of every
+    row's numbers is held beside it. A block whose text hashes otherwise on
+    the second read (the file changed in between) declines the file.
+
+    A block qualifies when every line ends in CRLF and is no longer than
+    the csv module's field limit, the block holds 13 commas a line (so no
+    line reaches loadtxt empty), and no character of _IRREGULAR occurs: the
+    csv reader then splits each line at its commas.
+    loadtxt takes the numbers after the second comma and rejects a line
+    whose count differs. Where loadtxt and float() both take a cell they
+    give the same bits, and comments=None keeps loadtxt from cutting a cell
+    at #; a cell only float() takes (1_0, a non-ASCII digit) fails loadtxt.
     """
-    coin_code: dict[str, int] = {}
-    day_code: dict[str, int] = {}
-    coins, days = array("q"), array("q")
     limit = csv.field_size_limit()
-
-    def numbers(handle):
-        for lines in iter(lambda: handle.readlines(_BLOCK_CHARS), []):
+    width = len(PANEL_HEADER) - 2
+    hashes = []  # of each block's text, the header line first
+    coin_ids: set[str] = set()
+    days: set[str] = set()
+    n_rows = 0
+    try:
+        for lines in _line_blocks(path):
             block = "".join(lines)
+            hashes.append(hash(block))
+            if len(hashes) == 1:
+                if block != _HEADER_LINE:
+                    return None
+                continue
             if (
                 block.count("\r\n") != len(lines)
+                or block.count(",") != (width + 1) * len(lines)
                 or max(map(len, lines)) > limit
                 or any(c in block for c in _IRREGULAR)
             ):
-                raise ValueError("irregular block")
+                return None
+            block_coins, block_days, _ = zip(*map(_split_keys, lines))
+            coin_ids.update(block_coins)
+            days.update(block_days)
+            n_rows += len(lines)
+        if not n_rows:
+            return None
+        dated = sorted((parse_iso_date(day), day) for day in days)
+        coin_at = {coin_id: i for i, coin_id in enumerate(sorted(coin_ids))}
+        day_at = {day: j for j, (_, day) in enumerate(dated)}
+        mask = np.zeros((len(coin_at), len(day_at)), dtype=bool)
+        grid = np.zeros((_SERIES_AT,) + mask.shape)
+        series = np.empty((2, n_rows))  # each row's u_lag and rbtc_lag
+        cols = np.empty(n_rows, dtype=np.intp)  # and its date
+        start = 0
+        for k, lines in enumerate(_line_blocks(path)):
+            if k >= len(hashes) or hash("".join(lines)) != hashes[k]:
+                return None
+            if k == 0:
+                continue
             block_coins, block_days, rest = zip(*map(_split_keys, lines))
-            coins.extend(_encode(coin_code, block_coins))
-            days.extend(_encode(day_code, block_days))
-            yield from rest
-
-    try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            if handle.readline() != _HEADER_LINE:
+            table = np.loadtxt(rest, delimiter=",", comments=None, dtype=float, ndmin=2)
+            if table.shape != (len(lines), width) or not np.isfinite(table).all():
                 return None
-            lines = numbers(handle)
-            first = next(lines, None)
-            if first is None:  # loadtxt warns on empty input
+            size = table[:, _SIZE_AT]
+            # exp of anything within +-700 is a positive finite float
+            if not all(map(_is_market_cap, size[np.abs(size) > 700.0].tolist())):
                 return None
-            table = np.loadtxt(
-                itertools.chain([first], lines),
-                delimiter=",", comments=None, dtype=float, ndmin=2,
-            )
-        date_code = {parse_iso_date(day): k for day, k in day_code.items()}
+            rows = np.fromiter(map(coin_at.__getitem__, block_coins), np.intp, len(lines))
+            span = slice(start, start + len(lines))
+            cols[span] = np.fromiter(map(day_at.__getitem__, block_days), np.intp, len(lines))
+            mask[rows, cols[span]] = True
+            grid[:, rows, cols[span]] = table.T[:_SERIES_AT]
+            series[:, span] = table.T[_SERIES_AT:]
+            start = span.stop
     except ValueError:  # UnicodeDecodeError is one too
         return None
-    if table.shape[1] != len(PANEL_HEADER) - 2 or not np.isfinite(table).all():
+    if k + 1 != len(hashes):  # the file got shorter
         return None
-    size = table[:, _SIZE_AT]
-    # exp of anything within +-700 is a positive finite float
-    if not all(map(_is_market_cap, size[np.abs(size) > 700.0].tolist())):
+    (u, r_btc), odd = _one_per_date(series, cols, len(day_at))
+    if odd is not None or int(mask.sum()) != n_rows:  # or a (coin_id, date) repeats
         return None
-    series, odd = _one_per_date(table.T[_SERIES_AT:], days, len(date_code))
-    if odd is not None:
-        return None
-    panel = _assemble_panel(coin_code, date_code, coins, days, table, series, riskfree_mode)
-    if int(panel.mask.sum()) != len(table):  # a (coin_id, date) repeats
-        return None
-    return panel
+    dates = [date for date, _ in dated]
+    return _grid_panel(list(coin_at), dates, mask, grid, u, r_btc, riskfree_mode)
 
 
-def _encode(code: dict, keys: Sequence) -> Iterator[int]:
-    """The code of each of keys, giving each key not yet in code the next
-    free one (in no set order: _decode ranks the keys)."""
-    for key in set(keys).difference(code):
-        code[key] = len(code)
-    return map(code.__getitem__, keys)
+def _line_blocks(path: str | Path) -> Iterator[list[str]]:
+    """The header line of a UTF-8 file, as a one-line block, then its
+    remaining lines in blocks of about _BLOCK_CHARS characters."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        yield [handle.readline()]
+        yield from iter(lambda: handle.readlines(_BLOCK_CHARS), [])
 
 
 def _read_panel_rows(rows) -> tuple[dict, dict, array, array, np.ndarray, np.ndarray]:

@@ -5,9 +5,10 @@ Fama-MacBeth aggregation, and side-by-side model comparison.
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as dt
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -217,6 +218,12 @@ class ModelResult:
     def anomaly_summaries(self):
         return tuple(c for c in self.fm.coefficients if c.name != "c0")
 
+    def without_risk_adjusted(self) -> ModelResult:
+        """This result with every fit's risk_adjusted row dropped (None):
+        what a run keeps of a model once its files are written."""
+        fits = tuple(dataclasses.replace(f, risk_adjusted=None) for f in self.fits)
+        return dataclasses.replace(self, fits=fits)
+
 
 def significant_anomaly_count(
     result: ModelResult, threshold: float = SIGNIFICANCE_Z
@@ -254,7 +261,7 @@ def run_model(
 
     Factors are built from the panel unless a factor_set is supplied:
     synthetic ground-truth studies pass the true factors, and
-    compare_models passes the set it built once for the spec's menu.
+    fit_models passes the set it built once for the spec's menu.
     Coins failing first-pass preconditions are dropped with reasons; fatal
     stage errors carry the spec label and stage name.
     """
@@ -327,33 +334,30 @@ def run_model(
 @dataclass(frozen=True)
 class ComparisonReport:
     """Each spec's result by label, in label order, and the pairs that
-    compare_models made as (unconditional label, conditional label)."""
+    comparison_report made as (unconditional label, conditional label)."""
 
     results: Mapping[str, ModelResult]
     pairs: tuple[tuple[str, str], ...]
     significance_z: float
 
 
-def compare_models(
+def fit_models(
     panels: Mapping[str, Panel],
     specs: Sequence[ModelSpec],
     options: PipelineOptions = PipelineOptions(),
-) -> ComparisonReport:
-    """Run every spec, pairing each conditional spec with every
-    unconditional spec sharing its factor menu, anomaly list, and risk-free
-    mode.
+) -> Iterator[ModelResult]:
+    """Each spec's ModelResult in label order, fitted as it is asked for.
 
     panels maps each risk-free mode to its Panel. Each factor menu is built
     once per panel, by the first spec in label order that uses it, and
-    shared by the rest.
+    shared by the rest. An empty spec list or a repeated label raises
+    before the first fit.
     """
     if not specs:
         raise InvalidConfig("no specs given")
     labels = [s.label for s in specs]
     if len(set(labels)) != len(labels):
         raise InvalidConfig(f"duplicate spec labels: {sorted(labels)}")
-
-    results: dict[str, ModelResult] = {}
     factor_sets: dict[tuple[tuple[str, ...], str], FactorSet] = {}
     for spec in sorted(specs, key=lambda s: s.label):
         panel = panels.get(spec.riskfree_mode)
@@ -365,8 +369,15 @@ def compare_models(
         key = (resolve_factor_names(spec.factors), spec.riskfree_mode)
         if key not in factor_sets:
             factor_sets[key] = _build_factors(panel, spec, options)
-        results[spec.label] = run_model(panel, spec, factor_sets[key], options)
+        yield run_model(panel, spec, factor_sets[key], options)
 
+
+def comparison_report(
+    results: Mapping[str, ModelResult], significance_z: float = SIGNIFICANCE_Z
+) -> ComparisonReport:
+    """The ComparisonReport of results by label, in label order, pairing
+    each conditional spec with every unconditional spec sharing its factor
+    menu, anomaly list, and risk-free mode."""
     groups: dict[tuple, dict[str, list[str]]] = {}
     for label, result in results.items():
         key = (result.spec.factors, result.spec.anomalies, result.spec.riskfree_mode)
@@ -377,4 +388,15 @@ def compare_models(
         for uncond in groups[key].get("unconditional", [])
         for cond in groups[key].get("conditional", [])
     ]
-    return ComparisonReport(results, tuple(pairs), options.significance_z)
+    return ComparisonReport(results, tuple(pairs), significance_z)
+
+
+def compare_models(
+    panels: Mapping[str, Panel],
+    specs: Sequence[ModelSpec],
+    options: PipelineOptions = PipelineOptions(),
+) -> ComparisonReport:
+    """Run every spec through fit_models and keep every result whole, R*
+    rows included, in one comparison_report."""
+    results = {r.spec.label: r for r in fit_models(panels, specs, options)}
+    return comparison_report(results, options.significance_z)

@@ -153,10 +153,8 @@ def read_table_csv(path: Path, columns: tuple) -> list[list[str]]:
     has a cell comparison.md rounds that is no number; read_csv_rows raises
     MalformedRow, naming the file and line, for text that is no UTF-8 CSV.
     """
-    if not path.exists():
-        raise InvalidConfig(f"{path} is missing, run first")
     header = [name for name, _, _ in columns]
-    with read_csv_rows(path) as reader:
+    with read_csv_rows(_existing(path)) as reader:
         rows = list(reader)
     if rows[:1] != [header]:
         found = rows[0] if rows else None
@@ -169,8 +167,15 @@ def read_table_csv(path: Path, columns: tuple) -> list[list[str]]:
             for i in rounded:
                 _g(row[i])
         except ValueError as exc:
-            raise InvalidConfig(f"{path} line {line}: {exc}") from None
+            raise InvalidConfig(f"{path}: line {line}: {exc}") from None
     return rows[1:]
+
+
+def _existing(path: Path) -> Path:
+    """path, or InvalidConfig naming it when there is no such file."""
+    if not path.exists():
+        raise InvalidConfig(f"{path} is missing, run first")
+    return path
 
 
 def write_cross_section_csv(result: ModelResult, path: str | Path) -> None:
@@ -247,7 +252,7 @@ def render_cumulative_chart(
                     raise ValueError(f"{column} {cell!r} makes its running sum non-finite")
                 points.append(total)
         except ValueError as exc:
-            raise InvalidConfig(f"{csv_path} line {line}: {exc}") from None
+            raise InvalidConfig(f"{csv_path}: line {line}: {exc}") from None
 
     width, height = 800.0, 420.0
     left, right, top, bottom = 60.0, 20.0, 50.0, 40.0
@@ -351,12 +356,12 @@ def check_labels(labels: Iterable[str]) -> None:
 
 
 def write_report_files(report: ComparisonReport, out_dir: str | Path) -> list[str]:
-    """All comparison-level and per-model files for a finished run: the
-    CSVs, then comparison.md and the charts from them by rerender_report.
-    Labels are checked with check_labels before any file is written."""
+    """The comparison-level files of a finished run: the table CSVs, then
+    comparison.md and the charts from them by rerender_report. Each model's
+    files (write_model_outputs) must be in out_dir already: run writes them
+    as each model is fitted. Labels are checked with check_labels first."""
     check_labels(report.results)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     names = []
     for name, _, columns, build in TABLES:
         with write_csv_rows(out_dir / name, [column for column, _, _ in columns]) as write:
@@ -365,27 +370,26 @@ def write_report_files(report: ComparisonReport, out_dir: str | Path) -> list[st
                 for values in build(report)
             )
         names.append(name)
-    for result in report.results.values():
-        names.extend(write_model_outputs(result, out_dir))
     return names + rerender_report(out_dir, report.significance_z)
 
 
 def rerender_report(out_dir: str | Path, significance_z: float) -> list[str]:
     """Rebuild comparison.md and every cumulative chart from the CSVs already
     present in a run directory. Produces byte-identical files because the
-    markdown and charts are functions of the CSV text alone."""
+    markdown and charts are functions of the CSV text alone. A missing
+    table or cross-section CSV raises InvalidConfig naming it before any
+    file is written."""
     out_dir = Path(out_dir)
     tables = [read_table_csv(out_dir / name, columns) for name, _, columns, _ in TABLES]
+    labels = [row[0] for row in tables[0]]  # COMPARISON_COLUMNS starts with the label
+    crosses = [_existing(out_dir / f"{slugify(label)}_crosssection.csv") for label in labels]
     markdown = markdown_report(tables, significance_z)
     (out_dir / "comparison.md").write_text(markdown, encoding="utf-8")
     names = ["comparison.md"]
-    for label, *_ in tables[0]:  # COMPARISON_COLUMNS starts with the label
-        base = slugify(label)
-        cross = out_dir / f"{base}_crosssection.csv"
-        if cross.exists():
-            name = f"{base}_cumulative.svg"
-            render_cumulative_chart(cross, out_dir / name, f"{label}: cumulative premia")
-            names.append(name)
+    for label, cross in zip(labels, crosses):
+        name = f"{slugify(label)}_cumulative.svg"
+        render_cumulative_chart(cross, out_dir / name, f"{label}: cumulative premia")
+        names.append(name)
     return names
 
 

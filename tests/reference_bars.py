@@ -124,7 +124,7 @@ def parse_market_csv(source: str | Path | io.TextIOBase, coin_id: str) -> CoinSe
 
 def write_market_csv(series: CoinSeries, path: str | Path) -> None:
     """Inverse of parse_market_csv, with repr round-trip float formatting."""
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(MARKET_HEADER)
         for bar in series.bars:
@@ -238,13 +238,13 @@ def emit_raw_files(panel: Panel, truth, out_dir: str | Path) -> None:
                                  market_cap=cap))
     write_market_csv(CoinSeries("BTC", tuple(btc_bars)), market / "BTC.csv")
 
-    with open(out / "epu.csv", "w", newline="") as handle:
+    with open(out / "epu.csv", "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(("date", "epu"))
         for date in dates:
             u = truth.u.get(date, 0.0)
             writer.writerow((date.isoformat(), repr(100.0 * math.exp(0.2 * u))))
-    with open(out / "riskfree.csv", "w", newline="") as handle:
+    with open(out / "riskfree.csv", "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(("date", "rate"))
         for date in dates:

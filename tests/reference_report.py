@@ -201,7 +201,7 @@ def pair_rows(pairs: Sequence[PairRow]) -> list[dict[str, str]]:
 def write_rows_csv(
     path: str | Path, header: Sequence[str], rows: Sequence[Mapping[str, str]]
 ) -> None:
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         for row in rows:
@@ -350,4 +350,4 @@ def write_tables(
     write_rows_csv(out_dir / "anomalies.csv", ANOMALY_HEADER, anomalies)
     write_rows_csv(out_dir / "pairs.csv", PAIR_HEADER, pair_dicts)
     markdown = markdown_report(comparison, anomalies, pair_dicts, significance_z)
-    (out_dir / "comparison.md").write_text(markdown)
+    (out_dir / "comparison.md").write_text(markdown, encoding="utf-8")

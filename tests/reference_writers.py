@@ -22,7 +22,7 @@ def write_panel_csv(panel: Panel, path: str | Path) -> None:
     """Serialize observations in (coin_id, date) order with repr round-trip
     float formatting."""
     days = [d.isoformat() for d in panel.dates]
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(PANEL_HEADER)
         for i, coin_id in enumerate(panel.coins):
@@ -50,7 +50,7 @@ def write_risk_adjusted_csv(
     """coin_id,date,risk_adjusted for every fitted coin-day; dates is the
     axis of the fits' risk_adjusted rows."""
     days = [d.isoformat() for d in dates]
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(("coin_id", "date", "risk_adjusted"))
         for fit in sorted(fits, key=lambda f: f.coin_id):
@@ -68,7 +68,7 @@ def write_first_pass_params_csv(
     fits: Sequence[FirstPassFit], path: str | Path
 ) -> None:
     """coin_id,param_name,estimate,stderr in coin then design-column order."""
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(("coin_id", "param_name", "estimate", "stderr"))
         for fit in sorted(fits, key=lambda f: f.coin_id):

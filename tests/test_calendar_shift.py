@@ -48,7 +48,7 @@ def _flow(raw, out) -> dict[str, bytes]:
     ]
     for command, config in steps:
         path = out / f"{command}.json"
-        path.write_text(json.dumps(dict(config, output_dir=str(out / command))))
+        path.write_text(json.dumps(dict(config, output_dir=str(out / command))), encoding="utf-8")
         result = CliRunner().invoke(main, [command, "--config", str(path)])
         assert result.exit_code == 0, result.output + result.stderr
     return {

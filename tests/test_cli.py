@@ -20,7 +20,7 @@ from coinfactors.synth import generate_synthetic, scenario
 
 
 def _config(path: Path, doc: dict) -> str:
-    path.write_text(json.dumps(doc, indent=2))
+    path.write_text(json.dumps(doc, indent=2), encoding="utf-8")
     return str(path)
 
 
@@ -68,7 +68,7 @@ def test_synth_ingest_run_report_flow(tmp_path):
     assert len(market) == 26  # 25 coins plus the BTC conditioning series
     assert (synth_dir / "raw" / "market" / "BTC.csv") in market
 
-    manifest = json.loads((synth_dir / "manifest.json").read_text())
+    manifest = json.loads((synth_dir / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["command"] == "synth"
     assert manifest["seed"] == 11
     assert manifest["inputs"] == {}
@@ -94,7 +94,7 @@ def test_synth_ingest_run_report_flow(tmp_path):
     assert "panel:" in result.output and "26 coins" in result.output
     assert (ingest_dir / "panel.csv").is_file()
     assert (ingest_dir / "drops.csv").is_file()
-    manifest = json.loads((ingest_dir / "manifest.json").read_text())
+    manifest = json.loads((ingest_dir / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["command"] == "ingest"
     names = {Path(key).name for key in manifest["inputs"]}
     assert names >= {"epu.csv", "riskfree.csv"}
@@ -118,7 +118,7 @@ def test_synth_ingest_run_report_flow(tmp_path):
         for suffix in ("factors", "first_pass", "risk_adjusted", "crosssection"):
             assert (run_dir / f"{label}_{suffix}.csv").is_file()
         assert (run_dir / f"{label}_cumulative.svg").is_file()
-    manifest = json.loads((run_dir / "manifest.json").read_text())
+    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["command"] == "run"
     assert {Path(key).name for key in manifest["inputs"]} == {"panel.csv"}
     assert manifest["config"]["econometrics"]["significance_z"] == 1.96
@@ -168,7 +168,7 @@ def test_synth_seed_and_output_overrides(tmp_path):
 
     plain_panel = (plain_dir / "panel.csv").read_bytes()
     assert (override_dir / "panel.csv").read_bytes() == plain_panel
-    manifest = json.loads((override_dir / "manifest.json").read_text())
+    manifest = json.loads((override_dir / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["seed"] == 7
 
 
@@ -201,7 +201,7 @@ def test_unknown_beta_characteristic_exits_2_at_config_load(tmp_path, monkeypatc
 
     monkeypatch.setattr("coinfactors.cli.read_panel_csv", no_read)
     panel_path = tmp_path / "panel.csv"
-    panel_path.write_text("")
+    panel_path.write_text("", encoding="utf-8")
     spec = {"label": "c", "factors": "CAPM",
             "beta": {"mode": "conditional", "characteristics": ["sise"]}}
     cfg = _config(tmp_path / "cfg.json", {"panel_file": str(panel_path), "specs": [spec],
@@ -284,9 +284,33 @@ def test_run_estimation_failure_exits_4(tmp_path):
     assert "capm-u" in result.stderr
 
 
+def test_run_failing_second_spec_exits_4_without_a_manifest(tmp_path):
+    """The files of each model appear as it is fitted; the manifest comes
+    last, so a run directory without one is no finished run."""
+    panel, _ = generate_synthetic(scenario("A", n_coins=6, n_days=220, seed=3))
+    panel_path = tmp_path / "panel.csv"
+    write_panel_csv(panel, panel_path)
+    specs = [  # with no floor base, 6 coins carry one anomaly but not three
+        {"label": "capm-a", "factors": "CAPM", "beta": {"mode": "unconditional"},
+         "anomalies": ["size"]},
+        {"label": "capm-b", "factors": "CAPM", "beta": {"mode": "unconditional"}},
+    ]
+    cfg = _config(
+        tmp_path / "cfg.json",
+        {"panel_file": str(panel_path), "specs": specs,
+         "pipeline": {"floor_base": 0}, "output_dir": str(tmp_path / "out")},
+    )
+    result = CliRunner().invoke(main, ["run", "--config", cfg])
+    assert result.exit_code == 4, result.output + result.stderr
+    assert "capm-b" in result.stderr
+    written = sorted(p.name for p in (tmp_path / "out").iterdir())
+    assert written == [f"capm-a_{suffix}.csv" for suffix in (
+        "crosssection", "factors", "first_pass", "risk_adjusted")]
+
+
 def test_unwritable_output_dir_exits_3(tmp_path):
     blocker = tmp_path / "blocker"
-    blocker.write_text("")
+    blocker.write_text("", encoding="utf-8")
     cfg = _config(
         tmp_path / "cfg.json",
         {
@@ -334,10 +358,10 @@ def _raw_inputs(tmp_path: Path) -> tuple[Path, dict]:
 def test_ingest_riskfree_rate_below_minus_one_exits_2(tmp_path):
     raw, doc = _raw_inputs(tmp_path)
     path = raw / "riskfree.csv"
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     date = lines[100].split(",")[0]
     lines[100] = f"{date},-1.5"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     result = CliRunner().invoke(main, ["ingest", "--config", _config(tmp_path / "i.json", doc)])
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)  # handled, no traceback
@@ -347,9 +371,9 @@ def test_ingest_riskfree_rate_below_minus_one_exits_2(tmp_path):
 def test_ingest_epu_coverage_gap_exits_2(tmp_path):
     raw, doc = _raw_inputs(tmp_path)
     path = raw / "epu.csv"
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     hole = lines[200:205]  # five consecutive days, beyond the 3-day fill limit
-    path.write_text("\n".join(lines[:200] + lines[205:]) + "\n")
+    path.write_text("\n".join(lines[:200] + lines[205:]) + "\n", encoding="utf-8")
     result = CliRunner().invoke(main, ["ingest", "--config", _config(tmp_path / "i.json", doc)])
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)  # handled, no traceback
@@ -368,7 +392,7 @@ def test_header_only_conditioning_series_exits_2(tmp_path, name, command):
     # with a header-only panel.csv, run to exit 4 at the factor stage
     raw, doc = _raw_inputs(tmp_path)
     path = raw / name
-    path.write_text(path.read_text().splitlines()[0] + "\n")
+    path.write_text(path.read_text(encoding="utf-8").splitlines()[0] + "\n", encoding="utf-8")
     if command == "run":
         doc = dict(doc, specs=_capm_specs()[:1])
     result = CliRunner().invoke(main, [command, "--config", _config(tmp_path / "c.json", doc)])
@@ -398,9 +422,9 @@ def _panel_run(tmp_path, edit):
     panel, _ = generate_synthetic(scenario("A", n_coins=6, n_days=220, seed=3))
     path = tmp_path / "panel.csv"
     write_panel_csv(panel, path)
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     edit(lines)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     cfg = _config(
         tmp_path / "cfg.json",
         {
@@ -445,7 +469,7 @@ def test_run_duplicate_panel_row_names_line_exits_2(tmp_path):
     result = _panel_run(tmp_path, lambda lines: lines.insert(31, lines[30]))
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)  # handled, no traceback
-    coin, date = (tmp_path / "panel.csv").read_text().splitlines()[31].split(",")[:2]
+    coin, date = (tmp_path / "panel.csv").read_text(encoding="utf-8").splitlines()[31].split(",")[:2]
     assert "line 32" in result.stderr
     assert coin in result.stderr and date in result.stderr
 
@@ -573,7 +597,7 @@ def test_empty_market_dir_exits_2_naming_it(tmp_path):
 def test_header_only_market_csv_exits_2_naming_it(tmp_path):
     raw, doc = _raw_inputs(tmp_path)
     header_only = raw / "market" / "EMPTY.csv"
-    header_only.write_text("date,close,volume,market_cap\n")
+    header_only.write_text("date,close,volume,market_cap\n", encoding="utf-8")
     for command, extra in [("ingest", {}), ("run", {"specs": _capm_specs()})]:
         cfg = _config(tmp_path / "e.json", {**doc, **extra})
         result = CliRunner().invoke(main, [command, "--config", cfg])
@@ -628,10 +652,10 @@ def test_run_unreadable_panel_file_exits_2_naming_it(tmp_path, text, word):
 def test_market_csv_error_names_file_and_line(tmp_path, row, message):
     raw, doc = _raw_inputs(tmp_path)
     path = raw / "market" / "C001.csv"
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     date = lines[3].split(",")[0]
     lines[3] = row.format(date=date)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     result = CliRunner().invoke(main, ["ingest", "--config", _config(tmp_path / "i.json", doc)])
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)  # handled, no traceback
@@ -639,8 +663,8 @@ def test_market_csv_error_names_file_and_line(tmp_path, row, message):
 
 
 def _cut_columns(path: Path) -> None:
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(",".join(line.split(",")[:3]) for line in lines) + "\n")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(",".join(line.split(",")[:3]) for line in lines) + "\n", encoding="utf-8")
 
 
 @pytest.mark.parametrize(
@@ -649,12 +673,12 @@ def _cut_columns(path: Path) -> None:
         ("comparison.csv", _cut_columns),
         ("pairs.csv", lambda path: path.write_bytes(path.read_bytes() + b"\xff")),
         ("anomalies.csv", lambda path: path.write_text(
-            path.read_text().splitlines()[0].replace("label", "lbl", 1) + "\n")),
+            path.read_text(encoding="utf-8").splitlines()[0].replace("label", "lbl", 1) + "\n", encoding="utf-8")),
         ("anomalies.csv", lambda path: path.write_text(
-            path.read_text().replace(",false", "", 1))),
+            path.read_text(encoding="utf-8").replace(",false", "", 1), encoding="utf-8")),
         ("comparison.csv", lambda path: path.write_text(
-            path.read_text().replace("CAPM,", "CAPM,x", 1).replace(",0.", ",x", 1))),
-        ("pairs.csv", lambda path: path.write_text('"\n')),
+            path.read_text(encoding="utf-8").replace("CAPM,", "CAPM,x", 1).replace(",0.", ",x", 1), encoding="utf-8")),
+        ("pairs.csv", lambda path: path.write_text('"\n', encoding="utf-8")),
     ],
     ids=["three-columns", "not-utf8", "renamed-header", "short-row", "not-a-number",
          "open-quote"],
@@ -673,9 +697,9 @@ def test_report_rejects_spoiled_table_exits_2_naming_it(tmp_path, synth_a, name,
 
 
 def _spoil_line_3(path: Path, spoil) -> None:
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     lines[2] = spoil(lines[2])
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 @pytest.mark.parametrize(
@@ -700,13 +724,27 @@ def test_report_rejects_spoiled_cross_section_exits_2_naming_it(
     result = _run_labels(tmp_path, synth_a[0], ["capm-u"])
     assert result.exit_code == 0, result.output + result.stderr
     path = tmp_path / "out" / "capm-u_crosssection.csv"
-    header = path.read_text().splitlines()[0].split(",")
+    header = path.read_text(encoding="utf-8").splitlines()[0].split(",")
     assert header[2] == "c_size"
     _spoil_line_3(path, spoil)
     result = CliRunner().invoke(main, ["report", "--output", str(tmp_path / "out")])
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)  # handled, no traceback
-    assert f"{path} line 3: {message.format(fields=len(header))}" in result.stderr
+    assert f"{path}: line 3: {message.format(fields=len(header))}" in result.stderr
+
+
+def test_report_missing_cross_section_exits_2_naming_it(tmp_path, synth_a):
+    result = _run_labels(tmp_path, synth_a[0], ["capm-u"])
+    assert result.exit_code == 0, result.output + result.stderr
+    run_dir = tmp_path / "out"
+    before = (run_dir / "comparison.md").read_bytes()
+    path = run_dir / "capm-u_crosssection.csv"
+    path.unlink()
+    result = CliRunner().invoke(main, ["report", "--output", str(run_dir)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    assert f"{path} is missing, run first" in result.stderr
+    assert (run_dir / "comparison.md").read_bytes() == before  # nothing rewritten
 
 
 @UNREADABLE
@@ -727,15 +765,15 @@ def test_report_rejects_cross_section_whose_running_sum_overflows(tmp_path, synt
     result = _run_labels(tmp_path, synth_a[0], ["capm-u"])
     assert result.exit_code == 0, result.output + result.stderr
     path = tmp_path / "out" / "capm-u_crosssection.csv"
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     for i in (1, 2):  # two finite cells whose sum overflows
         cells = lines[i].split(",")
         cells[2] = "1e308"
         lines[i] = ",".join(cells)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     result = CliRunner().invoke(main, ["report", "--output", str(tmp_path / "out")])
     assert result.exit_code == 2, result.output
-    assert f"{path} line 3: c_size '1e308' makes its running sum non-finite" in (
+    assert f"{path}: line 3: c_size '1e308' makes its running sum non-finite" in (
         result.stderr)
 
 

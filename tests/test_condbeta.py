@@ -314,7 +314,7 @@ def test_first_pass_param_csv(tmp_path):
     fit = first_pass(make_panel(obs), "X", fs, COND_SIZE)
     path = tmp_path / "params.csv"
     write_first_pass_params_csv([fit], path)
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "coin_id,param_name,estimate,stderr"
     assert len(lines) == 1 + fit.n_params
     first = lines[1].split(",")
@@ -327,7 +327,7 @@ def test_risk_adjusted_csv(tmp_path):
     fit = first_pass(make_panel(obs), "X", fs, COND_SIZE)
     path = tmp_path / "ra.csv"
     write_risk_adjusted_csv([fit], fs.dates, path)
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "coin_id,date,risk_adjusted"
     assert len(lines) == 1 + fit.n_obs
     row = lines[1].split(",")

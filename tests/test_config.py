@@ -9,7 +9,7 @@ from coinfactors.errors import InvalidConfig
 
 def _write(tmp_path, doc, name="config.json"):
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     return path
 
 
@@ -17,9 +17,9 @@ def _data_section(tmp_path):
     market = tmp_path / "market"
     market.mkdir(exist_ok=True)
     epu = tmp_path / "epu.csv"
-    epu.write_text("date,epu\n")
+    epu.write_text("date,epu\n", encoding="utf-8")
     rf = tmp_path / "riskfree.csv"
-    rf.write_text("date,rate\n")
+    rf.write_text("date,rate\n", encoding="utf-8")
     return {
         "market_dir": str(market),
         "epu_file": str(epu),
@@ -114,11 +114,11 @@ def test_missing_file_and_bad_json(tmp_path):
     with pytest.raises(InvalidConfig):
         load_config(tmp_path / "absent.json")
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
+    bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(InvalidConfig):
         load_config(bad)
     arr = tmp_path / "arr.json"
-    arr.write_text("[1, 2]")
+    arr.write_text("[1, 2]", encoding="utf-8")
     with pytest.raises(InvalidConfig):
         load_config(arr)
     binary = tmp_path / "binary.json"

@@ -134,7 +134,7 @@ def _document(tmp_path, level):
 
 def documents(tmp_path):
     (tmp_path / "market").mkdir(exist_ok=True)
-    (tmp_path / "epu.csv").write_text("date,epu\n")
+    (tmp_path / "epu.csv").write_text("date,epu\n", encoding="utf-8")
     return st.one_of(*(_document(tmp_path, level) for level in (0, 1, 2)))
 
 
@@ -145,12 +145,12 @@ def documents(tmp_path):
 def test_load_config_accepts_or_rejects_and_round_trips(tmp_path, data):
     doc = data.draw(documents(tmp_path))
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     try:
         cfg = load_config(path)
     except InvalidConfig:
         return
     assert isinstance(cfg, RunConfig)
     resolved = resolved_dict(cfg)
-    path.write_text(json.dumps(resolved))
+    path.write_text(json.dumps(resolved), encoding="utf-8")
     assert resolved_dict(load_config(path)) == resolved

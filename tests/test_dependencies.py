@@ -16,7 +16,7 @@ RUNTIME = {"numpy", "click"}
 
 def test_declared_runtime_dependencies():
     tomllib = pytest.importorskip("tomllib")
-    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     names = {
         re.split(r"[\s<>=!~;\[]", requirement, maxsplit=1)[0].lower()
         for requirement in project["dependencies"]
@@ -32,7 +32,7 @@ def test_declared_runtime_dependencies():
 def _imported_modules(path: Path):
     """Top-level module of every absolute import in the file, including
     imports inside functions."""
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -64,7 +64,7 @@ def test_every_export_resolves():
     assert sorted(set(coinfactors.__all__)) == sorted(coinfactors.__all__)
     assert all(name in namespace for name in coinfactors.__all__)
     # the top level exports only what the README documents
-    readme = (ROOT / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     undocumented = [
         name
         for name in coinfactors.__all__

@@ -327,7 +327,7 @@ def _probe_digest(threads):
     env["PYTHONPATH"] = str(Path(coinfactors.__file__).parents[1])
     done = subprocess.run(
         [sys.executable, "-c", _BLAS_PROBE], env=env, capture_output=True,
-        text=True, check=True, timeout=120,
+        encoding="utf-8", check=True, timeout=120,
     )
     return done.stdout.strip()
 

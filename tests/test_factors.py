@@ -284,7 +284,7 @@ def test_factor_csv_pads_missing_columns(tmp_path):
     fs = build_factor_set(panel, "CAPM")
     path = tmp_path / "factors.csv"
     write_factor_csv(fs, path)
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "date," + ",".join(FACTOR_NAMES)
     first = lines[1].split(",")
     assert first[0] == day(1).isoformat()
@@ -299,7 +299,7 @@ def test_factor_csv_skips_dropped_dates(tmp_path):
     mask[0] = False
     path = tmp_path / "factors.csv"
     write_factor_csv(dataclasses.replace(fs, mask=mask), path)
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == [day(2).isoformat()]
     assert lines[1].split(",")[1:4] == [repr(v) for v in fs.values[1].tolist()]
 

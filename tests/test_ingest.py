@@ -212,7 +212,7 @@ def test_load_coin_dir(tmp_path):
     write_market_csv(make_series("BBB", [3.0, 4.0]), tmp_path / "BBB.csv")
     coins = load_coin_dir(tmp_path)
     assert [c.coin_id for c in coins] == ["AAA", "BBB"]
-    (tmp_path / "EMPTY.csv").write_text("date,close,volume,market_cap\n")
+    (tmp_path / "EMPTY.csv").write_text("date,close,volume,market_cap\n", encoding="utf-8")
     with pytest.raises(MalformedRow, match="EMPTY.csv has a header but no data rows"):
         load_coin_dir(tmp_path)
     with pytest.raises(EmptyUniverse, match="no market CSV files"):

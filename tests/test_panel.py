@@ -501,7 +501,7 @@ def test_panel_keeps_one_value_per_date_of_a_series_grid():
 
 def _read_both(tmp_path, text):
     """read_panel_csv over text from a text stream (row parser only) and
-    from a file path (one-call parse first): the same Panel bit for bit, or
+    from a file path (fast path first): the same Panel bit for bit, or
     the same MalformedRow line and message, the path's naming the file.
     Returns the Panel or raises the stream's MalformedRow."""
     path = tmp_path / "panel.csv"
@@ -582,7 +582,7 @@ def test_panel_csv_round_trip(tmp_path):
     panel = build_panel_of_dicts(coins, epu, rf, OPTIONS)
     path = tmp_path / "panel.csv"
     write_panel_csv(panel, path)
-    header = path.read_text().splitlines()[0]
+    header = path.read_text(encoding="utf-8").splitlines()[0]
     assert header == ",".join(PANEL_HEADER)
     again = read_panel_csv(path)
     assert row_view(again).observations == row_view(panel).observations
@@ -611,6 +611,50 @@ def test_read_panel_csv_path_matches_stream(tmp_path, monkeypatch, terminator):
         with pytest.raises(MalformedRow, match="has a header but no data rows") as info:
             _read_both(tmp_path, only_header)
         assert info.value.line == 2
+
+
+@pytest.mark.parametrize("change", ["number", "appended", "cut"])
+def test_read_panel_csv_declines_a_file_that_changes_between_its_reads(
+    tmp_path, monkeypatch, change
+):
+    # the fast path reads the file twice; a change in between declines it,
+    # and the row parser then reads the file as it is after the change
+    coins, epu, rf = _inputs()
+    path = tmp_path / "panel.csv"
+    write_panel_csv(build_panel_of_dicts(coins, epu, rf, OPTIONS), path)
+    before = path.read_bytes()
+    lines = before.splitlines(keepends=True)
+    cells = lines[-1].split(b",")
+    if change == "number":
+        lines[-1] = b",".join(cells[:2] + [b"0.5"] + cells[3:])
+    elif change == "appended":  # a new coin on a date the file holds
+        lines.append(b",".join([b"ZZZ"] + cells[1:]))
+    else:
+        del lines[-1]
+    after = b"".join(lines)
+    path.write_bytes(after)
+    expected = read_panel_csv(path)
+    assert panel_module._read_panel_file(path, "tbill") is not None
+
+    reads = []
+    blocks = panel_module._line_blocks
+
+    def changing_blocks(source):
+        reads.append(source)
+        if len(reads) == 2:
+            path.write_bytes(after)
+        return blocks(source)
+
+    monkeypatch.setattr(panel_module, "_line_blocks", changing_blocks)
+    path.write_bytes(before)
+    assert panel_module._read_panel_file(path, "tbill") is None
+    reads.clear()
+    path.write_bytes(before)
+    panel = read_panel_csv(path)
+    assert len(reads) == 2
+    assert panel.coins == expected.coins and panel.dates == expected.dates
+    for name in panel_module._COLUMNS:
+        assert getattr(panel, name).tobytes() == getattr(expected, name).tobytes()
 
 
 def test_read_panel_csv_path_names_exact_undecodable_line(tmp_path):
@@ -672,6 +716,6 @@ def test_write_drop_report(tmp_path):
     panel = build_panel_of_dicts(coins, epu, rf, OPTIONS)
     path = tmp_path / "drops.csv"
     write_drop_report(panel.dropped, path)
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "coin_id,date,reason"
     assert len(lines) == len(panel.dropped) + 1

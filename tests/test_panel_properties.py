@@ -42,7 +42,7 @@ from coinfactors.panel import (
     write_panel_csv,
 )
 from coinfactors.pipeline import ModelSpec, PipelineOptions, compare_models
-from coinfactors.report import write_report_files
+from coinfactors.report import write_model_outputs, write_report_files
 from coinfactors.synth import emit_raw_files, generate_synthetic, scenario
 
 from conftest import D0, make_obs
@@ -254,8 +254,10 @@ def _run_outputs(panel):
     """Every file a run writes for RELABEL_SPECS, by name."""
     report = compare_models({panel.riskfree_mode: panel}, RELABEL_SPECS, RELABEL_OPTIONS)
     with tempfile.TemporaryDirectory() as out:
-        names = write_report_files(report, out)
-        return {name: (Path(out) / name).read_text() for name in names}
+        names = [name for result in report.results.values()
+                 for name in write_model_outputs(result, out)]
+        names += write_report_files(report, out)
+        return {name: (Path(out) / name).read_text(encoding="utf-8") for name in names}
 
 
 NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|-?inf|nan")

@@ -354,6 +354,24 @@ def test_compare_models_no_pairs_without_both_modes(synth_b):
     assert len(report.results) == 1
 
 
+def test_compare_models_keeps_r_star_and_a_run_keeps_only_its_tables(synth_b):
+    """compare_models, the in-memory API, keeps every fit's R* row; what a
+    run keeps of a model for its comparison tables has none, and gives the
+    same table rows."""
+    panel, truth = synth_b
+    report = compare_models({panel.riskfree_mode: panel}, [COND, UNCOND])
+    for label, result in report.results.items():
+        alone = run_model(panel, result.spec, factor_set=result.factor_set)
+        assert [f.risk_adjusted.tobytes() for f in result.fits] == [
+            f.risk_adjusted.tobytes() for f in alone.fits]
+    kept = {label: r.without_risk_adjusted() for label, r in report.results.items()}
+    assert all(f.risk_adjusted is None for r in kept.values() for f in r.fits)
+    slim = pipeline.comparison_report(kept, report.significance_z)
+    assert slim.pairs == report.pairs
+    for build in (comparison_rows, anomaly_rows, pair_rows):
+        assert repr(build(slim)) == repr(build(report))
+
+
 FF3_SPECS = [
     ModelSpec(label="ff3-u", factors="FF3", beta=BetaSpec(mode="unconditional")),
     ModelSpec(label="ff3-c", factors="FF3", beta=BetaSpec(mode="conditional")),

@@ -1,17 +1,17 @@
 """read_panel_csv and Panel.caps against the code they replaced
 (tests/reference_reader.py).
 
-The reader now turns each block's coin ids and date strings into integer
-codes and ranks them once at the end; the oracle carried every row's
-strings to the assembly. Written panel files, then shuffled, thinned, given
-a repeated (coin, date), quoted coin ids or bytes that send them to the row
-parser, must give both the same Panel array for array and byte for byte,
-or the same error type and text, and take the one-call parse in the same
-cases. The one exception is a file whose u_lag or rbtc_lag differs across
-one date's rows: the oracle's reader accepts it and the Panel it builds
-raises InvalidConfig, where the reader rejects it with a MalformedRow and
-its one-call parse declines it. Panel.caps must hold the bits the
-per-build cap computation gave.
+The reader now reads a regular file twice, first for its distinct coin
+ids and dates, then block by block into the Panel's grid; the oracle
+carried every row's strings and numbers to one assembly. Written panel
+files, then shuffled, thinned, given a repeated (coin, date), quoted coin
+ids or bytes that send them to the row parser, must give both the same
+Panel array for array and byte for byte, or the same error type and text,
+and take the fast path in the same cases. The one exception is a file
+whose u_lag or rbtc_lag differs across one date's rows: the oracle's
+reader accepts it and the Panel it builds raises InvalidConfig, where the
+reader rejects it with a MalformedRow and its fast path declines it.
+Panel.caps must hold the bits the per-build cap computation gave.
 """
 
 import csv
@@ -39,7 +39,7 @@ from coinfactors.panel import (
 from coinfactors.synth import generate_synthetic, scenario
 
 D0 = dt.date(2020, 12, 28)
-# plain ids take the one-call parse; csv.writer quotes the others
+# plain ids take the fast path; csv.writer quotes the others
 IDS = st.sampled_from(["BTC", "ETH", "C001", "a b", "é", "a,b", 'q"t', "n\nl", ""])
 VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e308, -1e308, 0.1, 1.0 / 3.0]),
@@ -163,7 +163,7 @@ def test_read_panel_csv_equals_oracle(tmp_path, drawn):
     # a stream takes the row parser on both sides
     _assert_agrees(_outcome(read_panel_csv, io.StringIO(text, newline=""), riskfree_mode),
                    _outcome(ref.read_panel_csv, io.StringIO(text, newline=""), riskfree_mode))
-    # and a path takes the one-call parse in the same cases
+    # and a path takes the fast path in the same cases
     fast = panel_module._read_panel_file(path, riskfree_mode)
     try:
         declined = ref._read_panel_file(path, riskfree_mode) is None

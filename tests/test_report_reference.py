@@ -15,7 +15,7 @@ from coinfactors.pipeline import (
     PipelineOptions,
     compare_models,
 )
-from coinfactors.report import rerender_report, write_report_files
+from coinfactors.report import rerender_report, write_model_outputs, write_report_files
 
 TABLE_FILES = ("comparison.csv", "anomalies.csv", "pairs.csv", "comparison.md")
 
@@ -30,7 +30,10 @@ def _by_mode(panel):
 
 def _assert_matches_reference(report, tmp_path):
     new, old = tmp_path / "new", tmp_path / "old"
+    new.mkdir()
     old.mkdir()
+    for result in report.results.values():
+        write_model_outputs(result, new)
     write_report_files(report, new)
     ref.write_tables(report.results, report.significance_z, old)
     for name in TABLE_FILES:
