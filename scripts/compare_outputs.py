@@ -13,6 +13,8 @@ tree's own src/ and perfbench/:
   sort, C4 on the coin's own lagged return, FF3LIQ over Bitcoin's return);
 - `synth` of a 200 x 365 `panel.csv` and a six-spec `run` on it
   (CAPM, FF3 and ALL, each unconditional and conditional);
+- the same six specs on an LF-ended copy of that `panel.csv`, which
+  `read_panel_csv` reads through its row parser, not its CRLF fast path;
 - `perfbench/mcpass.py` on the seed at 50 x 730.
 
 Every file written, except each `manifest.json` (it records paths and
@@ -46,6 +48,9 @@ PANEL_SPECS = [
     for menu in ("CAPM", "FF3", "ALL")
     for mode in ("unconditional", "conditional")
 ]
+# copies argv[1] to argv[2] with every CRLF line end turned into LF
+LF_COPY = ("import pathlib, sys; source, target = map(pathlib.Path, sys.argv[1:]); "
+           "target.write_bytes(source.read_bytes().replace(b'\\r\\n', b'\\n'))")
 
 
 def _steps(seed: int, out: Path) -> list[tuple[str, list[str], dict | None]]:
@@ -53,6 +58,7 @@ def _steps(seed: int, out: Path) -> list[tuple[str, list[str], dict | None]]:
     raw = out / "synth-raw" / "raw"
     data = {"market_dir": str(raw / "market"), "epu_file": str(raw / "epu.csv"),
             "riskfree_file": str(raw / "riskfree.csv")}
+    panel, lf_panel = out / "synth-panel" / "panel.csv", out / "lf-panel" / "panel.csv"
     configs = {
         "synth-raw": {"synth": {"scenario": "B", "n_coins": 30, "n_days": 730,
                                 "emit_raw": True}},
@@ -61,11 +67,13 @@ def _steps(seed: int, out: Path) -> list[tuple[str, list[str], dict | None]]:
                     "factors": {"exclude_btc_from_market": True, "min_sort_coins": 8}},
         "synth-panel": {"synth": {"scenario": "B", "n_coins": 200, "n_days": 365,
                                   "emit_raw": False}},
-        "run-panel": {"panel_file": str(out / "synth-panel" / "panel.csv"),
-                      "specs": PANEL_SPECS},
+        "run-panel": {"panel_file": str(panel), "specs": PANEL_SPECS},
+        "run-lf": {"panel_file": str(lf_panel), "specs": PANEL_SPECS},
     }
     steps = []
     for name, config in configs.items():
+        if name == "run-lf":
+            steps.append(("lf-panel", ["-c", LF_COPY, str(panel), str(lf_panel)], None))
         command = name.split("-")[0]
         config = dict(config, seed=seed, output_dir=str(out / name))
         steps.append((name, ["-m", "coinfactors.cli", command, "--config"], config))

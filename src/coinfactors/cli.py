@@ -113,8 +113,10 @@ def _write_manifest(cfg: RunConfig, out: Path, command: str, inputs, outputs) ->
     )
 
 
-def _load_inputs(cfg: RunConfig):
-    """Raw inputs for panel construction plus their content digests."""
+def _raw_panels(cfg: RunConfig, modes: set[str]) -> tuple[dict[str, Panel], dict[str, str]]:
+    """One panel per risk-free mode from the raw data, over the ranked
+    universe plus the Bitcoin series, whatever its rank, since it drives the
+    conditioning state; and the raw files' content digests."""
     if cfg.data is None:
         raise InvalidConfig("config has no data section")
     coins = load_coin_dir(cfg.data.market_dir)
@@ -127,43 +129,32 @@ def _load_inputs(cfg: RunConfig):
     market_dir = Path(cfg.data.market_dir)
     for file in sorted(market_dir.glob("*.csv")):
         digests[str(file)] = sha256_file(file)
-    return coins, epu, riskfree, digests
-
-
-def _select_universe(cfg: RunConfig, coins) -> list:
-    """Apply the ranked-universe filter, keeping the Bitcoin series in the
-    build set regardless of its rank because it drives the conditioning
-    state."""
     universe = cfg.universe
     if universe.rank_date is None:
         last = dt.date.fromordinal(max(int(series.bars["day"][-1]) for series in coins))
         universe = dataclasses.replace(universe, rank_date=last)
-    chosen = filter_universe(coins, universe)
-    keep = set(chosen) | {cfg.panel.btc_id}
-    return [series for series in coins if series.coin_id in keep]
-
-
-def _build_panels(cfg: RunConfig, modes: set[str]):
-    """One panel per risk-free mode, from a prebuilt panel file or raw data."""
-    panels: dict[str, Panel] = {}
-    digests: dict[str, str] = {}
-    if cfg.panel_file is not None:
-        mode = cfg.panel.riskfree_mode
-        missing = modes - {mode}
-        if missing:
-            raise InvalidConfig(
-                f"panel_file carries riskfree_mode {mode!r} but specs also "
-                f"need {sorted(missing)}; provide raw data instead"
-            )
-        panels[mode] = read_panel_csv(cfg.panel_file, riskfree_mode=mode)
-        digests[cfg.panel_file] = sha256_file(cfg.panel_file)
-        return panels, digests
-    coins, epu, riskfree, digests = _load_inputs(cfg)
-    selected = _select_universe(cfg, coins)
+    keep = set(filter_universe(coins, universe)) | {cfg.panel.btc_id}
+    selected = [series for series in coins if series.coin_id in keep]
+    panels = {}
     for mode in sorted(modes):
         options = dataclasses.replace(cfg.panel, riskfree_mode=mode)
         panels[mode] = build_panel(selected, epu, riskfree, options)
     return panels, digests
+
+
+def _build_panels(cfg: RunConfig, modes: set[str]):
+    """One panel per risk-free mode, from a prebuilt panel file or raw data."""
+    if cfg.panel_file is None:
+        return _raw_panels(cfg, modes)
+    mode = cfg.panel.riskfree_mode
+    missing = modes - {mode}
+    if missing:
+        raise InvalidConfig(
+            f"panel_file carries riskfree_mode {mode!r} but specs also "
+            f"need {sorted(missing)}; provide raw data instead"
+        )
+    panel = read_panel_csv(cfg.panel_file, riskfree_mode=mode)
+    return {mode: panel}, {cfg.panel_file: sha256_file(cfg.panel_file)}
 
 
 @click.group()
@@ -180,9 +171,8 @@ def cmd_ingest(config_path: str, output: str | None, seed: int | None) -> None:
     def action() -> None:
         cfg = _load(config_path, output, seed)
         out = _out_dir(cfg)
-        coins, epu, riskfree, digests = _load_inputs(cfg)
-        selected = _select_universe(cfg, coins)
-        panel = build_panel(selected, epu, riskfree, cfg.panel)
+        panels, digests = _raw_panels(cfg, {cfg.panel.riskfree_mode})
+        panel = panels[cfg.panel.riskfree_mode]
         write_panel_csv(panel, out / "panel.csv")
         write_drop_report(panel.dropped, out / "drops.csv")
         _write_manifest(cfg, out, "ingest", digests, ["panel.csv", "drops.csv"])

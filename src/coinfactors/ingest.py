@@ -312,6 +312,6 @@ def load_coin_dir(directory: str | Path) -> tuple[CoinSeries, ...]:
     for path in paths:
         series = parse_market_csv(path, path.stem)
         if not series.bars.size:
-            raise MalformedRow(2, f"{path} has a header but no data rows")
+            raise MalformedRow(2, "the file has a header but no data rows", path=path)
         coins.append(series)
     return tuple(coins)

@@ -20,7 +20,7 @@ import operator
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -592,30 +592,15 @@ def build_panel(
     )
 
 
-def _panel_of(
-    coins: Sequence[str], dates: Sequence[dt.date], rows, cols, columns,
-    u: np.ndarray, r_btc: np.ndarray, riskfree_mode: str, dropped: Sequence[Drop] = (),
-) -> Panel:
-    """The Panel of a coin-day table and the two series on its dates: entry
-    k of each of columns (the numbers in PANEL_HEADER order up to u_lag) is
-    coins[rows[k]] on dates[cols[k]]."""
-    shape = (len(coins), len(dates))
-    mask = np.zeros(shape, dtype=bool)
-    mask[rows, cols] = True
-    grid = np.zeros((_SERIES_AT,) + shape)
-    grid[:, rows, cols] = columns
-    return _grid_panel(coins, dates, mask, grid, u, r_btc, riskfree_mode, dropped)
-
-
 def _grid_panel(
     coins: Sequence[str], dates: Sequence[dt.date], mask: np.ndarray, grid: np.ndarray,
-    u: np.ndarray, r_btc: np.ndarray, riskfree_mode: str, dropped: Sequence[Drop] = (),
+    u: np.ndarray, r_btc: np.ndarray, riskfree_mode: str,
 ) -> Panel:
     """The Panel whose ret, excess, z and raw are the layers of grid, in
     PANEL_HEADER order up to u_lag."""
     n = len(CHARACTERISTIC_NAMES)
     ret, excess, z, raw = grid[0], grid[1], grid[2 : 2 + n], grid[2 + n :]
-    return Panel(coins, dates, mask, ret, excess, z, raw, u, r_btc, riskfree_mode, dropped)
+    return Panel(coins, dates, mask, ret, excess, z, raw, u, r_btc, riskfree_mode)
 
 
 _HEADER_LINE = ",".join(PANEL_HEADER) + "\r\n"
@@ -663,14 +648,15 @@ def read_panel_csv(
     A file laid out as write_panel_csv writes it is read twice, its
     numbers parsed by np.loadtxt a block at a time (_read_panel_file). Any
     other file, and every text stream, goes through the row parser, which
-    alone accepts, rejects and words the errors.
+    alone accepts, rejects and words the errors. Both routes sort the axes
+    with _axes and place the rows with _scatter.
     """
     if isinstance(source, (str, Path)):
         panel = _read_panel_file(source, riskfree_mode)
         if panel is not None:
             return panel
     with read_csv_rows(source) as rows:
-        return _assemble_panel(*_read_panel_rows(rows), riskfree_mode)
+        return _read_panel_rows(rows, riskfree_mode)
 
 
 _SIZE_AT = PANEL_HEADER.index("size_raw") - 2  # position among the numbers
@@ -729,13 +715,9 @@ def _read_panel_file(path: str | Path, riskfree_mode: str) -> Panel | None:
             n_rows += len(lines)
         if not n_rows:
             return None
-        dated = sorted((parse_iso_date(day), day) for day in days)
-        coin_at = {coin_id: i for i, coin_id in enumerate(sorted(coin_ids))}
-        day_at = {day: j for j, (_, day) in enumerate(dated)}
-        mask = np.zeros((len(coin_at), len(day_at)), dtype=bool)
-        grid = np.zeros((_SERIES_AT,) + mask.shape)
-        series = np.empty((2, n_rows))  # each row's u_lag and rbtc_lag
-        cols = np.empty(n_rows, dtype=np.intp)  # and its date
+        coins, coin_at = _axes(coin_ids)
+        dates, day_at = _axes(days, parse_iso_date)
+        placed = _placement(len(coins), len(dates), n_rows)
         start = 0
         for k, lines in enumerate(_line_blocks(path)):
             if k >= len(hashes) or hash("".join(lines)) != hashes[k]:
@@ -751,21 +733,49 @@ def _read_panel_file(path: str | Path, riskfree_mode: str) -> Panel | None:
             if not all(map(_is_market_cap, size[np.abs(size) > 700.0].tolist())):
                 return None
             rows = np.fromiter(map(coin_at.__getitem__, block_coins), np.intp, len(lines))
-            span = slice(start, start + len(lines))
-            cols[span] = np.fromiter(map(day_at.__getitem__, block_days), np.intp, len(lines))
-            mask[rows, cols[span]] = True
-            grid[:, rows, cols[span]] = table.T[:_SERIES_AT]
-            series[:, span] = table.T[_SERIES_AT:]
-            start = span.stop
+            cols = np.fromiter(map(day_at.__getitem__, block_days), np.intp, len(lines))
+            start = _scatter(placed, start, rows, cols, table)
     except ValueError:  # UnicodeDecodeError is one too
         return None
     if k + 1 != len(hashes):  # the file got shorter
         return None
-    (u, r_btc), odd = _one_per_date(series, cols, len(day_at))
+    mask, grid, series, cols = placed
+    (u, r_btc), odd = _one_per_date(series, cols, len(dates))
     if odd is not None or int(mask.sum()) != n_rows:  # or a (coin_id, date) repeats
         return None
-    dates = [date for date, _ in dated]
-    return _grid_panel(list(coin_at), dates, mask, grid, u, r_btc, riskfree_mode)
+    return _grid_panel(coins, dates, mask, grid, u, r_btc, riskfree_mode)
+
+
+def _axes(keys: Iterable, parse=None) -> tuple[list, dict]:
+    """The sorted values of the distinct keys, parse(key) or the key itself,
+    and a dict from each key, in the order given, to its value's position."""
+    at = dict.fromkeys(keys)
+    ranked = sorted(at, key=parse)
+    for i, key in enumerate(ranked):
+        at[key] = i
+    return ranked if parse is None else list(map(parse, ranked)), at
+
+
+def _placement(n_coins: int, n_dates: int, n_rows: int) -> tuple:
+    """The empty (mask, grid, series, cols) that _scatter fills with n_rows
+    rows: grid holds the layers of PANEL_HEADER up to u_lag, series each
+    row's u_lag and rbtc_lag, and cols each row's date."""
+    mask = np.zeros((n_coins, n_dates), dtype=bool)
+    grid = np.zeros((_SERIES_AT,) + mask.shape)
+    return mask, grid, np.empty((2, n_rows)), np.empty(n_rows, dtype=np.intp)
+
+
+def _scatter(placed: tuple, start: int, rows, cols, table: np.ndarray) -> int:
+    """Place table's rows on _placement's arrays as rows start on, where
+    table[k] holds the numbers in PANEL_HEADER order of coin rows[k] on
+    date cols[k]; returns the row after the last."""
+    mask, grid, series, row_cols = placed
+    span = slice(start, start + len(table))
+    mask[rows, cols] = True
+    grid[:, rows, cols] = table.T[:_SERIES_AT]
+    series[:, span] = table.T[_SERIES_AT:]
+    row_cols[span] = cols
+    return span.stop
 
 
 def _line_blocks(path: str | Path) -> Iterator[list[str]]:
@@ -776,11 +786,11 @@ def _line_blocks(path: str | Path) -> Iterator[list[str]]:
         yield from iter(lambda: handle.readlines(_BLOCK_CHARS), [])
 
 
-def _read_panel_rows(rows) -> tuple[dict, dict, array, array, np.ndarray, np.ndarray]:
-    """Each data row's coin_id and date, as codes in order of first sight,
-    and numbers, checked row by row and kept in one float array; then the
-    u_lag and rbtc_lag series by date code, checked to hold one value per
-    date."""
+def _read_panel_rows(rows, riskfree_mode: str) -> Panel:
+    """The Panel of panel rows: each data row's coin_id and date are kept
+    as codes in order of first sight and its numbers, checked row by row,
+    in one float array; then the u_lag and rbtc_lag series are checked to
+    hold one value per date."""
     header = next(rows, None)
     if header is None or tuple(header) != PANEL_HEADER:
         raise MalformedRow(1, f"header {header!r}, expected {list(PANEL_HEADER)!r}")
@@ -823,47 +833,26 @@ def _read_panel_rows(rows) -> tuple[dict, dict, array, array, np.ndarray, np.nda
         values.extend(numbers)
     if not values:
         raise MalformedRow(2, "the file has a header but no data rows")
-    del seen  # a set of every row's key: free it before the series check
+    del seen  # a set of every row's key: free it before the Panel's grid
     table = np.frombuffer(values).reshape(-1, len(PANEL_HEADER) - 2)
-    series, odd = _one_per_date(table.T[_SERIES_AT:], dates, len(date_code))
+    coin_ids, coin_at = _axes(coin_code)
+    days, day_at = _axes(date_code)
+    rows = np.fromiter(coin_at.values(), np.intp, len(coin_at))[np.frombuffer(coins, np.int64)]
+    cols = np.fromiter(day_at.values(), np.intp, len(day_at))[np.frombuffer(dates, np.int64)]
+    placed = _placement(len(coin_ids), len(days), len(table))
+    _scatter(placed, 0, rows, cols, table)
+    del table, values
+    mask, grid, series, _ = placed
+    (u, r_btc), odd = _one_per_date(series, cols, len(days))
     if odd is not None:
         m, k, j = odd
-        at, coin_ids = _SERIES_AT + m, list(coin_code)
         line, first = (2 + i + bisect.bisect_right(blanks, i) for i in (k, j))
         raise MalformedRow(line, (
-            f"{PANEL_HEADER[2 + at]} {float(table[k, at])!r} of {coin_ids[coins[k]]} on "
-            f"{list(date_code)[dates[k]]} differs from {float(table[j, at])!r} of "
-            f"{coin_ids[coins[j]]} on line {first}: the series holds one value per date"))
-    return coin_code, date_code, coins, dates, table, series
-
-
-def _assemble_panel(
-    coin_code: Mapping[str, int],
-    date_code: Mapping[dt.date, int],
-    coins: array,
-    dates: array,
-    table: np.ndarray,
-    series: np.ndarray,
-    riskfree_mode: str,
-) -> Panel:
-    """The Panel of parsed panel rows: row k is the coin coded coins[k] on
-    the date coded dates[k], with table[k] the numbers in PANEL_HEADER
-    order, and series[:, c] the u_lag and rbtc_lag of the date coded c."""
-    coin_ids, rows, _ = _decode(coin_code, coins)
-    days, cols, order = _decode(date_code, dates)
-    u, r_btc = series[:, order]
-    return _panel_of(coin_ids, days, rows, cols, table.T[:_SERIES_AT], u, r_btc,
-                     riskfree_mode)
-
-
-def _decode(code: Mapping, codes: array) -> tuple[list, np.ndarray, np.ndarray]:
-    """The sorted keys of code, each of codes as its key's position among
-    them, and the codes in key order."""
-    keys = sorted(code)
-    order = np.array([code[key] for key in keys], dtype=np.intp)
-    rank = np.empty(len(keys), dtype=np.intp)
-    rank[order] = np.arange(len(keys))
-    return keys, rank[np.frombuffer(codes, dtype=np.int64)], order
+            f"{PANEL_HEADER[2 + _SERIES_AT + m]} {float(series[m, k])!r} of "
+            f"{coin_ids[rows[k]]} on {days[cols[k]]} differs from "
+            f"{float(series[m, j])!r} of {coin_ids[rows[j]]} on line {first}: "
+            "the series holds one value per date"))
+    return _grid_panel(coin_ids, days, mask, grid, u, r_btc, riskfree_mode)
 
 
 def _is_market_cap(size_raw: float) -> bool:

@@ -98,7 +98,7 @@ class PipelineOptions:
             )
         if self.floor_base < 0:
             raise InvalidConfig(f"floor_base {self.floor_base} must be non-negative")
-        if self.significance_z < 0:
+        if not self.significance_z >= 0:
             raise InvalidConfig(
                 f"significance_z {self.significance_z} must be non-negative"
             )

@@ -77,7 +77,7 @@ class SynthConfig:
             raise InvalidConfig(f"n_days {self.n_days} below the 200-day minimum")
         if self.n_coins < 1:
             raise InvalidConfig("n_coins must be positive")
-        if self.noise_vol < 0:
+        if not self.noise_vol >= 0:
             raise InvalidConfig("noise_vol must be non-negative")
         if not (0.0 <= self.epu_phi < 1.0 and 0.0 <= self.char_phi < 1.0):
             raise InvalidConfig("AR(1) persistence must lie in [0, 1)")

@@ -15,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 from coinfactors.cli import main
-from coinfactors.panel import write_panel_csv
+from coinfactors.panel import PANEL_HEADER, write_panel_csv
 from coinfactors.synth import generate_synthetic, scenario
 
 
@@ -382,6 +382,24 @@ def test_ingest_epu_coverage_gap_exits_2(tmp_path):
     assert hole[3].split(",")[0] in result.stderr
     assert lines[199].split(",")[0] in result.stderr
     assert "ffill_limit_days" in result.stderr
+
+
+def test_ingest_builds_from_data_beside_a_panel_file(tmp_path):
+    # ingest reads the raw data alone: a panel_file in the same config, here
+    # a header-only one that run would reject, is neither read nor recorded
+    raw, doc = _raw_inputs(tmp_path)
+    panel_file = tmp_path / "header-only.csv"
+    panel_file.write_text(",".join(PANEL_HEADER) + "\n", encoding="utf-8")
+    built = {}
+    for name, extra in [("plain", {}), ("beside", {"panel_file": str(panel_file)})]:
+        out = tmp_path / name
+        cfg = _config(tmp_path / f"{name}.json", {**doc, **extra, "output_dir": str(out)})
+        result = CliRunner().invoke(main, ["ingest", "--config", cfg])
+        assert result.exit_code == 0, result.output + result.stderr
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        built[name] = (out / "panel.csv").read_bytes(), manifest["inputs"]
+    assert built["beside"] == built["plain"]
+    assert str(raw / "epu.csv") in built["plain"][1]
 
 
 @pytest.mark.parametrize("name, command", [

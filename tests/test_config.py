@@ -384,6 +384,7 @@ def test_option_classes_hold_the_range_checks():
         UniverseConfig(min_history_days=-1)
     with pytest.raises(InvalidConfig):
         FactorOptions(min_sort_coins=0)
-    for bad in ({"min_obs_margin": 0}, {"floor_base": -1}, {"significance_z": -1.0}):
+    for bad in ({"min_obs_margin": 0}, {"floor_base": -1}, {"significance_z": -1.0},
+                {"significance_z": float("nan")}):
         with pytest.raises(InvalidConfig):
             PipelineOptions(**bad)

@@ -213,8 +213,10 @@ def test_load_coin_dir(tmp_path):
     coins = load_coin_dir(tmp_path)
     assert [c.coin_id for c in coins] == ["AAA", "BBB"]
     (tmp_path / "EMPTY.csv").write_text("date,close,volume,market_cap\n", encoding="utf-8")
-    with pytest.raises(MalformedRow, match="EMPTY.csv has a header but no data rows"):
+    empty = "EMPTY.csv: line 2: the file has a header but no data rows"
+    with pytest.raises(MalformedRow, match=empty) as info:
         load_coin_dir(tmp_path)
+    assert info.value.path == tmp_path / "EMPTY.csv"
     with pytest.raises(EmptyUniverse, match="no market CSV files"):
         load_coin_dir(tmp_path / "none")
 

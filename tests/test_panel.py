@@ -604,7 +604,7 @@ def test_read_panel_csv_path_matches_stream(tmp_path, monkeypatch, terminator):
     row_parses = []
     parse_rows = panel_module._read_panel_rows
     monkeypatch.setattr(panel_module, "_read_panel_rows",
-                        lambda rows: row_parses.append(1) or parse_rows(rows))
+                        lambda *args: row_parses.append(1) or parse_rows(*args))
     assert len(_read_both(tmp_path, text).coins) == len(coins)
     assert len(row_parses) == (1 if terminator == "\r\n" else 2)  # stream's own
     for only_header in (header + "\r\n", header + "\r\n\r\n"):

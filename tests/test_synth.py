@@ -115,6 +115,8 @@ def test_synth_config_validation():
     with pytest.raises(InvalidConfig):
         SynthConfig(n_coins=5, n_days=250, seed=0, noise_vol=-0.1)
     with pytest.raises(InvalidConfig):
+        SynthConfig(n_coins=5, n_days=250, seed=0, noise_vol=float("nan"))
+    with pytest.raises(InvalidConfig):
         SynthConfig(n_coins=5, n_days=250, seed=0, epu_phi=1.0)
     with pytest.raises(InvalidConfig):
         SynthConfig(n_coins=5, n_days=250, seed=0, factor_names=("gold",))
