@@ -11,9 +11,11 @@ errors: silent repair upstream turns into unexplainable numbers downstream.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import csv
 import datetime as dt
+import functools
 import io
 from dataclasses import dataclass
 from pathlib import Path
@@ -141,12 +143,21 @@ def write_csv_rows(path: str | Path, header: Sequence[str]) -> Iterator[Callable
 
 
 def _undecodable_line(path: str | Path) -> int:
-    """The line of the first byte of a file that is not UTF-8, 0 if none."""
-    data = Path(path).read_bytes()
+    """The line of the first byte of a file that is not UTF-8, 0 if none,
+    decoding the file 64 KiB at a time."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    line = 1
+    with open(path, "rb") as handle:
+        for chunk in iter(functools.partial(handle.read, 1 << 16), b""):
+            try:
+                decoder.decode(chunk)
+            except UnicodeDecodeError as exc:  # exc.object: held bytes, then chunk
+                return line + exc.object.count(b"\n", 0, exc.start)
+            line += chunk.count(b"\n")
     try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        return data.count(b"\n", 0, exc.start) + 1
+        decoder.decode(b"", final=True)
+    except UnicodeDecodeError:  # a character cut off by the end of the file
+        return line
     return 0
 
 

@@ -10,14 +10,14 @@ the conditioning values carry an explicit one-day lag.
 
 from __future__ import annotations
 
-import bisect
+import contextlib
 import csv
 import datetime as dt
 import functools
 import io
+import itertools
 import math
 import operator
-from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -34,7 +34,7 @@ from .errors import (
     MissingCharacteristic,
     TooShort,
 )
-from .ingest import CoinSeries, parse_iso_date, read_csv_rows, write_csv_rows
+from .ingest import CoinSeries, _undecodable_line, parse_iso_date, write_csv_rows
 
 CHARACTERISTIC_NAMES = ("size", "momentum", "liquidity", "value")
 
@@ -268,15 +268,16 @@ class Panel:
     def _date_vector(self, name: str, grid: np.ndarray) -> np.ndarray:
         """The one value per date of a (coins, dates) grid of a series."""
         rows, cols = np.nonzero(self.mask)
-        (vector,), odd = _one_per_date(grid[None, rows, cols], cols, len(self.dates))
+        vector, first = np.zeros((1, len(self.dates))), np.full((1, len(self.dates)), -1)
+        odd = _one_per_date(vector, first, grid[None, rows, cols], cols, rows[None])
         if odd is not None:
-            _, k, first = odd
+            k = odd[0]
             raise InvalidConfig(
                 f"panel {name} of {self.coins[rows[k]]} on {self.dates[cols[k]]} is "
-                f"{float(grid[rows[k], cols[k]])!r}, where {self.coins[rows[first]]} has "
-                f"{float(vector[cols[k]])!r}: the series holds one value per date"
+                f"{float(grid[rows[k], cols[k]])!r}, where {self.coins[first[0, cols[k]]]} "
+                f"has {float(vector[0, cols[k]])!r}: the series holds one value per date"
             )
-        return vector
+        return vector[0]
 
     @functools.cached_property
     def caps(self) -> np.ndarray:
@@ -295,22 +296,23 @@ class Panel:
         return caps
 
 
-def _one_per_date(values: np.ndarray, cols, n_dates: int):
-    """Series that hold one value per date, from a (series, entries) array
-    whose entry k lies on date cols[k], every date having an entry: each
-    date takes its first entry's values. Returns these (series, n_dates)
-    vectors and None, or, when an entry's bits differ from its date's first
-    in some series, (series, entry, first entry of its date) for the first
-    such entry. Bits, so that -0.0 differs from 0.0."""
-    cols = np.asarray(cols)
-    first = np.full(n_dates, cols.size)
-    np.minimum.at(first, cols, np.arange(cols.size))
-    vectors = values[:, first]
-    odd = np.argwhere((values.view(np.int64) != vectors[:, cols].view(np.int64)).T)
-    if not odd.size:
-        return vectors, None
-    k, m = odd[0].tolist()
-    return vectors, (m, k, int(first[cols[k]]))
+def _one_per_date(
+    series: np.ndarray, first: np.ndarray, values: np.ndarray, cols, labels: np.ndarray
+) -> tuple[int, int] | None:
+    """Check entries in order against each date's first: entry k holds
+    values[:, k] of each series on date cols[k] and carries labels[:, k].
+    series (series, dates) holds each date's first entry's values, and
+    first (labels, dates) its labels, first[0] being -1 until a date's
+    first entry comes. Returns (k, m) for the first entry k whose bits
+    differ from its date's in series m, or None. Bits, so that -0.0
+    differs from 0.0."""
+    at = np.full(first.shape[1], len(cols))
+    np.minimum.at(at, cols, np.arange(len(cols)))
+    new = (first[0] < 0) & (at < len(cols))
+    series[:, new] = values[:, at[new]]
+    first[:, new] = labels[:, at[new]]
+    odd = np.argwhere((values.view(np.int64) != series[:, cols].view(np.int64)).T)
+    return tuple(odd[0].tolist()) if odd.size else None
 
 
 def characteristic_index(name: str) -> int:
@@ -592,18 +594,7 @@ def build_panel(
     )
 
 
-def _grid_panel(
-    coins: Sequence[str], dates: Sequence[dt.date], mask: np.ndarray, grid: np.ndarray,
-    u: np.ndarray, r_btc: np.ndarray, riskfree_mode: str,
-) -> Panel:
-    """The Panel whose ret, excess, z and raw are the layers of grid, in
-    PANEL_HEADER order up to u_lag."""
-    n = len(CHARACTERISTIC_NAMES)
-    ret, excess, z, raw = grid[0], grid[1], grid[2 : 2 + n], grid[2 + n :]
-    return Panel(coins, dates, mask, ret, excess, z, raw, u, r_btc, riskfree_mode)
-
-
-_HEADER_LINE = ",".join(PANEL_HEADER) + "\r\n"
+_HEADER_LINE = ",".join(PANEL_HEADER) + "\r\n"  # the first line write_panel_csv writes
 
 
 def write_panel_csv(panel: Panel, path: str | Path) -> None:
@@ -643,174 +634,211 @@ def read_panel_csv(
     with no data rows below it. u_lag and rbtc_lag are market-wide, so
     every row of a date must hold the same bits in each: once every row
     has passed, the first row that differs from its date's first row
-    raises MalformedRow naming both lines, the coin and the date.
+    raises MalformedRow naming both lines, the coin and the date. Text that
+    is not UTF-8 is rejected before any row is checked: a file names the
+    line of its first bad byte, a stream the line after the last it gave.
 
-    A file laid out as write_panel_csv writes it is read twice, its
-    numbers parsed by np.loadtxt a block at a time (_read_panel_file). Any
-    other file, and every text stream, goes through the row parser, which
-    alone accepts, rejects and words the errors. Both routes sort the axes
-    with _axes and place the rows with _scatter.
+    The text is read twice (_read_twice). A text stream is held as its
+    lines, and so is a file whose text differs on the second read.
     """
-    if isinstance(source, (str, Path)):
-        panel = _read_panel_file(source, riskfree_mode)
-        if panel is not None:
-            return panel
-    with read_csv_rows(source) as rows:
-        return _read_panel_rows(rows, riskfree_mode)
+    path = source if isinstance(source, (str, Path)) else None
+    held: list[str] = []
+    try:
+        if path is None:
+            held.extend(source)  # on a decode error, held keeps the lines above it
+        else:
+            opened = functools.partial(open, path, newline="", encoding="utf-8")
+            panel = _read_twice(opened, riskfree_mode)
+            if panel is not None:
+                return panel
+            with opened() as handle:  # the file changed between its reads
+                held.extend(handle)
+        return _read_twice(lambda: contextlib.nullcontext(held), riskfree_mode)
+    except UnicodeDecodeError as exc:
+        line = len(held) + 1 if path is None else _undecodable_line(path)
+        raise MalformedRow(line, f"not UTF-8 text: {exc.reason}", path) from None
+    except MalformedRow as exc:
+        exc.path = path
+        raise
 
 
 _SIZE_AT = PANEL_HEADER.index("size_raw") - 2  # position among the numbers
 # a quote or NUL needs the csv reader's judgement; loadtxt skips U+001C-U+001F
 # around a number as whitespace, where float() rejects them
 _IRREGULAR = '"\x00\x1c\x1d\x1e\x1f'
-_BLOCK_CHARS = 1 << 16  # size hint of the line blocks fed to loadtxt
+_BLOCK_ROWS = 256  # the rows of a block, the unit of both reads
 _split_keys = operator.methodcaller("split", ",", 2)
 
 
-def _read_panel_file(path: str | Path, riskfree_mode: str) -> Panel | None:
-    """The Panel of a panel file in write_panel_csv's layout, its numbers
-    parsed by np.loadtxt one block of lines at a time; None for any file
-    the row parser must judge. Raises only what opening the file raises.
+def _read_twice(open_lines, riskfree_mode: str) -> Panel | None:
+    """The Panel of the panel text whose lines open_lines() opens, read
+    twice in the blocks of _blocks; None when a block's text differs on
+    the second read (the file changed in between).
 
-    The file is read twice, in the same blocks of lines. The first read
-    checks each block and gathers the distinct coin ids and date strings,
-    which rank the Panel's axes. The second parses each block's numbers and
-    scatters them straight into the Panel's grid, so no table of every
-    row's numbers is held beside it. A block whose text hashes otherwise on
-    the second read (the file changed in between) declines the file.
+    The first read gathers the distinct coin ids and dates, which rank the
+    Panel's axes, each block's hash and the number of plain blocks. The
+    second trusts that number and puts each block's rows straight into the
+    Panel's grid, so no table of every row's numbers is held beside it.
+    Each block's u_lag and rbtc_lag are checked against each date's first
+    row; the first row that differs is raised once every row has passed.
+    """
+    coin_ids: set[str] = set()
+    days: set[str] = set()
+    hashes = []
+    plain = 0
+    # the second read raises a MalformedRow of _blocks after the rows above it
+    with open_lines() as lines, contextlib.suppress(MalformedRow):
+        for _, digest, is_plain, block in _blocks(lines):
+            hashes.append(digest)
+            plain += is_plain
+            if is_plain:
+                block_coins, block_days, _ = zip(*map(_split_keys, block))
+            else:
+                block = [row for row in block if len(row) == len(PANEL_HEADER)]
+                block_coins, block_days = [r[0] for r in block], [r[1] for r in block]
+            coin_ids.update(block_coins)
+            days.update(block_days)
+    coins, coin_at = _axes(coin_ids)
+    dates, day_at = _axes(days, parse_iso_date)
+    mask = np.zeros((len(coins), len(dates)), dtype=bool)
+    grid = np.zeros((_SERIES_AT,) + mask.shape)
+    series = np.zeros((2, len(dates)))  # each date's u_lag and rbtc_lag
+    first = np.full((2, len(dates)), -1)  # the line and coin of its first row
+    odd = None
+    expected = iter(hashes)
+    with open_lines() as lines:
+        for line, digest, is_plain, block in _blocks(lines, plain):
+            if digest != next(expected, None):
+                return None
+            placed = _parsed(block, line, coin_at, day_at, mask) if is_plain else None
+            rows, cols, at, table = placed or _rows(
+                csv.reader(block) if is_plain else block, line, coin_at, day_at, mask
+            )
+            mask[rows, cols] = True
+            grid[:, rows, cols] = table.T[:_SERIES_AT]
+            labels = np.stack([at, rows])
+            found = _one_per_date(series, first, table.T[_SERIES_AT:], cols, labels)
+            if found is not None and odd is None:
+                k, m = found
+                j = cols[k]
+                odd = MalformedRow(int(at[k]), (
+                    f"{PANEL_HEADER[2 + _SERIES_AT + m]} {float(table[k, _SERIES_AT + m])!r} "
+                    f"of {coins[rows[k]]} on {dates[j]} differs from {float(series[m, j])!r} "
+                    f"of {coins[first[1, j]]} on line {first[0, j]}: "
+                    "the series holds one value per date"))
+    if next(expected, None) is not None:  # the text got shorter
+        return None
+    if not mask.any():
+        raise MalformedRow(2, "the file has a header but no data rows")
+    if odd is not None:
+        raise odd
+    n = len(CHARACTERISTIC_NAMES)
+    ret, excess, z, raw = grid[0], grid[1], grid[2 : 2 + n], grid[2 + n :]
+    return Panel(coins, dates, mask, ret, excess, z, raw, *series, riskfree_mode)
 
-    A block qualifies when every line ends in CRLF and is no longer than
-    the csv module's field limit, the block holds 13 commas a line (so no
-    line reaches loadtxt empty), and no character of _IRREGULAR occurs: the
-    csv reader then splits each line at its commas.
-    loadtxt takes the numbers after the second comma and rejects a line
-    whose count differs. Where loadtxt and float() both take a cell they
+
+def _blocks(lines: Iterable[str], plain: int | None = None) -> Iterator[tuple]:
+    """The data rows of panel text, given as its lines, in blocks of up to
+    _BLOCK_ROWS rows: (line of the first row, hash of the block's text,
+    whether the block is plain, the block), where a row's line is its
+    record's number. The header record, read by csv, must be PANEL_HEADER.
+
+    A plain block is a list of lines, each ending in CRLF with 13 commas,
+    no character of _IRREGULAR and no more characters than the csv field
+    limit: the csv reader would split them at their commas. Blocks are
+    plain up to the first that is not, or for the first `plain` blocks when
+    given; from there one csv.reader reads the rest, a block is a list of
+    its records, and a csv.Error raises MalformedRow once the records above
+    it are yielded.
+    """
+    lines = iter(lines)
+    reader = csv.reader(lines)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise MalformedRow(reader.line_num, str(exc)) from None
+    if header is None or tuple(header) != PANEL_HEADER:
+        raise MalformedRow(1, f"header {header!r}, expected {list(PANEL_HEADER)!r}")
+    line, read = 2, reader.line_num  # the next record's line, the lines of text read
+    blocks = iter(lambda: list(itertools.islice(lines, _BLOCK_ROWS)), [])
+    for k, block in enumerate(blocks):
+        text = "".join(block)
+        is_plain = k < plain if plain is not None else (
+            text.count("\r\n") == len(block)
+            and text.count(",") == (len(PANEL_HEADER) - 1) * len(block)
+            and max(map(len, block)) <= csv.field_size_limit()
+            and not any(c in text for c in _IRREGULAR)
+        )
+        if not is_plain:
+            break
+        yield line, hash(text), True, block
+        line += len(block)
+        read += len(block)
+    else:
+        return
+    taken: list[str] = []  # the lines of text of the records read for a block
+    reader = csv.reader(taken.append(text) or text for text in itertools.chain(block, lines))
+    while True:
+        records, error = [], None
+        try:
+            records.extend(itertools.islice(reader, _BLOCK_ROWS))  # kept on an error
+        except csv.Error as exc:
+            error = MalformedRow(read + reader.line_num, str(exc))
+        if records:
+            yield line, hash("".join(taken)), False, records
+        if error is not None:
+            raise error
+        if len(records) < _BLOCK_ROWS:
+            return
+        line += len(records)
+        taken.clear()
+
+
+def _parsed(lines: list[str], line: int, coin_at: dict, day_at: dict, mask: np.ndarray):
+    """The rows, cols, lines and numbers of a plain block whose first row
+    is on the given line, the numbers parsed by np.loadtxt; None when _rows
+    must check the block: loadtxt rejects a cell, a number or cap fails its
+    check, a date has no column, or a (coin_id, date) is on mask already or
+    repeats in the block. Where loadtxt and float() both take a cell they
     give the same bits, and comments=None keeps loadtxt from cutting a cell
     at #; a cell only float() takes (1_0, a non-ASCII digit) fails loadtxt.
     """
-    limit = csv.field_size_limit()
-    width = len(PANEL_HEADER) - 2
-    hashes = []  # of each block's text, the header line first
-    coin_ids: set[str] = set()
-    days: set[str] = set()
-    n_rows = 0
+    block_coins, block_days, rest = zip(*map(_split_keys, lines))
     try:
-        for lines in _line_blocks(path):
-            block = "".join(lines)
-            hashes.append(hash(block))
-            if len(hashes) == 1:
-                if block != _HEADER_LINE:
-                    return None
-                continue
-            if (
-                block.count("\r\n") != len(lines)
-                or block.count(",") != (width + 1) * len(lines)
-                or max(map(len, lines)) > limit
-                or any(c in block for c in _IRREGULAR)
-            ):
-                return None
-            block_coins, block_days, _ = zip(*map(_split_keys, lines))
-            coin_ids.update(block_coins)
-            days.update(block_days)
-            n_rows += len(lines)
-        if not n_rows:
-            return None
-        coins, coin_at = _axes(coin_ids)
-        dates, day_at = _axes(days, parse_iso_date)
-        placed = _placement(len(coins), len(dates), n_rows)
-        start = 0
-        for k, lines in enumerate(_line_blocks(path)):
-            if k >= len(hashes) or hash("".join(lines)) != hashes[k]:
-                return None
-            if k == 0:
-                continue
-            block_coins, block_days, rest = zip(*map(_split_keys, lines))
-            table = np.loadtxt(rest, delimiter=",", comments=None, dtype=float, ndmin=2)
-            if table.shape != (len(lines), width) or not np.isfinite(table).all():
-                return None
-            size = table[:, _SIZE_AT]
-            # exp of anything within +-700 is a positive finite float
-            if not all(map(_is_market_cap, size[np.abs(size) > 700.0].tolist())):
-                return None
-            rows = np.fromiter(map(coin_at.__getitem__, block_coins), np.intp, len(lines))
-            cols = np.fromiter(map(day_at.__getitem__, block_days), np.intp, len(lines))
-            start = _scatter(placed, start, rows, cols, table)
-    except ValueError:  # UnicodeDecodeError is one too
+        table = np.loadtxt(rest, delimiter=",", comments=None, dtype=float, ndmin=2)
+    except ValueError:
         return None
-    if k + 1 != len(hashes):  # the file got shorter
+    size = table[:, _SIZE_AT]
+    rows = np.fromiter(map(coin_at.__getitem__, block_coins), np.intp, len(lines))
+    cols = np.fromiter(map(day_at.get, block_days, itertools.repeat(-1)), np.intp, len(lines))
+    keys = np.sort(rows * mask.shape[1] + cols)
+    if (
+        not np.isfinite(table).all()
+        # exp of anything within +-700 is a positive finite float
+        or not all(map(_is_market_cap, size[np.abs(size) > 700.0].tolist()))
+        or (cols < 0).any()
+        or mask[rows, cols].any()
+        or (keys[1:] == keys[:-1]).any()
+    ):
         return None
-    mask, grid, series, cols = placed
-    (u, r_btc), odd = _one_per_date(series, cols, len(dates))
-    if odd is not None or int(mask.sum()) != n_rows:  # or a (coin_id, date) repeats
-        return None
-    return _grid_panel(coins, dates, mask, grid, u, r_btc, riskfree_mode)
+    return rows, cols, np.arange(line, line + len(lines)), table
 
 
-def _axes(keys: Iterable, parse=None) -> tuple[list, dict]:
-    """The sorted values of the distinct keys, parse(key) or the key itself,
-    and a dict from each key, in the order given, to its value's position."""
-    at = dict.fromkeys(keys)
-    ranked = sorted(at, key=parse)
-    for i, key in enumerate(ranked):
-        at[key] = i
-    return ranked if parse is None else list(map(parse, ranked)), at
-
-
-def _placement(n_coins: int, n_dates: int, n_rows: int) -> tuple:
-    """The empty (mask, grid, series, cols) that _scatter fills with n_rows
-    rows: grid holds the layers of PANEL_HEADER up to u_lag, series each
-    row's u_lag and rbtc_lag, and cols each row's date."""
-    mask = np.zeros((n_coins, n_dates), dtype=bool)
-    grid = np.zeros((_SERIES_AT,) + mask.shape)
-    return mask, grid, np.empty((2, n_rows)), np.empty(n_rows, dtype=np.intp)
-
-
-def _scatter(placed: tuple, start: int, rows, cols, table: np.ndarray) -> int:
-    """Place table's rows on _placement's arrays as rows start on, where
-    table[k] holds the numbers in PANEL_HEADER order of coin rows[k] on
-    date cols[k]; returns the row after the last."""
-    mask, grid, series, row_cols = placed
-    span = slice(start, start + len(table))
-    mask[rows, cols] = True
-    grid[:, rows, cols] = table.T[:_SERIES_AT]
-    series[:, span] = table.T[_SERIES_AT:]
-    row_cols[span] = cols
-    return span.stop
-
-
-def _line_blocks(path: str | Path) -> Iterator[list[str]]:
-    """The header line of a UTF-8 file, as a one-line block, then its
-    remaining lines in blocks of about _BLOCK_CHARS characters."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        yield [handle.readline()]
-        yield from iter(lambda: handle.readlines(_BLOCK_CHARS), [])
-
-
-def _read_panel_rows(rows, riskfree_mode: str) -> Panel:
-    """The Panel of panel rows: each data row's coin_id and date are kept
-    as codes in order of first sight and its numbers, checked row by row,
-    in one float array; then the u_lag and rbtc_lag series are checked to
-    hold one value per date."""
-    header = next(rows, None)
-    if header is None or tuple(header) != PANEL_HEADER:
-        raise MalformedRow(1, f"header {header!r}, expected {list(PANEL_HEADER)!r}")
-    day_of: dict[str, dt.date] = {}
-    seen: set[tuple[str, dt.date]] = set()
-    coin_code: dict[str, int] = {}
-    date_code: dict[dt.date, int] = {}
-    coins, dates = array("q"), array("q")
-    values = array("d")
-    blanks = array("q")  # the number of data rows above each blank row
-    for line, row in enumerate(rows, start=2):
+def _rows(records: Iterable[list[str]], line: int, coin_at: dict, day_at: dict,
+          mask: np.ndarray):
+    """The rows, cols, lines and numbers of a block's records, the first on
+    the given line, each checked as read_panel_csv checks a row; blank
+    records are skipped. Each row marks its cell on mask, so that a later
+    row repeating its (coin_id, date) fails."""
+    cells, values = [], []
+    for line, row in enumerate(records, start=line):
         if not row:
-            blanks.append(len(coins))
             continue
         if len(row) != len(PANEL_HEADER):
             raise MalformedRow(line, f"{len(row)} fields, expected {len(PANEL_HEADER)}")
         try:
-            date = day_of.get(row[1])
-            if date is None:
-                date = day_of[row[1]] = parse_iso_date(row[1])
+            if row[1] not in day_at:  # every date that parses has a column
+                parse_iso_date(row[1])
             numbers = [float(x) for x in row[2:]]
         except ValueError as exc:
             raise MalformedRow(line, str(exc)) from None
@@ -822,37 +850,26 @@ def _read_panel_rows(rows, riskfree_mode: str) -> Panel:
                 f"size_raw {numbers[_SIZE_AT]!r}: exp(size_raw) is no positive finite "
                 "market cap",
             )
-        key = (row[0], date)
-        if key in seen:
-            raise MalformedRow(
-                line, f"duplicate observation of {row[0]} on {date.isoformat()}"
-            )
-        seen.add(key)
-        coins.append(coin_code.setdefault(row[0], len(coin_code)))
-        dates.append(date_code.setdefault(date, len(date_code)))
-        values.extend(numbers)
-    if not values:
-        raise MalformedRow(2, "the file has a header but no data rows")
-    del seen  # a set of every row's key: free it before the Panel's grid
-    table = np.frombuffer(values).reshape(-1, len(PANEL_HEADER) - 2)
-    coin_ids, coin_at = _axes(coin_code)
-    days, day_at = _axes(date_code)
-    rows = np.fromiter(coin_at.values(), np.intp, len(coin_at))[np.frombuffer(coins, np.int64)]
-    cols = np.fromiter(day_at.values(), np.intp, len(day_at))[np.frombuffer(dates, np.int64)]
-    placed = _placement(len(coin_ids), len(days), len(table))
-    _scatter(placed, 0, rows, cols, table)
-    del table, values
-    mask, grid, series, _ = placed
-    (u, r_btc), odd = _one_per_date(series, cols, len(days))
-    if odd is not None:
-        m, k, j = odd
-        line, first = (2 + i + bisect.bisect_right(blanks, i) for i in (k, j))
-        raise MalformedRow(line, (
-            f"{PANEL_HEADER[2 + _SERIES_AT + m]} {float(series[m, k])!r} of "
-            f"{coin_ids[rows[k]]} on {days[cols[k]]} differs from "
-            f"{float(series[m, j])!r} of {coin_ids[rows[j]]} on line {first}: "
-            "the series holds one value per date"))
-    return _grid_panel(coin_ids, days, mask, grid, u, r_btc, riskfree_mode)
+        i, j = coin_at[row[0]], day_at[row[1]]
+        if mask[i, j]:
+            raise MalformedRow(line, f"duplicate observation of {row[0]} on {row[1]}")
+        mask[i, j] = True
+        cells.append((i, j, line))
+        values.append(numbers)
+    rows, cols, lines = np.array(cells, np.intp).reshape(-1, 3).T
+    return rows, cols, lines, np.array(values).reshape(-1, len(PANEL_HEADER) - 2)
+
+
+def _axes(keys: Iterable, parse=None) -> tuple[list, dict]:
+    """The sorted values of the distinct keys, parse(key) or the key itself,
+    and a dict from each key to its value's position. A key that parse
+    rejects with ValueError is left out: its row fails _rows."""
+    values = {}
+    for key in keys:
+        with contextlib.suppress(ValueError):
+            values[key] = key if parse is None else parse(key)
+    ranked = sorted(values, key=values.__getitem__)
+    return [values[key] for key in ranked], {key: i for i, key in enumerate(ranked)}
 
 
 def _is_market_cap(size_raw: float) -> bool:

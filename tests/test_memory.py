@@ -1,17 +1,21 @@
 """Memory the panel reader, the panel build and the factor build may use,
 and a module no command imports.
 
-read_panel_csv reads a regular file twice: once for its coin ids and
-dates, then block by block into the Panel's grid, so no table of every
-row's numbers is held beside the grid. Its traced peak is the grid, each
-row's two series values and date, and one block: about 1.6 times the
-Panel's array bytes on a dense 200 x 365 panel. One np.loadtxt table of
-the whole file held beside the grid read 2.61 times there; the bound is 2.
-The row parser, which takes any irregular file,
-keeps its numbers in one float array: as a list of float lists per row
-they lifted its peak to about 8 times, and the bound there is 4. A factor
-build reads the panel's cached caps, so a second build on one panel takes
-no exponential at all.
+read_panel_csv reads every file twice in blocks of 256 rows: once for its
+coin ids and dates, then block by block into the Panel's grid, so no table
+of every row's numbers, and no array of every row's series values or
+dates, is held beside the grid. Its traced peak is the grid, the sets of
+coin ids and dates, and one block: about 1.09 times the Panel's array
+bytes on a dense 200 x 365 panel, where one np.loadtxt table of the whole
+file held beside the grid read 2.61 times and per-row series values and
+dates 1.59 times; the bound is 1.5. A file whose blocks go to the csv
+reader and the row checks (a quoted coin id sends every block after it
+there) peaks at about 2.0 times on a 60 x 200 panel, against 3.3 times
+for the row parser that kept every row's numbers and a set of every
+row's key; the bound there is 3. Finding the line of a byte that is not
+UTF-8 decodes the file 64 KiB at a time, where decoding it whole held
+two copies of it. A factor build reads the panel's cached caps, so a
+second build on one panel takes no exponential at all.
 
 build_panel scatters each coin's kept coin-days straight into the Panel's
 grid and writes the z-scores into its z layers, so its traced peak is the
@@ -37,7 +41,12 @@ import numpy as np
 import pytest
 
 from coinfactors.factors import build_factor_set
-from coinfactors.ingest import load_coin_dir, parse_epu_csv, parse_riskfree_csv
+from coinfactors.ingest import (
+    _undecodable_line,
+    load_coin_dir,
+    parse_epu_csv,
+    parse_riskfree_csv,
+)
 from coinfactors.panel import (
     _COLUMNS,
     CHARACTERISTIC_NAMES,
@@ -48,8 +57,8 @@ from coinfactors.panel import (
 )
 from coinfactors.synth import emit_raw_files, generate_synthetic, scenario
 
-PEAK_PER_PANEL_BYTE = 2.0
-ROW_PARSER_PEAK_PER_PANEL_BYTE = 4.0
+PEAK_PER_PANEL_BYTE = 1.5
+ROW_PARSER_PEAK_PER_PANEL_BYTE = 3.0
 BUILD_PEAK_PER_PANEL_BYTE = 4.0
 
 
@@ -96,12 +105,27 @@ def test_row_parser_traced_peak_is_bounded_by_the_panel(tmp_path):
     path = tmp_path / "panel.csv"
     write_panel_csv(_dense_panel(60, 200), path)  # 12,000 rows
     lines = path.read_bytes().split(b"\r\n")
-    lines[1] = b'"' + lines[1].replace(b",", b'",', 1)  # a quote takes the row parser
+    lines[1] = b'"' + lines[1].replace(b",", b'",', 1)  # every block goes to csv
     path.write_bytes(b"\r\n".join(lines))
     panel, peak = _traced_read(path)
     assert panel.coins[0] == "C0000" and panel.mask.all()
     bound = ROW_PARSER_PEAK_PER_PANEL_BYTE * _panel_bytes(panel)
     assert peak <= bound, (peak, _panel_bytes(panel))
+
+
+def test_finding_an_undecodable_line_holds_no_copy_of_the_file(tmp_path):
+    path = tmp_path / "panel.csv"
+    lines = [b"C0001,2020-01-01," + b"0.1234567890123," * 11 + b"0.5\r\n"] * 20_000
+    lines[-3] = b"\xff" + lines[-3]  # 4 MB of text in, near its end
+    path.write_bytes(b"".join(lines))
+    tracemalloc.start()
+    try:
+        line = _undecodable_line(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert line == 19_998
+    assert peak < 2**20, peak
 
 
 def test_second_factor_build_takes_no_exponential(monkeypatch):

@@ -500,10 +500,10 @@ def test_panel_keeps_one_value_per_date_of_a_series_grid():
 
 
 def _read_both(tmp_path, text):
-    """read_panel_csv over text from a text stream (row parser only) and
-    from a file path (fast path first): the same Panel bit for bit, or
-    the same MalformedRow line and message, the path's naming the file.
-    Returns the Panel or raises the stream's MalformedRow."""
+    """read_panel_csv over text from a text stream (its lines held) and
+    from a file path (read twice): the same Panel bit for bit, or the same
+    MalformedRow line and message, the path's naming the file. Returns the
+    Panel or raises the stream's MalformedRow."""
     path = tmp_path / "panel.csv"
     path.write_text(text, encoding="utf-8", newline="")
     try:
@@ -595,18 +595,19 @@ def test_panel_csv_round_trip(tmp_path):
 @pytest.mark.parametrize("terminator", ["\r\n", "\n"])
 def test_read_panel_csv_path_matches_stream(tmp_path, monkeypatch, terminator):
     # a file that write_panel_csv could have written, and the same data
-    # rows ended by LF, which only the row parser reads; also the header alone
+    # rows ended by LF, which only the row checks read; also the header alone
     coins, epu, rf = _inputs()
     path = tmp_path / "panel.csv"
     write_panel_csv(build_panel_of_dicts(coins, epu, rf, OPTIONS), path)
     header, rows = path.read_bytes().decode("utf-8").split("\r\n", 1)
     text = header + "\r\n" + rows.replace("\r\n", terminator)
-    row_parses = []
-    parse_rows = panel_module._read_panel_rows
-    monkeypatch.setattr(panel_module, "_read_panel_rows",
-                        lambda *args: row_parses.append(1) or parse_rows(*args))
+    assert text.count(terminator) <= panel_module._BLOCK_ROWS  # one block
+    row_checks = []
+    check_rows = panel_module._rows
+    monkeypatch.setattr(panel_module, "_rows",
+                        lambda *args: row_checks.append(1) or check_rows(*args))
     assert len(_read_both(tmp_path, text).coins) == len(coins)
-    assert len(row_parses) == (1 if terminator == "\r\n" else 2)  # stream's own
+    assert len(row_checks) == (0 if terminator == "\r\n" else 2)  # path's, stream's
     for only_header in (header + "\r\n", header + "\r\n\r\n"):
         with pytest.raises(MalformedRow, match="has a header but no data rows") as info:
             _read_both(tmp_path, only_header)
@@ -617,8 +618,8 @@ def test_read_panel_csv_path_matches_stream(tmp_path, monkeypatch, terminator):
 def test_read_panel_csv_declines_a_file_that_changes_between_its_reads(
     tmp_path, monkeypatch, change
 ):
-    # the fast path reads the file twice; a change in between declines it,
-    # and the row parser then reads the file as it is after the change
+    # the reader reads the file twice; a change in between declines those
+    # reads, and the file is read again, as held text, as it is after the change
     coins, epu, rf = _inputs()
     path = tmp_path / "panel.csv"
     write_panel_csv(build_panel_of_dicts(coins, epu, rf, OPTIONS), path)
@@ -634,24 +635,22 @@ def test_read_panel_csv_declines_a_file_that_changes_between_its_reads(
     after = b"".join(lines)
     path.write_bytes(after)
     expected = read_panel_csv(path)
-    assert panel_module._read_panel_file(path, "tbill") is not None
 
     reads = []
-    blocks = panel_module._line_blocks
+    blocks = panel_module._blocks
 
-    def changing_blocks(source):
-        reads.append(source)
+    def changing_blocks(lines, *plain):
+        reads.append(lines)
         if len(reads) == 2:
             path.write_bytes(after)
-        return blocks(source)
+        return blocks(lines, *plain)
 
-    monkeypatch.setattr(panel_module, "_line_blocks", changing_blocks)
-    path.write_bytes(before)
-    assert panel_module._read_panel_file(path, "tbill") is None
-    reads.clear()
+    monkeypatch.setattr(panel_module, "_blocks", changing_blocks)
+    monkeypatch.setattr(panel_module, "_rows", None)  # every block stays plain
     path.write_bytes(before)
     panel = read_panel_csv(path)
-    assert len(reads) == 2
+    assert len(reads) == 4  # the file twice, then its held text twice
+    assert [isinstance(lines, list) for lines in reads] == [False, False, True, True]
     assert panel.coins == expected.coins and panel.dates == expected.dates
     for name in panel_module._COLUMNS:
         assert getattr(panel, name).tobytes() == getattr(expected, name).tobytes()
@@ -670,6 +669,21 @@ def test_read_panel_csv_path_names_exact_undecodable_line(tmp_path):
         read_panel_csv(path)
     assert info.value.line == 50 and info.value.path == path
     assert "not UTF-8" in str(info.value)
+
+
+def test_read_panel_csv_rejects_text_that_is_not_utf8_before_any_row(tmp_path):
+    # the first read decodes the whole file before the second checks a row,
+    # so a bad byte on line 5,000 wins over a bad number on line 3
+    days = [(dt.date(2020, 1, 1) + dt.timedelta(days=j)).isoformat() for j in range(250)]
+    rows = [[f"C{i:02d}", day] + ["1.0"] * 12 for i in range(20) for day in days]
+    rows[1][4] = "x"
+    lines = _csv_text([PANEL_HEADER, *rows]).encode("utf-8").splitlines(keepends=True)
+    lines[4999] = b"\xff" + lines[4999]
+    path = tmp_path / "panel.csv"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(MalformedRow) as info:
+        read_panel_csv(path)
+    assert str(info.value) == f"{path}: line 5000: not UTF-8 text: invalid start byte"
 
 
 # cells the two parsers judge apart: loadtxt would cut 1.0#x at # under its

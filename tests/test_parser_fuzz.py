@@ -4,9 +4,9 @@ starts as valid rows (none, or some, ended by CRLF or LF), then some cells
 are swapped for awkward tokens and some raw bytes are spliced in anywhere,
 the header included.
 
-A panel file path may take the fast path, while a text stream always
-takes the row parser, so the same text read both ways must give the same
-Panel bit for bit, or the same MalformedRow line and message. The EPU and
+A panel file path is read from the file and a text stream from its held
+lines, so the same text read both ways must give the same Panel bit for
+bit, or the same MalformedRow line and message. The EPU and
 risk-free parsers must give the rows, or the error type and message, of
 the dict-returning parsers they replaced (tests/reference_levels.py),
 whatever the row order and wherever a date repeats."""
@@ -161,7 +161,7 @@ def test_panel_path_reads_as_its_text_stream(tmp_path, spoiled):
 
 
 def test_panel_path_parses_numbers_as_float_does(tmp_path, monkeypatch):
-    # cells both parsers take, in a file laid out for the fast path
+    # cells both parsers take, in a file laid out for np.loadtxt
     cells = ["1e-320", "-0.0", " 1.5", "2.5 ", "+3", "4.", ".5", "\u30006",
              "1e308", "0.1", "\xa07"]
     rows = [["A", f"2020-01-{i + 1:02d}"] + [cell] * 6 + ["15.0"] + [cell] * 5
@@ -170,8 +170,8 @@ def test_panel_path_parses_numbers_as_float_does(tmp_path, monkeypatch):
     csv.writer(text).writerows([PANEL_HEADER, *rows])
     path = tmp_path / "panel.csv"
     path.write_text(text.getvalue(), encoding="utf-8", newline="")
-    with monkeypatch.context() as patch:  # the row parser must not run
-        patch.setattr(panel_module, "_read_panel_rows", None)
+    with monkeypatch.context() as patch:  # no row is checked one at a time
+        patch.setattr(panel_module, "_rows", None)
         panel = read_panel_csv(path)
     expected = np.array([float(cell) for cell in cells])
     assert panel.ret[0].tobytes() == expected.tobytes()

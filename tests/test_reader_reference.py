@@ -1,17 +1,20 @@
 """read_panel_csv and Panel.caps against the code they replaced
 (tests/reference_reader.py).
 
-The reader now reads a regular file twice, first for its distinct coin
-ids and dates, then block by block into the Panel's grid; the oracle
-carried every row's strings and numbers to one assembly. Written panel
-files, then shuffled, thinned, given a repeated (coin, date), quoted coin
-ids or bytes that send them to the row parser, must give both the same
-Panel array for array and byte for byte, or the same error type and text,
-and take the fast path in the same cases. The one exception is a file
-whose u_lag or rbtc_lag differs across one date's rows: the oracle's
-reader accepts it and the Panel it builds raises InvalidConfig, where the
-reader rejects it with a MalformedRow and its fast path declines it.
-Panel.caps must hold the bits the per-build cap computation gave.
+The reader now reads every file and stream twice in blocks of rows,
+first for its distinct coin ids and dates, then block by block into the
+Panel's grid; the oracle had a fast path and a row parser, and carried
+every row's strings and numbers to one assembly. Written panel files,
+then shuffled, thinned, given a repeated (coin, date), quoted coin ids or
+bytes that its fast path declines, must give both the same Panel array
+for array and byte for byte, or the same error type and text; a file the
+oracle's fast path takes is never checked row by row. The files of up to
+20 rows are one block; longer ones put a quoted line break, an irregular
+tail or two errors around and across the block boundaries. The one
+exception is a file whose u_lag or rbtc_lag differs across one date's
+rows: the oracle's reader accepts it and the Panel it builds raises
+InvalidConfig, where the reader rejects it with a MalformedRow. Panel.caps
+must hold the bits the per-build cap computation gave.
 """
 
 import csv
@@ -39,7 +42,7 @@ from coinfactors.panel import (
 from coinfactors.synth import generate_synthetic, scenario
 
 D0 = dt.date(2020, 12, 28)
-# plain ids take the fast path; csv.writer quotes the others
+# plain ids give plain blocks; csv.writer quotes the others
 IDS = st.sampled_from(["BTC", "ETH", "C001", "a b", "é", "a,b", 'q"t', "n\nl", ""])
 VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e308, -1e308, 0.1, 1.0 / 3.0]),
@@ -53,7 +56,7 @@ SIZES = st.one_of(
     st.floats(-745.1, 709.78),
 )
 BAD_SIZES = ["709.7827128933841", "709.79", "-745.2", "-760.0"]
-# what sends a file to the row parser, or is rejected there
+# what sends a block to the row checks, or is rejected there
 IRREGULAR = ["LF", "blank", "size", "\x00", "\x1c", '"', "1_0", " 1.0", "nan", "1e999"]
 SERIES_RULE = "the series holds one value per date"
 SETTINGS = settings(max_examples=200, deadline=None,
@@ -160,26 +163,35 @@ def test_read_panel_csv_equals_oracle(tmp_path, drawn):
     path.write_bytes(text.encode("utf-8", "surrogatepass"))
     _assert_agrees(_outcome(read_panel_csv, path, riskfree_mode),
                    _outcome(ref.read_panel_csv, path, riskfree_mode))
-    # a stream takes the row parser on both sides
+    # a stream takes the oracle's row parser
     _assert_agrees(_outcome(read_panel_csv, io.StringIO(text, newline=""), riskfree_mode),
                    _outcome(ref.read_panel_csv, io.StringIO(text, newline=""), riskfree_mode))
-    # and a path takes the fast path in the same cases
-    fast = panel_module._read_panel_file(path, riskfree_mode)
+    # and a path is checked row by row where the oracle's fast path declines
+    # it, unless it holds no data row or breaks only the series rule
+    with mock.patch.object(panel_module, "_rows", wraps=panel_module._rows) as rows:
+        new = _outcome(read_panel_csv, path, riskfree_mode)
     try:
         declined = ref._read_panel_file(path, riskfree_mode) is None
-    except InvalidConfig as exc:  # the row parser then rejects the file
+    except InvalidConfig as exc:  # its Panel rejects the series before any repeat
         assert str(exc).endswith(SERIES_RULE)
-        declined = True
-    assert (fast is None) == declined
+        # every row passed the oracle's checks but a repeat, which the oracle's
+        # row parser raises and the reader too, each before the series rule
+        old = _outcome(ref.read_panel_csv, io.StringIO(text, newline=""), riskfree_mode)
+        declined = not _series_rule(old)
+        assert new[0] is MalformedRow
+        assert new[1].endswith(old[1] if declined else SERIES_RULE)
+    empty = new == (MalformedRow, f"{path}: line 2: the file has a header but no data rows")
+    assert rows.called == (declined and not empty)
 
 
 @SETTINGS
 @given(panel=panels(), data=st.data())
 def test_read_panel_csv_rejects_what_the_oracle_panel_rejects(tmp_path, panel, data):
     """A written file with one u_lag or rbtc_lag cell redrawn: where the
-    oracle's Panel rejects it, both routes raise a MalformedRow for the
-    first row whose series bits differ from its date's first row; where
-    another row on that date holds the same bits, or none, both read it."""
+    oracle's Panel rejects it, a path and a stream both raise a MalformedRow
+    for the first row whose series bits differ from its date's first row;
+    where another row on that date holds the same bits, or none, both read
+    it."""
     path = tmp_path / "panel.csv"
     write_panel_csv(panel, path)
     header, *rows = csv.reader(io.StringIO(path.read_bytes().decode("utf-8"), newline=""))
@@ -211,10 +223,76 @@ def test_read_panel_csv_equals_oracle_on_a_written_synthetic_panel(tmp_path):
     panel = generate_synthetic(scenario("B", n_coins=12, n_days=200, seed=4))[0]
     path = tmp_path / "panel.csv"
     write_panel_csv(panel, path)
-    assert panel_module._read_panel_file(path, "tbill") is not None
-    new = _outcome(read_panel_csv, path, "tbill")
+    with mock.patch.object(panel_module, "_rows", wraps=panel_module._rows) as rows:
+        new = _outcome(read_panel_csv, path, "tbill")
+    assert not rows.called  # np.loadtxt parses every block
     assert new == _outcome(ref.read_panel_csv, path, "tbill")
     assert new == _outcome(lambda *_: panel, path, "tbill")
+
+
+def _written_lines(tmp_path):
+    """The header and the 897 data lines, CRLF ended, of a written scenario-B
+    panel: four blocks of rows, the last one short."""
+    panel = generate_synthetic(scenario("B", n_coins=3, n_days=300, seed=4))[0]
+    path = tmp_path / "panel.csv"
+    write_panel_csv(panel, path)
+    header, *lines = path.read_bytes().decode("utf-8").splitlines(keepends=True)
+    assert len(lines) == 897 and panel_module._BLOCK_ROWS == 256
+    return header, lines
+
+
+def _assert_reads_as_oracle(path, text):
+    path.write_text(text, encoding="utf-8", newline="")
+    new = _outcome(read_panel_csv, path, "tbill")
+    assert new == _outcome(ref.read_panel_csv, path, "tbill")
+    return new
+
+
+@pytest.mark.parametrize("k", [0, 254, 255, 256, 257, 510, 511, 512, 896])
+def test_read_panel_csv_reads_a_line_break_in_a_quoted_id_at_any_row(tmp_path, k):
+    # the quoted id's record spans two lines of text, one of them maybe the
+    # last line of a block of rows, and is a new coin's one observation
+    header, lines = _written_lines(tmp_path)
+    lines[k] = '"n\nl' + lines[k][lines[k].index(","):].replace(",", '",', 1)
+    new = _assert_reads_as_oracle(tmp_path / "panel.csv", header + "".join(lines))
+    assert "n\nl" in new[0]
+
+
+@pytest.mark.parametrize("tail", ["LF", "quoted"])
+@pytest.mark.parametrize("k", [300, 512, 896])
+def test_read_panel_csv_reads_plain_blocks_then_an_irregular_tail(tmp_path, tail, k):
+    header, lines = _written_lines(tmp_path)
+    if tail == "LF":
+        lines[k:] = [line.replace("\r\n", "\n") for line in lines[k:]]
+    else:  # csv.writer would not quote these ids
+        lines[k:] = ['"' + line.replace(",", '",', 1) for line in lines[k:]]
+    new = _assert_reads_as_oracle(tmp_path / "panel.csv", header + "".join(lines))
+    assert len(new[0]) == 3
+
+
+def test_read_panel_csv_raises_a_repeat_just_above_a_nul_in_one_block(tmp_path):
+    header, lines = _written_lines(tmp_path)
+    lines[300] = lines[299]
+    lines[301] = lines[301].replace(",", ",\x00", 3)
+    new = _assert_reads_as_oracle(tmp_path / "panel.csv", header + "".join(lines))
+    coin, day = lines[300].split(",")[:2]
+    assert new[1].endswith(f"line 302: duplicate observation of {coin} on {day}")
+
+
+@pytest.mark.parametrize("bad, long", [(100, 600), (600, 100)])
+def test_read_panel_csv_raises_the_first_of_a_bad_number_and_an_over_long_field(
+    tmp_path, bad, long
+):
+    # the over-long field stops the csv reader; the bad number fails np.loadtxt
+    # and then the row checks
+    header, lines = _written_lines(tmp_path)
+    for k, cell in ((bad, "x1.0"), (long, "9" * 200_000)):
+        cells = lines[k].split(",")
+        cells[4] = cell
+        lines[k] = ",".join(cells)
+    new = _assert_reads_as_oracle(tmp_path / "panel.csv", header + "".join(lines))
+    expected = ("could not convert" if bad < long else "field larger than field limit")
+    assert f"line {min(bad, long) + 2}: {expected}" in new[1]
 
 
 def _old_caps(panel):
