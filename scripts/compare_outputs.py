@@ -13,10 +13,10 @@ tree's own src/ and perfbench/:
   sort, C4 on the coin's own lagged return, FF3LIQ over Bitcoin's return);
 - `synth` of a 200 x 365 `panel.csv` and a six-spec `run` on it
   (CAPM, FF3 and ALL, each unconditional and conditional);
-- the same six specs on a copy of that `panel.csv` whose lines end in LF
-  after its first 10,000 data lines, which `read_panel_csv` reads in
-  `np.loadtxt` blocks up to there and through the csv reader and its row
-  checks from there on;
+- the same six specs on a copy of that `panel.csv` whose lines end in LF,
+  with the coin id of every data line after the first 10,000 quoted, which
+  `read_panel_csv` reads in `np.loadtxt` blocks up to there and through the
+  csv reader and its row checks from there on;
 - `perfbench/mcpass.py` on the seed at 50 x 730.
 
 Every file written, except each `manifest.json` (it records paths and
@@ -50,12 +50,13 @@ PANEL_SPECS = [
     for menu in ("CAPM", "FF3", "ALL")
     for mode in ("unconditional", "conditional")
 ]
-# copies argv[1] to argv[2] with every CRLF line end after the header and the
-# first 10,000 data lines turned into LF
+# copies argv[1] to argv[2] with every CRLF line end turned into LF and the
+# coin id of every data line after the header and the first 10,000 quoted
 LF_COPY = ("import pathlib, sys; source, target = map(pathlib.Path, sys.argv[1:]); "
            "*head, tail = source.read_bytes().split(b'\\r\\n', 10_001); "
-           "target.write_bytes(b''.join(line + b'\\r\\n' for line in head) "
-           "+ tail.replace(b'\\r\\n', b'\\n'))")
+           "target.write_bytes(b''.join(line + b'\\n' for line in head) + b''.join("
+           "b'\"' + line.replace(b',', b'\",', 1) + b'\\n' "
+           "for line in tail.split(b'\\r\\n')[:-1]))")
 
 
 def _steps(seed: int, out: Path) -> list[tuple[str, list[str], dict | None]]:

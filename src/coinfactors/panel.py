@@ -594,9 +594,6 @@ def build_panel(
     )
 
 
-_HEADER_LINE = ",".join(PANEL_HEADER) + "\r\n"  # the first line write_panel_csv writes
-
-
 def write_panel_csv(panel: Panel, path: str | Path) -> None:
     """Serialize observations in (coin_id, date) order with repr round-trip
     float formatting, through write_csv_rows: each coin's rows go out as one
@@ -676,21 +673,20 @@ def _read_twice(open_lines, riskfree_mode: str) -> Panel | None:
     the second read (the file changed in between).
 
     The first read gathers the distinct coin ids and dates, which rank the
-    Panel's axes, each block's hash and the number of plain blocks. The
-    second trusts that number and puts each block's rows straight into the
+    Panel's axes, each block's hash and whether it is plain. The second
+    trusts those verdicts and puts each block's rows straight into the
     Panel's grid, so no table of every row's numbers is held beside it.
     Each block's u_lag and rbtc_lag are checked against each date's first
     row; the first row that differs is raised once every row has passed.
     """
     coin_ids: set[str] = set()
     days: set[str] = set()
-    hashes = []
-    plain = 0
+    hashes, verdicts = [], []
     # the second read raises a MalformedRow of _blocks after the rows above it
     with open_lines() as lines, contextlib.suppress(MalformedRow):
         for _, digest, is_plain, block in _blocks(lines):
             hashes.append(digest)
-            plain += is_plain
+            verdicts.append(is_plain)
             if is_plain:
                 block_coins, block_days, _ = zip(*map(_split_keys, block))
             else:
@@ -707,7 +703,7 @@ def _read_twice(open_lines, riskfree_mode: str) -> Panel | None:
     odd = None
     expected = iter(hashes)
     with open_lines() as lines:
-        for line, digest, is_plain, block in _blocks(lines, plain):
+        for line, digest, is_plain, block in _blocks(lines, iter(verdicts)):
             if digest != next(expected, None):
                 return None
             placed = _parsed(block, line, coin_at, day_at, mask) if is_plain else None
@@ -737,19 +733,21 @@ def _read_twice(open_lines, riskfree_mode: str) -> Panel | None:
     return Panel(coins, dates, mask, ret, excess, z, raw, *series, riskfree_mode)
 
 
-def _blocks(lines: Iterable[str], plain: int | None = None) -> Iterator[tuple]:
-    """The data rows of panel text, given as its lines, in blocks of up to
-    _BLOCK_ROWS rows: (line of the first row, hash of the block's text,
+def _blocks(lines: Iterable[str], verdicts: Iterator[bool] | None = None) -> Iterator[tuple]:
+    """The data rows of panel text, given as its lines, in blocks of
+    _BLOCK_ROWS lines: (line of the first row, hash of the block's text,
     whether the block is plain, the block), where a row's line is its
     record's number. The header record, read by csv, must be PANEL_HEADER.
 
-    A plain block is a list of lines, each ending in CRLF with 13 commas,
-    no character of _IRREGULAR and no more characters than the csv field
-    limit: the csv reader would split them at their commas. Blocks are
-    plain up to the first that is not, or for the first `plain` blocks when
-    given; from there one csv.reader reads the rest, a block is a list of
-    its records, and a csv.Error raises MalformedRow once the records above
-    it are yielded.
+    Each block is judged on its own, or takes the next of verdicts when
+    given (not plain past their end). A plain block is a list of lines with
+    13 commas, no character of _IRREGULAR, no more characters than the csv
+    field limit and no CR before the line end, which a stream split at LF
+    alone can hold: the csv reader would split each at its commas, whatever
+    its line end. Any other block is a list of as many records, read by a
+    csv.reader of its own, so a record that runs past the block takes its
+    extra lines with it; a csv.Error raises MalformedRow once the records
+    above it are yielded.
     """
     lines = iter(lines)
     reader = csv.reader(lines)
@@ -760,38 +758,28 @@ def _blocks(lines: Iterable[str], plain: int | None = None) -> Iterator[tuple]:
     if header is None or tuple(header) != PANEL_HEADER:
         raise MalformedRow(1, f"header {header!r}, expected {list(PANEL_HEADER)!r}")
     line, read = 2, reader.line_num  # the next record's line, the lines of text read
-    blocks = iter(lambda: list(itertools.islice(lines, _BLOCK_ROWS)), [])
-    for k, block in enumerate(blocks):
+    for block in iter(lambda: list(itertools.islice(lines, _BLOCK_ROWS)), []):
         text = "".join(block)
-        is_plain = k < plain if plain is not None else (
-            text.count("\r\n") == len(block)
+        is_plain = next(verdicts, False) if verdicts is not None else (
+            not any(c in text for c in _IRREGULAR)
             and text.count(",") == (len(PANEL_HEADER) - 1) * len(block)
             and max(map(len, block)) <= csv.field_size_limit()
-            and not any(c in text for c in _IRREGULAR)
+            and not any("\r" in each.rstrip("\r\n") for each in block)
         )
+        taken, records, error = block, block, None  # the block's lines of text, its rows
         if not is_plain:
-            break
-        yield line, hash(text), True, block
-        line += len(block)
-        read += len(block)
-    else:
-        return
-    taken: list[str] = []  # the lines of text of the records read for a block
-    reader = csv.reader(taken.append(text) or text for text in itertools.chain(block, lines))
-    while True:
-        records, error = [], None
-        try:
-            records.extend(itertools.islice(reader, _BLOCK_ROWS))  # kept on an error
-        except csv.Error as exc:
-            error = MalformedRow(read + reader.line_num, str(exc))
+            taken, records = [], []
+            reader = csv.reader(taken.append(t) or t for t in itertools.chain(block, lines))
+            try:
+                records.extend(itertools.islice(reader, len(block)))  # kept on an error
+            except csv.Error as exc:
+                error = MalformedRow(read + reader.line_num, str(exc))
         if records:
-            yield line, hash("".join(taken)), False, records
+            yield line, hash(text if is_plain else "".join(taken)), is_plain, records
         if error is not None:
             raise error
-        if len(records) < _BLOCK_ROWS:
-            return
         line += len(records)
-        taken.clear()
+        read += len(taken)
 
 
 def _parsed(lines: list[str], line: int, coin_at: dict, day_at: dict, mask: np.ndarray):

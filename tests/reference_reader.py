@@ -30,7 +30,6 @@ from coinfactors.panel import (
     PANEL_HEADER,
     Drop,
     Panel,
-    _HEADER_LINE,
     _is_market_cap,
 )
 
@@ -61,6 +60,7 @@ def read_panel_csv(
 
 
 
+_HEADER_LINE = ",".join(PANEL_HEADER) + "\r\n"  # the first line write_panel_csv writes
 _SIZE_AT = PANEL_HEADER.index("size_raw") - 2  # position among the numbers
 # a quote or NUL needs the csv reader's judgement; loadtxt skips U+001C-U+001F
 # around a number as whitespace, where float() rejects them

@@ -331,6 +331,33 @@ def test_report_requires_manifest(tmp_path):
     assert "manifest" in result.stderr
 
 
+@pytest.mark.parametrize("text", ['{"config": {"econometrics": {}}}', "not json"])
+def test_report_rejects_a_manifest_of_no_run_exits_2(tmp_path, text):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(text, encoding="utf-8")
+    result = CliRunner().invoke(main, ["report", "--output", str(tmp_path)])
+    assert result.exit_code == 2
+    assert f"{manifest} does not look like a run manifest" in result.stderr
+
+
+def test_run_without_an_output_directory_exits_2(tmp_path, synth_a):
+    panel, _ = synth_a
+    panel_path = tmp_path / "panel.csv"
+    write_panel_csv(panel, panel_path)
+    cfg = _config(tmp_path / "cfg.json",
+                  {"panel_file": str(panel_path), "specs": _capm_specs()})
+    result = CliRunner().invoke(main, ["run", "--config", cfg])
+    assert result.exit_code == 2
+    assert "no output directory: set output_dir or pass --output" in result.stderr
+
+
+def test_ingest_without_a_data_section_exits_2(tmp_path):
+    cfg = _config(tmp_path / "cfg.json", {"output_dir": str(tmp_path / "out")})
+    result = CliRunner().invoke(main, ["ingest", "--config", cfg])
+    assert result.exit_code == 2
+    assert "config has no data section" in result.stderr
+
+
 def _raw_inputs(tmp_path: Path) -> tuple[Path, dict]:
     """Raw files of a small scenario-B draw and an ingest config over them."""
     synth_dir = tmp_path / "synth"

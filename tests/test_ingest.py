@@ -138,6 +138,14 @@ def test_parse_epu_rejects_negative_level():
         parse_epu_csv(io.StringIO("date,epu\n2021-01-01,-5.0\n"))
 
 
+def test_parse_epu_csv_names_a_character_cut_off_by_the_end_of_the_file(tmp_path):
+    path = tmp_path / "epu.csv"
+    path.write_bytes(b"date,epu\r\n2020-01-01,1.0\r\n2020-01-02,2.0\r\n\xc3")
+    with pytest.raises(MalformedRow) as info:
+        parse_epu_csv(path)
+    assert str(info.value) == f"{path}: line 4: not UTF-8 text: unexpected end of data"
+
+
 def test_parse_riskfree_allows_negative_rate():
     rates = parse_riskfree_csv(io.StringIO("date,rate\n2021-01-01,-0.001\n"))
     assert rates.tolist() == [(day(0).toordinal(), -0.001)]

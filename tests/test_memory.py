@@ -8,9 +8,9 @@ dates, is held beside the grid. Its traced peak is the grid, the sets of
 coin ids and dates, and one block: about 1.09 times the Panel's array
 bytes on a dense 200 x 365 panel, where one np.loadtxt table of the whole
 file held beside the grid read 2.61 times and per-row series values and
-dates 1.59 times; the bound is 1.5. A file whose blocks go to the csv
-reader and the row checks (a quoted coin id sends every block after it
-there) peaks at about 2.0 times on a 60 x 200 panel, against 3.3 times
+dates 1.59 times; the bound is 1.5. A file whose blocks all go to the csv
+reader and the row checks (every coin id quoted; each block is judged on
+its own) peaks at about 2.0 times on a 60 x 200 panel, against 3.3 times
 for the row parser that kept every row's numbers and a set of every
 row's key; the bound there is 3. Finding the line of a byte that is not
 UTF-8 decodes the file 64 KiB at a time, where decoding it whole held
@@ -104,9 +104,9 @@ def test_read_panel_csv_traced_peak_is_bounded_by_the_panel(tmp_path):
 def test_row_parser_traced_peak_is_bounded_by_the_panel(tmp_path):
     path = tmp_path / "panel.csv"
     write_panel_csv(_dense_panel(60, 200), path)  # 12,000 rows
-    lines = path.read_bytes().split(b"\r\n")
-    lines[1] = b'"' + lines[1].replace(b",", b'",', 1)  # every block goes to csv
-    path.write_bytes(b"\r\n".join(lines))
+    header, *lines, end = path.read_bytes().split(b"\r\n")
+    lines = [b'"' + line.replace(b",", b'",', 1) for line in lines]  # every block to csv
+    path.write_bytes(b"\r\n".join([header, *lines, end]))
     panel, peak = _traced_read(path)
     assert panel.coins[0] == "C0000" and panel.mask.all()
     bound = ROW_PARSER_PEAK_PER_PANEL_BYTE * _panel_bytes(panel)

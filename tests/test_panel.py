@@ -592,14 +592,19 @@ def test_panel_csv_round_trip(tmp_path):
     assert path.read_bytes() == first
 
 
-@pytest.mark.parametrize("terminator", ["\r\n", "\n"])
-def test_read_panel_csv_path_matches_stream(tmp_path, monkeypatch, terminator):
-    # a file that write_panel_csv could have written, and the same data
-    # rows ended by LF, which only the row checks read; also the header alone
+@pytest.mark.parametrize("terminator, quoted", [
+    ("\r\n", False), ("\n", False), ("\r", False), ("\r\n", True),
+], ids=["\r\n", "\n", "\r", "quoted"])
+def test_read_panel_csv_path_matches_stream(tmp_path, monkeypatch, terminator, quoted):
+    # a file that write_panel_csv could have written, the same data rows
+    # ended by LF or CR, which np.loadtxt reads as well, and one with a
+    # quoted coin id, which only the row checks read; also the header alone
     coins, epu, rf = _inputs()
     path = tmp_path / "panel.csv"
     write_panel_csv(build_panel_of_dicts(coins, epu, rf, OPTIONS), path)
     header, rows = path.read_bytes().decode("utf-8").split("\r\n", 1)
+    if quoted:
+        rows = '"' + rows.replace(",", '",', 1)
     text = header + "\r\n" + rows.replace("\r\n", terminator)
     assert text.count(terminator) <= panel_module._BLOCK_ROWS  # one block
     row_checks = []
@@ -607,22 +612,27 @@ def test_read_panel_csv_path_matches_stream(tmp_path, monkeypatch, terminator):
     monkeypatch.setattr(panel_module, "_rows",
                         lambda *args: row_checks.append(1) or check_rows(*args))
     assert len(_read_both(tmp_path, text).coins) == len(coins)
-    assert len(row_checks) == (0 if terminator == "\r\n" else 2)  # path's, stream's
+    assert len(row_checks) == 2 * quoted  # path's, stream's
     for only_header in (header + "\r\n", header + "\r\n\r\n"):
         with pytest.raises(MalformedRow, match="has a header but no data rows") as info:
             _read_both(tmp_path, only_header)
         assert info.value.line == 2
 
 
-@pytest.mark.parametrize("change", ["number", "appended", "cut"])
+@pytest.mark.parametrize("change", ["number", "appended", "cut", "blocks cut"])
 def test_read_panel_csv_declines_a_file_that_changes_between_its_reads(
     tmp_path, monkeypatch, change
 ):
     # the reader reads the file twice; a change in between declines those
     # reads, and the file is read again, as held text, as it is after the change
-    coins, epu, rf = _inputs()
     path = tmp_path / "panel.csv"
-    write_panel_csv(build_panel_of_dicts(coins, epu, rf, OPTIONS), path)
+    if change == "blocks cut":  # 600 rows, then just the first two blocks of them
+        days = [(dt.date(2020, 1, 1) + dt.timedelta(days=j)).isoformat() for j in range(200)]
+        rows = [[f"C{i}", day] + ["1.0"] * 12 for i in range(3) for day in days]
+        path.write_text(_csv_text([PANEL_HEADER, *rows]), encoding="utf-8", newline="")
+    else:
+        coins, epu, rf = _inputs()
+        write_panel_csv(build_panel_of_dicts(coins, epu, rf, OPTIONS), path)
     before = path.read_bytes()
     lines = before.splitlines(keepends=True)
     cells = lines[-1].split(b",")
@@ -630,8 +640,10 @@ def test_read_panel_csv_declines_a_file_that_changes_between_its_reads(
         lines[-1] = b",".join(cells[:2] + [b"0.5"] + cells[3:])
     elif change == "appended":  # a new coin on a date the file holds
         lines.append(b",".join([b"ZZZ"] + cells[1:]))
-    else:
+    elif change == "cut":
         del lines[-1]
+    else:  # every block of the second read matches one of the first
+        del lines[1 + 2 * panel_module._BLOCK_ROWS :]
     after = b"".join(lines)
     path.write_bytes(after)
     expected = read_panel_csv(path)
@@ -669,6 +681,15 @@ def test_read_panel_csv_path_names_exact_undecodable_line(tmp_path):
         read_panel_csv(path)
     assert info.value.line == 50 and info.value.path == path
     assert "not UTF-8" in str(info.value)
+
+
+def test_read_panel_csv_names_a_character_cut_off_by_the_end_of_the_file(tmp_path):
+    rows = [["A", "2020-01-02"] + ["1.0"] * 12, ["B", "2020-01-02"] + ["1.0"] * 12]
+    path = tmp_path / "panel.csv"
+    path.write_bytes(_csv_text([PANEL_HEADER, *rows]).encode("utf-8") + b"\xc3")
+    with pytest.raises(MalformedRow) as info:
+        read_panel_csv(path)
+    assert str(info.value) == f"{path}: line 4: not UTF-8 text: unexpected end of data"
 
 
 def test_read_panel_csv_rejects_text_that_is_not_utf8_before_any_row(tmp_path):

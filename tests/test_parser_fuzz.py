@@ -1,8 +1,8 @@
 """Fuzzed input files: the market, EPU, risk-free and panel parsers either
 return or raise a ValidationError, never any other exception. Each file
-starts as valid rows (none, or some, ended by CRLF or LF), then some cells
-are swapped for awkward tokens and some raw bytes are spliced in anywhere,
-the header included.
+starts as valid rows (none, or some, ended by CRLF, LF or CR, the last
+maybe by nothing), then some cells are swapped for awkward tokens and some
+raw bytes are spliced in anywhere, the header included.
 
 A panel file path is read from the file and a text stream from its held
 lines, so the same text read both ways must give the same Panel bit for
@@ -71,9 +71,11 @@ def spoiled_files(draw, kinds=tuple(sorted(PARSERS))):
         row = rows[draw(st.integers(0, len(rows) - 1))]
         row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(TOKENS))
     text = io.StringIO()
-    terminator = draw(st.sampled_from(["\r\n", "\n"]))
+    terminator = draw(st.sampled_from(["\r\n", "\n", "\r"]))
     csv.writer(text, lineterminator=terminator).writerows(rows)
     data = text.getvalue().encode("utf-8", "surrogatepass")
+    if draw(st.booleans()):  # the last line has no line end
+        data = data[: -len(terminator)]
     for _ in range(draw(st.integers(0, 3))):
         at = draw(st.integers(0, len(data)))
         data = data[:at] + draw(st.sampled_from(BYTES)) + data[at:]

@@ -7,10 +7,11 @@ Panel's grid; the oracle had a fast path and a row parser, and carried
 every row's strings and numbers to one assembly. Written panel files,
 then shuffled, thinned, given a repeated (coin, date), quoted coin ids or
 bytes that its fast path declines, must give both the same Panel array
-for array and byte for byte, or the same error type and text; a file the
-oracle's fast path takes is never checked row by row. The files of up to
-20 rows are one block; longer ones put a quoted line break, an irregular
-tail or two errors around and across the block boundaries. The one
+for array and byte for byte, or the same error type and text; a file is
+checked row by row exactly where the oracle's fast path declines its text
+with every line end made CRLF. The files of up to 20 rows are one block;
+longer ones put a quoted id, a quoted line break, an irregular tail or two
+errors around and across the block boundaries. The one
 exception is a file whose u_lag or rbtc_lag differs across one date's
 rows: the oracle's reader accepts it and the Panel it builds raises
 InvalidConfig, where the reader rejects it with a MalformedRow. Panel.caps
@@ -166,12 +167,16 @@ def test_read_panel_csv_equals_oracle(tmp_path, drawn):
     # a stream takes the oracle's row parser
     _assert_agrees(_outcome(read_panel_csv, io.StringIO(text, newline=""), riskfree_mode),
                    _outcome(ref.read_panel_csv, io.StringIO(text, newline=""), riskfree_mode))
-    # and a path is checked row by row where the oracle's fast path declines
-    # it, unless it holds no data row or breaks only the series rule
+    # and a path is checked row by row exactly where the oracle's fast path
+    # declines the same text with every line end made CRLF, unless it holds
+    # no data row or breaks only the series rule
     with mock.patch.object(panel_module, "_rows", wraps=panel_module._rows) as rows:
         new = _outcome(read_panel_csv, path, riskfree_mode)
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(text.replace("\r\n", "\n").replace("\n", "\r\n")
+                     .encode("utf-8", "surrogatepass"))
     try:
-        declined = ref._read_panel_file(path, riskfree_mode) is None
+        declined = ref._read_panel_file(crlf, riskfree_mode) is None
     except InvalidConfig as exc:  # its Panel rejects the series before any repeat
         assert str(exc).endswith(SERIES_RULE)
         # every row passed the oracle's checks but a repeat, which the oracle's
@@ -258,16 +263,50 @@ def test_read_panel_csv_reads_a_line_break_in_a_quoted_id_at_any_row(tmp_path, k
     assert "n\nl" in new[0]
 
 
-@pytest.mark.parametrize("tail", ["LF", "quoted"])
+def _checked_blocks(path, text):
+    """The outcome of reading text from path, equal to the oracle's, and
+    the line of the first row of each block that went to the row checks."""
+    with mock.patch.object(panel_module, "_rows", wraps=panel_module._rows) as rows:
+        new = _assert_reads_as_oracle(path, text)
+    return new, [call.args[1] for call in rows.call_args_list]
+
+
+@pytest.mark.parametrize("k", [0, 255, 256, 511, 896])
+def test_read_panel_csv_checks_row_by_row_only_the_block_of_a_quoted_id(tmp_path, k):
+    # each block is judged on its own: the blocks after a quoted id are plain
+    header, lines = _written_lines(tmp_path)
+    lines[k] = '"' + lines[k].replace(",", '",', 1)
+    new, checked = _checked_blocks(tmp_path / "panel.csv", header + "".join(lines))
+    assert len(new[0]) == 3
+    assert checked == [2 + k // 256 * 256]
+
+
+@pytest.mark.parametrize("tail", ["LF", "CR", "quoted"])
 @pytest.mark.parametrize("k", [300, 512, 896])
 def test_read_panel_csv_reads_plain_blocks_then_an_irregular_tail(tmp_path, tail, k):
+    # np.loadtxt reads lines ended by LF or CR as it reads CRLF ones
     header, lines = _written_lines(tmp_path)
-    if tail == "LF":
-        lines[k:] = [line.replace("\r\n", "\n") for line in lines[k:]]
-    else:  # csv.writer would not quote these ids
+    if tail == "quoted":  # csv.writer would not quote these ids
         lines[k:] = ['"' + line.replace(",", '",', 1) for line in lines[k:]]
-    new = _assert_reads_as_oracle(tmp_path / "panel.csv", header + "".join(lines))
+    else:
+        lines[k:] = [line.replace("\r\n", "\n" if tail == "LF" else "\r") for line in lines[k:]]
+    new, checked = _checked_blocks(tmp_path / "panel.csv", header + "".join(lines))
     assert len(new[0]) == 3
+    assert checked == (list(range(2 + k // 256 * 256, 899, 256)) if tail == "quoted" else [])
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\n"])
+@pytest.mark.parametrize("at", [0, 20])
+def test_read_panel_csv_rejects_a_cr_inside_a_line_of_a_stream(tmp_path, end, at):
+    # io.StringIO splits its text at LF alone, so a CR can sit inside one of
+    # its lines, before the coin id or in a number, where csv rejects it
+    header, lines = _written_lines(tmp_path)
+    lines = [line.replace("\r\n", end) for line in lines]
+    lines[300] = lines[300][:at] + "\r" + lines[300][at:]
+    text = header + "".join(lines)
+    new = _outcome(read_panel_csv, io.StringIO(text), "tbill")
+    assert new == _outcome(ref.read_panel_csv, io.StringIO(text), "tbill")
+    assert new[0] is MalformedRow and new[1].startswith("line 302: new-line character")
 
 
 def test_read_panel_csv_raises_a_repeat_just_above_a_nul_in_one_block(tmp_path):
