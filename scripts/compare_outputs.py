@@ -17,6 +17,8 @@ tree's own src/ and perfbench/:
   with the coin id of every data line after the first 10,000 quoted, which
   `read_panel_csv` reads in `np.loadtxt` blocks up to there and through the
   csv reader and its row checks from there on;
+- `synth` of scenarios A and C, each 30 x 365 with raw files, so every
+  preset's panel, truth and raw bytes are compared;
 - `perfbench/mcpass.py` on the seed at 50 x 730.
 
 Every file written, except each `manifest.json` (it records paths and
@@ -75,6 +77,10 @@ def _steps(seed: int, out: Path) -> list[tuple[str, list[str], dict | None]]:
                                   "emit_raw": False}},
         "run-panel": {"panel_file": str(panel), "specs": PANEL_SPECS},
         "run-lf": {"panel_file": str(lf_panel), "specs": PANEL_SPECS},
+        "synth-a": {"synth": {"scenario": "A", "n_coins": 30, "n_days": 365,
+                              "emit_raw": True}},
+        "synth-c": {"synth": {"scenario": "C", "n_coins": 30, "n_days": 365,
+                              "emit_raw": True}},
     }
     steps = []
     for name, config in configs.items():

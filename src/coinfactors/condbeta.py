@@ -99,8 +99,6 @@ def build_design_matrix(
     and is returned.
     """
     F = np.asarray(factors, dtype=float)
-    if F.ndim == 1:
-        F = F.reshape(-1, 1)
     lead, K = F.shape[:-1], F.shape[-1]
     M = len(spec.characteristics)
     q = 1 if spec.mode == "unconditional" else 3 * (1 + M)

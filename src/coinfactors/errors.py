@@ -169,7 +169,7 @@ class TooFewDates(EstimationError):
 
 # condbeta ---------------------------------------------------------------
 
-class MissingCharacteristic(EstimationError):
+class MissingCharacteristic(ValidationError):
     def __init__(self, name: str) -> None:
         self.name = name
         super().__init__(f"unknown characteristic {name!r}")

@@ -83,8 +83,6 @@ def slugify(label: str) -> str:
 
 
 def _cell(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):

@@ -198,11 +198,22 @@ def test_emit_raw_files_matches_reference(small_draw, tmp_path_factory, seed,
 
 def test_emit_raw_files_matches_reference_on_full_panel(small_draw, tmp_path):
     panel, truth = small_draw
-    emit_raw_files(panel, truth, tmp_path / "new")
-    ref.emit_raw_files(panel, _dated(truth), tmp_path / "old")
-    for path in sorted((tmp_path / "old").rglob("*.csv")):
-        name = path.relative_to(tmp_path / "old")
-        assert (tmp_path / "new" / name).read_bytes() == path.read_bytes(), name
+    # and once on a calendar shifted by 3 days, with C000 missing the
+    # panel's fourth date: no C000 observation lags onto the first emitted
+    # day, so that day takes the cap of C000's first observation, not of
+    # the last one whose lag lies before the calendar
+    mask = panel.mask.copy()
+    mask[0, 3] = False
+    gapped = dataclasses.replace(panel, mask=mask)
+    start = truth.config.start + dt.timedelta(days=3)
+    shifted = dataclasses.replace(truth, config=dataclasses.replace(truth.config, start=start))
+    for case, (panel, truth) in {"full": small_draw, "shifted": (gapped, shifted)}.items():
+        out = tmp_path / case
+        emit_raw_files(panel, truth, out / "new")
+        ref.emit_raw_files(panel, _dated(truth), out / "old")
+        for path in sorted((out / "old").rglob("*.csv")):
+            name = path.relative_to(out / "old")
+            assert (out / "new" / name).read_bytes() == path.read_bytes(), (case, name)
 
 
 @settings(max_examples=200, deadline=None)

@@ -158,6 +158,10 @@ def test_nonexistent_paths_rejected(tmp_path):
     assert "does not exist" in str(info.value)
     with pytest.raises(InvalidConfig):
         load_config(_write(tmp_path, {"panel_file": str(tmp_path / "no.csv")}))
+    # a name the file system cannot take at all (an embedded NUL)
+    with pytest.raises(InvalidConfig) as info:
+        load_config(_write(tmp_path, {"panel_file": "a\u0000b"}))
+    assert str(info.value) == "panel_file: path 'a\\x00b' does not exist"
 
 
 @pytest.mark.parametrize("date", ["20200102", "2020-W01-3"])

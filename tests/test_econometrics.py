@@ -137,6 +137,10 @@ def test_newey_west_lag_rule():
     assert newey_west_lag(300) == 5
     assert newey_west_lag(729) == 6
     assert newey_west_lag(1000) == 6
+    # with no lags given, newey_west_se takes the rule's
+    x = np.random.default_rng(5).standard_normal(250)
+    assert newey_west_lag(250) == 4
+    assert newey_west_se(x) == newey_west_se(x, newey_west_lag(250))
 
 
 def test_newey_west_lag0_equals_fm_se():
@@ -255,6 +259,14 @@ def test_fama_macbeth_requires_two_dates():
     fits, names = _daily({"c0": [1.0]})
     with pytest.raises(TooFewDates):
         fama_macbeth(*fits, names)
+
+
+def test_bad_arguments_raise_value_error():
+    fits, _ = _daily({"c0": [1.0, 2.0, 3.0], "c1": [0.5, 0.1, 0.2]})
+    with pytest.raises(ValueError, match="^2 coefficients per date, 1 names given$"):
+        fama_macbeth(*fits, ["c0"])
+    with pytest.raises(ValueError, match="^lags must be >= 0$"):
+        newey_west_se(np.arange(10.0), -1)
 
 
 def test_fama_macbeth_mean_is_numpy_mean_exactly():

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from coinfactors.errors import InvalidConfig, TooFewCoins
+from coinfactors.errors import InvalidConfig, TooFewCoins, ValidationError
 from coinfactors.factors import (
     FACTOR_MENU,
     FACTOR_NAMES,
@@ -125,6 +125,13 @@ def test_sort_too_few_coins():
                          char_values=[1.0, 2.0, 3.0, 4.0])
     with pytest.raises(TooFewCoins):
         sort_portfolios(make_panel(obs), day(1), "size")
+
+
+def test_sort_unknown_characteristic_is_an_input_error():
+    # the name BetaSpec rejects as a config error is an input error here too
+    obs = _cross_section(day(1), [0.0] * 10)
+    with pytest.raises(ValidationError, match=r"^unknown characteristic 'beta'$"):
+        sort_portfolios(make_panel(obs), day(1), "beta")
 
 
 def test_sort_independent_of_input_order():

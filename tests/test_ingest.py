@@ -49,9 +49,21 @@ def test_parse_market_csv_sorts_rows():
 
 
 def test_parse_market_csv_rejects_bad_header():
+    for text in ("date,close\n2021-01-01,1.0\n", ""):
+        with pytest.raises(MalformedRow) as info:
+            parse_market_csv(io.StringIO(text), "X")
+        assert info.value.line == 1
+
+
+def test_empty_input_asks_for_a_header(tmp_path):
+    empty = "line 1: empty input, expected a header row"
+    for parse in (lambda f: parse_market_csv(f, "X"), parse_epu_csv, parse_riskfree_csv):
+        with pytest.raises(MalformedRow, match=f"^{empty}$"):
+            parse(io.StringIO(""))
+    (tmp_path / "X.csv").write_bytes(b"")
     with pytest.raises(MalformedRow) as info:
-        parse_market_csv(io.StringIO("date,close\n2021-01-01,1.0\n"), "X")
-    assert info.value.line == 1
+        load_coin_dir(tmp_path)
+    assert str(info.value) == f"{tmp_path / 'X.csv'}: {empty}"
 
 
 def test_parse_market_csv_rejects_extra_column():
