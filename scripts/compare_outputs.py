@@ -11,6 +11,10 @@ tree's own src/ and perfbench/:
 - `synth` of 30 coins x 730 days with raw files, `ingest` of those files,
   and a four-spec `run` from them (BTC left out of the market, 8 coins per
   sort, C4 on the coin's own lagged return, FF3LIQ over Bitcoin's return);
+- `ingest` of a staggered copy of those market files, every coin whole in
+  the universe: BTC whole, the j-th other coin by name without its first
+  20 j and last 10 j data lines (one that would keep none keeps its middle
+  line), so coins list and delist on different days of one calendar;
 - `synth` of a 200 x 365 `panel.csv` and a six-spec `run` on it
   (CAPM, FF3 and ALL, each unconditional and conditional);
 - the same six specs on a copy of that `panel.csv` whose lines end in LF,
@@ -60,6 +64,17 @@ LF_COPY = ("import pathlib, sys; source, target = map(pathlib.Path, sys.argv[1:]
            "b'\"' + line.replace(b',', b'\",', 1) + b'\\n' "
            "for line in tail.split(b'\\r\\n')[:-1]))")
 
+# copies the market files of directory argv[1] into directory argv[2]: BTC
+# whole, the j-th other coin by name without its first 20 j and last 10 j
+# data lines, and its middle line alone where that would leave none
+STAGGER_COPY = ("import pathlib, sys; source, target = map(pathlib.Path, sys.argv[1:]); "
+                "target.mkdir(parents=True, exist_ok=True); "
+                "(target / 'BTC.csv').write_bytes((source / 'BTC.csv').read_bytes()); "
+                "coins = sorted(p for p in source.glob('*.csv') if p.stem != 'BTC'); "
+                "[(target / p.name).write_bytes(b''.join(lines[:1] + ("
+                "lines[1 + 20 * j:len(lines) - 10 * j] or [lines[len(lines) // 2]]))) "
+                "for j, p in enumerate(coins) for lines in [p.read_bytes().splitlines(True)]]")
+
 
 def _steps(seed: int, out: Path) -> list[tuple[str, list[str], dict | None]]:
     """(name, argv after the interpreter, config written to <name>.json)."""
@@ -67,10 +82,13 @@ def _steps(seed: int, out: Path) -> list[tuple[str, list[str], dict | None]]:
     data = {"market_dir": str(raw / "market"), "epu_file": str(raw / "epu.csv"),
             "riskfree_file": str(raw / "riskfree.csv")}
     panel, lf_panel = out / "synth-panel" / "panel.csv", out / "lf-panel" / "panel.csv"
+    staggered = out / "staggered" / "market"
     configs = {
         "synth-raw": {"synth": {"scenario": "B", "n_coins": 30, "n_days": 730,
                                 "emit_raw": True}},
         "ingest": {"data": data},
+        "ingest-staggered": {"data": dict(data, market_dir=str(staggered)),
+                             "universe": {"min_history_days": 0}},
         "run-raw": {"data": data, "specs": RAW_SPECS,
                     "factors": {"exclude_btc_from_market": True, "min_sort_coins": 8}},
         "synth-panel": {"synth": {"scenario": "B", "n_coins": 200, "n_days": 365,
@@ -86,6 +104,9 @@ def _steps(seed: int, out: Path) -> list[tuple[str, list[str], dict | None]]:
     for name, config in configs.items():
         if name == "run-lf":
             steps.append(("lf-panel", ["-c", LF_COPY, str(panel), str(lf_panel)], None))
+        if name == "ingest-staggered":
+            steps.append(("staggered", ["-c", STAGGER_COPY, str(raw / "market"),
+                                        str(staggered)], None))
         command = name.split("-")[0]
         config = dict(config, seed=seed, output_dir=str(out / name))
         steps.append((name, ["-m", "coinfactors.cli", command, "--config"], config))

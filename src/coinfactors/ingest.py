@@ -17,6 +17,8 @@ import csv
 import datetime as dt
 import functools
 import io
+import itertools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -189,9 +191,27 @@ def _parse_float(text: str, line: int, column: str) -> float:
         value = float(text)
     except ValueError:
         raise MalformedRow(line, f"bad {column} {text!r}") from None
-    if value != value or value in (float("inf"), float("-inf")):
+    if not math.isfinite(value):
         raise MalformedRow(line, f"non-finite {column} {text!r}")
     return value
+
+
+def _dated_rows(
+    rows: Iterator[list[str]], header: tuple[str, ...]
+) -> Iterator[tuple[int, dt.date, list[float], list[str]]]:
+    """The data rows of a table whose header must be header, a date column
+    first: (line, date, the other columns' numbers, row). Blank rows are
+    skipped; a wrong field count, a bad date or a bad or non-finite number
+    raises MalformedRow, in that order."""
+    _check_header(next(rows, None), header)
+    for line, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise MalformedRow(line, f"{len(row)} fields, expected {len(header)}")
+        date = _parse_date(row[0], line)
+        values = list(map(_parse_float, row[1:], itertools.repeat(line), header[1:]))
+        yield line, date, values, row
 
 
 def parse_market_csv(source: str | Path | io.TextIOBase, coin_id: str) -> CoinSeries:
@@ -203,16 +223,7 @@ def parse_market_csv(source: str | Path | io.TextIOBase, coin_id: str) -> CoinSe
     """
     records = []
     with read_csv_rows(source) as rows:
-        _check_header(next(rows, None), MARKET_HEADER)
-        for line, row in enumerate(rows, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise MalformedRow(line, f"{len(row)} fields, expected 4")
-            date = _parse_date(row[0], line)
-            close = _parse_float(row[1], line, "close")
-            volume = _parse_float(row[2], line, "volume")
-            cap = _parse_float(row[3], line, "market_cap")
+        for line, date, (close, volume, cap), row in _dated_rows(rows, MARKET_HEADER):
             if close <= 0.0:
                 raise NonPositivePrice(date, line)
             if volume < 0.0:
@@ -228,22 +239,14 @@ def parse_market_csv(source: str | Path | io.TextIOBase, coin_id: str) -> CoinSe
 def _parse_level_csv(
     source: str | Path | io.TextIOBase,
     header: tuple[str, ...],
-    column: str,
     check: Callable[[float, dt.date, int], None],
 ) -> np.ndarray:
     values: dict[int, float] = {}  # by day ordinal, in line order
     with read_csv_rows(source) as rows:
-        _check_header(next(rows, None), header)
-        for line, row in enumerate(rows, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise MalformedRow(line, f"{len(row)} fields, expected 2")
-            date = _parse_date(row[0], line)
-            value = _parse_float(row[1], line, column)
+        for line, date, (value,), _ in _dated_rows(rows, header):
             check(value, date, line)
             if date.toordinal() in values:
-                raise DuplicateDate(date, context=column)
+                raise DuplicateDate(date, context=header[1])
             values[date.toordinal()] = value
     return np.array(sorted(values.items()), dtype=LEVEL_DTYPE)
 
@@ -262,14 +265,14 @@ def _check_rate(value: float, date: dt.date, line: int) -> None:
 def parse_epu_csv(source: str | Path | io.TextIOBase) -> np.ndarray:
     """Parse the date,epu uncertainty series into a LEVEL_DTYPE array,
     ascending by day. Negative levels are rejected."""
-    return _parse_level_csv(source, EPU_HEADER, "epu", _check_epu)
+    return _parse_level_csv(source, EPU_HEADER, _check_epu)
 
 
 def parse_riskfree_csv(source: str | Path | io.TextIOBase) -> np.ndarray:
     """Parse the date,rate annualized risk-free series into a LEVEL_DTYPE
     array, ascending by day. Rates may be negative but must exceed -1
     (MalformedRow otherwise)."""
-    return _parse_level_csv(source, RISKFREE_HEADER, "rate", _check_rate)
+    return _parse_level_csv(source, RISKFREE_HEADER, _check_rate)
 
 
 def write_market_csv(series: CoinSeries, path: str | Path) -> None:

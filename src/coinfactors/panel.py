@@ -114,74 +114,85 @@ class CharacteristicWindows:
 def _trailing(
     combine: np.ufunc, start: float, daily: np.ndarray, valid: np.ndarray, backs: range
 ) -> tuple[np.ndarray, np.ndarray]:
-    """For every grid day i, fold daily[i - back] into start with combine,
-    one back-offset at a time in the order of backs, and count the valid
-    days. Offsets that reach before the grid contribute nothing.
+    """For every calendar day i (the last axis), fold daily[..., i - back]
+    into start with combine, one back-offset at a time in the order of
+    backs, and count the valid days. Offsets that reach before the calendar
+    contribute nothing, and the fold stops at the first offset past its end.
 
     The fold keeps the per-day loop's order of operations, so do not replace
     it with np.prod, np.sum, cumsum or prefix differences: they reorder the
     arithmetic and change the last bits.
     """
-    n = daily.size
-    total = np.full(n, start)
-    count = np.zeros(n, dtype=np.int64)
+    n = daily.shape[-1]
+    total = np.full(daily.shape, start)
+    count = np.zeros(daily.shape, dtype=np.int64)
     for back in backs:
-        combine(total[back:], daily[: n - back], out=total[back:])
-        count[back:] += valid[: n - back]
+        if back >= n:
+            break
+        combine(total[..., back:], daily[..., : n - back], out=total[..., back:])
+        count[..., back:] += valid[..., : n - back]
     return total, count
 
 
-class _CoinView:
-    """One coin's returns and raw characteristics on its calendar grid.
+def _calendar(
+    coins: Sequence[CoinSeries], windows: CharacteristicWindows
+) -> tuple[int, np.ndarray, list[np.ndarray]]:
+    """The coins' returns and raw characteristics on one calendar.
 
-    Grid day k is the day ordinal origin + k, origin being the first bar's.
-    The grid runs from the first bar to the last day whose windows still
-    reach a bar, plus one final day on which every window is empty; dates off
-    the grid resolve to that final day. ret holds each grid day's return and
-    raw the levels (characteristics x grid days, in CHARACTERISTIC_NAMES
-    order) from the windows ending that day, NaN meaning no value. Each
-    window is folded once for every grid day, with 1.0 (products) or 0.0
-    (sums) on days without data. Both are exact, so every level equals a
-    day-by-day walk over the same window bit for bit.
+    Calendar day k is the day ordinal first + k, from the earliest bar of
+    any coin to the latest. Returns first; ret (coins x days), each day's
+    return; and the four levels (coins x days each, in CHARACTERISTIC_NAMES
+    order) from the windows ending each day, NaN meaning no value. Each
+    window is folded once for every day, with 1.0 (products) or 0.0 (sums)
+    on days without data. Both are exact, so every level equals a
+    day-by-day walk over the same window bit for bit. A window's day count
+    is taken from its range, not len(), which overflows past int64.
     """
+    w, share = windows, windows.min_valid_share
+    spans = [c.bars["day"][[0, -1]].tolist() for c in coins if c.bars.size]
+    first = min(a for a, _ in spans)
+    shape = (len(coins), max(b for _, b in spans) - first + 1)
+    # each bar's cell in the flattened calendar
+    cells = np.concatenate(
+        [c.bars["day"] + (i * shape[1] - first) for i, c in enumerate(coins)]
+    )
 
-    def __init__(self, series: CoinSeries, windows: CharacteristicWindows):
-        w = windows
-        bars = series.bars
-        self.origin = int(bars["day"][0]) if bars.size else dt.date.min.toordinal()
-        day = bars["day"] - self.origin
-        span = int(day[-1]) + 1 if bars.size else 0
-        reach = max(w.momentum_days, w.liquidity_days - 1, w.value_far_days)
-        n = span + reach + 1
+    def on_calendar(name: str, fill: float = 0.0) -> np.ndarray:
+        grid = np.full(shape, fill)
+        np.put(grid, cells, np.concatenate([c.bars[name] for c in coins]))
+        return grid
 
-        # a return close_t / close_{t-1} - 1 only where the day before has a bar
-        close = bars["close"]
-        after = np.flatnonzero(np.diff(day) == 1) + 1
-        self.ret = np.full(n, np.nan)
-        self.ret[day[after]] = close[after] / close[after - 1] - 1.0
-        has_return = ~np.isnan(self.ret)
-        growth = np.where(has_return, 1.0 + self.ret, 1.0)
-        grid_volume, grid_cap = np.zeros((2, n))
-        grid_volume[day] = bars["volume"]
-        grid_cap[day] = bars["market_cap"]
-        has_amihud = has_return & (grid_volume > 0.0)
-        amihud = np.zeros(n)  # |ret| / volume; 0.0 without return or volume
-        np.divide(np.abs(self.ret), grid_volume, out=amihud, where=has_amihud)
-        share = w.min_valid_share
+    def logs(values: np.ndarray, where: np.ndarray | bool = True) -> np.ndarray:
+        """math.log of the positive values where given, NaN elsewhere."""
+        out = np.full(shape, np.nan)
+        at = np.nonzero((values > 0.0) & where)
+        out[at] = np.fromiter(map(math.log, values[at]), float, at[0].size)
+        return out
 
-        def cumulative(backs: range) -> np.ndarray:
-            total, count = _trailing(np.multiply, 1.0, growth, has_return, backs)
-            return np.where(count >= share * len(backs), total - 1.0, np.nan)
-
-        self.raw = raw = np.full((len(CHARACTERISTIC_NAMES), n), np.nan)
-        sized = np.flatnonzero(grid_cap > 0.0)
-        raw[0, sized] = [math.log(c) for c in grid_cap[sized].tolist()]
-        raw[1] = cumulative(range(1, w.momentum_days + 1))
+    def liquidity() -> np.ndarray:
+        volume = on_calendar("volume")
+        has_amihud = has_return & (volume > 0.0)
+        amihud = np.zeros(shape)  # |ret| / volume; 0.0 without return or volume
+        np.divide(np.abs(ret), volume, out=amihud, where=has_amihud)
         total, count = _trailing(np.add, 0.0, amihud, has_amihud, range(w.liquidity_days))
-        liquid = np.flatnonzero(count >= share * w.liquidity_days)
-        mean = total[liquid] / count[liquid]
-        raw[2, liquid[mean > 0.0]] = [-math.log(m) for m in mean[mean > 0.0].tolist()]
-        raw[3] = -cumulative(range(w.value_near_days, w.value_far_days + 1))
+        liquid = count >= share * w.liquidity_days
+        return -logs(np.divide(total, count, out=total, where=liquid), liquid)
+
+    def cumulative(backs: range) -> np.ndarray:
+        total, count = _trailing(np.multiply, 1.0, growth, has_return, backs)
+        days = backs.stop - backs.start
+        return np.where(count >= share * days, total - 1.0, np.nan)
+
+    # a return close_t / close_{t-1} - 1 only where the day before has a bar
+    ret = on_calendar("close", np.nan)
+    ret[:, 1:] = ret[:, 1:] / ret[:, :-1] - 1.0
+    ret[:, 0] = np.nan
+    has_return = ~np.isnan(ret)
+    size, liquid = logs(on_calendar("market_cap")), liquidity()
+    growth = np.where(has_return, 1.0 + ret, 1.0)
+    momentum = cumulative(range(1, w.momentum_days + 1))
+    value = -cumulative(range(w.value_near_days, w.value_far_days + 1))
+    return first, ret, [size, momentum, liquid, value]
 
 
 @dataclass(frozen=True, slots=True)
@@ -453,18 +464,6 @@ def _forward_fill(
     return np.append(values, np.nan)[at], at, stale
 
 
-def _on_grid(grid: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """grid[k], NaN where k falls off the grid."""
-    return np.append(grid, np.nan)[np.where((k >= 0) & (k < grid.size), k, -1)]
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of a 1-D array; not np.unique, which
-    imports numpy.ma: about 1 MB of resident memory."""
-    values = np.sort(values)
-    return values[np.diff(values, prepend=values[:1] - 1) != 0]
-
-
 def build_panel(
     coins: Sequence[CoinSeries],
     epu: np.ndarray,
@@ -487,10 +486,11 @@ def build_panel(
     Uncertainty is z-scored over the distinct conditioning dates of the
     final sample; characteristics are winsorized and z-scored per date.
 
-    Each coin is handled whole on its calendar grid, every condition one
-    array over the coin's return days. Its kept coin-days wait in one block
-    until every coin is done and the dates are known, then go straight
-    into the Panel's grid, whose z layers are scored in place.
+    Every coin sits on one calendar (_calendar), and every condition is one
+    array over its coins x days, the market-wide ones one value per day.
+    Each coin-day's fate is the first check it fails; the kept coin-days
+    are copied from the calendar into the Panel's grid, whose columns are
+    the days with a kept coin-day and whose z layers are scored in place.
     """
     btc = next((c for c in coins if c.coin_id == options.btc_id), None)
     if btc is None:
@@ -499,98 +499,90 @@ def build_panel(
         )
     if len(btc.bars) < 2:
         raise TooShort(f"{btc.coin_id}: {len(btc.bars)} bars, need 2")
-    btc_view = _CoinView(btc, options.windows)
     limit = options.ffill_limit_days
     tbill = options.riskfree_mode == "tbill"
-    epu_days, epu_levels = epu["day"], epu["level"]
-    riskfree = riskfree if tbill else riskfree[:0]  # btc mode never reads it
-    rf_days = riskfree["day"]
-    rf_daily = np.array([daily_riskfree(r) for r in riskfree["level"].tolist()])
-
     date_of = functools.cache(dt.date.fromordinal)  # one date object a day
+    coins = sorted(coins, key=lambda c: c.coin_id)
+    first, ret, levels = _calendar(coins, options.windows)
+    btc_ret = ret[next(i for i, c in enumerate(coins) if c is btc)]
+    # column j: the return on calendar day j + 1, the lagged values of day j
+    ret, day = ret[:, 1:], first + 1 + np.arange(ret.shape[1] - 1)
+    epu_days = epu["day"]
+    u, epu_at, epu_stale = _forward_fill(day - 1, epu_days, epu["level"], limit)
+    # the stale entries name their series; the rest are drop reasons
+    gaps = {"epu": (day - 1, epu_days, epu_at)}
+    checks = [
+        ("no_btc_return_lag", np.isnan(btc_ret[:-1])),
+        ("epu", epu_stale),
+        ("no_epu", epu_at < 0),
+    ]
+    if tbill:
+        rf_days = riskfree["day"]
+        rf_daily = np.array([daily_riskfree(r) for r in riskfree["level"].tolist()])
+        benchmark, rf_at, rf_stale = _forward_fill(day, rf_days, rf_daily, limit)
+        gaps["riskfree"] = (day, rf_days, rf_at)
+        checks += [("riskfree", rf_stale), ("no_riskfree", rf_at < 0)]
+    else:
+        benchmark = btc_ret[1:]
+        checks.append(("no_btc_return", np.isnan(benchmark)))
+    checks += [
+        (f"missing_{name}", np.isnan(level[:, :-1]))
+        for name, level in zip(CHARACTERISTIC_NAMES, levels)
+    ]
+    reasons = [name for name, _ in checks]
+
+    # the first check each coin-day fails, len(reasons) if none, -1 off the sample
+    fate = np.full(ret.shape, len(reasons), dtype=np.int8)
+    for i in reversed(range(len(checks))):
+        np.copyto(fate, i, where=checks[i][1])
+    np.copyto(fate, -1, where=np.isnan(ret))
+    if not tbill:
+        fate[[c.coin_id == options.btc_id for c in coins]] = -1
+    stale = np.logical_or.reduce([fate == reasons.index(name) for name in gaps])
+    if stale.any():
+        i, j = divmod(int(stale.argmax()), stale.shape[1])
+        name = reasons[fate[i, j]]
+        looked_up, observed, at = gaps[name]
+        raise CoverageGap(name, date_of(looked_up[j]), date_of(observed[at[j]]), limit)
+
+    del checks  # the missing-level flags, one a coin-day each
+    kept = fate == len(reasons)
+    rows, cols = np.flatnonzero(kept.any(1)), np.flatnonzero(kept.any(0))
+    at = np.ix_(rows, cols)
+    mask = kept[at]
+    grid = np.zeros((_SERIES_AT,) + mask.shape)
+    z, raw = np.split(grid[2:], 2)  # (characteristics, coins, dates) each
+    np.copyto(grid[0], ret[at], where=mask)
+    np.subtract(grid[0], benchmark[cols], out=grid[1], where=mask)
+    for layer in raw:  # each calendar level goes as it is copied
+        np.copyto(layer, levels.pop(0)[:, :-1][at], where=mask)
+    _standardize(mask, raw, z, *options.winsor)
+
     drops: list[Drop] = []
-    kept = []  # per coin: its id, kept days, and (ret, excess, *raw) on them
-    for coin in sorted(coins, key=lambda c: c.coin_id):
+    for coin, row in zip(coins, fate):
         if not tbill and coin.coin_id == options.btc_id:
             drops.append(Drop(coin.coin_id, None, "btc_is_riskfree"))
-            continue
-        if len(coin.bars) < 2:
+        elif len(coin.bars) < 2:
             drops.append(Drop(coin.coin_id, None, "too_short"))
-            continue
-        view = btc_view if coin is btc else _CoinView(coin, options.windows)
-        k = np.flatnonzero(~np.isnan(view.ret))  # grid days with a return
-        if not k.size:
+        elif (row < 0).all():
             drops.append(Drop(coin.coin_id, None, "no_returns"))
-            continue
-        day = view.origin + k
-        ret = view.ret[k]
-        r_btc = _on_grid(btc_view.ret, day - 1 - btc_view.origin)
-        _, epu_at, epu_stale = _forward_fill(day - 1, epu_days, epu_levels, limit)
-        # the stale entries name their series; the rest are drop reasons
-        gaps = {"epu": (day - 1, epu_days, epu_at)}
-        checks = [
-            ("no_btc_return_lag", np.isnan(r_btc)),
-            ("epu", epu_stale),
-            ("no_epu", epu_at < 0),
-        ]
-        if tbill:
-            benchmark, rf_at, rf_stale = _forward_fill(day, rf_days, rf_daily, limit)
-            gaps["riskfree"] = (day, rf_days, rf_at)
-            checks += [("riskfree", rf_stale), ("no_riskfree", rf_at < 0)]
         else:
-            benchmark = _on_grid(btc_view.ret, day - btc_view.origin)
-            checks.append(("no_btc_return", np.isnan(benchmark)))
-        raw = view.raw[:, k - 1]
-        checks += [
-            (f"missing_{name}", np.isnan(level))
-            for name, level in zip(CHARACTERISTIC_NAMES, raw)
-        ]
-
-        fate = np.full(k.size, len(checks))  # the first check each day fails
-        for i in reversed(range(len(checks))):
-            fate[checks[i][1]] = i
-        for j in np.flatnonzero(fate < len(checks)).tolist():
-            reason = checks[fate[j]][0]
-            if reason in gaps:
-                looked_up, observed, at = gaps[reason]
-                raise CoverageGap(
-                    reason,
-                    dt.date.fromordinal(int(looked_up[j])),
-                    dt.date.fromordinal(int(observed[at[j]])),
-                    limit,
-                )
-            drops.append(Drop(coin.coin_id, date_of(int(day[j])), reason))
-        keep = fate == len(checks)
-        if keep.any():
-            block = np.vstack([ret, ret - benchmark, raw])[:, keep]
-            kept.append((coin.coin_id, day[keep], block))
-
-    if not kept:
+            j = np.flatnonzero((row >= 0) & (row < len(reasons)))
+            drops += (
+                Drop(coin.coin_id, date_of(d), reasons[f])
+                for d, f in zip(day[j].tolist(), row[j].tolist())
+            )
+    if not cols.size:
         raise EmptyPanel(drops)
-    dates = _distinct(np.concatenate([day for _, day, _ in kept]))
-    u = _forward_fill(dates - 1, epu_days, epu_levels, limit)[0]
+    u = u[cols]
     if u.size >= 2 and float(u.std()) > 0.0:
         u = (u - float(u.mean())) / float(u.std())
     else:
         u = np.zeros(u.size)
-    r_btc = _on_grid(btc_view.ret, dates - 1 - btc_view.origin)
-
-    n = len(CHARACTERISTIC_NAMES)
-    mask = np.zeros((len(kept), dates.size), dtype=bool)
-    grid = np.zeros((_SERIES_AT,) + mask.shape)
-    ret, excess, z, raw = grid[0], grid[1], grid[2 : 2 + n], grid[2 + n :]
-    coin_ids = []
-    for i, (coin_id, day, block) in enumerate(kept):
-        cols = np.searchsorted(dates, day)
-        mask[i, cols] = True
-        ret[i, cols], excess[i, cols] = block[:2]
-        raw[:, i, cols] = block[2:]
-        coin_ids.append(coin_id)
-    del kept
-    _standardize(mask, raw, z, *options.winsor)
     return Panel(
-        coin_ids, list(map(date_of, dates.tolist())), mask, ret, excess, z, raw,
-        u, r_btc, options.riskfree_mode, drops,
+        [coins[i].coin_id for i in rows.tolist()], list(map(date_of, day[cols].tolist())),
+        mask, grid[0], grid[1], z, raw, u, btc_ret[:-1][cols], options.riskfree_mode,
+        drops,
     )
 
 

@@ -11,7 +11,7 @@ from coinfactors.ingest import BAR_DTYPE, LEVEL_DTYPE, CoinSeries
 from coinfactors.panel import (
     CharacteristicWindows,
     PanelOptions,
-    _CoinView,
+    _calendar,
     _standardize,
     build_panel,
 )
@@ -75,14 +75,16 @@ def build_panel_of_dicts(coins, epu, riskfree, options=PanelOptions()):
 
 
 def raw_characteristics(series, date, windows=CharacteristicWindows()):
-    """The coin's raw characteristic levels at date from its calendar grid,
-    None where a window had too little data. A date off the grid reads the
-    grid's final day, on which every window is empty."""
-    view = _CoinView(series, windows)
-    k = date.toordinal() - view.origin
-    if not 0 <= k < view.ret.size:
-        k = -1
-    levels = view.raw[:, k].tolist()
+    """The coin's raw characteristic levels at date from the calendar,
+    None where a window had too little data. A date off the coin's bars
+    goes on the calendar by a second coin with one bar on that date, as a
+    later listing or an earlier delisting would put it there."""
+    days = series.bars["day"]
+    coins = [series]
+    if not days[0] <= date.toordinal() <= days[-1]:
+        coins.append(bar_series("Y", [(date, 1.0, 1.0, 1.0)]))
+    first, _, levels = _calendar(coins, windows)
+    levels = [level[0, date.toordinal() - first].item() for level in levels]
     return RawCharacteristics(*(None if math.isnan(v) else v for v in levels))
 
 

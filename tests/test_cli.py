@@ -411,6 +411,22 @@ def test_ingest_epu_coverage_gap_exits_2(tmp_path):
     assert "ffill_limit_days" in result.stderr
 
 
+@pytest.mark.parametrize("key, name", [
+    ("momentum_days", "momentum"), ("liquidity_days", "liquidity"),
+    ("value_far_days", "value"),
+])
+def test_ingest_window_beyond_int64_exits_2(tmp_path, key, name):
+    # a window longer than any calendar holds too few valid days, whatever
+    # its length: every coin-day lacks the characteristic, and nothing is
+    # sized by the window
+    _, doc = _raw_inputs(tmp_path)
+    doc["windows"] = {key: 10**30}
+    result = CliRunner().invoke(main, ["ingest", "--config", _config(tmp_path / "i.json", doc)])
+    assert result.exit_code == 2, result.output + result.stderr
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    assert "no coin-day survives the panel build" in result.stderr
+    assert f"most often missing_{name}" in result.stderr
+
 def test_ingest_builds_from_data_beside_a_panel_file(tmp_path):
     # ingest reads the raw data alone: a panel_file in the same config, here
     # a header-only one that run would reject, is neither read nor recorded

@@ -17,12 +17,15 @@ UTF-8 decodes the file 64 KiB at a time, where decoding it whole held
 two copies of it. A factor build reads the panel's cached caps, so a
 second build on one panel takes no exponential at all.
 
-build_panel scatters each coin's kept coin-days straight into the Panel's
-grid and writes the z-scores into its z layers, so its traced peak is the
-grid, the per-coin blocks and the drop records: about 2.8 times the
-Panel's array bytes on a small raw set. Holding the joined coin-day table,
-a list-to-array temporary and a second z grid besides, with a date object
-per drop, lifted it to about 6.3 times; the bound is 4.
+build_panel puts every coin on one calendar, copies the kept coin-days
+from it into the Panel's grid, freeing each calendar level as it is
+copied, writes the z-scores into the grid's z layers and only then makes
+the drop records. Its traced peak is the grid and the calendar's returns
+and levels: about 2.4 times the Panel's array bytes on a small raw set,
+where per-coin blocks scattered into the grid beside the drop records
+took 2.8 times. Holding the joined coin-day table, a list-to-array
+temporary and a second z grid besides, with a date object per drop,
+lifted it to about 6.3 times; the bound is 4.
 
 np.percentile reaches np.unique, which imports numpy.ma: 1.3 MB of
 resident memory that no command needs.

@@ -25,7 +25,7 @@ from coinfactors.panel import (
     Drop,
     Panel,
     PanelOptions,
-    _CoinView,
+    _calendar,
     daily_riskfree,
     read_panel_csv,
     winsorized_zscores,
@@ -59,10 +59,12 @@ SMALL = CharacteristicWindows(
 
 
 def _returns(series):
-    """The coin's (date, return) pairs off its calendar grid."""
-    view = _CoinView(series, CharacteristicWindows())
-    k = np.flatnonzero(~np.isnan(view.ret))
-    return [(dt.date.fromordinal(view.origin + j), r) for j, r in zip(k, view.ret[k])]
+    """The coin's (date, return) pairs off the calendar of its bars."""
+    if not series.bars.size:
+        return []
+    first, ret, _ = _calendar([series], CharacteristicWindows())
+    k = np.flatnonzero(~np.isnan(ret[0]))
+    return [(dt.date.fromordinal(first + j), r) for j, r in zip(k, ret[0, k])]
 
 
 def test_returns_examples():

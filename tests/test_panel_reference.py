@@ -1,8 +1,8 @@
-"""The calendar-grid _CoinView and build_panel against the per-day loops
-they replaced (tests/reference_panel.py). The grid keeps the loops' order of
-floating-point operations, so agreement is exact: equal values, equal reprs
-(which also separates -0.0 from 0.0 and a numpy scalar from a float), None
-where None, equal panel bytes, drops and errors.
+"""The shared calendar of _calendar and build_panel against the per-day
+loops they replaced (tests/reference_panel.py). The calendar keeps the
+loops' order of floating-point operations, so agreement is exact: equal
+values, equal reprs (which also separates -0.0 from 0.0 and a numpy scalar
+from a float), None where None, equal panel bytes, drops and errors.
 """
 
 import datetime as dt
@@ -147,6 +147,19 @@ def _thinned(levels, keep):
     return levels[[bool(keep(i)) for i in range(len(levels))]]
 
 
+def _staggered(coins):
+    """BTC whole and the j-th other coin cut to its bars [40 j, n - 25 j),
+    so coins list and delist on different days; of those bars the last
+    coin keeps only the first and the one before it every other one."""
+    others = [c for c in coins if c.coin_id != "BTC"]
+    staggered = [c for c in coins if c.coin_id == "BTC"]
+    for j, coin in enumerate(others):
+        bars = coin.bars[40 * j : len(coin.bars) - 25 * j]
+        bars = {len(others) - 1: bars[:1], len(others) - 2: bars[::2]}.get(j, bars)
+        staggered.append(CoinSeries(coin.coin_id, bars))
+    return staggered
+
+
 @pytest.mark.parametrize("name", ["A", "B", "C"])
 def test_build_panel_matches_reference(name, tmp_path):
     panel, truth = generate_synthetic(scenario(name, 6, 420, seed=3))
@@ -156,18 +169,21 @@ def test_build_panel_matches_reference(name, tmp_path):
     rf = parse_riskfree_csv(tmp_path / "raw" / "riskfree.csv")
     gapped = [c if c.coin_id == "BTC" else _gapped(c, j) for j, c in enumerate(coins)]
     gapped_btc = [_gapped(c, 5) if c.coin_id == "BTC" else c for c in coins]
+    staggered = _staggered(coins)
     conditioning = [
         (_thinned(epu, lambda i: i % 5), rf),  # one-day holes: stale at limit 0
         (epu, _thinned(rf, lambda i: not 200 < i < 206)),  # stale at limit 3
         (_thinned(epu, lambda i: i > 120), _thinned(rf, lambda i: i > 300)),  # late starts
     ]
 
-    # default windows on the three coin sets; the short windows keep the
-    # per-day oracle quick across modes, fill limits and thinned series
+    # default windows on the three coin sets, and in both modes on the
+    # staggered one; the short windows keep the per-day oracle quick across
+    # modes, fill limits and thinned series
     cases = [(c, epu, rf, PanelOptions()) for c in (coins, gapped, gapped_btc)]
+    cases += [(staggered, epu, rf, PanelOptions(riskfree_mode=m)) for m in ("tbill", "btc")]
     for mode, limit in itertools.product(["tbill", "btc"], [0, 3]):
         options = PanelOptions(riskfree_mode=mode, ffill_limit_days=limit, windows=SMALL)
-        cases += [(c, epu, rf, options) for c in (coins, gapped, gapped_btc)]
+        cases += [(c, epu, rf, options) for c in (coins, gapped, gapped_btc, staggered)]
         cases += [(coins, e, r, options) for e, r in conditioning]
 
     errors = set()
