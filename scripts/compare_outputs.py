@@ -17,10 +17,11 @@ tree's own src/ and perfbench/:
   line), so coins list and delist on different days of one calendar;
 - `synth` of a 200 x 365 `panel.csv` and a six-spec `run` on it
   (CAPM, FF3 and ALL, each unconditional and conditional);
-- the same six specs on a copy of that `panel.csv` whose lines end in LF,
-  with the coin id of every data line after the first 10,000 quoted, which
-  `read_panel_csv` reads in `np.loadtxt` blocks up to there and through the
-  csv reader and its row checks from there on;
+- the same six specs on a copy of that `panel.csv` whose first 10,000 data
+  lines end in LF, the next 10,000 in a bare CR, and the rest in LF with
+  their coin ids quoted, which `read_panel_csv` reads in `np.loadtxt`
+  blocks up to there and through the csv reader and its row checks from
+  there on;
 - `synth` of scenarios A and C, each 30 x 365 with raw files, so every
   preset's panel, truth and raw bytes are compared;
 - `perfbench/mcpass.py` on the seed at 50 x 730.
@@ -56,11 +57,13 @@ PANEL_SPECS = [
     for menu in ("CAPM", "FF3", "ALL")
     for mode in ("unconditional", "conditional")
 ]
-# copies argv[1] to argv[2] with every CRLF line end turned into LF and the
-# coin id of every data line after the header and the first 10,000 quoted
+# copies argv[1] to argv[2] with the CRLF line ends of the header and the
+# first 10,000 data lines turned into LF, of the next 10,000 into a bare CR,
+# and of the rest into LF, the coin id of each of the rest quoted
 LF_COPY = ("import pathlib, sys; source, target = map(pathlib.Path, sys.argv[1:]); "
-           "*head, tail = source.read_bytes().split(b'\\r\\n', 10_001); "
-           "target.write_bytes(b''.join(line + b'\\n' for line in head) + b''.join("
+           "*head, tail = source.read_bytes().split(b'\\r\\n', 20_001); "
+           "target.write_bytes(b''.join(line + (b'\\n' if k <= 10_000 else b'\\r') "
+           "for k, line in enumerate(head)) + b''.join("
            "b'\"' + line.replace(b',', b'\",', 1) + b'\\n' "
            "for line in tail.split(b'\\r\\n')[:-1]))")
 

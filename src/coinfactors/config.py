@@ -58,7 +58,8 @@ class RunConfig:
 # Value kinds beyond the JSON scalars str, int, float (an int is accepted),
 # bool and a YYYY-MM-DD date string. An object is (class, {key: kind});
 # [kind] is a list of objects, held as a tuple.
-PATH = "path"  # a string naming a file or directory that exists
+FILE = "file"  # a string naming a file that exists
+DIRECTORY = "directory"  # a string naming a directory that exists
 STRINGS = "strings"  # a list of strings, held as a tuple
 PAIR = "pair"  # a list of two numbers, held as a tuple of floats
 
@@ -75,8 +76,8 @@ SPEC = (
 # holder, and the panel before the factor options that inherit its btc_id.
 SECTIONS = {
     "data": ("data", (DataPaths, {
-        "market_dir": PATH, "epu_file": PATH, "riskfree_file": PATH})),
-    "panel_file": ("panel_file", PATH),
+        "market_dir": DIRECTORY, "epu_file": FILE, "riskfree_file": FILE})),
+    "panel_file": ("panel_file", FILE),
     "universe": ("universe", (UniverseConfig, {
         "top_n": int, "min_history_days": int, "rank_date": dt.date})),
     "windows": ("panel.windows", (CharacteristicWindows, {
@@ -180,13 +181,16 @@ def _value(value, kind, where: str):
             return parse_iso_date(value)
         except (TypeError, ValueError):
             raise InvalidConfig(f"{where}: bad date {value!r}") from None
-    expected = str if kind is PATH else kind
+    is_path = kind in (FILE, DIRECTORY)
+    expected = str if is_path else kind
     if type(value) is not expected:
         raise InvalidConfig(
             f"{where}: expected {expected.__name__}, got {type(value).__name__}"
         )
-    if kind is PATH and not _exists(value):
+    if is_path and not _exists(value):
         raise InvalidConfig(f"{where}: path {value!r} does not exist")
+    if is_path and not (Path(value).is_file() if kind is FILE else Path(value).is_dir()):
+        raise InvalidConfig(f"{where}: path {value!r} is not a {kind}")
     return value
 
 

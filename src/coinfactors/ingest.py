@@ -93,33 +93,17 @@ class UniverseConfig:
 
 
 @contextlib.contextmanager
-def read_csv_rows(source: str | Path | io.TextIOBase) -> Iterator[Iterator[list[str]]]:
-    """The rows of a CSV file, or of a text stream, for one with block.
-
-    A MalformedRow raised in the block names a file source. Text that is not
-    UTF-8, or a field over the csv module's size limit, raises MalformedRow
-    too, never UnicodeDecodeError or csv.Error. For a path the decode error
-    names the line of the first bad byte. A text stream can only report the
-    line after the last row read, which may come before the bad byte: a
-    stream that decodes bytes reads its text in chunks, ahead of the rows.
-    """
-    path = source if isinstance(source, (str, Path)) else None
-    opened = (contextlib.nullcontext(source) if path is None
-              else open(path, newline="", encoding="utf-8"))
-    with opened as handle:
+def read_csv_rows(source: str | Path) -> Iterator[Iterator[list[str]]]:
+    """The rows of the CSV file at source, for one with block, under
+    _file_errors: a MalformedRow raised in the block names the file, and so
+    does text that is not UTF-8. A field over the csv module's size limit
+    raises MalformedRow too, never csv.Error."""
+    with _file_errors(source), open(source, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
             yield reader
-        except UnicodeDecodeError as exc:
-            # text is decoded in chunks, ahead of the rows read so far
-            line = reader.line_num + 1 if path is None else _undecodable_line(path)
-            raise MalformedRow(line, f"not UTF-8 text: {exc.reason}", path) from None
         except csv.Error as exc:
-            raise MalformedRow(reader.line_num, str(exc), path) from None
-        except MalformedRow as exc:
-            if exc.path is None:
-                exc.path = path
-            raise
+            raise MalformedRow(reader.line_num, str(exc)) from None
 
 
 @contextlib.contextmanager
@@ -142,6 +126,21 @@ def write_csv_rows(path: str | Path, header: Sequence[str]) -> Iterator[Callable
 
         write([header])
         yield write
+
+
+@contextlib.contextmanager
+def _file_errors(path: str | Path) -> Iterator[None]:
+    """The one error rule of a file's reads, for one with block: a
+    MalformedRow raised in the block names path, and text that is not UTF-8
+    raises a MalformedRow naming path and the line of its first bad byte."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        line = _undecodable_line(path)
+        raise MalformedRow(line, f"not UTF-8 text: {exc.reason}", path) from None
+    except MalformedRow as exc:
+        exc.path = path
+        raise
 
 
 def _undecodable_line(path: str | Path) -> int:
@@ -214,11 +213,11 @@ def _dated_rows(
         yield line, date, values, row
 
 
-def parse_market_csv(source: str | Path | io.TextIOBase, coin_id: str) -> CoinSeries:
+def parse_market_csv(source: str | Path, coin_id: str) -> CoinSeries:
     """Parse one coin's date,close,volume,market_cap table.
 
     Rows may arrive in any order; bars come out sorted ascending. Raises
-    MalformedRow, naming its line (and file), for structural problems and,
+    MalformedRow, naming its file and line, for structural problems and,
     as NonPositivePrice, for close <= 0; DuplicateDate when a date repeats.
     """
     records = []
@@ -237,7 +236,7 @@ def parse_market_csv(source: str | Path | io.TextIOBase, coin_id: str) -> CoinSe
 
 
 def _parse_level_csv(
-    source: str | Path | io.TextIOBase,
+    source: str | Path,
     header: tuple[str, ...],
     check: Callable[[float, dt.date, int], None],
 ) -> np.ndarray:
@@ -262,13 +261,13 @@ def _check_rate(value: float, date: dt.date, line: int) -> None:
         raise MalformedRow(line, f"rate {value!r} on {date.isoformat()} must exceed -1")
 
 
-def parse_epu_csv(source: str | Path | io.TextIOBase) -> np.ndarray:
+def parse_epu_csv(source: str | Path) -> np.ndarray:
     """Parse the date,epu uncertainty series into a LEVEL_DTYPE array,
     ascending by day. Negative levels are rejected."""
     return _parse_level_csv(source, EPU_HEADER, _check_epu)
 
 
-def parse_riskfree_csv(source: str | Path | io.TextIOBase) -> np.ndarray:
+def parse_riskfree_csv(source: str | Path) -> np.ndarray:
     """Parse the date,rate annualized risk-free series into a LEVEL_DTYPE
     array, ascending by day. Rates may be negative but must exceed -1
     (MalformedRow otherwise)."""

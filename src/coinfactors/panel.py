@@ -14,7 +14,6 @@ import contextlib
 import csv
 import datetime as dt
 import functools
-import io
 import itertools
 import math
 import operator
@@ -34,7 +33,7 @@ from .errors import (
     MissingCharacteristic,
     TooShort,
 )
-from .ingest import CoinSeries, _undecodable_line, parse_iso_date, write_csv_rows
+from .ingest import CoinSeries, _file_errors, parse_iso_date, write_csv_rows
 
 CHARACTERISTIC_NAMES = ("size", "momentum", "liquidity", "value")
 
@@ -609,46 +608,33 @@ def write_panel_csv(panel: Panel, path: str | Path) -> None:
             ), key=coin_id)
 
 
-def read_panel_csv(
-    source: str | Path | io.TextIOBase, riskfree_mode: str = "tbill"
-) -> Panel:
-    """Parse a panel CSV back into a Panel.
+def read_panel_csv(source: str | Path, riskfree_mode: str = "tbill") -> Panel:
+    """Parse a panel CSV file back into a Panel.
 
     The file format carries no risk-free mode, so the caller supplies it
     (it travels in run configs and manifests). A row with the wrong field
     count, an unparsable or non-finite value, a size_raw whose exponential
     is no positive finite market cap, a (coin_id, date) seen on an earlier
-    line, text that is not UTF-8 or an over-long field raises MalformedRow
-    naming its line, and the file when source is a path; so does a header
-    with no data rows below it. u_lag and rbtc_lag are market-wide, so
-    every row of a date must hold the same bits in each: once every row
-    has passed, the first row that differs from its date's first row
-    raises MalformedRow naming both lines, the coin and the date. Text that
-    is not UTF-8 is rejected before any row is checked: a file names the
-    line of its first bad byte, a stream the line after the last it gave.
+    line or an over-long field raises MalformedRow naming the file and the
+    row's line; so does a header with no data rows below it. u_lag and
+    rbtc_lag are market-wide, so every row of a date must hold the same
+    bits in each: once every row has passed, the first row that differs
+    from its date's first row raises MalformedRow naming both lines, the
+    coin and the date. Text that is not UTF-8 is rejected before any row is
+    checked, unless a bad header or a record the csv reader rejects comes
+    before it, naming the line of its first bad byte (_file_errors).
 
-    The text is read twice (_read_twice). A text stream is held as its
-    lines, and so is a file whose text differs on the second read.
+    The file is read twice (_read_twice). One whose text differs on the
+    second read is read again as held lines.
     """
-    path = source if isinstance(source, (str, Path)) else None
-    held: list[str] = []
-    try:
-        if path is None:
-            held.extend(source)  # on a decode error, held keeps the lines above it
-        else:
-            opened = functools.partial(open, path, newline="", encoding="utf-8")
-            panel = _read_twice(opened, riskfree_mode)
-            if panel is not None:
-                return panel
-            with opened() as handle:  # the file changed between its reads
-                held.extend(handle)
-        return _read_twice(lambda: contextlib.nullcontext(held), riskfree_mode)
-    except UnicodeDecodeError as exc:
-        line = len(held) + 1 if path is None else _undecodable_line(path)
-        raise MalformedRow(line, f"not UTF-8 text: {exc.reason}", path) from None
-    except MalformedRow as exc:
-        exc.path = path
-        raise
+    opened = functools.partial(open, source, newline="", encoding="utf-8")
+    with _file_errors(source):
+        panel = _read_twice(opened, riskfree_mode)
+        if panel is None:  # the file changed between its reads
+            with opened() as handle:
+                held = list(handle)
+            panel = _read_twice(lambda: contextlib.nullcontext(held), riskfree_mode)
+    return panel
 
 
 _SIZE_AT = PANEL_HEADER.index("size_raw") - 2  # position among the numbers
@@ -665,20 +651,19 @@ def _read_twice(open_lines, riskfree_mode: str) -> Panel | None:
     the second read (the file changed in between).
 
     The first read gathers the distinct coin ids and dates, which rank the
-    Panel's axes, each block's hash and whether it is plain. The second
-    trusts those verdicts and puts each block's rows straight into the
-    Panel's grid, so no table of every row's numbers is held beside it.
-    Each block's u_lag and rbtc_lag are checked against each date's first
-    row; the first row that differs is raised once every row has passed.
+    Panel's axes, and each block's hash. The second puts each block's rows
+    straight into the Panel's grid, so no table of every row's numbers is
+    held beside it. Each block's u_lag and rbtc_lag are checked against
+    each date's first row; the first row that differs is raised once every
+    row has passed.
     """
     coin_ids: set[str] = set()
     days: set[str] = set()
-    hashes, verdicts = [], []
+    hashes = []
     # the second read raises a MalformedRow of _blocks after the rows above it
     with open_lines() as lines, contextlib.suppress(MalformedRow):
         for _, digest, is_plain, block in _blocks(lines):
             hashes.append(digest)
-            verdicts.append(is_plain)
             if is_plain:
                 block_coins, block_days, _ = zip(*map(_split_keys, block))
             else:
@@ -695,7 +680,7 @@ def _read_twice(open_lines, riskfree_mode: str) -> Panel | None:
     odd = None
     expected = iter(hashes)
     with open_lines() as lines:
-        for line, digest, is_plain, block in _blocks(lines, iter(verdicts)):
+        for line, digest, is_plain, block in _blocks(lines):
             if digest != next(expected, None):
                 return None
             placed = _parsed(block, line, coin_at, day_at, mask) if is_plain else None
@@ -725,21 +710,20 @@ def _read_twice(open_lines, riskfree_mode: str) -> Panel | None:
     return Panel(coins, dates, mask, ret, excess, z, raw, *series, riskfree_mode)
 
 
-def _blocks(lines: Iterable[str], verdicts: Iterator[bool] | None = None) -> Iterator[tuple]:
-    """The data rows of panel text, given as its lines, in blocks of
-    _BLOCK_ROWS lines: (line of the first row, hash of the block's text,
-    whether the block is plain, the block), where a row's line is its
-    record's number. The header record, read by csv, must be PANEL_HEADER.
+def _blocks(lines: Iterable[str]) -> Iterator[tuple]:
+    """The data rows of panel text, given as its lines as open(newline="")
+    splits them (at CR, LF or CRLF), in blocks of _BLOCK_ROWS lines: (line
+    of the first row, hash of the block's text, whether the block is plain,
+    the block), where a row's line is its record's number. The header
+    record, read by csv, must be PANEL_HEADER.
 
-    Each block is judged on its own, or takes the next of verdicts when
-    given (not plain past their end). A plain block is a list of lines with
-    13 commas, no character of _IRREGULAR, no more characters than the csv
-    field limit and no CR before the line end, which a stream split at LF
-    alone can hold: the csv reader would split each at its commas, whatever
-    its line end. Any other block is a list of as many records, read by a
-    csv.reader of its own, so a record that runs past the block takes its
-    extra lines with it; a csv.Error raises MalformedRow once the records
-    above it are yielded.
+    Each block is judged on its own. A plain block is a list of lines, each
+    with 13 commas, no character of _IRREGULAR and no more characters than
+    the csv field limit: with no CR before any line's end, the csv reader
+    would split each at its commas, whatever its line end. Any other block is a
+    list of as many records, read by a csv.reader of its own, so a record
+    that runs past the block takes its extra lines with it; a csv.Error
+    raises MalformedRow once the records above it are yielded.
     """
     lines = iter(lines)
     reader = csv.reader(lines)
@@ -752,11 +736,10 @@ def _blocks(lines: Iterable[str], verdicts: Iterator[bool] | None = None) -> Ite
     line, read = 2, reader.line_num  # the next record's line, the lines of text read
     for block in iter(lambda: list(itertools.islice(lines, _BLOCK_ROWS)), []):
         text = "".join(block)
-        is_plain = next(verdicts, False) if verdicts is not None else (
+        is_plain = (
             not any(c in text for c in _IRREGULAR)
-            and text.count(",") == (len(PANEL_HEADER) - 1) * len(block)
+            and set(map(str.count, block, itertools.repeat(","))) == {len(PANEL_HEADER) - 1}
             and max(map(len, block)) <= csv.field_size_limit()
-            and not any("\r" in each.rstrip("\r\n") for each in block)
         )
         taken, records, error = block, block, None  # the block's lines of text, its rows
         if not is_plain:

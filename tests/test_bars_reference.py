@@ -7,7 +7,6 @@ type and message.
 
 import dataclasses
 import datetime as dt
-import io
 
 import numpy as np
 import pytest
@@ -83,12 +82,14 @@ def market_text(draw):
 @settings(max_examples=300, deadline=None)
 @given(text=market_text())
 def test_parse_market_csv_matches_reference(text, tmp_path_factory):
-    new = _rows(_outcome(parse_market_csv, io.StringIO(text), "C,1"))
-    old = _outcome(ref.parse_market_csv, io.StringIO(text), "C,1")
+    out = tmp_path_factory.mktemp("market")
+    path = out / "market.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    new = _rows(_outcome(parse_market_csv, path, "C,1"))
+    old = _outcome(ref.parse_market_csv, path, "C,1")
     assert_same(new, old, "parsed series")
     assert new == old
     if isinstance(old, ref.CoinSeries):
-        out = tmp_path_factory.mktemp("market")
         write_market_csv(ref.array_of(old), out / "new.csv")
         ref.write_market_csv(old, out / "old.csv")
         assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()

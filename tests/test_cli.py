@@ -754,6 +754,12 @@ def test_report_rejects_spoiled_table_exits_2_naming_it(tmp_path, synth_a, name,
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)  # handled, no traceback
     assert str(run_dir / name) in result.stderr
+    data = (run_dir / name).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # named by the line of the first bad byte
+        line = data.count(b"\n", 0, exc.start) + 1
+        assert f"{run_dir / name}: line {line}: not UTF-8 text" in result.stderr
     assert (run_dir / "comparison.md").read_bytes() == before  # nothing rewritten
 
 

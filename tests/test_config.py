@@ -162,6 +162,19 @@ def test_nonexistent_paths_rejected(tmp_path):
     with pytest.raises(InvalidConfig) as info:
         load_config(_write(tmp_path, {"panel_file": "a\u0000b"}))
     assert str(info.value) == "panel_file: path 'a\\x00b' does not exist"
+    # a directory given as a file, or a file as the market directory
+    data = _data_section(tmp_path)
+    for where, doc in [
+        ("data.epu_file", {"data": dict(data, epu_file=data["market_dir"])}),
+        ("data.riskfree_file", {"data": dict(data, riskfree_file=str(tmp_path))}),
+        ("data.market_dir", {"data": dict(data, market_dir=data["epu_file"])}),
+        ("panel_file", {"panel_file": data["market_dir"]}),
+    ]:
+        with pytest.raises(InvalidConfig) as info:
+            load_config(_write(tmp_path, doc))
+        kind = "directory" if where == "data.market_dir" else "file"
+        assert str(info.value).startswith(f"{where}: path ")
+        assert str(info.value).endswith(f" is not a {kind}")
 
 
 @pytest.mark.parametrize("date", ["20200102", "2020-W01-3"])

@@ -1,5 +1,3 @@
-import io
-
 import pytest
 
 from coinfactors.errors import (
@@ -29,67 +27,78 @@ MARKET_TEXT = """date,close,volume,market_cap
 """
 
 
-def test_parse_market_csv_basic():
-    series = parse_market_csv(io.StringIO(MARKET_TEXT), "ABC")
+def _file(tmp_path, text):
+    """A CSV file in tmp_path holding text."""
+    path = tmp_path / "table.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    return path
+
+
+def test_parse_market_csv_basic(tmp_path):
+    series = parse_market_csv(_file(tmp_path, MARKET_TEXT), "ABC")
     assert series.coin_id == "ABC"
     assert series.bars["day"].tolist() == [day(i).toordinal() for i in range(3)]
     assert series.bars["close"][1] == 110.0
     assert series.bars["volume"][2] == 0.0  # zero volume is data, not an error
 
 
-def test_parse_market_csv_sorts_rows():
+def test_parse_market_csv_sorts_rows(tmp_path):
     shuffled = (
         "date,close,volume,market_cap\n"
         "2021-01-03,99.0,1.0,3.0\n"
         "2021-01-01,100.0,1.0,1.0\n"
         "2021-01-02,110.0,1.0,2.0\n"
     )
-    series = parse_market_csv(io.StringIO(shuffled), "X")
+    series = parse_market_csv(_file(tmp_path, shuffled), "X")
     assert series.bars["market_cap"].tolist() == [1.0, 2.0, 3.0]
 
 
-def test_parse_market_csv_rejects_bad_header():
+def test_parse_market_csv_rejects_bad_header(tmp_path):
     for text in ("date,close\n2021-01-01,1.0\n", ""):
         with pytest.raises(MalformedRow) as info:
-            parse_market_csv(io.StringIO(text), "X")
+            parse_market_csv(_file(tmp_path, text), "X")
         assert info.value.line == 1
 
 
 def test_empty_input_asks_for_a_header(tmp_path):
     empty = "line 1: empty input, expected a header row"
+    path = _file(tmp_path, "")
     for parse in (lambda f: parse_market_csv(f, "X"), parse_epu_csv, parse_riskfree_csv):
-        with pytest.raises(MalformedRow, match=f"^{empty}$"):
-            parse(io.StringIO(""))
-    (tmp_path / "X.csv").write_bytes(b"")
+        with pytest.raises(MalformedRow) as info:
+            parse(path)
+        assert str(info.value) == f"{path}: {empty}"
+    market = tmp_path / "market"
+    market.mkdir()
+    (market / "X.csv").write_bytes(b"")
     with pytest.raises(MalformedRow) as info:
-        load_coin_dir(tmp_path)
-    assert str(info.value) == f"{tmp_path / 'X.csv'}: {empty}"
+        load_coin_dir(market)
+    assert str(info.value) == f"{market / 'X.csv'}: {empty}"
 
 
-def test_parse_market_csv_rejects_extra_column():
+def test_parse_market_csv_rejects_extra_column(tmp_path):
     text = "date,close,volume,market_cap,extra\n2021-01-01,1.0,1.0,1.0,9\n"
     with pytest.raises(MalformedRow):
-        parse_market_csv(io.StringIO(text), "X")
+        parse_market_csv(_file(tmp_path, text), "X")
 
 
-def test_parse_market_csv_duplicate_date():
+def test_parse_market_csv_duplicate_date(tmp_path):
     text = (
         "date,close,volume,market_cap\n"
         "2021-01-01,1.0,1.0,1.0\n"
         "2021-01-01,2.0,1.0,1.0\n"
     )
     with pytest.raises(DuplicateDate) as info:
-        parse_market_csv(io.StringIO(text), "DUP")
+        parse_market_csv(_file(tmp_path, text), "DUP")
     assert "DUP" in str(info.value)
 
 
-def test_parse_market_csv_nonpositive_price():
+def test_parse_market_csv_nonpositive_price(tmp_path):
     text = "date,close,volume,market_cap\n2021-01-01,0.0,1.0,1.0\n"
     with pytest.raises(NonPositivePrice):
-        parse_market_csv(io.StringIO(text), "X")
+        parse_market_csv(_file(tmp_path, text), "X")
 
 
-def test_parse_market_csv_negative_volume_and_cap():
+def test_parse_market_csv_negative_volume_and_cap(tmp_path):
     for column in ("volume", "market_cap"):
         cells = {"close": "1.0", "volume": "1.0", "market_cap": "1.0"}
         cells[column] = "-1.0"
@@ -98,17 +107,17 @@ def test_parse_market_csv_negative_volume_and_cap():
             f"2021-01-01,{cells['close']},{cells['volume']},{cells['market_cap']}\n"
         )
         with pytest.raises(MalformedRow):
-            parse_market_csv(io.StringIO(text), "X")
+            parse_market_csv(_file(tmp_path, text), "X")
 
 
-def test_parse_market_csv_bad_number_reports_line():
+def test_parse_market_csv_bad_number_reports_line(tmp_path):
     text = (
         "date,close,volume,market_cap\n"
         "2021-01-01,1.0,1.0,1.0\n"
         "2021-01-02,oops,1.0,1.0\n"
     )
     with pytest.raises(MalformedRow) as info:
-        parse_market_csv(io.StringIO(text), "X")
+        parse_market_csv(_file(tmp_path, text), "X")
     assert info.value.line == 3
 
 
@@ -117,10 +126,10 @@ NOT_YYYY_MM_DD = ["20200102", "2020-W01-3"]
 
 
 @pytest.mark.parametrize("text", NOT_YYYY_MM_DD)
-def test_parse_market_csv_rejects_other_iso_forms(text):
+def test_parse_market_csv_rejects_other_iso_forms(tmp_path, text):
     rows = f"date,close,volume,market_cap\n2021-01-01,1.0,1.0,1.0\n{text},1.0,1.0,1.0\n"
     with pytest.raises(MalformedRow) as info:
-        parse_market_csv(io.StringIO(rows), "X")
+        parse_market_csv(_file(tmp_path, rows), "X")
     assert info.value.line == 3
     assert f"bad date {text!r}" in str(info.value)
 
@@ -138,16 +147,16 @@ def test_market_csv_round_trip(tmp_path):
     assert path.read_bytes() == first
 
 
-def test_parse_epu_csv():
+def test_parse_epu_csv(tmp_path):
     text = "date,epu\n2021-01-02,120.5\n2021-01-01,100.25\n"
-    levels = parse_epu_csv(io.StringIO(text))
+    levels = parse_epu_csv(_file(tmp_path, text))
     assert levels.dtype == LEVEL_DTYPE
     assert levels.tolist() == [(day(0).toordinal(), 100.25), (day(1).toordinal(), 120.5)]
 
 
-def test_parse_epu_rejects_negative_level():
+def test_parse_epu_rejects_negative_level(tmp_path):
     with pytest.raises(NegativeLevel):
-        parse_epu_csv(io.StringIO("date,epu\n2021-01-01,-5.0\n"))
+        parse_epu_csv(_file(tmp_path, "date,epu\n2021-01-01,-5.0\n"))
 
 
 def test_parse_epu_csv_names_a_character_cut_off_by_the_end_of_the_file(tmp_path):
@@ -158,26 +167,26 @@ def test_parse_epu_csv_names_a_character_cut_off_by_the_end_of_the_file(tmp_path
     assert str(info.value) == f"{path}: line 4: not UTF-8 text: unexpected end of data"
 
 
-def test_parse_riskfree_allows_negative_rate():
-    rates = parse_riskfree_csv(io.StringIO("date,rate\n2021-01-01,-0.001\n"))
+def test_parse_riskfree_allows_negative_rate(tmp_path):
+    rates = parse_riskfree_csv(_file(tmp_path, "date,rate\n2021-01-01,-0.001\n"))
     assert rates.tolist() == [(day(0).toordinal(), -0.001)]
 
 
-def test_parse_riskfree_rejects_rate_at_or_below_minus_one():
+def test_parse_riskfree_rejects_rate_at_or_below_minus_one(tmp_path):
     text = "date,rate\n2021-01-01,0.01\n2021-01-02,-1.5\n2021-01-03,-1\n"
     with pytest.raises(MalformedRow) as info:
-        parse_riskfree_csv(io.StringIO(text))
+        parse_riskfree_csv(_file(tmp_path, text))
     assert info.value.line == 3
     assert "must exceed -1" in str(info.value)
     with pytest.raises(MalformedRow) as info:
-        parse_riskfree_csv(io.StringIO("date,rate\n2021-01-03,-1\n"))
+        parse_riskfree_csv(_file(tmp_path, "date,rate\n2021-01-03,-1\n"))
     assert info.value.line == 2
 
 
-def test_parse_riskfree_duplicate_date():
+def test_parse_riskfree_duplicate_date(tmp_path):
     text = "date,rate\n2021-01-01,0.01\n2021-01-01,0.02\n"
     with pytest.raises(DuplicateDate):
-        parse_riskfree_csv(io.StringIO(text))
+        parse_riskfree_csv(_file(tmp_path, text))
 
 
 def _aged_series(coin_id, cap, n_days=400, start=D0):

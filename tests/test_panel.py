@@ -1,6 +1,5 @@
 import dataclasses
 import datetime as dt
-import io
 import math
 
 import numpy as np
@@ -43,6 +42,7 @@ from conftest import (
     raw_characteristics,
     standardized,
 )
+import reference_reader
 from reference_rows import row_view
 
 # mpmath 50-digit evaluations of (1 + annual)^(1/365) - 1
@@ -502,28 +502,33 @@ def test_panel_keeps_one_value_per_date_of_a_series_grid():
 
 
 def _read_both(tmp_path, text):
-    """read_panel_csv over text from a text stream (its lines held) and
-    from a file path (read twice): the same Panel bit for bit, or the same
-    MalformedRow line and message, the path's naming the file. Returns the
-    Panel or raises the stream's MalformedRow."""
+    """read_panel_csv and its oracle (tests/reference_reader.py) over text
+    in a file: the same Panel bit for bit, or the same MalformedRow line,
+    message and file. Where the oracle's Panel rejects a series that
+    differs within a date, the reader raises a MalformedRow. Returns the
+    Panel or raises the reader's MalformedRow."""
     path = tmp_path / "panel.csv"
     path.write_text(text, encoding="utf-8", newline="")
     try:
-        from_path = read_panel_csv(path)
-    except MalformedRow as exc:
-        from_path = exc
-        assert exc.path == path
+        expected = reference_reader.read_panel_csv(path)
+    except (MalformedRow, InvalidConfig) as exc:
+        expected = exc
     try:
-        from_stream = read_panel_csv(io.StringIO(text, newline=""))
+        panel = read_panel_csv(path)
     except MalformedRow as exc:
-        assert isinstance(from_path, MalformedRow), "only the stream read failed"
-        assert (from_path.line, from_path.message) == (exc.line, exc.message)
+        assert exc.path == path
+        if isinstance(expected, InvalidConfig):
+            assert str(expected).endswith("the series holds one value per date")
+        else:
+            assert isinstance(expected, MalformedRow), "only the reader failed"
+            assert (exc.line, exc.message, exc.path) == (
+                expected.line, expected.message, expected.path)
         raise
-    assert isinstance(from_path, Panel), "only the path read failed"
-    assert (from_path.coins, from_path.dates) == (from_stream.coins, from_stream.dates)
-    for name in ("mask", "ret", "excess", "z", "raw", "u", "r_btc"):
-        assert getattr(from_path, name).tobytes() == getattr(from_stream, name).tobytes()
-    return from_stream
+    assert isinstance(expected, Panel), "only the oracle failed"
+    assert (panel.coins, panel.dates) == (expected.coins, expected.dates)
+    for name in panel_module._COLUMNS:
+        assert getattr(panel, name).tobytes() == getattr(expected, name).tobytes()
+    return panel
 
 
 def _csv_text(rows, terminator="\r\n"):
@@ -564,8 +569,9 @@ def test_read_panel_csv_rejects_a_series_that_differs_within_a_date(
         _read_both(tmp_path, _csv_text(rows))
     assert info.value.line == 5 + blank
     assert str(info.value) == (
-        f"line {5 + blank}: {column} {float(odd)!r} of B on 2021-01-02 differs from "
-        f"{float(first)!r} of A on line 2: the series holds one value per date"
+        f"{tmp_path / 'panel.csv'}: line {5 + blank}: {column} {float(odd)!r} of B on "
+        f"2021-01-02 differs from {float(first)!r} of A on line 2: "
+        "the series holds one value per date"
     )
 
 
@@ -598,9 +604,10 @@ def test_panel_csv_round_trip(tmp_path):
     ("\r\n", False), ("\n", False), ("\r", False), ("\r\n", True),
 ], ids=["\r\n", "\n", "\r", "quoted"])
 def test_read_panel_csv_path_matches_stream(tmp_path, monkeypatch, terminator, quoted):
-    # a file that write_panel_csv could have written, the same data rows
-    # ended by LF or CR, which np.loadtxt reads as well, and one with a
-    # quoted coin id, which only the row checks read; also the header alone
+    # the reader gives its oracle's outcome on a file that write_panel_csv
+    # could have written, the same data rows ended by LF or CR, which
+    # np.loadtxt reads as well, and one with a quoted coin id, which only
+    # the row checks read; also the header alone
     coins, epu, rf = _inputs()
     path = tmp_path / "panel.csv"
     write_panel_csv(build_panel_of_dicts(coins, epu, rf, OPTIONS), path)
@@ -614,21 +621,21 @@ def test_read_panel_csv_path_matches_stream(tmp_path, monkeypatch, terminator, q
     monkeypatch.setattr(panel_module, "_rows",
                         lambda *args: row_checks.append(1) or check_rows(*args))
     assert len(_read_both(tmp_path, text).coins) == len(coins)
-    assert len(row_checks) == 2 * quoted  # path's, stream's
+    assert len(row_checks) == quoted
     for only_header in (header + "\r\n", header + "\r\n\r\n"):
         with pytest.raises(MalformedRow, match="has a header but no data rows") as info:
             _read_both(tmp_path, only_header)
         assert info.value.line == 2
 
 
-@pytest.mark.parametrize("change", ["number", "appended", "cut", "blocks cut"])
+@pytest.mark.parametrize("change", ["number", "appended", "cut", "blocks cut", "not utf-8"])
 def test_read_panel_csv_declines_a_file_that_changes_between_its_reads(
     tmp_path, monkeypatch, change
 ):
     # the reader reads the file twice; a change in between declines those
-    # reads, and the file is read again, as held text, as it is after the change
+    # reads, and the file is read again, as held lines, as it is after the change
     path = tmp_path / "panel.csv"
-    if change == "blocks cut":  # 600 rows, then just the first two blocks of them
+    if change in ("blocks cut", "not utf-8"):  # 600 rows
         days = [(dt.date(2020, 1, 1) + dt.timedelta(days=j)).isoformat() for j in range(200)]
         rows = [[f"C{i}", day] + ["1.0"] * 12 for i in range(3) for day in days]
         path.write_text(_csv_text([PANEL_HEADER, *rows]), encoding="utf-8", newline="")
@@ -644,24 +651,35 @@ def test_read_panel_csv_declines_a_file_that_changes_between_its_reads(
         lines.append(b",".join([b"ZZZ"] + cells[1:]))
     elif change == "cut":
         del lines[-1]
-    else:  # every block of the second read matches one of the first
+    elif change == "blocks cut":  # every block of the second read matches one of the first
         del lines[1 + 2 * panel_module._BLOCK_ROWS :]
+    else:  # the first block differs; the last line, decoded by no read of
+        # the file but the held one, is not UTF-8
+        lines[1] = lines[1].replace(b"1.0", b"0.5", 1)
+        lines[-1] = b"\xff" + lines[-1]
     after = b"".join(lines)
     path.write_bytes(after)
-    expected = read_panel_csv(path)
+    if change != "not utf-8":
+        expected = read_panel_csv(path)
 
     reads = []
     blocks = panel_module._blocks
 
-    def changing_blocks(lines, *plain):
+    def changing_blocks(lines):
         reads.append(lines)
         if len(reads) == 2:
             path.write_bytes(after)
-        return blocks(lines, *plain)
+        return blocks(lines)
 
     monkeypatch.setattr(panel_module, "_blocks", changing_blocks)
     monkeypatch.setattr(panel_module, "_rows", None)  # every block stays plain
     path.write_bytes(before)
+    if change == "not utf-8":
+        with pytest.raises(MalformedRow) as info:
+            read_panel_csv(path)
+        assert len(reads) == 2  # the held lines failed to decode
+        assert str(info.value) == f"{path}: line 601: not UTF-8 text: invalid start byte"
+        return
     panel = read_panel_csv(path)
     assert len(reads) == 4  # the file twice, then its held text twice
     assert [isinstance(lines, list) for lines in reads] == [False, False, True, True]

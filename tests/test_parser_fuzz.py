@@ -4,9 +4,11 @@ starts as valid rows (none, or some, ended by CRLF, LF or CR, the last
 maybe by nothing), then some cells are swapped for awkward tokens and some
 raw bytes are spliced in anywhere, the header included.
 
-A panel file path is read from the file and a text stream from its held
-lines, so the same text read both ways must give the same Panel bit for
-bit, or the same MalformedRow line and message. The EPU and
+A panel file must give the Panel, bit for bit, or the MalformedRow line,
+message and file of the reader it replaced (tests/reference_reader.py),
+but for two rules of its own: text that is not UTF-8 is rejected before
+any row, and a series that differs within a date raises a MalformedRow,
+where the old reader's Panel raised InvalidConfig. The EPU and
 risk-free parsers must give the rows, or the error type and message, of
 the dict-returning parsers they replaced (tests/reference_levels.py),
 whatever the row order and wherever a date repeats."""
@@ -19,8 +21,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_levels
+import reference_reader
 from coinfactors import panel as panel_module
-from coinfactors.errors import MalformedRow, ValidationError
+from coinfactors.errors import InvalidConfig, MalformedRow, ValidationError
 from coinfactors.ingest import (
     EPU_HEADER,
     MARKET_HEADER,
@@ -28,6 +31,7 @@ from coinfactors.ingest import (
     parse_epu_csv,
     parse_market_csv,
     parse_riskfree_csv,
+    read_csv_rows,
 )
 from coinfactors.panel import _COLUMNS, PANEL_HEADER, read_panel_csv
 
@@ -131,12 +135,14 @@ def test_level_parsers_equal_the_dict_oracle(tmp_path, spoiled, repeats, order):
 
 
 def _outcome(read):
-    """What a read gives: the Panel's fields, or the MalformedRow's line,
-    message and file."""
+    """What a read gives: the Panel's fields, the MalformedRow's line,
+    message and file, or the InvalidConfig's text."""
     try:
         panel = read()
     except MalformedRow as exc:
         return ("error", exc.line, exc.message, exc.path)
+    except InvalidConfig as exc:
+        return ("invalid", str(exc))
     arrays = [getattr(panel, name).tobytes() for name in _COLUMNS]
     return ("panel", panel.coins, panel.dates, panel.riskfree_mode, arrays)
 
@@ -151,15 +157,18 @@ def test_panel_path_reads_as_its_text_stream(tmp_path, spoiled):
     path.write_bytes(data)
     got = _outcome(lambda: read_panel_csv(path, riskfree_mode="btc"))
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # or a header or csv error read before it
         assert got[0] == "error" and got[3] == path
+        if got[2].startswith("not UTF-8 text: "):
+            assert got[1] == data.count(b"\n", 0, exc.start) + 1
         return
-    stream = io.StringIO(text, newline="")
-    want = _outcome(lambda: read_panel_csv(stream, riskfree_mode="btc"))
-    if want[0] == "error":
-        want = want[:3] + (path,)
-    assert got == want
+    want = _outcome(lambda: reference_reader.read_panel_csv(path, riskfree_mode="btc"))
+    if want[0] == "invalid":  # the old reader's Panel rejects a series
+        assert want[1].endswith("the series holds one value per date")
+        assert got[0] == "error" and got[3] == path
+    else:
+        assert got == want
 
 
 def test_panel_path_parses_numbers_as_float_does(tmp_path, monkeypatch):
@@ -177,6 +186,6 @@ def test_panel_path_parses_numbers_as_float_does(tmp_path, monkeypatch):
         panel = read_panel_csv(path)
     expected = np.array([float(cell) for cell in cells])
     assert panel.ret[0].tobytes() == expected.tobytes()
-    assert _outcome(lambda: panel) == _outcome(
-        lambda: read_panel_csv(io.StringIO(text.getvalue(), newline=""))
-    )
+    with read_csv_rows(path) as rows:  # the old reader's float() per cell
+        old = reference_reader._assemble_panel(*reference_reader._read_panel_rows(rows), "tbill")
+    assert _outcome(lambda: panel) == _outcome(lambda: old)

@@ -1,7 +1,7 @@
 """read_panel_csv and Panel.caps against the code they replaced
 (tests/reference_reader.py).
 
-The reader now reads every file and stream twice in blocks of rows,
+The reader now reads every file twice in blocks of rows,
 first for its distinct coin ids and dates, then block by block into the
 Panel's grid; the oracle had a fast path and a row parser, and carried
 every row's strings and numbers to one assembly. Written panel files,
@@ -33,6 +33,7 @@ from hypothesis import strategies as st
 import reference_reader as ref
 from coinfactors import panel as panel_module
 from coinfactors.errors import InvalidConfig, MalformedRow
+from coinfactors.ingest import read_csv_rows
 from coinfactors.panel import (
     _COLUMNS,
     CHARACTERISTIC_NAMES,
@@ -156,22 +157,27 @@ def _assert_agrees(new, old):
         assert new == old
 
 
+def _oracle_rows(path, riskfree_mode):
+    """The oracle's row parser, which its fast path falls back on, over
+    every row of the file at path."""
+    with read_csv_rows(path) as rows:
+        return ref._assemble_panel(*ref._read_panel_rows(rows), riskfree_mode)
+
+
 @SETTINGS
 @given(drawn=panel_files())
 def test_read_panel_csv_equals_oracle(tmp_path, drawn):
     riskfree_mode, text = drawn
     path = tmp_path / "panel.csv"
     path.write_bytes(text.encode("utf-8", "surrogatepass"))
-    _assert_agrees(_outcome(read_panel_csv, path, riskfree_mode),
-                   _outcome(ref.read_panel_csv, path, riskfree_mode))
-    # a stream takes the oracle's row parser
-    _assert_agrees(_outcome(read_panel_csv, io.StringIO(text, newline=""), riskfree_mode),
-                   _outcome(ref.read_panel_csv, io.StringIO(text, newline=""), riskfree_mode))
+    with mock.patch.object(panel_module, "_rows", wraps=panel_module._rows) as rows:
+        new = _outcome(read_panel_csv, path, riskfree_mode)
+    _assert_agrees(new, _outcome(ref.read_panel_csv, path, riskfree_mode))
+    # and so does the oracle's row parser, on text its fast path takes too
+    _assert_agrees(new, _outcome(_oracle_rows, path, riskfree_mode))
     # and a path is checked row by row exactly where the oracle's fast path
     # declines the same text with every line end made CRLF, unless it holds
     # no data row or breaks only the series rule
-    with mock.patch.object(panel_module, "_rows", wraps=panel_module._rows) as rows:
-        new = _outcome(read_panel_csv, path, riskfree_mode)
     crlf = tmp_path / "crlf.csv"
     crlf.write_bytes(text.replace("\r\n", "\n").replace("\n", "\r\n")
                      .encode("utf-8", "surrogatepass"))
@@ -181,7 +187,7 @@ def test_read_panel_csv_equals_oracle(tmp_path, drawn):
         assert str(exc).endswith(SERIES_RULE)
         # every row passed the oracle's checks but a repeat, which the oracle's
         # row parser raises and the reader too, each before the series rule
-        old = _outcome(ref.read_panel_csv, io.StringIO(text, newline=""), riskfree_mode)
+        old = _outcome(_oracle_rows, path, riskfree_mode)
         declined = not _series_rule(old)
         assert new[0] is MalformedRow
         assert new[1].endswith(old[1] if declined else SERIES_RULE)
@@ -193,10 +199,10 @@ def test_read_panel_csv_equals_oracle(tmp_path, drawn):
 @given(panel=panels(), data=st.data())
 def test_read_panel_csv_rejects_what_the_oracle_panel_rejects(tmp_path, panel, data):
     """A written file with one u_lag or rbtc_lag cell redrawn: where the
-    oracle's Panel rejects it, a path and a stream both raise a MalformedRow
-    for the first row whose series bits differ from its date's first row;
-    where another row on that date holds the same bits, or none, both read
-    it."""
+    oracle's Panel rejects it, the reader raises a MalformedRow for the
+    first row whose series bits differ from its date's first row; where
+    another row on that date holds the same bits, or none, it reads the
+    file."""
     path = tmp_path / "panel.csv"
     write_panel_csv(panel, path)
     header, *rows = csv.reader(io.StringIO(path.read_bytes().decode("utf-8"), newline=""))
@@ -205,23 +211,22 @@ def test_read_panel_csv_rejects_what_the_oracle_panel_rejects(tmp_path, panel, d
     rows[k][at] = repr(data.draw(VALUES))
     out = io.StringIO(newline="")
     csv.writer(out).writerows([header] + rows)
-    text = out.getvalue()
-    path.write_text(text, encoding="utf-8", newline="")
+    path.write_text(out.getvalue(), encoding="utf-8", newline="")
     old = _outcome(ref.read_panel_csv, path, panel.riskfree_mode)
     first = {}
     odd = next((line for line, row in enumerate(rows, start=2)
                 if first.setdefault(row[1], (line, row))[1][-2:] != row[-2:]), None)
-    for source in (path, io.StringIO(text, newline="")):
-        new = _outcome(read_panel_csv, source, panel.riskfree_mode)
-        if odd is None:
-            assert new == old
-            continue
-        assert _series_rule(old)
-        coin, date = rows[odd - 2][:2]
-        line, row = first[date]
-        assert new[0] is MalformedRow
-        assert f"line {odd}: " in new[1] and f" of {coin} on {date} differs from " in new[1]
-        assert new[1].endswith(f" of {row[0]} on line {line}: {SERIES_RULE}")
+    new = _outcome(read_panel_csv, path, panel.riskfree_mode)
+    if odd is None:
+        assert new == old
+        return
+    assert _series_rule(old)
+    coin, date = rows[odd - 2][:2]
+    line, row = first[date]
+    assert new[0] is MalformedRow
+    assert new[1].startswith(f"{path}: line {odd}: ")
+    assert f" of {coin} on {date} differs from " in new[1]
+    assert new[1].endswith(f" of {row[0]} on line {line}: {SERIES_RULE}")
 
 
 def test_read_panel_csv_equals_oracle_on_a_written_synthetic_panel(tmp_path):
@@ -298,15 +303,29 @@ def test_read_panel_csv_reads_plain_blocks_then_an_irregular_tail(tmp_path, tail
 @pytest.mark.parametrize("end", ["\r\n", "\n"])
 @pytest.mark.parametrize("at", [0, 20])
 def test_read_panel_csv_rejects_a_cr_inside_a_line_of_a_stream(tmp_path, end, at):
-    # io.StringIO splits its text at LF alone, so a CR can sit inside one of
-    # its lines, before the coin id or in a number, where csv rejects it
+    # a file's lines end at CR, LF or CRLF, so no line holds a CR before its
+    # end: a CR put before the coin id ends a blank line, and one put in a
+    # number cuts its row in two, each read as the oracle reads it
     header, lines = _written_lines(tmp_path)
     lines = [line.replace("\r\n", end) for line in lines]
-    lines[300] = lines[300][:at] + "\r" + lines[300][at:]
-    text = header + "".join(lines)
-    new = _outcome(read_panel_csv, io.StringIO(text), "tbill")
-    assert new == _outcome(ref.read_panel_csv, io.StringIO(text), "tbill")
-    assert new[0] is MalformedRow and new[1].startswith("line 302: new-line character")
+    for cr in ("\r", "\r\r"):
+        spoiled = lines.copy()
+        spoiled[300] = lines[300][:at] + cr + lines[300][at:]
+        new = _assert_reads_as_oracle(tmp_path / "panel.csv", header + "".join(spoiled))
+        if at == 0:
+            assert len(new[0]) == 3
+        else:
+            assert new == (MalformedRow,
+                           f"{tmp_path / 'panel.csv'}: line 302: 3 fields, expected 14")
+
+
+def test_read_panel_csv_checks_a_block_of_13_commas_a_line_only_on_average(tmp_path):
+    # two rows on one line and a blank line: 26 commas and none
+    header, lines = _written_lines(tmp_path)
+    lines[300] = lines[300].rstrip("\r\n") + lines[301]
+    lines[301] = "\r\n"
+    new = _assert_reads_as_oracle(tmp_path / "panel.csv", header + "".join(lines))
+    assert new == (MalformedRow, f"{tmp_path / 'panel.csv'}: line 302: 27 fields, expected 14")
 
 
 def test_read_panel_csv_raises_a_repeat_just_above_a_nul_in_one_block(tmp_path):
