@@ -94,19 +94,19 @@ class MissingBitcoin(ValidationError):
 
 
 class EmptyPanel(ValidationError):
-    """No coin-day survived the panel build. dropped holds every Drop; the
-    message names the commonest reason (the earliest seen on a tie), then
-    the first drop."""
+    """No coin-day survived the panel build. dropped holds its panel.Drops;
+    the message names the commonest reason (the earliest seen on a tie),
+    then the first drop."""
 
-    def __init__(self, dropped: Sequence) -> None:
-        self.dropped = tuple(dropped)
-        [(reason, count)] = Counter(d.reason for d in self.dropped).most_common(1)
-        first = self.dropped[0]
-        on = "" if first.date is None else f" on {first.date.isoformat()}"
+    def __init__(self, dropped) -> None:
+        self.dropped = dropped
+        [(reason, count)] = Counter(dropped.reason.tolist()).most_common(1)
+        coin, day, first = (int(c[0]) for c in (dropped.coin, dropped.day, dropped.reason))
+        on = "" if day < 0 else f" on {dt.date.fromordinal(day).isoformat()}"
         super().__init__(
-            f"no coin-day survives the panel build: {len(self.dropped)} drops, "
-            f"most often {reason} ({count}); the first {first.coin_id}{on}: "
-            f"{first.reason}"
+            f"no coin-day survives the panel build: {len(dropped)} drops, "
+            f"most often {dropped.reasons[reason]} ({count}); the first "
+            f"{dropped.coins[coin]}{on}: {dropped.reasons[first]}"
         )
 
 

@@ -194,13 +194,23 @@ def _calendar(
     return first, ret, [size, momentum, liquid, value]
 
 
-@dataclass(frozen=True, slots=True)
-class Drop:
-    """One excluded coin-day (date None when the whole coin fell out)."""
+@dataclass(frozen=True, eq=False)
+class Drops:
+    """The excluded coin-days of a build as aligned columns, in coin then
+    date order: drop k is coin coins[coin[k]] on the day of ordinal day[k],
+    -1 when the whole coin fell out, for reason reasons[reason[k]]."""
 
-    coin_id: str
-    date: dt.date | None
-    reason: str
+    coins: tuple[str, ...]
+    reasons: tuple[str, ...]
+    coin: np.ndarray
+    day: np.ndarray
+    reason: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.coin)
+
+
+_NO_DROPS = Drops((), (), *np.zeros((3, 0), dtype=np.int32))
 
 
 # the Panel's array fields: grids of one cell per (coin, date), then the
@@ -221,6 +231,8 @@ class Panel:
     Every coin and every date has at least one observation, and the arrays
     are read-only. riskfree_mode records whether excess returns were taken
     against the treasury rate ("tbill") or the Bitcoin return ("btc").
+    dropped holds the coin-days build_panel excluded; a panel made any
+    other way has none.
 
     The constructor also takes u or r_btc as a (coins, dates) grid, when
     every date's present cells hold the same bits, and keeps that one value
@@ -239,12 +251,12 @@ class Panel:
     u: np.ndarray
     r_btc: np.ndarray
     riskfree_mode: str
-    dropped: tuple[Drop, ...] = ()
+    dropped: Drops = _NO_DROPS
     coin_index: Mapping[str, int] = field(init=False, repr=False)
     date_index: Mapping[dt.date, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("coins", "dates", "dropped"):
+        for name in ("coins", "dates"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         for prev, cur in zip(self.dates, self.dates[1:]):
             if cur == prev:
@@ -477,8 +489,8 @@ def build_panel(
     t (consecutive-day rule), the Bitcoin return at t-1, the uncertainty
     level at t-1 (forward-filled up to ffill_limit_days), the risk-free rate
     at t (same fill rule; in btc mode the Bitcoin return at t instead), and
-    all four raw characteristics at t-1. Anything else becomes a Drop record
-    naming the first of these, in that order, that fails. A conditioning
+    all four raw characteristics at t-1. Anything else is a drop naming the
+    first of these, in that order, that fails. A conditioning
     series staler than ffill_limit_days where it is looked up is a
     CoverageGap instead, raised for the first such coin-day in coin then
     date order. A build in which no coin-day survives raises EmptyPanel.
@@ -500,7 +512,6 @@ def build_panel(
         raise TooShort(f"{btc.coin_id}: {len(btc.bars)} bars, need 2")
     limit = options.ffill_limit_days
     tbill = options.riskfree_mode == "tbill"
-    date_of = functools.cache(dt.date.fromordinal)  # one date object a day
     coins = sorted(coins, key=lambda c: c.coin_id)
     first, ret, levels = _calendar(coins, options.windows)
     btc_ret = ret[next(i for i, c in enumerate(coins) if c is btc)]
@@ -528,21 +539,24 @@ def build_panel(
         (f"missing_{name}", np.isnan(level[:, :-1]))
         for name, level in zip(CHARACTERISTIC_NAMES, levels)
     ]
-    reasons = [name for name, _ in checks]
+    # the checks' names, then those of a coin that falls out whole
+    reasons = [name for name, _ in checks] + ["btc_is_riskfree", "too_short", "no_returns"]
 
     # the first check each coin-day fails, len(reasons) if none, -1 off the sample
     fate = np.full(ret.shape, len(reasons), dtype=np.int8)
     for i in reversed(range(len(checks))):
         np.copyto(fate, i, where=checks[i][1])
     np.copyto(fate, -1, where=np.isnan(ret))
-    if not tbill:
-        fate[[c.coin_id == options.btc_id for c in coins]] = -1
+    riskfree_btc = [not tbill and c.coin_id == options.btc_id for c in coins]
+    fate[riskfree_btc] = -1
     stale = np.logical_or.reduce([fate == reasons.index(name) for name in gaps])
     if stale.any():
         i, j = divmod(int(stale.argmax()), stale.shape[1])
         name = reasons[fate[i, j]]
         looked_up, observed, at = gaps[name]
-        raise CoverageGap(name, date_of(looked_up[j]), date_of(observed[at[j]]), limit)
+        raise CoverageGap(
+            name, dt.date.fromordinal(looked_up[j]), dt.date.fromordinal(observed[at[j]]), limit
+        )
 
     del checks  # the missing-level flags, one a coin-day each
     kept = fate == len(reasons)
@@ -557,31 +571,42 @@ def build_panel(
         np.copyto(layer, levels.pop(0)[:, :-1][at], where=mask)
     _standardize(mask, raw, z, *options.winsor)
 
-    drops: list[Drop] = []
-    for coin, row in zip(coins, fate):
-        if not tbill and coin.coin_id == options.btc_id:
-            drops.append(Drop(coin.coin_id, None, "btc_is_riskfree"))
-        elif len(coin.bars) < 2:
-            drops.append(Drop(coin.coin_id, None, "too_short"))
-        elif (row < 0).all():
-            drops.append(Drop(coin.coin_id, None, "no_returns"))
-        else:
-            j = np.flatnonzero((row >= 0) & (row < len(reasons)))
-            drops += (
-                Drop(coin.coin_id, date_of(d), reasons[f])
-                for d, f in zip(day[j].tolist(), row[j].tolist())
-            )
+    dropped = _drops(coins, fate, day, reasons, riskfree_btc)
     if not cols.size:
-        raise EmptyPanel(drops)
+        raise EmptyPanel(dropped)
     u = u[cols]
     if u.size >= 2 and float(u.std()) > 0.0:
         u = (u - float(u.mean())) / float(u.std())
     else:
         u = np.zeros(u.size)
+    dates = list(map(dt.date.fromordinal, day[cols].tolist()))
     return Panel(
-        [coins[i].coin_id for i in rows.tolist()], list(map(date_of, day[cols].tolist())),
+        [coins[i].coin_id for i in rows.tolist()], dates,
         mask, grid[0], grid[1], z, raw, u, btc_ret[:-1][cols], options.riskfree_mode,
-        drops,
+        dropped,
+    )
+
+
+def _drops(
+    coins: Sequence[CoinSeries], fate: np.ndarray, day: np.ndarray,
+    reasons: Sequence[str], riskfree_btc: Sequence[bool],
+) -> Drops:
+    """The Drops of build_panel's fate grid, whose cells hold the code of
+    the check each coin-day failed, len(reasons) where none did and -1 off
+    the sample. A coin with no cell on the sample falls out whole (as the
+    risk-free Bitcoin, as too short, or for want of returns), in one drop
+    that takes its place in coin order."""
+    whole = np.select(
+        [riskfree_btc, [len(c.bars) < 2 for c in coins], (fate < 0).all(1)],
+        [reasons.index(name) for name in ("btc_is_riskfree", "too_short", "no_returns")],
+        -1,
+    )
+    codes = np.column_stack([whole.astype(fate.dtype), fate])  # a column before day 0
+    coin, col = np.nonzero((codes >= 0) & (codes < len(reasons)))
+    # int32 copies: nonzero's two index arrays share one buffer
+    return Drops(
+        tuple(c.coin_id for c in coins), tuple(reasons), coin.astype(np.int32),
+        np.append(-1, day).astype(np.int32)[col], codes[coin, col],
     )
 
 
@@ -844,10 +869,9 @@ def _is_market_cap(size_raw: float) -> bool:
         return False
 
 
-def write_drop_report(drops: Sequence[Drop], path: str | Path) -> None:
+def write_drop_report(drops: Drops, path: str | Path) -> None:
     """Audit CSV of excluded coin-days: coin_id,date,reason."""
+    date = functools.cache(lambda day: "" if day < 0 else dt.date.fromordinal(day).isoformat())
+    columns = zip(drops.coin.tolist(), drops.day.tolist(), drops.reason.tolist())
     with write_csv_rows(path, ("coin_id", "date", "reason")) as write:
-        write(
-            (d.coin_id, "" if d.date is None else d.date.isoformat(), d.reason)
-            for d in drops
-        )
+        write((drops.coins[c], date(d), drops.reasons[r]) for c, d, r in columns)

@@ -39,7 +39,6 @@ from .factors import FactorOptions, FactorSet, build_factor_set, resolve_factor_
 from .panel import (
     CHARACTERISTIC_NAMES,
     RISKFREE_MODES,
-    Drop,
     Panel,
     characteristic_index,
     stacks_by_count,
@@ -208,7 +207,7 @@ class ModelResult:
     cross_sections: CrossSections
     fm: FMSummary
     first_pass_avg_adj_r2: float
-    dropped_coins: tuple[Drop, ...]
+    dropped_coins: tuple[tuple[str, str], ...]
     skipped_dates: tuple[tuple[dt.date, str], ...]
 
     @property
@@ -299,9 +298,9 @@ def run_model(
     rstar = np.full(panel.mask.shape, np.nan)
     for row, (coin_id, fit) in enumerate(zip(panel.coins, outcomes)):
         if isinstance(fit, InsufficientObservations):
-            dropped.append(Drop(coin_id, None, f"insufficient_observations: {fit}"))
+            dropped.append((coin_id, f"insufficient_observations: {fit}"))
         elif isinstance(fit, RankDeficient):
-            dropped.append(Drop(coin_id, None, f"rank_deficient: {fit}"))
+            dropped.append((coin_id, f"rank_deficient: {fit}"))
         else:
             fits.append(fit)
             rstar[row] = fit.risk_adjusted

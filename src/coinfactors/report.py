@@ -11,13 +11,20 @@ with %.6g in human-facing tables.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import math
 import re
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+
+# CPython's own sha256: hashlib's loads OpenSSL, 3.4 MB of resident memory
+# that every command would pay at import for the manifest's input digests.
+# From Python 3.12 the module is _sha2, and the fallback pays it.
+try:
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 from .condbeta import write_first_pass_params_csv, write_risk_adjusted_csv
 from .errors import InvalidConfig
@@ -392,7 +399,7 @@ def rerender_report(out_dir: str | Path, significance_z: float) -> list[str]:
 
 
 def sha256_file(path: str | Path) -> str:
-    digest = hashlib.sha256()
+    digest = sha256()
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(65536), b""):
             digest.update(chunk)

@@ -11,6 +11,11 @@ then scores a second z grid with standardize_cross_section, the package's
 z-score pass before build_panel wrote into its own grid.
 Both take reference_bars' DailyBar series; reference_bars.rows_of turns an
 array series into one.
+
+Drop is the record of one excluded coin-day that panel.Drops replaced, and
+drop_loop the loop that built those records from build_panel's fate grid:
+the oracle for panel._drops on the same grid. drop_records and drops_of
+turn Drops into records and back.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from coinfactors.panel import (
     CHARACTERISTIC_NAMES,
     WINSOR,
     CharacteristicWindows,
-    Drop,
+    Drops,
     Panel,
     PanelOptions,
     daily_riskfree,
@@ -37,6 +42,62 @@ from coinfactors.panel import (
     winsorized_zscores,
 )
 from reference_bars import ONE_DAY, CoinSeries, compute_returns
+
+
+@dataclass(frozen=True, slots=True)
+class Drop:
+    """One excluded coin-day (date None when the whole coin fell out)."""
+
+    coin_id: str
+    date: dt.date | None
+    reason: str
+
+
+def drop_records(drops: Drops) -> list[Drop]:
+    """The records of drops, in their order."""
+    columns = zip(drops.coin.tolist(), drops.day.tolist(), drops.reason.tolist())
+    return [
+        Drop(drops.coins[c], None if d < 0 else dt.date.fromordinal(d), drops.reasons[r])
+        for c, d, r in columns
+    ]
+
+
+def drops_of(records: Sequence[Drop]) -> Drops:
+    """The columns of records, coins and reasons named in first-seen order."""
+    coins = list(dict.fromkeys(d.coin_id for d in records))
+    reasons = list(dict.fromkeys(d.reason for d in records))
+    return Drops(
+        tuple(coins), tuple(reasons),
+        np.array([coins.index(d.coin_id) for d in records], dtype=np.int32),
+        np.array([-1 if d.date is None else d.date.toordinal() for d in records], dtype=np.int32),
+        np.array([reasons.index(d.reason) for d in records], dtype=np.int8),
+    )
+
+
+def drop_loop(
+    coins: Sequence, fate: np.ndarray, day: np.ndarray,
+    reasons: Sequence[str], riskfree_btc: Sequence[bool],
+) -> list[Drop]:
+    """The records panel._drops replaced, one coin at a time from the same
+    arguments: a row of fate holds the code of the check each coin-day
+    failed, -1 off the sample; codes from the first whole-coin reason on
+    mark no drop."""
+    checks = reasons.index("btc_is_riskfree")
+    drops: list[Drop] = []
+    for coin, row, rides_btc in zip(coins, fate, riskfree_btc):
+        if rides_btc:
+            drops.append(Drop(coin.coin_id, None, "btc_is_riskfree"))
+        elif len(coin.bars) < 2:
+            drops.append(Drop(coin.coin_id, None, "too_short"))
+        elif (row < 0).all():
+            drops.append(Drop(coin.coin_id, None, "no_returns"))
+        else:
+            j = np.flatnonzero((row >= 0) & (row < checks))
+            drops += (
+                Drop(coin.coin_id, dt.date.fromordinal(d), reasons[f])
+                for d, f in zip(day[j].tolist(), row[j].tolist())
+            )
+    return drops
 
 
 @dataclass(frozen=True)
@@ -235,7 +296,7 @@ def build_panel(
 
     panel = Panel(
         coin_ids, dates, mask, ret, excess, np.zeros_like(raw), raw, u, r_btc,
-        options.riskfree_mode, drops,
+        options.riskfree_mode, drops_of(drops),
     )
     return standardize_cross_section(panel, *options.winsor)
 

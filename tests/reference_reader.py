@@ -28,7 +28,6 @@ from coinfactors.ingest import parse_iso_date, read_csv_rows
 from coinfactors.panel import (
     CHARACTERISTIC_NAMES,
     PANEL_HEADER,
-    Drop,
     Panel,
     _is_market_cap,
 )
@@ -192,7 +191,7 @@ def _assemble_panel(
 
 def _panel_of(
     coins: Sequence[str], dates: Sequence[dt.date], rows, cols, columns,
-    riskfree_mode: str, dropped: Sequence[Drop] = (),
+    riskfree_mode: str,
 ) -> Panel:
     """The Panel of a coin-day table: entry k of each of columns (the
     numbers in PANEL_HEADER order) is coins[rows[k]] on dates[cols[k]]."""
@@ -204,7 +203,7 @@ def _panel_of(
     n = len(CHARACTERISTIC_NAMES)
     ret, excess, z, raw = grid[0], grid[1], grid[2 : 2 + n], grid[2 + n : 2 + 2 * n]
     u, r_btc = grid[2 + 2 * n :]
-    return Panel(coins, dates, mask, ret, excess, z, raw, u, r_btc, riskfree_mode, dropped)
+    return Panel(coins, dates, mask, ret, excess, z, raw, u, r_btc, riskfree_mode)
 
 
 def _caps(size_raw: Sequence[float] | np.ndarray) -> np.ndarray:

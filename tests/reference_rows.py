@@ -46,7 +46,7 @@ from coinfactors.factors import (
     FactorOptions,
     resolve_factor_names,
 )
-from coinfactors.panel import CHARACTERISTIC_NAMES, Drop
+from coinfactors.panel import _NO_DROPS, CHARACTERISTIC_NAMES, Drops
 from coinfactors.panel import Panel as ColumnPanel
 from coinfactors.pipeline import SIGNIFICANCE_Z, cross_section_floor
 from reference_fits import CrossSectionFit, SecondPassResult, fama_macbeth
@@ -114,7 +114,7 @@ def row_view(panel: ColumnPanel) -> "Panel":
 def panel_from_rows(
     observations: Iterable["PanelObservation"],
     riskfree_mode: str = "tbill",
-    dropped: Iterable[Drop] = (),
+    dropped: Drops = _NO_DROPS,
 ) -> ColumnPanel:
     """The columnar panel holding exactly these observations; a repeated
     (coin, date) raises DuplicateDate, as the row panel does."""
@@ -198,7 +198,7 @@ class Panel:
 
     observations: tuple[PanelObservation, ...]
     riskfree_mode: str
-    dropped: tuple[Drop, ...] = ()
+    dropped: Drops = _NO_DROPS
     _by_date: dict = field(init=False, repr=False, compare=False, default=None)
     _by_coin: dict = field(init=False, repr=False, compare=False, default=None)
 
@@ -225,10 +225,10 @@ class Panel:
         cls,
         observations: Iterable[PanelObservation],
         riskfree_mode: str,
-        dropped: Iterable[Drop] = (),
+        dropped: Drops = _NO_DROPS,
     ) -> "Panel":
         obs = sorted(observations, key=lambda o: (o.date, o.coin_id))
-        return cls(tuple(obs), riskfree_mode, tuple(dropped))
+        return cls(tuple(obs), riskfree_mode, dropped)
 
     def dates(self) -> tuple[dt.date, ...]:
         return tuple(self._by_date)

@@ -4,6 +4,7 @@ The flow test drives synth -> ingest -> run -> report through real files in a
 temp directory; the rest pin exit codes and the override flags.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -16,6 +17,7 @@ from click.testing import CliRunner
 
 from coinfactors.cli import main
 from coinfactors.panel import PANEL_HEADER, write_panel_csv
+from coinfactors.report import sha256_file
 from coinfactors.synth import generate_synthetic, scenario
 
 
@@ -132,6 +134,14 @@ def test_synth_ingest_run_report_flow(tmp_path):
     assert result.exit_code == 0, result.output + result.stderr
     assert "re-rendered" in result.output
     assert _snapshot(run_dir) == before  # re-render reproduces the same bytes
+
+
+@pytest.mark.parametrize("size", [0, 65_536, 200_001])
+def test_input_digest_is_hashlib_sha256(tmp_path, size):
+    # empty, exactly one read chunk, and several chunks with a short last one
+    data = bytes(range(256)) * (size // 256) + bytes(size % 256)
+    (tmp_path / "input").write_bytes(data)
+    assert sha256_file(tmp_path / "input") == hashlib.sha256(data).hexdigest()
 
 
 def test_synth_seed_and_output_overrides(tmp_path):

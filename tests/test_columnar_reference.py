@@ -34,6 +34,7 @@ from coinfactors.synth import emit_raw_files, generate_synthetic, scenario
 from conftest import standardized
 from oracle_compare import assert_same
 from reference_fits import fitted_rows
+from reference_panel import drop_records
 from reference_rows import panel_from_rows, row_view
 
 SPECS = (
@@ -196,7 +197,7 @@ def test_passes_match_reference_on_reingested_fixture(tmp_path):
         parse_riskfree_csv(tmp_path / "raw" / "riskfree.csv"),
         PanelOptions(windows=windows),
     )
-    assert any(d.reason == "too_short" for d in rebuilt.dropped)
+    assert any(d.reason == "too_short" for d in drop_records(rebuilt.dropped))
     # dates with fewer than 21 coins drop their sorted factors
     options = FactorOptions(min_sort_coins=21, exclude_btc_from_market=True)
     dropped = build_factor_set(rebuilt, "FF3", options).dropped

@@ -19,16 +19,22 @@ second build on one panel takes no exponential at all.
 
 build_panel puts every coin on one calendar, copies the kept coin-days
 from it into the Panel's grid, freeing each calendar level as it is
-copied, writes the z-scores into the grid's z layers and only then makes
-the drop records. Its traced peak is the grid and the calendar's returns
-and levels: about 2.4 times the Panel's array bytes on a small raw set,
-where per-coin blocks scattered into the grid beside the drop records
-took 2.8 times. Holding the joined coin-day table, a list-to-array
-temporary and a second z grid besides, with a date object per drop,
-lifted it to about 6.3 times; the bound is 4.
+copied, writes the z-scores into the grid's z layers and only then takes
+the drops from its grid of each coin-day's fate. Its traced peak is the
+grid and the calendar's returns and levels: about 2.4 times the Panel's
+array bytes on a small raw set, where per-coin blocks scattered into the
+grid beside the drop records took 2.8 times. Holding the joined coin-day
+table, a list-to-array temporary and a second z grid besides lifted it to
+about 6.3 times; the bound is 4. After the build, the Panel holds its
+drops as three columns, 9 bytes a drop: about 1.16 times the Panel's
+array bytes are still traced on that raw set, where a frozen record per
+drop held 1.84 times; the bound is 1.25.
 
 np.percentile reaches np.unique, which imports numpy.ma: 1.3 MB of
-resident memory that no command needs.
+resident memory that no command needs. hashlib loads OpenSSL (_hashlib),
+3.4 MB, so the package hashes with CPython's own _sha256 where the
+interpreter has it; numpy.random loads OpenSSL too, so only the commands
+that draw no random numbers, ingest and run, go without it.
 """
 
 import datetime as dt
@@ -63,6 +69,7 @@ from coinfactors.synth import emit_raw_files, generate_synthetic, scenario
 PEAK_PER_PANEL_BYTE = 1.5
 ROW_PARSER_PEAK_PER_PANEL_BYTE = 3.0
 BUILD_PEAK_PER_PANEL_BYTE = 4.0
+BUILD_HELD_PER_PANEL_BYTE = 1.25
 
 
 def _dense_panel(n_coins, n_dates, seed=0):
@@ -153,23 +160,41 @@ def _raw_set(directory, n_coins, n_days, seed=3):
     )
 
 
-def test_build_panel_traced_peak_is_bounded_by_the_panel(tmp_path):
-    inputs = _raw_set(tmp_path / "raw", 30, 400)
+@pytest.fixture(scope="module")
+def traced_build(tmp_path_factory):
+    """A build on the raw files of 30 coins x 400 days, the memory traced
+    after it, and the traced peak during it."""
+    inputs = _raw_set(tmp_path_factory.mktemp("build") / "raw", 30, 400)
     build_panel(*inputs)  # the first call's imports are not the build's
     tracemalloc.start()
     try:
         panel = build_panel(*inputs)
-        peak = tracemalloc.get_traced_memory()[1]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert panel.dropped
+    return panel, held, peak
+
+
+def test_build_panel_traced_peak_is_bounded_by_the_panel(traced_build):
+    panel, _, peak = traced_build
     bound = BUILD_PEAK_PER_PANEL_BYTE * _panel_bytes(panel)
     assert peak <= bound, (peak, _panel_bytes(panel))
 
 
+def test_build_panel_holds_little_beside_the_panel(traced_build):
+    panel, held, _ = traced_build
+    bound = BUILD_HELD_PER_PANEL_BYTE * _panel_bytes(panel)
+    assert held <= bound, (held, _panel_bytes(panel))
+
+
 # Runs a command line (argv after the script's name), or with no arguments
-# a synthetic scenario through run_model, then checks the modules loaded.
+# a synthetic scenario through run_model, then checks the modules loaded:
+# no numpy.ma, and no OpenSSL in ingest or run where CPython's own sha256 is
+# there to use. synth draws with numpy.random, which loads OpenSSL itself
+# (through secrets and hmac).
 _NO_NUMPY_MA = """
+import importlib.util
 import sys
 
 if sys.argv[1:]:
@@ -187,6 +212,8 @@ else:
     panel, truth = generate_synthetic(scenario("B", 24, 240, seed=4))
     run_model(panel, ModelSpec("capm-c", "CAPM", BetaSpec("conditional")))
 assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+if sys.argv[1:2] in (["ingest"], ["run"]) and importlib.util.find_spec("_sha256"):
+    assert "_hashlib" not in sys.modules, "_hashlib (OpenSSL) was imported"
 """
 
 

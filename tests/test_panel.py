@@ -21,7 +21,6 @@ from coinfactors.panel import (
     CHARACTERISTIC_NAMES,
     PANEL_HEADER,
     CharacteristicWindows,
-    Drop,
     Panel,
     PanelOptions,
     _calendar,
@@ -43,6 +42,7 @@ from conftest import (
     standardized,
 )
 import reference_reader
+from reference_panel import Drop, drop_records
 from reference_rows import row_view
 
 # mpmath 50-digit evaluations of (1 + annual)^(1/365) - 1
@@ -330,7 +330,7 @@ def test_build_panel_btc_mode():
     assert panel.riskfree_mode == "btc"
     assert "BTC" not in panel.coins
     assert any(d.coin_id == "BTC" and d.reason == "btc_is_riskfree"
-               for d in panel.dropped)
+               for d in drop_records(panel.dropped))
     # same-day bitcoin return is the benchmark: 0.03 vs 0.01 nets to 0.02
     for o in row_view(panel).observations:
         assert o.excess == pytest.approx(o.ret - 0.002, abs=1e-12)
@@ -346,7 +346,7 @@ def test_build_panel_without_any_coin_day_raises(series):
     with pytest.raises(EmptyPanel) as info:
         build_panel_of_dicts(coins, levels["epu"], levels["riskfree"], OPTIONS)
     assert isinstance(info.value, ValidationError)
-    dropped = info.value.dropped
+    dropped = drop_records(info.value.dropped)
     reason = "no_epu" if series == "epu" else "no_riskfree"
     assert {d.reason for d in dropped} >= {reason}
     # the message names the commonest reason before the first drop, which
@@ -363,6 +363,26 @@ def test_build_panel_without_any_coin_day_raises(series):
     # every return day of every coin is one drop
     candidates = sum(len(c.bars) - 1 for c in coins)
     assert len(dropped) == candidates
+
+
+def test_empty_panel_names_the_earliest_seen_of_tied_reasons():
+    # AAA's one return day lacks momentum and BTC's a lagged Bitcoin return,
+    # whose check comes first: tied at one drop each, the message names the
+    # reason seen first in coin then date order
+    coins = [
+        make_series("AAA", [10.0, 11.0], start=day(2)),
+        make_series("BTC", [100.0, 101.0], start=day(1)),
+    ]
+    _, epu, rf = _inputs()
+    with pytest.raises(EmptyPanel) as info:
+        build_panel_of_dicts(coins, epu, rf, OPTIONS)
+    assert drop_records(info.value.dropped) == [
+        Drop("AAA", day(3), "missing_momentum"), Drop("BTC", day(2), "no_btc_return_lag")
+    ]
+    assert str(info.value) == (
+        "no coin-day survives the panel build: 2 drops, most often missing_momentum "
+        f"(1); the first AAA on {day(3).isoformat()}: missing_momentum"
+    )
 
 
 def test_build_panel_requires_bitcoin():
@@ -407,20 +427,20 @@ def test_build_panel_leading_edge_skips_not_raises():
     late_epu = {d: v for d, v in epu.items() if d >= day(14)}
     panel = build_panel_of_dicts(coins, late_epu, rf, OPTIONS)
     assert panel.dates[0] == day(15)
-    assert any(d.reason == "no_epu" for d in panel.dropped)
+    assert any(d.reason == "no_epu" for d in drop_records(panel.dropped))
 
 
 def test_build_panel_drop_reasons():
     coins, epu, rf = _inputs()
     panel = build_panel_of_dicts(coins, epu, rf, OPTIONS)
-    reasons = {d.reason for d in panel.dropped}
+    reasons = {d.reason for d in drop_records(panel.dropped)}
     assert "no_btc_return_lag" in reasons  # t=1 has no lagged btc return
     assert "missing_momentum" in reasons
     assert "missing_value" in reasons
     stub = make_series("ZZZ", [50.0])
     panel2 = build_panel_of_dicts(coins + [stub], epu, rf, OPTIONS)
     assert any(d.coin_id == "ZZZ" and d.reason == "too_short"
-               for d in panel2.dropped)
+               for d in drop_records(panel2.dropped))
 
 
 def test_build_panel_drops_a_coin_without_returns(tmp_path):
@@ -429,7 +449,7 @@ def test_build_panel_drops_a_coin_without_returns(tmp_path):
     rows = [(day(2 * i), 10.0 + i, 1e6, 1e9) for i in range(250)]
     panel = build_panel_of_dicts(coins + [bar_series("ALT", rows)], epu, rf, OPTIONS)
     assert "ALT" not in panel.coins
-    assert [d for d in panel.dropped if d.coin_id == "ALT"] == [
+    assert [d for d in drop_records(panel.dropped) if d.coin_id == "ALT"] == [
         Drop("ALT", None, "no_returns")
     ]
     write_drop_report(panel.dropped, tmp_path / "drops.csv")
@@ -441,7 +461,7 @@ def test_build_panel_order_independent():
     a = build_panel_of_dicts(coins, epu, rf, OPTIONS)
     b = build_panel_of_dicts(list(reversed(coins)), epu, rf, OPTIONS)
     assert row_view(a).observations == row_view(b).observations
-    assert a.dropped == b.dropped
+    assert drop_records(a.dropped) == drop_records(b.dropped)
 
 
 def test_build_panel_look_ahead_safety():

@@ -2,7 +2,9 @@
 loops they replaced (tests/reference_panel.py). The calendar keeps the
 loops' order of floating-point operations, so agreement is exact: equal
 values, equal reprs (which also separates -0.0 from 0.0 and a numpy scalar
-from a float), None where None, equal panel bytes, drops and errors.
+from a float), None where None, equal panel bytes, drops and errors. The
+drop columns of each build also equal the records the per-coin loop over
+its fate grid made (reference_panel.drop_loop).
 """
 
 import datetime as dt
@@ -14,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_panel
+from coinfactors import panel as panel_module
 from coinfactors.errors import CoinFactorsError
 from coinfactors.ingest import (
     BAR_DTYPE,
@@ -140,7 +143,7 @@ def _outcome(build, inputs, tmp_path, name):
         panel = build(*inputs)
     except CoinFactorsError as exc:
         return type(exc), str(exc)
-    return _panel_bytes(panel, tmp_path, name), panel.dropped
+    return _panel_bytes(panel, tmp_path, name), reference_panel.drop_records(panel.dropped)
 
 
 def _thinned(levels, keep):
@@ -161,7 +164,7 @@ def _staggered(coins):
 
 
 @pytest.mark.parametrize("name", ["A", "B", "C"])
-def test_build_panel_matches_reference(name, tmp_path):
+def test_build_panel_matches_reference(name, tmp_path, monkeypatch):
     panel, truth = generate_synthetic(scenario(name, 6, 420, seed=3))
     emit_raw_files(panel, truth, tmp_path / "raw")
     coins = load_coin_dir(tmp_path / "raw" / "market")
@@ -186,7 +189,15 @@ def test_build_panel_matches_reference(name, tmp_path):
         cases += [(c, epu, rf, options) for c in (coins, gapped, gapped_btc, staggered)]
         cases += [(coins, e, r, options) for e, r in conditioning]
 
-    errors = set()
+    def drops(*args):  # panel._drops against the record loop on its arguments
+        columns = real_drops(*args)
+        assert reference_panel.drop_records(columns) == reference_panel.drop_loop(*args)
+        checked.append(len(columns))
+        return columns
+
+    real_drops, checked = panel_module._drops, []
+    monkeypatch.setattr(panel_module, "_drops", drops)
+    errors = []
     for inputs in cases:
         grid = _outcome(build_panel, inputs, tmp_path, "grid")
         series, epu_levels, rf_levels, options = inputs
@@ -195,5 +206,6 @@ def test_build_panel_matches_reference(name, tmp_path):
         loop = _outcome(reference_panel.build_panel, rows, tmp_path, "loop")
         assert grid == loop, inputs[3]
         if isinstance(grid[0], type):
-            errors.add(grid[1].split()[0])
-    assert errors == {"epu", "riskfree"}  # a CoverageGap for each series
+            errors.append(grid[1].split()[0])
+    assert set(errors) == {"epu", "riskfree"}  # a CoverageGap for each series
+    assert len(checked) == len(cases) - len(errors) and all(checked)

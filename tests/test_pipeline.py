@@ -240,10 +240,10 @@ def test_run_model_drops_a_coin_with_a_rank_deficient_first_pass(synth_b):
     z = np.array(panel.z)
     z[characteristic_index("size"), 3] = 0.0
     result = run_model(dataclasses.replace(panel, z=z), COND, factor_set=truth.factor_set)
-    (drop,) = result.dropped_coins
-    assert (drop.coin_id, drop.date) == (panel.coins[3], None)
+    ((coin_id, reason),) = result.dropped_coins
+    assert coin_id == panel.coins[3]
     size = ["mkt.size.base", "mkt.size.u", "mkt.size.r"]
-    assert drop.reason == (
+    assert reason == (
         f"rank_deficient: rank-deficient design: coin {panel.coins[3]}: "
         f"dependent columns {size}"
     )

@@ -102,7 +102,7 @@ def _outcome(read, source, riskfree_mode):
     except Exception as exc:  # every failure must match too
         return type(exc), str(exc)
     arrays = [(name, getattr(panel, name)) for name in _COLUMNS]
-    return (panel.coins, panel.dates, panel.riskfree_mode, panel.dropped,
+    return (panel.coins, panel.dates, panel.riskfree_mode, len(panel.dropped),
             [(name, a.dtype.str, a.shape, a.tobytes()) for name, a in arrays])
 
 
