@@ -14,7 +14,7 @@ only.
 from __future__ import annotations
 
 import dataclasses
-import datetime as dt
+import functools
 import json
 import sys
 from pathlib import Path
@@ -46,25 +46,22 @@ from .report import (
 )
 from .synth import emit_raw_files, generate_synthetic, scenario, write_truth_json
 
-EXIT_VALIDATION = 2
-EXIT_IO = 3
-EXIT_ESTIMATION = 4
+EXIT_CODES = {ValidationError: 2, OSError: 3, EstimationError: 4}
 
 
-def _fail(code: int, exc: Exception) -> None:
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(code)
+def _guarded(command):
+    """command, with an error of an EXIT_CODES class printed to stderr and
+    mapped to that class's exit code."""
 
+    @functools.wraps(command)
+    def guarded(*args, **kwargs):
+        try:
+            command(*args, **kwargs)
+        except tuple(EXIT_CODES) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls)))
 
-def _guarded(action) -> None:
-    try:
-        action()
-    except ValidationError as exc:
-        _fail(EXIT_VALIDATION, exc)
-    except EstimationError as exc:
-        _fail(EXIT_ESTIMATION, exc)
-    except OSError as exc:
-        _fail(EXIT_IO, exc)
+    return guarded
 
 
 def _shared_options(fn):
@@ -129,11 +126,7 @@ def _raw_panels(cfg: RunConfig, modes: set[str]) -> tuple[dict[str, Panel], dict
     market_dir = Path(cfg.data.market_dir)
     for file in sorted(market_dir.glob("*.csv")):
         digests[str(file)] = sha256_file(file)
-    universe = cfg.universe
-    if universe.rank_date is None:
-        last = dt.date.fromordinal(max(int(series.bars["day"][-1]) for series in coins))
-        universe = dataclasses.replace(universe, rank_date=last)
-    keep = set(filter_universe(coins, universe)) | {cfg.panel.btc_id}
+    keep = set(filter_universe(coins, cfg.universe)) | {cfg.panel.btc_id}
     selected = [series for series in coins if series.coin_id in keep]
     panels = {}
     for mode in sorted(modes):
@@ -165,91 +158,79 @@ def main() -> None:
 
 @main.command("ingest")
 @_shared_options
+@_guarded
 def cmd_ingest(config_path: str, output: str | None, seed: int | None) -> None:
     """Build the panel CSV and drop report from raw market files."""
-
-    def action() -> None:
-        cfg = _load(config_path, output, seed)
-        out = _out_dir(cfg)
-        panels, digests = _raw_panels(cfg, {cfg.panel.riskfree_mode})
-        panel = panels[cfg.panel.riskfree_mode]
-        write_panel_csv(panel, out / "panel.csv")
-        write_drop_report(panel.dropped, out / "drops.csv")
-        _write_manifest(cfg, out, "ingest", digests, ["panel.csv", "drops.csv"])
-        click.echo(
-            f"panel: {int(panel.mask.sum())} observations, "
-            f"{len(panel.coins)} coins, {len(panel.dates)} dates, "
-            f"{len(panel.dropped)} drops -> {out / 'panel.csv'}"
-        )
-
-    _guarded(action)
+    cfg = _load(config_path, output, seed)
+    out = _out_dir(cfg)
+    panels, digests = _raw_panels(cfg, {cfg.panel.riskfree_mode})
+    panel = panels[cfg.panel.riskfree_mode]
+    write_panel_csv(panel, out / "panel.csv")
+    write_drop_report(panel.dropped, out / "drops.csv")
+    _write_manifest(cfg, out, "ingest", digests, ["panel.csv", "drops.csv"])
+    click.echo(
+        f"panel: {int(panel.mask.sum())} observations, "
+        f"{len(panel.coins)} coins, {len(panel.dates)} dates, "
+        f"{len(panel.dropped)} drops -> {out / 'panel.csv'}"
+    )
 
 
 @main.command("run")
 @_shared_options
+@_guarded
 def cmd_run(config_path: str, output: str | None, seed: int | None) -> None:
     """Estimate every configured model and write comparison reports."""
-
-    def action() -> None:
-        cfg = _load(config_path, output, seed)
-        if not cfg.specs:
-            raise InvalidConfig("run requires a non-empty specs list")
-        check_labels(spec.label for spec in cfg.specs)
-        out = _out_dir(cfg)
-        modes = {spec.riskfree_mode for spec in cfg.specs}
-        panels, digests = _build_panels(cfg, modes)
-        names, results = [], {}
-        for result in fit_models(panels, cfg.specs, cfg.pipeline):
-            names += write_model_outputs(result, out)
-            results[result.spec.label] = result.without_risk_adjusted()
-            del result  # one model's R* rows at a time
-        report = comparison_report(results, cfg.pipeline.significance_z)
-        names = write_report_files(report, out) + names
-        _write_manifest(cfg, out, "run", digests, names)  # last: marks a finished run
-        for label, result in report.results.items():
-            count = significant_anomaly_count(result, report.significance_z)
-            click.echo(
-                f"{label}: second-pass adj R2 "
-                f"{result.second_pass_avg_adj_r2:.6g}, "
-                f"{count} significant anomalies"
-            )
-        click.echo(f"wrote {len(names) + 1} files -> {out}")
-
-    _guarded(action)
+    cfg = _load(config_path, output, seed)
+    if not cfg.specs:
+        raise InvalidConfig("run requires a non-empty specs list")
+    check_labels(spec.label for spec in cfg.specs)
+    out = _out_dir(cfg)
+    modes = {spec.riskfree_mode for spec in cfg.specs}
+    panels, digests = _build_panels(cfg, modes)
+    names, results = [], {}
+    for result in fit_models(panels, cfg.specs, cfg.pipeline):
+        names += write_model_outputs(result, out)
+        results[result.spec.label] = result.without_risk_adjusted()
+        del result  # one model's R* rows at a time
+    report = comparison_report(results, cfg.pipeline.significance_z)
+    names = write_report_files(report, out) + names
+    _write_manifest(cfg, out, "run", digests, names)  # last: marks a finished run
+    for label, result in report.results.items():
+        count = significant_anomaly_count(result, report.significance_z)
+        click.echo(
+            f"{label}: second-pass adj R2 "
+            f"{result.second_pass_avg_adj_r2:.6g}, "
+            f"{count} significant anomalies"
+        )
+    click.echo(f"wrote {len(names) + 1} files -> {out}")
 
 
 @main.command("synth")
 @_shared_options
+@_guarded
 def cmd_synth(config_path: str, output: str | None, seed: int | None) -> None:
     """Generate a synthetic panel plus its ground-truth record."""
-
-    def action() -> None:
-        cfg = _load(config_path, output, seed)
-        if cfg.synth is None:
-            raise InvalidConfig("config has no synth section")
-        if cfg.seed is None:
-            raise InvalidConfig("synth requires a seed: set seed or pass --seed")
-        out = _out_dir(cfg)
-        synth_cfg = scenario(
-            cfg.synth.scenario, cfg.synth.n_coins, cfg.synth.n_days, cfg.seed
-        )
-        panel, truth = generate_synthetic(synth_cfg)
-        write_panel_csv(panel, out / "panel.csv")
-        write_truth_json(truth, out / "truth.json")
-        outputs = ["panel.csv", "truth.json"]
-        if cfg.synth.emit_raw:
-            raw_dir = out / "raw"
-            emit_raw_files(panel, truth, raw_dir)
-            outputs.extend(
-                str(p.relative_to(out)) for p in sorted(raw_dir.rglob("*.csv"))
-            )
-        _write_manifest(cfg, out, "synth", {}, outputs)
-        click.echo(
-            f"scenario {cfg.synth.scenario}: {int(panel.mask.sum())} "
-            f"observations, seed {cfg.seed} -> {out}"
-        )
-
-    _guarded(action)
+    cfg = _load(config_path, output, seed)
+    if cfg.synth is None:
+        raise InvalidConfig("config has no synth section")
+    if cfg.seed is None:
+        raise InvalidConfig("synth requires a seed: set seed or pass --seed")
+    out = _out_dir(cfg)
+    synth_cfg = scenario(
+        cfg.synth.scenario, cfg.synth.n_coins, cfg.synth.n_days, cfg.seed
+    )
+    panel, truth = generate_synthetic(synth_cfg)
+    write_panel_csv(panel, out / "panel.csv")
+    write_truth_json(truth, out / "truth.json")
+    outputs = ["panel.csv", "truth.json"]
+    if cfg.synth.emit_raw:
+        written = emit_raw_files(panel, truth, out / "raw")
+        outputs.extend(str(path.relative_to(out)) for path in written)
+    _write_manifest(cfg, out, "synth", {}, outputs)
+    click.echo(
+        f"scenario {cfg.synth.scenario}: {int(panel.mask.sum())} "
+        f"observations, seed {cfg.seed} -> {out}"
+    )
 
 
 @main.command("report")
@@ -259,25 +240,22 @@ def cmd_synth(config_path: str, output: str | None, seed: int | None) -> None:
     required=True,
     help="Run directory holding comparison CSVs and manifest.json.",
 )
+@_guarded
 def cmd_report(output: str) -> None:
     """Re-render markdown and charts from an existing run directory."""
-
-    def action() -> None:
-        out = Path(output)
-        manifest_path = out / "manifest.json"
-        if not manifest_path.exists():
-            raise InvalidConfig(f"{manifest_path} is missing, run first")
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-            z = float(manifest["config"]["econometrics"]["significance_z"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            raise InvalidConfig(
-                f"{manifest_path} does not look like a run manifest"
-            ) from None
-        names = rerender_report(out, z)
-        click.echo(f"re-rendered {len(names)} files -> {out}")
-
-    _guarded(action)
+    out = Path(output)
+    manifest_path = out / "manifest.json"
+    if not manifest_path.exists():
+        raise InvalidConfig(f"{manifest_path} is missing, run first")
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        z = float(manifest["config"]["econometrics"]["significance_z"])
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+        raise InvalidConfig(
+            f"{manifest_path} does not look like a run manifest"
+        ) from None
+    names = rerender_report(out, z)
+    click.echo(f"re-rendered {len(names)} files -> {out}")
 
 
 if __name__ == "__main__":

@@ -246,11 +246,11 @@ def build_factor_set(
 def write_factor_csv(factor_set: FactorSet, path: str | Path) -> None:
     """Serialize the kept dates as date,mkt,smb,val,mom,liq with empty cells
     for factors the set does not carry."""
+
+    def row(col: int) -> list[str]:
+        vector = factor_set.values[col].tolist()
+        cells = {name: repr(v) for name, v in zip(factor_set.names, vector)}
+        return [factor_set.dates[col].isoformat()] + [cells.get(n, "") for n in FACTOR_NAMES]
+
     with write_csv_rows(path, ("date",) + FACTOR_NAMES) as write:
-        for col in np.flatnonzero(factor_set.mask).tolist():
-            vector = factor_set.values[col].tolist()
-            cells = {name: repr(v) for name, v in zip(factor_set.names, vector)}
-            write([
-                [factor_set.dates[col].isoformat()]
-                + [cells.get(name, "") for name in FACTOR_NAMES]
-            ])
+        write(map(row, np.flatnonzero(factor_set.mask).tolist()))

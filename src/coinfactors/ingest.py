@@ -74,8 +74,8 @@ class CoinSeries:
 @dataclass(frozen=True)
 class UniverseConfig:
     """Universe filter: coins ranked by cap at rank_date, kept if their
-    history starts at least min_history_days earlier. filter_universe needs
-    a rank_date; None stands for the last date seen in the data. top_n must
+    history starts at least min_history_days earlier. rank_date None stands
+    for the latest bar of any coin, which filter_universe resolves. top_n must
     be at least 1 and min_history_days non-negative; InvalidConfig
     otherwise."""
 
@@ -286,15 +286,23 @@ def write_market_csv(series: CoinSeries, path: str | Path) -> None:
 def filter_universe(
     coins: Sequence[CoinSeries], cfg: UniverseConfig
 ) -> tuple[str, ...]:
-    """Select the estimation universe as of cfg.rank_date.
+    """Select the estimation universe as of cfg.rank_date, or, when that is
+    None, as of the latest bar of any coin.
 
     A coin qualifies when its first bar is at least min_history_days before
     rank_date and it has a market-cap observation at or before rank_date
     (the latest such bar ranks it). Qualifying coins are ordered by that cap,
     descending, ties broken by ascending coin_id, and the top_n ids returned.
-    Raises EmptyUniverse when nothing survives.
+    Raises EmptyUniverse, naming the date ranked at, when nothing survives,
+    and when no coin has a bar.
     """
-    rank = cfg.rank_date.toordinal()
+    rank_date = cfg.rank_date
+    if rank_date is None:
+        ends = [int(coin.bars["day"][-1]) for coin in coins if coin.bars.size]
+        if not ends:
+            raise EmptyUniverse("no coin has a bar to rank the universe at")
+        rank_date = dt.date.fromordinal(max(ends))
+    rank = rank_date.toordinal()
     ranked = []
     for coin in coins:
         day = coin.bars["day"]
@@ -306,7 +314,7 @@ def filter_universe(
     if not ranked:
         raise EmptyUniverse(
             f"no coins with {cfg.min_history_days}+ days of history "
-            f"at {cfg.rank_date}"
+            f"at {rank_date}"
         )
     ranked.sort()
     return tuple(coin_id for _, coin_id in ranked[: cfg.top_n])

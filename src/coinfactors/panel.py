@@ -230,7 +230,8 @@ class Panel:
     Bitcoin return at t-1) are market-wide: one value per date, (dates,).
     Every coin and every date has at least one observation, and the arrays
     are read-only. riskfree_mode records whether excess returns were taken
-    against the treasury rate ("tbill") or the Bitcoin return ("btc").
+    against the treasury rate ("tbill") or the Bitcoin return ("btc"); any
+    other mode raises InvalidConfig.
     dropped holds the coin-days build_panel excluded; a panel made any
     other way has none.
 
@@ -256,6 +257,8 @@ class Panel:
     date_index: Mapping[dt.date, int] = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.riskfree_mode not in RISKFREE_MODES:
+            raise InvalidConfig(f"unknown riskfree_mode {self.riskfree_mode!r}")
         for name in ("coins", "dates"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         for prev, cur in zip(self.dates, self.dates[1:]):

@@ -209,7 +209,7 @@ def _md_section(title: str, columns: tuple, rows: list[list[str]]) -> list[str]:
     lines.append("| " + " | ".join(heading for _, heading, _ in shown) + " |")
     lines.append("|" + "|".join(" --- " for _ in shown) + "|")
     for row in rows:
-        cells = (_g(row[i]) if g else row[i] for i, _, g in shown)
+        cells = (_g(row[i]) if g else row[i].replace("|", "\\|") for i, _, g in shown)
         lines.append("| " + " | ".join(cells) + " |")
     return lines
 

@@ -415,10 +415,11 @@ def write_truth_json(truth: GroundTruth, path: str | Path) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def emit_raw_files(panel: Panel, truth: GroundTruth, out_dir: str | Path) -> None:
+def emit_raw_files(panel: Panel, truth: GroundTruth, out_dir: str | Path) -> list[Path]:
     """Write ingest-schema raw files consistent with the synthetic panel:
     per-coin market CSVs under market/, a Bitcoin series from the
     conditioning returns, and uncertainty / risk-free tables alongside.
+    Returns the paths written, under out_dir, in the order written.
 
     The files re-ingest cleanly; the resulting panel is not expected to be
     numerically identical to the synthetic one, because ingestion recomputes
@@ -431,12 +432,14 @@ def emit_raw_files(panel: Panel, truth: GroundTruth, out_dir: str | Path) -> Non
     dates = [cfg.start + dt.timedelta(days=i) for i in range(cfg.n_days)]
     first = cfg.start.toordinal()
     days = np.arange(first, first + cfg.n_days)
+    written = []
 
     def write(coin_id: str, close: np.ndarray, cap: np.ndarray) -> None:
         bars = np.empty(days.size, dtype=BAR_DTYPE)
         bars["day"], bars["close"], bars["market_cap"] = days, close, cap
         bars["volume"] = cap / 20.0
-        write_market_csv(CoinSeries(coin_id, bars), market / f"{coin_id}.csv")
+        written.append(market / f"{coin_id}.csv")
+        write_market_csv(CoinSeries(coin_id, bars), written[-1])
 
     # each panel date's index among the emitted days
     at = np.array([d.toordinal() for d in panel.dates], dtype=np.int64) - first
@@ -470,3 +473,4 @@ def emit_raw_files(panel: Panel, truth: GroundTruth, out_dir: str | Path) -> Non
         )
     with write_csv_rows(out / "riskfree.csv", RISKFREE_HEADER) as write_rows:
         write_rows((date.isoformat(), repr(0.0)) for date in dates)
+    return written + [out / "epu.csv", out / "riskfree.csv"]

@@ -7,6 +7,7 @@ temp directory; the rest pin exit codes and the override flags.
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -180,6 +181,24 @@ def test_synth_seed_and_output_overrides(tmp_path):
     assert (override_dir / "panel.csv").read_bytes() == plain_panel
     manifest = json.loads((override_dir / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["seed"] == 7
+
+
+def test_synth_manifest_lists_only_the_files_it_wrote(tmp_path):
+    out = tmp_path / "out"
+    for n_coins in (5, 3):
+        cfg = _config(
+            tmp_path / "synth.json",
+            {"synth": {"scenario": "A", "n_coins": n_coins, "n_days": 210, "emit_raw": True},
+             "seed": 2, "output_dir": str(out)},
+        )
+        result = CliRunner().invoke(main, ["synth", "--config", cfg])
+        assert result.exit_code == 0, result.output + result.stderr
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    market = [f"raw/market/C{i:03d}.csv" for i in range(3)] + ["raw/market/BTC.csv"]
+    assert manifest["outputs"] == sorted(
+        ["panel.csv", "truth.json", "raw/epu.csv", "raw/riskfree.csv"] + market
+    )
+    assert (out / "raw" / "market" / "C004.csv").is_file()  # left by the first run
 
 
 def test_missing_config_file_is_validation_error(tmp_path):
@@ -588,6 +607,20 @@ def test_chart_title_is_escaped_xml(tmp_path, synth_a):
     assert result.exit_code == 0, result.output + result.stderr
     assert ElementTree.parse(svg).getroot()[1].text == f"{label}: cumulative premia"
     assert svg.read_bytes() == written
+
+
+def test_comparison_md_escapes_a_pipe_in_a_label(tmp_path, synth_a):
+    result = _run_labels(tmp_path, synth_a[0], ["capm|c", "capm-u"])
+    assert result.exit_code == 0, result.output + result.stderr
+    md = tmp_path / "out" / "comparison.md"
+    written = md.read_bytes()
+    assert "capm\\|c" in written.decode()
+    for section in written.decode().split("\n## ")[1:]:
+        rows = [line for line in section.splitlines() if line.startswith("|")]
+        assert len({len(re.split(r"(?<!\\)\|", row)) for row in rows}) == 1, section
+    result = CliRunner().invoke(main, ["report", "--output", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output + result.stderr
+    assert md.read_bytes() == written
 
 
 def test_non_object_config_section_exits_2(tmp_path):

@@ -236,6 +236,25 @@ def test_filter_universe_empty_raises():
         filter_universe([young], cfg)
 
 
+def test_filter_universe_ranks_at_the_latest_bar_without_a_rank_date():
+    # FAD leads at day 398 only; SHT ends too early to rank at; NIL has no bars
+    fading = make_series("FAD", [10.0] * 400, caps=[100.0] * 399 + [5.0])
+    coins = [fading, _aged_series("STD", 50.0), _aged_series("SHT", 1.0, n_days=201),
+             make_series("NIL", [])]
+    latest = UniverseConfig(rank_date=day(399), top_n=1, min_history_days=365)
+    assert filter_universe(coins, UniverseConfig(top_n=1)) == ("STD",)
+    assert filter_universe(coins, UniverseConfig(top_n=1)) == filter_universe(coins, latest)
+
+
+def test_filter_universe_empty_names_the_resolved_rank_date():
+    young = _aged_series("YNG", 1.0, n_days=10)
+    with pytest.raises(EmptyUniverse, match=day(9).isoformat()):
+        filter_universe([young, make_series("NIL", [])], UniverseConfig())
+    for coins in ([make_series("NIL", [])], []):
+        with pytest.raises(EmptyUniverse, match="no coin has a bar"):
+            filter_universe(coins, UniverseConfig())
+
+
 def test_load_coin_dir(tmp_path):
     write_market_csv(make_series("AAA", [1.0, 2.0]), tmp_path / "AAA.csv")
     write_market_csv(make_series("BBB", [3.0, 4.0]), tmp_path / "BBB.csv")

@@ -556,6 +556,15 @@ def _csv_text(rows, terminator="\r\n"):
     return "".join(",".join(row) + terminator for row in rows)
 
 
+def test_panel_rejects_an_unknown_riskfree_mode(tmp_path, synth_a):
+    path = tmp_path / "panel.csv"
+    write_panel_csv(synth_a[0], path)
+    with pytest.raises(InvalidConfig, match="'gold'"):
+        read_panel_csv(path, "gold")
+    with pytest.raises(InvalidConfig, match="'gold'"):
+        dataclasses.replace(synth_a[0], riskfree_mode="gold")
+
+
 def test_read_panel_csv_rejects_duplicate_observation(tmp_path):
     row = ["A", "2021-01-02"] + ["0.0"] * 12
     other = ["B", "2021-01-02"] + ["0.0"] * 12
