@@ -15,6 +15,11 @@ tree's own src/ and perfbench/:
   the universe: BTC whole, the j-th other coin by name without its first
   20 j and last 10 j data lines (one that would keep none keeps its middle
   line), so coins list and delist on different days of one calendar;
+- `ingest` of a mixed copy of those market files, each file's header and
+  first 300 data lines ended in LF, the next 300 in a bare CR and the rest
+  in CRLF, with the close of data lines 100 and 700 quoted, so that
+  `parse_market_csv` reads plain blocks through `np.loadtxt` and the
+  blocks holding a quote through the csv reader and its row checks;
 - `synth` of a 200 x 365 `panel.csv` and a six-spec `run` on it
   (CAPM, FF3 and ALL, each unconditional and conditional);
 - the same six specs on a copy of that `panel.csv` whose first 10,000 data
@@ -79,6 +84,17 @@ STAGGER_COPY = ("import pathlib, sys; source, target = map(pathlib.Path, sys.arg
                 "lines[1 + 20 * j:len(lines) - 10 * j] or [lines[len(lines) // 2]]))) "
                 "for j, p in enumerate(coins) for lines in [p.read_bytes().splitlines(True)]]")
 
+# copies the market files of directory argv[1] into directory argv[2], the
+# header and first 300 data lines of each ended in LF, the next 300 in a
+# bare CR and the rest in CRLF, the close of data lines 100 and 700 quoted
+MIXED_COPY = ("import pathlib, sys; source, target = map(pathlib.Path, sys.argv[1:]); "
+              "target.mkdir(parents=True, exist_ok=True); "
+              "[(target / p.name).write_bytes(b''.join("
+              "(b'%s,\"%s\",%s' % tuple(line.split(b',', 2)) if k in (100, 700) else line) "
+              "+ (b'\\n' if k <= 300 else b'\\r' if k <= 600 else b'\\r\\n') "
+              "for k, line in enumerate(p.read_bytes().split(b'\\r\\n')[:-1]))) "
+              "for p in sorted(source.glob('*.csv'))]")
+
 
 def _steps(seed: int, out: Path) -> list[tuple[str, list[str], dict | None]]:
     """(name, argv after the interpreter, config written to <name>.json)."""
@@ -86,13 +102,14 @@ def _steps(seed: int, out: Path) -> list[tuple[str, list[str], dict | None]]:
     data = {"market_dir": str(raw / "market"), "epu_file": str(raw / "epu.csv"),
             "riskfree_file": str(raw / "riskfree.csv")}
     panel, lf_panel = out / "synth-panel" / "panel.csv", out / "lf-panel" / "panel.csv"
-    staggered = out / "staggered" / "market"
+    staggered, mixed = out / "staggered" / "market", out / "mixed" / "market"
     configs = {
         "synth-raw": {"synth": {"scenario": "B", "n_coins": 30, "n_days": 730,
                                 "emit_raw": True}},
         "ingest": {"data": data},
         "ingest-staggered": {"data": dict(data, market_dir=str(staggered)),
                              "universe": {"min_history_days": 0}},
+        "ingest-mixed": {"data": dict(data, market_dir=str(mixed))},
         "run-raw": {"data": data, "specs": RAW_SPECS,
                     "factors": {"exclude_btc_from_market": True, "min_sort_coins": 8}},
         "synth-panel": {"synth": {"scenario": "B", "n_coins": 200, "n_days": 365,
@@ -111,6 +128,8 @@ def _steps(seed: int, out: Path) -> list[tuple[str, list[str], dict | None]]:
         if name == "ingest-staggered":
             steps.append(("staggered", ["-c", STAGGER_COPY, str(raw / "market"),
                                         str(staggered)], None))
+        if name == "ingest-mixed":
+            steps.append(("mixed", ["-c", MIXED_COPY, str(raw / "market"), str(mixed)], None))
         command = name.split("-")[0]
         config = dict(config, seed=seed, output_dir=str(out / name))
         steps.append((name, ["-m", "coinfactors.cli", command, "--config"], config))

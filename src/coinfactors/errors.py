@@ -54,10 +54,10 @@ class NonPositivePrice(MalformedRow):
         super().__init__(line, f"non-positive close on {date.isoformat()}")
 
 
-class NegativeLevel(ValidationError):
-    def __init__(self, date: dt.date) -> None:
+class NegativeLevel(MalformedRow):
+    def __init__(self, date: dt.date, line: int) -> None:
         self.date = date
-        super().__init__(f"negative uncertainty level on {date.isoformat()}")
+        super().__init__(line, f"negative uncertainty level on {date.isoformat()}")
 
 
 class EmptyUniverse(ValidationError):

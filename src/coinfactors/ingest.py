@@ -19,6 +19,7 @@ import functools
 import io
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -104,6 +105,58 @@ def read_csv_rows(source: str | Path) -> Iterator[Iterator[list[str]]]:
             yield reader
         except csv.Error as exc:
             raise MalformedRow(reader.line_num, str(exc)) from None
+
+
+# a quote or NUL needs the csv reader's judgement; loadtxt skips U+001C-U+001F
+# around a number as whitespace, where float() rejects them
+_IRREGULAR = '"\x00\x1c\x1d\x1e\x1f'
+_BLOCK_ROWS = 256  # the lines of a block
+
+
+def _blocks(lines: Iterable[str], header: tuple[str, ...]) -> Iterator[tuple]:
+    """The data rows of CSV text whose header record, read by csv, must be
+    header (_check_header), given as its lines as open(newline="") splits
+    them (at CR, LF or CRLF), in blocks of _BLOCK_ROWS lines: (line of the
+    first row, hash of the block's text, whether the block is plain, the
+    block), where a row's line is its record's number.
+
+    Each block is judged on its own. A plain block is a list of lines, each
+    with one comma fewer than header has fields, no character of _IRREGULAR
+    and no more characters than the csv field limit: with no CR before any
+    line's end, the csv reader would split each at its commas, whatever its
+    line end. Any other block is a list of as many records, read by a
+    csv.reader of its own, so a record that runs past the block takes its
+    extra lines with it; a csv.Error raises MalformedRow once the records
+    above it are yielded.
+    """
+    lines = iter(lines)
+    reader = csv.reader(lines)
+    try:
+        _check_header(next(reader, None), header)
+    except csv.Error as exc:
+        raise MalformedRow(reader.line_num, str(exc)) from None
+    line, read = 2, reader.line_num  # the next record's line, the lines of text read
+    for block in iter(lambda: list(itertools.islice(lines, _BLOCK_ROWS)), []):
+        text = "".join(block)
+        is_plain = (
+            not any(c in text for c in _IRREGULAR)
+            and set(map(str.count, block, itertools.repeat(","))) == {len(header) - 1}
+            and max(map(len, block)) <= csv.field_size_limit()
+        )
+        taken, records, error = block, block, None  # the block's lines of text, its rows
+        if not is_plain:
+            taken, records = [], []
+            reader = csv.reader(taken.append(t) or t for t in itertools.chain(block, lines))
+            try:
+                records.extend(itertools.islice(reader, len(block)))  # kept on an error
+            except csv.Error as exc:
+                error = MalformedRow(read + reader.line_num, str(exc))
+        if records:
+            yield line, hash(text if is_plain else "".join(taken)), is_plain, records
+        if error is not None:
+            raise error
+        line += len(records)
+        read += len(taken)
 
 
 @contextlib.contextmanager
@@ -196,14 +249,13 @@ def _parse_float(text: str, line: int, column: str) -> float:
 
 
 def _dated_rows(
-    rows: Iterator[list[str]], header: tuple[str, ...]
+    rows: Iterable[list[str]], header: tuple[str, ...], line: int
 ) -> Iterator[tuple[int, dt.date, list[float], list[str]]]:
-    """The data rows of a table whose header must be header, a date column
-    first: (line, date, the other columns' numbers, row). Blank rows are
-    skipped; a wrong field count, a bad date or a bad or non-finite number
-    raises MalformedRow, in that order."""
-    _check_header(next(rows, None), header)
-    for line, row in enumerate(rows, start=2):
+    """The data rows of a table with header's columns, a date column first,
+    the first row on the given line: (line, date, the other columns'
+    numbers, row). Blank rows are skipped; a wrong field count, a bad date or
+    a bad or non-finite number raises MalformedRow, in that order."""
+    for line, row in enumerate(rows, start=line):
         if not row:
             continue
         if len(row) != len(header):
@@ -219,20 +271,75 @@ def parse_market_csv(source: str | Path, coin_id: str) -> CoinSeries:
     Rows may arrive in any order; bars come out sorted ascending. Raises
     MalformedRow, naming its file and line, for structural problems and,
     as NonPositivePrice, for close <= 0; DuplicateDate when a date repeats.
+    The file is read whole before any row is checked, so text that is not
+    UTF-8 is rejected first; its rows are then checked in the blocks of
+    _blocks, a plain block by array operations (_plain_bars), any other
+    block, and a plain one whose parse or checks fail, row by row
+    (_checked_bars).
     """
-    records = []
-    with read_csv_rows(source) as rows:
-        for line, date, (close, volume, cap), row in _dated_rows(rows, MARKET_HEADER):
-            if close <= 0.0:
-                raise NonPositivePrice(date, line)
-            if volume < 0.0:
-                raise MalformedRow(line, f"negative volume {row[2]!r}")
-            if cap < 0.0:
-                raise MalformedRow(line, f"negative market_cap {row[3]!r}")
-            records.append((date.toordinal(), close, volume, cap))
-    bars = np.array(records, dtype=BAR_DTYPE)
+    parts = []
+    with _file_errors(source), open(source, newline="", encoding="utf-8") as handle:
+        for line, _, is_plain, block in _blocks(list(handle), MARKET_HEADER):
+            bars = _plain_bars(block) if is_plain else None
+            if bars is None:
+                bars = _checked_bars(csv.reader(block) if is_plain else block, line)
+            parts.append(bars)
+    bars = np.concatenate(parts or [np.empty(0, BAR_DTYPE)])
     # sorted by day, the constructor raises DuplicateDate for the first repeat
     return CoinSeries(coin_id, bars[np.argsort(bars["day"], kind="stable")])
+
+
+def _checked_bars(records: Iterable[list[str]], line: int) -> np.ndarray:
+    """The bars of a block's records, the first on the given line, each row
+    checked in turn: the first that fails raises its MalformedRow."""
+    bars = []
+    for line, date, (close, volume, cap), row in _dated_rows(records, MARKET_HEADER, line):
+        if close <= 0.0:
+            raise NonPositivePrice(date, line)
+        if volume < 0.0:
+            raise MalformedRow(line, f"negative volume {row[2]!r}")
+        if cap < 0.0:
+            raise MalformedRow(line, f"negative market_cap {row[3]!r}")
+        bars.append((date.toordinal(), close, volume, cap))
+    return np.array(bars, dtype=BAR_DTYPE)
+
+
+_EPOCH = dt.date(1970, 1, 1).toordinal()  # the ordinal of datetime64's day 0
+_split_date = operator.methodcaller("split", ",", 1)
+
+
+def _plain_bars(lines: list[str]) -> np.ndarray | None:
+    """The bars of a plain block, its numbers parsed by np.loadtxt and its
+    dates as datetime64[D]; None when _checked_bars must check the block:
+    a parse fails, a number fails its check, or a date is not one that
+    parse_iso_date takes: 10 characters that datetime64 writes back
+    unchanged, within the ordinals of dt.date (0000-01-01 parses). Where
+    loadtxt and float() both take a cell they give the same bits, and
+    comments=None keeps loadtxt from cutting a cell at #; a cell only float()
+    takes (1_0, a non-ASCII digit) fails loadtxt.
+    """
+    dates, rest = zip(*map(_split_date, lines))
+    if set(map(len, dates)) != {10}:  # a longer text may name a time zone, which numpy warns of
+        return None
+    try:
+        days = np.array(dates, dtype="datetime64[D]")
+        table = np.loadtxt(rest, delimiter=",", comments=None, dtype=float, ndmin=2)
+    except ValueError:
+        return None
+    day = days.astype(np.int64) + _EPOCH
+    if not (
+        np.datetime_as_string(days).tolist() == list(dates)
+        and ((day >= 1) & (day <= dt.date.max.toordinal())).all()
+        and np.isfinite(table).all()
+        and (table[:, 0] > 0.0).all()
+        and (table[:, 1:] >= 0.0).all()
+    ):
+        return None
+    bars = np.empty(len(lines), BAR_DTYPE)
+    bars["day"] = day
+    for name, column in zip(MARKET_HEADER[1:], table.T):
+        bars[name] = column
+    return bars
 
 
 def _parse_level_csv(
@@ -242,7 +349,8 @@ def _parse_level_csv(
 ) -> np.ndarray:
     values: dict[int, float] = {}  # by day ordinal, in line order
     with read_csv_rows(source) as rows:
-        for line, date, (value,), _ in _dated_rows(rows, header):
+        _check_header(next(rows, None), header)
+        for line, date, (value,), _ in _dated_rows(rows, header, 2):
             check(value, date, line)
             if date.toordinal() in values:
                 raise DuplicateDate(date, context=header[1])
@@ -252,7 +360,7 @@ def _parse_level_csv(
 
 def _check_epu(value: float, date: dt.date, line: int) -> None:
     if value < 0.0:
-        raise NegativeLevel(date)
+        raise NegativeLevel(date, line)
 
 
 def _check_rate(value: float, date: dt.date, line: int) -> None:

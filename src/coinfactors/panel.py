@@ -19,7 +19,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .errors import (
     MissingCharacteristic,
     TooShort,
 )
-from .ingest import CoinSeries, _file_errors, parse_iso_date, write_csv_rows
+from .ingest import CoinSeries, _blocks, _file_errors, parse_iso_date, write_csv_rows
 
 CHARACTERISTIC_NAMES = ("size", "momentum", "liquidity", "value")
 
@@ -618,6 +618,8 @@ def write_panel_csv(panel: Panel, path: str | Path) -> None:
     float formatting, through write_csv_rows: each coin's rows go out as one
     write."""
     days = [d.isoformat() for d in panel.dates]
+    # u_lag and rbtc_lag hold one value per date: each date's pair is formatted once
+    series = [f",{u!r},{r!r}" for u, r in zip(panel.u.tolist(), panel.r_btc.tolist())]
     with write_csv_rows(path, PANEL_HEADER) as write:
         for i, coin_id in enumerate(panel.coins):
             cols = np.flatnonzero(panel.mask[i])
@@ -626,12 +628,10 @@ def write_panel_csv(panel: Panel, path: str | Path) -> None:
                 panel.excess[i, cols],
                 *panel.z[:, i, cols],
                 *panel.raw[:, i, cols],
-                panel.u[cols],
-                panel.r_btc[cols],
             ]
             rows = np.stack(columns, axis=1).tolist()
             write((
-                days[j] + "," + ",".join(map(repr, row))
+                days[j] + "," + ",".join(map(repr, row)) + series[j]
                 for j, row in zip(cols.tolist(), rows)
             ), key=coin_id)
 
@@ -666,10 +666,6 @@ def read_panel_csv(source: str | Path, riskfree_mode: str = "tbill") -> Panel:
 
 
 _SIZE_AT = PANEL_HEADER.index("size_raw") - 2  # position among the numbers
-# a quote or NUL needs the csv reader's judgement; loadtxt skips U+001C-U+001F
-# around a number as whitespace, where float() rejects them
-_IRREGULAR = '"\x00\x1c\x1d\x1e\x1f'
-_BLOCK_ROWS = 256  # the rows of a block, the unit of both reads
 _split_keys = operator.methodcaller("split", ",", 2)
 
 
@@ -690,7 +686,7 @@ def _read_twice(open_lines, riskfree_mode: str) -> Panel | None:
     hashes = []
     # the second read raises a MalformedRow of _blocks after the rows above it
     with open_lines() as lines, contextlib.suppress(MalformedRow):
-        for _, digest, is_plain, block in _blocks(lines):
+        for _, digest, is_plain, block in _blocks(lines, PANEL_HEADER):
             hashes.append(digest)
             if is_plain:
                 block_coins, block_days, _ = zip(*map(_split_keys, block))
@@ -708,7 +704,7 @@ def _read_twice(open_lines, riskfree_mode: str) -> Panel | None:
     odd = None
     expected = iter(hashes)
     with open_lines() as lines:
-        for line, digest, is_plain, block in _blocks(lines):
+        for line, digest, is_plain, block in _blocks(lines, PANEL_HEADER):
             if digest != next(expected, None):
                 return None
             placed = _parsed(block, line, coin_at, day_at, mask) if is_plain else None
@@ -736,53 +732,6 @@ def _read_twice(open_lines, riskfree_mode: str) -> Panel | None:
     n = len(CHARACTERISTIC_NAMES)
     ret, excess, z, raw = grid[0], grid[1], grid[2 : 2 + n], grid[2 + n :]
     return Panel(coins, dates, mask, ret, excess, z, raw, *series, riskfree_mode)
-
-
-def _blocks(lines: Iterable[str]) -> Iterator[tuple]:
-    """The data rows of panel text, given as its lines as open(newline="")
-    splits them (at CR, LF or CRLF), in blocks of _BLOCK_ROWS lines: (line
-    of the first row, hash of the block's text, whether the block is plain,
-    the block), where a row's line is its record's number. The header
-    record, read by csv, must be PANEL_HEADER.
-
-    Each block is judged on its own. A plain block is a list of lines, each
-    with 13 commas, no character of _IRREGULAR and no more characters than
-    the csv field limit: with no CR before any line's end, the csv reader
-    would split each at its commas, whatever its line end. Any other block is a
-    list of as many records, read by a csv.reader of its own, so a record
-    that runs past the block takes its extra lines with it; a csv.Error
-    raises MalformedRow once the records above it are yielded.
-    """
-    lines = iter(lines)
-    reader = csv.reader(lines)
-    try:
-        header = next(reader, None)
-    except csv.Error as exc:
-        raise MalformedRow(reader.line_num, str(exc)) from None
-    if header is None or tuple(header) != PANEL_HEADER:
-        raise MalformedRow(1, f"header {header!r}, expected {list(PANEL_HEADER)!r}")
-    line, read = 2, reader.line_num  # the next record's line, the lines of text read
-    for block in iter(lambda: list(itertools.islice(lines, _BLOCK_ROWS)), []):
-        text = "".join(block)
-        is_plain = (
-            not any(c in text for c in _IRREGULAR)
-            and set(map(str.count, block, itertools.repeat(","))) == {len(PANEL_HEADER) - 1}
-            and max(map(len, block)) <= csv.field_size_limit()
-        )
-        taken, records, error = block, block, None  # the block's lines of text, its rows
-        if not is_plain:
-            taken, records = [], []
-            reader = csv.reader(taken.append(t) or t for t in itertools.chain(block, lines))
-            try:
-                records.extend(itertools.islice(reader, len(block)))  # kept on an error
-            except csv.Error as exc:
-                error = MalformedRow(read + reader.line_num, str(exc))
-        if records:
-            yield line, hash(text if is_plain else "".join(taken)), is_plain, records
-        if error is not None:
-            raise error
-        line += len(records)
-        read += len(taken)
 
 
 def _parsed(lines: list[str], line: int, coin_at: dict, day_at: dict, mask: np.ndarray):

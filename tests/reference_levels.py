@@ -47,7 +47,7 @@ def _parse_level_csv(
 
 def _check_epu(value: float, date: dt.date, line: int) -> None:
     if value < 0.0:
-        raise NegativeLevel(date)
+        raise NegativeLevel(date, line)
 
 
 def _check_rate(value: float, date: dt.date, line: int) -> None:

@@ -424,6 +424,19 @@ def test_ingest_riskfree_rate_below_minus_one_exits_2(tmp_path):
     assert "line 101" in result.stderr and "must exceed -1" in result.stderr
 
 
+def test_ingest_negative_epu_level_exits_2_naming_the_file_and_line(tmp_path):
+    raw, doc = _raw_inputs(tmp_path)
+    path = raw / "epu.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    date = lines[100].split(",")[0]
+    lines[100] = f"{date},-2.5"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = CliRunner().invoke(main, ["ingest", "--config", _config(tmp_path / "i.json", doc)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    assert f"{path}: line 101: negative uncertainty level on {date}" in result.stderr
+
+
 def test_ingest_epu_coverage_gap_exits_2(tmp_path):
     raw, doc = _raw_inputs(tmp_path)
     path = raw / "epu.csv"

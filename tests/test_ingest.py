@@ -159,6 +159,14 @@ def test_parse_epu_rejects_negative_level(tmp_path):
         parse_epu_csv(_file(tmp_path, "date,epu\n2021-01-01,-5.0\n"))
 
 
+def test_negative_level_names_the_file_and_the_line(tmp_path):
+    path = _file(tmp_path, "date,epu\n2021-01-01,1.0\n2021-01-02,-5.0\n")
+    with pytest.raises(NegativeLevel) as info:
+        parse_epu_csv(path)
+    assert isinstance(info.value, MalformedRow) and info.value.line == 3
+    assert str(info.value) == f"{path}: line 3: negative uncertainty level on 2021-01-02"
+
+
 def test_parse_epu_csv_names_a_character_cut_off_by_the_end_of_the_file(tmp_path):
     path = tmp_path / "epu.csv"
     path.write_bytes(b"date,epu\r\n2020-01-01,1.0\r\n2020-01-02,2.0\r\n\xc3")

@@ -16,7 +16,7 @@ from coinfactors.errors import (
     TooShort,
     ValidationError,
 )
-from coinfactors.ingest import CoinSeries
+from coinfactors.ingest import _BLOCK_ROWS, CoinSeries
 from coinfactors.panel import (
     CHARACTERISTIC_NAMES,
     PANEL_HEADER,
@@ -644,7 +644,7 @@ def test_read_panel_csv_path_matches_stream(tmp_path, monkeypatch, terminator, q
     if quoted:
         rows = '"' + rows.replace(",", '",', 1)
     text = header + "\r\n" + rows.replace("\r\n", terminator)
-    assert text.count(terminator) <= panel_module._BLOCK_ROWS  # one block
+    assert text.count(terminator) <= _BLOCK_ROWS  # one block
     row_checks = []
     check_rows = panel_module._rows
     monkeypatch.setattr(panel_module, "_rows",
@@ -681,7 +681,7 @@ def test_read_panel_csv_declines_a_file_that_changes_between_its_reads(
     elif change == "cut":
         del lines[-1]
     elif change == "blocks cut":  # every block of the second read matches one of the first
-        del lines[1 + 2 * panel_module._BLOCK_ROWS :]
+        del lines[1 + 2 * _BLOCK_ROWS :]
     else:  # the first block differs; the last line, decoded by no read of
         # the file but the held one, is not UTF-8
         lines[1] = lines[1].replace(b"1.0", b"0.5", 1)
@@ -694,11 +694,11 @@ def test_read_panel_csv_declines_a_file_that_changes_between_its_reads(
     reads = []
     blocks = panel_module._blocks
 
-    def changing_blocks(lines):
+    def changing_blocks(lines, header):
         reads.append(lines)
         if len(reads) == 2:
             path.write_bytes(after)
-        return blocks(lines)
+        return blocks(lines, header)
 
     monkeypatch.setattr(panel_module, "_blocks", changing_blocks)
     monkeypatch.setattr(panel_module, "_rows", None)  # every block stays plain
@@ -777,6 +777,14 @@ def test_read_panel_csv_rejects_bad_header(tmp_path):
     with pytest.raises(MalformedRow) as info:
         _read_both(tmp_path, _csv_text([["coin_id", "date", "ret"], ["A", "2021-01-01", "0.1"]]))
     assert info.value.line == 1
+
+
+def test_read_panel_csv_of_an_empty_file_asks_for_a_header(tmp_path):
+    path = tmp_path / "panel.csv"
+    path.write_bytes(b"")
+    with pytest.raises(MalformedRow) as info:
+        read_panel_csv(path)
+    assert str(info.value) == f"{path}: line 1: empty input, expected a header row"
 
 
 def test_read_panel_csv_rejects_nonfinite(tmp_path):

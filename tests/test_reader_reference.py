@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 import reference_reader as ref
 from coinfactors import panel as panel_module
 from coinfactors.errors import InvalidConfig, MalformedRow
-from coinfactors.ingest import read_csv_rows
+from coinfactors.ingest import _BLOCK_ROWS, read_csv_rows
 from coinfactors.panel import (
     _COLUMNS,
     CHARACTERISTIC_NAMES,
@@ -247,7 +247,7 @@ def _written_lines(tmp_path):
     path = tmp_path / "panel.csv"
     write_panel_csv(panel, path)
     header, *lines = path.read_bytes().decode("utf-8").splitlines(keepends=True)
-    assert len(lines) == 897 and panel_module._BLOCK_ROWS == 256
+    assert len(lines) == 897 and _BLOCK_ROWS == 256
     return header, lines
 
 
